@@ -5,9 +5,8 @@ the current directory):
 
 * ``<controller>_trace.csv``: one row per control tick with columns
   ``t,i_d,i_q,v_d,v_q,tau_ref,tau_est,u_raw,u_feasible,omega,z_d,z_q,
-  lambda_d,lambda_q,p_copper_W,flags``.  ``flags`` is a bitfield:
-  1 = u_clamped, 2 = z_at_limit, 4 = z_zeroed, 8 = b_degenerate,
-  16 = lambda_fallback.
+  lambda_d,lambda_q,p_copper_W,flags``.  ``flags`` is a bitfield over
+  ``optimizer.FLAG_NAMES``, spelled out in the file's first line.
 * ``<controller>_summary.txt``: ``key: value`` lines with the cost
   integral, copper energy, RMS torque error and saturation counts.
 
@@ -15,6 +14,7 @@ Exit codes: 0 success, 1 usage/validation error, 2 numerical abort.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import parse_config
 from .errors import ConfigError
+from .optimizer import FLAG_NAMES
 from .sim import CONTROLLER_NAMES, run_scenario
 
 __all__ = ["main"]
@@ -30,7 +31,7 @@ __all__ = ["main"]
 TRACE_COLUMNS = ("t,i_d,i_q,v_d,v_q,tau_ref,tau_est,u_raw,u_feasible,omega,"
                  "z_d,z_q,lambda_d,lambda_q,p_copper_W,flags")
 
-FLAGS_DOC = "# flags bitfield: 1=u_clamped 2=z_at_limit 4=z_zeroed 8=b_degenerate 16=lambda_fallback"
+FLAGS_DOC = "# flags bitfield: " + " ".join(f"{1 << k}={name}" for k, name in enumerate(FLAG_NAMES))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,20 +76,13 @@ def _load(args):
         print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
         raise SystemExit(1)
     scenario, settings = parse_config(text)
-    import dataclasses
-    overrides = {}
-    if args.v_max is not None:
-        overrides["v_max"] = args.v_max
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    if args.kp is not None:
-        settings.kp = args.kp
-    if args.ki is not None:
-        settings.ki = args.ki
-    if args.alpha_z is not None:
-        settings.alpha_z = args.alpha_z
+
+    def overrides(*names):
+        return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+    # replace() re-runs the validation of both objects on the overridden values
+    scenario = dataclasses.replace(scenario, **overrides("v_max", "horizon"))
+    settings = dataclasses.replace(settings, **overrides("kp", "ki", "alpha_z"))
     if args.decimate < 1:
         print("error: --decimate must be >= 1", file=sys.stderr)
         raise SystemExit(1)

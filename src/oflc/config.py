@@ -22,6 +22,7 @@ load), ``[controller]`` (PI gains, alpha_z).
 
 import configparser
 import io
+from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .loop import PiGains
@@ -52,13 +53,24 @@ _PROFILE_FIELDS = {
 }
 
 
+@dataclass(frozen=True)
 class ControllerSettings:
-    """Controller knobs carried alongside the scenario."""
+    """Controller knobs carried alongside the scenario.
 
-    def __init__(self, kp=5.0, ki=500.0, alpha_z=1.0):
-        self.kp = kp
-        self.ki = ki
-        self.alpha_z = alpha_z
+    Raises ValidationError naming ``controller.<field>`` for a value out
+    of range, whether it came from a document or a command-line override.
+    """
+
+    kp: float = 5.0
+    ki: float = 500.0
+    alpha_z: float = 1.0
+
+    def __post_init__(self):
+        for name in ("kp", "ki"):
+            if getattr(self, name) < 0.0:
+                raise ValidationError(f"controller.{name}", "PI gains must be non-negative")
+        if not 0.0 < self.alpha_z <= 1.0:
+            raise ValidationError("controller.alpha_z", "must be in (0, 1]")
 
     def gains(self):
         return PiGains(kp=self.kp, ki=self.ki)
@@ -188,24 +200,11 @@ def parse_config(text):
         omega0=vals["omega0"],
     )
 
-    ctrl = ControllerSettings()
-    if "controller" in cp:
-        cs = cp["controller"]
-        known = {"kp", "ki", "alpha_z"}
-        unknown = set(cs) - known
-        if unknown:
-            raise ValidationError(f"controller.{sorted(unknown)[0]}", "unknown key")
-        if "kp" in cs:
-            ctrl.kp = _get_float(cs, "kp", "controller.kp")
-        if "ki" in cs:
-            ctrl.ki = _get_float(cs, "ki", "controller.ki")
-        if "alpha_z" in cs:
-            ctrl.alpha_z = _get_float(cs, "alpha_z", "controller.alpha_z")
-        if ctrl.kp < 0.0 or ctrl.ki < 0.0:
-            raise ValidationError("controller.kp", "PI gains must be non-negative")
-        if not 0.0 < ctrl.alpha_z <= 1.0:
-            raise ValidationError("controller.alpha_z", "must be in (0, 1]")
-    return scenario, ctrl
+    cs = cp["controller"] if "controller" in cp else {}
+    unknown = set(cs) - {"kp", "ki", "alpha_z"}
+    if unknown:
+        raise ValidationError(f"controller.{sorted(unknown)[0]}", "unknown key")
+    return scenario, ControllerSettings(**{key: _get_float(cs, key, f"controller.{key}") for key in cs})
 
 
 def _profile_section(profile):
@@ -240,6 +239,8 @@ def serialize_config(scenario, settings=None):
     cp["torque"] = _profile_section(scenario.tau_ref)
     if scenario.mechanical is not None:
         mech = scenario.mechanical
+        if not isinstance(mech.load_torque, ConstantProfile):
+            raise ValidationError("speed.load", f"only a constant load torque can be written, got {mech.load_torque!r}")
         cp["speed"] = {"kind": "mechanical", "inertia": repr(mech.inertia),
                        "friction": repr(mech.friction),
                        "load": repr(mech.load_torque.value)}

@@ -10,11 +10,12 @@ The pipeline per tick:
 5. compute the loss-minimizing input z;
 6. map (u, z) to dq voltages and then to inverter phase voltages.
 
-The closed torque loop behaves as the first-order system
-tau(s)/u(s) = 1/(mu s + 1), independent of z.
+Steps 3 to 6 (up to the dq voltages) are ``control_law``, which the
+continuous-time simulator evaluates too.  The closed torque loop behaves
+as the first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -24,7 +25,7 @@ from . import machine, optimizer
 from .linearization import compute_terms, linearize
 from .optimizer import SaturationReport
 
-__all__ = ["PiGains", "ControlFrame", "pi_update", "TorqueController", "closed_loop_tf_check"]
+__all__ = ["PiGains", "ControlFrame", "pi_update", "control_law", "TorqueController", "closed_loop_tf_check"]
 
 
 @dataclass
@@ -75,6 +76,32 @@ def pi_update(tau_ref, tau_est, gains, dt):
     return tau_ref + gains.kp * e + gains.ki * integ_next, integ_next
 
 
+def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
+    """Map a torque command to dq voltages at one state.
+
+    Clamps u_raw into its feasible band, estimates the costate, picks z
+    (z = 0 unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``)
+    and linearizes.  Returns (v_dq, u_feasible, lam, z, report).
+
+    Raises:
+        DegenerateBError: if b vanishes at i_dq; what voltage to apply
+            then is the caller's decision.
+    """
+    terms = compute_terms(i_dq, omega, params)
+    u_feasible, clamp = optimizer.clamp_torque_command(u_raw, terms, v_max)
+    mats = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
+    lam, fallback = optimizer.estimate_costate(i_dq, mats.A, horizon)
+    if use_z:
+        z_max = optimizer.z_limit(u_feasible, terms, v_max)
+        B = optimizer.projection(terms.b)
+        z, z_report = optimizer.optimal_z(lam, B, params.L_inv, z_max, alpha_z, smoothing=z_smoothing)
+    else:
+        z, z_report = np.zeros(2), SaturationReport()
+    report = SaturationReport(u_clamped=clamp.u_clamped, u_raw=u_raw, z_at_limit=z_report.z_at_limit,
+                              z_zeroed=z_report.z_zeroed, lambda_fallback=fallback)
+    return linearize(u_feasible, z, terms), u_feasible, lam, z, report
+
+
 class TorqueController:
     """Stateful per-tick controller (PI integrator + previous-voltage hold).
 
@@ -112,40 +139,17 @@ class TorqueController:
         tau_est = machine.torque(i_dq, params)
         p_copper = 1.5 * params.R * float(i_dq @ i_dq)
         u_raw, integ_next = pi_update(tau_ref, tau_est, self.gains, self.dt_ctrl)
-
         try:
-            terms = compute_terms(i_dq, omega, params)
+            v_dq, u_feasible, lam, z, report = control_law(
+                i_dq, omega, u_raw, params, self.v_max, self.horizon, self.alpha_z, self.use_z)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
-            v_dq = self._v_prev.copy()
-            return ControlFrame(
-                t=t, theta=theta, omega=omega, i_dq=i_dq, tau_ref=tau_ref,
-                tau_est=tau_est, u_raw=u_raw, u_feasible=u_raw,
-                lam=np.zeros(2), z=np.zeros(2), v_dq=v_dq,
-                v_abc=machine.inverse_park_clarke(theta, v_dq, params),
-                report=SaturationReport(b_degenerate=True, u_raw=u_raw),
-                p_copper=p_copper,
-            )
-
-        u_feasible, report = optimizer.clamp_torque_command(u_raw, terms, self.v_max)
-        if not report.u_clamped:
-            self.gains.integrator = integ_next
-
-        mats = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
-        lam, fallback = optimizer.estimate_costate(i_dq, mats.A, self.horizon)
-        if fallback:
-            report = report.merge(SaturationReport(lambda_fallback=True))
-
-        if self.use_z:
-            z_max = optimizer.z_limit(u_feasible, terms, self.v_max)
-            B = optimizer.projection(terms.b)
-            z, z_report = optimizer.optimal_z(lam, B, params.L_inv, z_max, self.alpha_z)
-            report = report.merge(z_report)
+            v_dq, u_feasible, lam, z = self._v_prev.copy(), u_raw, np.zeros(2), np.zeros(2)
+            report = SaturationReport(b_degenerate=True, u_raw=u_raw)
         else:
-            z = np.zeros(2)
-
-        v_dq = linearize(u_feasible, z, terms)
-        self._v_prev = v_dq
+            if not report.u_clamped:
+                self.gains.integrator = integ_next
+            self._v_prev = v_dq
         return ControlFrame(
             t=t, theta=theta, omega=omega, i_dq=i_dq, tau_ref=tau_ref,
             tau_est=tau_est, u_raw=u_raw, u_feasible=u_feasible, lam=lam,

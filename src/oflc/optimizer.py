@@ -26,6 +26,7 @@ from .machine import h_vector
 __all__ = [
     "EPS_D",
     "COND_LIMIT",
+    "FLAG_NAMES",
     "SaturationReport",
     "CostateMatrices",
     "dphi_di",
@@ -50,6 +51,10 @@ EPS_D = 1e-9
 COND_LIMIT = 1e12
 
 
+# The per-tick flags in trace-bit order: FLAG_NAMES[k] is bit 1 << k.
+FLAG_NAMES = ("u_clamped", "z_at_limit", "z_zeroed", "b_degenerate", "lambda_fallback")
+
+
 @dataclass
 class SaturationReport:
     """Per-tick flags describing clamps and degeneracies."""
@@ -61,25 +66,9 @@ class SaturationReport:
     b_degenerate: bool = False
     lambda_fallback: bool = False
 
-    def merge(self, other):
-        return SaturationReport(
-            u_clamped=self.u_clamped or other.u_clamped,
-            u_raw=other.u_raw if other.u_clamped else self.u_raw,
-            z_at_limit=self.z_at_limit or other.z_at_limit,
-            z_zeroed=self.z_zeroed or other.z_zeroed,
-            b_degenerate=self.b_degenerate or other.b_degenerate,
-            lambda_fallback=self.lambda_fallback or other.lambda_fallback,
-        )
-
     def flags_bitfield(self):
-        """Pack the boolean flags for the trace file (see cli docs)."""
-        return (
-            (1 if self.u_clamped else 0)
-            | (2 if self.z_at_limit else 0)
-            | (4 if self.z_zeroed else 0)
-            | (8 if self.b_degenerate else 0)
-            | (16 if self.lambda_fallback else 0)
-        )
+        """Pack the boolean flags for the trace file (bit 1 << k for FLAG_NAMES[k])."""
+        return sum(1 << k for k, name in enumerate(FLAG_NAMES) if getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -227,17 +216,27 @@ def z_limit(u_feasible, terms, v_max):
     return np.sqrt(disc)
 
 
-def optimal_z(lam, B, L_inv, z_max, alpha_z=1.0):
+def optimal_z(lam, B, L_inv, z_max, alpha_z=1.0, smoothing=0.0):
     """Closed-form Hamiltonian minimizer over {z : z | b, |z| <= z_max}.
 
     Aligns z against B L^-1 lambda and scales it to alpha_z * z_max.
     Returns (z, report); degenerate direction or zero budget yield z = 0
     with the z_zeroed flag.
+
+    ``smoothing`` > 0 replaces the bang-bang magnitude with the boundary
+    layer z = -alpha_z z_max d / sqrt(|d|^2 + smoothing^2), d = B L^-1
+    lambda.  The exact rule makes a closed loop evaluated continuously a
+    sliding mode around the loss optimum, which a fixed-step integrator
+    cannot resolve; the smoothed z stays admissible (z | b,
+    |z| < alpha_z z_max), so it never sets z_at_limit.
     """
     lam = np.asarray(lam, dtype=float)
     d = B @ (L_inv @ lam)
     # second projection scrubs the parallel rounding residual
     d = B @ d
+    if smoothing > 0.0:
+        z = -alpha_z * z_max * d / np.sqrt(float(d @ d) + smoothing**2)
+        return z, SaturationReport(z_zeroed=z_max <= 0.0)
     d_norm = np.linalg.norm(d)
     if d_norm < EPS_D or z_max <= 0.0:
         return np.zeros(2), SaturationReport(z_zeroed=True)

@@ -18,16 +18,18 @@ import numpy as np
 
 from .errors import NonFiniteStateError, ValidationError
 from . import machine, optimizer
-from .linearization import compute_terms, linearize
-from .loop import ControlFrame, TorqueController
+from .linearization import compute_terms
+from .loop import ControlFrame, TorqueController, control_law
 from .machine import MachineParams, dq_dynamics, inverse_park_clarke, torque
-from .optimizer import SaturationReport
+from .optimizer import FLAG_NAMES, SaturationReport
+from .profiles import ConstantProfile
 
 __all__ = [
     "MechanicalModel",
     "Scenario",
     "RunResult",
     "ContinuousRun",
+    "rk4",
     "rk4_plant_step",
     "run_scenario",
     "run_continuous",
@@ -49,7 +51,7 @@ class MechanicalModel:
 
     inertia: float  # kg m^2
     friction: float = 0.0  # N m s
-    load_torque: Callable[[float], float] = lambda t: 0.0
+    load_torque: Callable[[float], float] = ConstantProfile(0.0)
 
     def __post_init__(self):
         if self.inertia <= 0.0:
@@ -111,16 +113,35 @@ class RunResult:
     aborted: bool = False
 
 
+def rk4(f, x, t, h):
+    """One classical RK4 step of dx/dt = f(x, t) from time t over h.
+
+    Raises:
+        NonFiniteStateError: if the new state is not finite.
+    """
+    k1 = f(x, t)
+    k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
+    k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
+    k4 = f(x + h * k3, t + h)
+    x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(x_next)):
+        raise NonFiniteStateError(f"state diverged: {x_next}")
+    return x_next
+
+
+def _rk4_trajectory(f, x0, duration, dt):
+    """RK4 samples (t, x) of dx/dt = f(x, t) at t = k dt, k = 0 .. duration/dt."""
+    n = round(duration / dt)
+    xs = np.empty((n + 1, len(x0)))
+    xs[0] = x0
+    for k in range(n):
+        xs[k + 1] = rk4(f, xs[k], k * dt, dt)
+    return np.arange(n + 1) * dt, xs
+
+
 def rk4_plant_step(i, v, omega, dt_plant, params):
     """One classical RK4 step of the current dynamics, v and omega held."""
-    k1 = dq_dynamics(i, v, omega, params)
-    k2 = dq_dynamics(i + 0.5 * dt_plant * k1, v, omega, params)
-    k3 = dq_dynamics(i + 0.5 * dt_plant * k2, v, omega, params)
-    k4 = dq_dynamics(i + dt_plant * k3, v, omega, params)
-    i_next = i + (dt_plant / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(i_next)):
-        raise NonFiniteStateError(f"state diverged: {i_next}")
-    return i_next
+    return rk4(lambda x, t: dq_dynamics(x, v, omega, params), i, 0.0, dt_plant)
 
 
 class IdZeroController:
@@ -209,15 +230,13 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
         try:
             for j in range(n_sub):
                 t_sub = t + j * s.dt_plant
+                omega_sub = float(s.speed(t_sub)) if s.speed is not None else params.p * omega_m
+                i = rk4_plant_step(i, frame.v_dq, omega_sub, s.dt_plant, params)
                 if s.speed is not None:
-                    omega_sub = float(s.speed(t_sub))
-                    i = rk4_plant_step(i, frame.v_dq, omega_sub, s.dt_plant, params)
                     theta += omega_sub / params.p * s.dt_plant
                 else:
-                    omega_sub = params.p * omega_m
-                    i = rk4_plant_step(i, frame.v_dq, omega_sub, s.dt_plant, params)
-                    tau_m = torque(i, params)
                     mech = s.mechanical
+                    tau_m = torque(i, params)
                     omega_m += (tau_m - mech.load_torque(t_sub) - mech.friction * omega_m) / mech.inertia * s.dt_plant
                     theta += omega_m * s.dt_plant
         except NonFiniteStateError:
@@ -231,13 +250,7 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
         result.copper_energy = copper
         err = np.array([f.tau_ref - f.tau_est for f in frames])
         result.rms_torque_error = float(np.sqrt(np.mean(err * err)))
-    result.saturation_counts = {
-        "u_clamped": sum(f.report.u_clamped for f in frames),
-        "z_at_limit": sum(f.report.z_at_limit for f in frames),
-        "z_zeroed": sum(f.report.z_zeroed for f in frames),
-        "b_degenerate": sum(f.report.b_degenerate for f in frames),
-        "lambda_fallback": sum(f.report.lambda_fallback for f in frames),
-    }
+    result.saturation_counts = {name: sum(getattr(f.report, name) for f in frames) for name in FLAG_NAMES}
     return result
 
 
@@ -256,24 +269,7 @@ def run_open_loop(params, v_fn, omega_fn, i0, duration, dt):
     (t, i) with i of shape (N+1, 2).  Test utility for trajectory-level
     identities.
     """
-    n = round(duration / dt)
-    i = np.array(i0, dtype=float)
-    ts = np.empty(n + 1)
-    states = np.empty((n + 1, 2))
-    for k in range(n + 1):
-        t = k * dt
-        ts[k] = t
-        states[k] = i
-        if k == n:
-            break
-        k1 = dq_dynamics(i, v_fn(t), omega_fn(t), params)
-        k2 = dq_dynamics(i + 0.5 * dt * k1, v_fn(t + 0.5 * dt), omega_fn(t + 0.5 * dt), params)
-        k3 = dq_dynamics(i + 0.5 * dt * k2, v_fn(t + 0.5 * dt), omega_fn(t + 0.5 * dt), params)
-        k4 = dq_dynamics(i + dt * k3, v_fn(t + dt), omega_fn(t + dt), params)
-        i = i + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(i)):
-            raise NonFiniteStateError(f"state diverged at t = {t + dt}")
-    return ts, states
+    return _rk4_trajectory(lambda i, t: dq_dynamics(i, v_fn(t), omega_fn(t), params), i0, duration, dt)
 
 
 @dataclass
@@ -297,59 +293,20 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     continuous-time behaviour tau + mu dtau/dt = u exactly up to
     integrator error.
 
-    ``z_smoothing`` > 0 replaces the bang-bang magnitude rule
-    |z| = z_max with the smooth saturation
-    z = -alpha_z z_max d / sqrt(|d|^2 + z_smoothing^2): the exact rule
-    makes the closed loop a sliding mode around the loss optimum, which
-    a fixed-step integrator cannot resolve; the smoothed z remains
-    admissible (z | b, |z| <= z_max), so torque dynamics are unaffected.
+    ``z_smoothing`` > 0 selects the smoothed z rule of
+    ``optimizer.optimal_z``: the exact bang-bang rule makes this closed
+    loop a sliding mode that a fixed-step integrator cannot resolve.
     """
-
-    def applied_u(i, t):
-        terms = compute_terms(i, omega_profile(t), params)
-        u_f, rep = optimizer.clamp_torque_command(float(u_profile(t)), terms, v_max)
-        return u_f, rep.u_clamped, terms
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        u_f, _, terms = applied_u(i, t)
-        if use_z:
-            z_max = optimizer.z_limit(u_f, terms, v_max)
-            B = optimizer.projection(terms.b)
-            mats = optimizer.costate_matrices(i, omega, u_f, terms, params)
-            lam, _ = optimizer.estimate_costate(i, mats.A, horizon)
-            if z_smoothing > 0.0:
-                d = B @ (B @ (params.L_inv @ lam))
-                z = -alpha_z * z_max * d / np.sqrt(float(d @ d) + z_smoothing**2)
-            else:
-                z, _ = optimizer.optimal_z(lam, B, params.L_inv, z_max, alpha_z)
-        else:
-            z = np.zeros(2)
-        v = linearize(u_f, z, terms)
+        v = control_law(i, omega, float(u_profile(t)), params, v_max, horizon, alpha_z, use_z, z_smoothing)[0]
         return dq_dynamics(i, v, omega, params)
 
-    n = round(duration / dt)
-    i = np.array(i0, dtype=float)
-    ts = np.empty(n + 1)
-    states = np.empty((n + 1, 2))
-    taus = np.empty(n + 1)
-    us = np.empty(n + 1)
-    clamped = np.empty(n + 1, dtype=bool)
-    for k in range(n + 1):
-        t = k * dt
-        ts[k] = t
-        states[k] = i
-        taus[k] = torque(i, params)
-        u_f, was_clamped, _ = applied_u(i, t)
-        us[k] = u_f
-        clamped[k] = was_clamped
-        if k == n:
-            break
-        k1 = deriv(i, t)
-        k2 = deriv(i + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = deriv(i + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = deriv(i + dt * k3, t + dt)
-        i = i + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(i)):
-            raise NonFiniteStateError(f"state diverged at t = {t + dt}")
-    return ContinuousRun(t=ts, i=states, tau=taus, u=us, clamped=clamped)
+    ts, states = _rk4_trajectory(deriv, i0, duration, dt)
+    # only the clamp, not the whole control law: u needs no costate solve
+    applied = [optimizer.clamp_torque_command(float(u_profile(t)), compute_terms(i, omega_profile(t), params), v_max)
+               for t, i in zip(ts, states)]
+    return ContinuousRun(t=ts, i=states, tau=np.array([torque(i, params) for i in states]),
+                         u=np.array([u for u, _ in applied]),
+                         clamped=np.array([report.u_clamped for _, report in applied]))

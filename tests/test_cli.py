@@ -98,6 +98,14 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "dt_plant" in capsys.readouterr().err
 
+    good = tmp_path / "good.cfg"
+    good.write_text(TINY)
+    for flag, value, message in (("--alpha-z", "2", "controller.alpha_z: must be in (0, 1]"),
+                                 ("--kp", "-1", "controller.kp"), ("--ki", "-1", "controller.ki")):
+        rc = main(["simulate", "--scenario", str(good), "--out", str(tmp_path), flag, value])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 def test_missing_file_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:

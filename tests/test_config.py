@@ -1,8 +1,10 @@
 import pytest
 
-from oflc.config import parse_config, serialize_config
+from conftest import P0
+from oflc.config import ControllerSettings, parse_config, serialize_config
 from oflc.errors import ParseError, ValidationError
-from oflc.profiles import SinusoidProfile, TrapezoidProfile
+from oflc.profiles import ConstantProfile, SinusoidProfile, TrapezoidProfile
+from oflc.sim import MechanicalModel, Scenario
 
 MINIMAL = """
 [machine]
@@ -119,11 +121,21 @@ def test_mechanical_speed_section():
 
 
 def test_round_trip():
-    scenario, settings = parse_config(FULL)
-    text = serialize_config(scenario, settings)
-    scenario2, settings2 = parse_config(text)
-    assert scenario2 == scenario
-    assert (settings2.kp, settings2.ki, settings2.alpha_z) == (settings.kp, settings.ki, settings.alpha_z)
+    default_load = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(1.0),
+                            mechanical=MechanicalModel(inertia=1e-3))
+    for scenario, settings in (parse_config(FULL), (default_load, ControllerSettings())):
+        text = serialize_config(scenario, settings)
+        scenario2, settings2 = parse_config(text)
+        assert scenario2 == scenario
+        assert (settings2.kp, settings2.ki, settings2.alpha_z) == (settings.kp, settings.ki, settings.alpha_z)
+
+
+def test_serialize_rejects_unwritable_load():
+    scenario = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(1.0),
+                        mechanical=MechanicalModel(inertia=1e-3, load_torque=SinusoidProfile(1.0, 5.0)))
+    with pytest.raises(ValidationError) as exc:
+        serialize_config(scenario)
+    assert exc.value.field == "speed.load"
 
 
 def test_shipped_scenarios_parse():

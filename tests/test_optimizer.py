@@ -145,14 +145,16 @@ def test_optimal_z_values():
 
 
 def test_optimal_z_orthogonality(rng):
-    for _ in range(1000):
-        i, omega, terms = random_state(rng, P0)
-        lam = rng.uniform(-1, 1, 2)
-        B = optimizer.projection(terms.b)
-        z, _ = optimizer.optimal_z(lam, B, P0.L_inv, 10.0)
-        zn = np.linalg.norm(z)
-        if zn > 0.0:
-            assert abs(float(terms.b @ z)) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
+    for smoothing in (0.0, 0.5):
+        for _ in range(1000):
+            i, omega, terms = random_state(rng, P0)
+            lam = rng.uniform(-1, 1, 2)
+            B = optimizer.projection(terms.b)
+            z, _ = optimizer.optimal_z(lam, B, P0.L_inv, 10.0, smoothing=smoothing)
+            zn = np.linalg.norm(z)
+            assert zn <= 10.0 * (1.0 + 1e-12)
+            if zn > 0.0:
+                assert abs(float(terms.b @ z)) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
 
 
 def test_optimal_z_minimizes_hamiltonian(rng):
