@@ -3,6 +3,10 @@
 Conventions used throughout the package:
 
 * current and voltage vectors are numpy arrays ordered ``[d, q]``;
+  the voltage equations themselves are written once, on Python floats,
+  in ``voltage_drift`` and ``current_derivatives``: the plant substep
+  calls them directly and the array forms ``h_vector`` and
+  ``dq_dynamics`` wrap them;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -13,6 +17,7 @@ All functions here are pure and safe to call concurrently.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +28,8 @@ __all__ = [
     "park_clarke",
     "inverse_park_clarke",
     "torque",
+    "voltage_drift",
+    "current_derivatives",
     "dq_dynamics",
     "h_vector",
 ]
@@ -70,15 +77,20 @@ class MachineParams:
         """Machine time constant L_q/R in seconds."""
         return self.L_q / self.R
 
-    @property
+    @cached_property
     def L(self):
-        """Inductance matrix diag(L_d, L_q)."""
-        return np.diag([self.L_d, self.L_q])
+        """Inductance matrix diag(L_d, L_q); read-only, built once."""
+        return _read_only(np.diag([self.L_d, self.L_q]))
 
-    @property
+    @cached_property
     def L_inv(self):
-        """Inverse inductance matrix diag(1/L_d, 1/L_q)."""
-        return np.diag([1.0 / self.L_d, 1.0 / self.L_q])
+        """Inverse inductance matrix diag(1/L_d, 1/L_q); read-only, built once."""
+        return _read_only(np.diag([1.0 / self.L_d, 1.0 / self.L_q]))
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def park_matrix(theta, p):
@@ -120,21 +132,26 @@ def torque(i, params):
     return 1.5 * params.p * (params.psi * i_q + (params.L_d - params.L_q) * i_d * i_q)
 
 
+def voltage_drift(i_d, i_q, omega, params):
+    """Float core of the drift h of the voltage equations: L di/dt = h + v."""
+    return (-params.R * i_d + params.L_q * i_q * omega,
+            -params.R * i_q + params.L_d * i_d * omega - params.psi * omega)
+
+
+def current_derivatives(i_d, i_q, v_d, v_q, omega, params):
+    """Float core of the current dynamics: (di_d/dt, di_q/dt)."""
+    h_d, h_q = voltage_drift(i_d, i_q, omega, params)
+    return (h_d + v_d) / params.L_d, (h_q + v_q) / params.L_q
+
+
 def dq_dynamics(i, v, omega, params):
     """Current derivatives d[i_d, i_q]/dt under voltages v at speed omega."""
     i_d, i_q = i
     v_d, v_q = v
-    did = (-params.R * i_d + params.L_q * i_q * omega + v_d) / params.L_d
-    diq = (-params.R * i_q + params.L_d * i_d * omega - params.psi * omega + v_q) / params.L_q
-    return np.array([did, diq])
+    return np.array(current_derivatives(i_d, i_q, v_d, v_q, omega, params))
 
 
 def h_vector(i, omega, params):
     """Drift term of the voltage equations: L di/dt = h(i, omega) + v."""
     i_d, i_q = i
-    return np.array(
-        [
-            -params.R * i_d + params.L_q * i_q * omega,
-            -params.R * i_q + params.L_d * i_d * omega - params.psi * omega,
-        ]
-    )
+    return np.array(voltage_drift(i_d, i_q, omega, params))

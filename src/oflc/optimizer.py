@@ -15,6 +15,7 @@ The admissible z set is a line segment in R^2, so the closed form is the
 exact pointwise Hamiltonian minimizer.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "gamma_matrix",
     "costate_matrices",
     "current_dynamics",
+    "condition_number",
     "estimate_costate",
     "projection",
     "clamp_torque_command",
@@ -138,23 +140,23 @@ def printed_lambda_matrix(terms, params):
     return coef * params.L_inv @ core
 
 
+def _gamma(terms, dphi, dh, params):
+    """Gamma from the Jacobians dphi/di and dh/di."""
+    return params.L_inv @ (np.outer(terms.b / terms.b_norm_sq, dphi) - dh)
+
+
 def gamma_matrix(i, omega, terms, params):
     """Gamma = L^-1 ( b/|b|^2 dphi/di^T - dh/di )."""
-    outer = np.outer(terms.b / terms.b_norm_sq, dphi_di(i, omega, params))
-    return params.L_inv @ (outer - dh_di(omega, params))
+    return _gamma(terms, dphi_di(i, omega, params), dh_di(omega, params), params)
 
 
 def costate_matrices(i, omega, u, terms, params):
     """Assemble A = (u - phi) Lambda + Gamma and its blocks."""
+    dphi = dphi_di(i, omega, params)
+    dh = dh_di(omega, params)
     Lam = lambda_matrix(terms, params)
-    Gam = gamma_matrix(i, omega, terms, params)
-    return CostateMatrices(
-        A=(u - terms.phi) * Lam + Gam,
-        Lambda=Lam,
-        Gamma=Gam,
-        dphi_di=dphi_di(i, omega, params),
-        dh_di=dh_di(omega, params),
-    )
+    Gam = _gamma(terms, dphi, dh, params)
+    return CostateMatrices(A=(u - terms.phi) * Lam + Gam, Lambda=Lam, Gamma=Gam, dphi_di=dphi, dh_di=dh)
 
 
 def current_dynamics(i, omega, u, z, params, printed_b_d=False):
@@ -169,17 +171,39 @@ def current_dynamics(i, omega, u, z, params, printed_b_d=False):
     )
 
 
+def condition_number(M):
+    """2-norm condition number of a 2x2 matrix [[a, b], [c, d]], in closed form.
+
+    With s = |M|_F^2 = s1^2 + s2^2 and |det M| = s1 s2 for the singular
+    values s1 >= s2, cond = s1 / s2 = (s + sqrt(s^2 - 4 det^2)) / (2 |det|).
+    The radicand is evaluated as the product of the two sums of squares
+    s -+ 2 (ad - bc) = (a -+ d)^2 + (b +- c)^2, which cancels nothing, and the
+    entries are first divided by the largest magnitude, so nothing
+    overflows or underflows.  A singular or non-finite matrix gives inf.
+    """
+    (a, b), (c, d) = M.tolist()
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    if not 0.0 < m < math.inf:  # also false for nan
+        return math.inf
+    a, b, c, d = a / m, b / m, c / m, d / m
+    det = abs(a * d - b * c)
+    if not det > 0.0:
+        return math.inf
+    s_minus = (a - d) * (a - d) + (b + c) * (b + c)
+    s_plus = (a + d) * (a + d) + (b - c) * (b - c)
+    return (0.5 * (s_minus + s_plus) + math.sqrt(s_minus * s_plus)) / (2.0 * det)
+
+
 def estimate_costate(i, A, horizon):
     """One-step discrete costate lambda = 2 (I/h + A^T)^-1 i.
 
-    Returns (lambda, fallback_used).  If the solve matrix is ill
-    conditioned (cond > COND_LIMIT) the A-free fallback lambda = 2 h i is
-    returned with the flag set.
+    Returns (lambda, fallback_used).  If the solve matrix is singular,
+    not finite or ill conditioned (cond > COND_LIMIT) the A-free fallback
+    lambda = 2 h i is returned with the flag set.
     """
     i = np.asarray(i, dtype=float)
     M = np.eye(2) / horizon + A.T
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    if condition_number(M) > COND_LIMIT:
         return 2.0 * horizon * i, True
     return 2.0 * np.linalg.solve(M, i), False
 

@@ -17,6 +17,11 @@ from oflc.machine import (
 def test_derived_constants():
     assert P0.eta == pytest.approx(2.0 / 3.0)
     assert P0.mu == pytest.approx(0.01)
+    # the inductance matrices are built once per instance and cannot be mutated
+    for cached, fresh in ((P0.L, np.diag([P0.L_d, P0.L_q])), (P0.L_inv, np.diag([1.0 / P0.L_d, 1.0 / P0.L_q]))):
+        assert np.array_equal(cached, fresh)
+        assert not cached.flags.writeable
+    assert P0.L_inv is P0.L_inv
 
 
 @pytest.mark.parametrize("bad", [

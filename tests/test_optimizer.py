@@ -80,6 +80,43 @@ def test_estimate_costate_fallback_on_singular():
     np.testing.assert_allclose(lam, [0.02, 0.04])  # 2 h i
 
 
+def _rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def test_condition_number_matches_svd(rng):
+    eps = np.finfo(float).eps
+    limit = optimizer.COND_LIMIT
+    # seeded random matrices, then prescribed condition numbers on both sides of COND_LIMIT
+    mats = [rng.uniform(-100.0, 100.0, (2, 2)) for _ in range(200)]
+    for cond in (1.0, 1e3, 1e8, limit / 10.0, limit * 10.0, 1e15):
+        for _ in range(20):
+            sigma = np.diag([1.0, 1.0 / cond]) * 10.0 ** rng.uniform(-3.0, 6.0)
+            mats.append(_rotation(rng.uniform(0, 2 * np.pi)) @ sigma @ _rotation(rng.uniform(0, 2 * np.pi)))
+    mats += [1e200 * mats[0], 1e-200 * mats[1]]
+    for M in mats:
+        cond, ref = optimizer.condition_number(M), np.linalg.cond(M)
+        # both forms lose about eps * cond of relative accuracy to rounding
+        assert abs(cond - ref) <= (1e-13 + 64.0 * eps * ref) * ref
+        assert (cond > limit) == (ref > limit)
+    # singular and near-singular: the fallback side, as np.linalg.cond decides
+    singular = [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])]
+    singular += [np.outer(rng.uniform(-10, 10, 2), rng.uniform(-10, 10, 2)) for _ in range(50)]
+    for M in singular:
+        assert optimizer.condition_number(M) > limit and np.linalg.cond(M) > limit
+    assert optimizer.condition_number(np.zeros((2, 2))) == np.inf
+    # any non-finite entry
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in range(4):
+            M = np.eye(2)
+            M.flat[k] = bad
+            assert optimizer.condition_number(M) == np.inf
+            lam, fb = optimizer.estimate_costate((1.0, 2.0), M - np.eye(2) / 0.01, 0.01)
+            assert fb
+            np.testing.assert_allclose(lam, [0.02, 0.04])
+
+
 def test_estimate_costate_linear_in_i(rng):
     A = rng.uniform(-50, 50, (2, 2))
     i = rng.uniform(-10, 10, 2)

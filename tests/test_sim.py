@@ -3,9 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import P0, P_NS, V_MAX
+from oflc import sim
 from oflc.errors import NonFiniteStateError
 from oflc.loop import ControlFrame, PiGains
-from oflc.machine import dq_dynamics, inverse_park_clarke, torque
+from oflc.machine import current_derivatives, dq_dynamics, h_vector, inverse_park_clarke, torque, voltage_drift
 from oflc.optimizer import SaturationReport
 from oflc.profiles import ConstantProfile, SinusoidProfile, TrapezoidProfile
 from oflc.sim import (
@@ -15,6 +16,26 @@ from oflc.sim import (
     rk4_plant_step,
     run_scenario,
 )
+
+
+def _reference_plant_step(i, v, omega, dt_plant, params):
+    """The plant substep written as the generic ``sim.rk4`` on ``dq_dynamics``."""
+    return sim.rk4(lambda x, t: dq_dynamics(x, v, omega, params), i, 0.0, dt_plant)
+
+
+def test_float_plant_step_equals_array_reference(rng):
+    # same operations in the same order: equal to the last bit, not just close
+    for params in (P0, P_NS):
+        for _ in range(500):
+            i, v = rng.uniform(-50.0, 50.0, 2), rng.uniform(-48.0, 48.0, 2)
+            omega, h = rng.uniform(-500.0, 500.0), 10.0 ** rng.uniform(-7.0, -4.0)
+            (i_d, i_q), (v_d, v_q) = i.tolist(), v.tolist()
+            assert np.array_equal(current_derivatives(i_d, i_q, v_d, v_q, omega, params),
+                                  dq_dynamics(i, v, omega, params))
+            assert np.array_equal(voltage_drift(i_d, i_q, omega, params), h_vector(i, omega, params))
+            step = rk4_plant_step(i, v, omega, h, params)
+            assert isinstance(step, np.ndarray) and step.shape == (2,)
+            assert np.array_equal(step, _reference_plant_step(i, v, omega, h, params))
 
 
 def test_rk4_equilibrium_fixed_point():
@@ -83,13 +104,24 @@ def test_zero_scenario_zero_cost():
     assert not result.aborted
 
 
-def test_run_scenario_reproducible():
-    s = _quiet_scenario(tau_ref=SinusoidProfile(3.0, 20.0), speed=TrapezoidProfile(0.0, 150.0, 0.002, 0.006))
-    a = run_scenario(s, "oflc", gains=PiGains())
-    b = run_scenario(s, "oflc", gains=PiGains())
-    assert a.cost_integral == b.cost_integral
-    for fa, fb in zip(a.frames, b.frames):
-        assert np.all(fa.v_dq == fb.v_dq) and np.all(fa.i_dq == fb.i_dq)
+def test_run_scenario_reproducible(monkeypatch):
+    # a repeated run, and a run on the reference plant step, give the same frames
+    prescribed = _quiet_scenario(tau_ref=SinusoidProfile(3.0, 20.0), speed=TrapezoidProfile(0.0, 150.0, 0.002, 0.006))
+    mechanical = Scenario(params=P0, duration=0.005, tau_ref=ConstantProfile(2.0),
+                          mechanical=MechanicalModel(inertia=1e-4, friction=1e-3, load_torque=ConstantProfile(0.5)),
+                          dt_plant=1e-5, dt_ctrl=1e-4, horizon=1e-3, v_max=V_MAX, omega0=20.0)
+    for s in (prescribed, mechanical):
+        a = run_scenario(s, "oflc", gains=PiGains())
+        b = run_scenario(s, "oflc", gains=PiGains())
+        with monkeypatch.context() as m:
+            m.setattr(sim, "rk4_plant_step", _reference_plant_step)
+            c = run_scenario(s, "oflc", gains=PiGains())
+        assert a.cost_integral == b.cost_integral == c.cost_integral
+        assert len(a.frames) == len(b.frames) == len(c.frames) == round(s.duration / s.dt_ctrl)
+        for fa, fb, fc in zip(a.frames, b.frames, c.frames):
+            assert np.all(fa.v_dq == fb.v_dq) and np.all(fa.i_dq == fb.i_dq)
+            assert np.array_equal(fa.v_dq, fc.v_dq) and np.array_equal(fa.i_dq, fc.i_dq)
+            assert fa.omega == fc.omega and fa.theta == fc.theta
 
 
 def test_run_frames_respect_limits():
