@@ -3,9 +3,10 @@
 Outputs per run (in the output directory, default ``$OFLC_OUT_DIR`` or
 the current directory):
 
-* ``<controller>_trace.csv``: one row per control tick with columns
-  ``t,i_d,i_q,v_d,v_q,tau_ref,tau_est,u_raw,u_feasible,omega,z_d,z_q,
-  lambda_d,lambda_q,p_copper_W,flags``.  ``flags`` is a bitfield over
+* ``<controller>_trace.csv``: one row per control tick, the fields of
+  its ``loop.ControlFrame`` in order (``t,i_d,i_q,v_d,v_q,tau_ref,
+  tau_est,u_raw,u_feasible,omega,z_d,z_q,lambda_d,lambda_q,p_copper_W,
+  flags``), each written as its ``repr``.  ``flags`` is a bitfield over
   ``optimizer.FLAG_NAMES``, spelled out in the file's first line.
 * ``<controller>_summary.txt``: ``key: value`` lines with the cost
   integral, copper energy, RMS torque error and saturation counts.
@@ -23,13 +24,11 @@ import numpy as np
 
 from .config import parse_config
 from .errors import ConfigError
+from .loop import ControlFrame
 from .optimizer import FLAG_NAMES
 from .sim import CONTROLLER_NAMES, run_scenario
 
 __all__ = ["main"]
-
-TRACE_COLUMNS = ("t,i_d,i_q,v_d,v_q,tau_ref,tau_est,u_raw,u_feasible,omega,"
-                 "z_d,z_q,lambda_d,lambda_q,p_copper_W,flags")
 
 FLAGS_DOC = "# flags bitfield: " + " ".join(f"{1 << k}={name}" for k, name in enumerate(FLAG_NAMES))
 
@@ -99,14 +98,9 @@ def _out_dir(args):
 def _write_trace(path, frames, decimate):
     with open(path, "w") as fh:
         fh.write(FLAGS_DOC + "\n")
-        fh.write(TRACE_COLUMNS + "\n")
+        fh.write(",".join(ControlFrame._fields) + "\n")
         for frame in frames[::decimate]:
-            row = (frame.t, frame.i_dq[0], frame.i_dq[1], frame.v_dq[0], frame.v_dq[1],
-                   frame.tau_ref, frame.tau_est, frame.u_raw, frame.u_feasible,
-                   frame.omega, frame.z[0], frame.z[1], frame.lam[0], frame.lam[1],
-                   frame.p_copper)
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write(f",{frame.report.flags_bitfield()}\n")
+            fh.write(",".join(map(repr, frame)) + "\n")
 
 
 def _write_summary(path, name, result):

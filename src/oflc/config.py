@@ -22,6 +22,7 @@ load), ``[controller]`` (PI gains, alpha_z).
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
@@ -67,8 +68,8 @@ class ControllerSettings:
 
     def __post_init__(self):
         for name in ("kp", "ki"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"controller.{name}", "PI gains must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"controller.{name}", "PI gains must be finite and non-negative")
         if not 0.0 < self.alpha_z <= 1.0:
             raise ValidationError("controller.alpha_z", "must be in (0, 1]")
 
@@ -137,12 +138,16 @@ def parse_config(text):
         if key not in m:
             raise ValidationError(f"machine.{key}", "missing")
     try:
+        p = int(m["p"])
+    except ValueError as exc:
+        raise ValidationError("machine.p", f"not an integer: {m['p']!r}") from exc
+    try:
         params = MachineParams(
             R=_get_float(m, "R", "machine.R"),
             L_d=_get_float(m, "L_d", "machine.L_d"),
             L_q=_get_float(m, "L_q", "machine.L_q"),
             psi=_get_float(m, "psi", "machine.psi"),
-            p=int(m["p"]),
+            p=p,
         )
     except ValueError as exc:
         raise ValidationError("machine", str(exc)) from exc

@@ -8,24 +8,29 @@ The pipeline per tick:
 3. clamp u into its feasible band given v_max;
 4. estimate the costate;
 5. compute the loss-minimizing input z;
-6. map (u, z) to dq voltages and then to inverter phase voltages.
+6. map (u, z) to the dq voltages the inverter applies.
 
-Steps 3 to 6 (up to the dq voltages) are ``control_law``, which the
-continuous-time simulator evaluates too.  The closed torque loop behaves
-as the first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
+Steps 3 to 6 are ``control_law``, which the continuous-time simulator
+evaluates too.  Each tick returns one ``ControlFrame``: Python floats
+named and ordered as the trace CSV columns, and a flags int.  The closed
+torque loop behaves as the first-order system
+tau(s)/u(s) = 1/(mu s + 1), independent of z.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import DegenerateBError, PoorFitError
 from . import machine, optimizer
 from .linearization import compute_terms, linearize
-from .optimizer import SaturationReport
+from .optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 
 __all__ = ["PiGains", "ControlFrame", "pi_update", "control_law", "TorqueController", "closed_loop_tf_check"]
+
+# Largest relative RMS residual of a step response that still counts as first order.
+TF_RESIDUAL_LIMIT = 1e-2
 
 
 @dataclass
@@ -45,24 +50,29 @@ class PiGains:
             raise ValueError("PI gains must be non-negative")
 
 
-@dataclass(frozen=True)
-class ControlFrame:
-    """Log record of one control tick."""
+class ControlFrame(NamedTuple):
+    """Record of one control tick; the fields are the trace CSV columns, in order.
+
+    Every field is a Python float except ``flags``, an int with bit
+    1 << k set for ``optimizer.FLAG_NAMES[k]``.
+    """
 
     t: float
-    theta: float
-    omega: float
-    i_dq: np.ndarray
+    i_d: float
+    i_q: float
+    v_d: float
+    v_q: float
     tau_ref: float
     tau_est: float
     u_raw: float
     u_feasible: float
-    lam: np.ndarray
-    z: np.ndarray
-    v_dq: np.ndarray
-    v_abc: np.ndarray
-    report: SaturationReport
-    p_copper: float
+    omega: float
+    z_d: float
+    z_q: float
+    lambda_d: float
+    lambda_q: float
+    p_copper_W: float
+    flags: int
 
 
 def pi_update(tau_ref, tau_est, gains, dt):
@@ -81,7 +91,8 @@ def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=T
 
     Clamps u_raw into its feasible band, estimates the costate, picks z
     (z = 0 unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``)
-    and linearizes.  Returns (v_dq, u_feasible, lam, z, report).
+    and linearizes.  Returns (v_dq, u_feasible, lam, z, flags), with the
+    flags bits of ``optimizer.FLAG_NAMES``.
 
     Raises:
         DegenerateBError: if b vanishes at i_dq; what voltage to apply
@@ -91,15 +102,15 @@ def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=T
     u_feasible, clamp = optimizer.clamp_torque_command(u_raw, terms, v_max)
     mats = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
     lam, fallback = optimizer.estimate_costate(i_dq, mats.A, horizon)
+    flags = (U_CLAMPED if clamp.u_clamped else 0) | (LAMBDA_FALLBACK if fallback else 0)
     if use_z:
         z_max = optimizer.z_limit(u_feasible, terms, v_max)
         B = optimizer.projection(terms.b)
         z, z_report = optimizer.optimal_z(lam, B, params.L_inv, z_max, alpha_z, smoothing=z_smoothing)
+        flags |= (Z_AT_LIMIT if z_report.z_at_limit else 0) | (Z_ZEROED if z_report.z_zeroed else 0)
     else:
-        z, z_report = np.zeros(2), SaturationReport()
-    report = SaturationReport(u_clamped=clamp.u_clamped, u_raw=u_raw, z_at_limit=z_report.z_at_limit,
-                              z_zeroed=z_report.z_zeroed, lambda_fallback=fallback)
-    return linearize(u_feasible, z, terms), u_feasible, lam, z, report
+        z = np.zeros(2)
+    return linearize(u_feasible, z, terms), u_feasible, lam, z, flags
 
 
 class TorqueController:
@@ -126,46 +137,41 @@ class TorqueController:
             raise ValueError("alpha_z must be in (0, 1]")
         self.alpha_z = alpha_z
         self.use_z = use_z
-        self._v_prev = np.zeros(2)
-
-    def reset(self):
-        self.gains.integrator = 0.0
-        self._v_prev = np.zeros(2)
+        self._v_prev = (0.0, 0.0)
 
     def step(self, t, theta, omega, i_abc, tau_ref):
-        """Run the six-step pipeline on one sensor sample."""
+        """Run the six-step pipeline on one sensor sample; returns its ControlFrame."""
         params = self.params
         i_dq = machine.park_clarke(theta, i_abc, params)
-        tau_est = machine.torque(i_dq, params)
+        tau_est = float(machine.torque(i_dq, params))
         p_copper = 1.5 * params.R * float(i_dq @ i_dq)
         u_raw, integ_next = pi_update(tau_ref, tau_est, self.gains, self.dt_ctrl)
         try:
-            v_dq, u_feasible, lam, z, report = control_law(
+            v_dq, u_feasible, lam, z, flags = control_law(
                 i_dq, omega, u_raw, params, self.v_max, self.horizon, self.alpha_z, self.use_z)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
-            v_dq, u_feasible, lam, z = self._v_prev.copy(), u_raw, np.zeros(2), np.zeros(2)
-            report = SaturationReport(b_degenerate=True, u_raw=u_raw)
+            v_d, v_q = self._v_prev
+            u_feasible, lambda_d, lambda_q, z_d, z_q, flags = u_raw, 0.0, 0.0, 0.0, 0.0, B_DEGENERATE
         else:
-            if not report.u_clamped:
+            if not flags & U_CLAMPED:
                 self.gains.integrator = integ_next
-            self._v_prev = v_dq
-        return ControlFrame(
-            t=t, theta=theta, omega=omega, i_dq=i_dq, tau_ref=tau_ref,
-            tau_est=tau_est, u_raw=u_raw, u_feasible=u_feasible, lam=lam,
-            z=z, v_dq=v_dq,
-            v_abc=machine.inverse_park_clarke(theta, v_dq, params),
-            report=report, p_copper=p_copper,
-        )
+            (v_d, v_q), (lambda_d, lambda_q), (z_d, z_q) = v_dq.tolist(), lam.tolist(), z.tolist()
+            self._v_prev = (v_d, v_q)
+        i_d, i_q = i_dq.tolist()
+        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, u_raw, float(u_feasible), omega,
+                            z_d, z_q, lambda_d, lambda_q, p_copper, flags)
 
 
-def closed_loop_tf_check(t, tau, u_final, residual_threshold=1e-2):
+def closed_loop_tf_check(t, tau, u_final):
     """Fit tau(t) = u_final + (tau0 - u_final) exp(-t/mu) and return mu_hat.
 
     ``t``/``tau`` are step-response samples from the step instant onward.
-    Raises PoorFitError if the relative RMS residual exceeds the
-    threshold (response is not first order).
+    Raises PoorFitError if the relative RMS residual exceeds
+    TF_RESIDUAL_LIMIT (response is not first order).
     """
+    from scipy.optimize import curve_fit  # scipy is slow to import and only this check needs it
+
     t = np.asarray(t, dtype=float)
     tau = np.asarray(tau, dtype=float)
     tau0 = tau[0]
@@ -177,6 +183,6 @@ def closed_loop_tf_check(t, tau, u_final, residual_threshold=1e-2):
     popt, _ = curve_fit(model, t - t[0], tau, p0=[max(t[-1] - t[0], 1e-6) / 5.0])
     mu_hat = float(popt[0])
     rms = np.sqrt(np.mean((model(t - t[0], mu_hat) - tau) ** 2)) / scale
-    if rms > residual_threshold:
-        raise PoorFitError(f"relative RMS residual {rms:.3e} exceeds {residual_threshold:.1e}")
+    if rms > TF_RESIDUAL_LIMIT:
+        raise PoorFitError(f"relative RMS residual {rms:.3e} exceeds {TF_RESIDUAL_LIMIT:.1e}")
     return mu_hat

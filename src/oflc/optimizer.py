@@ -28,6 +28,7 @@ __all__ = [
     "EPS_D",
     "COND_LIMIT",
     "FLAG_NAMES",
+    "U_CLAMPED", "Z_AT_LIMIT", "Z_ZEROED", "B_DEGENERATE", "LAMBDA_FALLBACK",
     "SaturationReport",
     "CostateMatrices",
     "dphi_di",
@@ -35,7 +36,6 @@ __all__ = [
     "b_direction_jacobian",
     "lambda_matrix",
     "printed_lambda_matrix",
-    "gamma_matrix",
     "costate_matrices",
     "current_dynamics",
     "condition_number",
@@ -55,22 +55,16 @@ COND_LIMIT = 1e12
 
 # The per-tick flags in trace-bit order: FLAG_NAMES[k] is bit 1 << k.
 FLAG_NAMES = ("u_clamped", "z_at_limit", "z_zeroed", "b_degenerate", "lambda_fallback")
+U_CLAMPED, Z_AT_LIMIT, Z_ZEROED, B_DEGENERATE, LAMBDA_FALLBACK = (1 << k for k in range(len(FLAG_NAMES)))
 
 
 @dataclass
 class SaturationReport:
-    """Per-tick flags describing clamps and degeneracies."""
+    """Flags raised by the torque clamp or the z rule (named as in FLAG_NAMES)."""
 
     u_clamped: bool = False
-    u_raw: float = 0.0
     z_at_limit: bool = False
     z_zeroed: bool = False
-    b_degenerate: bool = False
-    lambda_fallback: bool = False
-
-    def flags_bitfield(self):
-        """Pack the boolean flags for the trace file (bit 1 << k for FLAG_NAMES[k])."""
-        return sum(1 << k for k, name in enumerate(FLAG_NAMES) if getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -78,8 +72,6 @@ class CostateMatrices:
     """Blocks of the costate dynamics d(lambda)/dt = A^T lambda - 2 i."""
 
     A: np.ndarray
-    Lambda: np.ndarray
-    Gamma: np.ndarray
     dphi_di: np.ndarray
     dh_di: np.ndarray
 
@@ -140,23 +132,12 @@ def printed_lambda_matrix(terms, params):
     return coef * params.L_inv @ core
 
 
-def _gamma(terms, dphi, dh, params):
-    """Gamma from the Jacobians dphi/di and dh/di."""
-    return params.L_inv @ (np.outer(terms.b / terms.b_norm_sq, dphi) - dh)
-
-
-def gamma_matrix(i, omega, terms, params):
-    """Gamma = L^-1 ( b/|b|^2 dphi/di^T - dh/di )."""
-    return _gamma(terms, dphi_di(i, omega, params), dh_di(omega, params), params)
-
-
 def costate_matrices(i, omega, u, terms, params):
-    """Assemble A = (u - phi) Lambda + Gamma and its blocks."""
+    """Assemble A = (u - phi) Lambda + Gamma, Gamma = L^-1 ( b/|b|^2 dphi/di^T - dh/di )."""
     dphi = dphi_di(i, omega, params)
     dh = dh_di(omega, params)
-    Lam = lambda_matrix(terms, params)
-    Gam = _gamma(terms, dphi, dh, params)
-    return CostateMatrices(A=(u - terms.phi) * Lam + Gam, Lambda=Lam, Gamma=Gam, dphi_di=dphi, dh_di=dh)
+    gamma = params.L_inv @ (np.outer(terms.b / terms.b_norm_sq, dphi) - dh)
+    return CostateMatrices(A=(u - terms.phi) * lambda_matrix(terms, params) + gamma, dphi_di=dphi, dh_di=dh)
 
 
 def current_dynamics(i, omega, u, z, params, printed_b_d=False):
@@ -223,10 +204,10 @@ def clamp_torque_command(u, terms, v_max):
     u_min = terms.phi - b_norm * v_max
     u_max = terms.phi + b_norm * v_max
     if u > u_max:
-        return u_max, SaturationReport(u_clamped=True, u_raw=u)
+        return u_max, SaturationReport(u_clamped=True)
     if u < u_min:
-        return u_min, SaturationReport(u_clamped=True, u_raw=u)
-    return u, SaturationReport(u_raw=u)
+        return u_min, SaturationReport(u_clamped=True)
+    return u, SaturationReport()
 
 
 def z_limit(u_feasible, terms, v_max):

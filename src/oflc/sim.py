@@ -16,6 +16,10 @@ Two integration modes are provided:
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
 ``run_continuous``; the tests hold the float plant substep equal to it
 bit for bit.
+
+A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
+control tick; ``energy_accounting`` and the run's summary figures read
+its fields, and the CLI writes them unchanged as the trace CSV.
 """
 
 import math
@@ -29,7 +33,7 @@ from . import machine, optimizer
 from .linearization import compute_terms
 from .loop import ControlFrame, TorqueController, control_law
 from .machine import MachineParams, current_derivatives, dq_dynamics, inverse_park_clarke, torque
-from .optimizer import FLAG_NAMES, SaturationReport
+from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile
 
 __all__ = [
@@ -47,6 +51,9 @@ __all__ = [
 ]
 
 CONTROLLER_NAMES = ("oflc", "flc_z0", "id_zero")
+
+# Current-loop bandwidth of the id_zero baseline, rad/s.
+ID_ZERO_BANDWIDTH = 2000.0
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,9 @@ class Scenario:
     omega0: float = 0.0  # initial mechanical speed, mechanical mode only
 
     def __post_init__(self):
+        for name in ("duration", "dt_plant", "dt_ctrl", "horizon", "v_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(name, "must be finite")
         if self.duration <= 0.0:
             raise ValidationError("duration", "must be positive")
         if self.dt_plant <= 0.0:
@@ -113,7 +123,7 @@ class Scenario:
 class RunResult:
     """Trace and summary figures of one scenario run."""
 
-    frames: list
+    frames: list  # one ControlFrame per control tick
     cost_integral: float = 0.0  # int |i|^2 dt, A^2 s
     copper_energy: float = 0.0  # int 3/2 R |i|^2 dt, J
     rms_torque_error: float = 0.0
@@ -150,16 +160,16 @@ def _rk4_trajectory(f, x0, duration, dt):
 def rk4_plant_step(i, v, omega, dt_plant, params):
     """One classical RK4 step of the current dynamics, v and omega held.
 
-    ``i`` and ``v`` are [d, q] arrays; the stages run on Python floats in
-    the operation order of ``rk4``, so the result equals ``rk4`` on
-    ``dq_dynamics`` bit for bit.
+    ``i`` is a [d, q] array and ``v`` a (v_d, v_q) pair; the stages run on
+    Python floats in the operation order of ``rk4``, so the result equals
+    ``rk4`` on ``dq_dynamics`` bit for bit.
 
     Raises:
         NonFiniteStateError: if the new currents are not finite.
     """
     f = current_derivatives
     x_d, x_q = i.tolist()
-    v_d, v_q = v.tolist()
+    v_d, v_q = v
     half = 0.5 * dt_plant
     k1_d, k1_q = f(x_d, x_q, v_d, v_q, omega, params)
     k2_d, k2_q = f(x_d + half * k1_d, x_q + half * k1_q, v_d, v_q, omega, params)
@@ -180,44 +190,37 @@ class IdZeroController:
     cross-coupling and back-EMF terms; reporting context only.
     """
 
-    def __init__(self, params, v_max, dt_ctrl, bandwidth=2000.0):
+    def __init__(self, params, v_max, dt_ctrl):
         self.params = params
         self.v_max = v_max
         self.dt_ctrl = dt_ctrl
         # pole-placement tuning: kp = L wc, ki = R wc
-        self.kp_d = params.L_d * bandwidth
-        self.kp_q = params.L_q * bandwidth
-        self.ki = params.R * bandwidth
-        self._integ = np.zeros(2)
-
-    def reset(self):
-        self._integ = np.zeros(2)
+        self.kp_d = params.L_d * ID_ZERO_BANDWIDTH
+        self.kp_q = params.L_q * ID_ZERO_BANDWIDTH
+        self.ki = params.R * ID_ZERO_BANDWIDTH
+        self._integ = (0.0, 0.0)
 
     def step(self, t, theta, omega, i_abc, tau_ref):
         params = self.params
         i_dq = machine.park_clarke(theta, i_abc, params)
-        tau_est = torque(i_dq, params)
+        i_d, i_q = i_dq.tolist()
         p_copper = 1.5 * params.R * float(i_dq @ i_dq)
-        i_ref = np.array([0.0, tau_ref / (1.5 * params.p * params.psi)])
-        e = i_ref - i_dq
-        integ_next = self._integ + e * self.dt_ctrl
-        v_d = self.kp_d * e[0] + self.ki * integ_next[0] - params.L_q * i_dq[1] * omega
-        v_q = self.kp_q * e[1] + self.ki * integ_next[1] + params.L_d * i_dq[0] * omega + params.psi * omega
+        e_d = 0.0 - i_d  # the i_d reference is zero
+        e_q = tau_ref / (1.5 * params.p * params.psi) - i_q
+        integ_d = self._integ[0] + e_d * self.dt_ctrl
+        integ_q = self._integ[1] + e_q * self.dt_ctrl
+        v_d = self.kp_d * e_d + self.ki * integ_d - params.L_q * i_q * omega
+        v_q = self.kp_q * e_q + self.ki * integ_q + params.L_d * i_d * omega + params.psi * omega
         v_dq = np.array([v_d, v_q])
         v_norm = np.linalg.norm(v_dq)
         clipped = v_norm > self.v_max
         if clipped:
-            v_dq = v_dq * (self.v_max / v_norm)
+            v_d, v_q = (v_dq * (self.v_max / v_norm)).tolist()
         else:
-            self._integ = integ_next  # anti-windup: freeze while clipped
-        return ControlFrame(
-            t=t, theta=theta, omega=omega, i_dq=i_dq, tau_ref=tau_ref,
-            tau_est=tau_est, u_raw=tau_ref, u_feasible=tau_ref,
-            lam=np.zeros(2), z=np.zeros(2), v_dq=v_dq,
-            v_abc=inverse_park_clarke(theta, v_dq, params),
-            report=SaturationReport(u_clamped=clipped, u_raw=tau_ref),
-            p_copper=p_copper,
-        )
+            self._integ = (integ_d, integ_q)  # anti-windup: freeze while clipped
+        tau_est = torque((i_d, i_q), params)
+        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, tau_ref, tau_ref, omega,
+                            0.0, 0.0, 0.0, 0.0, p_copper, U_CLAMPED if clipped else 0)
 
 
 def make_controller(name, scenario, gains=None, alpha_z=1.0):
@@ -243,7 +246,7 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
     n_sub = round(s.dt_ctrl / s.dt_plant)
     i = np.array(s.i0, dtype=float)
     theta = s.theta0
-    omega_m = s.omega0  # mechanical, mechanical mode only
+    omega_m = float(s.omega0)  # mechanical, mechanical mode only
     frames = []
     aborted = False
 
@@ -260,7 +263,7 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
             for j in range(n_sub):
                 t_sub = t + j * s.dt_plant
                 omega_sub = float(s.speed(t_sub)) if s.speed is not None else params.p * omega_m
-                i = rk4_plant_step(i, frame.v_dq, omega_sub, s.dt_plant, params)
+                i = rk4_plant_step(i, (frame.v_d, frame.v_q), omega_sub, s.dt_plant, params)
                 if s.speed is not None:
                     theta += omega_sub / params.p * s.dt_plant
                 else:
@@ -274,20 +277,18 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
 
     result = RunResult(frames=frames, aborted=aborted)
     if frames:
-        cost, copper = energy_accounting(frames)
-        result.cost_integral = cost
-        result.copper_energy = copper
+        result.cost_integral, result.copper_energy = energy_accounting(frames)
         err = np.array([f.tau_ref - f.tau_est for f in frames])
         result.rms_torque_error = float(np.sqrt(np.mean(err * err)))
-    result.saturation_counts = {name: sum(getattr(f.report, name) for f in frames) for name in FLAG_NAMES}
+    result.saturation_counts = {name: sum(f.flags >> k & 1 for f in frames) for k, name in enumerate(FLAG_NAMES)}
     return result
 
 
 def energy_accounting(frames):
     """Trapezoidal integrals of |i|^2 and copper power over a trace."""
-    t = np.array([f.t for f in frames])
-    i_sq = np.array([float(f.i_dq @ f.i_dq) for f in frames])
-    p_cu = np.array([f.p_copper for f in frames])
+    t, i_d, i_q, p_cu = np.array([(f.t, f.i_d, f.i_q, f.p_copper_W) for f in frames]).reshape(-1, 4).T
+    i_dq = np.stack((i_d, i_q), axis=-1)
+    i_sq = np.vecdot(i_dq, i_dq)  # the per-tick i_dq @ i_dq, to the last bit
     return float(np.trapezoid(i_sq, t)), float(np.trapezoid(p_cu, t))
 
 

@@ -125,16 +125,17 @@ def test_criterion_2_closed_loop_transfer_function():
 def test_criterion_3_orthogonality_every_tick(all_run_frames):
     worst = 0.0
     for frame, params in all_run_frames:
-        zn = np.linalg.norm(frame.z)
+        z = np.array([frame.z_d, frame.z_q])
+        zn = np.linalg.norm(z)
         if zn == 0.0:
             continue
-        terms = compute_terms(frame.i_dq, frame.omega, params)
-        worst = max(worst, abs(float(terms.b @ frame.z)) / (np.sqrt(terms.b_norm_sq) * zn))
+        terms = compute_terms((frame.i_d, frame.i_q), frame.omega, params)
+        worst = max(worst, abs(float(terms.b @ z)) / (np.sqrt(terms.b_norm_sq) * zn))
     _report(3, worst <= 1e-10, f"worst |b.z| / (|b||z|) = {worst:.2e} over {len(all_run_frames)} ticks")
 
 
 def test_criterion_4_voltage_limit_every_tick(all_run_frames, clamp_run):
-    worst = max(np.linalg.norm(f.v_dq) / V_MAX for f, _ in all_run_frames)
+    worst = max(np.linalg.norm((f.v_d, f.v_q)) / V_MAX for f, _ in all_run_frames)
     n_clamped = clamp_run.saturation_counts["u_clamped"]
     _report(4, worst <= 1.0 + 1e-9 and n_clamped > 0,
             f"max |v|/v_max = {worst:.12f}; clamp exercised on {n_clamped} ticks")
@@ -218,7 +219,7 @@ def test_criterion_8_energy_saving_on_s1(s1_oflc, s1_flc):
 
 
 def test_criterion_9_non_salient_zero_d_current(nonsalient_run):
-    i_d = np.array([f.i_dq[0] for f in nonsalient_run.frames])
+    i_d = np.array([f.i_d for f in nonsalient_run.frames])
     tail = i_d[int(0.8 * len(i_d)):]  # after >= 10 mu settle
     worst = float(np.abs(tail).max())
     _report(9, worst <= 0.05, f"steady-state |i_d| <= {worst:.3f} A (limit 0.05 A)")

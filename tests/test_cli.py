@@ -1,7 +1,19 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oflc.cli import main
+from oflc.config import parse_config
+from oflc.loop import ControlFrame
+from oflc.optimizer import U_CLAMPED
+from oflc.sim import CONTROLLER_NAMES, run_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = """
 [machine]
@@ -58,6 +70,25 @@ def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
         assert v <= 48.0 * (1.0 + 1e-9)
         assert int(vals["flags"]) >= 0
 
+    # the header is the record's schema, and every row of every controller reads
+    # back as its record; at v_max = 2 V the command is clamped from the first tick
+    scenario, settings = parse_config(TINY)
+    for v_max in (48.0, 2.0):
+        out = tmp_path / f"v_max_{v_max}"
+        main(["compare", "--scenario", str(tiny_cfg), "--out", str(out), "--v-max", repr(v_max),
+              "--controllers", *CONTROLLER_NAMES])
+        for name in CONTROLLER_NAMES:
+            header, *rows = (out / f"{name}_trace.csv").read_text().splitlines()[1:]
+            assert header == ",".join(ControlFrame._fields)
+            frames = run_scenario(dataclasses.replace(scenario, v_max=v_max), name, gains=settings.gains(),
+                                  alpha_z=settings.alpha_z).frames
+            assert len(rows) == len(frames)
+            for row, frame in zip(rows, frames):
+                *values, flags = row.split(",")
+                assert ControlFrame(*map(float, values), int(flags)) == frame
+            if name == "oflc":
+                assert bool(frames[0].flags & U_CLAMPED) == (v_max == 2.0)
+
 
 def test_decimation(tiny_cfg, tmp_path):
     out = tmp_path / "runs"
@@ -101,8 +132,20 @@ def test_validation_error_exits_1(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text(TINY)
     for flag, value, message in (("--alpha-z", "2", "controller.alpha_z: must be in (0, 1]"),
-                                 ("--kp", "-1", "controller.kp"), ("--ki", "-1", "controller.ki")):
+                                 ("--kp", "-1", "controller.kp"), ("--ki", "-1", "controller.ki"),
+                                 ("--v-max", "nan", "v_max: must be finite"),
+                                 ("--kp", "nan", "controller.kp"), ("--ki", "inf", "controller.ki")):
         rc = main(["simulate", "--scenario", str(good), "--out", str(tmp_path), flag, value])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    for old, new, message in (("duration = 0.005", "duration = nan", "duration: must be finite"),
+                              ("duration = 0.005", "duration = inf", "duration: must be finite"),
+                              ("dt_plant = 1e-5", "dt_plant = nan", "dt_plant: must be finite"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nv_max = nan", "v_max: must be finite"),
+                              ("p = 4", "p = 4.5", "machine.p: not an integer")):
+        bad.write_text(TINY.replace(old, new))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -123,6 +166,14 @@ def test_override_flags(tiny_cfg, tmp_path):
     for line in lines:
         vals = dict(zip(header, line.split(",")))
         assert np.hypot(float(vals["v_d"]), float(vals["v_q"])) <= 24.0 * (1.0 + 1e-9)
+
+
+def test_cli_import_skips_scipy():
+    # scipy is slow to import; only the closed-loop fit of the tests needs it
+    code = "import sys, oflc.cli; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_selftest(capsys):

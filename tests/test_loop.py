@@ -5,6 +5,7 @@ from conftest import P0, V_MAX
 from oflc import machine, optimizer
 from oflc.linearization import compute_terms, linearize
 from oflc.loop import PiGains, TorqueController, closed_loop_tf_check, pi_update
+from oflc.optimizer import B_DEGENERATE, U_CLAMPED, Z_ZEROED
 from oflc.profiles import ConstantProfile, StepProfile
 from oflc.sim import run_continuous
 
@@ -35,20 +36,20 @@ def _controller(**kw):
 def test_control_step_all_zero():
     ctrl = _controller()
     frame = ctrl.step(0.0, 0.0, 0.0, (0.0, 0.0, 0.0), 0.0)
-    np.testing.assert_allclose(frame.v_abc, [0.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(frame.z, [0.0, 0.0])
-    np.testing.assert_allclose(frame.lam, [0.0, 0.0])
-    assert frame.report.z_zeroed
+    np.testing.assert_allclose([frame.v_d, frame.v_q], [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose([frame.z_d, frame.z_q], [0.0, 0.0])
+    np.testing.assert_allclose([frame.lambda_d, frame.lambda_q], [0.0, 0.0])
+    assert frame.flags & Z_ZEROED
 
 
 def test_control_step_clamped_command():
     ctrl = _controller()
     frame = ctrl.step(0.0, 0.0, 100.0, (0.0, 0.0, 0.0), 200.0)
     # at i = 0, omega = 100: b = (0, 1.2), phi = -12 -> u_max = 45.6
-    assert frame.report.u_clamped
+    assert frame.flags & U_CLAMPED
     assert frame.u_feasible == pytest.approx(45.6)
-    np.testing.assert_allclose(frame.z, [0.0, 0.0])
-    assert np.linalg.norm(frame.v_dq) == pytest.approx(V_MAX)
+    np.testing.assert_allclose([frame.z_d, frame.z_q], [0.0, 0.0])
+    assert np.hypot(frame.v_d, frame.v_q) == pytest.approx(V_MAX)
 
 
 def test_control_step_replay_is_bit_identical():
@@ -67,12 +68,11 @@ def test_control_step_replay_is_bit_identical():
     z, _ = optimizer.optimal_z(lam, B, P0.L_inv, z_max)
     v_dq = linearize(u_f, z, terms)
 
-    assert np.all(frame.i_dq == i_dq)
+    assert [frame.i_d, frame.i_q] == i_dq.tolist()
     assert frame.u_feasible == u_f
-    assert np.all(frame.lam == lam)
-    assert np.all(frame.z == z)
-    assert np.all(frame.v_dq == v_dq)
-    assert np.all(frame.v_abc == machine.inverse_park_clarke(theta, v_dq, P0))
+    assert [frame.lambda_d, frame.lambda_q] == lam.tolist()
+    assert [frame.z_d, frame.z_q] == z.tolist()
+    assert [frame.v_d, frame.v_q] == v_dq.tolist()
 
 
 def test_control_step_deterministic():
@@ -81,7 +81,7 @@ def test_control_step_deterministic():
     for k in range(20):
         fa = a.step(k * 1e-4, 0.1 * k, 50.0, (1.0, -0.2, -0.8), 2.0)
         fb = b.step(k * 1e-4, 0.1 * k, 50.0, (1.0, -0.2, -0.8), 2.0)
-        assert np.all(fa.v_abc == fb.v_abc) and fa.u_raw == fb.u_raw
+        assert fa == fb
 
 
 def test_torque_channel_isolation():
@@ -90,8 +90,9 @@ def test_torque_channel_isolation():
     off = _controller(use_z=False)
     frame_on = on.step(0.0, 0.2, 120.0, (5.0, -2.0, -3.0), 3.0)
     frame_off = off.step(0.0, 0.2, 120.0, (5.0, -2.0, -3.0), 3.0)
-    terms = compute_terms(frame_on.i_dq, 120.0, P0)
-    assert float(terms.b @ frame_on.v_dq) == pytest.approx(float(terms.b @ frame_off.v_dq), rel=1e-12)
+    terms = compute_terms((frame_on.i_d, frame_on.i_q), 120.0, P0)
+    b_dot_v = [float(terms.b @ (f.v_d, f.v_q)) for f in (frame_on, frame_off)]
+    assert b_dot_v[0] == pytest.approx(b_dot_v[1], rel=1e-12)
 
 
 def test_anti_windup_bounds_integrator():
@@ -110,8 +111,8 @@ def test_degenerate_b_holds_previous_voltage():
     # i_d = psi/(eta L_d) = 50, i_q = 0 makes b vanish; abc for that dq at theta=0
     i_abc = machine.inverse_park_clarke(0.0, (50.0, 0.0), P0)
     frame = ctrl.step(1e-4, 0.0, 100.0, i_abc, 6.0)
-    assert frame.report.b_degenerate
-    assert np.all(frame.v_dq == good.v_dq)
+    assert frame.flags & B_DEGENERATE
+    assert (frame.v_d, frame.v_q) == (good.v_d, good.v_q)
 
 
 def test_step_response_first_order():

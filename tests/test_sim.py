@@ -7,7 +7,6 @@ from oflc import sim
 from oflc.errors import NonFiniteStateError
 from oflc.loop import ControlFrame, PiGains
 from oflc.machine import current_derivatives, dq_dynamics, h_vector, inverse_park_clarke, torque, voltage_drift
-from oflc.optimizer import SaturationReport
 from oflc.profiles import ConstantProfile, SinusoidProfile, TrapezoidProfile
 from oflc.sim import (
     MechanicalModel,
@@ -119,9 +118,7 @@ def test_run_scenario_reproducible(monkeypatch):
         assert a.cost_integral == b.cost_integral == c.cost_integral
         assert len(a.frames) == len(b.frames) == len(c.frames) == round(s.duration / s.dt_ctrl)
         for fa, fb, fc in zip(a.frames, b.frames, c.frames):
-            assert np.all(fa.v_dq == fb.v_dq) and np.all(fa.i_dq == fb.i_dq)
-            assert np.array_equal(fa.v_dq, fc.v_dq) and np.array_equal(fa.i_dq, fc.i_dq)
-            assert fa.omega == fc.omega and fa.theta == fc.theta
+            assert fa == fb == fc
 
 
 def test_run_frames_respect_limits():
@@ -131,11 +128,11 @@ def test_run_frames_respect_limits():
     result = run_scenario(s, "oflc", gains=PiGains())
     assert not result.aborted
     for f in result.frames:
-        assert np.linalg.norm(f.v_dq) <= V_MAX * (1.0 + 1e-9)
-        zn = np.linalg.norm(f.z)
+        assert np.linalg.norm((f.v_d, f.v_q)) <= V_MAX * (1.0 + 1e-9)
+        zn = np.linalg.norm((f.z_d, f.z_q))
         if zn > 0.0:
-            terms = compute_terms(f.i_dq, f.omega, P0)
-            assert abs(float(terms.b @ f.z)) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
+            terms = compute_terms((f.i_d, f.i_q), f.omega, P0)
+            assert abs(float(terms.b @ (f.z_d, f.z_q))) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
 
 
 def test_tracking_not_degraded_by_z():
@@ -162,17 +159,15 @@ def test_id_zero_baseline_tracks():
     s = _quiet_scenario(duration=0.05, tau_ref=ConstantProfile(4.0), speed=ConstantProfile(100.0))
     result = run_scenario(s, "id_zero")
     assert result.frames[-1].tau_est == pytest.approx(4.0, rel=0.02)
-    assert abs(result.frames[-1].i_dq[0]) <= 0.1
+    assert abs(result.frames[-1].i_d) <= 0.1
 
 
 def test_nonfinite_abort_keeps_partial_trace():
     class BlowUp:
         def step(self, t, theta, omega, i_abc, tau_ref):
-            return ControlFrame(t=t, theta=theta, omega=omega, i_dq=np.zeros(2),
-                                tau_ref=tau_ref, tau_est=0.0, u_raw=0.0,
-                                u_feasible=0.0, lam=np.zeros(2), z=np.zeros(2),
-                                v_dq=np.array([np.inf, 0.0]), v_abc=np.zeros(3),
-                                report=SaturationReport(), p_copper=0.0)
+            return ControlFrame(t=t, i_d=0.0, i_q=0.0, v_d=np.inf, v_q=0.0, tau_ref=tau_ref,
+                                tau_est=0.0, u_raw=0.0, u_feasible=0.0, omega=omega, z_d=0.0, z_q=0.0,
+                                lambda_d=0.0, lambda_q=0.0, p_copper_W=0.0, flags=0)
 
     with np.errstate(all="ignore"):
         result = run_scenario(_quiet_scenario(), BlowUp())
@@ -180,16 +175,19 @@ def test_nonfinite_abort_keeps_partial_trace():
     assert len(result.frames) >= 1
 
 
+def _frame(t, i_d, i_q, p_copper):
+    """A quiet tick's record with the given currents and copper power."""
+    return ControlFrame(t=float(t), i_d=float(i_d), i_q=float(i_q), v_d=0.0, v_q=0.0, tau_ref=0.0,
+                        tau_est=0.0, u_raw=0.0, u_feasible=0.0, omega=0.0, z_d=0.0, z_q=0.0,
+                        lambda_d=0.0, lambda_q=0.0, p_copper_W=float(p_copper), flags=0)
+
+
 def _const_frames(i_sq, duration, n):
     t = np.linspace(0.0, duration, n)
     i = np.sqrt(i_sq / 2.0)
     frames = []
     for tk in t:
-        frames.append(ControlFrame(t=tk, theta=0.0, omega=0.0, i_dq=np.array([i, i]),
-                                   tau_ref=0.0, tau_est=0.0, u_raw=0.0, u_feasible=0.0,
-                                   lam=np.zeros(2), z=np.zeros(2), v_dq=np.zeros(2),
-                                   v_abc=np.zeros(3), report=SaturationReport(),
-                                   p_copper=1.5 * P0.R * i_sq))
+        frames.append(_frame(tk, i, i, 1.5 * P0.R * i_sq))
     return frames
 
 
@@ -213,11 +211,7 @@ def test_energy_accounting_refinement():
             i_d = 2.0 * np.sin(2 * np.pi * 3.0 * tk)
             i_q = 1.0 + np.cos(2 * np.pi * 2.0 * tk)
             isq = i_d**2 + i_q**2
-            out.append(ControlFrame(t=tk, theta=0.0, omega=0.0, i_dq=np.array([i_d, i_q]),
-                                    tau_ref=0.0, tau_est=0.0, u_raw=0.0, u_feasible=0.0,
-                                    lam=np.zeros(2), z=np.zeros(2), v_dq=np.zeros(2),
-                                    v_abc=np.zeros(3), report=SaturationReport(),
-                                    p_copper=1.5 * P0.R * isq))
+            out.append(_frame(tk, i_d, i_q, 1.5 * P0.R * isq))
         return out
 
     c1, _ = energy_accounting(frames_at(4001))
@@ -234,5 +228,9 @@ def test_scenario_validation():
         _quiet_scenario(dt_plant=3e-5)  # does not divide dt_ctrl
     with pytest.raises(ValidationError):
         _quiet_scenario(v_max=0.0)
+    for name, value in (("duration", np.nan), ("duration", np.inf), ("dt_plant", np.nan), ("dt_ctrl", np.nan),
+                        ("horizon", np.inf), ("v_max", np.nan), ("v_max", np.inf)):
+        with pytest.raises(ValidationError, match=f"^{name}: must be finite"):
+            _quiet_scenario(**{name: value})
     with pytest.raises(ValidationError):
         Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(0.0))  # no speed source

@@ -5,13 +5,14 @@ Usage, from the repository root:
     python3 tools/trace_identity.py REF
 
 Runs ``oflc compare --controllers oflc flc_z0 id_zero`` on
-``scenarios/{s1,step,mechanical}.cfg`` twice: with the working tree's
-``src/`` and with the ``src/`` of git revision ``REF``, exported with
-``git archive`` into a temporary directory.  Both sides read the working
-tree's scenario files.  The 21 output files (three traces, three
-summaries and the compare summary per scenario) are compared byte for
-byte.  Exits 0 when every file and every exit code is identical, 1 on
-any difference or missing file, and 2 when a side cannot be set up.
+``scenarios/{s1,step,mechanical}.cfg``, and once more on ``step.cfg``
+with ``--decimate 7``, twice: with the working tree's ``src/`` and with
+the ``src/`` of git revision ``REF``, exported with ``git archive`` into
+a temporary directory.  Both sides read the working tree's scenario
+files.  The 28 output files (three traces, three summaries and the
+compare summary per run) are compared byte for byte.  Exits 0 when every
+file and every exit code is identical, 1 on any difference or missing
+file, and 2 when a side cannot be set up.
 """
 
 import argparse
@@ -23,7 +24,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIOS = ("s1", "step", "mechanical")
+# run name -> (scenario file stem, extra compare arguments)
+RUNS = {
+    "s1": ("s1", ()),
+    "step": ("step", ()),
+    "mechanical": ("mechanical", ()),
+    "step_decimate7": ("step", ("--decimate", "7")),
+}
 CONTROLLERS = ("oflc", "flc_z0", "id_zero")
 OUTPUTS = tuple(f"{c}_{kind}" for c in CONTROLLERS for kind in ("trace.csv", "summary.txt")) + ("compare_summary.txt",)
 
@@ -42,12 +49,12 @@ def export_src(ref, dest):
 
 
 def run_side(src, out_root):
-    """Run every scenario with the package in ``src``; return its exit codes."""
+    """Make every run with the package in ``src``; return its exit codes."""
     env = dict(os.environ, PYTHONPATH=str(src))
     codes = {}
-    for name in SCENARIOS:
-        argv = [sys.executable, "-m", "oflc.cli", "compare", "--scenario", f"scenarios/{name}.cfg",
-                "--controllers", *CONTROLLERS, "--out", str(out_root / name)]
+    for name, (scenario, extra) in RUNS.items():
+        argv = [sys.executable, "-m", "oflc.cli", "compare", "--scenario", f"scenarios/{scenario}.cfg",
+                "--controllers", *CONTROLLERS, "--out", str(out_root / name), *extra]
         codes[name] = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
     return codes
 
@@ -55,7 +62,7 @@ def run_side(src, out_root):
 def differences(ref_out, work_out, ref_codes, work_codes):
     """One line per output file or exit code that is not identical."""
     found = []
-    for name in SCENARIOS:
+    for name in RUNS:
         if ref_codes[name] != work_codes[name]:
             found.append(f"{name}: exit code {ref_codes[name]} at REF, {work_codes[name]} in the working tree")
         for output in OUTPUTS:
@@ -86,7 +93,7 @@ def main(argv=None):
     if found:
         print(f"{len(found)} difference(s) against {args.ref}")
         return 1
-    print(f"all {len(SCENARIOS) * len(OUTPUTS)} output files and exit codes identical to {args.ref}")
+    print(f"all {len(RUNS) * len(OUTPUTS)} output files and exit codes identical to {args.ref}")
     return 0
 
 
