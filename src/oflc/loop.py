@@ -104,7 +104,8 @@ def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=T
     lam, fallback = optimizer.estimate_costate(i_dq, mats.A, horizon)
     flags = (U_CLAMPED if clamp.u_clamped else 0) | (LAMBDA_FALLBACK if fallback else 0)
     if use_z:
-        z_max = optimizer.z_limit(u_feasible, terms, v_max)
+        # a clamped u leaves exactly no budget; z_limit would return rounding noise
+        z_max = 0.0 if clamp.u_clamped else optimizer.z_limit(u_feasible, terms, v_max)
         B = optimizer.projection(terms.b)
         z, z_report = optimizer.optimal_z(lam, B, params.L_inv, z_max, alpha_z, smoothing=z_smoothing)
         flags |= (Z_AT_LIMIT if z_report.z_at_limit else 0) | (Z_ZEROED if z_report.z_zeroed else 0)

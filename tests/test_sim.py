@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,6 +9,7 @@ from oflc import sim
 from oflc.errors import NonFiniteStateError
 from oflc.loop import ControlFrame, PiGains
 from oflc.machine import current_derivatives, dq_dynamics, h_vector, inverse_park_clarke, torque, voltage_drift
+from oflc.optimizer import U_CLAMPED
 from oflc.profiles import ConstantProfile, SinusoidProfile, TrapezoidProfile
 from oflc.sim import (
     MechanicalModel,
@@ -15,6 +18,8 @@ from oflc.sim import (
     rk4_plant_step,
     run_scenario,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _reference_plant_step(i, v, omega, dt_plant, params):
@@ -133,6 +138,22 @@ def test_run_frames_respect_limits():
         if zn > 0.0:
             terms = compute_terms((f.i_d, f.i_q), f.omega, P0)
             assert abs(float(terms.b @ (f.z_d, f.z_q))) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
+
+
+def test_clamped_ticks_spend_no_voltage_on_z():
+    # mechanical.cfg chatters between clamped and unclamped ticks; a clamped
+    # command uses the whole voltage budget, so z must be exactly zero
+    from oflc.config import parse_config
+    from oflc.optimizer import Z_AT_LIMIT, Z_ZEROED
+
+    scenario, settings = parse_config((SCENARIOS / "mechanical.cfg").read_text())
+    frames = run_scenario(scenario, "oflc", gains=settings.gains(), alpha_z=settings.alpha_z).frames
+    clamped = [f for f in frames if f.flags & U_CLAMPED]
+    assert clamped
+    for f in clamped:
+        assert (f.z_d, f.z_q) == (0.0, 0.0)
+        assert f.flags & Z_ZEROED and not f.flags & Z_AT_LIMIT
+        assert np.hypot(f.v_d, f.v_q) <= scenario.v_max * (1.0 + 1e-15)
 
 
 def test_tracking_not_degraded_by_z():
