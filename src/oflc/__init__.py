@@ -20,14 +20,11 @@ from .linearization import LinearizationTerms, compute_terms, linearize
 from .loop import ControlFrame, PiGains, TorqueController, closed_loop_tf_check
 from .machine import MachineParams, dq_dynamics, h_vector, inverse_park_clarke, park_clarke, torque
 from .optimizer import (
-    CostateMatrices,
-    SaturationReport,
     clamp_torque_command,
     costate_matrices,
     estimate_costate,
     hamiltonian,
     optimal_z,
-    projection,
     z_limit,
 )
 from .profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile

@@ -188,8 +188,7 @@ def _cmd_selftest(args):
             terms = compute_terms(i, omega, params)
         except Exception:
             continue
-        B = optimizer.projection(terms.b)
-        z, _ = optimizer.optimal_z(lam_seed, B, params.L_inv, 10.0)
+        z, _ = optimizer.optimal_z(lam_seed, terms, params, 10.0)
         zn = np.linalg.norm(z)
         if zn > 0.0:
             worst = max(worst, abs(float(terms.b @ z)) / (np.sqrt(terms.b_norm_sq) * zn))
@@ -206,7 +205,7 @@ def _cmd_selftest(args):
             terms = compute_terms(i, omega, params)
         except Exception:
             continue
-        mats = optimizer.costate_matrices(i, omega, u, terms, params)
+        A = np.array(optimizer.costate_matrices(i, omega, u, terms, params))
         eps = 1e-5
         A_fd = np.empty((2, 2))
         for j in range(2):
@@ -215,8 +214,8 @@ def _cmd_selftest(args):
             fp = optimizer.current_dynamics(i + dv, omega, u, np.zeros(2), params)
             fm = optimizer.current_dynamics(i - dv, omega, u, np.zeros(2), params)
             A_fd[:, j] = -(fp - fm) / (2.0 * eps)
-        denom = max(np.linalg.norm(mats.A), 1.0)
-        worst = max(worst, float(np.linalg.norm(mats.A - A_fd)) / denom)
+        denom = max(np.linalg.norm(A), 1.0)
+        worst = max(worst, float(np.linalg.norm(A - A_fd)) / denom)
     check(f"costate matrix vs finite differences (worst rel {worst:.2e})", worst <= 1e-5)
 
     if failures:

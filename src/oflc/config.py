@@ -41,7 +41,6 @@ _SCENARIO_DEFAULTS = {
     "v_max": 48.0,
     "i_d0": 0.0,
     "i_q0": 0.0,
-    "theta0": 0.0,
     "omega0": 0.0,
 }
 
@@ -108,10 +107,11 @@ def _parse_profile(section, section_name):
     kwargs = {}
     for key in given:
         field = f"{section_name}.{key}"
-        if kind == "table":
-            kwargs[key] = _float_list(section[key], field)
-        else:
-            kwargs[key] = _get_float(section, key, field)
+        values = _float_list(section[key], field) if kind == "table" else (_get_float(section, key, field),)
+        # inf stays allowed: serialize_config writes it for an open trapezoid end
+        if any(math.isnan(x) for x in values):
+            raise ValidationError(field, "must not be nan")
+        kwargs[key] = values if kind == "table" else values[0]
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -141,16 +141,11 @@ def parse_config(text):
         p = int(m["p"])
     except ValueError as exc:
         raise ValidationError("machine.p", f"not an integer: {m['p']!r}") from exc
+    values = {key: _get_float(m, key, f"machine.{key}") for key in ("R", "L_d", "L_q", "psi")}
     try:
-        params = MachineParams(
-            R=_get_float(m, "R", "machine.R"),
-            L_d=_get_float(m, "L_d", "machine.L_d"),
-            L_q=_get_float(m, "L_q", "machine.L_q"),
-            psi=_get_float(m, "psi", "machine.psi"),
-            p=p,
-        )
-    except ValueError as exc:
-        raise ValidationError("machine", str(exc)) from exc
+        params = MachineParams(p=p, **values)
+    except ValidationError as exc:
+        raise ValidationError(f"machine.{exc.field}", exc.reason) from exc
 
     sc = cp["scenario"] if "scenario" in cp else {}
     vals = {}
@@ -201,7 +196,6 @@ def parse_config(text):
         horizon=vals["horizon"],
         v_max=vals["v_max"],
         i0=(vals["i_d0"], vals["i_q0"]),
-        theta0=vals["theta0"],
         omega0=vals["omega0"],
     )
 
@@ -238,7 +232,6 @@ def serialize_config(scenario, settings=None):
         "v_max": repr(scenario.v_max),
         "i_d0": repr(scenario.i0[0]),
         "i_q0": repr(scenario.i0[1]),
-        "theta0": repr(scenario.theta0),
         "omega0": repr(scenario.omega0),
     }
     cp["torque"] = _profile_section(scenario.tau_ref)

@@ -38,8 +38,8 @@ class ParseError(ConfigError):
     """Config document is not well formed."""
 
 
-class ValidationError(ConfigError):
-    """Config parsed but violates a scenario invariant."""
+class ValidationError(ConfigError, ValueError):
+    """Config parsed but violates a scenario invariant (a ValueError too)."""
 
     def __init__(self, field, reason):
         self.field = field

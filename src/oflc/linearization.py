@@ -19,7 +19,8 @@ above for salient machines and is kept here only as a test switch
 (``printed_b_d=True``) so the residual check can arbitrate.
 """
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,17 +42,22 @@ EPS_B = 1e-6
 TOL_ORTH = 1e-9
 
 
-@dataclass(frozen=True)
-class LinearizationTerms:
-    """Torque-channel direction b, drift phi and cached |b|^2 at one state."""
+class LinearizationTerms(NamedTuple):
+    """Torque-channel direction b = (b_d, b_q), drift phi and |b|^2 at one state."""
 
-    b: np.ndarray
+    b_d: float
+    b_q: float
     phi: float
     b_norm_sq: float
 
+    @property
+    def b(self):
+        """b as a [d, q] array, for the array-form checks."""
+        return np.array((self.b_d, self.b_q))
+
 
 def compute_terms(i, omega, params, printed_b_d=False):
-    """Evaluate b(i) and phi(i, omega).
+    """Evaluate b(i) and phi(i, omega) at the dq currents ``i = (i_d, i_q)``.
 
     Raises:
         DegenerateBError: if |b| < EPS_B (torque channel uncontrollable).
@@ -66,32 +72,34 @@ def compute_terms(i, omega, params, printed_b_d=False):
     else:
         b_d = -c * eta * L_q * i_q
     b_q = c * (psi - eta * L_d * i_d)
-    b = np.array([b_d, b_q])
     b_norm_sq = b_d * b_d + b_q * b_q
     if b_norm_sq < EPS_B * EPS_B:
-        raise DegenerateBError(f"|b| = {np.sqrt(b_norm_sq):.3e} at i = {i}")
+        raise DegenerateBError(f"|b| = {math.sqrt(b_norm_sq):.3e} at i = ({i_d}, {i_q})")
 
+    # products, not powers: a float ** overflows with an exception, a product to inf
     phi = (
-        1.5 * p * (omega / R) * (L_q * psi * i_d - eta * L_q**2 * i_q**2 - eta * L_d**2 * i_d**2 - psi**2)
+        1.5 * p * (omega / R) * (L_q * psi * i_d - eta * L_q * L_q * i_q * i_q - eta * L_d * L_d * i_d * i_d - psi * psi)
         + 1.5 * p * eta * L_q * i_d * i_q
     )
-    return LinearizationTerms(b=b, phi=phi, b_norm_sq=b_norm_sq)
+    return LinearizationTerms(b_d, b_q, phi, b_norm_sq)
 
 
 def linearize(u, z, terms):
     """Map auxiliary inputs (u, z) to dq voltages: v = b/|b|^2 (u - phi) + z.
 
+    ``z`` is a (z_d, z_q) pair; returns (v_d, v_q).
+
     Raises:
         OrthogonalityViolation: if z is not perpendicular to b within
             TOL_ORTH relative tolerance.
     """
-    z = np.asarray(z, dtype=float)
-    b = terms.b
-    b_dot_z = float(b @ z)
-    z_norm = np.linalg.norm(z)
-    if abs(b_dot_z) > TOL_ORTH * np.sqrt(terms.b_norm_sq) * z_norm and z_norm > 0.0:
-        raise OrthogonalityViolation(f"|b.z| = {abs(b_dot_z):.3e} for |b||z| = {np.sqrt(terms.b_norm_sq) * z_norm:.3e}")
-    return b / terms.b_norm_sq * (u - terms.phi) + z
+    z_d, z_q = z
+    b_d, b_q, phi, b_norm_sq = terms
+    b_dot_z = b_d * z_d + b_q * z_q
+    z_norm = math.hypot(z_d, z_q)
+    if abs(b_dot_z) > TOL_ORTH * math.sqrt(b_norm_sq) * z_norm and z_norm > 0.0:
+        raise OrthogonalityViolation(f"|b.z| = {abs(b_dot_z):.3e} for |b||z| = {math.sqrt(b_norm_sq) * z_norm:.3e}")
+    return b_d / b_norm_sq * (u - phi) + z_d, b_q / b_norm_sq * (u - phi) + z_q
 
 
 def torque_rate_identity_residual(i_prev, i_curr, i_next, v, omega, dt, params, printed_b_d=False):
@@ -104,4 +112,5 @@ def torque_rate_identity_residual(i_prev, i_curr, i_next, v, omega, dt, params, 
     tau = torque(i_curr, params)
     tau_dot = (torque(i_next, params) - torque(i_prev, params)) / (2.0 * dt)
     terms = compute_terms(i_curr, omega, params, printed_b_d=printed_b_d)
-    return (tau + params.mu * tau_dot) - (float(terms.b @ np.asarray(v)) + terms.phi)
+    v_d, v_q = v
+    return (tau + params.mu * tau_dot) - (terms.b_d * v_d + terms.b_q * v_q + terms.phi)

@@ -1,20 +1,19 @@
 """Per-tick torque control pipeline and the optional PI loop around it.
 
-The pipeline per tick:
+The pipeline per tick, on the measured dq currents:
 
-1. Park-Clarke the measured phase currents;
-2. estimate torque from the dq currents and form u via the PI loop
+1. estimate torque from the dq currents and form u via the PI loop
    (pure feedforward when both gains are zero);
-3. clamp u into its feasible band given v_max;
-4. estimate the costate;
-5. compute the loss-minimizing input z;
-6. map (u, z) to the dq voltages the inverter applies.
+2. clamp u into its feasible band given v_max;
+3. estimate the costate;
+4. compute the loss-minimizing input z on the line perpendicular to b;
+5. map (u, z) to the dq voltages the inverter applies.
 
-Steps 3 to 6 are ``control_law``, which the continuous-time simulator
-evaluates too.  Each tick returns one ``ControlFrame``: Python floats
-named and ordered as the trace CSV columns, and a flags int.  The closed
-torque loop behaves as the first-order system
-tau(s)/u(s) = 1/(mu s + 1), independent of z.
+Steps 2 to 5 are ``control_law``, which the continuous-time simulator
+evaluates too; it runs on Python floats.  Each tick returns one
+``ControlFrame``: Python floats named and ordered as the trace CSV
+columns, and a flags int.  The closed torque loop behaves as the
+first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
 """
 
 from dataclasses import dataclass
@@ -23,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBError, PoorFitError
-from . import machine, optimizer
-from .linearization import compute_terms, linearize
+from . import linearization, machine, optimizer
 from .optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 
 __all__ = ["PiGains", "ControlFrame", "pi_update", "control_law", "TorqueController", "closed_loop_tf_check"]
@@ -87,31 +85,30 @@ def pi_update(tau_ref, tau_est, gains, dt):
 
 
 def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
-    """Map a torque command to dq voltages at one state.
+    """Map a torque command to dq voltages at the dq currents ``i_dq``.
 
     Clamps u_raw into its feasible band, estimates the costate, picks z
     (z = 0 unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``)
-    and linearizes.  Returns (v_dq, u_feasible, lam, z, flags), with the
-    flags bits of ``optimizer.FLAG_NAMES``.
+    and linearizes.  Returns (v_dq, u_feasible, lam, z, flags), the
+    vectors as (d, q) pairs and the flags bits of ``optimizer.FLAG_NAMES``.
 
     Raises:
         DegenerateBError: if b vanishes at i_dq; what voltage to apply
             then is the caller's decision.
     """
-    terms = compute_terms(i_dq, omega, params)
-    u_feasible, clamp = optimizer.clamp_torque_command(u_raw, terms, v_max)
-    mats = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
-    lam, fallback = optimizer.estimate_costate(i_dq, mats.A, horizon)
-    flags = (U_CLAMPED if clamp.u_clamped else 0) | (LAMBDA_FALLBACK if fallback else 0)
+    terms = linearization.compute_terms(i_dq, omega, params)
+    u_feasible, clamped = optimizer.clamp_torque_command(u_raw, terms, v_max)
+    A = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
+    lam, fallback = optimizer.estimate_costate(i_dq, A, horizon)
+    flags = (U_CLAMPED if clamped else 0) | (LAMBDA_FALLBACK if fallback else 0)
     if use_z:
         # a clamped u leaves exactly no budget; z_limit would return rounding noise
-        z_max = 0.0 if clamp.u_clamped else optimizer.z_limit(u_feasible, terms, v_max)
-        B = optimizer.projection(terms.b)
-        z, z_report = optimizer.optimal_z(lam, B, params.L_inv, z_max, alpha_z, smoothing=z_smoothing)
-        flags |= (Z_AT_LIMIT if z_report.z_at_limit else 0) | (Z_ZEROED if z_report.z_zeroed else 0)
+        z_max = 0.0 if clamped else optimizer.z_limit(u_feasible, terms, v_max)
+        z, z_flags = optimizer.optimal_z(lam, terms, params, z_max, alpha_z, smoothing=z_smoothing)
+        flags |= (Z_AT_LIMIT if z_flags.z_at_limit else 0) | (Z_ZEROED if z_flags.z_zeroed else 0)
     else:
-        z = np.zeros(2)
-    return linearize(u_feasible, z, terms), u_feasible, lam, z, flags
+        z = (0.0, 0.0)
+    return linearization.linearize(u_feasible, z, terms), u_feasible, lam, z, flags
 
 
 class TorqueController:
@@ -140,15 +137,15 @@ class TorqueController:
         self.use_z = use_z
         self._v_prev = (0.0, 0.0)
 
-    def step(self, t, theta, omega, i_abc, tau_ref):
-        """Run the six-step pipeline on one sensor sample; returns its ControlFrame."""
+    def step(self, t, omega, i_dq, tau_ref):
+        """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame."""
         params = self.params
-        i_dq = machine.park_clarke(theta, i_abc, params)
-        tau_est = float(machine.torque(i_dq, params))
-        p_copper = 1.5 * params.R * float(i_dq @ i_dq)
+        i_d, i_q = i_dq
+        tau_est = machine.torque(i_dq, params)
+        p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
         u_raw, integ_next = pi_update(tau_ref, tau_est, self.gains, self.dt_ctrl)
         try:
-            v_dq, u_feasible, lam, z, flags = control_law(
+            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
                 i_dq, omega, u_raw, params, self.v_max, self.horizon, self.alpha_z, self.use_z)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
@@ -157,10 +154,8 @@ class TorqueController:
         else:
             if not flags & U_CLAMPED:
                 self.gains.integrator = integ_next
-            (v_d, v_q), (lambda_d, lambda_q), (z_d, z_q) = v_dq.tolist(), lam.tolist(), z.tolist()
             self._v_prev = (v_d, v_q)
-        i_d, i_q = i_dq.tolist()
-        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, u_raw, float(u_feasible), omega,
+        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, u_raw, u_feasible, omega,
                             z_d, z_q, lambda_d, lambda_q, p_copper, flags)
 
 

@@ -2,10 +2,11 @@
 
 Conventions used throughout the package:
 
-* current and voltage vectors are numpy arrays ordered ``[d, q]``;
-  the voltage equations themselves are written once, on Python floats,
-  in ``voltage_drift`` and ``current_derivatives``: the plant substep
-  calls them directly and the array forms ``h_vector`` and
+* current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
+  Python floats on the control tick and the plant substep, numpy arrays
+  in the array forms.  The voltage equations are written once, on
+  floats, in ``voltage_drift`` and ``current_derivatives``: the plant
+  substep calls them directly and the array forms ``h_vector`` and
   ``dq_dynamics`` wrap them;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
@@ -16,10 +17,13 @@ Conventions used throughout the package:
 All functions here are pure and safe to call concurrently.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .errors import ValidationError
 
 __all__ = [
     "MachineParams",
@@ -56,16 +60,12 @@ class MachineParams:
     p: int
 
     def __post_init__(self):
-        if not self.R > 0.0:
-            raise ValueError(f"R must be positive, got {self.R}")
-        if not self.L_d > 0.0:
-            raise ValueError(f"L_d must be positive, got {self.L_d}")
-        if not self.L_q > 0.0:
-            raise ValueError(f"L_q must be positive, got {self.L_q}")
-        if not self.psi > 0.0:
-            raise ValueError(f"psi must be positive, got {self.psi}")
+        for name in ("R", "L_d", "L_q", "psi"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(name, f"must be positive and finite, got {value}")
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
-            raise ValueError(f"p must be a positive integer, got {self.p}")
+            raise ValidationError("p", f"must be a positive integer, got {self.p}")
 
     @property
     def eta(self):
@@ -76,11 +76,6 @@ class MachineParams:
     def mu(self):
         """Machine time constant L_q/R in seconds."""
         return self.L_q / self.R
-
-    @cached_property
-    def L(self):
-        """Inductance matrix diag(L_d, L_q); read-only, built once."""
-        return _read_only(np.diag([self.L_d, self.L_q]))
 
     @cached_property
     def L_inv(self):

@@ -7,21 +7,25 @@ Pipeline per control tick (after the linearization terms are known):
    current dynamics under the linearizing control;
 3. estimate the costate lambda = 2 (I/h + A^T)^-1 i (one-step discrete
    costate with zero terminal boundary);
-4. project L^-1 lambda onto the subspace orthogonal to b and scale the
-   result to the remaining voltage budget z_max, opposing the costate
-   direction.
+4. pick z on the admissible line z = m n, where n = (-b_q, b_d) / |b| is
+   the unit vector perpendicular to b and the scalar m lies in
+   [-z_max, z_max], z_max being the voltage budget u leaves.  The
+   Hamiltonian is affine in m with slope s = n^T L^-1 lambda, so its
+   exact pointwise minimizer is m = -alpha_z z_max sign(s).
 
-The admissible z set is a line segment in R^2, so the closed form is the
-exact pointwise Hamiltonian minimizer.
+b^T z = 0 holds by construction.  The tick path works on Python floats:
+2-vectors are (d, q) pairs and 2x2 matrices pairs of rows.  The array
+forms ``current_dynamics``, ``hamiltonian`` and ``printed_lambda_matrix``
+are independent checks for the tests.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBError, NegativeDiscriminantError
-from .linearization import EPS_B, compute_terms
+from .errors import NegativeDiscriminantError
+from .linearization import compute_terms
 from .machine import h_vector
 
 __all__ = [
@@ -29,25 +33,21 @@ __all__ = [
     "COND_LIMIT",
     "FLAG_NAMES",
     "U_CLAMPED", "Z_AT_LIMIT", "Z_ZEROED", "B_DEGENERATE", "LAMBDA_FALLBACK",
-    "SaturationReport",
-    "CostateMatrices",
+    "ZFlags",
     "dphi_di",
     "dh_di",
-    "b_direction_jacobian",
-    "lambda_matrix",
     "printed_lambda_matrix",
     "costate_matrices",
     "current_dynamics",
     "condition_number",
     "estimate_costate",
-    "projection",
     "clamp_torque_command",
     "z_limit",
     "optimal_z",
     "hamiltonian",
 ]
 
-# Below this |B L^-1 lambda| the optimal direction is undefined; z = 0.
+# Below this |n^T L^-1 lambda| the optimal direction is undefined; z = 0.
 EPS_D = 1e-9
 # Condition-number limit for the costate solve.
 COND_LIMIT = 1e12
@@ -58,64 +58,26 @@ FLAG_NAMES = ("u_clamped", "z_at_limit", "z_zeroed", "b_degenerate", "lambda_fal
 U_CLAMPED, Z_AT_LIMIT, Z_ZEROED, B_DEGENERATE, LAMBDA_FALLBACK = (1 << k for k in range(len(FLAG_NAMES)))
 
 
-@dataclass
-class SaturationReport:
-    """Flags raised by the torque clamp or the z rule (named as in FLAG_NAMES)."""
+class ZFlags(NamedTuple):
+    """Flags raised by the z rule (named as in FLAG_NAMES)."""
 
-    u_clamped: bool = False
-    z_at_limit: bool = False
-    z_zeroed: bool = False
-
-
-@dataclass(frozen=True)
-class CostateMatrices:
-    """Blocks of the costate dynamics d(lambda)/dt = A^T lambda - 2 i."""
-
-    A: np.ndarray
-    dphi_di: np.ndarray
-    dh_di: np.ndarray
+    z_at_limit: bool
+    z_zeroed: bool
 
 
 def dphi_di(i, omega, params):
-    """Gradient of the drift phi with respect to the dq currents."""
+    """Gradient (dphi/di_d, dphi/di_q) of the drift phi."""
     i_d, i_q = i
     p, R, L_d, L_q = params.p, params.R, params.L_d, params.L_q
     eta, mu, psi = params.eta, params.mu, params.psi
-    return 1.5 * p * np.array(
-        [
-            mu * omega * psi + eta * L_q * i_q - 2.0 * (omega / R) * eta * L_d**2 * i_d,
-            -2.0 * omega * mu * eta * L_q * i_q + eta * L_q * i_d,
-        ]
-    )
+    return (1.5 * p * (mu * omega * psi + eta * L_q * i_q - 2.0 * (omega / R) * eta * L_d * L_d * i_d),
+            1.5 * p * (-2.0 * omega * mu * eta * L_q * i_q + eta * L_q * i_d))
 
 
 def dh_di(omega, params):
-    """Jacobian of the voltage-equation drift h with respect to currents."""
-    return np.array(
-        [
-            [-params.R, params.L_q * omega],
-            [params.L_d * omega, -params.R],
-        ]
-    )
-
-
-def b_direction_jacobian(terms, params):
-    """Jacobian of b/|b|^2 with respect to the dq currents."""
-    c = 1.5 * params.p / params.R
-    # db/di for the authoritative b (L_q in b_d).
-    G = np.array(
-        [
-            [0.0, -c * params.eta * params.L_q],
-            [-c * params.eta * params.L_d, 0.0],
-        ]
-    )
-    b, b2 = terms.b, terms.b_norm_sq
-    return G / b2 - 2.0 * np.outer(b, G.T @ b) / (b2 * b2)
-
-
-def lambda_matrix(terms, params):
-    """Lambda = -L^-1 d(b/|b|^2)/di; zero for non-salient machines."""
-    return -params.L_inv @ b_direction_jacobian(terms, params)
+    """Jacobian of the voltage-equation drift h with respect to currents, by rows."""
+    return ((-params.R, params.L_q * omega),
+            (params.L_d * omega, -params.R))
 
 
 def printed_lambda_matrix(terms, params):
@@ -133,11 +95,27 @@ def printed_lambda_matrix(terms, params):
 
 
 def costate_matrices(i, omega, u, terms, params):
-    """Assemble A = (u - phi) Lambda + Gamma, Gamma = L^-1 ( b/|b|^2 dphi/di^T - dh/di )."""
-    dphi = dphi_di(i, omega, params)
-    dh = dh_di(omega, params)
-    gamma = params.L_inv @ (np.outer(terms.b / terms.b_norm_sq, dphi) - dh)
-    return CostateMatrices(A=(u - terms.phi) * lambda_matrix(terms, params) + gamma, dphi_di=dphi, dh_di=dh)
+    """A = (u - phi) Lambda + Gamma, by rows.
+
+    Lambda = -L^-1 d(b/|b|^2)/di is zero for a non-salient machine, and
+    Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).
+    """
+    b_d, b_q, phi, b2 = terms
+    L_d, L_q = params.L_d, params.L_q
+    k = 1.5 * params.p / params.R * params.eta
+    # db/di = G = [[0, g_dq], [g_qd, 0]] for the authoritative b (L_q in b_d), and
+    # d(b/|b|^2)/di = G/|b|^2 - 2 b (G^T b)^T/|b|^4
+    g_dq, g_qd = -k * L_q, -k * L_d
+    gb_d, gb_q = g_qd * b_q, g_dq * b_d
+    w = 2.0 / (b2 * b2)
+    j_dd, j_dq = -w * b_d * gb_d, g_dq / b2 - w * b_d * gb_q
+    j_qd, j_qq = g_qd / b2 - w * b_q * gb_d, -w * b_q * gb_q
+    dphi_d, dphi_q = dphi_di(i, omega, params)
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
+    e = u - phi
+    c_d, c_q = b_d / b2, b_q / b2
+    return (((c_d * dphi_d - h_dd - e * j_dd) / L_d, (c_d * dphi_q - h_dq - e * j_dq) / L_d),
+            ((c_q * dphi_d - h_qd - e * j_qd) / L_q, (c_q * dphi_q - h_qq - e * j_qq) / L_q))
 
 
 def current_dynamics(i, omega, u, z, params, printed_b_d=False):
@@ -162,7 +140,7 @@ def condition_number(M):
     entries are first divided by the largest magnitude, so nothing
     overflows or underflows.  A singular or non-finite matrix gives inf.
     """
-    (a, b), (c, d) = M.tolist()
+    (a, b), (c, d) = M
     m = max(abs(a), abs(b), abs(c), abs(d))
     if not 0.0 < m < math.inf:  # also false for nan
         return math.inf
@@ -176,77 +154,75 @@ def condition_number(M):
 
 
 def estimate_costate(i, A, horizon):
-    """One-step discrete costate lambda = 2 (I/h + A^T)^-1 i.
+    """One-step discrete costate lambda = 2 (I/h + A^T)^-1 i, by Cramer's rule.
 
     Returns (lambda, fallback_used).  If the solve matrix is singular,
     not finite or ill conditioned (cond > COND_LIMIT) the A-free fallback
     lambda = 2 h i is returned with the flag set.
     """
-    i = np.asarray(i, dtype=float)
-    M = np.eye(2) / horizon + A.T
-    if condition_number(M) > COND_LIMIT:
-        return 2.0 * horizon * i, True
-    return 2.0 * np.linalg.solve(M, i), False
-
-
-def projection(b):
-    """Projection matrix B = I - b b^T / |b|^2 onto the subspace | b."""
-    b = np.asarray(b, dtype=float)
-    b2 = float(b @ b)
-    if b2 < EPS_B * EPS_B:
-        raise DegenerateBError(f"|b| = {np.sqrt(b2):.3e}")
-    return np.eye(2) - np.outer(b, b) / b2
+    i_d, i_q = i
+    (a_dd, a_dq), (a_qd, a_qq) = A
+    m_dd, m_qq = 1.0 / horizon + a_dd, 1.0 / horizon + a_qq
+    m_dq, m_qd = a_qd, a_dq
+    if condition_number(((m_dd, m_dq), (m_qd, m_qq))) > COND_LIMIT:
+        return (2.0 * horizon * i_d, 2.0 * horizon * i_q), True
+    det = m_dd * m_qq - m_dq * m_qd
+    x_d = (m_qq * i_d - m_dq * i_q) / det
+    x_q = (m_dd * i_q - m_qd * i_d) / det
+    return (2.0 * x_d, 2.0 * x_q), False
 
 
 def clamp_torque_command(u, terms, v_max):
-    """Clip u into [phi - |b| v_max, phi + |b| v_max]; returns (u, report)."""
-    b_norm = np.sqrt(terms.b_norm_sq)
+    """Clip u into [phi - |b| v_max, phi + |b| v_max]; returns (u, clamped)."""
+    b_norm = math.sqrt(terms.b_norm_sq)
     u_min = terms.phi - b_norm * v_max
     u_max = terms.phi + b_norm * v_max
     if u > u_max:
-        return u_max, SaturationReport(u_clamped=True)
+        return u_max, True
     if u < u_min:
-        return u_min, SaturationReport(u_clamped=True)
-    return u, SaturationReport()
+        return u_min, True
+    return u, False
 
 
 def z_limit(u_feasible, terms, v_max):
     """Voltage budget left for z: sqrt(v_max^2 - (u - phi)^2 / |b|^2)."""
-    disc = v_max * v_max - (u_feasible - terms.phi) ** 2 / terms.b_norm_sq
+    e = u_feasible - terms.phi
+    disc = v_max * v_max - e * e / terms.b_norm_sq
     if disc < 0.0:
         # tiny negatives from the clamp boundary round to zero
         if disc > -1e-9 * v_max * v_max:
             return 0.0
         raise NegativeDiscriminantError(f"discriminant = {disc:.3e}; torque command not clamped?")
-    return np.sqrt(disc)
+    return math.sqrt(disc)
 
 
-def optimal_z(lam, B, L_inv, z_max, alpha_z=1.0, smoothing=0.0):
-    """Closed-form Hamiltonian minimizer over {z : z | b, |z| <= z_max}.
+def optimal_z(lam, terms, params, z_max, alpha_z=1.0, smoothing=0.0):
+    """Closed-form Hamiltonian minimizer over {z = m n : |m| <= z_max}.
 
-    Aligns z against B L^-1 lambda and scales it to alpha_z * z_max.
-    Returns (z, report); degenerate direction or zero budget yield z = 0
-    with the z_zeroed flag.
+    n = (-b_q, b_d) / |b| spans the line perpendicular to b, and the
+    Hamiltonian's slope along it is s = n^T L^-1 lambda, so
+    m = -alpha_z z_max sign(s).  Returns (z, ZFlags); a degenerate
+    direction (|s| < EPS_D) or a zero budget yield z = 0 with the
+    z_zeroed flag.
 
     ``smoothing`` > 0 replaces the bang-bang magnitude with the boundary
-    layer z = -alpha_z z_max d / sqrt(|d|^2 + smoothing^2), d = B L^-1
-    lambda.  The exact rule makes a closed loop evaluated continuously a
-    sliding mode around the loss optimum, which a fixed-step integrator
-    cannot resolve; the smoothed z stays admissible (z | b,
-    |z| < alpha_z z_max), so it never sets z_at_limit.
+    layer m = -alpha_z z_max s / sqrt(s^2 + smoothing^2).  The exact rule
+    makes a closed loop evaluated continuously a sliding mode around the
+    loss optimum, which a fixed-step integrator cannot resolve; the
+    smoothed z stays admissible (|z| < alpha_z z_max), so it never sets
+    z_at_limit.
     """
-    lam = np.asarray(lam, dtype=float)
-    d = B @ (L_inv @ lam)
-    # second projection scrubs the parallel rounding residual
-    d = B @ d
+    lam_d, lam_q = lam
+    b_norm = math.sqrt(terms.b_norm_sq)
+    n_d, n_q = -terms.b_q / b_norm, terms.b_d / b_norm
+    s = n_d * (lam_d / params.L_d) + n_q * (lam_q / params.L_q)
     if smoothing > 0.0:
-        z = -alpha_z * z_max * d / np.sqrt(float(d @ d) + smoothing**2)
-        return z, SaturationReport(z_zeroed=z_max <= 0.0)
-    d_norm = np.linalg.norm(d)
-    if d_norm < EPS_D or z_max <= 0.0:
-        return np.zeros(2), SaturationReport(z_zeroed=True)
-    z = -(alpha_z * z_max / d_norm) * d
-    return z, SaturationReport(z_at_limit=True)
+        m = -alpha_z * z_max * s / math.sqrt(s * s + smoothing * smoothing)
+        return (m * n_d, m * n_q), ZFlags(False, z_max <= 0.0)
+    if abs(s) < EPS_D or z_max <= 0.0:
+        return (0.0, 0.0), ZFlags(False, True)
+    m = -math.copysign(alpha_z * z_max, s)
+    return (m * n_d, m * n_q), ZFlags(True, False)
 
 
 def hamiltonian(i, lam, u, z, terms, omega, params):

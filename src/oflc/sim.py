@@ -29,10 +29,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import NonFiniteStateError, ValidationError
-from . import machine, optimizer
+from . import optimizer
 from .linearization import compute_terms
 from .loop import ControlFrame, TorqueController, control_law
-from .machine import MachineParams, current_derivatives, dq_dynamics, inverse_park_clarke, torque
+from .machine import MachineParams, current_derivatives, dq_dynamics, torque
 from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile
 
@@ -94,12 +94,14 @@ class Scenario:
     horizon: float = 1e-3
     v_max: float = 48.0
     i0: Tuple[float, float] = (0.0, 0.0)
-    theta0: float = 0.0
     omega0: float = 0.0  # initial mechanical speed, mechanical mode only
 
     def __post_init__(self):
-        for name in ("duration", "dt_plant", "dt_ctrl", "horizon", "v_max"):
-            if not math.isfinite(getattr(self, name)):
+        i_d0, i_q0 = self.i0
+        for name, value in (("duration", self.duration), ("dt_plant", self.dt_plant), ("dt_ctrl", self.dt_ctrl),
+                            ("horizon", self.horizon), ("v_max", self.v_max),
+                            ("i_d0", i_d0), ("i_q0", i_q0), ("omega0", self.omega0)):
+            if not math.isfinite(value):
                 raise ValidationError(name, "must be finite")
         if self.duration <= 0.0:
             raise ValidationError("duration", "must be positive")
@@ -157,30 +159,28 @@ def _rk4_trajectory(f, x0, duration, dt):
     return np.arange(n + 1) * dt, xs
 
 
-def rk4_plant_step(i, v, omega, dt_plant, params):
+def rk4_plant_step(i_d, i_q, v_d, v_q, omega, dt_plant, params):
     """One classical RK4 step of the current dynamics, v and omega held.
 
-    ``i`` is a [d, q] array and ``v`` a (v_d, v_q) pair; the stages run on
-    Python floats in the operation order of ``rk4``, so the result equals
-    ``rk4`` on ``dq_dynamics`` bit for bit.
+    Takes and returns the currents as Python floats; the stages run in
+    the operation order of ``rk4``, so the result equals ``rk4`` on
+    ``dq_dynamics`` bit for bit.
 
     Raises:
         NonFiniteStateError: if the new currents are not finite.
     """
     f = current_derivatives
-    x_d, x_q = i.tolist()
-    v_d, v_q = v
     half = 0.5 * dt_plant
-    k1_d, k1_q = f(x_d, x_q, v_d, v_q, omega, params)
-    k2_d, k2_q = f(x_d + half * k1_d, x_q + half * k1_q, v_d, v_q, omega, params)
-    k3_d, k3_q = f(x_d + half * k2_d, x_q + half * k2_q, v_d, v_q, omega, params)
-    k4_d, k4_q = f(x_d + dt_plant * k3_d, x_q + dt_plant * k3_q, v_d, v_q, omega, params)
+    k1_d, k1_q = f(i_d, i_q, v_d, v_q, omega, params)
+    k2_d, k2_q = f(i_d + half * k1_d, i_q + half * k1_q, v_d, v_q, omega, params)
+    k3_d, k3_q = f(i_d + half * k2_d, i_q + half * k2_q, v_d, v_q, omega, params)
+    k4_d, k4_q = f(i_d + dt_plant * k3_d, i_q + dt_plant * k3_q, v_d, v_q, omega, params)
     sixth = dt_plant / 6.0
-    x_d = x_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
-    x_q = x_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
-    if not (math.isfinite(x_d) and math.isfinite(x_q)):
-        raise NonFiniteStateError(f"state diverged: [{x_d}, {x_q}]")
-    return np.array([x_d, x_q])
+    i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
+    i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
+    if not (math.isfinite(i_d) and math.isfinite(i_q)):
+        raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
+    return i_d, i_q
 
 
 class IdZeroController:
@@ -200,22 +200,20 @@ class IdZeroController:
         self.ki = params.R * ID_ZERO_BANDWIDTH
         self._integ = (0.0, 0.0)
 
-    def step(self, t, theta, omega, i_abc, tau_ref):
+    def step(self, t, omega, i_dq, tau_ref):
         params = self.params
-        i_dq = machine.park_clarke(theta, i_abc, params)
-        i_d, i_q = i_dq.tolist()
-        p_copper = 1.5 * params.R * float(i_dq @ i_dq)
+        i_d, i_q = i_dq
+        p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
         e_d = 0.0 - i_d  # the i_d reference is zero
         e_q = tau_ref / (1.5 * params.p * params.psi) - i_q
         integ_d = self._integ[0] + e_d * self.dt_ctrl
         integ_q = self._integ[1] + e_q * self.dt_ctrl
         v_d = self.kp_d * e_d + self.ki * integ_d - params.L_q * i_q * omega
         v_q = self.kp_q * e_q + self.ki * integ_q + params.L_d * i_d * omega + params.psi * omega
-        v_dq = np.array([v_d, v_q])
-        v_norm = np.linalg.norm(v_dq)
+        v_norm = math.hypot(v_d, v_q)
         clipped = v_norm > self.v_max
         if clipped:
-            v_d, v_q = (v_dq * (self.v_max / v_norm)).tolist()
+            v_d, v_q = v_d * (self.v_max / v_norm), v_q * (self.v_max / v_norm)
         else:
             self._integ = (integ_d, integ_q)  # anti-windup: freeze while clipped
         tau_est = torque((i_d, i_q), params)
@@ -244,8 +242,7 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
 
     n_ctrl = round(s.duration / s.dt_ctrl)
     n_sub = round(s.dt_ctrl / s.dt_plant)
-    i = np.array(s.i0, dtype=float)
-    theta = s.theta0
+    i_d, i_q = map(float, s.i0)
     omega_m = float(s.omega0)  # mechanical, mechanical mode only
     frames = []
     aborted = False
@@ -256,21 +253,17 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
             omega_e = float(s.speed(t))
         else:
             omega_e = params.p * omega_m
-        i_abc = inverse_park_clarke(theta, i, params)
-        frame = ctrl.step(t, theta, omega_e, i_abc, float(s.tau_ref(t)))
+        frame = ctrl.step(t, omega_e, (i_d, i_q), float(s.tau_ref(t)))
         frames.append(frame)
         try:
             for j in range(n_sub):
                 t_sub = t + j * s.dt_plant
                 omega_sub = float(s.speed(t_sub)) if s.speed is not None else params.p * omega_m
-                i = rk4_plant_step(i, (frame.v_d, frame.v_q), omega_sub, s.dt_plant, params)
-                if s.speed is not None:
-                    theta += omega_sub / params.p * s.dt_plant
-                else:
+                i_d, i_q = rk4_plant_step(i_d, i_q, frame.v_d, frame.v_q, omega_sub, s.dt_plant, params)
+                if s.speed is None:
                     mech = s.mechanical
-                    tau_m = torque(i.tolist(), params)
+                    tau_m = torque((i_d, i_q), params)
                     omega_m += (tau_m - mech.load_torque(t_sub) - mech.friction * omega_m) / mech.inertia * s.dt_plant
-                    theta += omega_m * s.dt_plant
         except NonFiniteStateError:
             aborted = True
             break
@@ -287,9 +280,7 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
 def energy_accounting(frames):
     """Trapezoidal integrals of |i|^2 and copper power over a trace."""
     t, i_d, i_q, p_cu = np.array([(f.t, f.i_d, f.i_q, f.p_copper_W) for f in frames]).reshape(-1, 4).T
-    i_dq = np.stack((i_d, i_q), axis=-1)
-    i_sq = np.vecdot(i_dq, i_dq)  # the per-tick i_dq @ i_dq, to the last bit
-    return float(np.trapezoid(i_sq, t)), float(np.trapezoid(p_cu, t))
+    return float(np.trapezoid(i_d * i_d + i_q * i_q, t)), float(np.trapezoid(p_cu, t))
 
 
 def run_open_loop(params, v_fn, omega_fn, i0, duration, dt):
@@ -330,7 +321,7 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        v = control_law(i, omega, float(u_profile(t)), params, v_max, horizon, alpha_z, use_z, z_smoothing)[0]
+        v = control_law(i.tolist(), omega, float(u_profile(t)), params, v_max, horizon, alpha_z, use_z, z_smoothing)[0]
         return dq_dynamics(i, v, omega, params)
 
     ts, states = _rk4_trajectory(deriv, i0, duration, dt)
@@ -339,4 +330,4 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
                for t, i in zip(ts, states)]
     return ContinuousRun(t=ts, i=states, tau=np.array([torque(i, params) for i in states]),
                          u=np.array([u for u, _ in applied]),
-                         clamped=np.array([report.u_clamped for _, report in applied]))
+                         clamped=np.array([clamped for _, clamped in applied]))

@@ -150,10 +150,9 @@ def test_criterion_5_minimum_principle_oracle():
         i, omega, terms = random_state(rng, P0)
         u, _ = optimizer.clamp_torque_command(rng.uniform(-30, 30), terms, V_MAX)
         z_max = optimizer.z_limit(u, terms, V_MAX)
-        B = optimizer.projection(terms.b)
-        mats = optimizer.costate_matrices(i, omega, u, terms, P0)
-        lam, _ = optimizer.estimate_costate(i, mats.A, 1e-3)
-        z_star, _ = optimizer.optimal_z(lam, B, P0.L_inv, z_max)
+        A = optimizer.costate_matrices(i, omega, u, terms, P0)
+        lam, _ = optimizer.estimate_costate(i, A, 1e-3)
+        z_star, _ = optimizer.optimal_z(lam, terms, P0, z_max)
         h_star = optimizer.hamiltonian(i, lam, u, z_star, terms, omega, P0)
         # dense sweep of the admissible segment {s n : |s| <= z_max}
         n = np.array([-terms.b[1], terms.b[0]]) / np.sqrt(terms.b_norm_sq)
@@ -173,7 +172,9 @@ def test_criterion_6_gradient_checks():
     for _ in range(500):
         i, omega, terms = random_state(rng, P0)
         u = rng.uniform(-20, 20)
-        mats = optimizer.costate_matrices(i, omega, u, terms, P0)
+        A = np.array(optimizer.costate_matrices(i, omega, u, terms, P0))
+        dphi = np.array(optimizer.dphi_di(i, omega, P0))
+        dh = np.array(optimizer.dh_di(omega, P0))
         eps = 1e-5
         A_fd = np.empty((2, 2))
         dphi_fd = np.empty(2)
@@ -186,9 +187,9 @@ def test_criterion_6_gradient_checks():
             A_fd[:, j] = -(fp - fm) / (2 * eps)
             dphi_fd[j] = (compute_terms(i + dv, omega, P0).phi - compute_terms(i - dv, omega, P0).phi) / (2 * eps)
             dh_fd[:, j] = (machine.h_vector(i + dv, omega, P0) - machine.h_vector(i - dv, omega, P0)) / (2 * eps)
-        worst_A = max(worst_A, np.linalg.norm(mats.A - A_fd) / max(np.linalg.norm(mats.A), 1.0))
-        worst_phi = max(worst_phi, np.linalg.norm(mats.dphi_di - dphi_fd) / max(np.linalg.norm(mats.dphi_di), 1.0))
-        worst_h = max(worst_h, np.linalg.norm(mats.dh_di - dh_fd) / max(np.linalg.norm(mats.dh_di), 1.0))
+        worst_A = max(worst_A, np.linalg.norm(A - A_fd) / max(np.linalg.norm(A), 1.0))
+        worst_phi = max(worst_phi, np.linalg.norm(dphi - dphi_fd) / max(np.linalg.norm(dphi), 1.0))
+        worst_h = max(worst_h, np.linalg.norm(dh - dh_fd) / max(np.linalg.norm(dh), 1.0))
     _report(6, worst_A <= 1e-5 and worst_phi <= 1e-6 and worst_h <= 1e-6,
             f"A {worst_A:.2e} (<=1e-5); dphi/di {worst_phi:.2e}, dh/di {worst_h:.2e} (<=1e-6)")
 
@@ -231,10 +232,10 @@ def test_criterion_10_integrator_order():
 
     # Richardson order on a smooth salient trajectory
     def endpoint(dt, n):
-        i = np.array([1.0, -2.0])
+        i = (1.0, -2.0)
         for _ in range(n):
-            i = rk4_plant_step(i, np.array([3.0, 4.0]), 200.0, dt, P0)
-        return i
+            i = rk4_plant_step(*i, 3.0, 4.0, 200.0, dt, P0)
+        return np.array(i)
 
     T = 0.01
     dt = 2e-4
@@ -247,10 +248,11 @@ def test_criterion_10_integrator_order():
     M = np.array([[-params.R / params.L_d, params.L_q * omega / params.L_d],
                   [params.L_d * omega / params.L_q, -params.R / params.L_q]])
     c = np.array([v[0] / params.L_d, (v[1] - params.psi * omega) / params.L_q])
-    i = np.array([2.0, -1.0])
+    i = (2.0, -1.0)
     n = 2000
     for _ in range(n):
-        i = rk4_plant_step(i, v, omega, 1e-6, params)
+        i = rk4_plant_step(*i, *v.tolist(), omega, 1e-6, params)
+    i = np.array(i)
     i_star = -np.linalg.solve(M, c)
     exact = i_star + expm(M * (n * 1e-6)) @ (np.array([2.0, -1.0]) - i_star)
     lin_err = float(np.linalg.norm(i - exact) / max(1.0, np.linalg.norm(exact)))

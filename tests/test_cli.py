@@ -143,11 +143,25 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("duration = 0.005", "duration = inf", "duration: must be finite"),
                               ("dt_plant = 1e-5", "dt_plant = nan", "dt_plant: must be finite"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nv_max = nan", "v_max: must be finite"),
-                              ("p = 4", "p = 4.5", "machine.p: not an integer")):
+                              ("p = 4", "p = 4.5", "machine.p: not an integer"),
+                              ("R = 0.5", "R = inf", "machine.R: must be positive and finite"),
+                              ("L_d = 3e-3", "L_d = nan", "machine.L_d: must be positive and finite"),
+                              ("L_q = 5e-3", "L_q = inf", "machine.L_q: must be positive and finite"),
+                              ("psi = 0.1", "psi = nan", "machine.psi: must be positive and finite"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "i_d0: must be finite"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "i_q0: must be finite"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nomega0 = nan", "omega0: must be finite"),
+                              ("value = 3.0", "value = nan", "torque.value: must not be nan"),
+                              ("value = 100.0", "value = nan", "speed.value: must not be nan"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key")):
         bad.write_text(TINY.replace(old, new))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    # a finite flux so large that its square overflows ends as a run, not a traceback
+    bad.write_text(TINY.replace("psi = 0.1", "psi = 1e308"))
+    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)]) in (1, 2)
 
 
 def test_missing_file_exits_1(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import P0, V_MAX
+from conftest import P0, P_NS, V_MAX, random_state
 from oflc import machine, optimizer
 from oflc.linearization import compute_terms, linearize
-from oflc.loop import PiGains, TorqueController, closed_loop_tf_check, pi_update
-from oflc.optimizer import B_DEGENERATE, U_CLAMPED, Z_ZEROED
+from oflc.loop import PiGains, TorqueController, closed_loop_tf_check, control_law, pi_update
+from oflc.optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from oflc.profiles import ConstantProfile, StepProfile
 from oflc.sim import run_continuous
 
@@ -26,6 +26,71 @@ def test_pi_update_proportional():
     assert u == pytest.approx(5.0)
 
 
+def _reference_control_law(i, omega, u_raw, params, v_max, horizon, smoothing):
+    """The control law on numpy arrays, written independently of the package.
+
+    b and phi from their formulas, A = (u - phi) Lambda + Gamma from the
+    matrix expressions, lambda by np.linalg.solve, and z from an explicit
+    projection matrix and np.linalg.norm.  Returns (v, lam, z, flags).
+    """
+    i_d, i_q = i
+    R, L_d, L_q, psi, p, eta = params.R, params.L_d, params.L_q, params.psi, params.p, params.eta
+    L_inv = np.diag([1.0 / L_d, 1.0 / L_q])
+    c = 1.5 * p / R
+    b = np.array([-c * eta * L_q * i_q, c * (psi - eta * L_d * i_d)])
+    b2 = float(b @ b)
+    phi = (1.5 * p * (omega / R) * (L_q * psi * i_d - eta * L_q**2 * i_q**2 - eta * L_d**2 * i_d**2 - psi**2)
+           + 1.5 * p * eta * L_q * i_d * i_q)
+    flags = 0
+    b_norm = np.linalg.norm(b)
+    u = min(max(u_raw, phi - b_norm * v_max), phi + b_norm * v_max)
+    if u != u_raw:
+        flags |= U_CLAMPED
+    G = np.array([[0.0, -c * eta * L_q], [-c * eta * L_d, 0.0]])  # db/di
+    Lam = -L_inv @ (G / b2 - 2.0 * np.outer(b, G.T @ b) / b2**2)
+    dphi = 1.5 * p * np.array([(omega / R) * (L_q * psi - 2.0 * eta * L_d**2 * i_d) + eta * L_q * i_q,
+                               -2.0 * (omega / R) * eta * L_q**2 * i_q + eta * L_q * i_d])
+    dh = np.array([[-R, L_q * omega], [L_d * omega, -R]])
+    A = (u - phi) * Lam + L_inv @ (np.outer(b / b2, dphi) - dh)
+    M = np.eye(2) / horizon + A.T
+    if np.linalg.cond(M) > optimizer.COND_LIMIT:
+        lam = 2.0 * horizon * np.asarray(i)
+        flags |= LAMBDA_FALLBACK
+    else:
+        lam = 2.0 * np.linalg.solve(M, i)
+    z_max = 0.0 if flags & U_CLAMPED else np.sqrt(max(v_max**2 - (u - phi)**2 / b2, 0.0))
+    d = (np.eye(2) - np.outer(b, b) / b2) @ (L_inv @ lam)
+    if smoothing > 0.0:
+        z = -z_max * d / np.sqrt(d @ d + smoothing**2)
+        flags |= Z_ZEROED if z_max <= 0.0 else 0
+    elif np.linalg.norm(d) < optimizer.EPS_D or z_max <= 0.0:
+        z = np.zeros(2)
+        flags |= Z_ZEROED
+    else:
+        z = -z_max * d / np.linalg.norm(d)
+        flags |= Z_AT_LIMIT
+    return b / b2 * (u - phi) + z, lam, z, flags
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.5])
+@pytest.mark.parametrize("params", [P0, P_NS], ids=["salient", "non_salient"])
+def test_control_law_matches_array_reference(rng, params, smoothing):
+    flag_counts = np.zeros(5, dtype=int)
+    for _ in range(2000):
+        i, omega, _ = random_state(rng, params)
+        i = tuple(i.tolist())
+        u_raw = rng.uniform(-60.0, 60.0)
+        v, _, lam, z, flags = control_law(i, omega, u_raw, params, V_MAX, 1e-3, z_smoothing=smoothing)
+        v_ref, lam_ref, z_ref, flags_ref = _reference_control_law(i, omega, u_raw, params, V_MAX, 1e-3, smoothing)
+        assert flags == flags_ref
+        for got, ref in ((v, v_ref), (lam, lam_ref), (z, z_ref)):
+            assert np.linalg.norm(np.subtract(got, ref)) <= 1e-12 * np.linalg.norm(ref)
+        flag_counts += [flags >> k & 1 for k in range(5)]
+    # the draws hold clamped and unclamped ticks, and z at its limit unless smoothed
+    assert 0 < flag_counts[0] < 2000
+    assert (flag_counts[1] > 0) == (smoothing == 0.0)
+
+
 def _controller(**kw):
     args = dict(params=P0, v_max=V_MAX, dt_ctrl=1e-4, horizon=1e-3,
                 gains=PiGains(kp=0.0, ki=0.0))
@@ -33,9 +98,14 @@ def _controller(**kw):
     return TorqueController(**args)
 
 
+def _dq(theta, i_abc):
+    """The dq currents of phase currents ``i_abc`` at shaft angle ``theta``, as floats."""
+    return tuple(machine.park_clarke(theta, i_abc, P0).tolist())
+
+
 def test_control_step_all_zero():
     ctrl = _controller()
-    frame = ctrl.step(0.0, 0.0, 0.0, (0.0, 0.0, 0.0), 0.0)
+    frame = ctrl.step(0.0, 0.0, (0.0, 0.0), 0.0)
     np.testing.assert_allclose([frame.v_d, frame.v_q], [0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose([frame.z_d, frame.z_q], [0.0, 0.0])
     np.testing.assert_allclose([frame.lambda_d, frame.lambda_q], [0.0, 0.0])
@@ -44,7 +114,7 @@ def test_control_step_all_zero():
 
 def test_control_step_clamped_command():
     ctrl = _controller()
-    frame = ctrl.step(0.0, 0.0, 100.0, (0.0, 0.0, 0.0), 200.0)
+    frame = ctrl.step(0.0, 100.0, (0.0, 0.0), 200.0)
     # at i = 0, omega = 100: b = (0, 1.2), phi = -12 -> u_max = 45.6
     assert frame.flags & U_CLAMPED
     assert frame.u_feasible == pytest.approx(45.6)
@@ -54,33 +124,32 @@ def test_control_step_clamped_command():
 
 def test_control_step_replay_is_bit_identical():
     ctrl = _controller()
-    theta, omega, i_abc, tau_ref = 0.3, 150.0, (4.0, -1.5, -2.5), 3.0
-    frame = ctrl.step(0.0, theta, omega, i_abc, tau_ref)
+    i_dq, omega, tau_ref = _dq(0.3, (4.0, -1.5, -2.5)), 150.0, 3.0
+    frame = ctrl.step(0.0, omega, i_dq, tau_ref)
 
     # replay through the individual module operations
-    i_dq = machine.park_clarke(theta, i_abc, P0)
     terms = compute_terms(i_dq, omega, P0)
     u_f, _ = optimizer.clamp_torque_command(tau_ref, terms, V_MAX)
-    mats = optimizer.costate_matrices(i_dq, omega, u_f, terms, P0)
-    lam, _ = optimizer.estimate_costate(i_dq, mats.A, 1e-3)
+    A = optimizer.costate_matrices(i_dq, omega, u_f, terms, P0)
+    lam, _ = optimizer.estimate_costate(i_dq, A, 1e-3)
     z_max = optimizer.z_limit(u_f, terms, V_MAX)
-    B = optimizer.projection(terms.b)
-    z, _ = optimizer.optimal_z(lam, B, P0.L_inv, z_max)
+    z, _ = optimizer.optimal_z(lam, terms, P0, z_max)
     v_dq = linearize(u_f, z, terms)
 
-    assert [frame.i_d, frame.i_q] == i_dq.tolist()
+    assert (frame.i_d, frame.i_q) == i_dq
     assert frame.u_feasible == u_f
-    assert [frame.lambda_d, frame.lambda_q] == lam.tolist()
-    assert [frame.z_d, frame.z_q] == z.tolist()
-    assert [frame.v_d, frame.v_q] == v_dq.tolist()
+    assert (frame.lambda_d, frame.lambda_q) == lam
+    assert (frame.z_d, frame.z_q) == z
+    assert (frame.v_d, frame.v_q) == v_dq
 
 
 def test_control_step_deterministic():
     a = _controller(gains=PiGains())
     b = _controller(gains=PiGains())
     for k in range(20):
-        fa = a.step(k * 1e-4, 0.1 * k, 50.0, (1.0, -0.2, -0.8), 2.0)
-        fb = b.step(k * 1e-4, 0.1 * k, 50.0, (1.0, -0.2, -0.8), 2.0)
+        i_dq = _dq(0.1 * k, (1.0, -0.2, -0.8))
+        fa = a.step(k * 1e-4, 50.0, i_dq, 2.0)
+        fb = b.step(k * 1e-4, 50.0, i_dq, 2.0)
         assert fa == fb
 
 
@@ -88,8 +157,9 @@ def test_torque_channel_isolation():
     # b^T v_dq is the same with and without z
     on = _controller(use_z=True)
     off = _controller(use_z=False)
-    frame_on = on.step(0.0, 0.2, 120.0, (5.0, -2.0, -3.0), 3.0)
-    frame_off = off.step(0.0, 0.2, 120.0, (5.0, -2.0, -3.0), 3.0)
+    i_dq = _dq(0.2, (5.0, -2.0, -3.0))
+    frame_on = on.step(0.0, 120.0, i_dq, 3.0)
+    frame_off = off.step(0.0, 120.0, i_dq, 3.0)
     terms = compute_terms((frame_on.i_d, frame_on.i_q), 120.0, P0)
     b_dot_v = [float(terms.b @ (f.v_d, f.v_q)) for f in (frame_on, frame_off)]
     assert b_dot_v[0] == pytest.approx(b_dot_v[1], rel=1e-12)
@@ -100,17 +170,16 @@ def test_anti_windup_bounds_integrator():
     ctrl = _controller(gains=gains)
     integs = []
     for k in range(500):
-        ctrl.step(k * 1e-4, 0.0, 0.0, (0.0, 0.0, 0.0), 500.0)  # far beyond feasible
+        ctrl.step(k * 1e-4, 0.0, (0.0, 0.0), 500.0)  # far beyond feasible
         integs.append(gains.integrator)
     assert max(np.abs(integs)) <= 1.0  # frozen, not winding up
 
 
 def test_degenerate_b_holds_previous_voltage():
     ctrl = _controller()
-    good = ctrl.step(0.0, 0.0, 100.0, (0.0, 0.0, 0.0), 6.0)
-    # i_d = psi/(eta L_d) = 50, i_q = 0 makes b vanish; abc for that dq at theta=0
-    i_abc = machine.inverse_park_clarke(0.0, (50.0, 0.0), P0)
-    frame = ctrl.step(1e-4, 0.0, 100.0, i_abc, 6.0)
+    good = ctrl.step(0.0, 100.0, (0.0, 0.0), 6.0)
+    # i_d = psi/(eta L_d) = 50, i_q = 0 makes b vanish
+    frame = ctrl.step(1e-4, 100.0, (50.0, 0.0), 6.0)
     assert frame.flags & B_DEGENERATE
     assert (frame.v_d, frame.v_q) == (good.v_d, good.v_q)
 

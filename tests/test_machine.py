@@ -17,10 +17,9 @@ from oflc.machine import (
 def test_derived_constants():
     assert P0.eta == pytest.approx(2.0 / 3.0)
     assert P0.mu == pytest.approx(0.01)
-    # the inductance matrices are built once per instance and cannot be mutated
-    for cached, fresh in ((P0.L, np.diag([P0.L_d, P0.L_q])), (P0.L_inv, np.diag([1.0 / P0.L_d, 1.0 / P0.L_q]))):
-        assert np.array_equal(cached, fresh)
-        assert not cached.flags.writeable
+    # the inverse inductance matrix is built once per instance and cannot be mutated
+    assert np.array_equal(P0.L_inv, np.diag([1.0 / P0.L_d, 1.0 / P0.L_q]))
+    assert not P0.L_inv.flags.writeable
     assert P0.L_inv is P0.L_inv
 
 
@@ -105,7 +104,7 @@ def test_h_vector_values():
 
 def test_h_identity_against_dynamics(rng):
     # L di/dt - v = h at random states
-    L = P0.L
+    L = np.diag([P0.L_d, P0.L_q])
     for _ in range(100):
         i = rng.uniform(-50, 50, 2)
         v = rng.uniform(-48, 48, 2)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import P0, P_NS, random_state
 from oflc import optimizer
-from oflc.errors import DegenerateBError, NegativeDiscriminantError
+from oflc.errors import NegativeDiscriminantError
 from oflc.linearization import compute_terms
 from oflc.machine import h_vector
 
@@ -16,9 +16,15 @@ def test_dh_di_value():
     )
 
 
+def _lambda_of_A(i, omega, terms, params):
+    """Lambda as the slope of A = (u - phi) Lambda + Gamma in u."""
+    return (np.array(optimizer.costate_matrices(i, omega, 1.0, terms, params))
+            - np.array(optimizer.costate_matrices(i, omega, 0.0, terms, params)))
+
+
 def test_lambda_zero_for_non_salient():
     terms = compute_terms((3.0, -7.0), 100.0, P_NS)
-    np.testing.assert_allclose(optimizer.lambda_matrix(terms, P_NS), np.zeros((2, 2)))
+    np.testing.assert_allclose(_lambda_of_A((3.0, -7.0), 100.0, terms, P_NS), np.zeros((2, 2)))
 
 
 def _fd_jacobian_of_f(i, omega, u, params, eps=1e-5):
@@ -36,9 +42,9 @@ def test_A_matches_negative_jacobian(rng):
     for _ in range(200):
         i, omega, terms = random_state(rng, P0)
         u = rng.uniform(-20, 20)
-        mats = optimizer.costate_matrices(i, omega, u, terms, P0)
+        A = np.array(optimizer.costate_matrices(i, omega, u, terms, P0))
         A_fd = _fd_jacobian_of_f(i, omega, u, P0)
-        assert np.linalg.norm(mats.A - A_fd) <= 1e-5 * max(np.linalg.norm(mats.A), 1.0)
+        assert np.linalg.norm(A - A_fd) <= 1e-5 * max(np.linalg.norm(A), 1.0)
 
 
 def test_gradient_blocks_match_finite_differences(rng):
@@ -122,25 +128,7 @@ def test_estimate_costate_linear_in_i(rng):
     i = rng.uniform(-10, 10, 2)
     lam1, _ = optimizer.estimate_costate(i, A, 0.01)
     lam3, _ = optimizer.estimate_costate(3.0 * i, A, 0.01)
-    np.testing.assert_allclose(lam3, 3.0 * lam1, rtol=1e-12)
-
-
-def test_projection_values():
-    np.testing.assert_allclose(optimizer.projection((0.0, 1.2)), [[1.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(optimizer.projection((1.0, 1.0)), [[0.5, -0.5], [-0.5, 0.5]])
-
-
-def test_projection_properties(rng):
-    for _ in range(100):
-        b = rng.uniform(-5, 5, 2)
-        if np.linalg.norm(b) < 1e-3:
-            continue
-        B = optimizer.projection(b)
-        assert np.linalg.norm(B @ b) <= 1e-12 * np.linalg.norm(b)
-        np.testing.assert_allclose(B @ B, B, atol=1e-14)
-        np.testing.assert_allclose(B.T, B)
-    with pytest.raises(DegenerateBError):
-        optimizer.projection((0.0, 0.0))
+    np.testing.assert_allclose(lam3, 3.0 * np.asarray(lam1), rtol=1e-12)
 
 
 def _terms_b012_phi_m12():
@@ -149,12 +137,12 @@ def _terms_b012_phi_m12():
 
 def test_clamp_torque_command():
     terms = _terms_b012_phi_m12()
-    u, rep = optimizer.clamp_torque_command(6.0, terms, 48.0)
-    assert u == 6.0 and not rep.u_clamped
-    u, rep = optimizer.clamp_torque_command(100.0, terms, 48.0)
-    assert u == pytest.approx(45.6) and rep.u_clamped
-    u, rep = optimizer.clamp_torque_command(-100.0, terms, 48.0)
-    assert u == pytest.approx(-69.6) and rep.u_clamped
+    u, clamped = optimizer.clamp_torque_command(6.0, terms, 48.0)
+    assert u == 6.0 and not clamped
+    u, clamped = optimizer.clamp_torque_command(100.0, terms, 48.0)
+    assert u == pytest.approx(45.6) and clamped
+    u, clamped = optimizer.clamp_torque_command(-100.0, terms, 48.0)
+    assert u == pytest.approx(-69.6) and clamped
 
 
 def test_z_limit():
@@ -167,18 +155,17 @@ def test_z_limit():
 
 
 def test_optimal_z_values():
-    B = optimizer.projection((0.0, 1.2))
-    L_inv = np.diag([1.0 / 0.003, 1.0 / 0.005])
-    z, rep = optimizer.optimal_z((0.0, 0.0), B, L_inv, 10.0)
+    terms = _terms_b012_phi_m12()  # P0's L = diag(0.003, 0.005)
+    z, rep = optimizer.optimal_z((0.0, 0.0), terms, P0, 10.0)
     np.testing.assert_allclose(z, [0.0, 0.0])
     assert rep.z_zeroed and not rep.z_at_limit
 
-    z, rep = optimizer.optimal_z((0.03, 0.04), B, L_inv, 10.0)
+    z, rep = optimizer.optimal_z((0.03, 0.04), terms, P0, 10.0)
     np.testing.assert_allclose(z, [-10.0, 0.0])
     assert rep.z_at_limit and not rep.z_zeroed
 
-    z, rep = optimizer.optimal_z((0.03, 0.04), B, L_inv, 0.0)
-    assert rep.z_zeroed and np.all(z == 0.0)
+    z, rep = optimizer.optimal_z((0.03, 0.04), terms, P0, 0.0)
+    assert rep.z_zeroed and np.all(np.asarray(z) == 0.0)
 
 
 def test_optimal_z_orthogonality(rng):
@@ -186,8 +173,7 @@ def test_optimal_z_orthogonality(rng):
         for _ in range(1000):
             i, omega, terms = random_state(rng, P0)
             lam = rng.uniform(-1, 1, 2)
-            B = optimizer.projection(terms.b)
-            z, _ = optimizer.optimal_z(lam, B, P0.L_inv, 10.0, smoothing=smoothing)
+            z, _ = optimizer.optimal_z(lam, terms, P0, 10.0, smoothing=smoothing)
             zn = np.linalg.norm(z)
             assert zn <= 10.0 * (1.0 + 1e-12)
             if zn > 0.0:
@@ -200,10 +186,9 @@ def test_optimal_z_minimizes_hamiltonian(rng):
         i, omega, terms = random_state(rng, P0)
         u, _ = optimizer.clamp_torque_command(rng.uniform(-30, 30), terms, 48.0)
         z_max = optimizer.z_limit(u, terms, 48.0)
-        B = optimizer.projection(terms.b)
-        mats = optimizer.costate_matrices(i, omega, u, terms, P0)
-        lam, _ = optimizer.estimate_costate(i, mats.A, 1e-3)
-        z_star, _ = optimizer.optimal_z(lam, B, P0.L_inv, z_max)
+        A = optimizer.costate_matrices(i, omega, u, terms, P0)
+        lam, _ = optimizer.estimate_costate(i, A, 1e-3)
+        z_star, _ = optimizer.optimal_z(lam, terms, P0, z_max)
         h_star = optimizer.hamiltonian(i, lam, u, z_star, terms, omega, P0)
         n = np.array([-terms.b[1], terms.b[0]]) / np.sqrt(terms.b_norm_sq)
         best = min(
@@ -231,7 +216,7 @@ def test_printed_lambda_is_close_for_small_saliency():
     # saliency the two agree to first order
     P_weak = type(P0)(R=0.5, L_d=4e-3, L_q=4.04e-3, psi=0.1, p=4)
     terms = compute_terms((2.0, 5.0), 100.0, P_weak)
-    lam_derived = optimizer.lambda_matrix(terms, P_weak)
+    lam_derived = _lambda_of_A((2.0, 5.0), 100.0, terms, P_weak)
     lam_printed = optimizer.printed_lambda_matrix(terms, P_weak)
     # same leading scale; exact agreement is not expected (see module docs)
     assert np.linalg.norm(lam_printed) == pytest.approx(np.linalg.norm(lam_derived), rel=0.2)

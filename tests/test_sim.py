@@ -8,7 +8,7 @@ from conftest import P0, P_NS, V_MAX
 from oflc import sim
 from oflc.errors import NonFiniteStateError
 from oflc.loop import ControlFrame, PiGains
-from oflc.machine import current_derivatives, dq_dynamics, h_vector, inverse_park_clarke, torque, voltage_drift
+from oflc.machine import current_derivatives, dq_dynamics, h_vector, voltage_drift
 from oflc.optimizer import U_CLAMPED
 from oflc.profiles import ConstantProfile, SinusoidProfile, TrapezoidProfile
 from oflc.sim import (
@@ -22,9 +22,10 @@ from oflc.sim import (
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def _reference_plant_step(i, v, omega, dt_plant, params):
+def _reference_plant_step(i_d, i_q, v_d, v_q, omega, dt_plant, params):
     """The plant substep written as the generic ``sim.rk4`` on ``dq_dynamics``."""
-    return sim.rk4(lambda x, t: dq_dynamics(x, v, omega, params), i, 0.0, dt_plant)
+    i = sim.rk4(lambda x, t: dq_dynamics(x, (v_d, v_q), omega, params), np.array([i_d, i_q]), 0.0, dt_plant)
+    return tuple(i.tolist())
 
 
 def test_float_plant_step_equals_array_reference(rng):
@@ -37,22 +38,20 @@ def test_float_plant_step_equals_array_reference(rng):
             assert np.array_equal(current_derivatives(i_d, i_q, v_d, v_q, omega, params),
                                   dq_dynamics(i, v, omega, params))
             assert np.array_equal(voltage_drift(i_d, i_q, omega, params), h_vector(i, omega, params))
-            step = rk4_plant_step(i, v, omega, h, params)
-            assert isinstance(step, np.ndarray) and step.shape == (2,)
-            assert np.array_equal(step, _reference_plant_step(i, v, omega, h, params))
+            step = rk4_plant_step(i_d, i_q, v_d, v_q, omega, h, params)
+            assert all(type(x) is float for x in step)
+            assert step == _reference_plant_step(i_d, i_q, v_d, v_q, omega, h, params)
 
 
 def test_rk4_equilibrium_fixed_point():
-    i = np.zeros(2)
-    np.testing.assert_allclose(rk4_plant_step(i, np.zeros(2), 0.0, 1e-5, P0), [0.0, 0.0])
+    np.testing.assert_allclose(rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 1e-5, P0), [0.0, 0.0])
 
 
 def _endpoint(dt, n):
-    i = np.array([1.0, -2.0])
-    v = np.array([3.0, 4.0])
+    i = (1.0, -2.0)
     for _ in range(n):
-        i = rk4_plant_step(i, v, 200.0, dt, P0)
-    return i
+        i = rk4_plant_step(*i, 3.0, 4.0, 200.0, dt, P0)
+    return np.array(i)
 
 
 def test_rk4_convergence_order():
@@ -79,9 +78,10 @@ def test_rk4_matches_matrix_exponential_linear_case():
     i0 = np.array([2.0, -1.0])
     dt = 1e-6
     n = 2000
-    i = i0.copy()
+    i = tuple(i0.tolist())
     for _ in range(n):
-        i = rk4_plant_step(i, v, omega, dt, params)
+        i = rk4_plant_step(*i, *v.tolist(), omega, dt, params)
+    i = np.array(i)
     T = n * dt
     i_star = -np.linalg.solve(M, c)
     exact = i_star + expm(M * T) @ (i0 - i_star)
@@ -90,7 +90,7 @@ def test_rk4_matches_matrix_exponential_linear_case():
 
 def test_rk4_nonfinite_raises():
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-        rk4_plant_step(np.array([1e308, 0.0]), np.zeros(2), 1e6, 1.0, P0)
+        rk4_plant_step(1e308, 0.0, 0.0, 0.0, 1e6, 1.0, P0)
 
 
 def _quiet_scenario(**kw):
@@ -185,7 +185,7 @@ def test_id_zero_baseline_tracks():
 
 def test_nonfinite_abort_keeps_partial_trace():
     class BlowUp:
-        def step(self, t, theta, omega, i_abc, tau_ref):
+        def step(self, t, omega, i_dq, tau_ref):
             return ControlFrame(t=t, i_d=0.0, i_q=0.0, v_d=np.inf, v_q=0.0, tau_ref=tau_ref,
                                 tau_est=0.0, u_raw=0.0, u_feasible=0.0, omega=omega, z_d=0.0, z_q=0.0,
                                 lambda_d=0.0, lambda_q=0.0, p_copper_W=0.0, flags=0)

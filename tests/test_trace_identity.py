@@ -1,0 +1,52 @@
+"""The tolerance mode of tools/trace_identity.py (``--rtol``)."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "trace_identity", Path(__file__).resolve().parents[1] / "tools" / "trace_identity.py")
+trace_identity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(trace_identity)
+
+HEAD = "# flags bitfield: 1=u_clamped 2=z_at_limit\nt,v_d,z_d,flags\n"
+ROWS = [(0.0, 1.5, 0.25, 2), (1e-4, -2.25, 0.0, 1), (2e-4, 47.9, -0.5, 2)]
+SUMMARY = {"controller": "oflc", "aborted": "False", "cost_integral_A2s": 9.328, "ticks_u_clamped": "1"}
+
+
+def _trace(rows):
+    return HEAD + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _summary(items):
+    return "".join(f"{key}: {value!r}\n" if isinstance(value, float) else f"{key}: {value}\n"
+                   for key, value in items.items())
+
+
+def _check(ref, work, rtol, trace):
+    problem, _ = trace_identity.compare_text(ref, work, rtol, trace)
+    return problem is None
+
+
+def test_trace_tolerance():
+    ref = _trace(ROWS)
+    assert _check(ref, ref, 0.0, trace=True)
+    one_ulp = [(t, math.nextafter(v, math.inf), z, f) for t, v, z, f in ROWS]
+    assert _check(ref, _trace(one_ulp), 1e-12, trace=True)
+    flipped = ROWS[:1] + [ROWS[1][:3] + (3,)] + ROWS[2:]
+    assert not _check(ref, _trace(flipped), 1.0, trace=True)
+    moved = ROWS[:2] + [(2e-4, 47.9 * (1.0 + 1e-6), -0.5, 2)]
+    assert not _check(ref, _trace(moved), 1e-9, trace=True)
+    assert _check(ref, _trace(moved), 1e-5, trace=True)
+    # the scale is the largest magnitude of the column: 1e-9 of 47.9 absorbs this change of -2.25
+    assert _check(ref, _trace([ROWS[0], (1e-4, -2.25 + 1e-8, 0.0, 1), ROWS[2]]), 1e-9, trace=True)
+    assert not _check(ref, _trace(ROWS[:2]), 1.0, trace=True)
+
+
+def test_summary_tolerance():
+    ref = _summary(SUMMARY)
+    cost = SUMMARY["cost_integral_A2s"]
+    assert _check(ref, _summary(dict(SUMMARY, cost_integral_A2s=math.nextafter(cost, 0.0))), 1e-12, trace=False)
+    assert not _check(ref, _summary(dict(SUMMARY, cost_integral_A2s=cost * (1.0 + 1e-6))), 1e-9, trace=False)
+    assert not _check(ref, _summary(dict(SUMMARY, ticks_u_clamped="2")), 1.0, trace=False)
+    assert not _check(ref, _summary(dict(SUMMARY, aborted="True")), 1.0, trace=False)

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/trace_identity.py REF
+    python3 tools/trace_identity.py REF [--rtol R]
 
 Runs ``oflc compare --controllers oflc flc_z0 id_zero`` on
 ``scenarios/{s1,step,mechanical}.cfg``, and once more on ``step.cfg``
@@ -10,13 +10,15 @@ with ``--decimate 7``, twice: with the working tree's ``src/`` and with
 the ``src/`` of git revision ``REF``, exported with ``git archive`` into
 a temporary directory.  Both sides read the working tree's scenario
 files.  The 28 output files (three traces, three summaries and the
-compare summary per run) are compared byte for byte.  Exits 0 when every
-file and every exit code is identical, 1 on any difference or missing
+compare summary per run) are compared byte for byte, or with ``--rtol R``
+within a tolerance (see ``compare_text``).  Exits 0 when every file
+matches and every exit code is identical, 1 on any difference or missing
 file, and 2 when a side cannot be set up.
 """
 
 import argparse
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +35,8 @@ RUNS = {
 }
 CONTROLLERS = ("oflc", "flc_z0", "id_zero")
 OUTPUTS = tuple(f"{c}_{kind}" for c in CONTROLLERS for kind in ("trace.csv", "summary.txt")) + ("compare_summary.txt",)
+# summary keys compared exactly in --rtol mode, besides every ticks_* count
+EXACT_KEYS = ("controller", "scenario", "aborted")
 
 
 def export_src(ref, dest):
@@ -59,9 +63,86 @@ def run_side(src, out_root):
     return codes
 
 
-def differences(ref_out, work_out, ref_codes, work_codes):
-    """One line per output file or exit code that is not identical."""
-    found = []
+def _deviation(a, b, scale):
+    """|a - b| / scale; 0 for equal values (nan included), inf where undefined."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    dev = abs(a - b) / scale if scale > 0.0 else math.inf
+    return dev if dev == dev else math.inf
+
+
+def _compare_trace(ref, work, rtol):
+    ref_lines, work_lines = ref.splitlines(), work.splitlines()
+    if [x for x in ref_lines if x.startswith("#")] != [x for x in work_lines if x.startswith("#")]:
+        return "comment lines differ", math.inf
+    ref_rows = [x.split(",") for x in ref_lines if not x.startswith("#")]
+    work_rows = [x.split(",") for x in work_lines if not x.startswith("#")]
+    if ref_rows[:1] != work_rows[:1]:
+        return "header differs", math.inf
+    if len(ref_rows) != len(work_rows):
+        return f"{len(work_rows) - 1} rows, {len(ref_rows) - 1} at REF", math.inf
+    problem, worst = None, 0.0
+    for k, name in enumerate(ref_rows[0] if ref_rows else ()):
+        a = [row[k] for row in ref_rows[1:]]
+        b = [row[k] for row in work_rows[1:]]
+        if name == "flags":
+            bad = [n for n, (x, y) in enumerate(zip(a, b)) if x != y]
+            if bad:
+                problem = problem or f"flags differ on {len(bad)} rows, first at row {bad[0]}"
+            continue
+        a, b = [float(x) for x in a], [float(y) for y in b]
+        scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0)
+        dev = max((_deviation(x, y, scale) for x, y in zip(a, b)), default=0.0)
+        worst = max(worst, dev)
+        if dev > rtol:
+            problem = problem or f"column {name} deviates by {dev:.3g} of max|REF column|"
+    return problem, worst
+
+
+def _compare_summary(ref, work, rtol):
+    ref_items = [x.partition(": ")[::2] for x in ref.splitlines()]
+    work_items = [x.partition(": ")[::2] for x in work.splitlines()]
+    if [k for k, _ in ref_items] != [k for k, _ in work_items]:
+        return "keys differ", math.inf
+    problem, worst = None, 0.0
+    for (key, a), (_, b) in zip(ref_items, work_items):
+        if key in EXACT_KEYS or key.startswith("ticks_"):
+            if a != b:
+                problem = problem or f"{key}: {b} (REF {a})"
+            continue
+        a, b = float(a), float(b)
+        dev = _deviation(a, b, abs(a))
+        worst = max(worst, dev)
+        if dev > rtol:
+            problem = problem or f"{key} deviates by {dev:.3g} relative"
+    return problem, worst
+
+
+def compare_text(ref, work, rtol, trace):
+    """Compare one output file's text with REF's within ``rtol``.
+
+    A trace (``trace`` true) must have REF's comment lines, header and row
+    count, an identical ``flags`` column, and every other value within
+    rtol times the largest finite magnitude of its column in REF.  A
+    summary must have REF's keys in order, identical ``controller``,
+    ``scenario``, ``aborted`` and ``ticks_*`` values, and every other
+    value within rtol relative to REF's.  Returns (problem or None, the
+    largest deviation seen in units of those scales).
+    """
+    try:
+        return (_compare_trace if trace else _compare_summary)(ref, work, rtol)
+    except (ValueError, IndexError) as exc:
+        return f"unreadable: {exc}", math.inf
+
+
+def differences(ref_out, work_out, ref_codes, work_codes, rtol=None):
+    """One line per output file or exit code that does not match.
+
+    With ``rtol`` every file that is not byte-identical but matches
+    within the tolerance gets a line too, with its largest deviation;
+    the second value lists only the mismatches.
+    """
+    notes, found = [], []
     for name in RUNS:
         if ref_codes[name] != work_codes[name]:
             found.append(f"{name}: exit code {ref_codes[name]} at REF, {work_codes[name]} in the working tree")
@@ -69,14 +150,24 @@ def differences(ref_out, work_out, ref_codes, work_codes):
             a, b = ref_out / name / output, work_out / name / output
             if not (a.is_file() and b.is_file()):
                 found.append(f"{name}/{output}: missing")
-            elif not filecmp.cmp(a, b, shallow=False):
+            elif filecmp.cmp(a, b, shallow=False):
+                continue
+            elif rtol is None:
                 found.append(f"{name}/{output}: differs")
-    return found
+            else:
+                problem, worst = compare_text(a.read_text(), b.read_text(), rtol, output.endswith(".csv"))
+                if problem:
+                    found.append(f"{name}/{output}: differs beyond rtol {rtol:g}: {problem}")
+                else:
+                    notes.append(f"{name}/{output}: within rtol {rtol:g} (largest deviation {worst:.3g})")
+    return notes, found
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare the working tree against")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="accept float differences up to this tolerance (default: byte-identical)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="trace_identity_") as tmp:
         tmp = Path(tmp)
@@ -87,13 +178,14 @@ def main(argv=None):
             return 2
         ref_codes = run_side(ref_src, tmp / "ref_out")
         work_codes = run_side(ROOT / "src", tmp / "work_out")
-        found = differences(tmp / "ref_out", tmp / "work_out", ref_codes, work_codes)
-    for line in found:
+        notes, found = differences(tmp / "ref_out", tmp / "work_out", ref_codes, work_codes, args.rtol)
+    for line in notes + found:
         print(line)
     if found:
         print(f"{len(found)} difference(s) against {args.ref}")
         return 1
-    print(f"all {len(RUNS) * len(OUTPUTS)} output files and exit codes identical to {args.ref}")
+    how = "identical" if args.rtol is None else f"within rtol {args.rtol:g} ({len(notes)} not byte-identical)"
+    print(f"all {len(RUNS) * len(OUTPUTS)} output files and exit codes {how} to {args.ref}")
     return 0
 
 
