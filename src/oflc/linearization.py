@@ -78,7 +78,7 @@ def compute_terms(i, omega, params, printed_b_d=False):
 
     # products, not powers: a float ** overflows with an exception, a product to inf
     phi = (
-        1.5 * p * (omega / R) * (L_q * psi * i_d - eta * L_q * L_q * i_q * i_q - eta * L_d * L_d * i_d * i_d - psi * psi)
+        1.5 * p * (omega / R) * (L_q * psi * i_d - eta * (L_q * L_q) * (i_q * i_q) - eta * (L_d * L_d) * (i_d * i_d) - psi * psi)
         + 1.5 * p * eta * L_q * i_d * i_q
     )
     return LinearizationTerms(b_d, b_q, phi, b_norm_sq)

@@ -70,7 +70,7 @@ def dphi_di(i, omega, params):
     i_d, i_q = i
     p, R, L_d, L_q = params.p, params.R, params.L_d, params.L_q
     eta, mu, psi = params.eta, params.mu, params.psi
-    return (1.5 * p * (mu * omega * psi + eta * L_q * i_q - 2.0 * (omega / R) * eta * L_d * L_d * i_d),
+    return (1.5 * p * (mu * omega * psi + eta * L_q * i_q - 2.0 * (omega / R) * eta * (L_d * L_d) * i_d),
             1.5 * p * (-2.0 * omega * mu * eta * L_q * i_q + eta * L_q * i_d))
 
 
@@ -131,7 +131,7 @@ def current_dynamics(i, omega, u, z, params, printed_b_d=False):
 
 
 def condition_number(M):
-    """2-norm condition number of a 2x2 matrix [[a, b], [c, d]], in closed form.
+    """2-norm condition number of a 2x2 matrix ((a, b), (c, d)), given by rows, in closed form.
 
     With s = |M|_F^2 = s1^2 + s2^2 and |det M| = s1 s2 for the singular
     values s1 >= s2, cond = s1 / s2 = (s + sqrt(s^2 - 4 det^2)) / (2 |det|).
