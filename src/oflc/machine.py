@@ -4,10 +4,11 @@ Conventions used throughout the package:
 
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
   Python floats on the control tick and the plant substep, numpy arrays
-  in the array forms.  The voltage equations are written once, on
-  floats, in ``voltage_drift`` and ``current_derivatives``: the plant
-  substep calls them directly and the array forms ``h_vector`` and
-  ``dq_dynamics`` wrap them;
+  in the array forms.  The voltage equations are written on floats in
+  ``voltage_drift``, which the array forms ``h_vector`` and
+  ``dq_dynamics`` wrap, and once more inline, in the same operation
+  order, in the plant's tick step ``sim.rk4_plant_step``; a bit-equality
+  test in ``tests/test_sim.py`` ties the two together;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -33,7 +34,6 @@ __all__ = [
     "inverse_park_clarke",
     "torque",
     "voltage_drift",
-    "current_derivatives",
     "dq_dynamics",
     "h_vector",
 ]
@@ -64,6 +64,8 @@ class MachineParams:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(name, f"must be positive and finite, got {value}")
+            if not math.isfinite(value * value):  # the control law squares each constant
+                raise ValidationError(name, f"must have a finite square, got {value}")
         if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
             raise ValidationError("p", f"must be a positive integer, got {self.p}")
 
@@ -133,17 +135,10 @@ def voltage_drift(i_d, i_q, omega, params):
             -params.R * i_q + params.L_d * i_d * omega - params.psi * omega)
 
 
-def current_derivatives(i_d, i_q, v_d, v_q, omega, params):
-    """Float core of the current dynamics: (di_d/dt, di_q/dt)."""
-    h_d, h_q = voltage_drift(i_d, i_q, omega, params)
-    return (h_d + v_d) / params.L_d, (h_q + v_q) / params.L_q
-
-
 def dq_dynamics(i, v, omega, params):
     """Current derivatives d[i_d, i_q]/dt under voltages v at speed omega."""
-    i_d, i_q = i
-    v_d, v_q = v
-    return np.array(current_derivatives(i_d, i_q, v_d, v_q, omega, params))
+    h_d, h_q = voltage_drift(*i, omega, params)
+    return np.array(((h_d + v[0]) / params.L_d, (h_q + v[1]) / params.L_q))
 
 
 def h_vector(i, omega, params):

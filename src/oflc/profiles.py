@@ -5,6 +5,7 @@ Each profile is a small frozen dataclass callable as ``profile(t)``; the
 format.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -45,7 +46,7 @@ class SinusoidProfile:
     kind = "sinusoid"
 
     def __call__(self, t):
-        return self.offset + self.amplitude * np.sin(2.0 * np.pi * self.frequency * t + self.phase)
+        return self.offset + self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class TrapezoidProfile:
     final: float
     t0: float
     t1: float
-    t2: float = np.inf
-    t3: float = np.inf
+    t2: float = math.inf
+    t3: float = math.inf
 
     kind = "trapezoid"
 

@@ -4,18 +4,18 @@ Two integration modes are provided:
 
 * ``run_scenario``: the realistic discrete drive: the controller runs at
   dt_ctrl, its voltage is held (zero-order hold) while the plant is
-  stepped with RK4 at dt_plant.  Each plant substep
-  (``rk4_plant_step``) runs on Python floats through
-  ``machine.current_derivatives``; with a fine plant step most of the
-  run's time is spent there.
+  stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
+  plant over a whole control tick on Python floats, with the voltage
+  equations of ``machine.voltage_drift`` written inline; with a fine
+  plant step most of the run's time is spent there.
 * ``run_continuous``: the controller is re-evaluated at every RK4 stage,
   i.e. the continuous-time closed loop.  Used for transfer-function and
   linearization-identity checks, which are continuous-time statements
   that zero-order-hold quantization would otherwise dominate.
 
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
-``run_continuous``; the tests hold the float plant substep equal to it
-bit for bit.
+``run_continuous``; the tests hold every substep of the float tick step
+equal to it on ``dq_dynamics`` bit for bit.
 
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
 control tick; ``energy_accounting`` and the run's summary figures read
@@ -32,7 +32,7 @@ from .errors import NonFiniteStateError, ValidationError
 from . import optimizer
 from .linearization import compute_terms
 from .loop import ControlFrame, TorqueController, control_law
-from .machine import MachineParams, current_derivatives, dq_dynamics, torque
+from .machine import MachineParams, dq_dynamics, torque
 from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile
 
@@ -159,28 +159,46 @@ def _rk4_trajectory(f, x0, duration, dt):
     return np.arange(n + 1) * dt, xs
 
 
-def rk4_plant_step(i_d, i_q, v_d, v_q, omega, dt_plant, params):
-    """One classical RK4 step of the current dynamics, v and omega held.
+def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
+    """Step the plant of scenario ``s`` over one control tick from time t, v held.
 
-    Takes and returns the currents as Python floats; the stages run in
-    the operation order of ``rk4``, so the result equals ``rk4`` on
-    ``dq_dynamics`` bit for bit.
+    Runs the tick's dt_ctrl/dt_plant classical RK4 substeps on Python
+    floats, with the voltage equations of ``machine.voltage_drift``
+    written inline in the same operation order, so each substep equals
+    ``rk4`` on ``dq_dynamics`` bit for bit.  Per substep the electrical
+    speed is the profile's at the substep's start, or p * omega_m in
+    mechanical mode, where omega_m (mechanical, passed through otherwise)
+    takes an Euler step after the currents.  Returns (i_d, i_q, omega_m).
 
     Raises:
-        NonFiniteStateError: if the new currents are not finite.
+        NonFiniteStateError: if the currents of a substep are not finite.
     """
-    f = current_derivatives
-    half = 0.5 * dt_plant
-    k1_d, k1_q = f(i_d, i_q, v_d, v_q, omega, params)
-    k2_d, k2_q = f(i_d + half * k1_d, i_q + half * k1_q, v_d, v_q, omega, params)
-    k3_d, k3_q = f(i_d + half * k2_d, i_q + half * k2_q, v_d, v_q, omega, params)
-    k4_d, k4_q = f(i_d + dt_plant * k3_d, i_q + dt_plant * k3_q, v_d, v_q, omega, params)
-    sixth = dt_plant / 6.0
-    i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
-    i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
-    if not (math.isfinite(i_d) and math.isfinite(i_q)):
-        raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
-    return i_d, i_q
+    params, dt, speed, mech = s.params, s.dt_plant, s.speed, s.mechanical
+    neg_R, L_d, L_q, psi, p = -params.R, params.L_d, params.L_q, params.psi, params.p
+    half, sixth = 0.5 * dt, dt / 6.0
+    for j in range(round(s.dt_ctrl / dt)):
+        t_sub = t + j * dt
+        omega = float(speed(t_sub)) if speed is not None else p * omega_m
+        psi_omega = psi * omega
+        k1_d = (neg_R * i_d + L_q * i_q * omega + v_d) / L_d
+        k1_q = (neg_R * i_q + L_d * i_d * omega - psi_omega + v_q) / L_q
+        x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
+        k2_d = (neg_R * x_d + L_q * x_q * omega + v_d) / L_d
+        k2_q = (neg_R * x_q + L_d * x_d * omega - psi_omega + v_q) / L_q
+        x_d, x_q = i_d + half * k2_d, i_q + half * k2_q
+        k3_d = (neg_R * x_d + L_q * x_q * omega + v_d) / L_d
+        k3_q = (neg_R * x_q + L_d * x_d * omega - psi_omega + v_q) / L_q
+        x_d, x_q = i_d + dt * k3_d, i_q + dt * k3_q
+        k4_d = (neg_R * x_d + L_q * x_q * omega + v_d) / L_d
+        k4_q = (neg_R * x_q + L_d * x_d * omega - psi_omega + v_q) / L_q
+        i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
+        i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
+        if not (math.isfinite(i_d) and math.isfinite(i_q)):
+            raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
+        if mech is not None:
+            tau_m = torque((i_d, i_q), params)
+            omega_m += (tau_m - mech.load_torque(t_sub) - mech.friction * omega_m) / mech.inertia * dt
+    return i_d, i_q, omega_m
 
 
 class IdZeroController:
@@ -241,7 +259,6 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
     ctrl = controller if hasattr(controller, "step") else make_controller(controller, s, gains=gains, alpha_z=alpha_z)
 
     n_ctrl = round(s.duration / s.dt_ctrl)
-    n_sub = round(s.dt_ctrl / s.dt_plant)
     i_d, i_q = map(float, s.i0)
     omega_m = float(s.omega0)  # mechanical, mechanical mode only
     frames = []
@@ -256,14 +273,7 @@ def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
         frame = ctrl.step(t, omega_e, (i_d, i_q), float(s.tau_ref(t)))
         frames.append(frame)
         try:
-            for j in range(n_sub):
-                t_sub = t + j * s.dt_plant
-                omega_sub = float(s.speed(t_sub)) if s.speed is not None else params.p * omega_m
-                i_d, i_q = rk4_plant_step(i_d, i_q, frame.v_d, frame.v_q, omega_sub, s.dt_plant, params)
-                if s.speed is None:
-                    mech = s.mechanical
-                    tau_m = torque((i_d, i_q), params)
-                    omega_m += (tau_m - mech.load_torque(t_sub) - mech.friction * omega_m) / mech.inertia * s.dt_plant
+            i_d, i_q, omega_m = rk4_plant_step(i_d, i_q, omega_m, frame.v_d, frame.v_q, t, s)
         except NonFiniteStateError:
             aborted = True
             break

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import P0, P_NS, V_MAX, random_state
+from conftest import P0, P_NS, V_MAX, random_state, tick_scenario
 from oflc import machine, optimizer
 from oflc.cli import main as cli_main
 from oflc.config import parse_config
@@ -232,10 +232,7 @@ def test_criterion_10_integrator_order():
 
     # Richardson order on a smooth salient trajectory
     def endpoint(dt, n):
-        i = (1.0, -2.0)
-        for _ in range(n):
-            i = rk4_plant_step(*i, 3.0, 4.0, 200.0, dt, P0)
-        return np.array(i)
+        return np.array(rk4_plant_step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, tick_scenario(P0, dt, n, 200.0))[:2])
 
     T = 0.01
     dt = 2e-4
@@ -248,11 +245,8 @@ def test_criterion_10_integrator_order():
     M = np.array([[-params.R / params.L_d, params.L_q * omega / params.L_d],
                   [params.L_d * omega / params.L_q, -params.R / params.L_q]])
     c = np.array([v[0] / params.L_d, (v[1] - params.psi * omega) / params.L_q])
-    i = (2.0, -1.0)
     n = 2000
-    for _ in range(n):
-        i = rk4_plant_step(*i, *v.tolist(), omega, 1e-6, params)
-    i = np.array(i)
+    i = np.array(rk4_plant_step(2.0, -1.0, 0.0, *v.tolist(), 0.0, tick_scenario(params, 1e-6, n, omega))[:2])
     i_star = -np.linalg.solve(M, c)
     exact = i_star + expm(M * (n * 1e-6)) @ (np.array([2.0, -1.0]) - i_star)
     lin_err = float(np.linalg.norm(i - exact) / max(1.0, np.linalg.norm(exact)))

@@ -159,9 +159,10 @@ def test_validation_error_exits_1(tmp_path, capsys):
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
 
-    # a finite flux so large that its square overflows ends as a run, not a traceback
+    # a finite flux so large that its square overflows is rejected up front, not run until it diverges
     bad.write_text(TINY.replace("psi = 0.1", "psi = 1e308"))
-    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)]) in (1, 2)
+    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
+    assert "error: machine.psi: must have a finite square" in capsys.readouterr().err
 
 
 def test_missing_file_exits_1(tmp_path):

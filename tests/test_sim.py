@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import P0, P_NS, V_MAX
+from conftest import P0, P_NS, V_MAX, tick_scenario
 from oflc import sim
 from oflc.errors import NonFiniteStateError
 from oflc.loop import ControlFrame, PiGains
-from oflc.machine import current_derivatives, dq_dynamics, h_vector, voltage_drift
+from oflc.machine import dq_dynamics, h_vector, torque, voltage_drift
 from oflc.optimizer import U_CLAMPED
-from oflc.profiles import ConstantProfile, SinusoidProfile, TrapezoidProfile
+from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TrapezoidProfile
 from oflc.sim import (
     MechanicalModel,
     Scenario,
@@ -22,36 +22,69 @@ from oflc.sim import (
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def _reference_plant_step(i_d, i_q, v_d, v_q, omega, dt_plant, params):
-    """The plant substep written as the generic ``sim.rk4`` on ``dq_dynamics``."""
-    i = sim.rk4(lambda x, t: dq_dynamics(x, (v_d, v_q), omega, params), np.array([i_d, i_q]), 0.0, dt_plant)
-    return tuple(i.tolist())
+def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s):
+    """The tick step written as substeps of the generic ``sim.rk4`` on ``dq_dynamics``,
+    each followed in mechanical mode by an Euler step of the speed through ``machine.torque``."""
+    i, params, mech = np.array([i_d, i_q]), s.params, s.mechanical
+    for j in range(round(s.dt_ctrl / s.dt_plant)):
+        t_sub = t + j * s.dt_plant
+        omega = float(s.speed(t_sub)) if s.speed is not None else params.p * omega_m
+        i = sim.rk4(lambda x, _t: dq_dynamics(x, (v_d, v_q), omega, params), i, t_sub, s.dt_plant)
+        if mech is not None:
+            tau_m = torque(i.tolist(), params)
+            omega_m += (tau_m - mech.load_torque(t_sub) - mech.friction * omega_m) / mech.inertia * s.dt_plant
+    return (*i.tolist(), omega_m)
 
 
-def test_float_plant_step_equals_array_reference(rng):
+def _tick_speeds(rng, t, dt_plant, n_sub):
+    """One (speed, mechanical) pair per speed kind: constant, a ramp across the tick, sinusoid, mechanical."""
+    dt_ctrl = n_sub * dt_plant
+    ramp = TrapezoidProfile(rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0),
+                            t - 0.5 * dt_plant, t + dt_ctrl - 0.5 * dt_plant)
+    mech = MechanicalModel(inertia=10.0 ** rng.uniform(-5.0, -2.0), friction=rng.uniform(0.0, 1e-2),
+                           load_torque=SinusoidProfile(rng.uniform(0.0, 2.0), 1.0 / dt_ctrl))
+    return ((ConstantProfile(rng.uniform(-500.0, 500.0)), None), (ramp, None),
+            (SinusoidProfile(rng.uniform(0.0, 400.0), rng.uniform(0.1, 1.0) / dt_ctrl, rng.uniform(-100.0, 100.0),
+                             rng.uniform(0.0, 6.0)), None),
+            (None, mech))
+
+
+def test_tick_step_equals_substep_reference(rng):
     # same operations in the same order: equal to the last bit, not just close
     for params in (P0, P_NS):
-        for _ in range(500):
-            i, v = rng.uniform(-50.0, 50.0, 2), rng.uniform(-48.0, 48.0, 2)
-            omega, h = rng.uniform(-500.0, 500.0), 10.0 ** rng.uniform(-7.0, -4.0)
-            (i_d, i_q), (v_d, v_q) = i.tolist(), v.tolist()
-            assert np.array_equal(current_derivatives(i_d, i_q, v_d, v_q, omega, params),
-                                  dq_dynamics(i, v, omega, params))
-            assert np.array_equal(voltage_drift(i_d, i_q, omega, params), h_vector(i, omega, params))
-            step = rk4_plant_step(i_d, i_q, v_d, v_q, omega, h, params)
-            assert all(type(x) is float for x in step)
-            assert step == _reference_plant_step(i_d, i_q, v_d, v_q, omega, h, params)
+        for n_sub in (1, 7, 100):
+            for _ in range(20):
+                dt_plant, t = 10.0 ** rng.uniform(-7.0, -4.0), rng.uniform(0.0, 0.1)
+                # currents of every size down to 1 uA, so that a last-bit change of a stage shows in the sum
+                i_d, i_q = (rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-6.0, 1.7, 2)).tolist()
+                v_d, v_q = rng.uniform(-48.0, 48.0, 2).tolist()
+                omega_m = rng.uniform(-100.0, 100.0)
+                assert np.array_equal(voltage_drift(i_d, i_q, omega_m, params), h_vector((i_d, i_q), omega_m, params))
+                for speed, mech in _tick_speeds(rng, t, dt_plant, n_sub):
+                    s = tick_scenario(params, dt_plant, n_sub, speed=speed, mechanical=mech)
+                    step = sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s)
+                    assert all(type(x) is float for x in step)
+                    assert step == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s)
+                    if mech is None:
+                        assert step[2] == omega_m
+
+
+def test_tick_step_nonfinite_mid_tick_raises():
+    # the speed jumps to 1e300 rad/s after the third substep; the currents overflow a substep or two later
+    speed = StepProfile(100.0, 1e300, 3.5e-6)
+    assert all(np.isfinite(sim.rk4_plant_step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, tick_scenario(P0, 1e-6, 3, speed))))
+    s = tick_scenario(P0, 1e-6, 100, speed)
+    for step in (sim.rk4_plant_step, _reference_tick):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
+            step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, s)
 
 
 def test_rk4_equilibrium_fixed_point():
-    np.testing.assert_allclose(rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 1e-5, P0), [0.0, 0.0])
+    np.testing.assert_allclose(rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(P0, 1e-5, 1))[:2], [0.0, 0.0])
 
 
 def _endpoint(dt, n):
-    i = (1.0, -2.0)
-    for _ in range(n):
-        i = rk4_plant_step(*i, 3.0, 4.0, 200.0, dt, P0)
-    return np.array(i)
+    return np.array(rk4_plant_step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, tick_scenario(P0, dt, n, 200.0))[:2])
 
 
 def test_rk4_convergence_order():
@@ -78,10 +111,7 @@ def test_rk4_matches_matrix_exponential_linear_case():
     i0 = np.array([2.0, -1.0])
     dt = 1e-6
     n = 2000
-    i = tuple(i0.tolist())
-    for _ in range(n):
-        i = rk4_plant_step(*i, *v.tolist(), omega, dt, params)
-    i = np.array(i)
+    i = np.array(rk4_plant_step(*i0.tolist(), 0.0, *v.tolist(), 0.0, tick_scenario(params, dt, n, omega))[:2])
     T = n * dt
     i_star = -np.linalg.solve(M, c)
     exact = i_star + expm(M * T) @ (i0 - i_star)
@@ -90,7 +120,7 @@ def test_rk4_matches_matrix_exponential_linear_case():
 
 def test_rk4_nonfinite_raises():
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-        rk4_plant_step(1e308, 0.0, 0.0, 0.0, 1e6, 1.0, P0)
+        rk4_plant_step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(P0, 1.0, 1, 1e6))
 
 
 def _quiet_scenario(**kw):
@@ -118,7 +148,7 @@ def test_run_scenario_reproducible(monkeypatch):
         a = run_scenario(s, "oflc", gains=PiGains())
         b = run_scenario(s, "oflc", gains=PiGains())
         with monkeypatch.context() as m:
-            m.setattr(sim, "rk4_plant_step", _reference_plant_step)
+            m.setattr(sim, "rk4_plant_step", _reference_tick)
             c = run_scenario(s, "oflc", gains=PiGains())
         assert a.cost_integral == b.cost_integral == c.cost_integral
         assert len(a.frames) == len(b.frames) == len(c.frames) == round(s.duration / s.dt_ctrl)
