@@ -13,17 +13,15 @@ P_NS = MachineParams(R=0.5, L_d=4e-3, L_q=4e-3, psi=0.1, p=4)
 V_MAX = 48.0
 
 
-def tick_scenario(params, dt_plant, n_sub, speed=None, **kw):
+def tick_scenario(params, dt_plant, n_sub, speed=0.0, **kw):
     """A one-tick scenario whose ``sim.rk4_plant_step`` runs ``n_sub`` substeps of dt_plant.
 
-    Without ``mechanical`` in ``kw`` the speed defaults to 0 rad/s; a
-    number is taken as a constant speed.
+    A number is taken as a constant speed; pass ``speed=None`` with
+    ``mechanical`` for mechanical mode.
     """
     from oflc.profiles import ConstantProfile
     from oflc.sim import Scenario
 
-    if speed is None and "mechanical" not in kw:
-        speed = 0.0
     if isinstance(speed, (int, float)):
         speed = ConstantProfile(float(speed))
     return Scenario(params=params, duration=n_sub * dt_plant, tau_ref=ConstantProfile(0.0), speed=speed,
