@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .linearization import LinearizationTerms, compute_terms, linearize
-from .loop import ControlFrame, PiGains, TorqueController, closed_loop_tf_check
+from .loop import ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check
 from .machine import MachineParams, dq_dynamics, h_vector, inverse_park_clarke, park_clarke, torque
 from .optimizer import (
     clamp_torque_command,
@@ -38,6 +38,6 @@ from .sim import (
     run_continuous,
     run_scenario,
 )
-from .config import ControllerSettings, parse_config, serialize_config
+from .config import parse_config, serialize_config
 
 __version__ = "0.1.0"

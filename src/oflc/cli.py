@@ -118,8 +118,7 @@ def _write_summary(path, name, result):
 
 
 def _run_one(name, scenario, settings, out_dir, decimate):
-    result = run_scenario(scenario, controller=name, gains=settings.gains(),
-                          alpha_z=settings.alpha_z)
+    result = run_scenario(scenario, controller=name, settings=settings)
     _write_trace(out_dir / f"{name}_trace.csv", result.frames, decimate)
     for line in _write_summary(out_dir / f"{name}_summary.txt", name, result):
         print(line)

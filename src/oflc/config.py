@@ -14,108 +14,110 @@ everything else falls back to defaults::
     kind = constant
     value = 4.0
 
-Sections: ``[machine]``, ``[scenario]`` (rates/limits/initial state),
-``[torque]`` (profile of the reference torque), ``[speed]`` (prescribed
-electrical-speed profile or ``kind = mechanical`` with inertia/friction/
-load), ``[controller]`` (PI gains, alpha_z).
+Sections: ``[machine]`` (``MachineParams``), ``[scenario]`` (the rates,
+limits and initial state of ``Scenario``), ``[torque]`` (profile of the
+reference torque), ``[speed]`` (prescribed electrical-speed profile, or
+``kind = mechanical`` with the fields of ``MechanicalModel``) and
+``[controller]`` (``loop.ControllerSettings``).
+
+Each section's keys, which of them are required and their defaults are
+read off the dataclass it builds; a profile section's keys are the fields
+of the profile class its ``kind`` names.  The file format adds only its
+own facts: ``duration`` defaults to 0.1 s, the initial currents ``i0``
+are the keys ``i_d0`` and ``i_q0``, and the mechanical ``load`` is a
+constant load torque.
 """
 
 import configparser
+import dataclasses
 import io
 import math
-from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import ParseError, ValidationError
-from .loop import PiGains
+from .loop import ControllerSettings
 from .machine import MachineParams
 from .profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
 from .sim import MechanicalModel, Scenario
 
-__all__ = ["ControllerSettings", "parse_config", "serialize_config"]
+__all__ = ["parse_config", "serialize_config"]
 
-_SCENARIO_DEFAULTS = {
-    "duration": 0.1,
-    "dt_plant": 1e-6,
-    "dt_ctrl": 1e-4,
-    "horizon": 1e-3,
-    "v_max": 48.0,
-    "i_d0": 0.0,
-    "i_q0": 0.0,
-    "omega0": 0.0,
-}
+_PROFILES = {cls.kind: cls for cls in (ConstantProfile, StepProfile, SinusoidProfile, TrapezoidProfile, TableProfile)}
 
-_PROFILE_FIELDS = {
-    "constant": (ConstantProfile, {"value"}, set()),
-    "step": (StepProfile, {"initial", "final", "t_step"}, set()),
-    "sinusoid": (SinusoidProfile, {"amplitude", "frequency"}, {"offset", "phase"}),
-    "trapezoid": (TrapezoidProfile, {"initial", "final", "t0", "t1"}, {"t2", "t3"}),
-    "table": (TableProfile, {"times", "values"}, set()),
+# field type -> (what a value must be, text to value, value to text)
+_TYPES = {
+    int: ("an integer", int, str),
+    float: ("a number", float, repr),
+    Tuple[float, ...]: ("a number list", lambda text: tuple(float(x) for x in text.replace(",", " ").split()),
+                        lambda values: " ".join(map(repr, values))),
 }
 
 
-@dataclass(frozen=True)
-class ControllerSettings:
-    """Controller knobs carried alongside the scenario.
+def _keys(cls, **defaults):
+    """{key: (type, default)} of the config section of dataclass ``cls``, in field order.
 
-    Raises ValidationError naming ``controller.<field>`` for a value out
-    of range, whether it came from a document or a command-line override.
+    ``defaults`` override the dataclass's; a key with no default is
+    required (``dataclasses.MISSING``).
     """
-
-    kp: float = 5.0
-    ki: float = 500.0
-    alpha_z: float = 1.0
-
-    def __post_init__(self):
-        for name in ("kp", "ki"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"controller.{name}", "PI gains must be finite and non-negative")
-        if not 0.0 < self.alpha_z <= 1.0:
-            raise ValidationError("controller.alpha_z", "must be in (0, 1]")
-
-    def gains(self):
-        return PiGains(kp=self.kp, ki=self.ki)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        default = defaults.get(f.name, f.default)
+        if f.name == "i0":
+            keys.update(i_d0=(float, default[0]), i_q0=(float, default[1]))
+        elif f.name == "load_torque":
+            keys["load"] = (float, default.value)
+        elif f.type in _TYPES:
+            keys[f.name] = (f.type, default)
+    return keys
 
 
-def _get_float(section, key, field):
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ValidationError(field, f"not a number: {section[key]!r}") from exc
+def _read(section, name, keys):
+    """The values of config section ``name`` by key, over ``keys`` as from ``_keys``.
 
-
-def _float_list(text, field):
-    try:
-        return tuple(float(x) for x in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ValidationError(field, f"not a number list: {text!r}") from exc
-
-
-def _parse_profile(section, section_name):
-    kind = section.get("kind")
-    if kind is None:
-        raise ValidationError(f"{section_name}.kind", "missing")
-    if kind not in _PROFILE_FIELDS:
-        raise ValidationError(f"{section_name}.kind", f"unknown profile kind {kind!r}")
-    cls, required, optional = _PROFILE_FIELDS[kind]
-    given = {k for k in section if k != "kind"}
-    missing = required - given
-    if missing:
-        raise ValidationError(f"{section_name}.{sorted(missing)[0]}", "missing")
-    unknown = given - required - optional
+    Raises ValidationError naming ``<name>.<key>`` for an unknown key, a
+    missing key with no default and a value that is not a number.
+    """
+    unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ValidationError(f"{section_name}.{sorted(unknown)[0]}", f"unknown key for kind {kind!r}")
-    kwargs = {}
-    for key in given:
-        field = f"{section_name}.{key}"
-        values = _float_list(section[key], field) if kind == "table" else (_get_float(section, key, field),)
-        # inf stays allowed: serialize_config writes it for an open trapezoid end
-        if any(math.isnan(x) for x in values):
-            raise ValidationError(field, "must not be nan")
-        kwargs[key] = values if kind == "table" else values[0]
+        raise ValidationError(f"{name}.{unknown[0]}", "unknown key")
+    values = {}
+    for key, (kind, default) in keys.items():
+        field = f"{name}.{key}"
+        if key not in section:
+            if default is dataclasses.MISSING:
+                raise ValidationError(field, "missing")
+            values[key] = default
+            continue
+        what, parse, _ = _TYPES[kind]
+        try:
+            values[key] = parse(section[key])
+        except ValueError as exc:
+            raise ValidationError(field, f"not {what}: {section[key]!r}") from exc
+    return values
+
+
+def _build(cls, name, values):
+    """``cls(**values)``, a rejected value named as a field of config section ``name``."""
     try:
-        return cls(**kwargs)
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}.{exc.field}", exc.reason) from exc
     except ValueError as exc:
-        raise ValidationError(section_name, str(exc)) from exc
+        raise ValidationError(name, str(exc)) from exc
+
+
+def _parse_profile(section, name):
+    kind = section.pop("kind", None)
+    if kind is None:
+        raise ValidationError(f"{name}.kind", "missing")
+    if kind not in _PROFILES:
+        raise ValidationError(f"{name}.kind", f"unknown profile kind {kind!r}")
+    values = _read(section, name, _keys(_PROFILES[kind]))
+    for key, value in values.items():
+        # inf stays allowed: serialize_config writes it for an open trapezoid end
+        if any(map(math.isnan, value if isinstance(value, tuple) else (value,))):
+            raise ValidationError(f"{name}.{key}", "must not be nan")
+    return _build(_PROFILES[kind], name, values)
 
 
 def parse_config(text):
@@ -131,122 +133,53 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
 
-    if "machine" not in cp:
-        raise ValidationError("machine", "section missing")
-    m = cp["machine"]
-    for key in ("R", "L_d", "L_q", "psi", "p"):
-        if key not in m:
-            raise ValidationError(f"machine.{key}", "missing")
-    try:
-        p = int(m["p"])
-    except ValueError as exc:
-        raise ValidationError("machine.p", f"not an integer: {m['p']!r}") from exc
-    values = {key: _get_float(m, key, f"machine.{key}") for key in ("R", "L_d", "L_q", "psi")}
-    try:
-        params = MachineParams(p=p, **values)
-    except ValidationError as exc:
-        raise ValidationError(f"machine.{exc.field}", exc.reason) from exc
+    def section(name, required=False):
+        if required and name not in cp:
+            raise ValidationError(name, "section missing")
+        return dict(cp[name]) if name in cp else {}
 
-    sc = cp["scenario"] if "scenario" in cp else {}
-    vals = {}
-    for key, default in _SCENARIO_DEFAULTS.items():
-        if key in sc:
-            vals[key] = _get_float(sc, key, f"scenario.{key}")
-        else:
-            vals[key] = default
-    unknown = set(sc) - set(_SCENARIO_DEFAULTS)
-    if unknown:
-        raise ValidationError(f"scenario.{sorted(unknown)[0]}", "unknown key")
+    params = _build(MachineParams, "machine", _read(section("machine", True), "machine", _keys(MachineParams)))
+    values = _read(section("scenario"), "scenario", _keys(Scenario, duration=0.1))
+    i0 = values.pop("i_d0"), values.pop("i_q0")
+    tau_ref = _parse_profile(section("torque", True), "torque")
 
-    if "torque" not in cp:
-        raise ValidationError("torque", "section missing")
-    tau_ref = _parse_profile(cp["torque"], "torque")
-
-    speed = None
-    mechanical = None
-    if "speed" in cp and cp["speed"].get("kind") == "mechanical":
-        sp = cp["speed"]
-        known = {"kind", "inertia", "friction", "load"}
-        unknown = set(sp) - known
-        if unknown:
-            raise ValidationError(f"speed.{sorted(unknown)[0]}", "unknown key")
-        if "inertia" not in sp:
-            raise ValidationError("speed.inertia", "missing")
-        try:
-            mechanical = MechanicalModel(
-                inertia=_get_float(sp, "inertia", "speed.inertia"),
-                friction=_get_float(sp, "friction", "speed.friction") if "friction" in sp else 0.0,
-                load_torque=ConstantProfile(_get_float(sp, "load", "speed.load")) if "load" in sp else ConstantProfile(0.0),
-            )
-        except ValueError as exc:
-            raise ValidationError("speed", str(exc)) from exc
+    speed, mechanical, sp = ConstantProfile(0.0), None, section("speed")
+    if sp.get("kind") == "mechanical":
+        del sp["kind"]
+        mech = _read(sp, "speed", _keys(MechanicalModel))
+        load = mech.pop("load")
+        if not math.isfinite(load):
+            raise ValidationError("speed.load", f"must be finite, got {load}")
+        speed, mechanical = None, _build(MechanicalModel, "speed", dict(mech, load_torque=ConstantProfile(load)))
     elif "speed" in cp:
-        speed = _parse_profile(cp["speed"], "speed")
-    else:
-        speed = ConstantProfile(0.0)
+        speed = _parse_profile(sp, "speed")
 
-    scenario = Scenario(
-        params=params,
-        duration=vals["duration"],
-        tau_ref=tau_ref,
-        speed=speed,
-        mechanical=mechanical,
-        dt_plant=vals["dt_plant"],
-        dt_ctrl=vals["dt_ctrl"],
-        horizon=vals["horizon"],
-        v_max=vals["v_max"],
-        i0=(vals["i_d0"], vals["i_q0"]),
-        omega0=vals["omega0"],
-    )
-
-    cs = cp["controller"] if "controller" in cp else {}
-    unknown = set(cs) - {"kp", "ki", "alpha_z"}
-    if unknown:
-        raise ValidationError(f"controller.{sorted(unknown)[0]}", "unknown key")
-    return scenario, ControllerSettings(**{key: _get_float(cs, key, f"controller.{key}") for key in cs})
+    scenario = Scenario(params=params, tau_ref=tau_ref, speed=speed, mechanical=mechanical, i0=i0, **values)
+    return scenario, ControllerSettings(**_read(section("controller"), "controller", _keys(ControllerSettings)))
 
 
-def _profile_section(profile):
-    out = {"kind": profile.kind}
-    if profile.kind == "table":
-        out["times"] = " ".join(repr(x) for x in profile.times)
-        out["values"] = " ".join(repr(x) for x in profile.values)
-    else:
-        for key, value in vars(profile).items():
-            out[key] = repr(value)
-    return out
+def _text(obj, **values):
+    """The config section of dataclass ``obj``: each key's value, from ``values`` or the field, as text."""
+    return {key: _TYPES[kind][2](values[key] if key in values else getattr(obj, key))
+            for key, (kind, _) in _keys(type(obj)).items()}
 
 
 def serialize_config(scenario, settings=None):
     """Render a scenario (plus controller settings) back to config text."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    p = scenario.params
-    cp["machine"] = {"R": repr(p.R), "L_d": repr(p.L_d), "L_q": repr(p.L_q),
-                     "psi": repr(p.psi), "p": str(p.p)}
-    cp["scenario"] = {
-        "duration": repr(scenario.duration),
-        "dt_plant": repr(scenario.dt_plant),
-        "dt_ctrl": repr(scenario.dt_ctrl),
-        "horizon": repr(scenario.horizon),
-        "v_max": repr(scenario.v_max),
-        "i_d0": repr(scenario.i0[0]),
-        "i_q0": repr(scenario.i0[1]),
-        "omega0": repr(scenario.omega0),
-    }
-    cp["torque"] = _profile_section(scenario.tau_ref)
-    if scenario.mechanical is not None:
-        mech = scenario.mechanical
-        if not isinstance(mech.load_torque, ConstantProfile):
-            raise ValidationError("speed.load", f"only a constant load torque can be written, got {mech.load_torque!r}")
-        cp["speed"] = {"kind": "mechanical", "inertia": repr(mech.inertia),
-                       "friction": repr(mech.friction),
-                       "load": repr(mech.load_torque.value)}
+    cp["machine"] = _text(scenario.params)
+    cp["scenario"] = _text(scenario, i_d0=scenario.i0[0], i_q0=scenario.i0[1])
+    cp["torque"] = {"kind": scenario.tau_ref.kind, **_text(scenario.tau_ref)}
+    mech = scenario.mechanical
+    if mech is None:
+        cp["speed"] = {"kind": scenario.speed.kind, **_text(scenario.speed)}
+    elif isinstance(mech.load_torque, ConstantProfile):
+        cp["speed"] = {"kind": "mechanical", **_text(mech, load=mech.load_torque.value)}
     else:
-        cp["speed"] = _profile_section(scenario.speed)
+        raise ValidationError("speed.load", f"only a constant load torque can be written, got {mech.load_torque!r}")
     if settings is not None:
-        cp["controller"] = {"kp": repr(settings.kp), "ki": repr(settings.ki),
-                            "alpha_z": repr(settings.alpha_z)}
+        cp["controller"] = _text(settings)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -15,8 +15,8 @@ on loss minimization.
 Note on b_d: substituting the current dynamics into the torque rate gives
 b_d = -(3p/2R) * eta * L_q * i_q.  A published variant of the same
 expression carries L_d instead of L_q; it does not satisfy the identity
-above for salient machines and is kept here only as a test switch
-(``printed_b_d=True``) so the residual check can arbitrate.
+above for salient machines; ``torque_rate_identity_residual`` evaluates it
+on request (``printed_b_d=True``) so the residual check can arbitrate.
 """
 
 import math
@@ -56,7 +56,7 @@ class LinearizationTerms(NamedTuple):
         return np.array((self.b_d, self.b_q))
 
 
-def compute_terms(i, omega, params, printed_b_d=False):
+def compute_terms(i, omega, params):
     """Evaluate b(i) and phi(i, omega) at the dq currents ``i = (i_d, i_q)``.
 
     Raises:
@@ -67,10 +67,7 @@ def compute_terms(i, omega, params, printed_b_d=False):
     eta = params.eta
     c = 1.5 * p / R
 
-    if printed_b_d:
-        b_d = -c * eta * L_d * i_q
-    else:
-        b_d = -c * eta * L_q * i_q
+    b_d = -c * eta * L_q * i_q
     b_q = c * (psi - eta * L_d * i_d)
     b_norm_sq = b_d * b_d + b_q * b_q
     if b_norm_sq < EPS_B * EPS_B:
@@ -107,10 +104,13 @@ def torque_rate_identity_residual(i_prev, i_curr, i_next, v, omega, dt, params, 
 
     ``i_prev``/``i_next`` are trajectory samples +-dt around ``i_curr`` and
     feed a central finite difference for dtau/dt; ``v`` is the voltage
-    applied over the stencil.  Expected ~0 for the authoritative b, phi.
+    applied over the stencil.  Expected ~0 for the authoritative b, phi;
+    ``printed_b_d`` swaps in the published b_d with L_d for L_q.
     """
     tau = torque(i_curr, params)
     tau_dot = (torque(i_next, params) - torque(i_prev, params)) / (2.0 * dt)
-    terms = compute_terms(i_curr, omega, params, printed_b_d=printed_b_d)
+    b_d, b_q, phi, _ = compute_terms(i_curr, omega, params)
+    if printed_b_d:
+        b_d = -1.5 * params.p / params.R * params.eta * params.L_d * i_curr[1]
     v_d, v_q = v
-    return (tau + params.mu * tau_dot) - (terms.b_d * v_d + terms.b_q * v_q + terms.phi)
+    return (tau + params.mu * tau_dot) - (b_d * v_d + b_q * v_q + phi)

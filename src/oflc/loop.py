@@ -16,36 +16,40 @@ columns, and a flags int.  The closed torque loop behaves as the
 first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBError, PoorFitError
+from .errors import DegenerateBError, PoorFitError, ValidationError
 from . import linearization, machine, optimizer
 from .optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 
-__all__ = ["PiGains", "ControlFrame", "pi_update", "control_law", "TorqueController", "closed_loop_tf_check"]
+__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "control_law", "TorqueController", "closed_loop_tf_check"]
 
 # Largest relative RMS residual of a step response that still counts as first order.
 TF_RESIDUAL_LIMIT = 1e-2
 
 
-@dataclass
-class PiGains:
-    """PI gains and integrator state for the outer torque loop.
+@dataclass(frozen=True)
+class ControllerSettings:
+    """Settings of the torque controller: the PI gains of the outer torque loop and alpha_z.
 
-    The integrator is frozen whenever the torque command is clamped
-    (conditional-integration anti-windup).
+    Raises ValidationError naming ``controller.<field>`` for a value out
+    of range, whether it came from a document or a command-line override.
     """
 
     kp: float = 5.0
     ki: float = 500.0
-    integrator: float = 0.0
+    alpha_z: float = 1.0
 
     def __post_init__(self):
-        if self.kp < 0.0 or self.ki < 0.0:
-            raise ValueError("PI gains must be non-negative")
+        for name in ("kp", "ki"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"controller.{name}", "PI gains must be finite and non-negative")
+        if not 0.0 < self.alpha_z <= 1.0:
+            raise ValidationError("controller.alpha_z", "must be in (0, 1]")
 
 
 class ControlFrame(NamedTuple):
@@ -73,15 +77,15 @@ class ControlFrame(NamedTuple):
     flags: int
 
 
-def pi_update(tau_ref, tau_est, gains, dt):
+def pi_update(tau_ref, tau_est, integrator, settings, dt):
     """Candidate PI output with feedforward: u = tau_ref + kp e + ki int(e).
 
     Returns (u_raw, integrator_next); the caller commits the integrator
     only if u ends up inside the feasible band.
     """
     e = tau_ref - tau_est
-    integ_next = gains.integrator + e * dt
-    return tau_ref + gains.kp * e + gains.ki * integ_next, integ_next
+    integ_next = integrator + e * dt
+    return tau_ref + settings.kp * e + settings.ki * integ_next, integ_next
 
 
 def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
@@ -116,25 +120,25 @@ class TorqueController:
 
     One instance drives one machine; instances are independent.  Set
     ``use_z=False`` for the plain linearizing controller with z = 0.
+    ``integrator`` is the PI loop's integral of the torque error; it is
+    frozen whenever the torque command is clamped (conditional-integration
+    anti-windup).
     """
 
-    def __init__(self, params, v_max, dt_ctrl, horizon=None, gains=None,
-                 alpha_z=1.0, use_z=True):
+    def __init__(self, params, v_max, dt_ctrl, horizon, settings, use_z=True):
         if v_max <= 0.0:
             raise ValueError("v_max must be positive")
         if dt_ctrl <= 0.0:
             raise ValueError("dt_ctrl must be positive")
+        if horizon <= 0.0:
+            raise ValueError("horizon must be positive")
         self.params = params
         self.v_max = v_max
         self.dt_ctrl = dt_ctrl
-        self.horizon = 10.0 * dt_ctrl if horizon is None else horizon
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        self.gains = gains if gains is not None else PiGains()
-        if not 0.0 < alpha_z <= 1.0:
-            raise ValueError("alpha_z must be in (0, 1]")
-        self.alpha_z = alpha_z
+        self.horizon = horizon
+        self.settings = settings
         self.use_z = use_z
+        self.integrator = 0.0
         self._v_prev = (0.0, 0.0)
 
     def step(self, t, omega, i_dq, tau_ref):
@@ -143,17 +147,17 @@ class TorqueController:
         i_d, i_q = i_dq
         tau_est = machine.torque(i_dq, params)
         p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
-        u_raw, integ_next = pi_update(tau_ref, tau_est, self.gains, self.dt_ctrl)
+        u_raw, integ_next = pi_update(tau_ref, tau_est, self.integrator, self.settings, self.dt_ctrl)
         try:
             (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
-                i_dq, omega, u_raw, params, self.v_max, self.horizon, self.alpha_z, self.use_z)
+                i_dq, omega, u_raw, params, self.v_max, self.horizon, self.settings.alpha_z, self.use_z)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
             v_d, v_q = self._v_prev
             u_feasible, lambda_d, lambda_q, z_d, z_q, flags = u_raw, 0.0, 0.0, 0.0, 0.0, B_DEGENERATE
         else:
             if not flags & U_CLAMPED:
-                self.gains.integrator = integ_next
+                self.integrator = integ_next
             self._v_prev = (v_d, v_q)
         return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, u_raw, u_feasible, omega,
                             z_d, z_q, lambda_d, lambda_q, p_copper, flags)

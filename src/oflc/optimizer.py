@@ -118,13 +118,13 @@ def costate_matrices(i, omega, u, terms, params):
             ((c_q * dphi_d - h_qd - e * j_qd) / L_q, (c_q * dphi_q - h_qq - e * j_qq) / L_q))
 
 
-def current_dynamics(i, omega, u, z, params, printed_b_d=False):
+def current_dynamics(i, omega, u, z, params):
     """di/dt under the linearizing control with torque command u and input z.
 
     f(i) = L^-1 ( b/|b|^2 (u - phi) + h + z ); A above equals -df/di with
     u and z held fixed.
     """
-    terms = compute_terms(i, omega, params, printed_b_d=printed_b_d)
+    terms = compute_terms(i, omega, params)
     return params.L_inv @ (
         terms.b / terms.b_norm_sq * (u - terms.phi) + h_vector(i, omega, params) + np.asarray(z, dtype=float)
     )

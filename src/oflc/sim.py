@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonFiniteStateError, ValidationError
 from . import optimizer
 from .linearization import compute_terms
-from .loop import ControlFrame, TorqueController, control_law
+from .loop import ControlFrame, ControllerSettings, TorqueController, control_law
 from .machine import MachineParams, dq_dynamics, torque
 from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile
@@ -69,10 +69,10 @@ class MechanicalModel:
     load_torque: Callable[[float], float] = ConstantProfile(0.0)
 
     def __post_init__(self):
-        if self.inertia <= 0.0:
-            raise ValueError("inertia must be positive")
-        if self.friction < 0.0:
-            raise ValueError("friction must be non-negative")
+        if not 0.0 < self.inertia < math.inf:
+            raise ValidationError("inertia", f"must be positive and finite, got {self.inertia}")
+        if not 0.0 <= self.friction < math.inf:
+            raise ValidationError("friction", f"must be non-negative and finite, got {self.friction}")
 
 
 @dataclass(frozen=True)
@@ -239,24 +239,25 @@ class IdZeroController:
                             0.0, 0.0, 0.0, 0.0, p_copper, U_CLAMPED if clipped else 0)
 
 
-def make_controller(name, scenario, gains=None, alpha_z=1.0):
+def make_controller(name, scenario, settings):
     """Instantiate one of the named controllers for a scenario."""
-    if name == "oflc":
-        return TorqueController(scenario.params, scenario.v_max, scenario.dt_ctrl,
-                                horizon=scenario.horizon, gains=gains, alpha_z=alpha_z)
-    if name == "flc_z0":
-        return TorqueController(scenario.params, scenario.v_max, scenario.dt_ctrl,
-                                horizon=scenario.horizon, gains=gains, use_z=False)
+    if name in ("oflc", "flc_z0"):
+        return TorqueController(scenario.params, scenario.v_max, scenario.dt_ctrl, scenario.horizon,
+                                settings, use_z=name == "oflc")
     if name == "id_zero":
         return IdZeroController(scenario.params, scenario.v_max, scenario.dt_ctrl)
     raise ValueError(f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}")
 
 
-def run_scenario(scenario, controller="oflc", gains=None, alpha_z=1.0):
-    """Simulate a scenario with zero-order-hold control; deterministic."""
+def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
+    """Simulate a scenario with zero-order-hold control; deterministic.
+
+    ``controller`` is a controller object or a name from CONTROLLER_NAMES,
+    built with ``settings`` (which ``id_zero`` does not use).
+    """
     s = scenario
     params = s.params
-    ctrl = controller if hasattr(controller, "step") else make_controller(controller, s, gains=gains, alpha_z=alpha_z)
+    ctrl = controller if hasattr(controller, "step") else make_controller(controller, s, settings)
 
     n_ctrl = round(s.duration / s.dt_ctrl)
     i_d, i_q = map(float, s.i0)

@@ -15,7 +15,7 @@ from oflc import machine, optimizer
 from oflc.cli import main as cli_main
 from oflc.config import parse_config
 from oflc.linearization import compute_terms, torque_rate_identity_residual
-from oflc.loop import PiGains, closed_loop_tf_check
+from oflc.loop import ControllerSettings, closed_loop_tf_check
 from oflc.machine import torque
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TrapezoidProfile
 from oflc.sim import Scenario, run_continuous, run_open_loop, run_scenario
@@ -39,13 +39,13 @@ def s1():
 @pytest.fixture(scope="module")
 def s1_oflc(s1):
     scenario, settings = s1
-    return run_scenario(scenario, "oflc", gains=settings.gains(), alpha_z=settings.alpha_z)
+    return run_scenario(scenario, "oflc", settings=settings)
 
 
 @pytest.fixture(scope="module")
 def s1_flc(s1):
     scenario, settings = s1
-    return run_scenario(scenario, "flc_z0", gains=settings.gains())
+    return run_scenario(scenario, "flc_z0", settings=settings)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def clamp_run():
     scenario = Scenario(params=P0, duration=0.05, tau_ref=SinusoidProfile(120.0, 10.0),
                         speed=TrapezoidProfile(0.0, 250.0, 0.005, 0.02),
                         dt_plant=1e-5, dt_ctrl=1e-4, horizon=1e-3, v_max=V_MAX)
-    return run_scenario(scenario, "oflc", gains=PiGains(kp=0.0, ki=0.0))
+    return run_scenario(scenario, "oflc", settings=ControllerSettings(kp=0.0, ki=0.0))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def nonsalient_run():
     scenario = Scenario(params=P_NS, duration=0.1, tau_ref=ConstantProfile(4.0),
                         speed=ConstantProfile(100.0), dt_plant=2e-6, dt_ctrl=2e-6,
                         horizon=1e-3, v_max=V_MAX)
-    return run_scenario(scenario, "oflc", gains=PiGains(kp=0.0, ki=0.0))
+    return run_scenario(scenario, "oflc", settings=ControllerSettings(kp=0.0, ki=0.0))
 
 
 @pytest.fixture(scope="module")

@@ -9,11 +9,12 @@ import pytest
 
 from oflc.cli import main
 from oflc.config import parse_config
-from oflc.loop import ControlFrame
+from oflc.loop import ControlFrame, ControllerSettings
 from oflc.optimizer import U_CLAMPED
 from oflc.sim import CONTROLLER_NAMES, run_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+MECHANICAL = (SRC.parent / "scenarios" / "mechanical.cfg").read_text()
 
 TINY = """
 [machine]
@@ -36,6 +37,12 @@ value = 3.0
 kind = constant
 value = 100.0
 """
+
+
+def _trace_frames(path):
+    """The ControlFrames of a trace CSV, read back from its rows."""
+    rows = (line.split(",") for line in path.read_text().splitlines()[2:])
+    return [ControlFrame(*map(float, values), int(flags)) for *values, flags in rows]
 
 
 @pytest.fixture
@@ -80,8 +87,7 @@ def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
         for name in CONTROLLER_NAMES:
             header, *rows = (out / f"{name}_trace.csv").read_text().splitlines()[1:]
             assert header == ",".join(ControlFrame._fields)
-            frames = run_scenario(dataclasses.replace(scenario, v_max=v_max), name, gains=settings.gains(),
-                                  alpha_z=settings.alpha_z).frames
+            frames = run_scenario(dataclasses.replace(scenario, v_max=v_max), name, settings=settings).frames
             assert len(rows) == len(frames)
             for row, frame in zip(rows, frames):
                 *values, flags = row.split(",")
@@ -164,6 +170,19 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
     assert "error: machine.psi: must have a finite square" in capsys.readouterr().err
 
+    # a non-finite input of the mechanical model is rejected up front, not run until the plant diverges
+    for old, new, message in (("inertia = 1e-3", "inertia = nan", "speed.inertia: must be positive and finite"),
+                              ("inertia = 1e-3", "inertia = inf", "speed.inertia: must be positive and finite"),
+                              ("friction = 2e-3", "friction = nan", "speed.friction: must be non-negative and finite"),
+                              ("friction = 2e-3", "friction = inf", "speed.friction: must be non-negative and finite"),
+                              ("load = 0.5", "load = nan", "speed.load: must be finite"),
+                              ("load = 0.5", "load = inf", "speed.load: must be finite"),
+                              ("load = 0.5", "load = -inf", "speed.load: must be finite")):
+        bad.write_text(MECHANICAL.replace(old, new))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 def test_missing_file_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
@@ -181,6 +200,23 @@ def test_override_flags(tiny_cfg, tmp_path):
     for line in lines:
         vals = dict(zip(header, line.split(",")))
         assert np.hypot(float(vals["v_d"]), float(vals["v_q"])) <= 24.0 * (1.0 + 1e-9)
+
+    # the overrides reach the run: its frames are those of the overridden settings, not of the defaults
+    scenario = dataclasses.replace(parse_config(TINY)[0], v_max=24.0)
+    frames = run_scenario(scenario, "oflc", settings=ControllerSettings(kp=0.0, ki=0.0, alpha_z=0.5)).frames
+    assert _trace_frames(out / "oflc_trace.csv") == frames
+    assert frames != run_scenario(scenario, "oflc").frames
+
+    # so does a document's [controller] section
+    tuned = tmp_path / "tuned.cfg"
+    tuned.write_text(TINY + "\n[controller]\nkp = 2.0\nki = 100.0\nalpha_z = 0.5\n")
+    out = tmp_path / "tuned"
+    assert main(["compare", "--scenario", str(tuned), "--out", str(out)]) == 0
+    scenario = parse_config(TINY)[0]
+    for name in ("oflc", "flc_z0"):
+        frames = run_scenario(scenario, name, settings=ControllerSettings(kp=2.0, ki=100.0, alpha_z=0.5)).frames
+        assert _trace_frames(out / f"{name}_trace.csv") == frames
+        assert frames != run_scenario(scenario, name).frames
 
 
 def test_cli_import_skips_scipy():

@@ -3,7 +3,7 @@ import pytest
 from conftest import P0
 from oflc.config import ControllerSettings, parse_config, serialize_config
 from oflc.errors import ParseError, ValidationError
-from oflc.profiles import ConstantProfile, SinusoidProfile, TrapezoidProfile
+from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
 from oflc.sim import MechanicalModel, Scenario
 
 MINIMAL = """
@@ -123,11 +123,22 @@ def test_mechanical_speed_section():
 def test_round_trip():
     default_load = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(1.0),
                             mechanical=MechanicalModel(inertia=1e-3))
-    for scenario, settings in (parse_config(FULL), (default_load, ControllerSettings())):
+    # every profile kind, a trapezoid that ramps back, and a mechanical model with friction and a load
+    step_table = Scenario(params=P0, duration=0.02, tau_ref=StepProfile(0.0, 6.0, 0.01),
+                          speed=TableProfile((0.0, 0.005, 0.02), (0.0, 50.0, 120.5)), dt_plant=1e-5)
+    closed_trapezoid = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(2.5),
+                                speed=TrapezoidProfile(10.0, 200.0, 1e-3, 4e-3, 6e-3, 9e-3), i0=(1.5, -0.25))
+    loaded = Scenario(params=P0, duration=0.05, tau_ref=TrapezoidProfile(0.0, 3.0, 0.0, 0.01, 0.03, 0.04),
+                      mechanical=MechanicalModel(inertia=2e-3, friction=1e-3, load_torque=ConstantProfile(0.4)),
+                      omega0=3.0)
+    for scenario, settings in (parse_config(FULL), (default_load, ControllerSettings()),
+                               (step_table, ControllerSettings(kp=0.0, ki=0.0)),
+                               (closed_trapezoid, ControllerSettings(alpha_z=0.25)), (loaded, ControllerSettings())):
         text = serialize_config(scenario, settings)
         scenario2, settings2 = parse_config(text)
         assert scenario2 == scenario
-        assert (settings2.kp, settings2.ki, settings2.alpha_z) == (settings.kp, settings.ki, settings.alpha_z)
+        assert settings2 == settings
+        assert serialize_config(scenario2, settings2) == text
 
 
 def test_serialize_rejects_unwritable_load():

@@ -4,25 +4,25 @@ import pytest
 from conftest import P0, P_NS, V_MAX, random_state
 from oflc import machine, optimizer
 from oflc.linearization import compute_terms, linearize
-from oflc.loop import PiGains, TorqueController, closed_loop_tf_check, control_law, pi_update
+from oflc.loop import ControllerSettings, TorqueController, closed_loop_tf_check, control_law, pi_update
 from oflc.optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from oflc.profiles import ConstantProfile, StepProfile
 from oflc.sim import run_continuous
 
 
 def test_pi_update_feedforward_only():
-    u, _ = pi_update(4.0, 1.0, PiGains(kp=0.0, ki=0.0), 1e-4)
+    u, _ = pi_update(4.0, 1.0, 0.0, ControllerSettings(kp=0.0, ki=0.0), 1e-4)
     assert u == 4.0
 
 
 def test_pi_update_zero_error():
-    u, integ = pi_update(4.0, 4.0, PiGains(kp=3.0, ki=100.0), 1e-4)
+    u, integ = pi_update(4.0, 4.0, 0.0, ControllerSettings(kp=3.0, ki=100.0), 1e-4)
     assert u == 4.0
     assert integ == 0.0
 
 
 def test_pi_update_proportional():
-    u, _ = pi_update(4.0, 3.5, PiGains(kp=2.0, ki=0.0), 1e-4)
+    u, _ = pi_update(4.0, 3.5, 0.0, ControllerSettings(kp=2.0, ki=0.0), 1e-4)
     assert u == pytest.approx(5.0)
 
 
@@ -93,7 +93,7 @@ def test_control_law_matches_array_reference(rng, params, smoothing):
 
 def _controller(**kw):
     args = dict(params=P0, v_max=V_MAX, dt_ctrl=1e-4, horizon=1e-3,
-                gains=PiGains(kp=0.0, ki=0.0))
+                settings=ControllerSettings(kp=0.0, ki=0.0))
     args.update(kw)
     return TorqueController(**args)
 
@@ -144,8 +144,8 @@ def test_control_step_replay_is_bit_identical():
 
 
 def test_control_step_deterministic():
-    a = _controller(gains=PiGains())
-    b = _controller(gains=PiGains())
+    a = _controller(settings=ControllerSettings())
+    b = _controller(settings=ControllerSettings())
     for k in range(20):
         i_dq = _dq(0.1 * k, (1.0, -0.2, -0.8))
         fa = a.step(k * 1e-4, 50.0, i_dq, 2.0)
@@ -166,12 +166,11 @@ def test_torque_channel_isolation():
 
 
 def test_anti_windup_bounds_integrator():
-    gains = PiGains(kp=5.0, ki=500.0)
-    ctrl = _controller(gains=gains)
+    ctrl = _controller(settings=ControllerSettings(kp=5.0, ki=500.0))
     integs = []
     for k in range(500):
         ctrl.step(k * 1e-4, 0.0, (0.0, 0.0), 500.0)  # far beyond feasible
-        integs.append(gains.integrator)
+        integs.append(ctrl.integrator)
     assert max(np.abs(integs)) <= 1.0  # frozen, not winding up
 
 

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from conftest import P0, P_NS, V_MAX, tick_scenario
 from oflc import sim
 from oflc.errors import NonFiniteStateError
-from oflc.loop import ControlFrame, PiGains
+from oflc.loop import ControlFrame, ControllerSettings
 from oflc.machine import dq_dynamics, h_vector, torque, voltage_drift
 from oflc.optimizer import U_CLAMPED
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TrapezoidProfile
@@ -132,7 +132,7 @@ def _quiet_scenario(**kw):
 
 
 def test_zero_scenario_zero_cost():
-    result = run_scenario(_quiet_scenario(), "oflc", gains=PiGains(kp=0.0, ki=0.0))
+    result = run_scenario(_quiet_scenario(), "oflc", settings=ControllerSettings(kp=0.0, ki=0.0))
     assert result.cost_integral == 0.0
     assert result.rms_torque_error == 0.0
     assert not result.aborted
@@ -145,11 +145,11 @@ def test_run_scenario_reproducible(monkeypatch):
                           mechanical=MechanicalModel(inertia=1e-4, friction=1e-3, load_torque=ConstantProfile(0.5)),
                           dt_plant=1e-5, dt_ctrl=1e-4, horizon=1e-3, v_max=V_MAX, omega0=20.0)
     for s in (prescribed, mechanical):
-        a = run_scenario(s, "oflc", gains=PiGains())
-        b = run_scenario(s, "oflc", gains=PiGains())
+        a = run_scenario(s, "oflc", settings=ControllerSettings())
+        b = run_scenario(s, "oflc", settings=ControllerSettings())
         with monkeypatch.context() as m:
             m.setattr(sim, "rk4_plant_step", _reference_tick)
-            c = run_scenario(s, "oflc", gains=PiGains())
+            c = run_scenario(s, "oflc", settings=ControllerSettings())
         assert a.cost_integral == b.cost_integral == c.cost_integral
         assert len(a.frames) == len(b.frames) == len(c.frames) == round(s.duration / s.dt_ctrl)
         for fa, fb, fc in zip(a.frames, b.frames, c.frames):
@@ -160,7 +160,7 @@ def test_run_frames_respect_limits():
     s = _quiet_scenario(tau_ref=SinusoidProfile(6.0, 30.0), speed=TrapezoidProfile(0.0, 250.0, 0.001, 0.006))
     from oflc.linearization import compute_terms
 
-    result = run_scenario(s, "oflc", gains=PiGains())
+    result = run_scenario(s, "oflc", settings=ControllerSettings())
     assert not result.aborted
     for f in result.frames:
         assert np.linalg.norm((f.v_d, f.v_q)) <= V_MAX * (1.0 + 1e-9)
@@ -177,7 +177,7 @@ def test_clamped_ticks_spend_no_voltage_on_z():
     from oflc.optimizer import Z_AT_LIMIT, Z_ZEROED
 
     scenario, settings = parse_config((SCENARIOS / "mechanical.cfg").read_text())
-    frames = run_scenario(scenario, "oflc", gains=settings.gains(), alpha_z=settings.alpha_z).frames
+    frames = run_scenario(scenario, "oflc", settings=settings).frames
     clamped = [f for f in frames if f.flags & U_CLAMPED]
     assert clamped
     for f in clamped:
@@ -192,8 +192,8 @@ def test_tracking_not_degraded_by_z():
     s = _quiet_scenario(duration=0.05, tau_ref=SinusoidProfile(4.0, 5.0),
                         speed=TrapezoidProfile(0.0, 200.0, 0.01, 0.03),
                         dt_plant=1e-5, dt_ctrl=1e-5, horizon=1e-4)
-    r_on = run_scenario(s, "oflc", gains=PiGains())
-    r_off = run_scenario(s, "flc_z0", gains=PiGains())
+    r_on = run_scenario(s, "oflc", settings=ControllerSettings())
+    r_off = run_scenario(s, "flc_z0", settings=ControllerSettings())
     assert r_on.rms_torque_error <= r_off.rms_torque_error + 1e-3
 
 
@@ -201,7 +201,7 @@ def test_mechanical_mode_accelerates():
     s = Scenario(params=P0, duration=0.05, tau_ref=ConstantProfile(2.0),
                  mechanical=MechanicalModel(inertia=1e-3, friction=1e-3),
                  dt_plant=1e-5, dt_ctrl=1e-4, horizon=1e-3, v_max=V_MAX)
-    result = run_scenario(s, "oflc", gains=PiGains())
+    result = run_scenario(s, "oflc", settings=ControllerSettings())
     assert not result.aborted
     assert result.frames[-1].omega > 10.0  # spun up under positive torque
 

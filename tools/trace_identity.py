@@ -5,11 +5,13 @@ Usage, from the repository root:
     python3 tools/trace_identity.py REF [--rtol R]
 
 Runs ``oflc compare --controllers oflc flc_z0 id_zero`` on
-``scenarios/{s1,step,mechanical}.cfg``, and once more on ``step.cfg``
-with ``--decimate 7``, twice: with the working tree's ``src/`` and with
-the ``src/`` of git revision ``REF``, exported with ``git archive`` into
-a temporary directory.  Both sides read the working tree's scenario
-files.  The 28 output files (three traces, three summaries and the
+``scenarios/{s1,step,mechanical}.cfg``, once more on ``step.cfg`` with
+``--decimate 7``, and once more on ``s1.cfg`` with every controller
+setting overridden (``--alpha-z 0.5 --kp 2 --ki 100 --horizon 2e-3
+--v-max 40``, so a setting that does not reach the run shows), twice:
+with the working tree's ``src/`` and with the ``src/`` of git revision
+``REF``, exported with ``git archive`` into a temporary directory.  Both
+sides read the working tree's scenario files.  The 35 output files (three traces, three summaries and the
 compare summary per run) are compared byte for byte, or with ``--rtol R``
 within a tolerance (see ``compare_text``).  Exits 0 when every file
 matches and every exit code is identical, 1 on any difference or missing
@@ -32,6 +34,7 @@ RUNS = {
     "step": ("step", ()),
     "mechanical": ("mechanical", ()),
     "step_decimate7": ("step", ("--decimate", "7")),
+    "s1_overrides": ("s1", ("--alpha-z", "0.5", "--kp", "2", "--ki", "100", "--horizon", "2e-3", "--v-max", "40")),
 }
 CONTROLLERS = ("oflc", "flc_z0", "id_zero")
 OUTPUTS = tuple(f"{c}_{kind}" for c in CONTROLLERS for kind in ("trace.csv", "summary.txt")) + ("compare_summary.txt",)
