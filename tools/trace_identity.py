@@ -11,9 +11,10 @@ setting overridden (``--alpha-z 0.5 --kp 2 --ki 100 --horizon 2e-3
 --v-max 40``, so a setting that does not reach the run shows), twice:
 with the working tree's ``src/`` and with the ``src/`` of git revision
 ``REF``, exported with ``git archive`` into a temporary directory.  Both
-sides read the working tree's scenario files.  The 35 output files (three traces, three summaries and the
-compare summary per run) are compared byte for byte, or with ``--rtol R``
-within a tolerance (see ``compare_text``).  Exits 0 when every file
+sides read the working tree's scenario files.  The 35 output files (three
+traces, three summaries and the compare summary per run) are compared
+byte for byte, or with ``--rtol R`` within a tolerance (see
+``compare_text``).  Exits 0 when every file
 matches and every exit code is identical, 1 on any difference or missing
 file, and 2 when a side cannot be set up.
 """
