@@ -190,8 +190,8 @@ def _cmd_selftest(args):
         z, _ = optimizer.optimal_z(lam_seed, terms, params, 10.0)
         zn = np.linalg.norm(z)
         if zn > 0.0:
-            worst = max(worst, abs(float(terms.b @ z)) / (np.sqrt(terms.b_norm_sq) * zn))
-        v = linearize(u if abs(u - terms.phi) < 40.0 * np.sqrt(terms.b_norm_sq) else terms.phi, z, terms)
+            worst = max(worst, abs(float(terms.b @ z)) / (terms.b_norm * zn))
+        v = linearize(u if abs(u - terms.phi) < 40.0 * terms.b_norm else terms.phi, z, terms)
         del v
     check(f"orthogonality b.z (worst rel {worst:.2e})", worst <= 1e-10)
 

@@ -102,8 +102,6 @@ def _build(cls, name, values):
         return cls(**values)
     except ValidationError as exc:
         raise ValidationError(f"{name}.{exc.field}", exc.reason) from exc
-    except ValueError as exc:
-        raise ValidationError(name, str(exc)) from exc
 
 
 def _parse_profile(section, name):
@@ -126,7 +124,7 @@ def parse_config(text):
     Raises ParseError for malformed documents and ValidationError (with
     the offending field named) for invariant violations.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # no '%' syntax: '0.5%' is a bad number
     cp.optionxform = str  # keys like L_d are case-sensitive
     try:
         cp.read_string(text)
@@ -166,7 +164,7 @@ def _text(obj, **values):
 
 def serialize_config(scenario, settings=None):
     """Render a scenario (plus controller settings) back to config text."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp["machine"] = _text(scenario.params)
     cp["scenario"] = _text(scenario, i_d0=scenario.i0[0], i_q0=scenario.i0[1])

@@ -43,12 +43,13 @@ TOL_ORTH = 1e-9
 
 
 class LinearizationTerms(NamedTuple):
-    """Torque-channel direction b = (b_d, b_q), drift phi and |b|^2 at one state."""
+    """Torque-channel direction b = (b_d, b_q), drift phi, |b|^2 and |b| at one state."""
 
     b_d: float
     b_q: float
     phi: float
     b_norm_sq: float
+    b_norm: float
 
     @property
     def b(self):
@@ -70,15 +71,16 @@ def compute_terms(i, omega, params):
     b_d = -c * eta * L_q * i_q
     b_q = c * (psi - eta * L_d * i_d)
     b_norm_sq = b_d * b_d + b_q * b_q
+    b_norm = math.sqrt(b_norm_sq)
     if b_norm_sq < EPS_B * EPS_B:
-        raise DegenerateBError(f"|b| = {math.sqrt(b_norm_sq):.3e} at i = ({i_d}, {i_q})")
+        raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
 
     # products, not powers: a float ** overflows with an exception, a product to inf
     phi = (
         1.5 * p * (omega / R) * (L_q * psi * i_d - eta * (L_q * L_q) * (i_q * i_q) - eta * (L_d * L_d) * (i_d * i_d) - psi * psi)
         + 1.5 * p * eta * L_q * i_d * i_q
     )
-    return LinearizationTerms(b_d, b_q, phi, b_norm_sq)
+    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm)
 
 
 def linearize(u, z, terms):
@@ -91,11 +93,11 @@ def linearize(u, z, terms):
             TOL_ORTH relative tolerance.
     """
     z_d, z_q = z
-    b_d, b_q, phi, b_norm_sq = terms
+    b_d, b_q, phi, b_norm_sq, b_norm = terms
     b_dot_z = b_d * z_d + b_q * z_q
     z_norm = math.hypot(z_d, z_q)
-    if abs(b_dot_z) > TOL_ORTH * math.sqrt(b_norm_sq) * z_norm and z_norm > 0.0:
-        raise OrthogonalityViolation(f"|b.z| = {abs(b_dot_z):.3e} for |b||z| = {math.sqrt(b_norm_sq) * z_norm:.3e}")
+    if abs(b_dot_z) > TOL_ORTH * b_norm * z_norm and z_norm > 0.0:
+        raise OrthogonalityViolation(f"|b.z| = {abs(b_dot_z):.3e} for |b||z| = {b_norm * z_norm:.3e}")
     return b_d / b_norm_sq * (u - phi) + z_d, b_q / b_norm_sq * (u - phi) + z_q
 
 
@@ -109,7 +111,7 @@ def torque_rate_identity_residual(i_prev, i_curr, i_next, v, omega, dt, params, 
     """
     tau = torque(i_curr, params)
     tau_dot = (torque(i_next, params) - torque(i_prev, params)) / (2.0 * dt)
-    b_d, b_q, phi, _ = compute_terms(i_curr, omega, params)
+    b_d, b_q, phi, _, _ = compute_terms(i_curr, omega, params)
     if printed_b_d:
         b_d = -1.5 * params.p / params.R * params.eta * params.L_d * i_curr[1]
     v_d, v_q = v

@@ -118,24 +118,16 @@ def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=T
 class TorqueController:
     """Stateful per-tick controller (PI integrator + previous-voltage hold).
 
-    One instance drives one machine; instances are independent.  Set
+    One instance drives the machine of one ``sim.Scenario``, which has
+    checked its rates and limits; instances are independent.  Set
     ``use_z=False`` for the plain linearizing controller with z = 0.
     ``integrator`` is the PI loop's integral of the torque error; it is
     frozen whenever the torque command is clamped (conditional-integration
     anti-windup).
     """
 
-    def __init__(self, params, v_max, dt_ctrl, horizon, settings, use_z=True):
-        if v_max <= 0.0:
-            raise ValueError("v_max must be positive")
-        if dt_ctrl <= 0.0:
-            raise ValueError("dt_ctrl must be positive")
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        self.params = params
-        self.v_max = v_max
-        self.dt_ctrl = dt_ctrl
-        self.horizon = horizon
+    def __init__(self, scenario, settings, use_z=True):
+        self.scenario = scenario
         self.settings = settings
         self.use_z = use_z
         self.integrator = 0.0
@@ -143,14 +135,15 @@ class TorqueController:
 
     def step(self, t, omega, i_dq, tau_ref):
         """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame."""
-        params = self.params
+        s = self.scenario
+        params = s.params
         i_d, i_q = i_dq
         tau_est = machine.torque(i_dq, params)
         p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
-        u_raw, integ_next = pi_update(tau_ref, tau_est, self.integrator, self.settings, self.dt_ctrl)
+        u_raw, integ_next = pi_update(tau_ref, tau_est, self.integrator, self.settings, s.dt_ctrl)
         try:
             (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
-                i_dq, omega, u_raw, params, self.v_max, self.horizon, self.settings.alpha_z, self.use_z)
+                i_dq, omega, u_raw, params, s.v_max, s.horizon, self.settings.alpha_z, self.use_z)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
             v_d, v_q = self._v_prev

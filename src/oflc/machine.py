@@ -4,11 +4,11 @@ Conventions used throughout the package:
 
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
   Python floats on the control tick and the plant substep, numpy arrays
-  in the array forms.  The voltage equations are written on floats in
-  ``voltage_drift``, which the array forms ``h_vector`` and
-  ``dq_dynamics`` wrap, and once more inline, in the same operation
-  order, in the plant's tick step ``sim.rk4_plant_step``; a bit-equality
-  test in ``tests/test_sim.py`` ties the two together;
+  in the array forms.  The voltage equations are written once here, in
+  ``h_vector``, which ``dq_dynamics`` builds on, and once more inline, in
+  the same operation order, in the plant's tick step
+  ``sim.rk4_plant_step``; a bit-equality test in ``tests/test_sim.py``
+  ties the two together;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -33,7 +33,6 @@ __all__ = [
     "park_clarke",
     "inverse_park_clarke",
     "torque",
-    "voltage_drift",
     "dq_dynamics",
     "h_vector",
 ]
@@ -129,19 +128,13 @@ def torque(i, params):
     return 1.5 * params.p * (params.psi * i_q + (params.L_d - params.L_q) * i_d * i_q)
 
 
-def voltage_drift(i_d, i_q, omega, params):
-    """Float core of the drift h of the voltage equations: L di/dt = h + v."""
-    return (-params.R * i_d + params.L_q * i_q * omega,
-            -params.R * i_q + params.L_d * i_d * omega - params.psi * omega)
+def h_vector(i, omega, params):
+    """Drift term of the voltage equations: L di/dt = h(i, omega) + v."""
+    i_d, i_q = i
+    return np.array((-params.R * i_d + params.L_q * i_q * omega,
+                     -params.R * i_q + params.L_d * i_d * omega - params.psi * omega))
 
 
 def dq_dynamics(i, v, omega, params):
     """Current derivatives d[i_d, i_q]/dt under voltages v at speed omega."""
-    h_d, h_q = voltage_drift(*i, omega, params)
-    return np.array(((h_d + v[0]) / params.L_d, (h_q + v[1]) / params.L_q))
-
-
-def h_vector(i, omega, params):
-    """Drift term of the voltage equations: L di/dt = h(i, omega) + v."""
-    i_d, i_q = i
-    return np.array(voltage_drift(i_d, i_q, omega, params))
+    return (h_vector(i, omega, params) + v) / (params.L_d, params.L_q)

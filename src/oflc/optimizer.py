@@ -39,7 +39,6 @@ __all__ = [
     "printed_lambda_matrix",
     "costate_matrices",
     "current_dynamics",
-    "condition_number",
     "estimate_costate",
     "clamp_torque_command",
     "z_limit",
@@ -100,7 +99,7 @@ def costate_matrices(i, omega, u, terms, params):
     Lambda = -L^-1 d(b/|b|^2)/di is zero for a non-salient machine, and
     Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).
     """
-    b_d, b_q, phi, b2 = terms
+    b_d, b_q, phi, b2, _ = terms
     L_d, L_q = params.L_d, params.L_q
     k = 1.5 * params.p / params.R * params.eta
     # db/di = G = [[0, g_dq], [g_qd, 0]] for the authoritative b (L_q in b_d), and
@@ -130,43 +129,22 @@ def current_dynamics(i, omega, u, z, params):
     )
 
 
-def condition_number(M):
-    """2-norm condition number of a 2x2 matrix ((a, b), (c, d)), given by rows, in closed form.
-
-    With s = |M|_F^2 = s1^2 + s2^2 and |det M| = s1 s2 for the singular
-    values s1 >= s2, cond = s1 / s2 = (s + sqrt(s^2 - 4 det^2)) / (2 |det|).
-    The radicand is evaluated as the product of the two sums of squares
-    s -+ 2 (ad - bc) = (a -+ d)^2 + (b +- c)^2, which cancels nothing, and the
-    entries are first divided by the largest magnitude, so nothing
-    overflows or underflows.  A singular or non-finite matrix gives inf.
-    """
-    (a, b), (c, d) = M
-    m = max(abs(a), abs(b), abs(c), abs(d))
-    if not 0.0 < m < math.inf:  # also false for nan
-        return math.inf
-    a, b, c, d = a / m, b / m, c / m, d / m
-    det = abs(a * d - b * c)
-    if not det > 0.0:
-        return math.inf
-    s_minus = (a - d) * (a - d) + (b + c) * (b + c)
-    s_plus = (a + d) * (a + d) + (b - c) * (b - c)
-    return (0.5 * (s_minus + s_plus) + math.sqrt(s_minus * s_plus)) / (2.0 * det)
-
-
 def estimate_costate(i, A, horizon):
     """One-step discrete costate lambda = 2 (I/h + A^T)^-1 i, by Cramer's rule.
 
-    Returns (lambda, fallback_used).  If the solve matrix is singular,
-    not finite or ill conditioned (cond > COND_LIMIT) the A-free fallback
-    lambda = 2 h i is returned with the flag set.
+    Returns (lambda, fallback_used).  If M = I/h + A^T is ill conditioned
+    (cond > COND_LIMIT = C), singular or not finite, the A-free fallback
+    lambda = 2 h i is returned with the flag set.  A 2x2 M has
+    |M|_F^2 / |det M| = cond + 1/cond, and C + 1/C rounds to C, so the
+    test is one inequality, which a nan or an overflow fails as well.
     """
     i_d, i_q = i
     (a_dd, a_dq), (a_qd, a_qq) = A
     m_dd, m_qq = 1.0 / horizon + a_dd, 1.0 / horizon + a_qq
     m_dq, m_qd = a_qd, a_dq
-    if condition_number(((m_dd, m_dq), (m_qd, m_qq))) > COND_LIMIT:
-        return (2.0 * horizon * i_d, 2.0 * horizon * i_q), True
     det = m_dd * m_qq - m_dq * m_qd
+    if not m_dd * m_dd + m_dq * m_dq + m_qd * m_qd + m_qq * m_qq < COND_LIMIT * abs(det):
+        return (2.0 * horizon * i_d, 2.0 * horizon * i_q), True
     x_d = (m_qq * i_d - m_dq * i_q) / det
     x_q = (m_dd * i_q - m_qd * i_d) / det
     return (2.0 * x_d, 2.0 * x_q), False
@@ -174,9 +152,8 @@ def estimate_costate(i, A, horizon):
 
 def clamp_torque_command(u, terms, v_max):
     """Clip u into [phi - |b| v_max, phi + |b| v_max]; returns (u, clamped)."""
-    b_norm = math.sqrt(terms.b_norm_sq)
-    u_min = terms.phi - b_norm * v_max
-    u_max = terms.phi + b_norm * v_max
+    u_min = terms.phi - terms.b_norm * v_max
+    u_max = terms.phi + terms.b_norm * v_max
     if u > u_max:
         return u_max, True
     if u < u_min:
@@ -213,8 +190,7 @@ def optimal_z(lam, terms, params, z_max, alpha_z=1.0, smoothing=0.0):
     z_at_limit.
     """
     lam_d, lam_q = lam
-    b_norm = math.sqrt(terms.b_norm_sq)
-    n_d, n_q = -terms.b_q / b_norm, terms.b_d / b_norm
+    n_d, n_q = -terms.b_q / terms.b_norm, terms.b_d / terms.b_norm
     s = n_d * (lam_d / params.L_d) + n_q * (lam_q / params.L_q)
     if smoothing > 0.0:
         m = -alpha_z * z_max * s / math.sqrt(s * s + smoothing * smoothing)

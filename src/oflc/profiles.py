@@ -11,6 +11,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["ConstantProfile", "StepProfile", "SinusoidProfile", "TrapezoidProfile", "TableProfile"]
 
 
@@ -85,10 +87,12 @@ class TableProfile:
     kind = "table"
 
     def __post_init__(self):
-        if len(self.times) != len(self.values) or len(self.times) < 2:
-            raise ValueError("table profile needs matching times/values, at least two points")
+        if len(self.times) < 2:
+            raise ValidationError("times", "a table needs at least two points")
+        if len(self.values) != len(self.times):
+            raise ValidationError("values", f"needs one value per time, got {len(self.values)} for {len(self.times)}")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("table times must be strictly increasing")
+            raise ValidationError("times", "must be strictly increasing")
 
     def __call__(self, t):
         return float(np.interp(t, self.times, self.values))

@@ -6,16 +6,17 @@ Two integration modes are provided:
   dt_ctrl, its voltage is held (zero-order hold) while the plant is
   stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
   plant over a whole control tick on Python floats, with the voltage
-  equations of ``machine.voltage_drift`` written inline; with a fine
-  plant step most of the run's time is spent there.
+  equations of ``machine.h_vector`` written inline; with a fine plant
+  step most of the run's time is spent there.
 * ``run_continuous``: the controller is re-evaluated at every RK4 stage,
   i.e. the continuous-time closed loop.  Used for transfer-function and
   linearization-identity checks, which are continuous-time statements
   that zero-order-hold quantization would otherwise dominate.
 
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
-``run_continuous``; the tests hold every substep of the float tick step
-equal to it on ``dq_dynamics`` bit for bit.
+``run_continuous``.  ``rk4_plant_step`` is its measured fast twin: the
+tests hold every substep of it equal to ``rk4`` on ``dq_dynamics`` bit
+for bit.
 
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
 control tick; ``energy_accounting`` and the run's summary figures read
@@ -81,7 +82,8 @@ class Scenario:
 
     ``speed`` is the prescribed electrical speed profile (rad/s); set it
     to None and supply ``mechanical`` to let the load dynamics produce
-    the speed instead.
+    the speed instead.  The rates and limits are checked here once; the
+    controllers built from a scenario read them unchecked.
     """
 
     params: MachineParams
@@ -109,10 +111,13 @@ class Scenario:
             raise ValidationError("dt_plant", "must be positive")
         if self.dt_plant > self.dt_ctrl:
             raise ValidationError("dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
-        if abs(self.dt_ctrl / self.dt_plant - round(self.dt_ctrl / self.dt_plant)) > 1e-9:
-            raise ValidationError("dt_ctrl", "must be an integer multiple of dt_plant")
-        if abs(self.duration / self.dt_ctrl - round(self.duration / self.dt_ctrl)) > 1e-6:
-            raise ValidationError("duration", "must be an integer multiple of dt_ctrl")
+        # a huge finite rate overflows its quotient, which round() cannot take
+        ratio = self.dt_ctrl / self.dt_plant
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+            raise ValidationError("dt_ctrl", "must be a finite integer multiple of dt_plant")
+        ratio = self.duration / self.dt_ctrl
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
+            raise ValidationError("duration", "must be a finite integer multiple of dt_ctrl")
         if self.horizon <= 0.0:
             raise ValidationError("horizon", "must be positive")
         if self.v_max <= 0.0:
@@ -163,8 +168,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     """Step the plant of scenario ``s`` over one control tick from time t, v held.
 
     Runs the tick's dt_ctrl/dt_plant classical RK4 substeps on Python
-    floats, with the voltage equations of ``machine.voltage_drift``
-    written inline in the same operation order, so each substep equals
+    floats, with the voltage equations of ``machine.h_vector`` written
+    inline in the same operation order, so each substep equals
     ``rk4`` on ``dq_dynamics`` bit for bit.  Per substep the electrical
     speed is the profile's at the substep's start, or p * omega_m in
     mechanical mode, where omega_m (mechanical, passed through otherwise)
@@ -208,10 +213,9 @@ class IdZeroController:
     cross-coupling and back-EMF terms; reporting context only.
     """
 
-    def __init__(self, params, v_max, dt_ctrl):
-        self.params = params
-        self.v_max = v_max
-        self.dt_ctrl = dt_ctrl
+    def __init__(self, scenario):
+        self.scenario = scenario
+        params = scenario.params
         # pole-placement tuning: kp = L wc, ki = R wc
         self.kp_d = params.L_d * ID_ZERO_BANDWIDTH
         self.kp_q = params.L_q * ID_ZERO_BANDWIDTH
@@ -219,19 +223,20 @@ class IdZeroController:
         self._integ = (0.0, 0.0)
 
     def step(self, t, omega, i_dq, tau_ref):
-        params = self.params
+        s = self.scenario
+        params = s.params
         i_d, i_q = i_dq
         p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
         e_d = 0.0 - i_d  # the i_d reference is zero
         e_q = tau_ref / (1.5 * params.p * params.psi) - i_q
-        integ_d = self._integ[0] + e_d * self.dt_ctrl
-        integ_q = self._integ[1] + e_q * self.dt_ctrl
+        integ_d = self._integ[0] + e_d * s.dt_ctrl
+        integ_q = self._integ[1] + e_q * s.dt_ctrl
         v_d = self.kp_d * e_d + self.ki * integ_d - params.L_q * i_q * omega
         v_q = self.kp_q * e_q + self.ki * integ_q + params.L_d * i_d * omega + params.psi * omega
         v_norm = math.hypot(v_d, v_q)
-        clipped = v_norm > self.v_max
+        clipped = v_norm > s.v_max
         if clipped:
-            v_d, v_q = v_d * (self.v_max / v_norm), v_q * (self.v_max / v_norm)
+            v_d, v_q = v_d * (s.v_max / v_norm), v_q * (s.v_max / v_norm)
         else:
             self._integ = (integ_d, integ_q)  # anti-windup: freeze while clipped
         tau_est = torque((i_d, i_q), params)
@@ -242,10 +247,9 @@ class IdZeroController:
 def make_controller(name, scenario, settings):
     """Instantiate one of the named controllers for a scenario."""
     if name in ("oflc", "flc_z0"):
-        return TorqueController(scenario.params, scenario.v_max, scenario.dt_ctrl, scenario.horizon,
-                                settings, use_z=name == "oflc")
+        return TorqueController(scenario, settings, use_z=name == "oflc")
     if name == "id_zero":
-        return IdZeroController(scenario.params, scenario.v_max, scenario.dt_ctrl)
+        return IdZeroController(scenario)
     raise ValueError(f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}")
 
 

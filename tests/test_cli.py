@@ -159,7 +159,12 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nomega0 = nan", "omega0: must be finite"),
                               ("value = 3.0", "value = nan", "torque.value: must not be nan"),
                               ("value = 100.0", "value = nan", "speed.value: must not be nan"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key")):
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key"),
+                              ("duration = 0.005", "duration = 1e308", "duration: must be a finite integer multiple"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e308", "dt_ctrl: must be a finite integer multiple"),
+                              ("R = 0.5", "R = 0.5%", "machine.R: not a number: '0.5%'"),
+                              ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 1e-3\nvalues = 1 2 3",
+                               "torque.times: must be strictly increasing")):
         bad.write_text(TINY.replace(old, new))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import P0, P_NS, V_MAX, random_state
+from conftest import P0, P_NS, V_MAX, random_state, tick_scenario
 from oflc import machine, optimizer
 from oflc.linearization import compute_terms, linearize
 from oflc.loop import ControllerSettings, TorqueController, closed_loop_tf_check, control_law, pi_update
@@ -91,11 +91,8 @@ def test_control_law_matches_array_reference(rng, params, smoothing):
     assert (flag_counts[1] > 0) == (smoothing == 0.0)
 
 
-def _controller(**kw):
-    args = dict(params=P0, v_max=V_MAX, dt_ctrl=1e-4, horizon=1e-3,
-                settings=ControllerSettings(kp=0.0, ki=0.0))
-    args.update(kw)
-    return TorqueController(**args)
+def _controller(settings=ControllerSettings(kp=0.0, ki=0.0), use_z=True):
+    return TorqueController(tick_scenario(P0, 1e-4, 1, v_max=V_MAX, horizon=1e-3), settings, use_z)
 
 
 def _dq(theta, i_abc):
