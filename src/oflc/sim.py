@@ -56,6 +56,13 @@ CONTROLLER_NAMES = ("oflc", "flc_z0", "id_zero")
 # Current-loop bandwidth of the id_zero baseline, rad/s.
 ID_ZERO_BANDWIDTH = 2000.0
 
+# Bounds that keep a run finite; the largest uses are 2000 substeps per tick
+# (criterion 10) and 50 000 ticks (the non-salient acceptance fixture).  At
+# about 1 us per substep, 10**6 substeps take a second per tick; each tick
+# keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
+MAX_SUBSTEPS_PER_TICK = 10**6
+MAX_TICKS_PER_RUN = 10**6
+
 
 @dataclass(frozen=True)
 class MechanicalModel:
@@ -115,9 +122,13 @@ class Scenario:
         ratio = self.dt_ctrl / self.dt_plant
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("dt_ctrl", "must be a finite integer multiple of dt_plant")
+        if round(ratio) > MAX_SUBSTEPS_PER_TICK:
+            raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_TICK} substeps per control tick")
         ratio = self.duration / self.dt_ctrl
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
             raise ValidationError("duration", "must be a finite integer multiple of dt_ctrl")
+        if round(ratio) > MAX_TICKS_PER_RUN:
+            raise ValidationError("duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
         if self.horizon <= 0.0:
             raise ValidationError("horizon", "must be positive")
         if self.v_max <= 0.0:
@@ -179,6 +190,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
         NonFiniteStateError: if the currents of a substep are not finite.
     """
     params, dt, speed, mech = s.params, s.dt_plant, s.speed, s.mechanical
+    if mech is not None:
+        load, friction, inertia = mech.load_torque, mech.friction, mech.inertia
     neg_R, L_d, L_q, psi, p = -params.R, params.L_d, params.L_q, params.psi, params.p
     half, sixth = 0.5 * dt, dt / 6.0
     for j in range(round(s.dt_ctrl / dt)):
@@ -202,7 +215,7 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
             raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
         if mech is not None:
             tau_m = torque((i_d, i_q), params)
-            omega_m += (tau_m - mech.load_torque(t_sub) - mech.friction * omega_m) / mech.inertia * dt
+            omega_m += (tau_m - load(t_sub) - friction * omega_m) / inertia * dt
     return i_d, i_q, omega_m
 
 

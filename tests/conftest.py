@@ -40,14 +40,15 @@ def rng():
 
 def random_state(rng, params, i_range=20.0, omega_range=300.0):
     """Random (i, omega) away from the degenerate-b manifold."""
-    from oflc.linearization import EPS_B, compute_terms
+    from oflc.errors import DegenerateBError
+    from oflc.linearization import compute_terms
 
     while True:
         i = rng.uniform(-i_range, i_range, 2)
         omega = rng.uniform(-omega_range, omega_range)
         try:
             terms = compute_terms(i, omega, params)
-        except Exception:
+        except DegenerateBError:
             continue
         if np.sqrt(terms.b_norm_sq) > 1e-2:
             return i, omega, terms

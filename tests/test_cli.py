@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oflc import linearization
 from oflc.cli import main
 from oflc.config import parse_config
 from oflc.loop import ControlFrame, ControllerSettings
@@ -162,6 +163,7 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key"),
                               ("duration = 0.005", "duration = 1e308", "duration: must be a finite integer multiple"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e308", "dt_ctrl: must be a finite integer multiple"),
+                              ("dt_plant = 1e-5", "dt_plant = 1e-300", "dt_plant: gives more than 1000000 substeps"),
                               ("R = 0.5", "R = 0.5%", "machine.R: not a number: '0.5%'"),
                               ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 1e-3\nvalues = 1 2 3",
                                "torque.times: must be strictly increasing")):
@@ -232,7 +234,16 @@ def test_cli_import_skips_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_selftest(capsys):
+def test_selftest(capsys, monkeypatch):
     rc = main(["selftest"])
     assert rc == 0
     assert "selftest OK" in capsys.readouterr().out
+
+    # an error of the law is a failure, not a skipped state
+    def broken(*args):
+        raise TypeError("broken compute_terms")
+
+    monkeypatch.setattr(linearization, "compute_terms", broken)
+    with pytest.raises(TypeError, match="broken compute_terms"):
+        main(["selftest"])
+    assert "selftest OK" not in capsys.readouterr().out

@@ -190,16 +190,6 @@ def test_step_response_first_order():
     assert mu_hat == pytest.approx(mu, rel=0.01)
 
 
-def test_step_response_independent_of_z():
-    mu = P0.mu
-    kw = dict(duration=5.0 * mu, dt=2e-5)
-    on = run_continuous(P0, V_MAX, StepProfile(0.0, 6.0, 0.0), ConstantProfile(0.0),
-                        z_smoothing=0.5, **kw)
-    off = run_continuous(P0, V_MAX, StepProfile(0.0, 6.0, 0.0), ConstantProfile(0.0),
-                         use_z=False, **kw)
-    assert np.abs(on.tau - off.tau).max() <= 1e-6
-
-
 def test_tf_check_rejects_non_first_order():
     from oflc.errors import PoorFitError
 

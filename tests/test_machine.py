@@ -7,9 +7,7 @@ from oflc.machine import (
     dq_dynamics,
     h_vector,
     inverse_park_clarke,
-    inverse_park_matrix,
     park_clarke,
-    park_matrix,
     torque,
 )
 
@@ -49,13 +47,6 @@ def test_park_clarke_quarter_electrical_turn():
 def test_inverse_park_clarke_first_column():
     np.testing.assert_allclose(inverse_park_clarke(0.0, (1.0, 0.0), P0), [1.0, -0.5, -0.5], atol=1e-15)
     np.testing.assert_allclose(inverse_park_clarke(1.1, (0.0, 0.0), P0), [0.0, 0.0, 0.0])
-
-
-def test_transform_round_trip(rng):
-    for _ in range(1000):
-        theta = rng.uniform(-10.0, 10.0)
-        prod = park_matrix(theta, P0.p) @ inverse_park_matrix(theta, P0.p)
-        assert np.abs(prod - np.eye(2)).max() <= 1e-12
 
 
 def test_transform_linearity(rng):

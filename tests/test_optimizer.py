@@ -7,7 +7,6 @@ from conftest import P0, P_NS, random_state
 from oflc import optimizer
 from oflc.errors import NegativeDiscriminantError
 from oflc.linearization import compute_terms
-from oflc.machine import h_vector
 
 
 def test_dh_di_value():
@@ -27,43 +26,6 @@ def _lambda_of_A(i, omega, terms, params):
 def test_lambda_zero_for_non_salient():
     terms = compute_terms((3.0, -7.0), 100.0, P_NS)
     np.testing.assert_allclose(_lambda_of_A((3.0, -7.0), 100.0, terms, P_NS), np.zeros((2, 2)))
-
-
-def _fd_jacobian_of_f(i, omega, u, params, eps=1e-5):
-    A_fd = np.empty((2, 2))
-    for j in range(2):
-        dv = np.zeros(2)
-        dv[j] = eps
-        fp = optimizer.current_dynamics(i + dv, omega, u, np.zeros(2), params)
-        fm = optimizer.current_dynamics(i - dv, omega, u, np.zeros(2), params)
-        A_fd[:, j] = -(fp - fm) / (2.0 * eps)
-    return A_fd
-
-
-def test_A_matches_negative_jacobian(rng):
-    for _ in range(200):
-        i, omega, terms = random_state(rng, P0)
-        u = rng.uniform(-20, 20)
-        A = np.array(optimizer.costate_matrices(i, omega, u, terms, P0))
-        A_fd = _fd_jacobian_of_f(i, omega, u, P0)
-        assert np.linalg.norm(A - A_fd) <= 1e-5 * max(np.linalg.norm(A), 1.0)
-
-
-def test_gradient_blocks_match_finite_differences(rng):
-    eps = 1e-6
-    for _ in range(100):
-        i, omega, terms = random_state(rng, P0)
-        dphi_fd = np.empty(2)
-        dh_fd = np.empty((2, 2))
-        for j in range(2):
-            dv = np.zeros(2)
-            dv[j] = eps
-            dphi_fd[j] = (compute_terms(i + dv, omega, P0).phi - compute_terms(i - dv, omega, P0).phi) / (2 * eps)
-            dh_fd[:, j] = (h_vector(i + dv, omega, P0) - h_vector(i - dv, omega, P0)) / (2 * eps)
-        dphi = optimizer.dphi_di(i, omega, P0)
-        assert np.linalg.norm(dphi - dphi_fd) <= 1e-6 * max(np.linalg.norm(dphi), 1.0)
-        dh = optimizer.dh_di(omega, P0)
-        assert np.linalg.norm(dh - dh_fd) <= 1e-6 * max(np.linalg.norm(dh), 1.0)
 
 
 def test_estimate_costate_values():
