@@ -110,11 +110,14 @@ def _parse_profile(section, name):
         raise ValidationError(f"{name}.kind", "missing")
     if kind not in _PROFILES:
         raise ValidationError(f"{name}.kind", f"unknown profile kind {kind!r}")
-    values = _read(section, name, _keys(_PROFILES[kind]))
+    keys = _keys(_PROFILES[kind])
+    values = _read(section, name, keys)
     for key, value in values.items():
-        # inf stays allowed: serialize_config writes it for an open trapezoid end
-        if any(map(math.isnan, value if isinstance(value, tuple) else (value,))):
-            raise ValidationError(f"{name}.{key}", "must not be nan")
+        # inf stays allowed where it is the default: serialize_config writes it for an open trapezoid end
+        open_end = keys[key][1] == math.inf
+        for x in value if isinstance(value, tuple) else (value,):
+            if not (math.isfinite(x) or open_end and x == math.inf):
+                raise ValidationError(f"{name}.{key}", f"must not be nan or {'-inf' if open_end else 'infinite'}")
     return _build(_PROFILES[kind], name, values)
 
 

@@ -4,7 +4,13 @@ The torque-rate identity
 
     tau + mu * dtau/dt = b(i)^T v + phi(i, omega)
 
-holds along any trajectory of the machine.  Applying
+holds along any trajectory of the machine.  With the voltage equations
+L di/dt = h(i, omega) + v, dtau/dt = grad tau^T L^-1 (h + v), so
+b = mu L^-1 grad tau and phi = tau + b^T h: the Lie-derivative form of
+feedback linearization (Isidori, Nonlinear Control Systems, 3rd ed., 1995,
+ch. 4).  ``compute_terms`` evaluates phi from that definition, over
+``machine.torque`` and ``machine.voltage_drift``, and not from an expanded
+formula, so the voltage equations are written in ``machine`` only.  Applying
 
     v = b / |b|^2 * (u - phi) + z,     with  b^T z = 0,
 
@@ -25,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBError, OrthogonalityViolation
-from .machine import torque
+from .machine import torque, voltage_drift
 
 __all__ = [
     "EPS_B",
@@ -43,13 +49,15 @@ TOL_ORTH = 1e-9
 
 
 class LinearizationTerms(NamedTuple):
-    """Torque-channel direction b = (b_d, b_q), drift phi, |b|^2 and |b| at one state."""
+    """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b| and the drift h = (h_d, h_q) at one state."""
 
     b_d: float
     b_q: float
     phi: float
     b_norm_sq: float
     b_norm: float
+    h_d: float
+    h_q: float
 
     @property
     def b(self):
@@ -58,29 +66,25 @@ class LinearizationTerms(NamedTuple):
 
 
 def compute_terms(i, omega, params):
-    """Evaluate b(i) and phi(i, omega) at the dq currents ``i = (i_d, i_q)``.
+    """Evaluate b(i), phi(i, omega) = tau + b^T h and h(i, omega) at the dq currents ``i = (i_d, i_q)``.
 
     Raises:
         DegenerateBError: if |b| < EPS_B (torque channel uncontrollable).
     """
     i_d, i_q = i
-    p, R, L_d, L_q, psi = params.p, params.R, params.L_d, params.L_q, params.psi
     eta = params.eta
-    c = 1.5 * p / R
+    c = 1.5 * params.p / params.R
 
-    b_d = -c * eta * L_q * i_q
-    b_q = c * (psi - eta * L_d * i_d)
+    b_d = -c * eta * params.L_q * i_q
+    b_q = c * (params.psi - eta * params.L_d * i_d)
     b_norm_sq = b_d * b_d + b_q * b_q
     b_norm = math.sqrt(b_norm_sq)
     if b_norm_sq < EPS_B * EPS_B:
         raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
 
-    # products, not powers: a float ** overflows with an exception, a product to inf
-    phi = (
-        1.5 * p * (omega / R) * (L_q * psi * i_d - eta * (L_q * L_q) * (i_q * i_q) - eta * (L_d * L_d) * (i_d * i_d) - psi * psi)
-        + 1.5 * p * eta * L_q * i_d * i_q
-    )
-    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm)
+    h_d, h_q = voltage_drift(i, omega, params)
+    phi = torque(i, params) + b_d * h_d + b_q * h_q
+    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm, h_d, h_q)
 
 
 def linearize(u, z, terms):
@@ -93,7 +97,7 @@ def linearize(u, z, terms):
             TOL_ORTH relative tolerance.
     """
     z_d, z_q = z
-    b_d, b_q, phi, b_norm_sq, b_norm = terms
+    b_d, b_q, phi, b_norm_sq, b_norm, _, _ = terms
     b_dot_z = b_d * z_d + b_q * z_q
     z_norm = math.hypot(z_d, z_q)
     if abs(b_dot_z) > TOL_ORTH * b_norm * z_norm and z_norm > 0.0:
@@ -111,7 +115,7 @@ def torque_rate_identity_residual(i_prev, i_curr, i_next, v, omega, dt, params, 
     """
     tau = torque(i_curr, params)
     tau_dot = (torque(i_next, params) - torque(i_prev, params)) / (2.0 * dt)
-    b_d, b_q, phi, _, _ = compute_terms(i_curr, omega, params)
+    b_d, b_q, phi = compute_terms(i_curr, omega, params)[:3]
     if printed_b_d:
         b_d = -1.5 * params.p / params.R * params.eta * params.L_d * i_curr[1]
     v_d, v_q = v

@@ -4,11 +4,13 @@ Conventions used throughout the package:
 
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
   Python floats on the control tick and the plant substep, numpy arrays
-  in the array forms.  The voltage equations are written once here, in
-  ``h_vector``, which ``dq_dynamics`` builds on, and once more inline, in
-  the same operation order, in the plant's tick step
-  ``sim.rk4_plant_step``; a bit-equality test in ``tests/test_sim.py``
-  ties the two together;
+  in the array forms;
+* the voltage equations L di/dt = h(i, omega) + v live here: the drift
+  ``voltage_drift``, its array form ``h_vector`` (behind ``dq_dynamics``)
+  and its Jacobian ``dh_di``; phi and its gradient are derived from them.
+  Outside this module only ``sim.rk4_plant_step`` (inline, tied to
+  ``dq_dynamics`` bit for bit by a test in ``tests/test_sim.py``) and the
+  feedforward of ``sim.IdZeroController`` spell them out again;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -34,7 +36,9 @@ __all__ = [
     "inverse_park_clarke",
     "torque",
     "dq_dynamics",
+    "voltage_drift",
     "h_vector",
+    "dh_di",
 ]
 
 _TWO_THIRDS_PI = 2.0 * np.pi / 3.0
@@ -128,11 +132,22 @@ def torque(i, params):
     return 1.5 * params.p * (params.psi * i_q + (params.L_d - params.L_q) * i_d * i_q)
 
 
-def h_vector(i, omega, params):
-    """Drift term of the voltage equations: L di/dt = h(i, omega) + v."""
+def voltage_drift(i, omega, params):
+    """Drift term of the voltage equations, L di/dt = h(i, omega) + v; returns (h_d, h_q)."""
     i_d, i_q = i
-    return np.array((-params.R * i_d + params.L_q * i_q * omega,
-                     -params.R * i_q + params.L_d * i_d * omega - params.psi * omega))
+    return (-params.R * i_d + params.L_q * i_q * omega,
+            -params.R * i_q + params.L_d * i_d * omega - params.psi * omega)
+
+
+def h_vector(i, omega, params):
+    """``voltage_drift`` as a [d, q] array."""
+    return np.array(voltage_drift(i, omega, params))
+
+
+def dh_di(omega, params):
+    """Jacobian of the drift h with respect to the currents, by rows."""
+    return ((-params.R, params.L_q * omega),
+            (params.L_d * omega, -params.R))
 
 
 def dq_dynamics(i, v, omega, params):

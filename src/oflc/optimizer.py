@@ -4,7 +4,9 @@ Pipeline per control tick (after the linearization terms are known):
 
 1. clamp the torque command u into its feasible band given v_max;
 2. assemble A = (u - phi) * Lambda + Gamma, the negative Jacobian of the
-   current dynamics under the linearizing control;
+   current dynamics under the linearizing control; Gamma holds the chain
+   rule on phi = tau + b^T h, dphi/di = grad tau + (db/di)^T h + (dh/di)^T b
+   with grad tau = L b / mu, written once, in ``costate_matrices``;
 3. estimate the costate lambda = 2 (I/h + A^T)^-1 i (one-step discrete
    costate with zero terminal boundary);
 4. pick z on the admissible line z = m n, where n = (-b_q, b_d) / |b| is
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminantError
 from .linearization import compute_terms
-from .machine import h_vector
+from .machine import dh_di, dq_dynamics
 
 __all__ = [
     "EPS_D",
@@ -64,21 +66,6 @@ class ZFlags(NamedTuple):
     z_zeroed: bool
 
 
-def dphi_di(i, omega, params):
-    """Gradient (dphi/di_d, dphi/di_q) of the drift phi."""
-    i_d, i_q = i
-    p, R, L_d, L_q = params.p, params.R, params.L_d, params.L_q
-    eta, mu, psi = params.eta, params.mu, params.psi
-    return (1.5 * p * (mu * omega * psi + eta * L_q * i_q - 2.0 * (omega / R) * eta * (L_d * L_d) * i_d),
-            1.5 * p * (-2.0 * omega * mu * eta * L_q * i_q + eta * L_q * i_d))
-
-
-def dh_di(omega, params):
-    """Jacobian of the voltage-equation drift h with respect to currents, by rows."""
-    return ((-params.R, params.L_q * omega),
-            (params.L_d * omega, -params.R))
-
-
 def printed_lambda_matrix(terms, params):
     """Compact published form of Lambda; kept as a cross-check only."""
     b_d, b_q = terms.b
@@ -99,34 +86,49 @@ def costate_matrices(i, omega, u, terms, params):
     Lambda = -L^-1 d(b/|b|^2)/di is zero for a non-salient machine, and
     Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).
     """
-    b_d, b_q, phi, b2, _ = terms
-    L_d, L_q = params.L_d, params.L_q
+    b_d, b_q, phi, b2, _, h_d, h_q = terms
+    L_d, L_q, mu = params.L_d, params.L_q, params.mu
     k = 1.5 * params.p / params.R * params.eta
-    # db/di = G = [[0, g_dq], [g_qd, 0]] for the authoritative b (L_q in b_d), and
-    # d(b/|b|^2)/di = G/|b|^2 - 2 b (G^T b)^T/|b|^4
+    # db/di = G = [[0, g_dq], [g_qd, 0]] for the authoritative b (L_q in b_d)
     g_dq, g_qd = -k * L_q, -k * L_d
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
+    # the chain rule on phi = tau + b^T h, with grad tau = L b / mu
+    dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q
+    dphi_q = L_q * b_q / mu + g_dq * h_d + h_dq * b_d + h_qq * b_q
+    # d(b/|b|^2)/di = G/|b|^2 - 2 b (G^T b)^T/|b|^4
     gb_d, gb_q = g_qd * b_q, g_dq * b_d
     w = 2.0 / (b2 * b2)
     j_dd, j_dq = -w * b_d * gb_d, g_dq / b2 - w * b_d * gb_q
     j_qd, j_qq = g_qd / b2 - w * b_q * gb_d, -w * b_q * gb_q
-    dphi_d, dphi_q = dphi_di(i, omega, params)
-    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
     e = u - phi
     c_d, c_q = b_d / b2, b_q / b2
     return (((c_d * dphi_d - h_dd - e * j_dd) / L_d, (c_d * dphi_q - h_dq - e * j_dq) / L_d),
             ((c_q * dphi_d - h_qd - e * j_qd) / L_q, (c_q * dphi_q - h_qq - e * j_qq) / L_q))
 
 
+def dphi_di(i, omega, params):
+    """Gradient (dphi/di_d, dphi/di_q) of phi = tau + b^T h, read off ``costate_matrices``.
+
+    At u = phi, A is Gamma, and b^T b/|b|^2 = 1 gives
+    dphi/di^T = b^T (L Gamma + dh/di).  Raises DegenerateBError where
+    ``compute_terms`` does.
+    """
+    terms = compute_terms(i, omega, params)
+    (a_dd, a_dq), (a_qd, a_qq) = costate_matrices(i, omega, terms.phi, terms, params)
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
+    b_d, b_q, L_d, L_q = terms.b_d, terms.b_q, params.L_d, params.L_q
+    return (b_d * (L_d * a_dd + h_dd) + b_q * (L_q * a_qd + h_qd),
+            b_d * (L_d * a_dq + h_dq) + b_q * (L_q * a_qq + h_qq))
+
+
 def current_dynamics(i, omega, u, z, params):
     """di/dt under the linearizing control with torque command u and input z.
 
-    f(i) = L^-1 ( b/|b|^2 (u - phi) + h + z ); A above equals -df/di with
-    u and z held fixed.
+    f(i) = L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z; A above
+    equals -df/di with u and z held fixed.
     """
     terms = compute_terms(i, omega, params)
-    return params.L_inv @ (
-        terms.b / terms.b_norm_sq * (u - terms.phi) + h_vector(i, omega, params) + np.asarray(z, dtype=float)
-    )
+    return dq_dynamics(i, terms.b / terms.b_norm_sq * (u - terms.phi) + np.asarray(z, dtype=float), omega, params)
 
 
 def estimate_costate(i, A, horizon):
@@ -202,7 +204,7 @@ def optimal_z(lam, terms, params, z_max, alpha_z=1.0, smoothing=0.0):
 
 
 def hamiltonian(i, lam, u, z, terms, omega, params):
-    """H = |i|^2 + lambda^T L^-1 ( b/|b|^2 (u - phi) + h + z )."""
+    """H = |i|^2 + lambda^T L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z."""
     i = np.asarray(i, dtype=float)
-    f_arg = terms.b / terms.b_norm_sq * (u - terms.phi) + h_vector(i, omega, params) + np.asarray(z, dtype=float)
-    return float(i @ i) + float(np.asarray(lam) @ (params.L_inv @ f_arg))
+    v = terms.b / terms.b_norm_sq * (u - terms.phi) + np.asarray(z, dtype=float)
+    return float(i @ i) + float(np.asarray(lam) @ dq_dynamics(i, v, omega, params))

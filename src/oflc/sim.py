@@ -6,7 +6,7 @@ Two integration modes are provided:
   dt_ctrl, its voltage is held (zero-order hold) while the plant is
   stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
   plant over a whole control tick on Python floats, with the voltage
-  equations of ``machine.h_vector`` written inline; with a fine plant
+  equations of ``machine.voltage_drift`` written inline; with a fine plant
   step most of the run's time is spent there.
 * ``run_continuous``: the controller is re-evaluated at every RK4 stage,
   i.e. the continuous-time closed loop.  Used for transfer-function and
@@ -57,11 +57,14 @@ CONTROLLER_NAMES = ("oflc", "flc_z0", "id_zero")
 ID_ZERO_BANDWIDTH = 2000.0
 
 # Bounds that keep a run finite; the largest uses are 2000 substeps per tick
-# (criterion 10) and 50 000 ticks (the non-salient acceptance fixture).  At
-# about 1 us per substep, 10**6 substeps take a second per tick; each tick
-# keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
+# (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
+# 10**5 substeps per run (scenarios/step.cfg).  At about 1 us per substep
+# (2 us in mechanical mode), 10**6 substeps take a second per tick and
+# 10**8 substeps per run 2 to 4 minutes; each tick keeps a ControlFrame of
+# about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
+MAX_SUBSTEPS_PER_RUN = 10**8
 
 
 @dataclass(frozen=True)
@@ -122,13 +125,16 @@ class Scenario:
         ratio = self.dt_ctrl / self.dt_plant
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("dt_ctrl", "must be a finite integer multiple of dt_plant")
-        if round(ratio) > MAX_SUBSTEPS_PER_TICK:
+        n_sub = round(ratio)
+        if n_sub > MAX_SUBSTEPS_PER_TICK:
             raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_TICK} substeps per control tick")
         ratio = self.duration / self.dt_ctrl
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
             raise ValidationError("duration", "must be a finite integer multiple of dt_ctrl")
         if round(ratio) > MAX_TICKS_PER_RUN:
             raise ValidationError("duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
+        if n_sub * round(ratio) > MAX_SUBSTEPS_PER_RUN:
+            raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
         if self.horizon <= 0.0:
             raise ValidationError("horizon", "must be positive")
         if self.v_max <= 0.0:
@@ -179,8 +185,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     """Step the plant of scenario ``s`` over one control tick from time t, v held.
 
     Runs the tick's dt_ctrl/dt_plant classical RK4 substeps on Python
-    floats, with the voltage equations of ``machine.h_vector`` written
-    inline in the same operation order, so each substep equals
+    floats, with the voltage equations of ``machine.voltage_drift``
+    written inline in the same operation order, so each substep equals
     ``rk4`` on ``dq_dynamics`` bit for bit.  Per substep the electrical
     speed is the profile's at the substep's start, or p * omega_m in
     mechanical mode, where omega_m (mechanical, passed through otherwise)

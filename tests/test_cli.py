@@ -164,6 +164,19 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("duration = 0.005", "duration = 1e308", "duration: must be a finite integer multiple"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e308", "dt_ctrl: must be a finite integer multiple"),
                               ("dt_plant = 1e-5", "dt_plant = 1e-300", "dt_plant: gives more than 1000000 substeps"),
+                              ("duration = 0.005\ndt_plant = 1e-5", "duration = 1.0\ndt_plant = 1e-9",
+                               "dt_plant: gives more than 100000000 substeps per run"),
+                              ("value = 3.0", "value = inf", "torque.value: must not be nan or infinite"),
+                              ("value = 100.0", "value = inf", "speed.value: must not be nan or infinite"),
+                              ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 1e-3\nvalues = 0 inf",
+                               "torque.values: must not be nan or infinite"),
+                              ("kind = constant\nvalue = 3.0", "kind = step\ninitial = 0\nfinal = 3\nt_step = -inf",
+                               "torque.t_step: must not be nan or infinite"),
+                              ("kind = constant\nvalue = 100.0", "kind = sinusoid\namplitude = 50\nfrequency = inf",
+                               "speed.frequency: must not be nan or infinite"),
+                              ("kind = constant\nvalue = 3.0",
+                               "kind = trapezoid\ninitial = 0\nfinal = 3\nt0 = 0\nt1 = 1e-3\nt2 = -inf",
+                               "torque.t2: must not be nan or -inf"),
                               ("R = 0.5", "R = 0.5%", "machine.R: not a number: '0.5%'"),
                               ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 1e-3\nvalues = 1 2 3",
                                "torque.times: must be strictly increasing")):

@@ -242,11 +242,13 @@ def test_scenario_validation():
         _quiet_scenario(dt_plant=3e-5)  # does not divide dt_ctrl
     with pytest.raises(ValidationError):
         _quiet_scenario(v_max=0.0)
-    # runs that would not end: 1e296 substeps per tick, 1e10 ticks
+    # runs that would not end: 1e296 substeps per tick, 1e10 ticks, 1e12 substeps per run
     with pytest.raises(ValidationError, match="^dt_plant: "):
         _quiet_scenario(dt_plant=1e-300)
     with pytest.raises(ValidationError, match="^duration: "):
         _quiet_scenario(duration=1e6)
+    with pytest.raises(ValidationError, match="^dt_plant: gives more than 100000000 substeps per run"):
+        _quiet_scenario(duration=100.0, dt_ctrl=1e-4, dt_plant=1e-10)
     for name, value in (("duration", np.nan), ("duration", np.inf), ("dt_plant", np.nan), ("dt_ctrl", np.nan),
                         ("horizon", np.inf), ("v_max", np.nan), ("v_max", np.inf)):
         with pytest.raises(ValidationError, match=f"^{name}: must be finite"):
