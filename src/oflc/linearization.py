@@ -6,11 +6,14 @@ The torque-rate identity
 
 holds along any trajectory of the machine.  With the voltage equations
 L di/dt = h(i, omega) + v, dtau/dt = grad tau^T L^-1 (h + v), so
-b = mu L^-1 grad tau and phi = tau + b^T h: the Lie-derivative form of
-feedback linearization (Isidori, Nonlinear Control Systems, 3rd ed., 1995,
-ch. 4).  ``compute_terms`` evaluates phi from that definition, over
-``machine.torque`` and ``machine.voltage_drift``, and not from an expanded
-formula, so the voltage equations are written in ``machine`` only.  Applying
+
+    b = mu L^-1 grad tau     and     phi = tau + b^T h:
+
+the Lie-derivative form of feedback linearization (Isidori, Nonlinear
+Control Systems, 3rd ed., 1995, ch. 4).  ``compute_terms`` evaluates both
+from these definitions, over ``machine.torque``, ``machine.torque_gradient``
+and ``machine.voltage_drift``, so the machine model is stated in
+``machine`` only.  Applying
 
     v = b / |b|^2 * (u - phi) + z,     with  b^T z = 0,
 
@@ -18,11 +21,9 @@ therefore turns the torque dynamics into the first-order linear system
 tau + mu * dtau/dt = u, with z free to spend the remaining voltage budget
 on loss minimization.
 
-Note on b_d: substituting the current dynamics into the torque rate gives
-b_d = -(3p/2R) * eta * L_q * i_q.  A published variant of the same
-expression carries L_d instead of L_q; it does not satisfy the identity
-above for salient machines; ``torque_rate_identity_residual`` evaluates it
-on request (``printed_b_d=True``) so the residual check can arbitrate.
+Note on b_d: ``torque_rate_identity_residual(printed_b_d=True)`` evaluates
+a published variant, b_d = -(3p/2R) * eta * L_d * i_q, which carries L_d
+where b = mu L^-1 grad tau has L_q, so the residual check can arbitrate.
 """
 
 import math
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBError, OrthogonalityViolation
-from .machine import torque, voltage_drift
+from .machine import torque, torque_gradient, voltage_drift
 
 __all__ = [
     "EPS_B",
@@ -66,21 +67,18 @@ class LinearizationTerms(NamedTuple):
 
 
 def compute_terms(i, omega, params):
-    """Evaluate b(i), phi(i, omega) = tau + b^T h and h(i, omega) at the dq currents ``i = (i_d, i_q)``.
+    """Evaluate b(i) = mu L^-1 grad tau, phi(i, omega) = tau + b^T h and h(i, omega) at the dq currents ``i = (i_d, i_q)``.
 
     Raises:
         DegenerateBError: if |b| < EPS_B (torque channel uncontrollable).
     """
-    i_d, i_q = i
-    eta = params.eta
-    c = 1.5 * params.p / params.R
-
-    b_d = -c * eta * params.L_q * i_q
-    b_q = c * (params.psi - eta * params.L_d * i_d)
+    g_d, g_q = torque_gradient(i, params)
+    mu = params.mu
+    b_d, b_q = mu / params.L_d * g_d, mu / params.L_q * g_q
     b_norm_sq = b_d * b_d + b_q * b_q
     b_norm = math.sqrt(b_norm_sq)
     if b_norm_sq < EPS_B * EPS_B:
-        raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
+        raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i[0]}, {i[1]})")
 
     h_d, h_q = voltage_drift(i, omega, params)
     phi = torque(i, params) + b_d * h_d + b_q * h_q

@@ -5,12 +5,17 @@ Conventions used throughout the package:
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
   Python floats on the control tick and the plant substep, numpy arrays
   in the array forms;
-* the voltage equations L di/dt = h(i, omega) + v live here: the drift
-  ``voltage_drift``, its array form ``h_vector`` (behind ``dq_dynamics``)
-  and its Jacobian ``dh_di``; phi and its gradient are derived from them.
-  Outside this module only ``sim.rk4_plant_step`` (inline, tied to
-  ``dq_dynamics`` bit for bit by a test in ``tests/test_sim.py``) and the
-  feedforward of ``sim.IdZeroController`` spell them out again;
+* the machine model is stated here and nowhere else:
+  - the torque ``torque``, its gradient ``torque_gradient`` (affine in i)
+    and its Hessian ``torque_hessian`` (one constant off-diagonal entry);
+  - the voltage equations L di/dt = h(i, omega) + v, with the drift
+    h = (dh/di) i + e built in ``voltage_drift`` from the Jacobian
+    ``dh_di`` and the back-EMF e = (0, -psi omega); ``h_vector`` is its
+    array form, behind ``dq_dynamics``.
+  b, phi and their gradients, and the id_zero baseline, are built on
+  these.  The one inline copy is ``sim.rk4_plant_step``, which takes the
+  entries of ``dh_di`` and the back-EMF once per substep and is tied to
+  ``dq_dynamics`` bit for bit by a test in ``tests/test_sim.py``;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -35,6 +40,8 @@ __all__ = [
     "park_clarke",
     "inverse_park_clarke",
     "torque",
+    "torque_gradient",
+    "torque_hessian",
     "dq_dynamics",
     "voltage_drift",
     "h_vector",
@@ -132,11 +139,27 @@ def torque(i, params):
     return 1.5 * params.p * (params.psi * i_q + (params.L_d - params.L_q) * i_d * i_q)
 
 
-def voltage_drift(i, omega, params):
-    """Drift term of the voltage equations, L di/dt = h(i, omega) + v; returns (h_d, h_q)."""
+def torque_gradient(i, params):
+    """Gradient (dtau/di_d, dtau/di_q) of ``torque`` at ``i = [i_d, i_q]``; affine in i."""
     i_d, i_q = i
-    return (-params.R * i_d + params.L_q * i_q * omega,
-            -params.R * i_q + params.L_d * i_d * omega - params.psi * omega)
+    k = 1.5 * params.p
+    return k * (params.L_d - params.L_q) * i_q, k * (params.psi + (params.L_d - params.L_q) * i_d)
+
+
+def torque_hessian(params):
+    """Off-diagonal entry d2tau/di_d di_q = 3p/2 (L_d - L_q) of the constant Hessian; its diagonal is zero."""
+    return 1.5 * params.p * (params.L_d - params.L_q)
+
+
+def voltage_drift(i, omega, params):
+    """Drift term of the voltage equations, L di/dt = h(i, omega) + v; returns (h_d, h_q).
+
+    h = (dh/di) i + e, with the rows of ``dh_di`` and the back-EMF
+    e = (0, -psi omega).
+    """
+    i_d, i_q = i
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
+    return h_dd * i_d + h_dq * i_q, h_qd * i_d + h_qq * i_q - params.psi * omega
 
 
 def h_vector(i, omega, params):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NegativeDiscriminantError
 from .linearization import compute_terms
-from .machine import dh_di, dq_dynamics
+from .machine import dh_di, dq_dynamics, torque_hessian
 
 __all__ = [
     "EPS_D",
@@ -88,9 +88,9 @@ def costate_matrices(i, omega, u, terms, params):
     """
     b_d, b_q, phi, b2, _, h_d, h_q = terms
     L_d, L_q, mu = params.L_d, params.L_q, params.mu
-    k = 1.5 * params.p / params.R * params.eta
-    # db/di = G = [[0, g_dq], [g_qd, 0]] for the authoritative b (L_q in b_d)
-    g_dq, g_qd = -k * L_q, -k * L_d
+    # db/di = mu L^-1 (the Hessian of tau) = G = [[0, g_dq], [g_qd, 0]]
+    t_dq = torque_hessian(params)
+    g_dq, g_qd = mu / L_d * t_dq, mu / L_q * t_dq
     (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
     # the chain rule on phi = tau + b^T h, with grad tau = L b / mu
     dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q

@@ -6,8 +6,9 @@ Two integration modes are provided:
   dt_ctrl, its voltage is held (zero-order hold) while the plant is
   stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
   plant over a whole control tick on Python floats, with the voltage
-  equations of ``machine.voltage_drift`` written inline; with a fine plant
-  step most of the run's time is spent there.
+  equations of ``machine.voltage_drift`` written inline from the entries
+  of ``machine.dh_di`` and the back-EMF, taken once per substep; with a
+  fine plant step most of the run's time is spent there.
 * ``run_continuous``: the controller is re-evaluated at every RK4 stage,
   i.e. the continuous-time closed loop.  Used for transfer-function and
   linearization-identity checks, which are continuous-time statements
@@ -33,7 +34,7 @@ from .errors import NonFiniteStateError, ValidationError
 from . import optimizer
 from .linearization import compute_terms
 from .loop import ControlFrame, ControllerSettings, TorqueController, control_law
-from .machine import MachineParams, dq_dynamics, torque
+from .machine import MachineParams, dq_dynamics, torque, torque_gradient
 from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile
 
@@ -187,7 +188,9 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     Runs the tick's dt_ctrl/dt_plant classical RK4 substeps on Python
     floats, with the voltage equations of ``machine.voltage_drift``
     written inline in the same operation order, so each substep equals
-    ``rk4`` on ``dq_dynamics`` bit for bit.  Per substep the electrical
+    ``rk4`` on ``dq_dynamics`` bit for bit: once per substep it takes the
+    omega entries of ``machine.dh_di`` and the back-EMF -psi omega, and
+    each stage is then (dh/di) x + e + v.  Per substep the electrical
     speed is the profile's at the substep's start, or p * omega_m in
     mechanical mode, where omega_m (mechanical, passed through otherwise)
     takes an Euler step after the currents.  Returns (i_d, i_q, omega_m).
@@ -203,18 +206,19 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     for j in range(round(s.dt_ctrl / dt)):
         t_sub = t + j * dt
         omega = float(speed(t_sub)) if speed is not None else p * omega_m
-        psi_omega = psi * omega
-        k1_d = (neg_R * i_d + L_q * i_q * omega + v_d) / L_d
-        k1_q = (neg_R * i_q + L_d * i_d * omega - psi_omega + v_q) / L_q
+        # the omega entries of machine.dh_di and the back-EMF of machine.voltage_drift
+        h_dq, h_qd, e_q = L_q * omega, L_d * omega, -(psi * omega)
+        k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
+        k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
         x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
-        k2_d = (neg_R * x_d + L_q * x_q * omega + v_d) / L_d
-        k2_q = (neg_R * x_q + L_d * x_d * omega - psi_omega + v_q) / L_q
+        k2_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
+        k2_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
         x_d, x_q = i_d + half * k2_d, i_q + half * k2_q
-        k3_d = (neg_R * x_d + L_q * x_q * omega + v_d) / L_d
-        k3_q = (neg_R * x_q + L_d * x_d * omega - psi_omega + v_q) / L_q
+        k3_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
+        k3_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
         x_d, x_q = i_d + dt * k3_d, i_q + dt * k3_q
-        k4_d = (neg_R * x_d + L_q * x_q * omega + v_d) / L_d
-        k4_q = (neg_R * x_q + L_d * x_d * omega - psi_omega + v_q) / L_q
+        k4_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
+        k4_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
         i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
         i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
         if not (math.isfinite(i_d) and math.isfinite(i_q)):
@@ -239,6 +243,8 @@ class IdZeroController:
         self.kp_d = params.L_d * ID_ZERO_BANDWIDTH
         self.kp_q = params.L_q * ID_ZERO_BANDWIDTH
         self.ki = params.R * ID_ZERO_BANDWIDTH
+        # the i_q reference is tau_ref / (dtau/di_q at i = 0)
+        self._dtau_diq = torque_gradient((0.0, 0.0), params)[1]
         self._integ = (0.0, 0.0)
 
     def step(self, t, omega, i_dq, tau_ref):
@@ -247,7 +253,7 @@ class IdZeroController:
         i_d, i_q = i_dq
         p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
         e_d = 0.0 - i_d  # the i_d reference is zero
-        e_q = tau_ref / (1.5 * params.p * params.psi) - i_q
+        e_q = tau_ref / self._dtau_diq - i_q
         integ_d = self._integ[0] + e_d * s.dt_ctrl
         integ_q = self._integ[1] + e_q * s.dt_ctrl
         v_d = self.kp_d * e_d + self.ki * integ_d - params.L_q * i_q * omega
