@@ -170,7 +170,7 @@ def h_vector(i, omega, params):
 def dh_di(omega, params):
     """Jacobian of the drift h with respect to the currents, by rows."""
     return ((-params.R, params.L_q * omega),
-            (params.L_d * omega, -params.R))
+            (-params.L_d * omega, -params.R))
 
 
 def dq_dynamics(i, v, omega, params):

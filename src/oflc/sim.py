@@ -34,7 +34,7 @@ from .errors import NonFiniteStateError, ValidationError
 from . import optimizer
 from .linearization import compute_terms
 from .loop import ControlFrame, ControllerSettings, TorqueController, control_law
-from .machine import MachineParams, dq_dynamics, torque, torque_gradient
+from .machine import MachineParams, dq_dynamics, torque, torque_gradient, voltage_drift
 from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile
 
@@ -207,7 +207,7 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
         t_sub = t + j * dt
         omega = float(speed(t_sub)) if speed is not None else p * omega_m
         # the omega entries of machine.dh_di and the back-EMF of machine.voltage_drift
-        h_dq, h_qd, e_q = L_q * omega, L_d * omega, -(psi * omega)
+        h_dq, h_qd, e_q = L_q * omega, -L_d * omega, -(psi * omega)
         k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
         k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
         x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
@@ -256,8 +256,11 @@ class IdZeroController:
         e_q = tau_ref / self._dtau_diq - i_q
         integ_d = self._integ[0] + e_d * s.dt_ctrl
         integ_q = self._integ[1] + e_q * s.dt_ctrl
-        v_d = self.kp_d * e_d + self.ki * integ_d - params.L_q * i_q * omega
-        v_q = self.kp_q * e_q + self.ki * integ_q + params.L_d * i_d * omega + params.psi * omega
+        # feedforward cancels the omega terms of the drift: h(i, 0) - h(i, omega)
+        h0_d, h0_q = voltage_drift(i_dq, 0.0, params)
+        h_d, h_q = voltage_drift(i_dq, omega, params)
+        v_d = self.kp_d * e_d + self.ki * integ_d + (h0_d - h_d)
+        v_q = self.kp_q * e_q + self.ki * integ_q + (h0_q - h_q)
         v_norm = math.hypot(v_d, v_q)
         clipped = v_norm > s.v_max
         if clipped:

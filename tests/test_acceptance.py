@@ -242,8 +242,9 @@ def test_criterion_10_integrator_order():
     # linear (non-salient) case against the matrix-exponential solution
     params = P_NS
     omega, v = 150.0, np.array([5.0, -3.0])
+    # textbook q drift -R i_q - omega (L_d i_d + psi) (Krause et al., Analysis of Electric Machinery)
     M = np.array([[-params.R / params.L_d, params.L_q * omega / params.L_d],
-                  [params.L_d * omega / params.L_q, -params.R / params.L_q]])
+                  [-params.L_d * omega / params.L_q, -params.R / params.L_q]])
     c = np.array([v[0] / params.L_d, (v[1] - params.psi * omega) / params.L_q])
     n = 2000
     i = np.array(rk4_plant_step(2.0, -1.0, 0.0, *v.tolist(), 0.0, tick_scenario(params, 1e-6, n, omega))[:2])

@@ -39,7 +39,9 @@ def _reference_control_law(i, omega, u_raw, params, v_max, horizon, smoothing):
     c = 1.5 * p / R
     b = np.array([-c * eta * L_q * i_q, c * (psi - eta * L_d * i_d)])
     b2 = float(b @ b)
-    phi = (1.5 * p * (omega / R) * (L_q * psi * i_d - eta * L_q**2 * i_q**2 - eta * L_d**2 * i_d**2 - psi**2)
+    # the textbook q drift -R i_q - omega (L_d i_d + psi) (Krause et al., Analysis of Electric Machinery)
+    phi = (1.5 * p * (omega / R) * (eta * L_d**2 * i_d**2 - eta * L_q**2 * i_q**2 + (L_q - 2.0 * L_d) * psi * i_d
+                                    - psi**2)
            + 1.5 * p * eta * L_q * i_d * i_q)
     flags = 0
     b_norm = np.linalg.norm(b)
@@ -48,9 +50,9 @@ def _reference_control_law(i, omega, u_raw, params, v_max, horizon, smoothing):
         flags |= U_CLAMPED
     G = np.array([[0.0, -c * eta * L_q], [-c * eta * L_d, 0.0]])  # db/di
     Lam = -L_inv @ (G / b2 - 2.0 * np.outer(b, G.T @ b) / b2**2)
-    dphi = 1.5 * p * np.array([(omega / R) * (L_q * psi - 2.0 * eta * L_d**2 * i_d) + eta * L_q * i_q,
+    dphi = 1.5 * p * np.array([(omega / R) * (2.0 * eta * L_d**2 * i_d + (L_q - 2.0 * L_d) * psi) + eta * L_q * i_q,
                                -2.0 * (omega / R) * eta * L_q**2 * i_q + eta * L_q * i_d])
-    dh = np.array([[-R, L_q * omega], [L_d * omega, -R]])
+    dh = np.array([[-R, L_q * omega], [-L_d * omega, -R]])
     A = (u - phi) * Lam + L_inv @ (np.outer(b / b2, dphi) - dh)
     M = np.eye(2) / horizon + A.T
     if np.linalg.cond(M) > optimizer.COND_LIMIT:

@@ -105,9 +105,6 @@ def test_h_identity_against_dynamics(rng):
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the q drift of voltage_drift has +omega L_d i_d where the textbook model "
-                          "(Krause et al., Analysis of Electric Machinery and Drive Systems) has -omega L_d i_d")
 def test_power_balance(rng):
     # electrical power in = copper loss + rate of magnetic energy + mechanical power out
     L = np.diag([P0.L_d, P0.L_q])

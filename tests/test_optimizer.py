@@ -13,7 +13,7 @@ def test_dh_di_value():
     omega = 123.0
     np.testing.assert_allclose(
         optimizer.dh_di(omega, P0),
-        [[-0.5, 0.005 * omega], [0.003 * omega, -0.5]],
+        [[-0.5, 0.005 * omega], [-0.003 * omega, -0.5]],  # textbook signs (Krause et al.)
     )
 
 
