@@ -94,7 +94,11 @@ def _load(args):
 def _out_dir(args):
     out = args.out or os.environ.get("OFLC_OUT_DIR") or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out: cannot create output directory: {exc}", file=sys.stderr)
+        raise SystemExit(1)
     return path
 
 

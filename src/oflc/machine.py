@@ -27,7 +27,6 @@ All functions here are pure and safe to call concurrently.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -89,9 +88,9 @@ class MachineParams:
         """Machine time constant L_q/R in seconds."""
         return self.L_q / self.R
 
-    @cached_property
+    @property
     def L_inv(self):
-        """Inverse inductance matrix diag(1/L_d, 1/L_q); read-only, built once."""
+        """Inverse inductance matrix diag(1/L_d, 1/L_q), as a fresh read-only array."""
         return _read_only(np.diag([1.0 / self.L_d, 1.0 / self.L_q]))
 
 

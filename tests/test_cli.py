@@ -204,10 +204,27 @@ def test_validation_error_exits_1(tmp_path, capsys):
         assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_missing_file_exits_1(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--scenario", str(tmp_path / "nope.cfg")])
-    assert exc.value.code == 1
+# (scenario, --out, $OFLC_OUT_DIR, message); "file" is an existing regular file, "tiny" a valid scenario
+@pytest.mark.parametrize("scenario, out, env_out, message", [
+    ("nope.cfg", None, None, "error: cannot read scenario file"),
+    ("tiny", "file", None, "error: --out: "),
+    ("tiny", "file/sub", None, "error: --out: "),
+    ("tiny", None, "file", "error: --out: "),
+], ids=["missing_scenario", "out_is_file", "out_under_file", "env_out_is_file"])
+def test_missing_file_exits_1(tiny_cfg, tmp_path, scenario, out, env_out, message):
+    (tmp_path / "file").write_text("")
+    argv = [sys.executable, "-m", "oflc.cli", "simulate",
+            "--scenario", str(tiny_cfg if scenario == "tiny" else tmp_path / scenario)]
+    if out:
+        argv += ["--out", str(tmp_path / out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    env.pop("OFLC_OUT_DIR", None)
+    if env_out:
+        env["OFLC_OUT_DIR"] = str(tmp_path / env_out)
+    proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_override_flags(tiny_cfg, tmp_path):

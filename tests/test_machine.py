@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import P0
+from conftest import P0, P_NS
 from oflc.machine import (
     MachineParams,
     dq_dynamics,
@@ -9,16 +9,17 @@ from oflc.machine import (
     inverse_park_clarke,
     park_clarke,
     torque,
+    torque_gradient,
+    torque_hessian,
 )
 
 
 def test_derived_constants():
     assert P0.eta == pytest.approx(2.0 / 3.0)
     assert P0.mu == pytest.approx(0.01)
-    # the inverse inductance matrix is built once per instance and cannot be mutated
+    # the inverse inductance matrix cannot be mutated
     assert np.array_equal(P0.L_inv, np.diag([1.0 / P0.L_d, 1.0 / P0.L_q]))
     assert not P0.L_inv.flags.writeable
-    assert P0.L_inv is P0.L_inv
 
 
 @pytest.mark.parametrize("bad", [
@@ -78,6 +79,21 @@ def test_torque_odd_in_iq(rng):
     for _ in range(20):
         i_q = rng.uniform(-30, 30)
         assert torque((0.0, i_q), P0) == pytest.approx(-torque((0.0, -i_q), P0))
+
+
+@pytest.mark.parametrize("params", [P0, P_NS], ids=["salient", "non_salient"])
+def test_torque_derivatives_against_central_differences(rng, params):
+    eps = 1e-3
+    hessian = np.array([[0.0, torque_hessian(params)], [torque_hessian(params), 0.0]])
+    for _ in range(100):
+        i = rng.uniform(-50, 50, 2)
+        steps = np.eye(2) * eps
+        grad_fd = np.array([(torque(i + d, params) - torque(i - d, params)) / (2.0 * eps) for d in steps])
+        grad = np.array(torque_gradient(i, params))
+        assert np.linalg.norm(grad_fd - grad) <= 1e-8 * np.linalg.norm(grad)
+        hess_fd = np.column_stack([(np.array(torque_gradient(i + d, params)) - torque_gradient(i - d, params))
+                                   / (2.0 * eps) for d in steps])
+        assert np.linalg.norm(hess_fd - hessian) <= 1e-8 * np.linalg.norm(hessian)
 
 
 def test_dq_dynamics_values():
