@@ -6,14 +6,11 @@ The torque-rate identity
 
 holds along any trajectory of the machine.  With the voltage equations
 L di/dt = h(i, omega) + v, dtau/dt = grad tau^T L^-1 (h + v), so
-
-    b = mu L^-1 grad tau     and     phi = tau + b^T h:
-
-the Lie-derivative form of feedback linearization (Isidori, Nonlinear
-Control Systems, 3rd ed., 1995, ch. 4).  ``compute_terms`` evaluates both
-from these definitions, over ``machine.torque``, ``machine.torque_gradient``
-and ``machine.voltage_drift``, so the machine model is stated in
-``machine`` only.  Applying
+b = mu L^-1 grad tau and phi = tau + b^T h: the Lie-derivative form of
+feedback linearization (Isidori, Nonlinear Control Systems, 3rd ed., 1995,
+ch. 4).  ``compute_terms`` evaluates both from these definitions, over
+``machine.torque_gradient``, ``machine.torque`` and ``machine.voltage_drift``,
+so the machine model is stated in ``machine`` only.  Applying
 
     v = b / |b|^2 * (u - phi) + z,     with  b^T z = 0,
 
@@ -67,7 +64,7 @@ class LinearizationTerms(NamedTuple):
 
 
 def compute_terms(i, omega, params):
-    """Evaluate b(i) = mu L^-1 grad tau, phi(i, omega) = tau + b^T h and h(i, omega) at the dq currents ``i = (i_d, i_q)``.
+    """Evaluate b(i) = mu L^-1 grad tau, phi(i, omega) = tau + b^T h and h(i, omega) at ``i = (i_d, i_q)``.
 
     Raises:
         DegenerateBError: if |b| < EPS_B (torque channel uncontrollable).

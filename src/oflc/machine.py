@@ -5,17 +5,12 @@ Conventions used throughout the package:
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
   Python floats on the control tick and the plant substep, numpy arrays
   in the array forms;
-* the machine model is stated here and nowhere else:
-  - the torque ``torque``, its gradient ``torque_gradient`` (affine in i)
-    and its Hessian ``torque_hessian`` (one constant off-diagonal entry);
-  - the voltage equations L di/dt = h(i, omega) + v, with the drift
-    h = (dh/di) i + e built in ``voltage_drift`` from the Jacobian
-    ``dh_di`` and the back-EMF e = (0, -psi omega); ``h_vector`` is its
-    array form, behind ``dq_dynamics``.
-  b, phi and their gradients, and the id_zero baseline, are built on
-  these.  The one inline copy is ``sim.rk4_plant_step``, which takes the
-  entries of ``dh_di`` and the back-EMF once per substep and is tied to
-  ``dq_dynamics`` bit for bit by a test in ``tests/test_sim.py``;
+* the machine model is stated here only: ``torque``, ``torque_gradient``
+  and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
+  + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
+  ``dh_di`` and the back-EMF e = (0, -psi omega).  The one inline copy is
+  ``sim.rk4_plant_step``, tied to ``dq_dynamics`` bit for bit by a test
+  in ``tests/test_sim.py``;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -141,8 +136,8 @@ def torque(i, params):
 def torque_gradient(i, params):
     """Gradient (dtau/di_d, dtau/di_q) of ``torque`` at ``i = [i_d, i_q]``; affine in i."""
     i_d, i_q = i
-    k = 1.5 * params.p
-    return k * (params.L_d - params.L_q) * i_q, k * (params.psi + (params.L_d - params.L_q) * i_d)
+    k, saliency = 1.5 * params.p, params.L_d - params.L_q
+    return k * saliency * i_q, k * (params.psi + saliency * i_d)
 
 
 def torque_hessian(params):
@@ -151,11 +146,7 @@ def torque_hessian(params):
 
 
 def voltage_drift(i, omega, params):
-    """Drift term of the voltage equations, L di/dt = h(i, omega) + v; returns (h_d, h_q).
-
-    h = (dh/di) i + e, with the rows of ``dh_di`` and the back-EMF
-    e = (0, -psi omega).
-    """
+    """Drift h = (dh/di) i + e of L di/dt = h(i, omega) + v, with the back-EMF e = (0, -psi omega); (h_d, h_q)."""
     i_d, i_q = i
     (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
     return h_dd * i_d + h_dq * i_q, h_qd * i_d + h_qq * i_q - params.psi * omega

@@ -6,9 +6,8 @@ Two integration modes are provided:
   dt_ctrl, its voltage is held (zero-order hold) while the plant is
   stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
   plant over a whole control tick on Python floats, with the voltage
-  equations of ``machine.voltage_drift`` written inline from the entries
-  of ``machine.dh_di`` and the back-EMF, taken once per substep; with a
-  fine plant step most of the run's time is spent there.
+  equations written inline from the entries of ``machine.dh_di`` and the
+  back-EMF, taken once per substep; most of a fine-step run is spent there.
 * ``run_continuous``: the controller is re-evaluated at every RK4 stage,
   i.e. the continuous-time closed loop.  Used for transfer-function and
   linearization-identity checks, which are continuous-time statements
@@ -187,13 +186,12 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
 
     Runs the tick's dt_ctrl/dt_plant classical RK4 substeps on Python
     floats, with the voltage equations of ``machine.voltage_drift``
-    written inline in the same operation order, so each substep equals
-    ``rk4`` on ``dq_dynamics`` bit for bit: once per substep it takes the
-    omega entries of ``machine.dh_di`` and the back-EMF -psi omega, and
-    each stage is then (dh/di) x + e + v.  Per substep the electrical
-    speed is the profile's at the substep's start, or p * omega_m in
-    mechanical mode, where omega_m (mechanical, passed through otherwise)
-    takes an Euler step after the currents.  Returns (i_d, i_q, omega_m).
+    written inline in the same operation order, (dh/di) x + e + v per
+    stage, so each substep equals ``rk4`` on ``dq_dynamics`` bit for bit.
+    Per substep the electrical speed is the profile's at the substep's
+    start, or p * omega_m in mechanical mode, where omega_m (mechanical,
+    passed through otherwise) takes an Euler step after the currents.
+    Returns (i_d, i_q, omega_m).
 
     Raises:
         NonFiniteStateError: if the currents of a substep are not finite.
@@ -206,7 +204,7 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     for j in range(round(s.dt_ctrl / dt)):
         t_sub = t + j * dt
         omega = float(speed(t_sub)) if speed is not None else p * omega_m
-        # the omega entries of machine.dh_di and the back-EMF of machine.voltage_drift
+        # the same floats as the omega entries of machine.dh_di and the back-EMF
         h_dq, h_qd, e_q = L_q * omega, -L_d * omega, -(psi * omega)
         k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
         k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
@@ -243,7 +241,6 @@ class IdZeroController:
         self.kp_d = params.L_d * ID_ZERO_BANDWIDTH
         self.kp_q = params.L_q * ID_ZERO_BANDWIDTH
         self.ki = params.R * ID_ZERO_BANDWIDTH
-        # the i_q reference is tau_ref / (dtau/di_q at i = 0)
         self._dtau_diq = torque_gradient((0.0, 0.0), params)[1]
         self._integ = (0.0, 0.0)
 
@@ -253,7 +250,7 @@ class IdZeroController:
         i_d, i_q = i_dq
         p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
         e_d = 0.0 - i_d  # the i_d reference is zero
-        e_q = tau_ref / self._dtau_diq - i_q
+        e_q = tau_ref / self._dtau_diq - i_q  # dtau/di_q at i = 0 maps tau_ref to i_q
         integ_d = self._integ[0] + e_d * s.dt_ctrl
         integ_q = self._integ[1] + e_q * s.dt_ctrl
         # feedforward cancels the omega terms of the drift: h(i, 0) - h(i, omega)

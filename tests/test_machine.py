@@ -84,10 +84,10 @@ def test_torque_odd_in_iq(rng):
 @pytest.mark.parametrize("params", [P0, P_NS], ids=["salient", "non_salient"])
 def test_torque_derivatives_against_central_differences(rng, params):
     eps = 1e-3
+    steps = np.eye(2) * eps
     hessian = np.array([[0.0, torque_hessian(params)], [torque_hessian(params), 0.0]])
     for _ in range(100):
         i = rng.uniform(-50, 50, 2)
-        steps = np.eye(2) * eps
         grad_fd = np.array([(torque(i + d, params) - torque(i - d, params)) / (2.0 * eps) for d in steps])
         grad = np.array(torque_gradient(i, params))
         assert np.linalg.norm(grad_fd - grad) <= 1e-8 * np.linalg.norm(grad)
