@@ -144,18 +144,18 @@ def parse_config(text):
     i0 = values.pop("i_d0"), values.pop("i_q0")
     tau_ref = _parse_profile(section("torque", True), "torque")
 
-    speed, mechanical, sp = ConstantProfile(0.0), None, section("speed")
+    speed, sp = ConstantProfile(0.0), section("speed")
     if sp.get("kind") == "mechanical":
         del sp["kind"]
         mech = _read(sp, "speed", _keys(MechanicalModel))
         load = mech.pop("load")
         if not math.isfinite(load):
             raise ValidationError("speed.load", f"must be finite, got {load}")
-        speed, mechanical = None, _build(MechanicalModel, "speed", dict(mech, load_torque=ConstantProfile(load)))
+        speed = _build(MechanicalModel, "speed", dict(mech, load_torque=ConstantProfile(load)))
     elif "speed" in cp:
         speed = _parse_profile(sp, "speed")
 
-    scenario = Scenario(params=params, tau_ref=tau_ref, speed=speed, mechanical=mechanical, i0=i0, **values)
+    scenario = Scenario(params=params, tau_ref=tau_ref, speed=speed, i0=i0, **values)
     return scenario, ControllerSettings(**_read(section("controller"), "controller", _keys(ControllerSettings)))
 
 
@@ -172,13 +172,13 @@ def serialize_config(scenario, settings=None):
     cp["machine"] = _text(scenario.params)
     cp["scenario"] = _text(scenario, i_d0=scenario.i0[0], i_q0=scenario.i0[1])
     cp["torque"] = {"kind": scenario.tau_ref.kind, **_text(scenario.tau_ref)}
-    mech = scenario.mechanical
-    if mech is None:
-        cp["speed"] = {"kind": scenario.speed.kind, **_text(scenario.speed)}
-    elif isinstance(mech.load_torque, ConstantProfile):
-        cp["speed"] = {"kind": "mechanical", **_text(mech, load=mech.load_torque.value)}
+    speed = scenario.speed
+    if not isinstance(speed, MechanicalModel):
+        cp["speed"] = {"kind": speed.kind, **_text(speed)}
+    elif isinstance(speed.load_torque, ConstantProfile):
+        cp["speed"] = {"kind": "mechanical", **_text(speed, load=speed.load_torque.value)}
     else:
-        raise ValidationError("speed.load", f"only a constant load torque can be written, got {mech.load_torque!r}")
+        raise ValidationError("speed.load", f"only a constant load torque can be written, got {speed.load_torque!r}")
     if settings is not None:
         cp["controller"] = _text(settings)
     buf = io.StringIO()

@@ -25,7 +25,7 @@ its fields, and the CLI writes them unchanged as the trace CSV.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -69,7 +69,7 @@ MAX_SUBSTEPS_PER_RUN = 10**8
 
 @dataclass(frozen=True)
 class MechanicalModel:
-    """Rigid mechanical load: J dw/dt = tau - tau_load - friction * w.
+    """Rigid mechanical load: J dw/dt = tau - tau_load - friction * w, from w = omega0.
 
     Speeds here are mechanical; the electrical speed fed to the machine
     model is p times larger.
@@ -78,41 +78,42 @@ class MechanicalModel:
     inertia: float  # kg m^2
     friction: float = 0.0  # N m s
     load_torque: Callable[[float], float] = ConstantProfile(0.0)
+    omega0: float = 0.0  # initial speed, rad/s
 
     def __post_init__(self):
         if not 0.0 < self.inertia < math.inf:
             raise ValidationError("inertia", f"must be positive and finite, got {self.inertia}")
         if not 0.0 <= self.friction < math.inf:
             raise ValidationError("friction", f"must be non-negative and finite, got {self.friction}")
+        if not math.isfinite(self.omega0):
+            raise ValidationError("omega0", "must be finite")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One simulation run: machine, profiles, rates and limits.
 
-    ``speed`` is the prescribed electrical speed profile (rad/s); set it
-    to None and supply ``mechanical`` to let the load dynamics produce
-    the speed instead.  The rates and limits are checked here once; the
+    ``speed`` is the one speed source: a prescribed electrical speed
+    profile (rad/s), or a ``MechanicalModel`` whose load dynamics produce
+    the speed.  The rates and limits are checked here once; the
     controllers built from a scenario read them unchecked.
     """
 
     params: MachineParams
     duration: float
     tau_ref: Callable[[float], float]
-    speed: Optional[Callable[[float], float]] = None
-    mechanical: Optional[MechanicalModel] = None
+    speed: Union[Callable[[float], float], MechanicalModel] = None  # None only to reject a missing speed
     dt_plant: float = 1e-6
     dt_ctrl: float = 1e-4
     horizon: float = 1e-3
     v_max: float = 48.0
     i0: Tuple[float, float] = (0.0, 0.0)
-    omega0: float = 0.0  # initial mechanical speed, mechanical mode only
 
     def __post_init__(self):
         i_d0, i_q0 = self.i0
         for name, value in (("duration", self.duration), ("dt_plant", self.dt_plant), ("dt_ctrl", self.dt_ctrl),
                             ("horizon", self.horizon), ("v_max", self.v_max),
-                            ("i_d0", i_d0), ("i_q0", i_q0), ("omega0", self.omega0)):
+                            ("i_d0", i_d0), ("i_q0", i_q0)):
             if not math.isfinite(value):
                 raise ValidationError(name, "must be finite")
         if self.duration <= 0.0:
@@ -139,8 +140,8 @@ class Scenario:
             raise ValidationError("horizon", "must be positive")
         if self.v_max <= 0.0:
             raise ValidationError("v_max", "must be positive")
-        if (self.speed is None) == (self.mechanical is None):
-            raise ValidationError("speed", "exactly one of speed profile or mechanical model required")
+        if not (callable(self.speed) or isinstance(self.speed, MechanicalModel)):
+            raise ValidationError("speed", f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
 
 
 @dataclass
@@ -196,14 +197,15 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     Raises:
         NonFiniteStateError: if the currents of a substep are not finite.
     """
-    params, dt, speed, mech = s.params, s.dt_plant, s.speed, s.mechanical
-    if mech is not None:
-        load, friction, inertia = mech.load_torque, mech.friction, mech.inertia
+    params, dt, speed = s.params, s.dt_plant, s.speed
+    mechanical = isinstance(speed, MechanicalModel)
+    if mechanical:
+        load, friction, inertia = speed.load_torque, speed.friction, speed.inertia
     neg_R, L_d, L_q, psi, p = -params.R, params.L_d, params.L_q, params.psi, params.p
     half, sixth = 0.5 * dt, dt / 6.0
     for j in range(round(s.dt_ctrl / dt)):
         t_sub = t + j * dt
-        omega = float(speed(t_sub)) if speed is not None else p * omega_m
+        omega = p * omega_m if mechanical else float(speed(t_sub))
         # the same floats as the omega entries of machine.dh_di and the back-EMF
         h_dq, h_qd, e_q = L_q * omega, -L_d * omega, -(psi * omega)
         k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
@@ -221,7 +223,7 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
         i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
         if not (math.isfinite(i_d) and math.isfinite(i_q)):
             raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
-        if mech is not None:
+        if mechanical:
             tau_m = torque((i_d, i_q), params)
             omega_m += (tau_m - load(t_sub) - friction * omega_m) / inertia * dt
     return i_d, i_q, omega_m
@@ -290,16 +292,14 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
 
     n_ctrl = round(s.duration / s.dt_ctrl)
     i_d, i_q = map(float, s.i0)
-    omega_m = float(s.omega0)  # mechanical, mechanical mode only
+    mechanical = isinstance(s.speed, MechanicalModel)
+    omega_m = float(s.speed.omega0) if mechanical else 0.0  # mechanical, mechanical mode only
     frames = []
     aborted = False
 
     for k in range(n_ctrl):
         t = k * s.dt_ctrl
-        if s.speed is not None:
-            omega_e = float(s.speed(t))
-        else:
-            omega_e = params.p * omega_m
+        omega_e = params.p * omega_m if mechanical else float(s.speed(t))
         frame = ctrl.step(t, omega_e, (i_d, i_q), float(s.tau_ref(t)))
         frames.append(frame)
         try:

@@ -16,8 +16,8 @@ V_MAX = 48.0
 def tick_scenario(params, dt_plant, n_sub, speed=0.0, **kw):
     """A one-tick scenario whose ``sim.rk4_plant_step`` runs ``n_sub`` substeps of dt_plant.
 
-    A number is taken as a constant speed; pass ``speed=None`` with
-    ``mechanical`` for mechanical mode.
+    A number is taken as a constant speed; pass a ``MechanicalModel`` as
+    ``speed`` for mechanical mode.
     """
     from oflc.profiles import ConstantProfile
     from oflc.sim import Scenario

@@ -157,7 +157,6 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("psi = 0.1", "psi = nan", "machine.psi: must be positive and finite"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "i_d0: must be finite"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "i_q0: must be finite"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nomega0 = nan", "omega0: must be finite"),
                               ("value = 3.0", "value = nan", "torque.value: must not be nan"),
                               ("value = 100.0", "value = nan", "speed.value: must not be nan"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key"),
@@ -197,7 +196,8 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("friction = 2e-3", "friction = inf", "speed.friction: must be non-negative and finite"),
                               ("load = 0.5", "load = nan", "speed.load: must be finite"),
                               ("load = 0.5", "load = inf", "speed.load: must be finite"),
-                              ("load = 0.5", "load = -inf", "speed.load: must be finite")):
+                              ("load = 0.5", "load = -inf", "speed.load: must be finite"),
+                              ("load = 0.5", "load = 0.5\nomega0 = nan", "speed.omega0: must be finite")):
         bad.write_text(MECHANICAL.replace(old, new))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 1

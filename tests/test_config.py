@@ -115,22 +115,21 @@ def test_malformed_document():
 def test_mechanical_speed_section():
     text = MINIMAL + "\n[speed]\nkind = mechanical\ninertia = 1e-3\nfriction = 2e-3\nload = 0.5\n"
     scenario, _ = parse_config(text)
-    assert scenario.speed is None
-    assert scenario.mechanical.inertia == 1e-3
-    assert scenario.mechanical.load_torque(0.0) == 0.5
+    assert isinstance(scenario.speed, MechanicalModel)
+    assert scenario.speed.inertia == 1e-3
+    assert scenario.speed.load_torque(0.0) == 0.5
 
 
 def test_round_trip():
     default_load = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(1.0),
-                            mechanical=MechanicalModel(inertia=1e-3))
+                            speed=MechanicalModel(inertia=1e-3))
     # every profile kind, a trapezoid that ramps back, and a mechanical model with friction and a load
     step_table = Scenario(params=P0, duration=0.02, tau_ref=StepProfile(0.0, 6.0, 0.01),
                           speed=TableProfile((0.0, 0.005, 0.02), (0.0, 50.0, 120.5)), dt_plant=1e-5)
     closed_trapezoid = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(2.5),
                                 speed=TrapezoidProfile(10.0, 200.0, 1e-3, 4e-3, 6e-3, 9e-3), i0=(1.5, -0.25))
     loaded = Scenario(params=P0, duration=0.05, tau_ref=TrapezoidProfile(0.0, 3.0, 0.0, 0.01, 0.03, 0.04),
-                      mechanical=MechanicalModel(inertia=2e-3, friction=1e-3, load_torque=ConstantProfile(0.4)),
-                      omega0=3.0)
+                      speed=MechanicalModel(inertia=2e-3, friction=1e-3, load_torque=ConstantProfile(0.4), omega0=3.0))
     for scenario, settings in (parse_config(FULL), (default_load, ControllerSettings()),
                                (step_table, ControllerSettings(kp=0.0, ki=0.0)),
                                (closed_trapezoid, ControllerSettings(alpha_z=0.25)), (loaded, ControllerSettings())):
@@ -143,7 +142,7 @@ def test_round_trip():
 
 def test_serialize_rejects_unwritable_load():
     scenario = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(1.0),
-                        mechanical=MechanicalModel(inertia=1e-3, load_torque=SinusoidProfile(1.0, 5.0)))
+                        speed=MechanicalModel(inertia=1e-3, load_torque=SinusoidProfile(1.0, 5.0)))
     with pytest.raises(ValidationError) as exc:
         serialize_config(scenario)
     assert exc.value.field == "speed.load"

@@ -24,10 +24,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s):
     """The tick step written as substeps of the generic ``sim.rk4`` on ``dq_dynamics``,
     each followed in mechanical mode by an Euler step of the speed through ``machine.torque``."""
-    i, params, mech = np.array([i_d, i_q]), s.params, s.mechanical
+    i, params = np.array([i_d, i_q]), s.params
+    mech = s.speed if isinstance(s.speed, MechanicalModel) else None
     for j in range(round(s.dt_ctrl / s.dt_plant)):
         t_sub = t + j * s.dt_plant
-        omega = float(s.speed(t_sub)) if s.speed is not None else params.p * omega_m
+        omega = float(s.speed(t_sub)) if mech is None else params.p * omega_m
         i = sim.rk4(lambda x, _t: dq_dynamics(x, (v_d, v_q), omega, params), i, t_sub, s.dt_plant)
         if mech is not None:
             tau_m = torque(i.tolist(), params)
@@ -36,16 +37,16 @@ def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s):
 
 
 def _tick_speeds(rng, t, dt_plant, n_sub):
-    """One (speed, mechanical) pair per speed kind: constant, a ramp across the tick, sinusoid, mechanical."""
+    """One speed source per kind: constant, a ramp across the tick, sinusoid, mechanical."""
     dt_ctrl = n_sub * dt_plant
     ramp = TrapezoidProfile(rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0),
                             t - 0.5 * dt_plant, t + dt_ctrl - 0.5 * dt_plant)
     mech = MechanicalModel(inertia=10.0 ** rng.uniform(-5.0, -2.0), friction=rng.uniform(0.0, 1e-2),
                            load_torque=SinusoidProfile(rng.uniform(0.0, 2.0), 1.0 / dt_ctrl))
-    return ((ConstantProfile(rng.uniform(-500.0, 500.0)), None), (ramp, None),
-            (SinusoidProfile(rng.uniform(0.0, 400.0), rng.uniform(0.1, 1.0) / dt_ctrl, rng.uniform(-100.0, 100.0),
-                             rng.uniform(0.0, 6.0)), None),
-            (None, mech))
+    return (ConstantProfile(rng.uniform(-500.0, 500.0)), ramp,
+            SinusoidProfile(rng.uniform(0.0, 400.0), rng.uniform(0.1, 1.0) / dt_ctrl, rng.uniform(-100.0, 100.0),
+                            rng.uniform(0.0, 6.0)),
+            mech)
 
 
 def test_tick_step_equals_substep_reference(rng):
@@ -58,12 +59,12 @@ def test_tick_step_equals_substep_reference(rng):
                 i_d, i_q = (rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-6.0, 1.7, 2)).tolist()
                 v_d, v_q = rng.uniform(-48.0, 48.0, 2).tolist()
                 omega_m = rng.uniform(-100.0, 100.0)
-                for speed, mech in _tick_speeds(rng, t, dt_plant, n_sub):
-                    s = tick_scenario(params, dt_plant, n_sub, speed=speed, mechanical=mech)
+                for speed in _tick_speeds(rng, t, dt_plant, n_sub):
+                    s = tick_scenario(params, dt_plant, n_sub, speed=speed)
                     step = sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s)
                     assert all(type(x) is float for x in step)
                     assert step == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s)
-                    if mech is None:
+                    if not isinstance(speed, MechanicalModel):
                         assert step[2] == omega_m
 
 
@@ -105,8 +106,9 @@ def test_run_scenario_reproducible(monkeypatch):
     # a repeated run, and a run on the reference plant step, give the same frames
     prescribed = _quiet_scenario(tau_ref=SinusoidProfile(3.0, 20.0), speed=TrapezoidProfile(0.0, 150.0, 0.002, 0.006))
     mechanical = Scenario(params=P0, duration=0.005, tau_ref=ConstantProfile(2.0),
-                          mechanical=MechanicalModel(inertia=1e-4, friction=1e-3, load_torque=ConstantProfile(0.5)),
-                          dt_plant=1e-5, dt_ctrl=1e-4, horizon=1e-3, v_max=V_MAX, omega0=20.0)
+                          speed=MechanicalModel(inertia=1e-4, friction=1e-3, load_torque=ConstantProfile(0.5),
+                                                omega0=20.0),
+                          dt_plant=1e-5, dt_ctrl=1e-4, horizon=1e-3, v_max=V_MAX)
     for s in (prescribed, mechanical):
         a = run_scenario(s, "oflc", settings=ControllerSettings())
         b = run_scenario(s, "oflc", settings=ControllerSettings())
@@ -162,7 +164,7 @@ def test_tracking_not_degraded_by_z():
 
 def test_mechanical_mode_accelerates():
     s = Scenario(params=P0, duration=0.05, tau_ref=ConstantProfile(2.0),
-                 mechanical=MechanicalModel(inertia=1e-3, friction=1e-3),
+                 speed=MechanicalModel(inertia=1e-3, friction=1e-3),
                  dt_plant=1e-5, dt_ctrl=1e-4, horizon=1e-3, v_max=V_MAX)
     result = run_scenario(s, "oflc", settings=ControllerSettings())
     assert not result.aborted
