@@ -110,15 +110,7 @@ def _parse_profile(section, name):
         raise ValidationError(f"{name}.kind", "missing")
     if kind not in _PROFILES:
         raise ValidationError(f"{name}.kind", f"unknown profile kind {kind!r}")
-    keys = _keys(_PROFILES[kind])
-    values = _read(section, name, keys)
-    for key, value in values.items():
-        # inf stays allowed where it is the default: serialize_config writes it for an open trapezoid end
-        open_end = keys[key][1] == math.inf
-        for x in value if isinstance(value, tuple) else (value,):
-            if not (math.isfinite(x) or open_end and x == math.inf):
-                raise ValidationError(f"{name}.{key}", f"must not be nan or {'-inf' if open_end else 'infinite'}")
-    return _build(_PROFILES[kind], name, values)
+    return _build(_PROFILES[kind], name, _read(section, name, _keys(_PROFILES[kind])))
 
 
 def parse_config(text):
@@ -165,16 +157,26 @@ def _text(obj, **values):
             for key, (kind, _) in _keys(type(obj)).items()}
 
 
+def _profile_text(profile, name):
+    """The config section ``name`` of a profile; ValidationError naming ``name`` for another callable."""
+    if not isinstance(profile, tuple(_PROFILES.values())):
+        raise ValidationError(name, f"only a profile of kind {', '.join(_PROFILES)} can be written, got {profile!r}")
+    return {"kind": profile.kind, **_text(profile)}
+
+
 def serialize_config(scenario, settings=None):
-    """Render a scenario (plus controller settings) back to config text."""
+    """Render a scenario (plus controller settings) back to config text.
+
+    Raises ValidationError naming a field that the format cannot hold.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp["machine"] = _text(scenario.params)
     cp["scenario"] = _text(scenario, i_d0=scenario.i0[0], i_q0=scenario.i0[1])
-    cp["torque"] = {"kind": scenario.tau_ref.kind, **_text(scenario.tau_ref)}
+    cp["torque"] = _profile_text(scenario.tau_ref, "torque")
     speed = scenario.speed
     if not isinstance(speed, MechanicalModel):
-        cp["speed"] = {"kind": speed.kind, **_text(speed)}
+        cp["speed"] = _profile_text(speed, "speed")
     elif isinstance(speed.load_torque, ConstantProfile):
         cp["speed"] = {"kind": "mechanical", **_text(speed, load=speed.load_torque.value)}
     else:

@@ -2,11 +2,12 @@
 
 Each profile is a small frozen dataclass callable as ``profile(t)``; the
 ``kind`` tag and field names round-trip through the scenario config
-format.
+format.  Every number of a profile must be finite, except +inf where it
+is the field's default (the open end times of a trapezoid).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -16,8 +17,21 @@ from .errors import ValidationError
 __all__ = ["ConstantProfile", "StepProfile", "SinusoidProfile", "TrapezoidProfile", "TableProfile"]
 
 
+class _Profile:
+    """Base of the profile dataclasses: checks that their numbers are finite."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            # inf stays allowed where it is the default: serialize_config writes it for an open trapezoid end
+            open_end = f.default == math.inf
+            value = getattr(self, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if not (math.isfinite(x) or open_end and x == math.inf):
+                    raise ValidationError(f.name, f"must not be nan or {'-inf' if open_end else 'infinite'}")
+
+
 @dataclass(frozen=True)
-class ConstantProfile:
+class ConstantProfile(_Profile):
     value: float
 
     kind = "constant"
@@ -27,7 +41,7 @@ class ConstantProfile:
 
 
 @dataclass(frozen=True)
-class StepProfile:
+class StepProfile(_Profile):
     initial: float
     final: float
     t_step: float
@@ -39,7 +53,7 @@ class StepProfile:
 
 
 @dataclass(frozen=True)
-class SinusoidProfile:
+class SinusoidProfile(_Profile):
     amplitude: float
     frequency: float  # Hz
     offset: float = 0.0
@@ -52,7 +66,7 @@ class SinusoidProfile:
 
 
 @dataclass(frozen=True)
-class TrapezoidProfile:
+class TrapezoidProfile(_Profile):
     """Ramp from ``initial`` to ``final`` over [t0, t1], hold, optionally
     ramp back to ``initial`` over [t2, t3]."""
 
@@ -78,7 +92,7 @@ class TrapezoidProfile:
 
 
 @dataclass(frozen=True)
-class TableProfile:
+class TableProfile(_Profile):
     """Piecewise-linear interpolation through (times, values) breakpoints."""
 
     times: Tuple[float, ...]
@@ -87,6 +101,7 @@ class TableProfile:
     kind = "table"
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.times) < 2:
             raise ValidationError("times", "a table needs at least two points")
         if len(self.values) != len(self.times):

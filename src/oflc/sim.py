@@ -132,6 +132,8 @@ class Scenario:
         ratio = self.duration / self.dt_ctrl
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
             raise ValidationError("duration", "must be a finite integer multiple of dt_ctrl")
+        if round(ratio) < 1:
+            raise ValidationError("duration", f"must be at least dt_ctrl ({self.duration} < {self.dt_ctrl})")
         if round(ratio) > MAX_TICKS_PER_RUN:
             raise ValidationError("duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
         if n_sub * round(ratio) > MAX_SUBSTEPS_PER_RUN:

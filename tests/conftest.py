@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from oflc.machine import MachineParams
+
+# The property tests draw the same capped set of examples on every run.  No
+# explain phase: it traces every line and took minutes on one failing example.
+settings.register_profile("oflc", derandomize=True, max_examples=200, database=None, deadline=None,
+                          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+settings.load_profile("oflc")
 
 # reference machine used throughout the tests:
 # eta = 2/3, mu = 0.01 s

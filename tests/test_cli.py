@@ -161,6 +161,8 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("value = 100.0", "value = nan", "speed.value: must not be nan"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key"),
                               ("duration = 0.005", "duration = 1e308", "duration: must be a finite integer multiple"),
+                              ("duration = 0.005", "duration = 1e-12", "duration: must be at least dt_ctrl"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nomega0 = 0.0", "scenario.omega0: unknown key"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e308", "dt_ctrl: must be a finite integer multiple"),
                               ("dt_plant = 1e-5", "dt_plant = 1e-300", "dt_plant: gives more than 1000000 substeps"),
                               ("duration = 0.005\ndt_plant = 1e-5", "duration = 1.0\ndt_plant = 1e-9",

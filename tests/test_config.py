@@ -1,8 +1,13 @@
-import pytest
+import dataclasses
+import math
 
-from conftest import P0
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from oflc.config import ControllerSettings, parse_config, serialize_config
 from oflc.errors import ParseError, ValidationError
+from oflc.machine import MachineParams
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
 from oflc.sim import MechanicalModel, Scenario
 
@@ -120,32 +125,81 @@ def test_mechanical_speed_section():
     assert scenario.speed.load_torque(0.0) == 0.5
 
 
-def test_round_trip():
-    default_load = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(1.0),
-                            speed=MechanicalModel(inertia=1e-3))
-    # every profile kind, a trapezoid that ramps back, and a mechanical model with friction and a load
-    step_table = Scenario(params=P0, duration=0.02, tau_ref=StepProfile(0.0, 6.0, 0.01),
-                          speed=TableProfile((0.0, 0.005, 0.02), (0.0, 50.0, 120.5)), dt_plant=1e-5)
-    closed_trapezoid = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(2.5),
-                                speed=TrapezoidProfile(10.0, 200.0, 1e-3, 4e-3, 6e-3, 9e-3), i0=(1.5, -0.25))
-    loaded = Scenario(params=P0, duration=0.05, tau_ref=TrapezoidProfile(0.0, 3.0, 0.0, 0.01, 0.03, 0.04),
-                      speed=MechanicalModel(inertia=2e-3, friction=1e-3, load_torque=ConstantProfile(0.4), omega0=3.0))
-    for scenario, settings in (parse_config(FULL), (default_load, ControllerSettings()),
-                               (step_table, ControllerSettings(kp=0.0, ki=0.0)),
-                               (closed_trapezoid, ControllerSettings(alpha_z=0.25)), (loaded, ControllerSettings())):
-        text = serialize_config(scenario, settings)
-        scenario2, settings2 = parse_config(text)
-        assert scenario2 == scenario
-        assert settings2 == settings
-        assert serialize_config(scenario2, settings2) == text
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+# MachineParams also needs a finite square of each constant
+MACHINES = st.builds(MachineParams, *[st.floats(min_value=0.0, exclude_min=True, max_value=1e150)] * 4,
+                     p=st.integers(1, 1000))
 
 
-def test_serialize_rejects_unwritable_load():
-    scenario = Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(1.0),
-                        speed=MechanicalModel(inertia=1e-3, load_torque=SinusoidProfile(1.0, 5.0)))
+def _tables(n):
+    """Table profiles of n points: strictly increasing times, any finite values."""
+    times = st.lists(FINITE, min_size=n, max_size=n, unique=True).map(sorted).map(tuple)
+    return st.builds(TableProfile, times, st.tuples(*[FINITE] * n))
+
+
+# every profile kind but the constant one; a trapezoid end time may be left open (inf)
+VARYING_PROFILES = st.one_of(
+    st.builds(StepProfile, FINITE, FINITE, FINITE),
+    st.builds(SinusoidProfile, FINITE, FINITE, FINITE, FINITE),
+    st.builds(TrapezoidProfile, FINITE, FINITE, FINITE, FINITE, *[FINITE | st.just(math.inf)] * 2),
+    st.integers(2, 6).flatmap(_tables),
+)
+PROFILES = st.builds(ConstantProfile, FINITE) | VARYING_PROFILES
+MECHANICAL = st.builds(MechanicalModel, POSITIVE, NON_NEGATIVE, st.builds(ConstantProfile, FINITE), FINITE)
+SETTINGS = st.builds(ControllerSettings, NON_NEGATIVE, NON_NEGATIVE,
+                     st.floats(min_value=0.0, exclude_min=True, max_value=1.0))
+
+
+@st.composite
+def scenarios(draw):
+    """Writable scenarios; whole substeps per tick and ticks per run make the rates exact multiples."""
+    dt_plant = draw(st.floats(min_value=1e-300, max_value=1e300))
+    dt_ctrl = draw(st.integers(1, 1000)) * dt_plant
+    return Scenario(params=draw(MACHINES), duration=draw(st.integers(1, 10_000)) * dt_ctrl, tau_ref=draw(PROFILES),
+                    speed=draw(PROFILES | MECHANICAL), dt_plant=dt_plant, dt_ctrl=dt_ctrl, horizon=draw(POSITIVE),
+                    v_max=draw(POSITIVE), i0=(draw(FINITE), draw(FINITE)))
+
+
+@given(scenarios(), SETTINGS)
+@example(*parse_config(FULL))
+def test_round_trip(scenario, settings):
+    text = serialize_config(scenario, settings)
+    assert parse_config(text) == (scenario, settings)
+    assert serialize_config(*parse_config(text)) == text
+
+
+def _not_a_profile(t):
+    return 1.0
+
+
+@given(scenarios(), st.sampled_from(("torque", "speed", "speed.load")), VARYING_PROFILES | st.just(_not_a_profile))
+def test_serialize_rejects_unwritable_load(scenario, field, load):
+    # the format holds only profiles, and of a mechanical load only a constant one
+    if field == "torque":
+        scenario = dataclasses.replace(scenario, tau_ref=_not_a_profile)
+    elif field == "speed":
+        scenario = dataclasses.replace(scenario, speed=_not_a_profile)
+    else:
+        scenario = dataclasses.replace(scenario, speed=MechanicalModel(inertia=1e-3, load_torque=load))
     with pytest.raises(ValidationError) as exc:
-        serialize_config(scenario)
-    assert exc.value.field == "speed.load"
+        serialize_config(scenario, ControllerSettings())
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ConstantProfile(math.nan), "value: must not be nan or infinite"),
+    (lambda: StepProfile(0.0, 1.0, math.inf), "t_step: must not be nan or infinite"),
+    (lambda: TrapezoidProfile(0.0, 1.0, 0.0, 0.01, -math.inf), "t2: must not be nan or -inf"),
+    (lambda: SinusoidProfile(1.0, math.inf), "frequency: must not be nan or infinite"),
+    (lambda: TableProfile((0.0, 1.0), (0.0, math.nan)), "values: must not be nan or infinite"),
+], ids=["constant", "step", "trapezoid", "sinusoid", "table"])
+def test_profiles_reject_non_finite(make, message):
+    # a profile the config could not read back cannot be built either
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make()
 
 
 def test_shipped_scenarios_parse():

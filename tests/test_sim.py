@@ -249,6 +249,9 @@ def test_scenario_validation():
         _quiet_scenario(dt_plant=1e-300)
     with pytest.raises(ValidationError, match="^duration: "):
         _quiet_scenario(duration=1e6)
+    # within 1e-6 of zero ticks, a multiple of dt_ctrl that would run no tick
+    with pytest.raises(ValidationError, match="^duration: must be at least dt_ctrl"):
+        _quiet_scenario(duration=1e-12)
     with pytest.raises(ValidationError, match="^dt_plant: gives more than 100000000 substeps per run"):
         _quiet_scenario(duration=100.0, dt_ctrl=1e-4, dt_plant=1e-10)
     for name, value in (("duration", np.nan), ("duration", np.inf), ("dt_plant", np.nan), ("dt_ctrl", np.nan),
@@ -257,3 +260,6 @@ def test_scenario_validation():
             _quiet_scenario(**{name: value})
     with pytest.raises(ValidationError):
         Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(0.0))  # no speed source
+    for speed in (None, 100.0):  # the speed source is a profile or a MechanicalModel, nothing else
+        with pytest.raises(ValidationError, match="^speed: must be a speed profile or a MechanicalModel"):
+            _quiet_scenario(speed=speed)
