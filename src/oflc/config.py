@@ -15,10 +15,11 @@ everything else falls back to defaults::
     value = 4.0
 
 Sections: ``[machine]`` (``MachineParams``), ``[scenario]`` (the rates,
-limits and initial state of ``Scenario``), ``[torque]`` (profile of the
-reference torque), ``[speed]`` (prescribed electrical-speed profile, or
-``kind = mechanical`` with the fields of ``MechanicalModel``) and
-``[controller]`` (``loop.ControllerSettings``).
+limits and initial currents of ``Scenario``), ``[torque]`` (profile of the
+reference torque), ``[speed]`` (``Scenario.speed``: a prescribed
+electrical-speed profile, or ``kind = mechanical`` with the fields of
+``MechanicalModel``, among them the initial mechanical speed ``omega0``)
+and ``[controller]`` (``loop.ControllerSettings``).
 
 Each section's keys, which of them are required and their defaults are
 read off the dataclass it builds; a profile section's keys are the fields
