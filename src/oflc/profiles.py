@@ -25,7 +25,7 @@ class _Profile:
             # inf stays allowed where it is the default: serialize_config writes it for an open trapezoid end
             open_end = f.default == math.inf
             value = getattr(self, f.name)
-            for x in value if isinstance(value, tuple) else (value,):
+            for x in value if f.type == Tuple[float, ...] else (value,):
                 if not (math.isfinite(x) or open_end and x == math.inf):
                     raise ValidationError(f.name, f"must not be nan or {'-inf' if open_end else 'infinite'}")
 
