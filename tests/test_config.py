@@ -185,7 +185,7 @@ def test_serialize_rejects_unwritable_load(scenario, field, load):
     else:
         scenario = dataclasses.replace(scenario, speed=MechanicalModel(inertia=1e-3, load_torque=load))
     with pytest.raises(ValidationError) as exc:
-        serialize_config(scenario, ControllerSettings())
+        serialize_config(scenario)
     assert exc.value.field == field
 
 
