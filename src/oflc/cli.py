@@ -27,9 +27,9 @@ from . import machine, optimizer
 from .config import parse_config
 from .errors import ConfigError, DegenerateBError
 from .linearization import compute_terms
-from .loop import ControlFrame, control_law
+from .loop import CONTROLLERS, ControlFrame, control_law
 from .optimizer import FLAG_NAMES
-from .sim import CONTROLLER_NAMES, run_scenario
+from .sim import run_scenario
 
 __all__ = ["main"]
 
@@ -60,11 +60,11 @@ def _build_parser():
 
     p_sim = sub.add_parser("simulate", help="run one controller on a scenario")
     add_common(p_sim)
-    p_sim.add_argument("--controller", choices=CONTROLLER_NAMES, default="oflc")
+    p_sim.add_argument("--controller", choices=CONTROLLERS, default="oflc")
 
     p_cmp = sub.add_parser("compare", help="run several controllers on the same scenario")
     add_common(p_cmp)
-    p_cmp.add_argument("--controllers", nargs="+", choices=CONTROLLER_NAMES,
+    p_cmp.add_argument("--controllers", nargs="+", choices=CONTROLLERS,
                        default=["oflc", "flc_z0"])
 
     sub.add_parser("selftest", help="check the shipped control law on seeded random states")

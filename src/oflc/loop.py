@@ -26,10 +26,14 @@ from .errors import DegenerateBError, PoorFitError, ValidationError
 from . import linearization, machine, optimizer
 from .optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 
-__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "control_law", "TorqueController", "closed_loop_tf_check"]
+__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "control_law", "TorqueController", "IdZeroController",
+           "CONTROLLERS", "closed_loop_tf_check"]
 
 # Largest relative RMS residual of a step response that still counts as first order.
 TF_RESIDUAL_LIMIT = 1e-2
+
+# Current-loop bandwidth of the id_zero baseline, rad/s.
+ID_ZERO_BANDWIDTH = 2000.0
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,56 @@ class TorqueController:
             self._v_prev = (v_d, v_q)
         return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, u_raw, u_feasible, omega,
                             z_d, z_q, lambda_d, lambda_q, p_copper, flags)
+
+
+class IdZeroController:
+    """Classical i_d = 0 vector-control baseline.
+
+    Two decoupled PI current loops with feedforward decoupling of the
+    cross-coupling and back-EMF terms; reporting context only.
+    """
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        params = scenario.params
+        # pole-placement tuning: kp = L wc, ki = R wc
+        self.kp_d = params.L_d * ID_ZERO_BANDWIDTH
+        self.kp_q = params.L_q * ID_ZERO_BANDWIDTH
+        self.ki = params.R * ID_ZERO_BANDWIDTH
+        self._dtau_diq = machine.torque_gradient((0.0, 0.0), params)[1]
+        self._integ = (0.0, 0.0)
+
+    def step(self, t, omega, i_dq, tau_ref):
+        s = self.scenario
+        params = s.params
+        i_d, i_q = i_dq
+        p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
+        e_d = 0.0 - i_d  # the i_d reference is zero
+        e_q = tau_ref / self._dtau_diq - i_q  # dtau/di_q at i = 0 maps tau_ref to i_q
+        integ_d = self._integ[0] + e_d * s.dt_ctrl
+        integ_q = self._integ[1] + e_q * s.dt_ctrl
+        # feedforward cancels the omega terms of the drift: h(i, 0) - h(i, omega)
+        h0_d, h0_q = machine.voltage_drift(i_dq, 0.0, params)
+        h_d, h_q = machine.voltage_drift(i_dq, omega, params)
+        v_d = self.kp_d * e_d + self.ki * integ_d + (h0_d - h_d)
+        v_q = self.kp_q * e_q + self.ki * integ_q + (h0_q - h_q)
+        v_norm = math.hypot(v_d, v_q)
+        clipped = v_norm > s.v_max
+        if clipped:
+            v_d, v_q = v_d * (s.v_max / v_norm), v_q * (s.v_max / v_norm)
+        else:
+            self._integ = (integ_d, integ_q)  # anti-windup: freeze while clipped
+        tau_est = machine.torque((i_d, i_q), params)
+        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, tau_ref, tau_ref, omega,
+                            0.0, 0.0, 0.0, 0.0, p_copper, U_CLAMPED if clipped else 0)
+
+
+# The named controllers: name -> builder of a controller for (scenario, settings).
+CONTROLLERS = {
+    "oflc": lambda s, st: TorqueController(s, st),
+    "flc_z0": lambda s, st: TorqueController(s, st, use_z=False),
+    "id_zero": lambda s, st: IdZeroController(s),
+}
 
 
 def closed_loop_tf_check(t, tau, u_final):

@@ -32,9 +32,9 @@ import numpy as np
 from .errors import NonFiniteStateError, ValidationError
 from . import optimizer
 from .linearization import compute_terms
-from .loop import ControlFrame, ControllerSettings, TorqueController, control_law
-from .machine import MachineParams, dq_dynamics, torque, torque_gradient, voltage_drift
-from .optimizer import FLAG_NAMES, U_CLAMPED
+from .loop import CONTROLLERS, ControllerSettings, control_law
+from .machine import MachineParams, dq_dynamics, torque
+from .optimizer import FLAG_NAMES
 from .profiles import ConstantProfile
 
 __all__ = [
@@ -47,14 +47,7 @@ __all__ = [
     "run_scenario",
     "run_continuous",
     "energy_accounting",
-    "IdZeroController",
-    "CONTROLLER_NAMES",
 ]
-
-CONTROLLER_NAMES = ("oflc", "flc_z0", "id_zero")
-
-# Current-loop bandwidth of the id_zero baseline, rad/s.
-ID_ZERO_BANDWIDTH = 2000.0
 
 # Bounds that keep a run finite; the largest uses are 2000 substeps per tick
 # (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
@@ -231,66 +224,20 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     return i_d, i_q, omega_m
 
 
-class IdZeroController:
-    """Classical i_d = 0 vector-control baseline.
-
-    Two decoupled PI current loops with feedforward decoupling of the
-    cross-coupling and back-EMF terms; reporting context only.
-    """
-
-    def __init__(self, scenario):
-        self.scenario = scenario
-        params = scenario.params
-        # pole-placement tuning: kp = L wc, ki = R wc
-        self.kp_d = params.L_d * ID_ZERO_BANDWIDTH
-        self.kp_q = params.L_q * ID_ZERO_BANDWIDTH
-        self.ki = params.R * ID_ZERO_BANDWIDTH
-        self._dtau_diq = torque_gradient((0.0, 0.0), params)[1]
-        self._integ = (0.0, 0.0)
-
-    def step(self, t, omega, i_dq, tau_ref):
-        s = self.scenario
-        params = s.params
-        i_d, i_q = i_dq
-        p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
-        e_d = 0.0 - i_d  # the i_d reference is zero
-        e_q = tau_ref / self._dtau_diq - i_q  # dtau/di_q at i = 0 maps tau_ref to i_q
-        integ_d = self._integ[0] + e_d * s.dt_ctrl
-        integ_q = self._integ[1] + e_q * s.dt_ctrl
-        # feedforward cancels the omega terms of the drift: h(i, 0) - h(i, omega)
-        h0_d, h0_q = voltage_drift(i_dq, 0.0, params)
-        h_d, h_q = voltage_drift(i_dq, omega, params)
-        v_d = self.kp_d * e_d + self.ki * integ_d + (h0_d - h_d)
-        v_q = self.kp_q * e_q + self.ki * integ_q + (h0_q - h_q)
-        v_norm = math.hypot(v_d, v_q)
-        clipped = v_norm > s.v_max
-        if clipped:
-            v_d, v_q = v_d * (s.v_max / v_norm), v_q * (s.v_max / v_norm)
-        else:
-            self._integ = (integ_d, integ_q)  # anti-windup: freeze while clipped
-        tau_est = torque((i_d, i_q), params)
-        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, tau_ref, tau_ref, omega,
-                            0.0, 0.0, 0.0, 0.0, p_copper, U_CLAMPED if clipped else 0)
-
-
-def make_controller(name, scenario, settings):
-    """Instantiate one of the named controllers for a scenario."""
-    if name in ("oflc", "flc_z0"):
-        return TorqueController(scenario, settings, use_z=name == "oflc")
-    if name == "id_zero":
-        return IdZeroController(scenario)
-    raise ValueError(f"unknown controller {name!r}; expected one of {CONTROLLER_NAMES}")
-
-
 def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     """Simulate a scenario with zero-order-hold control; deterministic.
 
-    ``controller`` is a controller object or a name from CONTROLLER_NAMES,
-    built with ``settings`` (which ``id_zero`` does not use).
+    ``controller`` is a controller object, or a ``loop.CONTROLLERS`` name built
+    with ``settings`` (which ``id_zero`` does not use); another name raises ValueError.
     """
     s = scenario
     params = s.params
-    ctrl = controller if hasattr(controller, "step") else make_controller(controller, s, settings)
+    if hasattr(controller, "step"):
+        ctrl = controller
+    elif controller in CONTROLLERS:
+        ctrl = CONTROLLERS[controller](s, settings)
+    else:
+        raise ValueError(f"unknown controller {controller!r}; expected one of {tuple(CONTROLLERS)}")
 
     n_ctrl = round(s.duration / s.dt_ctrl)
     i_d, i_q = map(float, s.i0)

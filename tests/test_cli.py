@@ -10,9 +10,9 @@ import pytest
 from oflc import linearization
 from oflc.cli import main
 from oflc.config import parse_config
-from oflc.loop import ControlFrame, ControllerSettings
+from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
 from oflc.optimizer import U_CLAMPED
-from oflc.sim import CONTROLLER_NAMES, run_scenario
+from oflc.sim import run_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MECHANICAL = (SRC.parent / "scenarios" / "mechanical.cfg").read_text()
@@ -84,8 +84,8 @@ def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
     for v_max in (48.0, 2.0):
         out = tmp_path / f"v_max_{v_max}"
         main(["compare", "--scenario", str(tiny_cfg), "--out", str(out), "--v-max", repr(v_max),
-              "--controllers", *CONTROLLER_NAMES])
-        for name in CONTROLLER_NAMES:
+              "--controllers", *CONTROLLERS])
+        for name in CONTROLLERS:
             header, *rows = (out / f"{name}_trace.csv").read_text().splitlines()[1:]
             assert header == ",".join(ControlFrame._fields)
             frames = run_scenario(dataclasses.replace(scenario, v_max=v_max), name, settings=settings).frames
