@@ -75,8 +75,7 @@ def _load(args):
     try:
         text = Path(args.scenario).read_text()
     except OSError as exc:
-        print(f"error: cannot read scenario file: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ConfigError(f"cannot read scenario file: {exc}") from exc
     scenario, settings = parse_config(text)
 
     def overrides(*names):
@@ -86,8 +85,7 @@ def _load(args):
     scenario = dataclasses.replace(scenario, **overrides("v_max", "horizon"))
     settings = dataclasses.replace(settings, **overrides("kp", "ki", "alpha_z"))
     if args.decimate < 1:
-        print("error: --decimate must be >= 1", file=sys.stderr)
-        raise SystemExit(1)
+        raise ConfigError("--decimate must be >= 1")
     return scenario, settings
 
 
@@ -97,8 +95,7 @@ def _out_dir(args):
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: --out: cannot create output directory: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+        raise ConfigError(f"--out: cannot create output directory: {exc}") from exc
     return path
 
 

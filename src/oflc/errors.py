@@ -31,7 +31,7 @@ class PoorFitError(OflcError):
 
 
 class ConfigError(OflcError):
-    """Base class for scenario-configuration errors."""
+    """Base class for errors in what configures a run: the scenario file, its values and the command line."""
 
 
 class ParseError(ConfigError):

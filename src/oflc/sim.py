@@ -80,6 +80,8 @@ class MechanicalModel:
             raise ValidationError("friction", f"must be non-negative and finite, got {self.friction}")
         if not math.isfinite(self.omega0):
             raise ValidationError("omega0", "must be finite")
+        if not callable(self.load_torque):
+            raise ValidationError("load_torque", f"must be a load torque profile, got {self.load_torque!r}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,10 @@ class Scenario:
             raise ValidationError("horizon", "must be positive")
         if self.v_max <= 0.0:
             raise ValidationError("v_max", "must be positive")
+        if not isinstance(self.params, MachineParams):
+            raise ValidationError("params", f"must be a MachineParams, got {self.params!r}")
+        if not callable(self.tau_ref):
+            raise ValidationError("tau_ref", f"must be a torque profile, got {self.tau_ref!r}")
         if not (callable(self.speed) or isinstance(self.speed, MechanicalModel)):
             raise ValidationError("speed", f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
 
@@ -294,14 +300,14 @@ class ContinuousRun:
 
 
 def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
-                   horizon=1e-3, use_z=True, alpha_z=1.0, i0=(0.0, 0.0),
-                   z_smoothing=0.0):
+                   use_z=True, i0=(0.0, 0.0), z_smoothing=0.0):
     """Integrate the closed loop with control re-evaluated at every stage.
 
     ``u_profile(t)`` is the raw torque command (no PI loop) and
     ``omega_profile(t)`` the electrical speed.  Realizes the
     continuous-time behaviour tau + mu dtau/dt = u exactly up to
-    integrator error.
+    integrator error.  The costate horizon is 1 ms and alpha_z is 1, the
+    defaults of ``Scenario`` and ``ControllerSettings``.
 
     ``z_smoothing`` > 0 selects the smoothed z rule of
     ``optimizer.optimal_z``: the exact bang-bang rule makes this closed
@@ -310,7 +316,7 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        v = control_law(i.tolist(), omega, float(u_profile(t)), params, v_max, horizon, alpha_z, use_z, z_smoothing)[0]
+        v = control_law(i.tolist(), omega, float(u_profile(t)), params, v_max, 1e-3, 1.0, use_z, z_smoothing)[0]
         return dq_dynamics(i, v, omega, params)
 
     ts, states = _rk4_trajectory(deriv, i0, duration, dt)

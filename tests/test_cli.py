@@ -79,29 +79,38 @@ def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
         assert int(vals["flags"]) >= 0
 
     # the header is the record's schema, and every row of every controller reads
-    # back as its record; at v_max = 2 V the command is clamped from the first tick
+    # back as its record, keeps the voltage limit (criterion 4) and repeats on a
+    # second run; at v_max = 2 V the command is clamped from the first tick
     scenario, settings = parse_config(TINY)
     for v_max in (48.0, 2.0):
         out = tmp_path / f"v_max_{v_max}"
         main(["compare", "--scenario", str(tiny_cfg), "--out", str(out), "--v-max", repr(v_max),
               "--controllers", *CONTROLLERS])
+        limited = dataclasses.replace(scenario, v_max=v_max)
         for name in CONTROLLERS:
             header, *rows = (out / f"{name}_trace.csv").read_text().splitlines()[1:]
             assert header == ",".join(ControlFrame._fields)
-            frames = run_scenario(dataclasses.replace(scenario, v_max=v_max), name, settings=settings).frames
+            frames = run_scenario(limited, name, settings=settings).frames
+            assert run_scenario(limited, name, settings=settings).frames == frames
             assert len(rows) == len(frames)
             for row, frame in zip(rows, frames):
                 *values, flags = row.split(",")
                 assert ControlFrame(*map(float, values), int(flags)) == frame
+                assert np.hypot(frame.v_d, frame.v_q) <= v_max * (1.0 + 1e-9)
             if name == "oflc":
                 assert bool(frames[0].flags & U_CLAMPED) == (v_max == 2.0)
 
 
-def test_decimation(tiny_cfg, tmp_path):
+def test_decimation(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "runs"
     main(["simulate", "--scenario", str(tiny_cfg), "--out", str(out), "--decimate", "10"])
     trace = (out / "oflc_trace.csv").read_text().splitlines()
     assert len(trace) == 2 + 5
+
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(tiny_cfg), "--out", str(tmp_path / "none"), "--decimate", "0"]) == 1
+    assert capsys.readouterr().err == "error: --decimate must be >= 1\n"
+    assert not (tmp_path / "none").exists()
 
 
 def test_compare_writes_summary(tiny_cfg, tmp_path):

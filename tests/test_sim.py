@@ -263,3 +263,10 @@ def test_scenario_validation():
     for speed in (None, 100.0):  # the speed source is a profile or a MechanicalModel, nothing else
         with pytest.raises(ValidationError, match="^speed: must be a speed profile or a MechanicalModel"):
             _quiet_scenario(speed=speed)
+    # a value that the first tick would call or read as a machine is rejected where it is built
+    with pytest.raises(ValidationError, match="^tau_ref: "):
+        _quiet_scenario(tau_ref=3.0)
+    with pytest.raises(ValidationError, match="^params: "):
+        _quiet_scenario(params=None)
+    with pytest.raises(ValidationError, match="^load_torque: "):
+        MechanicalModel(inertia=1e-3, load_torque=0.5)
