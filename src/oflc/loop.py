@@ -1,6 +1,10 @@
-"""Per-tick torque control pipeline and the optional PI loop around it.
+"""The controllers: the torque pipeline, the i_d = 0 baseline and the table naming them.
 
-The pipeline per tick, on the measured dq currents:
+``CONTROLLERS`` maps each controller name to a builder taking (scenario,
+settings); it is the one list of names, which ``sim.run_scenario`` and
+the CLI read.
+
+The torque pipeline per tick, on the measured dq currents:
 
 1. estimate torque from the dq currents and form u via the PI loop
    (pure feedforward when both gains are zero);

@@ -1,4 +1,4 @@
-"""Fixed-step plant simulator, scenario engine and comparison runner.
+"""Fixed-step plant simulator and scenario engine: it runs the controllers of ``loop``.
 
 Two integration modes are provided:
 
