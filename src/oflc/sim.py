@@ -240,7 +240,7 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     params = s.params
     if hasattr(controller, "step"):
         ctrl = controller
-    elif controller in CONTROLLERS:
+    elif isinstance(controller, str) and controller in CONTROLLERS:
         ctrl = CONTROLLERS[controller](s, settings)
     else:
         raise ValueError(f"unknown controller {controller!r}; expected one of {tuple(CONTROLLERS)}")

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import P0, P_NS, V_MAX, tick_scenario
 from oflc import sim
 from oflc.errors import NonFiniteStateError
-from oflc.loop import ControlFrame, ControllerSettings
+from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
 from oflc.machine import dq_dynamics, torque
 from oflc.optimizer import U_CLAMPED
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TrapezoidProfile
@@ -93,6 +94,13 @@ def _quiet_scenario(**kw):
                 horizon=1e-3, v_max=V_MAX)
     args.update(kw)
     return Scenario(**args)
+
+
+def test_unknown_controller_is_named_with_the_choices():
+    choices = re.escape(repr(tuple(CONTROLLERS)))
+    for name in ("bogus", ["oflc"]):
+        with pytest.raises(ValueError, match=f"^unknown controller {re.escape(repr(name))}; expected one of {choices}$"):
+            run_scenario(_quiet_scenario(), name)
 
 
 def test_zero_scenario_zero_cost():
