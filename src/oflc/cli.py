@@ -21,8 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import machine, optimizer
 from .config import parse_config
 from .errors import ConfigError, DegenerateBError
@@ -166,6 +164,8 @@ def _cmd_selftest(args):
     vanishes is skipped, and any other error propagates.  Each check
     uses the bound of the acceptance criterion that states it.
     """
+    import numpy as np
+
     rng = np.random.default_rng(0)
     params = machine.MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
     v_max, n_states, eps = 48.0, 200, 1e-5

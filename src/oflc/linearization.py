@@ -26,8 +26,6 @@ where b = mu L^-1 grad tau has L_q, so the residual check can arbitrate.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateBError, OrthogonalityViolation
 from .machine import torque, torque_gradient, voltage_drift
 
@@ -60,6 +58,8 @@ class LinearizationTerms(NamedTuple):
     @property
     def b(self):
         """b as a [d, q] array, for the array-form checks."""
+        import numpy as np
+
         return np.array((self.b_d, self.b_q))
 
 

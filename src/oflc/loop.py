@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateBError, PoorFitError, ValidationError
 from . import linearization, machine, optimizer
 from .optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
@@ -221,6 +219,7 @@ def closed_loop_tf_check(t, tau, u_final):
     Raises PoorFitError if the relative RMS residual exceeds
     TF_RESIDUAL_LIMIT (response is not first order).
     """
+    import numpy as np
     from scipy.optimize import curve_fit  # scipy is slow to import and only this check needs it
 
     t = np.asarray(t, dtype=float)

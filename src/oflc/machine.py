@@ -21,9 +21,8 @@ All functions here are pure and safe to call concurrently.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -42,7 +41,7 @@ __all__ = [
     "dh_di",
 ]
 
-_TWO_THIRDS_PI = 2.0 * np.pi / 3.0
+_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,8 @@ class MachineParams:
                 raise ValidationError(name, f"must be positive and finite, got {value}")
             if not math.isfinite(value * value):  # the control law squares each constant
                 raise ValidationError(name, f"must have a finite square, got {value}")
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
+        # bool is an Integral, but the config cannot read True back as a pole-pair count
+        if not (isinstance(self.p, numbers.Integral) and not isinstance(self.p, bool) and self.p >= 1):
             raise ValidationError("p", f"must be a positive integer, got {self.p}")
 
     @property
@@ -86,6 +86,8 @@ class MachineParams:
     @property
     def L_inv(self):
         """Inverse inductance matrix diag(1/L_d, 1/L_q), as a fresh read-only array."""
+        import numpy as np
+
         return _read_only(np.diag([1.0 / self.L_d, 1.0 / self.L_q]))
 
 
@@ -96,6 +98,8 @@ def _read_only(a):
 
 def park_matrix(theta, p):
     """2x3 transform from phase quantities to the rotating dq frame."""
+    import numpy as np
+
     a = p * theta
     return (2.0 / 3.0) * np.array(
         [
@@ -107,6 +111,8 @@ def park_matrix(theta, p):
 
 def inverse_park_matrix(theta, p):
     """3x2 transform from the dq frame back to phase quantities."""
+    import numpy as np
+
     a = p * theta
     return np.array(
         [
@@ -119,11 +125,15 @@ def inverse_park_matrix(theta, p):
 
 def park_clarke(theta, abc, params):
     """Map per-phase quantities (a, b, c) to the dq pair [d, q]."""
+    import numpy as np
+
     return park_matrix(theta, params.p) @ np.asarray(abc, dtype=float)
 
 
 def inverse_park_clarke(theta, dq, params):
     """Map a dq pair [d, q] to per-phase quantities (a, b, c)."""
+    import numpy as np
+
     return inverse_park_matrix(theta, params.p) @ np.asarray(dq, dtype=float)
 
 
@@ -154,6 +164,8 @@ def voltage_drift(i, omega, params):
 
 def h_vector(i, omega, params):
     """``voltage_drift`` as a [d, q] array."""
+    import numpy as np
+
     return np.array(voltage_drift(i, omega, params))
 
 

@@ -24,8 +24,6 @@ are independent checks for the tests.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NegativeDiscriminantError
 from .linearization import compute_terms
 from .machine import dh_di, dq_dynamics, torque_hessian
@@ -68,6 +66,8 @@ class ZFlags(NamedTuple):
 
 def printed_lambda_matrix(terms, params):
     """Compact published form of Lambda; kept as a cross-check only."""
+    import numpy as np
+
     b_d, b_q = terms.b
     b2 = terms.b_norm_sq
     coef = 1.5 * params.p * params.eta * params.L_d / (params.R * b2 * b2)
@@ -127,6 +127,8 @@ def current_dynamics(i, omega, u, z, params):
     f(i) = L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z; A above
     equals -df/di with u and z held fixed.
     """
+    import numpy as np
+
     terms = compute_terms(i, omega, params)
     return dq_dynamics(i, terms.b / terms.b_norm_sq * (u - terms.phi) + np.asarray(z, dtype=float), omega, params)
 
@@ -205,6 +207,8 @@ def optimal_z(lam, terms, params, z_max, alpha_z=1.0, smoothing=0.0):
 
 def hamiltonian(i, lam, u, z, terms, omega, params):
     """H = |i|^2 + lambda^T L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z."""
+    import numpy as np
+
     i = np.asarray(i, dtype=float)
     v = terms.b / terms.b_norm_sq * (u - terms.phi) + np.asarray(z, dtype=float)
     return float(i @ i) + float(np.asarray(lam) @ dq_dynamics(i, v, omega, params))

@@ -7,10 +7,9 @@ is the field's default (the open end times of a trapezoid).
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Tuple
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -93,7 +92,12 @@ class TrapezoidProfile(_Profile):
 
 @dataclass(frozen=True)
 class TableProfile(_Profile):
-    """Piecewise-linear interpolation through (times, values) breakpoints."""
+    """Piecewise-linear interpolation through (times, values) breakpoints.
+
+    Equal to ``np.interp(t, times, values)`` bit for bit, including its
+    retry from the right breakpoint when the interpolant is nan (an
+    infinite slope times zero); outside the table it holds the end values.
+    """
 
     times: Tuple[float, ...]
     values: Tuple[float, ...]
@@ -110,4 +114,18 @@ class TableProfile(_Profile):
             raise ValidationError("times", "must be strictly increasing")
 
     def __call__(self, t):
-        return float(np.interp(t, self.times, self.values))
+        times, values = self.times, self.values
+        j = bisect_right(times, t) - 1  # times[j] <= t < times[j + 1]
+        if j < 0:
+            return values[0]
+        if j >= len(times) - 1:
+            return values[-1]
+        if t == times[j]:
+            return values[j]
+        slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
+        y = slope * (t - times[j]) + values[j]
+        if y != y:
+            y = slope * (t - times[j + 1]) + values[j + 1]
+            if y != y and values[j] == values[j + 1]:
+                y = values[j]
+        return y

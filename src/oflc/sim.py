@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
-import numpy as np
-
 from .errors import NonFiniteStateError, ValidationError
 from . import optimizer
 from .linearization import compute_terms
@@ -163,6 +161,8 @@ def rk4(f, x, t, h):
     Raises:
         NonFiniteStateError: if the new state is not finite.
     """
+    import numpy as np
+
     k1 = f(x, t)
     k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
     k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
@@ -175,6 +175,8 @@ def rk4(f, x, t, h):
 
 def _rk4_trajectory(f, x0, duration, dt):
     """RK4 samples (t, x) of dx/dt = f(x, t) at t = k dt, k = 0 .. duration/dt."""
+    import numpy as np
+
     n = round(duration / dt)
     xs = np.empty((n + 1, len(x0)))
     xs[0] = x0
@@ -266,16 +268,25 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     result = RunResult(frames=frames, aborted=aborted)
     if frames:
         result.cost_integral, result.copper_energy = energy_accounting(frames)
-        err = np.array([f.tau_ref - f.tau_est for f in frames])
-        result.rms_torque_error = float(np.sqrt(np.mean(err * err)))
+        errors = [f.tau_ref - f.tau_est for f in frames]
+        # e * e and a plain sum overflow to inf, where e ** 2 and math.fsum raise OverflowError
+        result.rms_torque_error = math.sqrt(sum(e * e for e in errors) / len(frames))
     result.saturation_counts = {name: sum(f.flags >> k & 1 for f in frames) for k, name in enumerate(FLAG_NAMES)}
     return result
 
 
 def energy_accounting(frames):
-    """Trapezoidal integrals of |i|^2 and copper power over a trace."""
-    t, i_d, i_q, p_cu = np.array([(f.t, f.i_d, f.i_q, f.p_copper_W) for f in frames]).reshape(-1, 4).T
-    return float(np.trapezoid(i_d * i_d + i_q * i_q, t)), float(np.trapezoid(p_cu, t))
+    """Trapezoidal integrals of |i|^2 and copper power over a trace, summed tick by tick.
+
+    Each interval adds dt (y_k+1 + y_k) / 2, the term of ``np.trapezoid``;
+    only the order of the sum differs from numpy's pairwise one.
+    """
+    cost = copper = 0.0
+    for a, b in zip(frames, frames[1:]):
+        dt = b.t - a.t
+        cost += dt * ((b.i_d * b.i_d + b.i_q * b.i_q) + (a.i_d * a.i_d + a.i_q * a.i_q)) / 2.0
+        copper += dt * (b.p_copper_W + a.p_copper_W) / 2.0
+    return cost, copper
 
 
 def run_open_loop(params, v_fn, omega_fn, i0, duration, dt):
@@ -292,11 +303,11 @@ def run_open_loop(params, v_fn, omega_fn, i0, duration, dt):
 class ContinuousRun:
     """Sampled trajectory of a continuous-control closed-loop run."""
 
-    t: np.ndarray
-    i: np.ndarray  # (N, 2)
-    tau: np.ndarray
-    u: np.ndarray  # clamped torque command actually applied at samples
-    clamped: np.ndarray  # bool per sample
+    t: "np.ndarray"
+    i: "np.ndarray"  # (N, 2)
+    tau: "np.ndarray"
+    u: "np.ndarray"  # clamped torque command actually applied at samples
+    clamped: "np.ndarray"  # bool per sample
 
 
 def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
@@ -313,6 +324,7 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     ``optimizer.optimal_z``: the exact bang-bang rule makes this closed
     loop a sliding mode that a fixed-step integrator cannot resolve.
     """
+    import numpy as np
 
     def deriv(i, t):
         omega = float(omega_profile(t))

@@ -1,10 +1,10 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from oflc import linearization
@@ -15,7 +15,8 @@ from oflc.optimizer import U_CLAMPED
 from oflc.sim import run_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MECHANICAL = (SRC.parent / "scenarios" / "mechanical.cfg").read_text()
+SCENARIOS = SRC.parent / "scenarios"
+MECHANICAL = (SCENARIOS / "mechanical.cfg").read_text()
 
 TINY = """
 [machine]
@@ -68,16 +69,6 @@ def test_simulate_happy_path(tiny_cfg, tmp_path, capsys):
 
 
 def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
-    out = tmp_path / "runs"
-    main(["simulate", "--scenario", str(tiny_cfg), "--out", str(out)])
-    lines = (out / "oflc_trace.csv").read_text().splitlines()[2:]
-    header = (out / "oflc_trace.csv").read_text().splitlines()[1].split(",")
-    for line in lines:
-        vals = dict(zip(header, line.split(",")))
-        v = np.hypot(float(vals["v_d"]), float(vals["v_q"]))
-        assert v <= 48.0 * (1.0 + 1e-9)
-        assert int(vals["flags"]) >= 0
-
     # the header is the record's schema, and every row of every controller reads
     # back as its record, keeps the voltage limit (criterion 4) and repeats on a
     # second run; at v_max = 2 V the command is clamped from the first tick
@@ -96,7 +87,7 @@ def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
             for row, frame in zip(rows, frames):
                 *values, flags = row.split(",")
                 assert ControlFrame(*map(float, values), int(flags)) == frame
-                assert np.hypot(frame.v_d, frame.v_q) <= v_max * (1.0 + 1e-9)
+                assert math.hypot(frame.v_d, frame.v_q) <= v_max * (1.0 + 1e-9)
             if name == "oflc":
                 assert bool(frames[0].flags & U_CLAMPED) == (v_max == 2.0)
 
@@ -247,7 +238,7 @@ def test_override_flags(tiny_cfg, tmp_path):
     header = (out / "oflc_trace.csv").read_text().splitlines()[1].split(",")
     for line in lines:
         vals = dict(zip(header, line.split(",")))
-        assert np.hypot(float(vals["v_d"]), float(vals["v_q"])) <= 24.0 * (1.0 + 1e-9)
+        assert math.hypot(float(vals["v_d"]), float(vals["v_q"])) <= 24.0 * (1.0 + 1e-9)
 
     # the overrides reach the run: its frames are those of the overridden settings, not of the defaults
     scenario = dataclasses.replace(parse_config(TINY)[0], v_max=24.0)
@@ -273,6 +264,38 @@ def test_cli_import_skips_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_path_skips_numpy(tmp_path):
+    # numpy is slow to import; only the array-form checks and the selftest need it
+    table = tmp_path / "table.cfg"
+    table.write_text(TINY.replace("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 4e-3\nvalues = 0 3 1"))
+    code = f"""
+import sys
+import oflc, oflc.cli
+from oflc.loop import CONTROLLERS
+for cfg in ({str(table)!r}, {str(SCENARIOS / "mechanical.cfg")!r}):
+    for name in CONTROLLERS:
+        assert oflc.cli.main(["simulate", "--scenario", cfg, "--controller", name, "--out", {str(tmp_path)!r}]) == 0
+    assert oflc.cli.main(["compare", "--scenario", cfg, "--controllers", *CONTROLLERS, "--out", {str(tmp_path)!r}]) == 0
+for module in ("numpy", "scipy", "scipy.optimize"):
+    assert module not in sys.modules, module + " imported"
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_overflowing_torque_reports_inf(tmp_path, capsys):
+    # the squared torque error overflows to inf; the run still ends normally and reports it
+    cfg = tmp_path / "overflow.cfg"
+    text = (SCENARIOS / "step.cfg").read_text()
+    cfg.write_text(text.replace("kind = step\ninitial = 0.0\nfinal = 6.0\nt_step = 0.01",
+                                "kind = table\ntimes = 0 0.05\nvalues = 1e308 -1e308"))
+    assert "kind = table" in cfg.read_text()
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path)]) == 0
+    assert "rms_torque_error_Nm: inf\n" in capsys.readouterr().out
+    assert "rms_torque_error_Nm: inf\n" in (tmp_path / "oflc_summary.txt").read_text()
 
 
 def test_selftest(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -200,6 +201,41 @@ def test_profiles_reject_non_finite(make, message):
     # a profile the config could not read back cannot be built either
     with pytest.raises(ValidationError, match=f"^{message}$"):
         make()
+
+
+@st.composite
+def _table_and_time(draw):
+    """A table profile and a time inside it, at or next to a breakpoint, or beyond either end."""
+    profile = draw(st.integers(2, 6).flatmap(_tables))
+    times = profile.times
+    breakpoint = st.sampled_from(times)
+    t = draw(st.one_of(
+        st.floats(times[0], times[-1]),
+        breakpoint,
+        breakpoint.map(lambda x: math.nextafter(x, math.inf)),
+        breakpoint.map(lambda x: math.nextafter(x, -math.inf)),
+        st.floats(max_value=times[0], allow_nan=False),
+        st.floats(min_value=times[-1], allow_nan=False),
+    ))
+    return profile, t
+
+
+@given(_table_and_time())
+@example((TableProfile((0.0, 0.05), (1e308, -1e308)), 0.025))
+@example((TableProfile((-1e308, 1e308), (1.0, 1.0)), 9e307))  # 0 * inf: the retry from the right
+def test_table_profile_is_np_interp(table_and_time):
+    # the same floats as np.interp, whose order of operations the table follows; repr tells -0.0 and nan apart
+    profile, t = table_and_time
+    assert repr(profile(t)) == repr(float(np.interp(t, profile.times, profile.values)))
+
+
+def test_pole_pairs_must_be_an_integer():
+    # True is an Integral, but the config cannot read it back; a numpy integer can be
+    with pytest.raises(ValidationError, match="^p: must be a positive integer, got True$"):
+        MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=True)
+    params = MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=np.int64(4))
+    scenario = Scenario(params=params, duration=1e-3, tau_ref=ConstantProfile(1.0), speed=ConstantProfile(0.0))
+    assert parse_config(serialize_config(scenario))[0] == scenario
 
 
 def test_shipped_scenarios_parse():
