@@ -4,7 +4,11 @@ Conventions used throughout the package:
 
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
   Python floats on the control tick and the plant substep, numpy arrays
-  in the array forms;
+  in the array forms (``park_matrix``, ``inverse_park_matrix``,
+  ``park_clarke``, ``inverse_park_clarke``, ``MachineParams.L_inv``,
+  ``h_vector`` and ``dq_dynamics``).  Each of those imports numpy in its
+  own body, so a simulate or compare run, which uses none of them, never
+  imports numpy;
 * the machine model is stated here only: ``torque``, ``torque_gradient``
   and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian

@@ -21,6 +21,10 @@ for bit.
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
 control tick; ``energy_accounting`` and the run's summary figures read
 its fields, and the CLI writes them unchanged as the trace CSV.
+
+``run_scenario`` runs on Python floats and never imports numpy; ``rk4``,
+``run_open_loop`` and ``run_continuous`` work on numpy arrays and import
+it in their own bodies.
 """
 
 import math

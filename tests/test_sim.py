@@ -243,6 +243,21 @@ def test_energy_accounting_refinement():
     assert abs(c1 - c2) <= 1e-6 * abs(c2)
 
 
+def test_summary_figures_equal_numpy_sums():
+    # the run sums its figures in order, numpy pairwise; for n non-negative terms the
+    # two differ by at most about n eps relative, 2000 * 1.1e-16 here
+    from oflc.config import parse_config
+
+    scenario, settings = parse_config((SCENARIOS / "mechanical.cfg").read_text())
+    for name in CONTROLLERS:
+        result = run_scenario(scenario, name, settings=settings)
+        t, i_d, i_q, p_cu, err = np.array([(f.t, f.i_d, f.i_q, f.p_copper_W, f.tau_ref - f.tau_est)
+                                           for f in result.frames]).T
+        assert result.cost_integral == pytest.approx(np.trapezoid(i_d * i_d + i_q * i_q, t), rel=1e-12, abs=0.0)
+        assert result.copper_energy == pytest.approx(np.trapezoid(p_cu, t), rel=1e-12, abs=0.0)
+        assert result.rms_torque_error == pytest.approx(np.sqrt(np.mean(err * err)), rel=1e-12, abs=0.0)
+
+
 def test_scenario_validation():
     from oflc.errors import ValidationError
 
