@@ -9,8 +9,9 @@ L di/dt = h(i, omega) + v, dtau/dt = grad tau^T L^-1 (h + v), so
 b = mu L^-1 grad tau and phi = tau + b^T h: the Lie-derivative form of
 feedback linearization (Isidori, Nonlinear Control Systems, 3rd ed., 1995,
 ch. 4).  ``compute_terms`` evaluates both from these definitions, over
-``machine.torque_gradient``, ``machine.torque`` and ``machine.voltage_drift``,
-so the machine model is stated in ``machine`` only.  Applying
+``machine.torque_gradient``, ``machine.torque``, ``machine.dh_di`` and
+``machine.voltage_drift``, so the machine model is stated in ``machine``
+only.  Applying
 
     v = b / |b|^2 * (u - phi) + z,     with  b^T z = 0,
 
@@ -27,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateBError, OrthogonalityViolation
-from .machine import torque, torque_gradient, voltage_drift
+from .machine import dh_di, torque, torque_gradient, voltage_drift
 
 __all__ = [
     "EPS_B",
@@ -45,7 +46,8 @@ TOL_ORTH = 1e-9
 
 
 class LinearizationTerms(NamedTuple):
-    """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b| and the drift h = (h_d, h_q) at one state."""
+    """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b|, the drift h = (h_d, h_q), the torque,
+    the drift's Jacobian ``machine.dh_di`` and mu at one state, each computed once per control tick."""
 
     b_d: float
     b_q: float
@@ -54,6 +56,9 @@ class LinearizationTerms(NamedTuple):
     b_norm: float
     h_d: float
     h_q: float
+    tau: float
+    dh_di: tuple  # ((h_dd, h_dq), (h_qd, h_qq))
+    mu: float  # MachineParams.mu
 
     @property
     def b(self):
@@ -66,6 +71,8 @@ class LinearizationTerms(NamedTuple):
 def compute_terms(i, omega, params):
     """Evaluate b(i) = mu L^-1 grad tau, phi(i, omega) = tau + b^T h and h(i, omega) at ``i = (i_d, i_q)``.
 
+    The result also keeps tau, dh/di and mu, for the rest of the control tick.
+
     Raises:
         DegenerateBError: if |b| < EPS_B (torque channel uncontrollable).
     """
@@ -77,9 +84,11 @@ def compute_terms(i, omega, params):
     if b_norm_sq < EPS_B * EPS_B:
         raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i[0]}, {i[1]})")
 
-    h_d, h_q = voltage_drift(i, omega, params)
-    phi = torque(i, params) + b_d * h_d + b_q * h_q
-    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm, h_d, h_q)
+    jacobian = dh_di(omega, params)
+    h_d, h_q = voltage_drift(i, omega, params, jacobian)
+    tau = torque(i, params)
+    phi = tau + b_d * h_d + b_q * h_q
+    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm, h_d, h_q, tau, jacobian, mu)
 
 
 def linearize(u, z, terms):
@@ -92,7 +101,7 @@ def linearize(u, z, terms):
             TOL_ORTH relative tolerance.
     """
     z_d, z_q = z
-    b_d, b_q, phi, b_norm_sq, b_norm, _, _ = terms
+    b_d, b_q, phi, b_norm_sq, b_norm = terms[:5]
     b_dot_z = b_d * z_d + b_q * z_q
     z_norm = math.hypot(z_d, z_q)
     if abs(b_dot_z) > TOL_ORTH * b_norm * z_norm and z_norm > 0.0:

@@ -6,15 +6,17 @@ the CLI read.
 
 The torque pipeline per tick, on the measured dq currents:
 
-1. estimate torque from the dq currents and form u via the PI loop
-   (pure feedforward when both gains are zero);
+1. compute the linearization terms at the dq currents, the torque
+   estimate among them, and form u via the PI loop (pure feedforward
+   when both gains are zero);
 2. clamp u into its feasible band given v_max;
 3. estimate the costate;
 4. compute the loss-minimizing input z on the line perpendicular to b;
 5. map (u, z) to the dq voltages the inverter applies.
 
 Steps 2 to 5 are ``control_law``, which the continuous-time simulator
-evaluates too; it runs on Python floats.  Each tick returns one
+evaluates too; it runs on Python floats and takes step 1's terms, so
+the tick computes each fact once.  Each tick returns one
 ``ControlFrame``: Python floats named and ordered as the trace CSV
 columns, and a flags int.  The closed torque loop behaves as the
 first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
@@ -94,19 +96,22 @@ def pi_update(tau_ref, tau_est, integrator, settings, dt):
     return tau_ref + settings.kp * e + settings.ki * integ_next, integ_next
 
 
-def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
+def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0, terms=None):
     """Map a torque command to dq voltages at the dq currents ``i_dq``.
 
     Clamps u_raw into its feasible band, estimates the costate, picks z
     (z = 0 unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``)
-    and linearizes.  Returns (v_dq, u_feasible, lam, z, flags), the
-    vectors as (d, q) pairs and the flags bits of ``optimizer.FLAG_NAMES``.
+    and linearizes.  ``terms`` are ``linearization.compute_terms`` at
+    (i_dq, omega), computed here unless the caller passes them.  Returns
+    (v_dq, u_feasible, lam, z, flags), the vectors as (d, q) pairs and
+    the flags bits of ``optimizer.FLAG_NAMES``.
 
     Raises:
         DegenerateBError: if b vanishes at i_dq; what voltage to apply
             then is the caller's decision.
     """
-    terms = linearization.compute_terms(i_dq, omega, params)
+    if terms is None:
+        terms = linearization.compute_terms(i_dq, omega, params)
     u_feasible, clamped = optimizer.clamp_torque_command(u_raw, terms, v_max)
     A = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
     lam, fallback = optimizer.estimate_costate(i_dq, A, horizon)
@@ -140,21 +145,28 @@ class TorqueController:
         self._v_prev = (0.0, 0.0)
 
     def step(self, t, omega, i_dq, tau_ref):
-        """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame."""
+        """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame.
+
+        The linearization terms are computed once, and their torque is the
+        torque estimate; where b vanishes the torque is computed alone.
+        """
         s = self.scenario
         params = s.params
         i_d, i_q = i_dq
-        tau_est = machine.torque(i_dq, params)
+        try:
+            terms = linearization.compute_terms(i_dq, omega, params)
+        except DegenerateBError:
+            terms = None
+        tau_est = machine.torque(i_dq, params) if terms is None else terms.tau
         p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
         u_raw, integ_next = pi_update(tau_ref, tau_est, self.integrator, self.settings, s.dt_ctrl)
-        try:
-            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
-                i_dq, omega, u_raw, params, s.v_max, s.horizon, self.settings.alpha_z, self.use_z)
-        except DegenerateBError:
+        if terms is None:
             # torque channel uncontrollable: hold previous voltage
             v_d, v_q = self._v_prev
             u_feasible, lambda_d, lambda_q, z_d, z_q, flags = u_raw, 0.0, 0.0, 0.0, 0.0, B_DEGENERATE
         else:
+            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
+                i_dq, omega, u_raw, params, s.v_max, s.horizon, self.settings.alpha_z, self.use_z, terms=terms)
             if not flags & U_CLAMPED:
                 self.integrator = integ_next
             self._v_prev = (v_d, v_q)

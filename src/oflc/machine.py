@@ -13,8 +13,9 @@ Conventions used throughout the package:
   and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
   ``dh_di`` and the back-EMF e = (0, -psi omega).  The one inline copy is
-  ``sim.rk4_plant_step``, tied to ``dq_dynamics`` bit for bit by a test
-  in ``tests/test_sim.py``;
+  ``sim.rk4_plant_step``: of the voltage equations, and in mechanical
+  mode of ``torque``.  One test in ``tests/test_sim.py`` ties it to
+  ``dq_dynamics`` and ``torque`` bit for bit;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -159,10 +160,13 @@ def torque_hessian(params):
     return 1.5 * params.p * (params.L_d - params.L_q)
 
 
-def voltage_drift(i, omega, params):
-    """Drift h = (dh/di) i + e of L di/dt = h(i, omega) + v, with the back-EMF e = (0, -psi omega); (h_d, h_q)."""
+def voltage_drift(i, omega, params, jacobian=None):
+    """Drift h = (dh/di) i + e of L di/dt = h(i, omega) + v, with the back-EMF e = (0, -psi omega); (h_d, h_q).
+
+    ``jacobian`` is ``dh_di(omega, params)`` when the caller already has it.
+    """
     i_d, i_q = i
-    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params) if jacobian is None else jacobian
     return h_dd * i_d + h_dq * i_q, h_qd * i_d + h_qq * i_q - params.psi * omega
 
 

@@ -84,14 +84,14 @@ def costate_matrices(i, omega, u, terms, params):
     """A = (u - phi) Lambda + Gamma, by rows.
 
     Lambda = -L^-1 d(b/|b|^2)/di is zero for a non-salient machine, and
-    Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).
+    Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).  The state (i, omega)
+    enters through ``terms``, its dh/di and mu included.
     """
-    b_d, b_q, phi, b2, _, h_d, h_q = terms
-    L_d, L_q, mu = params.L_d, params.L_q, params.mu
+    b_d, b_q, phi, b2, _, h_d, h_q, _, ((h_dd, h_dq), (h_qd, h_qq)), mu = terms
+    L_d, L_q = params.L_d, params.L_q
     # db/di = mu L^-1 (the Hessian of tau) = G = [[0, g_dq], [g_qd, 0]]
     t_dq = torque_hessian(params)
     g_dq, g_qd = mu / L_d * t_dq, mu / L_q * t_dq
-    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
     # the chain rule on phi = tau + b^T h, with grad tau = L b / mu
     dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q
     dphi_q = L_q * b_q / mu + g_dq * h_d + h_dq * b_d + h_qq * b_q
@@ -115,7 +115,7 @@ def dphi_di(i, omega, params):
     """
     terms = compute_terms(i, omega, params)
     (a_dd, a_dq), (a_qd, a_qq) = costate_matrices(i, omega, terms.phi, terms, params)
-    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
+    (h_dd, h_dq), (h_qd, h_qq) = terms.dh_di
     b_d, b_q, L_d, L_q = terms.b_d, terms.b_q, params.L_d, params.L_q
     return (b_d * (L_d * a_dd + h_dd) + b_q * (L_q * a_qd + h_qd),
             b_d * (L_d * a_dq + h_dq) + b_q * (L_q * a_qq + h_qq))

@@ -7,7 +7,8 @@ Two integration modes are provided:
   stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
   plant over a whole control tick on Python floats, with the voltage
   equations written inline from the entries of ``machine.dh_di`` and the
-  back-EMF, taken once per substep; most of a fine-step run is spent there.
+  back-EMF, taken once per substep, or once per tick at a constant speed;
+  most of a fine-step run is spent there.
 * ``run_continuous``: the controller is re-evaluated at every RK4 stage,
   i.e. the continuous-time closed loop.  Used for transfer-function and
   linearization-identity checks, which are continuous-time statements
@@ -28,6 +29,7 @@ it in their own bodies.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
@@ -198,23 +200,36 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     stage, so each substep equals ``rk4`` on ``dq_dynamics`` bit for bit.
     Per substep the electrical speed is the profile's at the substep's
     start, or p * omega_m in mechanical mode, where omega_m (mechanical,
-    passed through otherwise) takes an Euler step after the currents.
+    passed through otherwise) takes an Euler step after the currents,
+    with the torque of ``machine.torque`` written inline in its operation
+    order.  A ``ConstantProfile`` speed or load is called once per tick,
+    at its first substep, and the speed's entries of dh/di and e are
+    taken once with it; any other profile is called at every substep.
     Returns (i_d, i_q, omega_m).
 
+    The currents are checked once, after the last substep: each substep
+    adds the current to its own update, and inf or nan survives +, - and
+    x with finite numbers and / by the positive L_d, L_q and inertia, so
+    a current that goes non-finite stays so to the end of the tick.
+
     Raises:
-        NonFiniteStateError: if the currents of a substep are not finite.
+        NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
     params, dt, speed = s.params, s.dt_plant, s.speed
+    neg_R, L_d, L_q, psi, p = -params.R, params.L_d, params.L_q, params.psi, params.p
+    half, sixth = 0.5 * dt, dt / 6.0
     mechanical = isinstance(speed, MechanicalModel)
     if mechanical:
         load, friction, inertia = speed.load_torque, speed.friction, speed.inertia
-    neg_R, L_d, L_q, psi, p = -params.R, params.L_d, params.L_q, params.psi, params.p
-    half, sixth = 0.5 * dt, dt / 6.0
+        load_varies = type(load) is not ConstantProfile
+        k_tau, saliency = 1.5 * p, L_d - L_q  # the factors of machine.torque
+    speed_varies = mechanical or type(speed) is not ConstantProfile
     for j in range(round(s.dt_ctrl / dt)):
-        t_sub = t + j * dt
-        omega = p * omega_m if mechanical else float(speed(t_sub))
-        # the same floats as the omega entries of machine.dh_di and the back-EMF
-        h_dq, h_qd, e_q = L_q * omega, -L_d * omega, -(psi * omega)
+        if speed_varies or not j:
+            t_sub = t + j * dt
+            omega = p * omega_m if mechanical else float(speed(t_sub))
+            # the same floats as the omega entries of machine.dh_di and the back-EMF
+            h_dq, h_qd, e_q = L_q * omega, -L_d * omega, -(psi * omega)
         k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
         k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
         x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
@@ -228,11 +243,12 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
         k4_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
         i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
         i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
-        if not (math.isfinite(i_d) and math.isfinite(i_q)):
-            raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
         if mechanical:
-            tau_m = torque((i_d, i_q), params)
-            omega_m += (tau_m - load(t_sub) - friction * omega_m) / inertia * dt
+            if load_varies or not j:
+                tau_load = load(t_sub)
+            omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
+    if not (math.isfinite(i_d) and math.isfinite(i_q)):
+        raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
     return i_d, i_q, omega_m
 
 
@@ -272,10 +288,12 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     result = RunResult(frames=frames, aborted=aborted)
     if frames:
         result.cost_integral, result.copper_energy = energy_accounting(frames)
-        errors = [f.tau_ref - f.tau_est for f in frames]
         # e * e and a plain sum overflow to inf, where e ** 2 and math.fsum raise OverflowError
-        result.rms_torque_error = math.sqrt(sum(e * e for e in errors) / len(frames))
-    result.saturation_counts = {name: sum(f.flags >> k & 1 for f in frames) for k, name in enumerate(FLAG_NAMES)}
+        result.rms_torque_error = math.sqrt(sum((e := f.tau_ref - f.tau_est) * e for f in frames) / len(frames))
+    # one pass over the trace: the ticks of each distinct flags value, then their bits
+    ticks_by_flags = Counter(f.flags for f in frames)
+    result.saturation_counts = {name: sum(n for flags, n in ticks_by_flags.items() if flags >> k & 1)
+                                for k, name in enumerate(FLAG_NAMES)}
     return result
 
 

@@ -38,16 +38,19 @@ def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s):
 
 
 def _tick_speeds(rng, t, dt_plant, n_sub):
-    """One speed source per kind: constant, a ramp across the tick, sinusoid, mechanical."""
+    """One speed source per kind: constant, a ramp across the tick, sinusoid, mechanical under a
+    varying load and under a constant one (the plant step reads a constant profile once per tick)."""
     dt_ctrl = n_sub * dt_plant
     ramp = TrapezoidProfile(rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0),
                             t - 0.5 * dt_plant, t + dt_ctrl - 0.5 * dt_plant)
     mech = MechanicalModel(inertia=10.0 ** rng.uniform(-5.0, -2.0), friction=rng.uniform(0.0, 1e-2),
                            load_torque=SinusoidProfile(rng.uniform(0.0, 2.0), 1.0 / dt_ctrl))
+    mech_constant_load = MechanicalModel(inertia=10.0 ** rng.uniform(-5.0, -2.0), friction=rng.uniform(0.0, 1e-2),
+                                         load_torque=ConstantProfile(rng.uniform(-2.0, 2.0)))
     return (ConstantProfile(rng.uniform(-500.0, 500.0)), ramp,
             SinusoidProfile(rng.uniform(0.0, 400.0), rng.uniform(0.1, 1.0) / dt_ctrl, rng.uniform(-100.0, 100.0),
                             rng.uniform(0.0, 6.0)),
-            mech)
+            mech, mech_constant_load)
 
 
 def test_tick_step_equals_substep_reference(rng):
@@ -84,8 +87,13 @@ def test_rk4_equilibrium_fixed_point():
 
 
 def test_rk4_nonfinite_raises():
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-        rk4_plant_step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(P0, 1.0, 1, 1e6))
+    # the currents overflow in the first substep; with 100 substeps the tick runs 99 more on inf and nan,
+    # at constant speed and in mechanical mode, and must still raise, as the reference does at once
+    for s in (tick_scenario(P0, 1.0, 1, 1e6), tick_scenario(P0, 1e-6, 100, 1e6),
+              tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e-3, load_torque=ConstantProfile(0.5)))):
+        for step in (rk4_plant_step, _reference_tick):
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
+                step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, s)
 
 
 def _quiet_scenario(**kw):
