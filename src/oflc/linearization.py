@@ -47,7 +47,7 @@ TOL_ORTH = 1e-9
 
 class LinearizationTerms(NamedTuple):
     """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b|, the drift h = (h_d, h_q), the torque,
-    the drift's Jacobian ``machine.dh_di`` and mu at one state, each computed once per control tick."""
+    the drift's Jacobian ``machine.dh_di`` and mu at one state."""
 
     b_d: float
     b_q: float

@@ -55,10 +55,11 @@ __all__ = [
 
 # Bounds that keep a run finite; the largest uses are 2000 substeps per tick
 # (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
-# 10**5 substeps per run (scenarios/step.cfg).  At about 1 us per substep
-# (2 us in mechanical mode), 10**6 substeps take a second per tick and
-# 10**8 substeps per run 2 to 4 minutes; each tick keeps a ControlFrame of
-# about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
+# 10**5 substeps per run (scenarios/step.cfg).  At about 1.2 us per substep
+# at a constant speed and 1.6 us in mechanical mode (timeit on a 2-core
+# host, Python 3.11), 10**6 substeps take 1.2 to 1.6 s per tick and 10**8
+# substeps per run 2 to 3 minutes; each tick keeps a ControlFrame of about
+# 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
