@@ -21,11 +21,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import machine, optimizer
+from . import loop, machine, optimizer
 from .config import parse_config
 from .errors import ConfigError, DegenerateBError
 from .linearization import compute_terms
-from .loop import CONTROLLERS, ControlFrame, control_law
+from .loop import CONTROLLERS, ControlFrame
 from .optimizer import FLAG_NAMES
 from .sim import run_scenario
 
@@ -159,10 +159,11 @@ def _cmd_compare(args):
 def _cmd_selftest(args):
     """Run the shipped control law on seeded random states and check what it rests on.
 
-    Each state goes through ``loop.control_law`` (clamp, costate, z and
-    ``linearize`` with its orthogonality guard); only a state where b
-    vanishes is skipped, and any other error propagates.  Each check
-    uses the bound of the acceptance criterion that states it.
+    Each state goes through ``loop.control_law`` (b and phi, clamp,
+    costate, z and the orthogonality guard), which must equal
+    ``loop.composed_control_law`` bit for bit; only a state where b
+    vanishes is skipped, and any other error propagates.  Each other
+    check uses the bound of the acceptance criterion that states it.
     """
     import numpy as np
 
@@ -170,17 +171,19 @@ def _cmd_selftest(args):
     params = machine.MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
     v_max, n_states, eps = 48.0, 200, 1e-5
     round_trip = v_ratio = b_dot_z = a_dev = 0.0
-    checked = 0
+    checked = twin_mismatches = 0
     for _ in range(n_states):
         theta = rng.uniform(-100.0, 100.0)
         K_K_inv = machine.park_matrix(theta, params.p) @ machine.inverse_park_matrix(theta, params.p)
         round_trip = max(round_trip, float(np.abs(K_K_inv - np.eye(2)).max()))
         i, omega, u_raw = rng.uniform(-20.0, 20.0, 2), rng.uniform(-300.0, 300.0), rng.uniform(-20.0, 20.0)
+        args = (i.tolist(), omega, u_raw, params, v_max, 1e-3)
         try:
-            v, u, _, z, _ = control_law(i.tolist(), omega, u_raw, params, v_max, horizon=1e-3)
+            v, u, _, z, _ = law = loop.control_law(*args)
         except DegenerateBError:
             continue
         checked += 1
+        twin_mismatches += law != loop.composed_control_law(*args)
         v_ratio = max(v_ratio, math.hypot(*v) / v_max)
         terms = compute_terms(i, omega, params)
         z_norm = math.hypot(*z)
@@ -195,6 +198,8 @@ def _cmd_selftest(args):
 
     failures = 0
     for name, ok in ((f"states checked ({checked} of {n_states})", checked >= n_states / 2),
+                     (f"control_law equals composed_control_law ({twin_mismatches} states differ)",
+                      twin_mismatches == 0),
                      (f"transform round trip (max dev {round_trip:.2e})", round_trip <= 1e-12),
                      (f"voltage limit (max |v|/v_max {v_ratio:.12f})", v_ratio <= 1.0 + 1e-9),
                      (f"orthogonality b.z (worst rel {b_dot_z:.2e})", b_dot_z <= 1e-10),

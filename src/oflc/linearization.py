@@ -11,7 +11,10 @@ feedback linearization (Isidori, Nonlinear Control Systems, 3rd ed., 1995,
 ch. 4).  ``compute_terms`` evaluates both from these definitions, over
 ``machine.torque_gradient``, ``machine.torque``, ``machine.dh_di`` and
 ``machine.voltage_drift``, so the machine model is stated in ``machine``
-only.  Applying
+only.  ``compute_terms`` and ``linearize`` are the reference form of the
+control law's first and last steps: ``loop.control_law`` writes their
+closed forms inline, in their operation order, and the tests hold it to
+them bit for bit.  Applying
 
     v = b / |b|^2 * (u - phi) + z,     with  b^T z = 0,
 
@@ -46,7 +49,7 @@ TOL_ORTH = 1e-9
 
 
 class LinearizationTerms(NamedTuple):
-    """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b|, the drift h = (h_d, h_q), the torque,
+    """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b|, the drift h = (h_d, h_q),
     the drift's Jacobian ``machine.dh_di`` and mu at one state."""
 
     b_d: float
@@ -56,7 +59,6 @@ class LinearizationTerms(NamedTuple):
     b_norm: float
     h_d: float
     h_q: float
-    tau: float
     dh_di: tuple  # ((h_dd, h_dq), (h_qd, h_qq))
     mu: float  # MachineParams.mu
 
@@ -71,7 +73,7 @@ class LinearizationTerms(NamedTuple):
 def compute_terms(i, omega, params):
     """Evaluate b(i) = mu L^-1 grad tau, phi(i, omega) = tau + b^T h and h(i, omega) at ``i = (i_d, i_q)``.
 
-    The result also keeps tau, dh/di and mu, for the rest of the control tick.
+    The result also keeps dh/di and mu, for the costate step.
 
     Raises:
         DegenerateBError: if |b| < EPS_B (torque channel uncontrollable).
@@ -86,9 +88,8 @@ def compute_terms(i, omega, params):
 
     jacobian = dh_di(omega, params)
     h_d, h_q = voltage_drift(i, omega, params, jacobian)
-    tau = torque(i, params)
-    phi = tau + b_d * h_d + b_q * h_q
-    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm, h_d, h_q, tau, jacobian, mu)
+    phi = torque(i, params) + b_d * h_d + b_q * h_q
+    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm, h_d, h_q, jacobian, mu)
 
 
 def linearize(u, z, terms):

@@ -4,19 +4,22 @@
 settings); it is the one list of names, which ``sim.run_scenario`` and
 the CLI read.
 
-The torque pipeline per tick, on the measured dq currents:
+The torque pipeline per tick, on the measured dq currents: the torque
+estimate feeds the PI loop, which forms u (pure feedforward when both
+gains are zero), and then
 
-1. compute the linearization terms at the dq currents, the torque
-   estimate among them, and form u via the PI loop (pure feedforward
-   when both gains are zero);
+1. compute the linearization terms b and phi at the dq currents;
 2. clamp u into its feasible band given v_max;
 3. estimate the costate;
 4. compute the loss-minimizing input z on the line perpendicular to b;
 5. map (u, z) to the dq voltages the inverter applies.
 
-Steps 2 to 5 are ``control_law``, which the continuous-time simulator
-evaluates too; it runs on Python floats and takes step 1's terms, so
-the tick computes each fact once.  Each tick returns one
+Steps 1 to 5 are ``control_law``, which the continuous-time simulator
+evaluates too.  It is one flat body on Python floats, with the closed
+forms of the step functions of ``linearization`` and ``optimizer``
+written inline in their operation order, as ``sim.rk4_plant_step`` is
+for the plant; ``composed_control_law`` chains those step functions and
+is its reference, equal bit for bit.  Each tick returns one
 ``ControlFrame``: Python floats named and ordered as the trace CSV
 columns, and a flags int.  The closed torque loop behaves as the
 first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
@@ -26,12 +29,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateBError, PoorFitError, ValidationError
+from .errors import (DegenerateBError, NegativeDiscriminantError, OrthogonalityViolation, PoorFitError,
+                     ValidationError)
 from . import linearization, machine, optimizer
-from .optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
+from .linearization import EPS_B, TOL_ORTH
+from .optimizer import B_DEGENERATE, COND_LIMIT, EPS_D, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 
-__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "control_law", "TorqueController", "IdZeroController",
-           "CONTROLLERS", "closed_loop_tf_check"]
+__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "control_law", "composed_control_law",
+           "TorqueController", "IdZeroController", "CONTROLLERS", "closed_loop_tf_check"]
 
 # Largest relative RMS residual of a step response that still counts as first order.
 TF_RESIDUAL_LIMIT = 1e-2
@@ -96,22 +101,118 @@ def pi_update(tau_ref, tau_est, integrator, settings, dt):
     return tau_ref + settings.kp * e + settings.ki * integ_next, integ_next
 
 
-def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0, terms=None):
+def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
     """Map a torque command to dq voltages at the dq currents ``i_dq``.
 
-    Clamps u_raw into its feasible band, estimates the costate, picks z
-    (z = 0 unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``)
-    and linearizes.  ``terms`` are ``linearization.compute_terms`` at
-    (i_dq, omega), computed here unless the caller passes them.  Returns
-    (v_dq, u_feasible, lam, z, flags), the vectors as (d, q) pairs and
-    the flags bits of ``optimizer.FLAG_NAMES``.
+    Computes b and phi, clamps u_raw into its feasible band, estimates the
+    costate, picks z (z = 0 unless ``use_z``; ``z_smoothing`` as in
+    ``optimizer.optimal_z``) and linearizes.  Returns (v_dq, u_feasible,
+    lam, z, flags), the vectors as (d, q) pairs and the flags bits of
+    ``optimizer.FLAG_NAMES``.
+
+    The closed forms of ``compute_terms``, ``clamp_torque_command``,
+    ``costate_matrices``, ``estimate_costate``, ``z_limit``, ``optimal_z``
+    and ``linearize`` are written inline, each float operation in their
+    order, with their guards and errors; the tests and ``oflc selftest``
+    hold this body equal to ``composed_control_law`` bit for bit.
 
     Raises:
         DegenerateBError: if b vanishes at i_dq; what voltage to apply
             then is the caller's decision.
     """
-    if terms is None:
-        terms = linearization.compute_terms(i_dq, omega, params)
+    i_d, i_q = i_dq
+    R, L_d, L_q, psi = params.R, params.L_d, params.L_q, params.psi
+    # compute_terms: b = mu L^-1 grad tau, h and phi = tau + b^T h
+    k_tau, saliency = 1.5 * params.p, L_d - L_q
+    t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian
+    mu = L_q / R
+    b_d, b_q = mu / L_d * (t_dq * i_q), mu / L_q * (k_tau * (psi + saliency * i_d))
+    b2 = b_d * b_d + b_q * b_q
+    b_norm = math.sqrt(b2)
+    if b2 < EPS_B * EPS_B:
+        raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
+    h_dd = h_qq = -R
+    h_dq, h_qd = L_q * omega, -L_d * omega
+    h_d = h_dd * i_d + h_dq * i_q
+    h_q = h_qd * i_d + h_qq * i_q - psi * omega
+    phi = k_tau * (psi * i_q + saliency * i_d * i_q) + b_d * h_d + b_q * h_q
+    # clamp_torque_command
+    u_min, u_max = phi - b_norm * v_max, phi + b_norm * v_max
+    if u_raw > u_max:
+        u, clamped = u_max, True
+    elif u_raw < u_min:
+        u, clamped = u_min, True
+    else:
+        u, clamped = u_raw, False
+    # costate_matrices: A = (u - phi) Lambda + Gamma
+    g_dq, g_qd = mu / L_d * t_dq, mu / L_q * t_dq
+    dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q
+    dphi_q = L_q * b_q / mu + g_dq * h_d + h_dq * b_d + h_qq * b_q
+    gb_d, gb_q = g_qd * b_q, g_dq * b_d
+    w = 2.0 / (b2 * b2)
+    j_dd, j_dq = -w * b_d * gb_d, g_dq / b2 - w * b_d * gb_q
+    j_qd, j_qq = g_qd / b2 - w * b_q * gb_d, -w * b_q * gb_q
+    e = u - phi
+    c_d, c_q = b_d / b2, b_q / b2
+    # estimate_costate: M = I/h + A^T, lambda = 2 M^-1 i or the fallback 2 h i
+    m_dd = 1.0 / horizon + (c_d * dphi_d - h_dd - e * j_dd) / L_d
+    m_qd = (c_d * dphi_q - h_dq - e * j_dq) / L_d
+    m_dq = (c_q * dphi_d - h_qd - e * j_qd) / L_q
+    m_qq = 1.0 / horizon + (c_q * dphi_q - h_qq - e * j_qq) / L_q
+    det = m_dd * m_qq - m_dq * m_qd
+    flags = U_CLAMPED if clamped else 0
+    if m_dd * m_dd + m_dq * m_dq + m_qd * m_qd + m_qq * m_qq < COND_LIMIT * abs(det):
+        lam_d = 2.0 * ((m_qq * i_d - m_dq * i_q) / det)
+        lam_q = 2.0 * ((m_dd * i_q - m_qd * i_d) / det)
+    else:
+        lam_d, lam_q = 2.0 * horizon * i_d, 2.0 * horizon * i_q
+        flags |= LAMBDA_FALLBACK
+    if use_z:
+        # z_limit; a clamped u leaves exactly no budget, where z_limit would return rounding noise
+        if clamped:
+            z_max = 0.0
+        else:
+            disc = v_max * v_max - e * e / b2
+            if disc < 0.0:
+                # tiny negatives from the clamp boundary round to zero
+                if not disc > -1e-9 * v_max * v_max:
+                    raise NegativeDiscriminantError(f"discriminant = {disc:.3e}; torque command not clamped?")
+                z_max = 0.0
+            else:
+                z_max = math.sqrt(disc)
+        # optimal_z: m n on the line perpendicular to b, n = (-b_q, b_d) / |b|
+        n_d, n_q = -b_q / b_norm, b_d / b_norm
+        s = n_d * (lam_d / L_d) + n_q * (lam_q / L_q)
+        if z_smoothing > 0.0:
+            m = -alpha_z * z_max * s / math.sqrt(s * s + z_smoothing * z_smoothing)
+            z_d, z_q = m * n_d, m * n_q
+            if z_max <= 0.0:
+                flags |= Z_ZEROED
+        elif abs(s) < EPS_D or z_max <= 0.0:
+            z_d = z_q = 0.0
+            flags |= Z_ZEROED
+        else:
+            m = -math.copysign(alpha_z * z_max, s)
+            z_d, z_q = m * n_d, m * n_q
+            flags |= Z_AT_LIMIT
+        # linearize's orthogonality guard
+        b_dot_z = b_d * z_d + b_q * z_q
+        z_norm = math.hypot(z_d, z_q)
+        if abs(b_dot_z) > TOL_ORTH * b_norm * z_norm and z_norm > 0.0:
+            raise OrthogonalityViolation(f"|b.z| = {abs(b_dot_z):.3e} for |b||z| = {b_norm * z_norm:.3e}")
+    else:
+        z_d = z_q = 0.0
+    # linearize: v = b/|b|^2 (u - phi) + z
+    return (c_d * e + z_d, c_q * e + z_q), u, (lam_d, lam_q), (z_d, z_q), flags
+
+
+def composed_control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
+    """``control_law`` as the composition of the step functions, one call per step of the law.
+
+    The reference form: same arguments, results and errors as
+    ``control_law``, bit for bit.
+    """
+    terms = linearization.compute_terms(i_dq, omega, params)
     u_feasible, clamped = optimizer.clamp_torque_command(u_raw, terms, v_max)
     A = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
     lam, fallback = optimizer.estimate_costate(i_dq, A, horizon)
@@ -145,28 +246,21 @@ class TorqueController:
         self._v_prev = (0.0, 0.0)
 
     def step(self, t, omega, i_dq, tau_ref):
-        """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame.
-
-        The linearization terms are computed once, and their torque is the
-        torque estimate; where b vanishes the torque is computed alone.
-        """
+        """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame."""
         s = self.scenario
         params = s.params
         i_d, i_q = i_dq
-        try:
-            terms = linearization.compute_terms(i_dq, omega, params)
-        except DegenerateBError:
-            terms = None
-        tau_est = machine.torque(i_dq, params) if terms is None else terms.tau
+        tau_est = machine.torque(i_dq, params)
         p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
         u_raw, integ_next = pi_update(tau_ref, tau_est, self.integrator, self.settings, s.dt_ctrl)
-        if terms is None:
+        try:
+            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
+                i_dq, omega, u_raw, params, s.v_max, s.horizon, self.settings.alpha_z, self.use_z)
+        except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
             v_d, v_q = self._v_prev
             u_feasible, lambda_d, lambda_q, z_d, z_q, flags = u_raw, 0.0, 0.0, 0.0, 0.0, B_DEGENERATE
         else:
-            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
-                i_dq, omega, u_raw, params, s.v_max, s.horizon, self.settings.alpha_z, self.use_z, terms=terms)
             if not flags & U_CLAMPED:
                 self.integrator = integ_next
             self._v_prev = (v_d, v_q)

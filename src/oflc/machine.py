@@ -12,10 +12,14 @@ Conventions used throughout the package:
 * the machine model is stated here only: ``torque``, ``torque_gradient``
   and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
-  ``dh_di`` and the back-EMF e = (0, -psi omega).  The one inline copy is
-  ``sim.rk4_plant_step``: of the voltage equations, and in mechanical
-  mode of ``torque``.  One test in ``tests/test_sim.py`` ties it to
-  ``dq_dynamics`` and ``torque`` bit for bit;
+  ``dh_di`` and the back-EMF e = (0, -psi omega).  Two inline copies
+  exist, each for speed and each tied to its reference bit for bit by a
+  test: ``sim.rk4_plant_step`` copies the voltage equations, and in
+  mechanical mode ``torque``, tied to ``dq_dynamics`` and ``torque`` in
+  ``tests/test_sim.py``; ``loop.control_law`` copies ``torque``,
+  ``torque_gradient``, ``torque_hessian``, ``dh_di`` and
+  ``voltage_drift``, tied in ``tests/test_loop.py`` to
+  ``loop.composed_control_law``, which calls them;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -77,6 +81,12 @@ class MachineParams:
         # bool is an Integral, but the config cannot read True back as a pole-pair count
         if not (isinstance(self.p, numbers.Integral) and not isinstance(self.p, bool) and self.p >= 1):
             raise ValidationError("p", f"must be a positive integer, got {self.p}")
+        try:
+            k_tau = 1.5 * self.p  # the torque constant, which the control law and the plant use
+        except OverflowError:
+            k_tau = math.inf
+        if not math.isfinite(k_tau):
+            raise ValidationError("p", "must be small enough that 1.5 * p is a finite float")
 
     @property
     def eta(self):

@@ -6,7 +6,7 @@ Pipeline per control tick (after the linearization terms are known):
 2. assemble A = (u - phi) * Lambda + Gamma, the negative Jacobian of the
    current dynamics under the linearizing control; Gamma holds the chain
    rule on phi = tau + b^T h, dphi/di = grad tau + (db/di)^T h + (dh/di)^T b
-   with grad tau = L b / mu, written once, in ``costate_matrices``;
+   with grad tau = L b / mu, in ``costate_matrices``;
 3. estimate the costate lambda = 2 (I/h + A^T)^-1 i (one-step discrete
    costate with zero terminal boundary);
 4. pick z on the admissible line z = m n, where n = (-b_q, b_d) / |b| is
@@ -15,10 +15,14 @@ Pipeline per control tick (after the linearization terms are known):
    Hamiltonian is affine in m with slope s = n^T L^-1 lambda, so its
    exact pointwise minimizer is m = -alpha_z z_max sign(s).
 
-b^T z = 0 holds by construction.  The tick path works on Python floats:
-2-vectors are (d, q) pairs and 2x2 matrices pairs of rows.  The array
-forms ``current_dynamics``, ``hamiltonian`` and ``printed_lambda_matrix``
-are independent checks for the tests.
+b^T z = 0 holds by construction.  These step functions are the reference
+form of the law's middle steps: ``loop.control_law`` writes their closed
+forms inline, in their operation order, and the tests and ``oflc
+selftest`` hold it bit for bit to ``loop.composed_control_law``, which
+calls them.  They work on Python floats: 2-vectors are (d, q) pairs and
+2x2 matrices pairs of rows.  The array forms ``current_dynamics``,
+``hamiltonian`` and ``printed_lambda_matrix`` are independent checks for
+the tests.
 """
 
 import math
@@ -87,7 +91,7 @@ def costate_matrices(i, omega, u, terms, params):
     Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).  The state (i, omega)
     enters through ``terms``, its dh/di and mu included.
     """
-    b_d, b_q, phi, b2, _, h_d, h_q, _, ((h_dd, h_dq), (h_qd, h_qq)), mu = terms
+    b_d, b_q, phi, b2, _, h_d, h_q, ((h_dd, h_dq), (h_qd, h_qq)), mu = terms
     L_d, L_q = params.L_d, params.L_q
     # db/di = mu L^-1 (the Hessian of tau) = G = [[0, g_dq], [g_qd, 0]]
     t_dq = torque_hessian(params)

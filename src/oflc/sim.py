@@ -142,6 +142,8 @@ class Scenario:
             raise ValidationError("horizon", "must be positive")
         if self.v_max <= 0.0:
             raise ValidationError("v_max", "must be positive")
+        if not math.isfinite(self.v_max * self.v_max):  # the control law squares it
+            raise ValidationError("v_max", f"must have a finite square, got {self.v_max}")
         if not isinstance(self.params, MachineParams):
             raise ValidationError("params", f"must be a MachineParams, got {self.params!r}")
         if not callable(self.tau_ref):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oflc import linearization
+from oflc import loop
 from oflc.cli import main
 from oflc.config import parse_config
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
@@ -141,6 +141,7 @@ def test_validation_error_exits_1(tmp_path, capsys):
     for flag, value, message in (("--alpha-z", "2", "controller.alpha_z: must be in (0, 1]"),
                                  ("--kp", "-1", "controller.kp"), ("--ki", "-1", "controller.ki"),
                                  ("--v-max", "nan", "v_max: must be finite"),
+                                 ("--v-max", "1e200", "v_max: must have a finite square"),
                                  ("--kp", "nan", "controller.kp"), ("--ki", "inf", "controller.ki")):
         rc = main(["simulate", "--scenario", str(good), "--out", str(tmp_path), flag, value])
         assert rc == 1
@@ -151,6 +152,7 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("dt_plant = 1e-5", "dt_plant = nan", "dt_plant: must be finite"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nv_max = nan", "v_max: must be finite"),
                               ("p = 4", "p = 4.5", "machine.p: not an integer"),
+                              ("p = 4", "p = 1" + "0" * 400, "machine.p: must be small enough that 1.5 * p is a finite"),
                               ("R = 0.5", "R = inf", "machine.R: must be positive and finite"),
                               ("L_d = 3e-3", "L_d = nan", "machine.L_d: must be positive and finite"),
                               ("L_q = 5e-3", "L_q = inf", "machine.L_q: must be positive and finite"),
@@ -305,9 +307,9 @@ def test_selftest(capsys, monkeypatch):
 
     # an error of the law is a failure, not a skipped state
     def broken(*args):
-        raise TypeError("broken compute_terms")
+        raise TypeError("broken control_law")
 
-    monkeypatch.setattr(linearization, "compute_terms", broken)
-    with pytest.raises(TypeError, match="broken compute_terms"):
+    monkeypatch.setattr(loop, "control_law", broken)
+    with pytest.raises(TypeError, match="broken control_law"):
         main(["selftest"])
     assert "selftest OK" not in capsys.readouterr().out

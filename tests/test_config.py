@@ -129,10 +129,10 @@ def test_mechanical_speed_section():
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+# the control law squares each machine constant and v_max, so they need a finite square
+FINITE_SQUARE = st.floats(min_value=0.0, exclude_min=True, max_value=1e150)
 
-# MachineParams also needs a finite square of each constant
-MACHINES = st.builds(MachineParams, *[st.floats(min_value=0.0, exclude_min=True, max_value=1e150)] * 4,
-                     p=st.integers(1, 1000))
+MACHINES = st.builds(MachineParams, *[FINITE_SQUARE] * 4, p=st.integers(1, 1000))
 
 
 def _tables(n):
@@ -161,7 +161,7 @@ def scenarios(draw):
     dt_ctrl = draw(st.integers(1, 1000)) * dt_plant
     return Scenario(params=draw(MACHINES), duration=draw(st.integers(1, 10_000)) * dt_ctrl, tau_ref=draw(PROFILES),
                     speed=draw(PROFILES | MECHANICAL), dt_plant=dt_plant, dt_ctrl=dt_ctrl, horizon=draw(POSITIVE),
-                    v_max=draw(POSITIVE), i0=(draw(FINITE), draw(FINITE)))
+                    v_max=draw(FINITE_SQUARE), i0=(draw(FINITE), draw(FINITE)))
 
 
 @given(scenarios(), SETTINGS)

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import P0, P_NS, V_MAX, random_state, tick_scenario
 from oflc import machine, optimizer
-from oflc.linearization import compute_terms, linearize
-from oflc.loop import ControllerSettings, TorqueController, closed_loop_tf_check, control_law, pi_update
+from oflc.errors import DegenerateBError
+from oflc.linearization import compute_terms
+from oflc.loop import (ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check, composed_control_law,
+                       control_law, pi_update)
 from oflc.optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from oflc.profiles import ConstantProfile, StepProfile
 from oflc.sim import run_continuous
@@ -121,25 +123,69 @@ def test_control_step_clamped_command():
     assert np.hypot(frame.v_d, frame.v_q) == pytest.approx(V_MAX)
 
 
-def test_control_step_replay_is_bit_identical():
-    ctrl = _controller()
-    i_dq, omega, tau_ref = _dq(0.3, (4.0, -1.5, -2.5)), 150.0, 3.0
-    frame = ctrl.step(0.0, omega, i_dq, tau_ref)
+def _signed_log_current(rng):
+    """A current drawn log-uniform in magnitude from 1 uA to 50 A, of random sign: last-bit changes of
+    the law show at small magnitudes and can round away at large ones."""
+    return float(np.copysign(10.0 ** rng.uniform(-6.0, np.log10(50.0)), rng.uniform(-1.0, 1.0)))
 
-    # replay through the individual module operations
-    terms = compute_terms(i_dq, omega, P0)
-    u_f, _ = optimizer.clamp_torque_command(tau_ref, terms, V_MAX)
-    A = optimizer.costate_matrices(i_dq, omega, u_f, terms, P0)
-    lam, _ = optimizer.estimate_costate(i_dq, A, 1e-3)
-    z_max = optimizer.z_limit(u_f, terms, V_MAX)
-    z, _ = optimizer.optimal_z(lam, terms, P0, z_max)
-    v_dq = linearize(u_f, z, terms)
 
-    assert (frame.i_d, frame.i_q) == i_dq
-    assert frame.u_feasible == u_f
-    assert (frame.lambda_d, frame.lambda_q) == lam
-    assert (frame.z_d, frame.z_q) == z
-    assert (frame.v_d, frame.v_q) == v_dq
+# 1e-160 overflows |I/h|_F^2 in the costate solve, which forces the lambda fallback
+HORIZONS = (1e-3, 10.0, 1e-160)
+ALL_FLAGS = U_CLAMPED | Z_AT_LIMIT | Z_ZEROED | B_DEGENERATE | LAMBDA_FALLBACK
+
+
+def test_control_law_equals_step_composition(rng):
+    seen = 0
+    for params in (P0, P_NS):
+        for horizon in HORIZONS:
+            for smoothing in (0.0, 0.5):
+                for use_z in (True, False):
+                    for _ in range(300):
+                        i = (_signed_log_current(rng), _signed_log_current(rng))
+                        args = (i, rng.uniform(-300.0, 300.0), rng.uniform(-80.0, 80.0), params, V_MAX, horizon,
+                                rng.uniform(0.1, 1.0), use_z, smoothing)
+                        got = control_law(*args)
+                        assert got == composed_control_law(*args)
+                        seen |= got[-1]
+    assert seen == ALL_FLAGS & ~B_DEGENERATE
+    # i_d = psi/(eta L_d) = 50, i_q = 0 makes b vanish
+    for law in (control_law, composed_control_law):
+        with pytest.raises(DegenerateBError):
+            law((50.0, 0.0), 100.0, 6.0, P0, V_MAX, 1e-3)
+
+
+def test_control_step_replay_is_bit_identical(rng):
+    # each tick against machine.torque, pi_update and the step-function composition, with the
+    # controller's integrator and held voltage tracked alongside
+    settings, dt = ControllerSettings(), 1e-4
+    seen = 0
+    for params in (P0, P_NS):
+        for horizon in HORIZONS:
+            for use_z in (True, False):
+                ctrl = TorqueController(tick_scenario(params, dt, 1, v_max=V_MAX, horizon=horizon), settings, use_z)
+                integrator, v_prev = 0.0, (0.0, 0.0)
+                for k in range(200):
+                    i_d, i_q = (50.0, 0.0) if k % 50 == 49 else (_signed_log_current(rng), _signed_log_current(rng))
+                    t, omega, tau_ref = k * dt, rng.uniform(-300.0, 300.0), rng.uniform(-60.0, 60.0)
+                    frame = ctrl.step(t, omega, (i_d, i_q), tau_ref)
+
+                    tau_est = machine.torque((i_d, i_q), params)
+                    u_raw, integ_next = pi_update(tau_ref, tau_est, integrator, settings, dt)
+                    try:
+                        v, u, lam, z, flags = composed_control_law((i_d, i_q), omega, u_raw, params, V_MAX, horizon,
+                                                                   settings.alpha_z, use_z)
+                    except DegenerateBError:
+                        v, u, lam, z, flags = v_prev, u_raw, (0.0, 0.0), (0.0, 0.0), B_DEGENERATE
+                    else:
+                        if not flags & U_CLAMPED:
+                            integrator = integ_next
+                        v_prev = v
+                    p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
+                    assert frame == ControlFrame(t, i_d, i_q, *v, tau_ref, tau_est, u_raw, u, omega, *z, *lam,
+                                                 p_copper, flags)
+                    assert ctrl.integrator == integrator
+                    seen |= flags
+    assert seen == ALL_FLAGS
 
 
 def test_control_step_deterministic():
