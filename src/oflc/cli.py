@@ -71,8 +71,8 @@ def _build_parser():
 
 def _load(args):
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
     scenario, settings = parse_config(text)
 
@@ -170,6 +170,7 @@ def _cmd_selftest(args):
     rng = np.random.default_rng(0)
     params = machine.MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
     v_max, n_states, eps = 48.0, 200, 1e-5
+    law = loop.law_constants(params, v_max, 1e-3)
     round_trip = v_ratio = b_dot_z = a_dev = 0.0
     checked = twin_mismatches = 0
     for _ in range(n_states):
@@ -177,13 +178,13 @@ def _cmd_selftest(args):
         K_K_inv = machine.park_matrix(theta, params.p) @ machine.inverse_park_matrix(theta, params.p)
         round_trip = max(round_trip, float(np.abs(K_K_inv - np.eye(2)).max()))
         i, omega, u_raw = rng.uniform(-20.0, 20.0, 2), rng.uniform(-300.0, 300.0), rng.uniform(-20.0, 20.0)
-        args = (i.tolist(), omega, u_raw, params, v_max, 1e-3)
+        args = (i.tolist(), omega, u_raw)
         try:
-            v, u, _, z, _ = law = loop.control_law(*args)
+            v, u, _, z, _ = out = loop.control_law(*args, law)
         except DegenerateBError:
             continue
         checked += 1
-        twin_mismatches += law != loop.composed_control_law(*args)
+        twin_mismatches += out != loop.composed_control_law(*args, params, v_max, 1e-3)
         v_ratio = max(v_ratio, math.hypot(*v) / v_max)
         terms = compute_terms(i, omega, params)
         z_norm = math.hypot(*z)

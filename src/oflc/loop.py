@@ -23,6 +23,17 @@ is its reference, equal bit for bit.  Each tick returns one
 ``ControlFrame``: Python floats named and ordered as the trace CSV
 columns, and a flags int.  The closed torque loop behaves as the
 first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
+
+What does not change within a run is computed once per run, where the
+run's objects are built.  ``law_constants`` turns the machine, v_max,
+the horizon and the z rule into the tuple that ``control_law`` takes;
+``TorqueController.__init__`` builds it together with the tick's other
+constants (the factors of the torque and of the copper loss, the PI
+gains and dt_ctrl), and ``sim.run_continuous`` and ``oflc selftest``
+build it once per run.  ``TorqueController.step`` then writes
+``machine.torque`` and ``pi_update`` inline; those two and
+``composed_control_law`` remain the reference it is held to, bit for
+bit.
 """
 
 import math
@@ -35,7 +46,7 @@ from . import linearization, machine, optimizer
 from .linearization import EPS_B, TOL_ORTH
 from .optimizer import B_DEGENERATE, COND_LIMIT, EPS_D, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 
-__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "control_law", "composed_control_law",
+__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "law_constants", "control_law", "composed_control_law",
            "TorqueController", "IdZeroController", "CONTROLLERS", "closed_loop_tf_check"]
 
 # Largest relative RMS residual of a step response that still counts as first order.
@@ -101,14 +112,33 @@ def pi_update(tau_ref, tau_est, integrator, settings, dt):
     return tau_ref + settings.kp * e + settings.ki * integ_next, integ_next
 
 
-def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
+def law_constants(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
+    """The run's constants of ``control_law``: one tuple, to pass as its ``law``.
+
+    Everything the law needs that depends on neither the currents, the
+    speed nor the torque command, computed once per run with the float
+    operations the law would otherwise repeat at every tick.  The
+    arguments are those of ``composed_control_law`` after ``params``.
+    """
+    R, L_d, L_q = params.R, params.L_d, params.L_q
+    k_tau, saliency = 1.5 * params.p, L_d - L_q
+    t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian
+    mu = L_q / R
+    mu_d, mu_q = mu / L_d, mu / L_q
+    # -R twice: h_dd and h_qq, the diagonal of dh/di
+    return (L_d, L_q, params.psi, k_tau, saliency, t_dq, mu, mu_d, mu_q, -R, -R, -L_d, mu_d * t_dq, mu_q * t_dq,
+            1.0 / horizon, 2.0 * horizon, v_max, v_max * v_max, alpha_z, use_z, z_smoothing)
+
+
+def control_law(i_dq, omega, u_raw, law):
     """Map a torque command to dq voltages at the dq currents ``i_dq``.
 
-    Computes b and phi, clamps u_raw into its feasible band, estimates the
-    costate, picks z (z = 0 unless ``use_z``; ``z_smoothing`` as in
-    ``optimizer.optimal_z``) and linearizes.  Returns (v_dq, u_feasible,
-    lam, z, flags), the vectors as (d, q) pairs and the flags bits of
-    ``optimizer.FLAG_NAMES``.
+    ``law`` is the tuple of ``law_constants``, which sets the machine,
+    v_max, the costate horizon and the z rule.  Computes b and phi, clamps
+    u_raw into its feasible band, estimates the costate, picks z (z = 0
+    unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``) and
+    linearizes.  Returns (v_dq, u_feasible, lam, z, flags), the vectors as
+    (d, q) pairs and the flags bits of ``optimizer.FLAG_NAMES``.
 
     The closed forms of ``compute_terms``, ``clamp_torque_command``,
     ``costate_matrices``, ``estimate_costate``, ``z_limit``, ``optimal_z``
@@ -121,18 +151,15 @@ def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=T
             then is the caller's decision.
     """
     i_d, i_q = i_dq
-    R, L_d, L_q, psi = params.R, params.L_d, params.L_q, params.psi
+    (L_d, L_q, psi, k_tau, saliency, t_dq, mu, mu_d, mu_q, h_dd, h_qq, neg_L_d, g_dq, g_qd,
+     inv_h, two_h, v_max, v_max2, alpha_z, use_z, z_smoothing) = law
     # compute_terms: b = mu L^-1 grad tau, h and phi = tau + b^T h
-    k_tau, saliency = 1.5 * params.p, L_d - L_q
-    t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian
-    mu = L_q / R
-    b_d, b_q = mu / L_d * (t_dq * i_q), mu / L_q * (k_tau * (psi + saliency * i_d))
+    b_d, b_q = mu_d * (t_dq * i_q), mu_q * (k_tau * (psi + saliency * i_d))
     b2 = b_d * b_d + b_q * b_q
     b_norm = math.sqrt(b2)
     if b2 < EPS_B * EPS_B:
         raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
-    h_dd = h_qq = -R
-    h_dq, h_qd = L_q * omega, -L_d * omega
+    h_dq, h_qd = L_q * omega, neg_L_d * omega
     h_d = h_dd * i_d + h_dq * i_q
     h_q = h_qd * i_d + h_qq * i_q - psi * omega
     phi = k_tau * (psi * i_q + saliency * i_d * i_q) + b_d * h_d + b_q * h_q
@@ -145,7 +172,6 @@ def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=T
     else:
         u, clamped = u_raw, False
     # costate_matrices: A = (u - phi) Lambda + Gamma
-    g_dq, g_qd = mu / L_d * t_dq, mu / L_q * t_dq
     dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q
     dphi_q = L_q * b_q / mu + g_dq * h_d + h_dq * b_d + h_qq * b_q
     gb_d, gb_q = g_qd * b_q, g_dq * b_d
@@ -155,24 +181,24 @@ def control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=T
     e = u - phi
     c_d, c_q = b_d / b2, b_q / b2
     # estimate_costate: M = I/h + A^T, lambda = 2 M^-1 i or the fallback 2 h i
-    m_dd = 1.0 / horizon + (c_d * dphi_d - h_dd - e * j_dd) / L_d
+    m_dd = inv_h + (c_d * dphi_d - h_dd - e * j_dd) / L_d
     m_qd = (c_d * dphi_q - h_dq - e * j_dq) / L_d
     m_dq = (c_q * dphi_d - h_qd - e * j_qd) / L_q
-    m_qq = 1.0 / horizon + (c_q * dphi_q - h_qq - e * j_qq) / L_q
+    m_qq = inv_h + (c_q * dphi_q - h_qq - e * j_qq) / L_q
     det = m_dd * m_qq - m_dq * m_qd
     flags = U_CLAMPED if clamped else 0
     if m_dd * m_dd + m_dq * m_dq + m_qd * m_qd + m_qq * m_qq < COND_LIMIT * abs(det):
         lam_d = 2.0 * ((m_qq * i_d - m_dq * i_q) / det)
         lam_q = 2.0 * ((m_dd * i_q - m_qd * i_d) / det)
     else:
-        lam_d, lam_q = 2.0 * horizon * i_d, 2.0 * horizon * i_q
+        lam_d, lam_q = two_h * i_d, two_h * i_q
         flags |= LAMBDA_FALLBACK
     if use_z:
         # z_limit; a clamped u leaves exactly no budget, where z_limit would return rounding noise
         if clamped:
             z_max = 0.0
         else:
-            disc = v_max * v_max - e * e / b2
+            disc = v_max2 - e * e / b2
             if disc < 0.0:
                 # tiny negatives from the clamp boundary round to zero
                 if not disc > -1e-9 * v_max * v_max:
@@ -236,6 +262,9 @@ class TorqueController:
     ``integrator`` is the PI loop's integral of the torque error; it is
     frozen whenever the torque command is clamped (conditional-integration
     anti-windup).
+
+    The constants of a tick are taken once, here: the scenario, settings
+    and ``use_z`` are bound at construction.
     """
 
     def __init__(self, scenario, settings, use_z=True):
@@ -244,18 +273,27 @@ class TorqueController:
         self.use_z = use_z
         self.integrator = 0.0
         self._v_prev = (0.0, 0.0)
+        params = scenario.params
+        self._tick = (1.5 * params.p, params.psi, params.L_d - params.L_q, 1.5 * params.R, settings.kp, settings.ki,
+                      scenario.dt_ctrl,
+                      law_constants(params, scenario.v_max, scenario.horizon, settings.alpha_z, use_z))
 
     def step(self, t, omega, i_dq, tau_ref):
-        """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame."""
-        s = self.scenario
-        params = s.params
+        """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame.
+
+        ``machine.torque``, the copper loss and ``pi_update`` are written
+        inline in their operation order; the tests hold each frame equal
+        to the one they and ``composed_control_law`` give, bit for bit.
+        """
+        k_tau, psi, saliency, k_cu, kp, ki, dt, law = self._tick
         i_d, i_q = i_dq
-        tau_est = machine.torque(i_dq, params)
-        p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
-        u_raw, integ_next = pi_update(tau_ref, tau_est, self.integrator, self.settings, s.dt_ctrl)
+        tau_est = k_tau * (psi * i_q + saliency * i_d * i_q)
+        p_copper = k_cu * (i_d * i_d + i_q * i_q)
+        e = tau_ref - tau_est
+        integ_next = self.integrator + e * dt
+        u_raw = tau_ref + kp * e + ki * integ_next
         try:
-            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(
-                i_dq, omega, u_raw, params, s.v_max, s.horizon, self.settings.alpha_z, self.use_z)
+            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(i_dq, omega, u_raw, law)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
             v_d, v_q = self._v_prev
@@ -264,8 +302,9 @@ class TorqueController:
             if not flags & U_CLAMPED:
                 self.integrator = integ_next
             self._v_prev = (v_d, v_q)
-        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, u_raw, u_feasible, omega,
-                            z_d, z_q, lambda_d, lambda_q, p_copper, flags)
+        # tuple.__new__ skips the argument parsing of ControlFrame's own __new__
+        return tuple.__new__(ControlFrame, (t, i_d, i_q, v_d, v_q, tau_ref, tau_est, u_raw, u_feasible, omega,
+                                            z_d, z_q, lambda_d, lambda_q, p_copper, flags))
 
 
 class IdZeroController:

@@ -12,14 +12,15 @@ Conventions used throughout the package:
 * the machine model is stated here only: ``torque``, ``torque_gradient``
   and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
-  ``dh_di`` and the back-EMF e = (0, -psi omega).  Two inline copies
+  ``dh_di`` and the back-EMF e = (0, -psi omega).  Three inline copies
   exist, each for speed and each tied to its reference bit for bit by a
   test: ``sim.rk4_plant_step`` copies the voltage equations, and in
   mechanical mode ``torque``, tied to ``dq_dynamics`` and ``torque`` in
   ``tests/test_sim.py``; ``loop.control_law`` copies ``torque``,
   ``torque_gradient``, ``torque_hessian``, ``dh_di`` and
   ``voltage_drift``, tied in ``tests/test_loop.py`` to
-  ``loop.composed_control_law``, which calls them;
+  ``loop.composed_control_law``, which calls them; and
+  ``loop.TorqueController.step`` copies ``torque``, tied there to it;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that

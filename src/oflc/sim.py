@@ -17,7 +17,12 @@ Two integration modes are provided:
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
 ``run_continuous``.  ``rk4_plant_step`` is its measured fast twin: the
 tests hold every substep of it equal to ``rk4`` on ``dq_dynamics`` bit
-for bit.
+for bit.  What the plant tick needs that does not change within a run
+(the substep count and fractions of dt_plant, the machine constants and
+the kind of speed source and load) is computed once per scenario, in
+``Scenario.__post_init__``, and kept as a private tuple beside the
+dataclass fields; ``rk4_plant_step`` only unpacks it.  Likewise each
+controller takes its constants once, at construction (see ``loop``).
 
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
 control tick; ``energy_accounting`` and the run's summary figures read
@@ -36,7 +41,7 @@ from typing import Callable, Tuple, Union
 from .errors import NonFiniteStateError, ValidationError
 from . import optimizer
 from .linearization import compute_terms
-from .loop import CONTROLLERS, ControllerSettings, control_law
+from .loop import CONTROLLERS, ControllerSettings, control_law, law_constants
 from .machine import MachineParams, dq_dynamics, torque
 from .optimizer import FLAG_NAMES
 from .profiles import ConstantProfile
@@ -150,6 +155,15 @@ class Scenario:
             raise ValidationError("tau_ref", f"must be a torque profile, got {self.tau_ref!r}")
         if not (callable(self.speed) or isinstance(self.speed, MechanicalModel)):
             raise ValidationError("speed", f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
+        # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
+        params, speed, dt = self.params, self.speed, self.dt_plant
+        mechanical = isinstance(speed, MechanicalModel)
+        load = speed.load_torque if mechanical else None
+        object.__setattr__(self, "_plant", (
+            range(n_sub), dt, 0.5 * dt, dt / 6.0, -params.R, params.L_d, params.L_q, params.psi, params.p, speed,
+            mechanical, mechanical or type(speed) is not ConstantProfile, load, type(load) is not ConstantProfile,
+            speed.friction if mechanical else None, speed.inertia if mechanical else None,
+            1.5 * params.p, params.L_d - params.L_q))  # the factors of machine.torque
 
 
 @dataclass
@@ -208,7 +222,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     order.  A ``ConstantProfile`` speed or load is called once per tick,
     at its first substep, and the speed's entries of dh/di and e are
     taken once with it; any other profile is called at every substep.
-    Returns (i_d, i_q, omega_m).
+    The constants of the tick are those ``Scenario.__post_init__`` took
+    from ``s``.  Returns (i_d, i_q, omega_m).
 
     The currents are checked once, after the last substep: each substep
     adds the current to its own update, and inf or nan survives +, - and
@@ -218,16 +233,9 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    params, dt, speed = s.params, s.dt_plant, s.speed
-    neg_R, L_d, L_q, psi, p = -params.R, params.L_d, params.L_q, params.psi, params.p
-    half, sixth = 0.5 * dt, dt / 6.0
-    mechanical = isinstance(speed, MechanicalModel)
-    if mechanical:
-        load, friction, inertia = speed.load_torque, speed.friction, speed.inertia
-        load_varies = type(load) is not ConstantProfile
-        k_tau, saliency = 1.5 * p, L_d - L_q  # the factors of machine.torque
-    speed_varies = mechanical or type(speed) is not ConstantProfile
-    for j in range(round(s.dt_ctrl / dt)):
+    (substeps, dt, half, sixth, neg_R, L_d, L_q, psi, p, speed, mechanical, speed_varies, load, load_varies,
+     friction, inertia, k_tau, saliency) = s._plant
+    for j in substeps:
         if speed_varies or not j:
             t_sub = t + j * dt
             omega = p * omega_m if mechanical else float(speed(t_sub))
@@ -262,7 +270,6 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     with ``settings`` (which ``id_zero`` does not use); another name raises ValueError.
     """
     s = scenario
-    params = s.params
     if hasattr(controller, "step"):
         ctrl = controller
     elif isinstance(controller, str) and controller in CONTROLLERS:
@@ -270,17 +277,18 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     else:
         raise ValueError(f"unknown controller {controller!r}; expected one of {tuple(CONTROLLERS)}")
 
-    n_ctrl = round(s.duration / s.dt_ctrl)
+    dt_ctrl, speed, tau_ref, p = s.dt_ctrl, s.speed, s.tau_ref, s.params.p
+    n_ctrl = round(s.duration / dt_ctrl)
     i_d, i_q = map(float, s.i0)
-    mechanical = isinstance(s.speed, MechanicalModel)
-    omega_m = float(s.speed.omega0) if mechanical else 0.0  # mechanical, mechanical mode only
+    mechanical = isinstance(speed, MechanicalModel)
+    omega_m = float(speed.omega0) if mechanical else 0.0  # mechanical, mechanical mode only
     frames = []
     aborted = False
 
     for k in range(n_ctrl):
-        t = k * s.dt_ctrl
-        omega_e = params.p * omega_m if mechanical else float(s.speed(t))
-        frame = ctrl.step(t, omega_e, (i_d, i_q), float(s.tau_ref(t)))
+        t = k * dt_ctrl
+        omega_e = p * omega_m if mechanical else float(speed(t))
+        frame = ctrl.step(t, omega_e, (i_d, i_q), float(tau_ref(t)))
         frames.append(frame)
         try:
             i_d, i_q, omega_m = rk4_plant_step(i_d, i_q, omega_m, frame.v_d, frame.v_q, t, s)
@@ -351,9 +359,11 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     """
     import numpy as np
 
+    law = law_constants(params, v_max, 1e-3, 1.0, use_z, z_smoothing)
+
     def deriv(i, t):
         omega = float(omega_profile(t))
-        v = control_law(i.tolist(), omega, float(u_profile(t)), params, v_max, 1e-3, 1.0, use_z, z_smoothing)[0]
+        v = control_law(i.tolist(), omega, float(u_profile(t)), law)[0]
         return dq_dynamics(i, v, omega, params)
 
     ts, states = _rk4_trajectory(deriv, i0, duration, dt)

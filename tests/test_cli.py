@@ -209,14 +209,17 @@ def test_validation_error_exits_1(tmp_path, capsys):
 
 
 # (scenario, --out, $OFLC_OUT_DIR, message); "file" is an existing regular file, "tiny" a valid scenario
+# and "not_utf8.cfg" a file whose bytes are not UTF-8
 @pytest.mark.parametrize("scenario, out, env_out, message", [
     ("nope.cfg", None, None, "error: cannot read scenario file"),
+    ("not_utf8.cfg", None, None, "error: cannot read scenario file: 'utf-8' codec can't decode"),
     ("tiny", "file", None, "error: --out: "),
     ("tiny", "file/sub", None, "error: --out: "),
     ("tiny", None, "file", "error: --out: "),
-], ids=["missing_scenario", "out_is_file", "out_under_file", "env_out_is_file"])
+], ids=["missing_scenario", "not_utf8", "out_is_file", "out_under_file", "env_out_is_file"])
 def test_missing_file_exits_1(tiny_cfg, tmp_path, scenario, out, env_out, message):
     (tmp_path / "file").write_text("")
+    (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfe")
     argv = [sys.executable, "-m", "oflc.cli", "simulate",
             "--scenario", str(tiny_cfg if scenario == "tiny" else tmp_path / scenario)]
     if out:

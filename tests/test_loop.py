@@ -6,7 +6,7 @@ from oflc import machine, optimizer
 from oflc.errors import DegenerateBError
 from oflc.linearization import compute_terms
 from oflc.loop import (ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check, composed_control_law,
-                       control_law, pi_update)
+                       control_law, law_constants, pi_update)
 from oflc.optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from oflc.profiles import ConstantProfile, StepProfile
 from oflc.sim import run_continuous
@@ -80,11 +80,12 @@ def _reference_control_law(i, omega, u_raw, params, v_max, horizon, smoothing):
 @pytest.mark.parametrize("params", [P0, P_NS], ids=["salient", "non_salient"])
 def test_control_law_matches_array_reference(rng, params, smoothing):
     flag_counts = np.zeros(5, dtype=int)
+    law = law_constants(params, V_MAX, 1e-3, z_smoothing=smoothing)
     for _ in range(2000):
         i, omega, _ = random_state(rng, params)
         i = tuple(i.tolist())
         u_raw = rng.uniform(-60.0, 60.0)
-        v, _, lam, z, flags = control_law(i, omega, u_raw, params, V_MAX, 1e-3, z_smoothing=smoothing)
+        v, _, lam, z, flags = control_law(i, omega, u_raw, law)
         v_ref, lam_ref, z_ref, flags_ref = _reference_control_law(i, omega, u_raw, params, V_MAX, 1e-3, smoothing)
         assert flags == flags_ref
         for got, ref in ((v, v_ref), (lam, lam_ref), (z, z_ref)):
@@ -144,24 +145,28 @@ def test_control_law_equals_step_composition(rng):
                         i = (_signed_log_current(rng), _signed_log_current(rng))
                         args = (i, rng.uniform(-300.0, 300.0), rng.uniform(-80.0, 80.0), params, V_MAX, horizon,
                                 rng.uniform(0.1, 1.0), use_z, smoothing)
-                        got = control_law(*args)
+                        got = control_law(*args[:3], law_constants(*args[3:]))
                         assert got == composed_control_law(*args)
                         seen |= got[-1]
     assert seen == ALL_FLAGS & ~B_DEGENERATE
     # i_d = psi/(eta L_d) = 50, i_q = 0 makes b vanish
-    for law in (control_law, composed_control_law):
-        with pytest.raises(DegenerateBError):
-            law((50.0, 0.0), 100.0, 6.0, P0, V_MAX, 1e-3)
+    with pytest.raises(DegenerateBError):
+        control_law((50.0, 0.0), 100.0, 6.0, law_constants(P0, V_MAX, 1e-3))
+    with pytest.raises(DegenerateBError):
+        composed_control_law((50.0, 0.0), 100.0, 6.0, P0, V_MAX, 1e-3)
 
 
 def test_control_step_replay_is_bit_identical(rng):
     # each tick against machine.torque, pi_update and the step-function composition, with the
-    # controller's integrator and held voltage tracked alongside
-    settings, dt = ControllerSettings(), 1e-4
+    # controller's integrator and held voltage tracked alongside; each controller draws its own
+    # settings and tick, which it binds at construction
     seen = 0
     for params in (P0, P_NS):
         for horizon in HORIZONS:
             for use_z in (True, False):
+                settings = ControllerSettings(kp=rng.uniform(0.0, 20.0), ki=rng.uniform(0.0, 2000.0),
+                                              alpha_z=rng.uniform(0.1, 1.0))
+                dt = 10.0 ** rng.uniform(-5.0, -3.0)
                 ctrl = TorqueController(tick_scenario(params, dt, 1, v_max=V_MAX, horizon=horizon), settings, use_z)
                 integrator, v_prev = 0.0, (0.0, 0.0)
                 for k in range(200):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -54,7 +55,10 @@ def _tick_speeds(rng, t, dt_plant, n_sub):
 
 
 def test_tick_step_equals_substep_reference(rng):
-    # same operations in the same order: equal to the last bit, not just close
+    # same operations in the same order: equal to the last bit, not just close.  Each scenario is also
+    # made by dataclasses.replace() from the one before it, changing its machine, dt_plant, substep
+    # count or kind of speed, so a plant constant kept from that one would show
+    previous = tick_scenario(P_NS, 1e-6, 3, speed=MechanicalModel(inertia=1e-3))
     for params in (P0, P_NS):
         for n_sub in (1, 7, 100):
             for _ in range(20):
@@ -63,13 +67,20 @@ def test_tick_step_equals_substep_reference(rng):
                 i_d, i_q = (rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-6.0, 1.7, 2)).tolist()
                 v_d, v_q = rng.uniform(-48.0, 48.0, 2).tolist()
                 omega_m = rng.uniform(-100.0, 100.0)
-                for speed in _tick_speeds(rng, t, dt_plant, n_sub):
+                speeds = _tick_speeds(rng, t, dt_plant, n_sub)
+                for k in rng.permutation(len(speeds)):
+                    speed = speeds[k]
                     s = tick_scenario(params, dt_plant, n_sub, speed=speed)
-                    step = sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s)
-                    assert all(type(x) is float for x in step)
-                    assert step == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s)
-                    if not isinstance(speed, MechanicalModel):
-                        assert step[2] == omega_m
+                    replaced = dataclasses.replace(previous, params=params, speed=speed, dt_plant=dt_plant,
+                                                   dt_ctrl=s.dt_ctrl, duration=s.duration)
+                    assert replaced == s
+                    for scenario in (s, replaced):
+                        step = sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario)
+                        assert all(type(x) is float for x in step)
+                        assert step == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, scenario)
+                        if not isinstance(speed, MechanicalModel):
+                            assert step[2] == omega_m
+                    previous = replaced
 
 
 def test_tick_step_nonfinite_mid_tick_raises():
