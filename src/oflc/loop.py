@@ -263,14 +263,11 @@ class TorqueController:
     frozen whenever the torque command is clamped (conditional-integration
     anti-windup).
 
-    The constants of a tick are taken once, here: the scenario, settings
-    and ``use_z`` are bound at construction.
+    The scenario, settings and ``use_z`` are read once, at construction,
+    into the constants of a tick; the instance keeps no reference to them.
     """
 
     def __init__(self, scenario, settings, use_z=True):
-        self.scenario = scenario
-        self.settings = settings
-        self.use_z = use_z
         self.integrator = 0.0
         self._v_prev = (0.0, 0.0)
         params = scenario.params
