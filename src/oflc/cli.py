@@ -15,13 +15,13 @@ Exit codes: 0 success, 1 usage/validation error, 2 numerical abort.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from . import loop, machine, optimizer
+from . import loop, machine, optimizer, records
 from .config import parse_config
 from .errors import ConfigError, DegenerateBError
 from .linearization import compute_terms
@@ -80,8 +80,8 @@ def _load(args):
         return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
     # replace() re-runs the validation of both objects on the overridden values
-    scenario = dataclasses.replace(scenario, **overrides("v_max", "horizon"))
-    settings = dataclasses.replace(settings, **overrides("kp", "ki", "alpha_z"))
+    scenario = records.replace(scenario, **overrides("v_max", "horizon"))
+    settings = records.replace(settings, **overrides("kp", "ki", "alpha_z"))
     if args.decimate < 1:
         raise ConfigError("--decimate must be >= 1")
     return scenario, settings
@@ -95,6 +95,15 @@ def _out_dir(args):
     except OSError as exc:
         raise ConfigError(f"--out: cannot create output directory: {exc}") from exc
     return path
+
+
+@contextmanager
+def _writing(path):
+    """Yield ``path``; an OSError while writing it exits 1 naming the file."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc}") from exc
 
 
 def _write_trace(path, frames, decimate):
@@ -121,8 +130,11 @@ def _write_summary(path, name, result):
 
 def _run_one(name, scenario, settings, out_dir, decimate):
     result = run_scenario(scenario, controller=name, settings=settings)
-    _write_trace(out_dir / f"{name}_trace.csv", result.frames, decimate)
-    for line in _write_summary(out_dir / f"{name}_summary.txt", name, result):
+    with _writing(out_dir / f"{name}_trace.csv") as path:
+        _write_trace(path, result.frames, decimate)
+    with _writing(out_dir / f"{name}_summary.txt") as path:
+        lines = _write_summary(path, name, result)
+    for line in lines:
         print(line)
     return result
 
@@ -149,7 +161,8 @@ def _cmd_compare(args):
         ratio = results["oflc"].cost_integral / results["flc_z0"].cost_integral
         lines.append(f"oflc_over_flc_z0_energy_ratio: {ratio!r}")
         lines.append(f"energy_saving_percent: {(1.0 - ratio) * 100.0!r}")
-    (out_dir / "compare_summary.txt").write_text("\n".join(lines) + "\n")
+    with _writing(out_dir / "compare_summary.txt") as path:
+        path.write_text("\n".join(lines) + "\n")
     print("--- compare ---")
     for line in lines:
         print(line)

@@ -22,15 +22,14 @@ electrical-speed profile, or ``kind = mechanical`` with the fields of
 and ``[controller]`` (``loop.ControllerSettings``).
 
 Each section's keys, which of them are required and their defaults are
-read off the dataclass it builds; a profile section's keys are the fields
-of the profile class its ``kind`` names.  The file format adds only its
-own facts: ``duration`` defaults to 0.1 s, the initial currents ``i0``
+read off the ``records.fields`` of the record class it builds; a profile
+section's keys are the fields of the profile class its ``kind`` names.
+The file format adds only its own facts: ``duration`` defaults to 0.1 s, the initial currents ``i0``
 are the keys ``i_d0`` and ``i_q0``, and the mechanical ``load`` is a
 constant load torque.
 """
 
 import configparser
-import dataclasses
 import io
 import math
 from typing import Tuple
@@ -39,6 +38,7 @@ from .errors import ParseError, ValidationError
 from .loop import ControllerSettings
 from .machine import MachineParams
 from .profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
+from .records import MISSING, fields
 from .sim import MechanicalModel, Scenario
 
 __all__ = ["parse_config", "serialize_config"]
@@ -55,13 +55,13 @@ _TYPES = {
 
 
 def _keys(cls, **defaults):
-    """{key: (type, default)} of the config section of dataclass ``cls``, in field order.
+    """{key: (type, default)} of the config section of record class ``cls``, in field order.
 
-    ``defaults`` override the dataclass's; a key with no default is
-    required (``dataclasses.MISSING``).
+    ``defaults`` override the record's; a key with no default is
+    required (``records.MISSING``).
     """
     keys = {}
-    for f in dataclasses.fields(cls):
+    for f in fields(cls):
         default = defaults.get(f.name, f.default)
         if f.name == "i0":
             keys.update(i_d0=(float, default[0]), i_q0=(float, default[1]))
@@ -85,7 +85,7 @@ def _read(section, name, keys):
     for key, (kind, default) in keys.items():
         field = f"{name}.{key}"
         if key not in section:
-            if default is dataclasses.MISSING:
+            if default is MISSING:
                 raise ValidationError(field, "missing")
             values[key] = default
             continue
@@ -153,7 +153,7 @@ def parse_config(text):
 
 
 def _text(obj, **values):
-    """The config section of dataclass ``obj``: each key's value, from ``values`` or the field, as text."""
+    """The config section of record ``obj``: each key's value, from ``values`` or the field, as text."""
     return {key: _TYPES[kind][2](values[key] if key in values else getattr(obj, key))
             for key, (kind, _) in _keys(type(obj)).items()}
 

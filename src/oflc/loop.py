@@ -37,7 +37,6 @@ bit.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (DegenerateBError, NegativeDiscriminantError, OrthogonalityViolation, PoorFitError,
@@ -45,6 +44,7 @@ from .errors import (DegenerateBError, NegativeDiscriminantError, OrthogonalityV
 from . import linearization, machine, optimizer
 from .linearization import EPS_B, TOL_ORTH
 from .optimizer import B_DEGENERATE, COND_LIMIT, EPS_D, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
+from .records import Record
 
 __all__ = ["ControllerSettings", "ControlFrame", "pi_update", "law_constants", "control_law", "composed_control_law",
            "TorqueController", "IdZeroController", "CONTROLLERS", "closed_loop_tf_check"]
@@ -56,8 +56,7 @@ TF_RESIDUAL_LIMIT = 1e-2
 ID_ZERO_BANDWIDTH = 2000.0
 
 
-@dataclass(frozen=True)
-class ControllerSettings:
+class ControllerSettings(Record):
     """Settings of the torque controller: the PI gains of the outer torque loop and alpha_z.
 
     Raises ValidationError naming ``controller.<field>`` for a value out

@@ -32,9 +32,9 @@ All functions here are pure and safe to call concurrently.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 from .errors import ValidationError
+from .records import Record
 
 __all__ = [
     "MachineParams",
@@ -54,8 +54,7 @@ __all__ = [
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 
-@dataclass(frozen=True)
-class MachineParams:
+class MachineParams(Record):
     """Electrical constants of the machine.
 
     Attributes:

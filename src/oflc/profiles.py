@@ -1,23 +1,24 @@
 """Time profiles for reference torque, speed and load torque.
 
-Each profile is a small frozen dataclass callable as ``profile(t)``; the
-``kind`` tag and field names round-trip through the scenario config
-format.  Every number of a profile must be finite, except +inf where it
-is the field's default (the open end times of a trapezoid).
+Each profile is a small frozen ``records.Record`` callable as
+``profile(t)``; the ``kind`` tag and field names round-trip through the
+scenario config format.  Every number of a profile must be finite,
+except +inf where it is the field's default (the open end times of a
+trapezoid).
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from typing import Tuple
 
 from .errors import ValidationError
+from .records import Record, fields
 
 __all__ = ["ConstantProfile", "StepProfile", "SinusoidProfile", "TrapezoidProfile", "TableProfile"]
 
 
-class _Profile:
-    """Base of the profile dataclasses: checks that their numbers are finite."""
+class _Profile(Record):
+    """Base of the profile records: checks that their numbers are finite."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -29,7 +30,6 @@ class _Profile:
                     raise ValidationError(f.name, f"must not be nan or {'-inf' if open_end else 'infinite'}")
 
 
-@dataclass(frozen=True)
 class ConstantProfile(_Profile):
     value: float
 
@@ -39,7 +39,6 @@ class ConstantProfile(_Profile):
         return self.value
 
 
-@dataclass(frozen=True)
 class StepProfile(_Profile):
     initial: float
     final: float
@@ -51,7 +50,6 @@ class StepProfile(_Profile):
         return self.final if t >= self.t_step else self.initial
 
 
-@dataclass(frozen=True)
 class SinusoidProfile(_Profile):
     amplitude: float
     frequency: float  # Hz
@@ -64,7 +62,6 @@ class SinusoidProfile(_Profile):
         return self.offset + self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
 
 
-@dataclass(frozen=True)
 class TrapezoidProfile(_Profile):
     """Ramp from ``initial`` to ``final`` over [t0, t1], hold, optionally
     ramp back to ``initial`` over [t2, t3]."""
@@ -90,7 +87,6 @@ class TrapezoidProfile(_Profile):
         return self.initial
 
 
-@dataclass(frozen=True)
 class TableProfile(_Profile):
     """Piecewise-linear interpolation through (times, values) breakpoints.
 

@@ -21,7 +21,7 @@ for bit.  What the plant tick needs that does not change within a run
 (the substep count and fractions of dt_plant, the machine constants and
 the kind of speed source and load) is computed once per scenario, in
 ``Scenario.__post_init__``, and kept as a private tuple beside the
-dataclass fields; ``rk4_plant_step`` only unpacks it.  Likewise each
+record's fields; ``rk4_plant_step`` only unpacks it.  Likewise each
 controller takes its constants once, at construction (see ``loop``).
 
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
@@ -35,7 +35,6 @@ it in their own bodies.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
 from .errors import NonFiniteStateError, ValidationError
@@ -45,6 +44,7 @@ from .loop import CONTROLLERS, ControllerSettings, control_law, law_constants
 from .machine import MachineParams, dq_dynamics, torque
 from .optimizer import FLAG_NAMES
 from .profiles import ConstantProfile
+from .records import Record
 
 __all__ = [
     "MechanicalModel",
@@ -70,8 +70,7 @@ MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
 
 
-@dataclass(frozen=True)
-class MechanicalModel:
+class MechanicalModel(Record):
     """Rigid mechanical load: J dw/dt = tau - tau_load - friction * w, from w = omega0.
 
     Speeds here are mechanical; the electrical speed fed to the machine
@@ -94,8 +93,7 @@ class MechanicalModel:
             raise ValidationError("load_torque", f"must be a load torque profile, got {self.load_torque!r}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """One simulation run: machine, profiles, rates and limits.
 
     ``speed`` is the one speed source: a prescribed electrical speed
@@ -166,16 +164,15 @@ class Scenario:
             1.5 * params.p, params.L_d - params.L_q))  # the factors of machine.torque
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """Trace and summary figures of one scenario run."""
 
     frames: list  # one ControlFrame per control tick
-    cost_integral: float = 0.0  # int |i|^2 dt, A^2 s
-    copper_energy: float = 0.0  # int 3/2 R |i|^2 dt, J
-    rms_torque_error: float = 0.0
-    saturation_counts: dict = field(default_factory=dict)
-    aborted: bool = False
+    cost_integral: float  # int |i|^2 dt, A^2 s
+    copper_energy: float  # int 3/2 R |i|^2 dt, J
+    rms_torque_error: float
+    saturation_counts: dict  # {flag name: ticks with that flag set}
+    aborted: bool
 
 
 def rk4(f, x, t, h):
@@ -296,16 +293,16 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
             aborted = True
             break
 
-    result = RunResult(frames=frames, aborted=aborted)
+    cost = copper = rms_error = 0.0
     if frames:
-        result.cost_integral, result.copper_energy = energy_accounting(frames)
+        cost, copper = energy_accounting(frames)
         # e * e and a plain sum overflow to inf, where e ** 2 and math.fsum raise OverflowError
-        result.rms_torque_error = math.sqrt(sum((e := f.tau_ref - f.tau_est) * e for f in frames) / len(frames))
+        rms_error = math.sqrt(sum((e := f.tau_ref - f.tau_est) * e for f in frames) / len(frames))
     # one pass over the trace: the ticks of each distinct flags value, then their bits
     ticks_by_flags = Counter(f.flags for f in frames)
-    result.saturation_counts = {name: sum(n for flags, n in ticks_by_flags.items() if flags >> k & 1)
-                                for k, name in enumerate(FLAG_NAMES)}
-    return result
+    saturation_counts = {name: sum(n for flags, n in ticks_by_flags.items() if flags >> k & 1)
+                         for k, name in enumerate(FLAG_NAMES)}
+    return RunResult(frames, cost, copper, rms_error, saturation_counts, aborted)
 
 
 def energy_accounting(frames):
@@ -332,8 +329,7 @@ def run_open_loop(params, v_fn, omega_fn, i0, duration, dt):
     return _rk4_trajectory(lambda i, t: dq_dynamics(i, v_fn(t), omega_fn(t), params), i0, duration, dt)
 
 
-@dataclass
-class ContinuousRun:
+class ContinuousRun(Record):
     """Sampled trajectory of a continuous-control closed-loop run."""
 
     t: "np.ndarray"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oflc import loop
+from oflc import loop, records
 from oflc.cli import main
 from oflc.config import parse_config
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
@@ -77,7 +76,7 @@ def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
         out = tmp_path / f"v_max_{v_max}"
         main(["compare", "--scenario", str(tiny_cfg), "--out", str(out), "--v-max", repr(v_max),
               "--controllers", *CONTROLLERS])
-        limited = dataclasses.replace(scenario, v_max=v_max)
+        limited = records.replace(scenario, v_max=v_max)
         for name in CONTROLLERS:
             header, *rows = (out / f"{name}_trace.csv").read_text().splitlines()[1:]
             assert header == ",".join(ControlFrame._fields)
@@ -234,6 +233,19 @@ def test_missing_file_exits_1(tiny_cfg, tmp_path, scenario, out, env_out, messag
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("simulate", "oflc_trace.csv"),
+    ("simulate", "oflc_summary.txt"),
+    ("compare", "compare_summary.txt"),
+])
+def test_unwritable_output_exits_1(tiny_cfg, tmp_path, capsys, command, blocked):
+    # a directory where an output file goes cannot be opened for writing, even by root
+    out = tmp_path / "runs"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--scenario", str(tiny_cfg), "--out", str(out)]) == 1
+    assert f"error: --out: cannot write {out / blocked}: " in capsys.readouterr().err
+
+
 def test_override_flags(tiny_cfg, tmp_path):
     out = tmp_path / "ovr"
     rc = main(["simulate", "--scenario", str(tiny_cfg), "--out", str(out),
@@ -246,7 +258,7 @@ def test_override_flags(tiny_cfg, tmp_path):
         assert math.hypot(float(vals["v_d"]), float(vals["v_q"])) <= 24.0 * (1.0 + 1e-9)
 
     # the overrides reach the run: its frames are those of the overridden settings, not of the defaults
-    scenario = dataclasses.replace(parse_config(TINY)[0], v_max=24.0)
+    scenario = records.replace(parse_config(TINY)[0], v_max=24.0)
     frames = run_scenario(scenario, "oflc", settings=ControllerSettings(kp=0.0, ki=0.0, alpha_z=0.5)).frames
     assert _trace_frames(out / "oflc_trace.csv") == frames
     assert frames != run_scenario(scenario, "oflc").frames
@@ -272,7 +284,8 @@ def test_cli_import_skips_scipy():
 
 
 def test_run_path_skips_numpy(tmp_path):
-    # numpy is slow to import; only the array-form checks and the selftest need it
+    # numpy is slow to import and only the array-form checks and the selftest need it; dataclasses, which
+    # imports inspect, cost 20-35 ms of every start, and records.Record replaces it
     table = tmp_path / "table.cfg"
     table.write_text(TINY.replace("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 4e-3\nvalues = 0 3 1"))
     code = f"""
@@ -283,7 +296,7 @@ for cfg in ({str(table)!r}, {str(SCENARIOS / "mechanical.cfg")!r}):
     for name in CONTROLLERS:
         assert oflc.cli.main(["simulate", "--scenario", cfg, "--controller", name, "--out", {str(tmp_path)!r}]) == 0
     assert oflc.cli.main(["compare", "--scenario", cfg, "--controllers", *CONTROLLERS, "--out", {str(tmp_path)!r}]) == 0
-for module in ("numpy", "scipy", "scipy.optimize"):
+for module in ("numpy", "scipy", "scipy.optimize", "dataclasses", "inspect"):
     assert module not in sys.modules, module + " imported"
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oflc import records
 from oflc.config import ControllerSettings, parse_config, serialize_config
 from oflc.errors import ParseError, ValidationError
 from oflc.machine import MachineParams
@@ -180,11 +180,11 @@ def _not_a_profile(t):
 def test_serialize_rejects_unwritable_load(scenario, field, load):
     # the format holds only profiles, and of a mechanical load only a constant one
     if field == "torque":
-        scenario = dataclasses.replace(scenario, tau_ref=_not_a_profile)
+        scenario = records.replace(scenario, tau_ref=_not_a_profile)
     elif field == "speed":
-        scenario = dataclasses.replace(scenario, speed=_not_a_profile)
+        scenario = records.replace(scenario, speed=_not_a_profile)
     else:
-        scenario = dataclasses.replace(scenario, speed=MechanicalModel(inertia=1e-3, load_torque=load))
+        scenario = records.replace(scenario, speed=MechanicalModel(inertia=1e-3, load_torque=load))
     with pytest.raises(ValidationError) as exc:
         serialize_config(scenario)
     assert exc.value.field == field

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from pathlib import Path
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import P0, P_NS, V_MAX, tick_scenario
-from oflc import sim
+from oflc import records, sim
 from oflc.errors import NonFiniteStateError
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
 from oflc.machine import dq_dynamics, torque
@@ -56,7 +55,7 @@ def _tick_speeds(rng, t, dt_plant, n_sub):
 
 def test_tick_step_equals_substep_reference(rng):
     # same operations in the same order: equal to the last bit, not just close.  Each scenario is also
-    # made by dataclasses.replace() from the one before it, changing its machine, dt_plant, substep
+    # made by records.replace() from the one before it, changing its machine, dt_plant, substep
     # count or kind of speed, so a plant constant kept from that one would show
     previous = tick_scenario(P_NS, 1e-6, 3, speed=MechanicalModel(inertia=1e-3))
     for params in (P0, P_NS):
@@ -71,8 +70,8 @@ def test_tick_step_equals_substep_reference(rng):
                 for k in rng.permutation(len(speeds)):
                     speed = speeds[k]
                     s = tick_scenario(params, dt_plant, n_sub, speed=speed)
-                    replaced = dataclasses.replace(previous, params=params, speed=speed, dt_plant=dt_plant,
-                                                   dt_ctrl=s.dt_ctrl, duration=s.duration)
+                    replaced = records.replace(previous, params=params, speed=speed, dt_plant=dt_plant,
+                                               dt_ctrl=s.dt_ctrl, duration=s.duration)
                     assert replaced == s
                     for scenario in (s, replaced):
                         step = sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario)
