@@ -24,9 +24,9 @@ and ``[controller]`` (``loop.ControllerSettings``).
 Each section's keys, which of them are required and their defaults are
 read off the ``records.fields`` of the record class it builds; a profile
 section's keys are the fields of the profile class its ``kind`` names.
-The file format adds only its own facts: ``duration`` defaults to 0.1 s, the initial currents ``i0``
-are the keys ``i_d0`` and ``i_q0``, and the mechanical ``load`` is a
-constant load torque.
+The file format adds only its own facts: ``duration`` defaults to 0.1 s,
+the initial currents ``i0`` are the keys ``i_d0`` and ``i_q0``, and the
+mechanical ``load`` is a constant load torque.
 """
 
 import configparser
