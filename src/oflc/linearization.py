@@ -9,7 +9,7 @@ L di/dt = h(i, omega) + v, dtau/dt = grad tau^T L^-1 (h + v), so
 b = mu L^-1 grad tau and phi = tau + b^T h: the Lie-derivative form of
 feedback linearization (Isidori, Nonlinear Control Systems, 3rd ed., 1995,
 ch. 4).  ``compute_terms`` evaluates both from these definitions, over
-``machine.torque_gradient``, ``machine.torque``, ``machine.dh_di`` and
+``machine.torque_gradient``, ``machine.torque`` and
 ``machine.voltage_drift``, so the machine model is stated in ``machine``
 only.  ``compute_terms`` and ``linearize`` are the reference form of the
 control law's first and last steps: ``loop.control_law`` writes their
@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateBError, OrthogonalityViolation
-from .machine import dh_di, torque, torque_gradient, voltage_drift
+from .machine import torque, torque_gradient, voltage_drift
 
 __all__ = [
     "EPS_B",
@@ -49,8 +49,7 @@ TOL_ORTH = 1e-9
 
 
 class LinearizationTerms(NamedTuple):
-    """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b|, the drift h = (h_d, h_q),
-    the drift's Jacobian ``machine.dh_di`` and mu at one state."""
+    """Torque-channel direction b = (b_d, b_q), phi, |b|^2, |b| and the drift h = (h_d, h_q) at one state."""
 
     b_d: float
     b_q: float
@@ -59,8 +58,6 @@ class LinearizationTerms(NamedTuple):
     b_norm: float
     h_d: float
     h_q: float
-    dh_di: tuple  # ((h_dd, h_dq), (h_qd, h_qq))
-    mu: float  # MachineParams.mu
 
     @property
     def b(self):
@@ -73,8 +70,6 @@ class LinearizationTerms(NamedTuple):
 def compute_terms(i, omega, params):
     """Evaluate b(i) = mu L^-1 grad tau, phi(i, omega) = tau + b^T h and h(i, omega) at ``i = (i_d, i_q)``.
 
-    The result also keeps dh/di and mu, for the costate step.
-
     Raises:
         DegenerateBError: if |b| < EPS_B (torque channel uncontrollable).
     """
@@ -86,10 +81,9 @@ def compute_terms(i, omega, params):
     if b_norm_sq < EPS_B * EPS_B:
         raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i[0]}, {i[1]})")
 
-    jacobian = dh_di(omega, params)
-    h_d, h_q = voltage_drift(i, omega, params, jacobian)
+    h_d, h_q = voltage_drift(i, omega, params)
     phi = torque(i, params) + b_d * h_d + b_q * h_q
-    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm, h_d, h_q, jacobian, mu)
+    return LinearizationTerms(b_d, b_q, phi, b_norm_sq, b_norm, h_d, h_q)
 
 
 def linearize(u, z, terms):

@@ -238,15 +238,15 @@ def composed_control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0
     ``control_law``, bit for bit.
     """
     terms = linearization.compute_terms(i_dq, omega, params)
-    u_feasible, clamped = optimizer.clamp_torque_command(u_raw, terms, v_max)
+    u_feasible, flags = optimizer.clamp_torque_command(u_raw, terms, v_max)
     A = optimizer.costate_matrices(i_dq, omega, u_feasible, terms, params)
-    lam, fallback = optimizer.estimate_costate(i_dq, A, horizon)
-    flags = (U_CLAMPED if clamped else 0) | (LAMBDA_FALLBACK if fallback else 0)
+    lam, lam_flags = optimizer.estimate_costate(i_dq, A, horizon)
+    flags |= lam_flags
     if use_z:
         # a clamped u leaves exactly no budget; z_limit would return rounding noise
-        z_max = 0.0 if clamped else optimizer.z_limit(u_feasible, terms, v_max)
+        z_max = 0.0 if flags & U_CLAMPED else optimizer.z_limit(u_feasible, terms, v_max)
         z, z_flags = optimizer.optimal_z(lam, terms, params, z_max, alpha_z, smoothing=z_smoothing)
-        flags |= (Z_AT_LIMIT if z_flags.z_at_limit else 0) | (Z_ZEROED if z_flags.z_zeroed else 0)
+        flags |= z_flags
     else:
         z = (0.0, 0.0)
     return linearization.linearize(u_feasible, z, terms), u_feasible, lam, z, flags

@@ -170,13 +170,10 @@ def torque_hessian(params):
     return 1.5 * params.p * (params.L_d - params.L_q)
 
 
-def voltage_drift(i, omega, params, jacobian=None):
-    """Drift h = (dh/di) i + e of L di/dt = h(i, omega) + v, with the back-EMF e = (0, -psi omega); (h_d, h_q).
-
-    ``jacobian`` is ``dh_di(omega, params)`` when the caller already has it.
-    """
+def voltage_drift(i, omega, params):
+    """Drift h = (dh/di) i + e of L di/dt = h(i, omega) + v, with the back-EMF e = (0, -psi omega); (h_d, h_q)."""
     i_d, i_q = i
-    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params) if jacobian is None else jacobian
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
     return h_dd * i_d + h_dq * i_q, h_qd * i_d + h_qq * i_q - params.psi * omega
 
 

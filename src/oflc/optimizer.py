@@ -20,13 +20,13 @@ form of the law's middle steps: ``loop.control_law`` writes their closed
 forms inline, in their operation order, and the tests and ``oflc
 selftest`` hold it bit for bit to ``loop.composed_control_law``, which
 calls them.  They work on Python floats: 2-vectors are (d, q) pairs and
-2x2 matrices pairs of rows.  The array forms ``current_dynamics``,
-``hamiltonian`` and ``printed_lambda_matrix`` are independent checks for
-the tests.
+2x2 matrices pairs of rows; the clamp, costate and z steps return the
+trace's bits of ``FLAG_NAMES`` they raise.  The array forms
+``current_dynamics``, ``hamiltonian`` and ``printed_lambda_matrix`` are
+independent checks for the tests.
 """
 
 import math
-from typing import NamedTuple
 
 from .errors import NegativeDiscriminantError
 from .linearization import compute_terms
@@ -37,7 +37,6 @@ __all__ = [
     "COND_LIMIT",
     "FLAG_NAMES",
     "U_CLAMPED", "Z_AT_LIMIT", "Z_ZEROED", "B_DEGENERATE", "LAMBDA_FALLBACK",
-    "ZFlags",
     "dphi_di",
     "dh_di",
     "printed_lambda_matrix",
@@ -61,13 +60,6 @@ FLAG_NAMES = ("u_clamped", "z_at_limit", "z_zeroed", "b_degenerate", "lambda_fal
 U_CLAMPED, Z_AT_LIMIT, Z_ZEROED, B_DEGENERATE, LAMBDA_FALLBACK = (1 << k for k in range(len(FLAG_NAMES)))
 
 
-class ZFlags(NamedTuple):
-    """Flags raised by the z rule (named as in FLAG_NAMES)."""
-
-    z_at_limit: bool
-    z_zeroed: bool
-
-
 def printed_lambda_matrix(terms, params):
     """Compact published form of Lambda; kept as a cross-check only."""
     import numpy as np
@@ -88,11 +80,13 @@ def costate_matrices(i, omega, u, terms, params):
     """A = (u - phi) Lambda + Gamma, by rows.
 
     Lambda = -L^-1 d(b/|b|^2)/di is zero for a non-salient machine, and
-    Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).  The state (i, omega)
-    enters through ``terms``, its dh/di and mu included.
+    Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).  The state enters through
+    ``terms`` and ``omega``, which must be the speed ``terms`` was
+    computed at; ``i`` is unused, kept for the criteria's call form.
     """
-    b_d, b_q, phi, b2, _, h_d, h_q, ((h_dd, h_dq), (h_qd, h_qq)), mu = terms
-    L_d, L_q = params.L_d, params.L_q
+    b_d, b_q, phi, b2, _, h_d, h_q = terms
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
+    L_d, L_q, mu = params.L_d, params.L_q, params.mu
     # db/di = mu L^-1 (the Hessian of tau) = G = [[0, g_dq], [g_qd, 0]]
     t_dq = torque_hessian(params)
     g_dq, g_qd = mu / L_d * t_dq, mu / L_q * t_dq
@@ -119,7 +113,7 @@ def dphi_di(i, omega, params):
     """
     terms = compute_terms(i, omega, params)
     (a_dd, a_dq), (a_qd, a_qq) = costate_matrices(i, omega, terms.phi, terms, params)
-    (h_dd, h_dq), (h_qd, h_qq) = terms.dh_di
+    (h_dd, h_dq), (h_qd, h_qq) = dh_di(omega, params)
     b_d, b_q, L_d, L_q = terms.b_d, terms.b_q, params.L_d, params.L_q
     return (b_d * (L_d * a_dd + h_dd) + b_q * (L_q * a_qd + h_qd),
             b_d * (L_d * a_dq + h_dq) + b_q * (L_q * a_qq + h_qq))
@@ -140,9 +134,9 @@ def current_dynamics(i, omega, u, z, params):
 def estimate_costate(i, A, horizon):
     """One-step discrete costate lambda = 2 (I/h + A^T)^-1 i, by Cramer's rule.
 
-    Returns (lambda, fallback_used).  If M = I/h + A^T is ill conditioned
-    (cond > COND_LIMIT = C), singular or not finite, the A-free fallback
-    lambda = 2 h i is returned with the flag set.  A 2x2 M has
+    Returns (lambda, flags): flags is LAMBDA_FALLBACK if M = I/h + A^T is
+    ill conditioned (cond > COND_LIMIT = C), singular or not finite, and
+    lambda then the A-free fallback 2 h i; otherwise 0.  A 2x2 M has
     |M|_F^2 / |det M| = cond + 1/cond, and C + 1/C rounds to C, so the
     test is one inequality, which a nan or an overflow fails as well.
     """
@@ -152,21 +146,21 @@ def estimate_costate(i, A, horizon):
     m_dq, m_qd = a_qd, a_dq
     det = m_dd * m_qq - m_dq * m_qd
     if not m_dd * m_dd + m_dq * m_dq + m_qd * m_qd + m_qq * m_qq < COND_LIMIT * abs(det):
-        return (2.0 * horizon * i_d, 2.0 * horizon * i_q), True
+        return (2.0 * horizon * i_d, 2.0 * horizon * i_q), LAMBDA_FALLBACK
     x_d = (m_qq * i_d - m_dq * i_q) / det
     x_q = (m_dd * i_q - m_qd * i_d) / det
-    return (2.0 * x_d, 2.0 * x_q), False
+    return (2.0 * x_d, 2.0 * x_q), 0
 
 
 def clamp_torque_command(u, terms, v_max):
-    """Clip u into [phi - |b| v_max, phi + |b| v_max]; returns (u, clamped)."""
+    """Clip u into [phi - |b| v_max, phi + |b| v_max]; returns (u, flags), flags U_CLAMPED or 0."""
     u_min = terms.phi - terms.b_norm * v_max
     u_max = terms.phi + terms.b_norm * v_max
     if u > u_max:
-        return u_max, True
+        return u_max, U_CLAMPED
     if u < u_min:
-        return u_min, True
-    return u, False
+        return u_min, U_CLAMPED
+    return u, 0
 
 
 def z_limit(u_feasible, terms, v_max):
@@ -186,27 +180,27 @@ def optimal_z(lam, terms, params, z_max, alpha_z=1.0, smoothing=0.0):
 
     n = (-b_q, b_d) / |b| spans the line perpendicular to b, and the
     Hamiltonian's slope along it is s = n^T L^-1 lambda, so
-    m = -alpha_z z_max sign(s).  Returns (z, ZFlags); a degenerate
-    direction (|s| < EPS_D) or a zero budget yield z = 0 with the
-    z_zeroed flag.
+    m = -alpha_z z_max sign(s).  Returns (z, flags): flags is Z_AT_LIMIT
+    for |m| = alpha_z z_max, and Z_ZEROED where a degenerate direction
+    (|s| < EPS_D) or a zero budget yield z = 0.
 
     ``smoothing`` > 0 replaces the bang-bang magnitude with the boundary
     layer m = -alpha_z z_max s / sqrt(s^2 + smoothing^2).  The exact rule
     makes a closed loop evaluated continuously a sliding mode around the
     loss optimum, which a fixed-step integrator cannot resolve; the
     smoothed z stays admissible (|z| < alpha_z z_max), so it never sets
-    z_at_limit.
+    Z_AT_LIMIT.
     """
     lam_d, lam_q = lam
     n_d, n_q = -terms.b_q / terms.b_norm, terms.b_d / terms.b_norm
     s = n_d * (lam_d / params.L_d) + n_q * (lam_q / params.L_q)
     if smoothing > 0.0:
         m = -alpha_z * z_max * s / math.sqrt(s * s + smoothing * smoothing)
-        return (m * n_d, m * n_q), ZFlags(False, z_max <= 0.0)
+        return (m * n_d, m * n_q), Z_ZEROED if z_max <= 0.0 else 0
     if abs(s) < EPS_D or z_max <= 0.0:
-        return (0.0, 0.0), ZFlags(False, True)
+        return (0.0, 0.0), Z_ZEROED
     m = -math.copysign(alpha_z * z_max, s)
-    return (m * n_d, m * n_q), ZFlags(True, False)
+    return (m * n_d, m * n_q), Z_AT_LIMIT
 
 
 def hamiltonian(i, lam, u, z, terms, omega, params):

@@ -9,8 +9,9 @@ Two integration modes are provided:
   equations written inline from the entries of ``machine.dh_di`` and the
   back-EMF, taken once per substep, or once per tick at a constant speed;
   most of a fine-step run is spent there.
-* ``run_continuous``: the controller is re-evaluated at every RK4 stage,
-  i.e. the continuous-time closed loop.  Used for transfer-function and
+* ``run_continuous``: ``loop.control_law`` is re-evaluated at every RK4
+  stage, i.e. the continuous-time closed loop, and again at each sample
+  for the u it applied and its clamp flag.  Used for transfer-function and
   linearization-identity checks, which are continuous-time statements
   that zero-order-hold quantization would otherwise dominate.
 
@@ -38,11 +39,9 @@ from collections import Counter
 from typing import Callable, Tuple, Union
 
 from .errors import NonFiniteStateError, ValidationError
-from . import optimizer
-from .linearization import compute_terms
 from .loop import CONTROLLERS, ControllerSettings, control_law, law_constants
 from .machine import MachineParams, dq_dynamics, torque
-from .optimizer import FLAG_NAMES
+from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile
 from .records import Record
 
@@ -347,7 +346,8 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     ``omega_profile(t)`` the electrical speed.  Realizes the
     continuous-time behaviour tau + mu dtau/dt = u exactly up to
     integrator error.  The costate horizon is 1 ms and alpha_z is 1, the
-    defaults of ``Scenario`` and ``ControllerSettings``.
+    defaults of ``Scenario`` and ``ControllerSettings``.  The sampled u
+    and clamped are those ``loop.control_law`` returns at each sample.
 
     ``z_smoothing`` > 0 selects the smoothed z rule of
     ``optimizer.optimal_z``: the exact bang-bang rule makes this closed
@@ -363,9 +363,7 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
         return dq_dynamics(i, v, omega, params)
 
     ts, states = _rk4_trajectory(deriv, i0, duration, dt)
-    # only the clamp, not the whole control law: u needs no costate solve
-    applied = [optimizer.clamp_torque_command(float(u_profile(t)), compute_terms(i, omega_profile(t), params), v_max)
-               for t, i in zip(ts, states)]
+    applied = [control_law(i.tolist(), float(omega_profile(t)), float(u_profile(t)), law) for t, i in zip(ts, states)]
     return ContinuousRun(t=ts, i=states, tau=np.array([torque(i, params) for i in states]),
-                         u=np.array([u for u, _ in applied]),
-                         clamped=np.array([clamped for _, clamped in applied]))
+                         u=np.array([out[1] for out in applied]),
+                         clamped=np.array([bool(out[-1] & U_CLAMPED) for out in applied]))

@@ -102,7 +102,7 @@ def _controller(settings=ControllerSettings(kp=0.0, ki=0.0), use_z=True):
 
 def _dq(theta, i_abc):
     """The dq currents of phase currents ``i_abc`` at shaft angle ``theta``, as floats."""
-    return tuple(machine.park_clarke(theta, i_abc, P0).tolist())
+    return tuple((machine.park_matrix(theta, P0.p) @ np.asarray(i_abc)).tolist())
 
 
 def test_control_step_all_zero():

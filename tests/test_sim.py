@@ -1,4 +1,5 @@
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from oflc.sim import (
     Scenario,
     energy_accounting,
     rk4_plant_step,
+    run_continuous,
     run_scenario,
 )
 
@@ -145,6 +147,38 @@ def test_run_scenario_reproducible(monkeypatch):
         assert len(a.frames) == len(b.frames) == len(c.frames) == round(s.duration / s.dt_ctrl)
         for fa, fb, fc in zip(a.frames, b.frames, c.frames):
             assert fa == fb == fc
+
+
+def test_simulators_never_call_the_reference_steps(monkeypatch):
+    # loop.control_law alone gives what a simulator applies; the step functions are only its reference,
+    # so every oflc name bound to one of them raises for the length of the runs
+    from oflc import linearization, optimizer
+
+    steps = (linearization.compute_terms, linearization.linearize, optimizer.clamp_torque_command,
+             optimizer.costate_matrices, optimizer.estimate_costate, optimizer.z_limit, optimizer.optimal_z)
+
+    def reference_step(*args, **kwargs):
+        raise AssertionError("a simulator called a reference step of the control law")
+
+    replaced = 0
+    for name, module in list(sys.modules.items()):
+        if name == "oflc" or name.startswith("oflc."):
+            for attr, value in list(vars(module).items()):
+                if any(value is step for step in steps):
+                    monkeypatch.setattr(module, attr, reference_step)
+                    replaced += 1
+    assert replaced >= len(steps)
+
+    # a torque command beyond the voltage limit at speed, so the clamp and both z rules run
+    tau_ref, ramp = SinusoidProfile(80.0, 300.0), TrapezoidProfile(0.0, 300.0, 0.0005, 0.0015)
+    for speed in (ramp, MechanicalModel(inertia=1e-4, friction=1e-3, omega0=20.0)):
+        s = _quiet_scenario(duration=0.002, tau_ref=tau_ref, speed=speed)
+        for controller in CONTROLLERS:
+            result = run_scenario(s, controller)
+            assert not result.aborted and result.saturation_counts["u_clamped"] > 0
+    for kw in (dict(z_smoothing=0.5), dict(use_z=False)):
+        run = run_continuous(P0, V_MAX, tau_ref, ramp, 0.002, 1e-5, **kw)
+        assert run.clamped.any() and not run.clamped.all()
 
 
 def test_run_frames_respect_limits():
