@@ -173,10 +173,10 @@ def _cmd_selftest(args):
     """Run the shipped control law on seeded random states and check what it rests on.
 
     Each state goes through ``loop.control_law`` (b and phi, clamp,
-    costate, z and the orthogonality guard), which must equal
-    ``loop.composed_control_law`` bit for bit; only a state where b
-    vanishes is skipped, and any other error propagates.  Each other
-    check uses the bound of the acceptance criterion that states it.
+    costate and z), which must equal ``loop.composed_control_law`` bit
+    for bit; only a state where b vanishes is skipped, and any other
+    error propagates.  Each other check, b.z = 0 among them, uses the
+    bound of the acceptance criterion that states it.
     """
     import numpy as np
 

@@ -14,12 +14,11 @@ class DegenerateBError(OflcError):
 
 
 class OrthogonalityViolation(OflcError):
-    """The auxiliary input z is not orthogonal to b within tolerance."""
+    """A z passed to ``linearization.linearize`` is not orthogonal to b within tolerance."""
 
 
 class NegativeDiscriminantError(OflcError):
-    """Voltage budget for z came out negative; the torque command was not
-    clamped to its feasible band first (programming error)."""
+    """A u outside the clamp band was passed to ``optimizer.z_limit``: its voltage budget for z is negative."""
 
 
 class NonFiniteStateError(OflcError):

@@ -18,11 +18,11 @@ Steps 1 to 5 are ``control_law``, which the continuous-time simulator
 evaluates too.  It is one flat body on Python floats, with the closed
 forms of the step functions of ``linearization`` and ``optimizer``
 written inline in their operation order, as ``sim.rk4_plant_step`` is
-for the plant; ``composed_control_law`` chains those step functions and
-is its reference, equal bit for bit.  Each tick returns one
-``ControlFrame``: Python floats named and ordered as the trace CSV
-columns, and a flags int.  The closed torque loop behaves as the
-first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
+for the plant; it checks only its input b.  ``composed_control_law``
+chains those step functions and is its reference, equal bit for bit.
+Each tick returns one ``ControlFrame``: Python floats named and ordered
+as the trace CSV columns, and a flags int.  The closed torque loop behaves
+as the first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
 
 What does not change within a run is computed once per run, where the
 run's objects are built.  ``law_constants`` turns the machine, v_max,
@@ -39,10 +39,9 @@ bit.
 import math
 from typing import NamedTuple
 
-from .errors import (DegenerateBError, NegativeDiscriminantError, OrthogonalityViolation, PoorFitError,
-                     ValidationError)
+from .errors import DegenerateBError, PoorFitError, ValidationError
 from . import linearization, machine, optimizer
-from .linearization import EPS_B, TOL_ORTH
+from .linearization import EPS_B
 from .optimizer import B_DEGENERATE, COND_LIMIT, EPS_D, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from .records import Record
 
@@ -114,11 +113,14 @@ def pi_update(tau_ref, tau_est, integrator, settings, dt):
 def law_constants(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
     """The run's constants of ``control_law``: one tuple, to pass as its ``law``.
 
-    Everything the law needs that depends on neither the currents, the
-    speed nor the torque command, computed once per run with the float
-    operations the law would otherwise repeat at every tick.  The
-    arguments are those of ``composed_control_law`` after ``params``.
+    Everything the law needs that depends on neither the currents, the speed
+    nor the torque command, computed once per run with the float operations
+    the law would otherwise repeat at every tick.  The arguments are those
+    of ``composed_control_law`` after ``params``; a ``z_smoothing`` neither
+    0 nor finite and positive with a nonzero square raises ValidationError.
     """
+    if z_smoothing != 0.0 and not (0.0 < z_smoothing < math.inf and z_smoothing * z_smoothing > 0.0):
+        raise ValidationError("z_smoothing", f"must be 0, or positive and finite with a nonzero square: {z_smoothing}")
     R, L_d, L_q = params.R, params.L_d, params.L_q
     k_tau, saliency = 1.5 * params.p, L_d - L_q
     t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian
@@ -142,8 +144,10 @@ def control_law(i_dq, omega, u_raw, law):
     The closed forms of ``compute_terms``, ``clamp_torque_command``,
     ``costate_matrices``, ``estimate_costate``, ``z_limit``, ``optimal_z``
     and ``linearize`` are written inline, each float operation in their
-    order, with their guards and errors; the tests and ``oflc selftest``
-    hold this body equal to ``composed_control_law`` bit for bit.
+    order; the tests and ``oflc selftest`` hold it equal to
+    ``composed_control_law`` bit for bit.  It checks only b: its u lies in
+    the clamp band, so a negative z budget is rounding (z = 0), and
+    z = m n is orthogonal to b by construction.
 
     Raises:
         DegenerateBError: if b vanishes at i_dq; what voltage to apply
@@ -193,26 +197,16 @@ def control_law(i_dq, omega, u_raw, law):
         lam_d, lam_q = two_h * i_d, two_h * i_q
         flags |= LAMBDA_FALLBACK
     if use_z:
-        # z_limit; a clamped u leaves exactly no budget, where z_limit would return rounding noise
-        if clamped:
-            z_max = 0.0
-        else:
-            disc = v_max2 - e * e / b2
-            if disc < 0.0:
-                # tiny negatives from the clamp boundary round to zero
-                if not disc > -1e-9 * v_max * v_max:
-                    raise NegativeDiscriminantError(f"discriminant = {disc:.3e}; torque command not clamped?")
-                z_max = 0.0
-            else:
-                z_max = math.sqrt(disc)
+        # z_limit; a clamped u leaves exactly no budget, and one inside the band a negative one only by rounding
+        disc = 0.0 if clamped else v_max2 - e * e / b2
+        z_max = 0.0 if disc < 0.0 else math.sqrt(disc)
         # optimal_z: m n on the line perpendicular to b, n = (-b_q, b_d) / |b|
         n_d, n_q = -b_q / b_norm, b_d / b_norm
         s = n_d * (lam_d / L_d) + n_q * (lam_q / L_q)
         if z_smoothing > 0.0:
             m = -alpha_z * z_max * s / math.sqrt(s * s + z_smoothing * z_smoothing)
             z_d, z_q = m * n_d, m * n_q
-            if z_max <= 0.0:
-                flags |= Z_ZEROED
+            flags |= Z_ZEROED if z_max <= 0.0 else 0
         elif abs(s) < EPS_D or z_max <= 0.0:
             z_d = z_q = 0.0
             flags |= Z_ZEROED
@@ -220,11 +214,6 @@ def control_law(i_dq, omega, u_raw, law):
             m = -math.copysign(alpha_z * z_max, s)
             z_d, z_q = m * n_d, m * n_q
             flags |= Z_AT_LIMIT
-        # linearize's orthogonality guard
-        b_dot_z = b_d * z_d + b_q * z_q
-        z_norm = math.hypot(z_d, z_q)
-        if abs(b_dot_z) > TOL_ORTH * b_norm * z_norm and z_norm > 0.0:
-            raise OrthogonalityViolation(f"|b.z| = {abs(b_dot_z):.3e} for |b||z| = {b_norm * z_norm:.3e}")
     else:
         z_d = z_q = 0.0
     # linearize: v = b/|b|^2 (u - phi) + z
@@ -235,7 +224,7 @@ def composed_control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0
     """``control_law`` as the composition of the step functions, one call per step of the law.
 
     The reference form: same arguments, results and errors as
-    ``control_law``, bit for bit.
+    ``control_law``, bit for bit: ``z_limit`` sees only an unclamped u.
     """
     terms = linearization.compute_terms(i_dq, omega, params)
     u_feasible, flags = optimizer.clamp_torque_command(u_raw, terms, v_max)

@@ -164,14 +164,16 @@ def clamp_torque_command(u, terms, v_max):
 
 
 def z_limit(u_feasible, terms, v_max):
-    """Voltage budget left for z: sqrt(v_max^2 - (u - phi)^2 / |b|^2)."""
+    """Voltage budget left for z: sqrt(v_max^2 - (u - phi)^2 / |b|^2), or 0 if that is negative.
+
+    Raises NegativeDiscriminantError below -1e-9 v_max^2 for a u outside the clamp band.
+    """
     e = u_feasible - terms.phi
     disc = v_max * v_max - e * e / terms.b_norm_sq
     if disc < 0.0:
-        # tiny negatives from the clamp boundary round to zero
-        if disc > -1e-9 * v_max * v_max:
-            return 0.0
-        raise NegativeDiscriminantError(f"discriminant = {disc:.3e}; torque command not clamped?")
+        if disc <= -1e-9 * v_max * v_max and clamp_torque_command(u_feasible, terms, v_max)[1]:
+            raise NegativeDiscriminantError(f"discriminant = {disc:.3e}; torque command not clamped?")
+        return 0.0
     return math.sqrt(disc)
 
 

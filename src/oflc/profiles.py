@@ -59,7 +59,8 @@ class SinusoidProfile(_Profile):
     kind = "sinusoid"
 
     def __call__(self, t):
-        return self.offset + self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
+        x = 2.0 * math.pi * self.frequency * t + self.phase  # inf past the largest float: math.sin raises on it
+        return self.offset + self.amplitude * (math.sin(x) if math.isfinite(x) else math.nan)
 
 
 class TrapezoidProfile(_Profile):

@@ -10,8 +10,8 @@ Two integration modes are provided:
   back-EMF, taken once per substep, or once per tick at a constant speed;
   most of a fine-step run is spent there.
 * ``run_continuous``: ``loop.control_law`` is re-evaluated at every RK4
-  stage, i.e. the continuous-time closed loop, and again at each sample
-  for the u it applied and its clamp flag.  Used for transfer-function and
+  stage, i.e. the continuous-time closed loop; a step's first stage gives
+  the u and clamp flag of its sample.  Used for transfer-function and
   linearization-identity checks, which are continuous-time statements
   that zero-order-hold quantization would otherwise dominate.
 
@@ -347,7 +347,8 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     continuous-time behaviour tau + mu dtau/dt = u exactly up to
     integrator error.  The costate horizon is 1 ms and alpha_z is 1, the
     defaults of ``Scenario`` and ``ControllerSettings``.  The sampled u
-    and clamped are those ``loop.control_law`` returns at each sample.
+    and clamped are those ``loop.control_law`` returns at each sample, in
+    the first RK4 stage of the step leaving it.
 
     ``z_smoothing`` > 0 selects the smoothed z rule of
     ``optimizer.optimal_z``: the exact bang-bang rule makes this closed
@@ -356,14 +357,15 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     import numpy as np
 
     law = law_constants(params, v_max, 1e-3, 1.0, use_z, z_smoothing)
+    applied = []  # the law's u and clamp flag at every RK4 stage, 4 per step
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        v = control_law(i.tolist(), omega, float(u_profile(t)), law)[0]
+        v, u, _, _, flags = control_law(i.tolist(), omega, float(u_profile(t)), law)
+        applied.append((u, bool(flags & U_CLAMPED)))
         return dq_dynamics(i, v, omega, params)
 
     ts, states = _rk4_trajectory(deriv, i0, duration, dt)
-    applied = [control_law(i.tolist(), float(omega_profile(t)), float(u_profile(t)), law) for t, i in zip(ts, states)]
-    return ContinuousRun(t=ts, i=states, tau=np.array([torque(i, params) for i in states]),
-                         u=np.array([out[1] for out in applied]),
-                         clamped=np.array([bool(out[-1] & U_CLAMPED) for out in applied]))
+    deriv(states[-1], ts[-1])  # the law at the last sample; the derivative goes unused
+    u, clamped = map(np.array, zip(*applied[::4]))  # each step's first stage is at its starting sample
+    return ContinuousRun(t=ts, i=states, tau=np.array([torque(i, params) for i in states]), u=u, clamped=clamped)

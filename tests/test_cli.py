@@ -316,6 +316,35 @@ def test_overflowing_torque_reports_inf(tmp_path, capsys):
     assert "rms_torque_error_Nm: inf\n" in (tmp_path / "oflc_summary.txt").read_text()
 
 
+def test_command_on_the_clamp_edge_runs(tmp_path, capsys):
+    # at i_q = 9.8e7 A the command phi + |b| 48 sits inside the clamp band, yet its z budget
+    # v_max^2 - (u - phi)^2 / |b|^2 rounds to -4.6e-6: z gets none, and the run ends normally
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(TINY.split("[scenario]")[0] + """
+[scenario]
+duration = 1e-4
+dt_plant = 1e-4
+dt_ctrl = 1e-4
+i_d0 = -7.622821915698158
+i_q0 = 97803970.73632833
+
+[torque]
+kind = constant
+value = 2355262742158290.0
+
+[speed]
+kind = constant
+value = -1231.108586708386
+
+[controller]
+kp = 0.0
+ki = 0.0
+""")
+    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "ticks_u_clamped: 0\n" in out and "ticks_z_zeroed: 1\n" in out
+
+
 def test_selftest(capsys, monkeypatch):
     rc = main(["selftest"])
     assert rc == 0

@@ -203,6 +203,16 @@ def test_profiles_reject_non_finite(make, message):
         make()
 
 
+def test_sinusoid_past_the_largest_float_is_nan():
+    # 2 pi f t overflows to inf, where math.sin raises; a run on such a profile aborts instead
+    from oflc.sim import run_scenario
+
+    assert math.isnan(SinusoidProfile(1.0, 1e308)(1e-4))
+    scenario = Scenario(params=MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4), duration=1e-3,
+                        tau_ref=SinusoidProfile(1.0, 1e308), speed=ConstantProfile(0.0))
+    assert run_scenario(scenario).aborted
+
+
 @st.composite
 def _table_and_time(draw):
     """A table profile and a time inside it, at or next to a breakpoint, or beyond either end."""

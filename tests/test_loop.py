@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import P0, P_NS, V_MAX, random_state, tick_scenario
 from oflc import machine, optimizer
-from oflc.errors import DegenerateBError
+from oflc.errors import DegenerateBError, ValidationError
 from oflc.linearization import compute_terms
 from oflc.loop import (ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check, composed_control_law,
                        control_law, law_constants, pi_update)
@@ -154,6 +156,48 @@ def test_control_law_equals_step_composition(rng):
         control_law((50.0, 0.0), 100.0, 6.0, law_constants(P0, V_MAX, 1e-3))
     with pytest.raises(DegenerateBError):
         composed_control_law((50.0, 0.0), 100.0, 6.0, P0, V_MAX, 1e-3)
+
+
+def test_control_law_equals_step_composition_at_the_clamp_edge(rng):
+    # u_raw on the band edges phi -+ |b| v_max and one ulp either side, at currents up to 1e8 A, where
+    # |phi| dwarfs |b| v_max and the discriminant of an unclamped u rounds below zero: z gets no budget
+    # there, and the law raises nothing but DegenerateBError
+    seen = rounded = 0
+    for params in (P0, P_NS):
+        for horizon in HORIZONS:
+            for smoothing in (0.0, 0.5):
+                for use_z in (True, False):
+                    for _ in range(100):
+                        i = tuple(float(np.copysign(10.0 ** rng.uniform(-6.0, 8.0), rng.uniform(-1.0, 1.0)))
+                                  for _ in range(2))
+                        omega, alpha_z = rng.uniform(-2000.0, 2000.0), rng.uniform(0.1, 1.0)
+                        law = law_constants(params, V_MAX, horizon, alpha_z, use_z, smoothing)
+                        try:
+                            terms = compute_terms(i, omega, params)
+                        except DegenerateBError:
+                            continue
+                        for edge in (terms.phi - terms.b_norm * V_MAX, terms.phi + terms.b_norm * V_MAX):
+                            for u_raw in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+                                got = control_law(i, omega, u_raw, law)
+                                assert got == composed_control_law(i, omega, u_raw, params, V_MAX, horizon, alpha_z,
+                                                                   use_z, smoothing)
+                                seen |= got[-1]
+                                e = u_raw - terms.phi
+                                rounded += not got[-1] & U_CLAMPED and V_MAX * V_MAX - e * e / terms.b_norm_sq < 0.0
+    assert seen & U_CLAMPED and seen & Z_ZEROED
+    assert rounded  # the draws reach unclamped commands whose budget rounds below zero
+
+
+def test_law_constants_rejects_unusable_z_smoothing():
+    # 1e-170 squares to 0, so s / sqrt(s^2 + smoothing^2) divides by zero at s = 0; nan and negative
+    # values would select the exact rule unnoticed
+    for value in (1e-170, math.nan, -0.5, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="^z_smoothing: "):
+            law_constants(P0, V_MAX, 1e-3, z_smoothing=value)
+    with pytest.raises(ValidationError, match="^z_smoothing: "):
+        run_continuous(P0, V_MAX, ConstantProfile(1.0), ConstantProfile(0.0), 1e-4, 1e-5, z_smoothing=1e-170)
+    for value in (0.0, -0.0, 1e-150, 0.5, 1e300):
+        assert law_constants(P0, V_MAX, 1e-3, z_smoothing=value)[-1] == value
 
 
 def test_control_step_replay_is_bit_identical(rng):

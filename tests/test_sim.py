@@ -1,16 +1,21 @@
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import P0, P_NS, V_MAX, tick_scenario
+from test_config import FINITE_SQUARE, MECHANICAL, PROFILES
 from oflc import records, sim
 from oflc.errors import NonFiniteStateError
-from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
-from oflc.machine import dq_dynamics, torque
-from oflc.optimizer import U_CLAMPED
+from oflc.linearization import compute_terms
+from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings, control_law
+from oflc.machine import MachineParams, dq_dynamics, torque
+from oflc.optimizer import B_DEGENERATE, U_CLAMPED
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TrapezoidProfile
 from oflc.sim import (
     MechanicalModel,
@@ -193,6 +198,67 @@ def test_run_frames_respect_limits():
         if zn > 0.0:
             terms = compute_terms((f.i_d, f.i_q), f.omega, P0)
             assert abs(float(terms.b @ (f.z_d, f.z_q))) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
+
+
+# each machine constant within two decades of P0's
+DECADES = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
+# id_zero scales its voltage by v_max/|v|, which keeps no relative precision once it is subnormal; its
+# absolute error of at most ulp(0)/2 then adds up to this much to |v| (the unclipped |v| is at most float max)
+ID_ZERO_CLIP_ROUNDING = sys.float_info.max * math.ulp(0.0)
+
+
+@st.composite
+def short_runs(draw):
+    """20-tick scenarios on a machine near P0, with the torque profiles, speed sources and v_max of the
+    config round trip's draws."""
+    params = MachineParams(R=P0.R * draw(DECADES), L_d=P0.L_d * draw(DECADES), L_q=P0.L_q * draw(DECADES),
+                           psi=P0.psi * draw(DECADES), p=draw(st.integers(1, 12)))
+    dt_plant = 10.0 ** draw(st.floats(-7.0, -4.0))
+    dt_ctrl = draw(st.integers(1, 5)) * dt_plant
+    return Scenario(params=params, duration=20 * dt_ctrl, tau_ref=draw(PROFILES), speed=draw(PROFILES | MECHANICAL),
+                    dt_plant=dt_plant, dt_ctrl=dt_ctrl, v_max=draw(FINITE_SQUARE))
+
+
+@given(short_runs())
+def test_drawn_runs_keep_the_voltage_limit_and_z_orthogonal_to_b(s):
+    # the bounds of criteria 3 and 4 on every tick with finite values, plus the rounding the voltage carries:
+    # the law's clamp band edge phi -+ |b| v_max rounds by up to ulp(u) / 2, and |v| = |u - phi| / |b|
+    # (that exceeds v_max 1e-9 where |phi| is some 1e7 times |b| v_max, or v_max is subnormal); id_zero's
+    # clip factor once it is subnormal
+    for name in CONTROLLERS:
+        held = (0.0, 0.0)
+        for f in run_scenario(s, name).frames:
+            held, v_dq = (f.v_d, f.v_q), held
+            if not all(map(math.isfinite, f[:-1])):
+                continue
+            if f.flags & B_DEGENERATE:
+                assert (f.v_d, f.v_q) == v_dq  # the held voltage, checked on its own tick
+                continue
+            if name == "id_zero":
+                rounding = ID_ZERO_CLIP_ROUNDING
+            else:
+                terms = compute_terms((f.i_d, f.i_q), f.omega, s.params)
+                rounding = math.ulp(f.u_feasible) / terms.b_norm
+            assert math.hypot(f.v_d, f.v_q) <= s.v_max * (1.0 + 1e-9) + rounding
+            z_norm = math.hypot(f.z_d, f.z_q)
+            if z_norm > 0.0:
+                assert abs(terms.b_d * f.z_d + terms.b_q * f.z_q) <= 1e-10 * terms.b_norm * z_norm
+
+
+def test_run_continuous_evaluates_the_law_once_per_stage(monkeypatch):
+    # the four RK4 stages of each step, the first of which gives its sample's u and clamp flag, and the last sample
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return control_law(*args)
+
+    monkeypatch.setattr(sim, "control_law", counted)
+    n = 37
+    run = run_continuous(P0, V_MAX, SinusoidProfile(80.0, 300.0), TrapezoidProfile(0.0, 300.0, 0.0, 1e-3), n * 1e-5,
+                         1e-5, z_smoothing=0.5)
+    assert len(run.t) == n + 1 and len(calls) == 4 * n + 1
+    assert run.clamped.any() and not run.clamped.all()
 
 
 def test_clamped_ticks_spend_no_voltage_on_z():
