@@ -326,7 +326,7 @@ class IdZeroController:
         v_norm = math.hypot(v_d, v_q)
         clipped = v_norm > s.v_max
         if clipped:
-            v_d, v_q = v_d * (s.v_max / v_norm), v_q * (s.v_max / v_norm)
+            v_d, v_q = v_d / v_norm * s.v_max, v_q / v_norm * s.v_max  # v_max/|v| may be subnormal
         else:
             self._integ = (integ_d, integ_q)  # anti-windup: freeze while clipped
         tau_est = machine.torque((i_d, i_q), params)
@@ -343,26 +343,26 @@ CONTROLLERS = {
 
 
 def closed_loop_tf_check(t, tau, u_final):
-    """Fit tau(t) = u_final + (tau0 - u_final) exp(-t/mu) and return mu_hat.
+    """Fit tau(t) = u_final + (tau0 - u_final) exp(-(t - t0)/mu) and return mu_hat.
 
     ``t``/``tau`` are step-response samples from the step instant onward.
-    Raises PoorFitError if the relative RMS residual exceeds
-    TF_RESIDUAL_LIMIT (response is not first order).
+    With y = (u_final - tau)/(u_final - tau0) and s = t - t0 the model is
+    ln y = -s/mu: mu_hat = -sum(w s^2)/sum(w s ln y) over the samples with
+    y > 0, whose weights w = y^2 make it least squares in tau to first order.
+    Raises PoorFitError unless mu_hat is positive and finite and the relative
+    RMS residual is at most TF_RESIDUAL_LIMIT (the response is not first
+    order, or no sample determines mu).
     """
     import numpy as np
-    from scipy.optimize import curve_fit  # scipy is slow to import and only this check needs it
 
-    t = np.asarray(t, dtype=float)
+    s = np.asarray(t, dtype=float) - t[0]
     tau = np.asarray(tau, dtype=float)
-    tau0 = tau[0]
-    scale = max(abs(u_final - tau0), 1e-12)
-
-    def model(tt, mu_hat):
-        return u_final + (tau0 - u_final) * np.exp(-tt / mu_hat)
-
-    popt, _ = curve_fit(model, t - t[0], tau, p0=[max(t[-1] - t[0], 1e-6) / 5.0])
-    mu_hat = float(popt[0])
-    rms = np.sqrt(np.mean((model(t - t[0], mu_hat) - tau) ** 2)) / scale
-    if rms > TF_RESIDUAL_LIMIT:
-        raise PoorFitError(f"relative RMS residual {rms:.3e} exceeds {TF_RESIDUAL_LIMIT:.1e}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat or nan response gives a nan mu_hat
+        y = (u_final - tau) / (u_final - tau[0])
+        y_fit, s_fit = y[y > 0.0], s[y > 0.0]
+        mu_hat = float(-np.sum(y_fit ** 2 * s_fit ** 2) / np.sum(y_fit ** 2 * s_fit * np.log(y_fit)))
+        model = u_final + (tau[0] - u_final) * np.exp(-s / mu_hat)
+    rms = np.sqrt(np.mean((model - tau) ** 2)) / max(abs(u_final - tau[0]), 1e-12)
+    if not (rms <= TF_RESIDUAL_LIMIT and 0.0 < mu_hat < math.inf):
+        raise PoorFitError(f"mu_hat {mu_hat:.3e} with relative RMS residual {rms:.3e} (limit {TF_RESIDUAL_LIMIT:.1e})")
     return mu_hat

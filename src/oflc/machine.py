@@ -103,7 +103,7 @@ class MachineParams(Record):
         """Inverse inductance matrix diag(1/L_d, 1/L_q), as a fresh read-only array."""
         import numpy as np
 
-        return _read_only(np.diag([1.0 / self.L_d, 1.0 / self.L_q]))
+        return _read_only(np.array([[1.0 / self.L_d, 0.0], [0.0, 1.0 / self.L_q]]))
 
 
 def _read_only(a):

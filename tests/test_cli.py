@@ -181,7 +181,13 @@ def test_validation_error_exits_1(tmp_path, capsys):
                                "torque.t2: must not be nan or -inf"),
                               ("R = 0.5", "R = 0.5%", "machine.R: not a number: '0.5%'"),
                               ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 1e-3\nvalues = 1 2 3",
-                               "torque.times: must be strictly increasing")):
+                               "torque.times: must be strictly increasing"),
+                              ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0\nvalues = 1",
+                               "torque.times: a table needs at least two points"),
+                              ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 1e-3\nvalues = 1 2 3",
+                               "torque.values: needs one value per time, got 3 for 2"),
+                              ("kind = constant\nvalue = 3.0", "value = 3.0", "torque.kind: missing"),
+                              ("[machine]", "[motor]", "machine: section missing")):
         bad.write_text(TINY.replace(old, new))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 1
@@ -273,14 +279,6 @@ def test_override_flags(tiny_cfg, tmp_path):
         frames = run_scenario(scenario, name, settings=ControllerSettings(kp=2.0, ki=100.0, alpha_z=0.5)).frames
         assert _trace_frames(out / f"{name}_trace.csv") == frames
         assert frames != run_scenario(scenario, name).frames
-
-
-def test_cli_import_skips_scipy():
-    # scipy is slow to import; only the closed-loop fit of the tests needs it
-    code = "import sys, oflc.cli; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_path_skips_numpy(tmp_path):

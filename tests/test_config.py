@@ -239,6 +239,14 @@ def test_table_profile_is_np_interp(table_and_time):
     assert repr(profile(t)) == repr(float(np.interp(t, profile.times, profile.values)))
 
 
+def test_trapezoid_profile_is_np_interp_over_its_breakpoints():
+    # before t0, the ramp up, the hold, the ramp back down and after t3, with each breakpoint itself
+    ramp = TrapezoidProfile(-2.0, 5.0, 0.01, 0.03, 0.06, 0.1)
+    times, values = (0.01, 0.03, 0.06, 0.1), (-2.0, 5.0, 5.0, -2.0)
+    for t in (-1.0, 0.0, 0.01, 0.02, 0.03, 0.045, 0.06, 0.07, 0.09, 0.1, 0.2):
+        assert ramp(t) == pytest.approx(float(np.interp(t, times, values)), rel=1e-15, abs=1e-15)
+
+
 def test_pole_pairs_must_be_an_integer():
     # True is an Integral, but the config cannot read it back; a numpy integer can be
     with pytest.raises(ValidationError, match="^p: must be a positive integer, got True$"):

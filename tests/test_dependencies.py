@@ -22,17 +22,27 @@ def _imported_top_level_names(path):
     return names
 
 
-def test_every_third_party_import_is_declared():
-    # pip install -e '.[test]' must give everything the package, its tests and the benchmark import
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower()
-                for requirement in project["dependencies"] + project["optional-dependencies"]["test"]}
+def _third_party_imports(*folders):
+    """The top-level name of every import in the folders' files that is neither stdlib nor the repository's own."""
     imported = set()
-    for folder in ("src/oflc", "tests", "bench"):
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             imported |= _imported_top_level_names(path)
-    third_party = {name for name in imported
-                   if name not in sys.stdlib_module_names and name not in OWN_MODULES and not name.startswith("test_")}
-    assert {"numpy", "scipy", "pytest"} <= third_party
-    assert sorted(third_party - declared) == []
+    return {name for name in imported
+            if name not in sys.stdlib_module_names and name not in OWN_MODULES and not name.startswith("test_")}
+
+
+def _names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower() for requirement in requirements}
+
+
+def test_every_third_party_import_is_declared():
+    # pip install -e . gives exactly what the package imports, and pip install -e '.[test]' adds everything its
+    # tests and the benchmark import
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = _names(project["dependencies"])
+    everything = _third_party_imports("src/oflc", "tests", "bench")
+    assert {"numpy", "scipy", "pytest", "hypothesis"} <= everything
+    assert sorted(runtime) == sorted(_third_party_imports("src/oflc"))
+    assert sorted(everything - runtime - _names(project["optional-dependencies"]["test"])) == []

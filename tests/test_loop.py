@@ -291,6 +291,11 @@ def test_tf_check_rejects_non_first_order():
     from oflc.errors import PoorFitError
 
     t = np.linspace(0.0, 0.05, 200)
-    wiggly = 6.0 * (1.0 - np.exp(-t / 0.01)) + 1.5 * np.sin(2 * np.pi * 900 * t)
-    with pytest.raises(PoorFitError):
-        closed_loop_tf_check(t, wiggly, 6.0)
+    first_order = 6.0 * (1.0 - np.exp(-t / 0.01))
+    wiggly = first_order + 1.5 * np.sin(2 * np.pi * 900 * t)
+    flat = np.full_like(t, 6.0)  # already at u_final: no sample determines mu
+    with_nan = np.where(t == t[50], np.nan, first_order)
+    still = np.zeros_like(t)  # never leaves tau0: the fit gives mu_hat = -inf with a zero residual
+    for tau in (wiggly, flat, with_nan, still):
+        with pytest.raises(PoorFitError):
+            closed_loop_tf_check(t, tau, 6.0)

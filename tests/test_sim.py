@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import P0, P_NS, V_MAX, tick_scenario
@@ -202,9 +202,9 @@ def test_run_frames_respect_limits():
 
 # each machine constant within two decades of P0's
 DECADES = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
-# id_zero scales its voltage by v_max/|v|, which keeps no relative precision once it is subnormal; its
-# absolute error of at most ulp(0)/2 then adds up to this much to |v| (the unclipped |v| is at most float max)
-ID_ZERO_CLIP_ROUNDING = sys.float_info.max * math.ulp(0.0)
+# id_zero's clip (v/|v|) v_max lands within a few ulps of v_max, which the 1e-9 covers, except that a
+# subnormal component can round by ulp(0)/2
+ID_ZERO_CLIP_ROUNDING = math.ulp(0.0)
 
 
 @st.composite
@@ -220,11 +220,14 @@ def short_runs(draw):
 
 
 @given(short_runs())
+# id_zero clips a |v| of some 1e224 V to 1e-97 V; a clip factor v_max/|v| would be subnormal
+@example(Scenario(params=P0, duration=2e-3, tau_ref=StepProfile(0.0, 4.1e222, 0.0), speed=ConstantProfile(0.0),
+                  dt_plant=1e-4, dt_ctrl=1e-4, v_max=1.05e-97))
 def test_drawn_runs_keep_the_voltage_limit_and_z_orthogonal_to_b(s):
     # the bounds of criteria 3 and 4 on every tick with finite values, plus the rounding the voltage carries:
     # the law's clamp band edge phi -+ |b| v_max rounds by up to ulp(u) / 2, and |v| = |u - phi| / |b|
     # (that exceeds v_max 1e-9 where |phi| is some 1e7 times |b| v_max, or v_max is subnormal); id_zero's
-    # clip factor once it is subnormal
+    # subnormal voltage components
     for name in CONTROLLERS:
         held = (0.0, 0.0)
         for f in run_scenario(s, name).frames:
@@ -398,6 +401,10 @@ def test_scenario_validation():
     for name, value in (("duration", np.nan), ("duration", np.inf), ("dt_plant", np.nan), ("dt_ctrl", np.nan),
                         ("horizon", np.inf), ("v_max", np.nan), ("v_max", np.inf)):
         with pytest.raises(ValidationError, match=f"^{name}: must be finite"):
+            _quiet_scenario(**{name: value})
+    for name, value in (("duration", 0.0), ("duration", -0.01), ("dt_plant", 0.0), ("dt_plant", -1e-5),
+                        ("horizon", 0.0), ("horizon", -1e-3)):
+        with pytest.raises(ValidationError, match=f"^{name}: must be positive"):
             _quiet_scenario(**{name: value})
     with pytest.raises(ValidationError):
         Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(0.0))  # no speed source
