@@ -193,16 +193,16 @@ def _cmd_selftest(args):
         i, omega, u_raw = rng.uniform(-20.0, 20.0, 2), rng.uniform(-300.0, 300.0), rng.uniform(-20.0, 20.0)
         args = (i.tolist(), omega, u_raw)
         try:
-            v, u, _, z, _ = out = loop.control_law(*args, law)
+            v_d, v_q, u, _, _, z_d, z_q, _ = out = loop.control_law(*args, law)
         except DegenerateBError:
             continue
         checked += 1
         twin_mismatches += out != loop.composed_control_law(*args, params, v_max, 1e-3)
-        v_ratio = max(v_ratio, math.hypot(*v) / v_max)
+        v_ratio = max(v_ratio, math.hypot(v_d, v_q) / v_max)
         terms = compute_terms(i, omega, params)
-        z_norm = math.hypot(*z)
+        z_norm = math.hypot(z_d, z_q)
         if z_norm > 0.0:
-            b_dot_z = max(b_dot_z, abs(terms.b_d * z[0] + terms.b_q * z[1]) / (terms.b_norm * z_norm))
+            b_dot_z = max(b_dot_z, abs(terms.b_d * z_d + terms.b_q * z_q) / (terms.b_norm * z_norm))
         # A = -df/di at the applied u, against central differences of f
         A = np.array(optimizer.costate_matrices(i, omega, u, terms, params))
         A_fd = np.column_stack([(optimizer.current_dynamics(i - d, omega, u, (0.0, 0.0), params)

@@ -138,8 +138,9 @@ def control_law(i_dq, omega, u_raw, law):
     v_max, the costate horizon and the z rule.  Computes b and phi, clamps
     u_raw into its feasible band, estimates the costate, picks z (z = 0
     unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``) and
-    linearizes.  Returns (v_dq, u_feasible, lam, z, flags), the vectors as
-    (d, q) pairs and the flags bits of ``optimizer.FLAG_NAMES``.
+    linearizes.  Returns one flat tuple (v_d, v_q, u_feasible, lambda_d,
+    lambda_q, z_d, z_q, flags), with the flags bits of
+    ``optimizer.FLAG_NAMES``, for its callers to unpack once.
 
     The closed forms of ``compute_terms``, ``clamp_torque_command``,
     ``costate_matrices``, ``estimate_costate``, ``z_limit``, ``optimal_z``
@@ -217,7 +218,7 @@ def control_law(i_dq, omega, u_raw, law):
     else:
         z_d = z_q = 0.0
     # linearize: v = b/|b|^2 (u - phi) + z
-    return (c_d * e + z_d, c_q * e + z_q), u, (lam_d, lam_q), (z_d, z_q), flags
+    return c_d * e + z_d, c_q * e + z_q, u, lam_d, lam_q, z_d, z_q, flags
 
 
 def composed_control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
@@ -238,7 +239,7 @@ def composed_control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0
         flags |= z_flags
     else:
         z = (0.0, 0.0)
-    return linearization.linearize(u_feasible, z, terms), u_feasible, lam, z, flags
+    return (*linearization.linearize(u_feasible, z, terms), u_feasible, *lam, *z, flags)
 
 
 class TorqueController:
@@ -278,7 +279,7 @@ class TorqueController:
         integ_next = self.integrator + e * dt
         u_raw = tau_ref + kp * e + ki * integ_next
         try:
-            (v_d, v_q), u_feasible, (lambda_d, lambda_q), (z_d, z_q), flags = control_law(i_dq, omega, u_raw, law)
+            v_d, v_q, u_feasible, lambda_d, lambda_q, z_d, z_q, flags = control_law(i_dq, omega, u_raw, law)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
             v_d, v_q = self._v_prev

@@ -58,8 +58,14 @@ class SinusoidProfile(_Profile):
 
     kind = "sinusoid"
 
+    def __post_init__(self):
+        super().__post_init__()
+        # (2 pi f) t is the order the phase was always evaluated in.  Not a field, so ==, repr and replace() do
+        # not see it; set as Scenario._plant is, which keeps the instance layout
+        object.__setattr__(self, "_two_pi_f", 2.0 * math.pi * self.frequency)
+
     def __call__(self, t):
-        x = 2.0 * math.pi * self.frequency * t + self.phase  # inf past the largest float: math.sin raises on it
+        x = self._two_pi_f * t + self.phase  # inf past the largest float: math.sin raises on it
         return self.offset + self.amplitude * (math.sin(x) if math.isfinite(x) else math.nan)
 
 

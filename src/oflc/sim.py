@@ -36,6 +36,7 @@ it in their own bodies.
 
 import math
 from collections import Counter
+from numbers import Real
 from typing import Callable, Tuple, Union
 
 from .errors import NonFiniteStateError, ValidationError
@@ -112,7 +113,13 @@ class Scenario(Record):
     i0: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        i_d0, i_q0 = self.i0
+        try:
+            i_d0, i_q0 = self.i0
+            pair = isinstance(i_d0, Real) and isinstance(i_q0, Real)
+        except (TypeError, ValueError):  # not iterable, or not two items
+            pair = False
+        if not pair:
+            raise ValidationError("i0", f"must be a pair of real numbers, got {self.i0!r}")
         for name, value in (("duration", self.duration), ("dt_plant", self.dt_plant), ("dt_ctrl", self.dt_ctrl),
                             ("horizon", self.horizon), ("v_max", self.v_max),
                             ("i_d0", i_d0), ("i_q0", i_q0)):
@@ -156,10 +163,13 @@ class Scenario(Record):
         params, speed, dt = self.params, self.speed, self.dt_plant
         mechanical = isinstance(speed, MechanicalModel)
         load = speed.load_torque if mechanical else None
+        # float(p), -L_d and -psi, so that a substep multiplies floats only: float(p) w, (-L_d) w and (-psi) w
+        # are exactly p w, -L_d w and -(psi w)
         object.__setattr__(self, "_plant", (
-            range(n_sub), dt, 0.5 * dt, dt / 6.0, -params.R, params.L_d, params.L_q, params.psi, params.p, speed,
-            mechanical, mechanical or type(speed) is not ConstantProfile, load, type(load) is not ConstantProfile,
-            speed.friction if mechanical else None, speed.inertia if mechanical else None,
+            range(n_sub), dt, 0.5 * dt, dt / 6.0, -params.R, params.L_d, params.L_q, -params.L_d, params.psi,
+            -params.psi, float(params.p), speed, mechanical, mechanical or type(speed) is not ConstantProfile, load,
+            type(load) is not ConstantProfile, speed.friction if mechanical else None,
+            speed.inertia if mechanical else None,
             1.5 * params.p, params.L_d - params.L_q))  # the factors of machine.torque
 
 
@@ -204,7 +214,7 @@ def _rk4_trajectory(f, x0, duration, dt):
     return np.arange(n + 1) * dt, xs
 
 
-def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
+def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """Step the plant of scenario ``s`` over one control tick from time t, v held.
 
     Runs the tick's dt_ctrl/dt_plant classical RK4 substeps on Python
@@ -215,11 +225,15 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     start, or p * omega_m in mechanical mode, where omega_m (mechanical,
     passed through otherwise) takes an Euler step after the currents,
     with the torque of ``machine.torque`` written inline in its operation
-    order.  A ``ConstantProfile`` speed or load is called once per tick,
-    at its first substep, and the speed's entries of dh/di and e are
-    taken once with it; any other profile is called at every substep.
-    The constants of the tick are those ``Scenario.__post_init__`` took
-    from ``s``.  Returns (i_d, i_q, omega_m).
+    order.  ``omega``, when given, is the electrical speed the caller
+    already took at t (``run_scenario`` passes the one it gave the
+    controller), and stands for the first substep's sample; with None
+    that sample is taken here.  A ``ConstantProfile`` speed or load is
+    read once per tick, at its first substep, and the speed's entries of
+    dh/di and e are taken once with it; any other profile is called again
+    at every later substep, at t + j dt_plant.  The constants of the tick
+    are those ``Scenario.__post_init__`` took from ``s``.  Returns
+    (i_d, i_q, omega_m).
 
     The currents are checked once, after the last substep: each substep
     adds the current to its own update, and inf or nan survives +, - and
@@ -229,14 +243,18 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    (substeps, dt, half, sixth, neg_R, L_d, L_q, psi, p, speed, mechanical, speed_varies, load, load_varies,
-     friction, inertia, k_tau, saliency) = s._plant
+    (substeps, dt, half, sixth, neg_R, L_d, L_q, neg_L_d, psi, neg_psi, p, speed, mechanical, speed_varies, load,
+     load_varies, friction, inertia, k_tau, saliency) = s._plant
+    if omega is None:
+        omega = p * omega_m if mechanical else float(speed(t))
+    # the same floats as the omega entries of machine.dh_di and the back-EMF
+    h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
+    if mechanical:
+        tau_load = load(t)
     for j in substeps:
-        if speed_varies or not j:
-            t_sub = t + j * dt
-            omega = p * omega_m if mechanical else float(speed(t_sub))
-            # the same floats as the omega entries of machine.dh_di and the back-EMF
-            h_dq, h_qd, e_q = L_q * omega, -L_d * omega, -(psi * omega)
+        if speed_varies and j:
+            omega = p * omega_m if mechanical else float(speed(t + j * dt))
+            h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
         k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
         k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
         x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
@@ -251,8 +269,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s):
         i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
         i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
         if mechanical:
-            if load_varies or not j:
-                tau_load = load(t_sub)
+            if load_varies and j:
+                tau_load = load(t + j * dt)
             omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
     if not (math.isfinite(i_d) and math.isfinite(i_q)):
         raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
@@ -287,7 +305,7 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
         frame = ctrl.step(t, omega_e, (i_d, i_q), float(tau_ref(t)))
         frames.append(frame)
         try:
-            i_d, i_q, omega_m = rk4_plant_step(i_d, i_q, omega_m, frame.v_d, frame.v_q, t, s)
+            i_d, i_q, omega_m = rk4_plant_step(i_d, i_q, omega_m, frame.v_d, frame.v_q, t, s, omega_e)
         except NonFiniteStateError:
             aborted = True
             break
@@ -308,13 +326,21 @@ def energy_accounting(frames):
     """Trapezoidal integrals of |i|^2 and copper power over a trace, summed tick by tick.
 
     Each interval adds dt (y_k+1 + y_k) / 2, the term of ``np.trapezoid``;
-    only the order of the sum differs from numpy's pairwise one.
+    only the order of the sum differs from numpy's pairwise one.  Each
+    frame's t, |i|^2 and copper power are read once and carried to the
+    next interval.
     """
     cost = copper = 0.0
-    for a, b in zip(frames, frames[1:]):
-        dt = b.t - a.t
-        cost += dt * ((b.i_d * b.i_d + b.i_q * b.i_q) + (a.i_d * a.i_d + a.i_q * a.i_q)) / 2.0
-        copper += dt * (b.p_copper_W + a.p_copper_W) / 2.0
+    if not frames:
+        return cost, copper
+    a = frames[0]
+    t_a, sq_a, p_a = a.t, a.i_d * a.i_d + a.i_q * a.i_q, a.p_copper_W
+    for b in frames[1:]:
+        t_b, sq_b, p_b = b.t, b.i_d * b.i_d + b.i_q * b.i_q, b.p_copper_W
+        dt = t_b - t_a
+        cost += dt * (sq_b + sq_a) / 2.0
+        copper += dt * (p_b + p_a) / 2.0
+        t_a, sq_a, p_a = t_b, sq_b, p_b
     return cost, copper
 
 
@@ -361,9 +387,9 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        v, u, _, _, flags = control_law(i.tolist(), omega, float(u_profile(t)), law)
+        v_d, v_q, u, _, _, _, _, flags = control_law(i.tolist(), omega, float(u_profile(t)), law)
         applied.append((u, bool(flags & U_CLAMPED)))
-        return dq_dynamics(i, v, omega, params)
+        return dq_dynamics(i, (v_d, v_q), omega, params)
 
     ts, states = _rk4_trajectory(deriv, i0, duration, dt)
     deriv(states[-1], ts[-1])  # the law at the last sample; the derivative goes unused

@@ -87,7 +87,8 @@ def test_control_law_matches_array_reference(rng, params, smoothing):
         i, omega, _ = random_state(rng, params)
         i = tuple(i.tolist())
         u_raw = rng.uniform(-60.0, 60.0)
-        v, _, lam, z, flags = control_law(i, omega, u_raw, law)
+        v_d, v_q, _, lam_d, lam_q, z_d, z_q, flags = control_law(i, omega, u_raw, law)
+        v, lam, z = (v_d, v_q), (lam_d, lam_q), (z_d, z_q)
         v_ref, lam_ref, z_ref, flags_ref = _reference_control_law(i, omega, u_raw, params, V_MAX, 1e-3, smoothing)
         assert flags == flags_ref
         for got, ref in ((v, v_ref), (lam, lam_ref), (z, z_ref)):
@@ -221,8 +222,9 @@ def test_control_step_replay_is_bit_identical(rng):
                     tau_est = machine.torque((i_d, i_q), params)
                     u_raw, integ_next = pi_update(tau_ref, tau_est, integrator, settings, dt)
                     try:
-                        v, u, lam, z, flags = composed_control_law((i_d, i_q), omega, u_raw, params, V_MAX, horizon,
-                                                                   settings.alpha_z, use_z)
+                        v_d, v_q, u, lam_d, lam_q, z_d, z_q, flags = composed_control_law(
+                            (i_d, i_q), omega, u_raw, params, V_MAX, horizon, settings.alpha_z, use_z)
+                        v, lam, z = (v_d, v_q), (lam_d, lam_q), (z_d, z_q)
                     except DegenerateBError:
                         v, u, lam, z, flags = v_prev, u_raw, (0.0, 0.0), (0.0, 0.0), B_DEGENERATE
                     else:

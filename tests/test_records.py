@@ -98,7 +98,8 @@ def test_record_matches_its_frozen_dataclass_twin(cls, data):
 def test_fields_stay_in_the_instance_layout():
     # CPython reads an instance's attributes fastest while they sit in its own layout, which a write through
     # self.__dict__ turns into a real dict for good (once 7% of a ctrl_dense tick); gc shows which it is
-    for record in (P0, tick_scenario(P0, 1e-6, 3)):
+    # (Scenario and SinusoidProfile also keep a value that is not a field)
+    for record in (P0, tick_scenario(P0, 1e-6, 3), SinusoidProfile(1.0, 50.0, 0.5, 0.25)):
         assert dict not in map(type, gc.get_referents(record))
 
 

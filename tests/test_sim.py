@@ -29,14 +29,16 @@ from oflc.sim import (
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s):
+def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """The tick step written as substeps of the generic ``sim.rk4`` on ``dq_dynamics``,
-    each followed in mechanical mode by an Euler step of the speed through ``machine.torque``."""
+    each followed in mechanical mode by an Euler step of the speed through ``machine.torque``;
+    a given ``omega`` is the first substep's electrical speed."""
     i, params = np.array([i_d, i_q]), s.params
     mech = s.speed if isinstance(s.speed, MechanicalModel) else None
     for j in range(round(s.dt_ctrl / s.dt_plant)):
         t_sub = t + j * s.dt_plant
-        omega = float(s.speed(t_sub)) if mech is None else params.p * omega_m
+        if j or omega is None:
+            omega = float(s.speed(t_sub)) if mech is None else params.p * omega_m
         i = sim.rk4(lambda x, _t: dq_dynamics(x, (v_d, v_q), omega, params), i, t_sub, s.dt_plant)
         if mech is not None:
             tau_m = torque(i.tolist(), params)
@@ -80,10 +82,19 @@ def test_tick_step_equals_substep_reference(rng):
                     replaced = records.replace(previous, params=params, speed=speed, dt_plant=dt_plant,
                                                dt_ctrl=s.dt_ctrl, duration=s.duration)
                     assert replaced == s
+                    # the speed a caller took at t gives the same tick; another first-substep speed is used as
+                    # given (a constant profile's reading holds for the whole tick, so only where the speed varies)
+                    omega = params.p * omega_m if isinstance(speed, MechanicalModel) else float(speed(t))
+                    other = omega * rng.uniform(0.5, 1.5) + rng.uniform(-10.0, 10.0)
+                    if type(speed) is ConstantProfile:
+                        other = omega
                     for scenario in (s, replaced):
                         step = sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario)
                         assert all(type(x) is float for x in step)
                         assert step == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, scenario)
+                        assert sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario, omega=omega) == step
+                        assert (sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario, omega=other)
+                                == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, scenario, omega=other))
                         if not isinstance(speed, MechanicalModel):
                             assert step[2] == omega_m
                     previous = replaced
@@ -152,6 +163,27 @@ def test_run_scenario_reproducible(monkeypatch):
         assert len(a.frames) == len(b.frames) == len(c.frames) == round(s.duration / s.dt_ctrl)
         for fa, fb, fc in zip(a.frames, b.frames, c.frames):
             assert fa == fb == fc
+
+
+class _CountedSpeed:
+    """A speed ramp that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return 1000.0 * t
+
+
+def test_run_scenario_samples_the_speed_once_per_substep():
+    # the controller's sample at t is also the first substep's speed; a varying profile is called again
+    # only at the later substeps of the tick
+    for n_sub in (1, 7):
+        speed = _CountedSpeed()
+        s = _quiet_scenario(duration=0.002, speed=speed, dt_plant=1e-4 / n_sub)
+        result = run_scenario(s, "oflc")
+        assert not result.aborted and speed.calls == 20 * n_sub
 
 
 def test_simulators_never_call_the_reference_steps(monkeypatch):
@@ -336,6 +368,28 @@ def _const_frames(i_sq, duration, n):
     return frames
 
 
+def _pairwise_energy(frames):
+    """The trapezoid sums over zipped pairs of frames, each frame's |i|^2 squared twice: the reference."""
+    cost = copper = 0.0
+    for a, b in zip(frames, frames[1:]):
+        dt = b.t - a.t
+        cost += dt * ((b.i_d * b.i_d + b.i_q * b.i_q) + (a.i_d * a.i_d + a.i_q * a.i_q)) / 2.0
+        copper += dt * (b.p_copper_W + a.p_copper_W) / 2.0
+    return cost, copper
+
+
+def test_energy_accounting_equals_the_pairwise_sums():
+    from oflc.config import parse_config
+
+    scenario, settings = parse_config((SCENARIOS / "s1.cfg").read_text())
+    frames = run_scenario(scenario, "oflc", settings=settings).frames
+    assert len(frames) == round(scenario.duration / scenario.dt_ctrl)
+    for trace in (frames, frames[:0], frames[:1], frames[:2], frames[1234:1236]):
+        got = energy_accounting(trace)
+        assert got == _pairwise_energy(trace) and all(type(x) is float for x in got)
+    assert energy_accounting(frames[:1]) == (0.0, 0.0)
+
+
 def test_energy_accounting_constant():
     cost, copper = energy_accounting(_const_frames(4.0, 2.0, 51))
     assert cost == pytest.approx(8.0)
@@ -418,3 +472,11 @@ def test_scenario_validation():
         _quiet_scenario(params=None)
     with pytest.raises(ValidationError, match="^load_torque: "):
         MechanicalModel(inertia=1e-3, load_torque=0.5)
+    # the initial currents are a pair of real numbers
+    for i0 in ((1.0,), (1.0, 2.0, 3.0), None, 1.0, ("a", 1.0), (1.0, None), (1.0, 2j)):
+        with pytest.raises(ValidationError, match="^i0: must be a pair of real numbers"):
+            _quiet_scenario(i0=i0)
+    for name, i0 in (("i_d0", (np.nan, 0.0)), ("i_q0", (0.0, -np.inf))):
+        with pytest.raises(ValidationError, match=f"^{name}: must be finite"):
+            _quiet_scenario(i0=i0)
+    assert _quiet_scenario(i0=(1, np.float64(-2.0))).i0 == (1, -2.0)

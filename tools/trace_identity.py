@@ -43,17 +43,17 @@ OUTPUTS = tuple(f"{c}_{kind}" for c in CONTROLLERS for kind in ("trace.csv", "su
 EXACT_KEYS = ("controller", "scenario", "aborted")
 
 
-def export_src(ref, dest):
-    """Write the ``src/`` tree of git revision ``ref`` under ``dest``."""
+def export_tree(ref, dest, *paths):
+    """Write the files of git revision ``ref`` under ``dest``: those under ``paths``, or all of them."""
     dest.mkdir()
-    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", ref, "src"], stdout=subprocess.PIPE)
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", ref, *paths], stdout=subprocess.PIPE)
     try:
         untar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
     finally:
         archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
-        raise RuntimeError(f"cannot export src/ of {ref!r}")
-    return dest / "src"
+        raise RuntimeError(f"cannot export {' '.join(paths) or 'the tree'} of {ref!r}")
+    return dest
 
 
 def run_side(src, out_root):
@@ -176,7 +176,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="trace_identity_") as tmp:
         tmp = Path(tmp)
         try:
-            ref_src = export_src(args.ref, tmp / "ref")
+            ref_src = export_tree(args.ref, tmp / "ref", "src") / "src"
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
