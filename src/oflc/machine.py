@@ -14,11 +14,13 @@ Conventions used throughout the package:
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
   ``dh_di`` and the back-EMF e = (0, -psi omega).  Three inline copies
   exist, each for speed and each tied to its reference bit for bit by a
-  test: ``sim.rk4_plant_step`` copies the voltage equations, and in
-  mechanical mode ``torque``, tied to ``dq_dynamics`` and ``torque`` in
-  ``tests/test_sim.py``; ``loop.control_law`` copies ``torque``,
-  ``torque_gradient``, ``torque_hessian``, ``dh_di`` and
-  ``voltage_drift``, tied in ``tests/test_loop.py`` to
+  test: ``sim.rk4_plant_step``'s substep loop copies the voltage
+  equations, and in mechanical mode ``torque``, tied to ``dq_dynamics``
+  and ``torque`` in ``tests/test_sim.py`` (at a constant speed its tick
+  is one closed-form map of them, tied there within a tolerance);
+  ``loop.control_law`` copies ``torque``, ``torque_gradient``,
+  ``torque_hessian``, ``dh_di`` and ``voltage_drift``, tied in
+  ``tests/test_loop.py`` to
   ``loop.composed_control_law``, which calls them; and
   ``loop.TorqueController.step`` copies ``torque``, tied there to it;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use

@@ -5,10 +5,11 @@ Two integration modes are provided:
 * ``run_scenario``: the realistic discrete drive: the controller runs at
   dt_ctrl, its voltage is held (zero-order hold) while the plant is
   stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
-  plant over a whole control tick on Python floats, with the voltage
-  equations written inline from the entries of ``machine.dh_di`` and the
-  back-EMF, taken once per substep, or once per tick at a constant speed;
-  most of a fine-step run is spent there.
+  plant over a whole control tick on Python floats.  At a constant speed
+  the tick's substeps are one affine map of the currents, built once per
+  scenario; otherwise it runs them one by one, with the voltage equations
+  written inline from the entries of ``machine.dh_di`` and the back-EMF,
+  taken once per substep; most of a fine-step run is spent there.
 * ``run_continuous``: ``loop.control_law`` is re-evaluated at every RK4
   stage, i.e. the continuous-time closed loop; a step's first stage gives
   the u and clamp flag of its sample.  Used for transfer-function and
@@ -17,10 +18,12 @@ Two integration modes are provided:
 
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
 ``run_continuous``.  ``rk4_plant_step`` is its measured fast twin: the
-tests hold every substep of it equal to ``rk4`` on ``dq_dynamics`` bit
-for bit.  What the plant tick needs that does not change within a run
-(the substep count and fractions of dt_plant, the machine constants and
-the kind of speed source and load) is computed once per scenario, in
+tests hold every substep of its loop equal to ``rk4`` on ``dq_dynamics``
+bit for bit, and its closed-form tick at a constant speed within 1e-12
+of the loop and 1e-14 of RK4 in exact arithmetic, in flux linkage.  What
+the plant tick needs that does not change within a run (that map, the
+substep count and fractions of dt_plant, the machine constants and the
+kind of speed source and load) is computed once per scenario, in
 ``Scenario.__post_init__``, and kept as a private tuple beside the
 record's fields; ``rk4_plant_step`` only unpacks it.  Likewise each
 controller takes its constants once, at construction (see ``loop``).
@@ -60,11 +63,13 @@ __all__ = [
 
 # Bounds that keep a run finite; the largest uses are 2000 substeps per tick
 # (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
-# 10**5 substeps per run (scenarios/step.cfg).  At about 1.2 us per substep
-# at a constant speed and 1.6 us in mechanical mode (timeit on a 2-core
-# host, Python 3.11), 10**6 substeps take 1.2 to 1.6 s per tick and 10**8
-# substeps per run 2 to 3 minutes; each tick keeps a ControlFrame of about
-# 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
+# 10**5 substeps per run (scenarios/step.cfg).  A substep of the loop costs
+# about 1.2 to 1.3 us under a varying speed and 1.1 to 1.3 us in mechanical
+# mode (timeit on a 2-core host, Python 3.11), so 10**6 substeps take about
+# 1.3 s per tick and 10**8 substeps per run about 2 minutes; at a constant
+# speed a whole tick costs about 0.8 us, whatever its substep count.  Each
+# tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of
+# trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
@@ -163,10 +168,11 @@ class Scenario(Record):
         params, speed, dt = self.params, self.speed, self.dt_plant
         mechanical = isinstance(speed, MechanicalModel)
         load = speed.load_torque if mechanical else None
+        tick = _tick_map(params, float(speed.value), dt, n_sub) if type(speed) is ConstantProfile else None
         # float(p), -L_d and -psi, so that a substep multiplies floats only: float(p) w, (-L_d) w and (-psi) w
         # are exactly p w, -L_d w and -(psi w)
         object.__setattr__(self, "_plant", (
-            range(n_sub), dt, 0.5 * dt, dt / 6.0, -params.R, params.L_d, params.L_q, -params.L_d, params.psi,
+            tick, range(n_sub), dt, 0.5 * dt, dt / 6.0, -params.R, params.L_d, params.L_q, -params.L_d, params.psi,
             -params.psi, float(params.p), speed, mechanical, mechanical or type(speed) is not ConstantProfile, load,
             type(load) is not ConstantProfile, speed.friction if mechanical else None,
             speed.inertia if mechanical else None,
@@ -214,11 +220,75 @@ def _rk4_trajectory(f, x0, duration, dt):
     return np.arange(n + 1) * dt, xs
 
 
+def _mul(x, y):
+    """The product of two 2x2 matrices, each a row-major tuple of floats."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _compose(x, y):
+    """(D, S) of P^(a+b) from (D, S) of P^a and of P^b, where D = P^m - I and S = I + P + ... + P^(m-1).
+
+    P^(a+b) - I = D_a + D_b + D_a D_b and S_(a+b) = S_a + P^a S_b.  D is kept apart from I, so that
+    a P^m close to I keeps the digits of its deviation, which 1 + D would round away.
+    """
+    (d_a, s_a), (d_b, s_b) = x, y
+    dd, ds = _mul(d_a, d_b), _mul(d_a, s_b)
+    return (tuple(p + q + r for p, q, r in zip(d_a, d_b, dd)),
+            tuple(p + q + r for p, q, r in zip(s_a, s_b, ds)))
+
+
+def _tick_map(params, omega, h, n):
+    """The n RK4 substeps of h at the held electrical speed ``omega`` as one affine map, or None.
+
+    At a held speed and voltage the plant is linear.  In the flux linkages
+    y = L i it reads y' = A y + v + e, with A = (dh/di) L^-1 =
+    [[-R/L_d, omega], [-omega, -R/L_q]].  One RK4 substep is then exactly
+    y -> P y + h T (v + e), with B = h A, T = I + B/2 + B^2/6 + B^3/24 and
+    P = I + B T, RK4's stability polynomial (Hairer and Wanner, Solving
+    ODEs II, IV.2); n substeps are y -> y + D y + h S T (v + e), with
+    D = P^n - I and S = I + P + ... + P^(n-1), found by binary powering of
+    ``_compose``.  In the currents that is i -> i + L^-1 D L i + G (v + e),
+    with G = L^-1 h S T, which equals L^-1 D L (dh/di)^-1 but needs no
+    inverse, so a singular dh/di (omega = 0 with a subnormal R) needs no
+    special case.  Returns (omega, D, G, e_q) in the currents, D and G as
+    row-major 4-tuples, or None where an entry is not finite (P^n
+    overflows where RK4 is unstable).  Floats only: nothing here raises.
+    """
+    R, L_d, L_q, omega, h = float(params.R), float(params.L_d), float(params.L_q), float(omega), float(h)
+    b = (-R / L_d * h, omega * h, -omega * h, -R / L_q * h)
+    t = (1.0, 0.0, 0.0, 1.0)
+    for k in (4.0, 3.0, 2.0):  # T by Horner: I + B/2 (I + B/3 (I + B/4))
+        bt = _mul(b, t)
+        t = (1.0 + bt[0] / k, bt[1] / k, bt[2] / k, 1.0 + bt[3] / k)
+    first = (_mul(b, t), (1.0, 0.0, 0.0, 1.0))  # (D, S) of P^1
+    d_s = first
+    for bit in bin(n)[3:]:
+        d_s = _compose(d_s, d_s)
+        if bit == "1":
+            d_s = _compose(d_s, first)
+    d, s = d_s
+    st = _mul(s, t)
+    d = (d[0], d[1] * (L_q / L_d), d[2] * (L_d / L_q), d[3])
+    g = (st[0] * h / L_d, st[1] * h / L_d, st[2] * h / L_q, st[3] * h / L_q)
+    if not all(map(math.isfinite, d + g)):
+        return None
+    return omega, d, g, -float(params.psi) * omega
+
+
 def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """Step the plant of scenario ``s`` over one control tick from time t, v held.
 
-    Runs the tick's dt_ctrl/dt_plant classical RK4 substeps on Python
-    floats, with the voltage equations of ``machine.voltage_drift``
+    At a ``ConstantProfile`` speed, where ``omega`` is None or the
+    profile's value, the tick's n substeps are the one affine map of
+    ``_tick_map``, i + D i + G (v + e), made once per scenario: RK4's own
+    result, rounded differently from the substeps.  A scenario whose map
+    does not exist (P^n overflows), and every other speed source, runs
+    the loop below.
+
+    The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
+    Python floats, with the voltage equations of ``machine.voltage_drift``
     written inline in the same operation order, (dh/di) x + e + v per
     stage, so each substep equals ``rk4`` on ``dq_dynamics`` bit for bit.
     Per substep the electrical speed is the profile's at the substep's
@@ -235,7 +305,7 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     are those ``Scenario.__post_init__`` took from ``s``.  Returns
     (i_d, i_q, omega_m).
 
-    The currents are checked once, after the last substep: each substep
+    The currents are checked once, at the end of the tick: each substep
     adds the current to its own update, and inf or nan survives +, - and
     x with finite numbers and / by the positive L_d, L_q and inertia, so
     a current that goes non-finite stays so to the end of the tick.
@@ -243,35 +313,41 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    (substeps, dt, half, sixth, neg_R, L_d, L_q, neg_L_d, psi, neg_psi, p, speed, mechanical, speed_varies, load,
+    (tick, substeps, dt, half, sixth, neg_R, L_d, L_q, neg_L_d, psi, neg_psi, p, speed, mechanical, speed_varies, load,
      load_varies, friction, inertia, k_tau, saliency) = s._plant
-    if omega is None:
-        omega = p * omega_m if mechanical else float(speed(t))
-    # the same floats as the omega entries of machine.dh_di and the back-EMF
-    h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
-    if mechanical:
-        tau_load = load(t)
-    for j in substeps:
-        if speed_varies and j:
-            omega = p * omega_m if mechanical else float(speed(t + j * dt))
-            h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
-        k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
-        k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
-        x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
-        k2_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
-        k2_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
-        x_d, x_q = i_d + half * k2_d, i_q + half * k2_q
-        k3_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
-        k3_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
-        x_d, x_q = i_d + dt * k3_d, i_q + dt * k3_q
-        k4_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
-        k4_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
-        i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
-        i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
+    if tick is not None and (omega is None or omega == tick[0]):
+        _, (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
+        w_q = v_q + e_q
+        i_d, i_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
+                    i_q + (d_qd * i_d + d_qq * i_q) + (g_qd * v_d + g_qq * w_q))
+    else:
+        if omega is None:
+            omega = p * omega_m if mechanical else float(speed(t))
+        # the same floats as the omega entries of machine.dh_di and the back-EMF
+        h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
         if mechanical:
-            if load_varies and j:
-                tau_load = load(t + j * dt)
-            omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
+            tau_load = load(t)
+        for j in substeps:
+            if speed_varies and j:
+                omega = p * omega_m if mechanical else float(speed(t + j * dt))
+                h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
+            k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
+            k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
+            x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
+            k2_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
+            k2_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
+            x_d, x_q = i_d + half * k2_d, i_q + half * k2_q
+            k3_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
+            k3_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
+            x_d, x_q = i_d + dt * k3_d, i_q + dt * k3_q
+            k4_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
+            k4_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
+            i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
+            i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
+            if mechanical:
+                if load_varies and j:
+                    tau_load = load(t + j * dt)
+                omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
     if not (math.isfinite(i_d) and math.isfinite(i_q)):
         raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
     return i_d, i_q, omega_m

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import P0, P_NS, V_MAX, tick_scenario
-from test_config import FINITE_SQUARE, MECHANICAL, PROFILES
+from test_config import FINITE, FINITE_SQUARE, MACHINES, MECHANICAL, PROFILES
 from oflc import records, sim
 from oflc.errors import NonFiniteStateError
 from oflc.linearization import compute_terms
@@ -46,6 +47,24 @@ def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     return (*i.tolist(), omega_m)
 
 
+def _flux_gap(step, reference, i0, params):
+    """The gap between the currents of two ticks from currents i0, in flux linkage L i, as a share of the
+    largest flux of i0, of the reference and of 1 A on either axis.
+
+    The closed-form tick's rounding is small against the flux of the whole state, not against each current:
+    where L_d/L_q is extreme, a current whose flux is some 1e-18 of the other's keeps no digit in either form.
+    Exact rationals, so that no product overflows.
+    """
+    L = (Fraction(params.L_d), Fraction(params.L_q))
+    gap = max(l * abs(Fraction(a) - Fraction(b)) for l, a, b in zip(L, step, reference))
+    return gap / max(l * max(1, abs(Fraction(x)), abs(Fraction(y))) for l, x, y in zip(L, i0, reference))
+
+
+def _held(omega):
+    """A profile that holds ``omega`` but is not a ConstantProfile, so that the plant runs its substep loop."""
+    return StepProfile(omega, omega, 0.0)
+
+
 def _tick_speeds(rng, t, dt_plant, n_sub):
     """One speed source per kind: constant, a ramp across the tick, sinusoid, mechanical under a
     varying load and under a constant one (the plant step reads a constant profile once per tick)."""
@@ -63,7 +82,8 @@ def _tick_speeds(rng, t, dt_plant, n_sub):
 
 
 def test_tick_step_equals_substep_reference(rng):
-    # same operations in the same order: equal to the last bit, not just close.  Each scenario is also
+    # same operations in the same order: equal to the last bit, not just close, except at a constant speed,
+    # where the tick is one closed-form map, within 1e-12 of the substeps in flux.  Each scenario is also
     # made by records.replace() from the one before it, changing its machine, dt_plant, substep
     # count or kind of speed, so a plant constant kept from that one would show
     previous = tick_scenario(P_NS, 1e-6, 3, speed=MechanicalModel(inertia=1e-3))
@@ -86,13 +106,19 @@ def test_tick_step_equals_substep_reference(rng):
                     # given (a constant profile's reading holds for the whole tick, so only where the speed varies)
                     omega = params.p * omega_m if isinstance(speed, MechanicalModel) else float(speed(t))
                     other = omega * rng.uniform(0.5, 1.5) + rng.uniform(-10.0, 10.0)
-                    if type(speed) is ConstantProfile:
-                        other = omega
                     for scenario in (s, replaced):
                         step = sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario)
+                        reference = _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, scenario)
                         assert all(type(x) is float for x in step)
-                        assert step == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, scenario)
                         assert sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario, omega=omega) == step
+                        if type(speed) is ConstantProfile:
+                            assert _flux_gap(step, reference, (i_d, i_q), params) <= 1e-12 and step[2] == omega_m
+                            # another given speed holds for the whole tick, in the substep loop
+                            assert (sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario, omega=other)
+                                    == sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t,
+                                                          records.replace(scenario, speed=_held(other))))
+                            continue
+                        assert step == reference
                         assert (sim.rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, scenario, omega=other)
                                 == _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, scenario, omega=other))
                         if not isinstance(speed, MechanicalModel):
@@ -115,13 +141,83 @@ def test_rk4_equilibrium_fixed_point():
 
 
 def test_rk4_nonfinite_raises():
-    # the currents overflow in the first substep; with 100 substeps the tick runs 99 more on inf and nan,
-    # at constant speed and in mechanical mode, and must still raise, as the reference does at once
-    for s in (tick_scenario(P0, 1.0, 1, 1e6), tick_scenario(P0, 1e-6, 100, 1e6),
+    # the currents overflow in the first substep; with 100 substeps the loop runs 99 more on inf and nan, at a
+    # held speed and in mechanical mode, and must still raise, as the reference does at once.  The closed-form
+    # tick of a constant 1e6 rad/s maps 1e308 A to a finite (2.48e307, 2.85e307) A over 100 us, so the held
+    # speed is a step profile's; over dt = 1 s the closed form's own result overflows
+    for s in (tick_scenario(P0, 1.0, 1, 1e6), tick_scenario(P0, 1e-6, 100, _held(1e6)),
               tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e-3, load_torque=ConstantProfile(0.5)))):
         for step in (rk4_plant_step, _reference_tick):
             with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
                 step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, s)
+    assert rk4_plant_step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(P0, 1e-6, 100, 1e6))[:2] == pytest.approx(
+        (2.48e307, 2.85e307), rel=1e-2)
+    # P^n overflows over 100 unstable substeps of 1 s: the scenario keeps no map, and the loop keeps a zero state
+    s = tick_scenario(P0, 1.0, 100, 0.0)
+    assert s._plant[0] is None
+    assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s) == (0.0, 0.0, 0.0)
+
+
+def _exact_rk4(params, omega, h, n, i, v):
+    """n classical RK4 steps of the voltage equations at the held speed omega and voltage v, in exact rationals
+    of the given floats."""
+    R, L_d, L_q, psi, omega, h, v_d, v_q = map(Fraction, (params.R, params.L_d, params.L_q, params.psi, omega, h,
+                                                          *v))
+
+    def f(x_d, x_q):
+        return (-R * x_d + L_q * omega * x_q + v_d) / L_d, (-L_d * omega * x_d - R * x_q - psi * omega + v_q) / L_q
+
+    x_d, x_q = map(Fraction, i)
+    for _ in range(n):
+        k1 = f(x_d, x_q)
+        k2 = f(x_d + h / 2 * k1[0], x_q + h / 2 * k1[1])
+        k3 = f(x_d + h / 2 * k2[0], x_q + h / 2 * k2[1])
+        k4 = f(x_d + h * k3[0], x_q + h * k3[1])
+        x_d, x_q = (x + h / 6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip((x_d, x_q), k1, k2, k3, k4))
+    return x_d, x_q
+
+
+@given(MACHINES, st.sampled_from((1, 2, 7, 100, 2000)), st.just(0.0) | st.floats(-1e3, 1e3) | FINITE,
+       st.floats(-9.0, -2.0), st.tuples(*[st.floats(-1e3, 1e3)] * 4))
+def test_closed_form_tick_is_rk4(params, n_sub, omega, log_dt, currents_and_voltages):
+    # the closed-form tick within 1e-12 of the substep loop, run by a profile that holds the same speed, and
+    # for n_sub <= 7 within 1e-14 of RK4 in exact arithmetic where the map exists, both in flux.  Where a stage
+    # of the loop overflows, the closed form may still be finite
+    i_d, i_q, v_d, v_q = currents_and_voltages
+    s = tick_scenario(params, 10.0 ** log_dt, n_sub, omega)
+    try:
+        loop = rk4_plant_step(i_d, i_q, 0.0, v_d, v_q, 0.0, records.replace(s, speed=_held(omega)))
+    except NonFiniteStateError:
+        return
+    step = rk4_plant_step(i_d, i_q, 0.0, v_d, v_q, 0.0, s)
+    assert _flux_gap(step, loop, (i_d, i_q), params) <= 1e-12 and step[2] == 0.0
+    if n_sub <= 7 and s._plant[0] is not None:
+        exact = _exact_rk4(params, omega, s.dt_plant, n_sub, (i_d, i_q), (v_d, v_q))
+        assert _flux_gap(step, exact, (i_d, i_q), params) <= Fraction(1e-14)
+
+
+def test_substep_loop_keeps_rk4_order():
+    # criterion 10's two checks, of the substep loop rather than the closed form: the same speeds, held by step
+    # profiles.  Richardson order on a smooth salient trajectory
+    from scipy.linalg import expm
+
+    def endpoint(dt, n):
+        return np.array(rk4_plant_step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, tick_scenario(P0, dt, n, _held(200.0)))[:2])
+
+    T, dt = 0.01, 2e-4
+    e1, e2, e3 = endpoint(dt, round(T / dt)), endpoint(dt / 2, round(2 * T / dt)), endpoint(dt / 4, round(4 * T / dt))
+    order = float(np.log2(np.linalg.norm(e1 - e2) / np.linalg.norm(e2 - e3)))
+    assert order >= 3.9
+
+    # the linear (non-salient) case against the matrix-exponential solution
+    params, omega, v, n = P_NS, 150.0, np.array([5.0, -3.0]), 2000
+    M = np.array([[-params.R / params.L_d, params.L_q * omega / params.L_d],
+                  [-params.L_d * omega / params.L_q, -params.R / params.L_q]])
+    c = np.array([v[0] / params.L_d, (v[1] - params.psi * omega) / params.L_q])
+    i = np.array(rk4_plant_step(2.0, -1.0, 0.0, *v.tolist(), 0.0, tick_scenario(params, 1e-6, n, _held(omega)))[:2])
+    i_star = -np.linalg.solve(M, c)
+    exact = i_star + expm(M * (n * 1e-6)) @ (np.array([2.0, -1.0]) - i_star)
+    assert np.linalg.norm(i - exact) / max(1.0, np.linalg.norm(exact)) <= 1e-9
 
 
 def _quiet_scenario(**kw):
@@ -278,6 +374,17 @@ def test_drawn_runs_keep_the_voltage_limit_and_z_orthogonal_to_b(s):
             z_norm = math.hypot(f.z_d, f.z_q)
             if z_norm > 0.0:
                 assert abs(terms.b_d * f.z_d + terms.b_q * f.z_q) <= 1e-10 * terms.b_norm * z_norm
+
+
+@given(short_runs(), short_runs())
+def test_drawn_runs_are_deterministic(s, other):
+    # two runs, and a run on a copy that records.replace() made from another scenario, give the same frames and
+    # figures; repr tells nan apart from a changed value.  A plant constant or tick map that outlived its
+    # scenario would show in the copy
+    copy = records.replace(other, **{f.name: getattr(s, f.name) for f in records.fields(s)})
+    assert copy == s
+    results = [repr(run_scenario(x, "oflc")) for x in (s, s, copy)]
+    assert results[0] == results[1] == results[2]
 
 
 def test_run_continuous_evaluates_the_law_once_per_stage(monkeypatch):
