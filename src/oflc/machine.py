@@ -13,16 +13,17 @@ Conventions used throughout the package:
   and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
   ``dh_di`` and the back-EMF e = (0, -psi omega).  Three inline copies
-  exist, each for speed and each tied to its reference bit for bit by a
-  test: ``sim.rk4_plant_step``'s substep loop copies the voltage
-  equations, and in mechanical mode ``torque``, tied to ``dq_dynamics``
-  and ``torque`` in ``tests/test_sim.py`` (at a constant speed its tick
-  is one closed-form map of them, tied there within a tolerance);
+  exist, each for speed and each tied to its reference by a test:
+  ``sim.rk4_plant_step`` restates the voltage equations in the flux
+  linkages L i, in its substep loop and its closed-form tick alike, and
+  in mechanical mode copies ``torque``; its ticks are RK4's result
+  rounded differently, so ``tests/test_sim.py`` ties them to
+  ``dq_dynamics`` and ``torque`` within a tolerance.
   ``loop.control_law`` copies ``torque``, ``torque_gradient``,
-  ``torque_hessian``, ``dh_di`` and ``voltage_drift``, tied in
-  ``tests/test_loop.py`` to
-  ``loop.composed_control_law``, which calls them; and
-  ``loop.TorqueController.step`` copies ``torque``, tied there to it;
+  ``torque_hessian``, ``dh_di`` and ``voltage_drift``, tied bit for bit
+  in ``tests/test_loop.py`` to ``loop.composed_control_law``, which
+  calls them; and ``loop.TorqueController.step`` copies ``torque``, tied
+  there to it;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that
@@ -34,6 +35,7 @@ All functions here are pure and safe to call concurrently.
 
 import math
 import numbers
+import sys
 
 from .errors import ValidationError
 from .records import Record
@@ -80,6 +82,8 @@ class MachineParams(Record):
                 raise ValidationError(name, f"must be positive and finite, got {value}")
             if not math.isfinite(value * value):  # the control law squares each constant
                 raise ValidationError(name, f"must have a finite square, got {value}")
+            if name in ("L_d", "L_q") and value < sys.float_info.min:  # the plant steps the flux L i
+                raise ValidationError(name, f"must not be subnormal (below {sys.float_info.min}), got {value}")
         # bool is an Integral, but the config cannot read True back as a pole-pair count
         if not (isinstance(self.p, numbers.Integral) and not isinstance(self.p, bool) and self.p >= 1):
             raise ValidationError("p", f"must be a positive integer, got {self.p}")

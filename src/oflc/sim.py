@@ -5,11 +5,12 @@ Two integration modes are provided:
 * ``run_scenario``: the realistic discrete drive: the controller runs at
   dt_ctrl, its voltage is held (zero-order hold) while the plant is
   stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
-  plant over a whole control tick on Python floats.  At a constant speed
-  the tick's substeps are one affine map of the currents, built once per
-  scenario; otherwise it runs them one by one, with the voltage equations
-  written inline from the entries of ``machine.dh_di`` and the back-EMF,
-  taken once per substep; most of a fine-step run is spent there.
+  plant over a whole control tick on Python floats, in the flux linkages
+  y = L i: y' = A y + w, A = [[-R/L_d, omega], [-omega, -R/L_q]] and
+  w = v + e.  At a constant speed the tick's substeps are one affine map,
+  built once per scenario; otherwise it runs them one by one, RK4's
+  y += h T (A y + w) with the speed taken once per substep; most of a
+  fine-step run is spent there.
 * ``run_continuous``: ``loop.control_law`` is re-evaluated at every RK4
   stage, i.e. the continuous-time closed loop; a step's first stage gives
   the u and clamp flag of its sample.  Used for transfer-function and
@@ -17,16 +18,16 @@ Two integration modes are provided:
   that zero-order-hold quantization would otherwise dominate.
 
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
-``run_continuous``.  ``rk4_plant_step`` is its measured fast twin: the
-tests hold every substep of its loop equal to ``rk4`` on ``dq_dynamics``
-bit for bit, and its closed-form tick at a constant speed within 1e-12
-of the loop and 1e-14 of RK4 in exact arithmetic, in flux linkage.  What
-the plant tick needs that does not change within a run (that map, the
-substep count and fractions of dt_plant, the machine constants and the
-kind of speed source and load) is computed once per scenario, in
-``Scenario.__post_init__``, and kept as a private tuple beside the
-record's fields; ``rk4_plant_step`` only unpacks it.  Likewise each
-controller takes its constants once, at construction (see ``loop``).
+``run_continuous``.  ``rk4_plant_step`` is its measured fast twin, RK4's
+own result rounded differently: the tests hold its loop and its
+closed-form tick within 1e-12 of ``rk4`` on ``dq_dynamics`` and 1e-14 of
+RK4 in exact arithmetic, in flux linkage.  What the plant tick needs that
+does not change within a run (that map, the substep count and fractions
+of dt_plant, the machine constants and the kind of speed source and load)
+is computed once per scenario, in ``Scenario.__post_init__``, and kept as
+a private tuple beside the record's fields; ``rk4_plant_step`` only
+unpacks it.  Likewise each controller takes its constants once, at
+construction (see ``loop``).
 
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
 control tick; ``energy_accounting`` and the run's summary figures read
@@ -64,12 +65,12 @@ __all__ = [
 # Bounds that keep a run finite; the largest uses are 2000 substeps per tick
 # (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
 # 10**5 substeps per run (scenarios/step.cfg).  A substep of the loop costs
-# about 1.2 to 1.3 us under a varying speed and 1.1 to 1.3 us in mechanical
-# mode (timeit on a 2-core host, Python 3.11), so 10**6 substeps take about
-# 1.3 s per tick and 10**8 substeps per run about 2 minutes; at a constant
-# speed a whole tick costs about 0.8 us, whatever its substep count.  Each
-# tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of
-# trace.
+# about 0.75 to 0.8 us under a varying speed and 0.65 us in mechanical mode
+# (timeit on a 2-core host, Python 3.11), so 10**6 substeps take about
+# 0.8 s per tick and 10**8 substeps per run about 80 s; at a constant
+# speed a whole tick costs about 0.4 to 0.7 us, whatever its substep count.
+# Each tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB
+# of trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
@@ -169,13 +170,13 @@ class Scenario(Record):
         mechanical = isinstance(speed, MechanicalModel)
         load = speed.load_torque if mechanical else None
         tick = _tick_map(params, float(speed.value), dt, n_sub) if type(speed) is ConstantProfile else None
-        # float(p), -L_d and -psi, so that a substep multiplies floats only: float(p) w, (-L_d) w and (-psi) w
-        # are exactly p w, -L_d w and -(psi w)
+        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, float(p) and -psi
+        a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
         object.__setattr__(self, "_plant", (
-            tick, range(n_sub), dt, 0.5 * dt, dt / 6.0, -params.R, params.L_d, params.L_q, -params.L_d, params.psi,
-            -params.psi, float(params.p), speed, mechanical, mechanical or type(speed) is not ConstantProfile, load,
-            type(load) is not ConstantProfile, speed.friction if mechanical else None,
-            speed.inertia if mechanical else None,
+            tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k), params.L_d,
+            params.L_q, params.psi, -params.psi, float(params.p), speed, mechanical,
+            mechanical or type(speed) is not ConstantProfile, load, type(load) is not ConstantProfile,
+            speed.friction if mechanical else None, speed.inertia if mechanical else None,
             1.5 * params.p, params.L_d - params.L_q))  # the factors of machine.torque
 
 
@@ -288,33 +289,33 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     the loop below.
 
     The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
-    Python floats, with the voltage equations of ``machine.voltage_drift``
-    written inline in the same operation order, (dh/di) x + e + v per
-    stage, so each substep equals ``rk4`` on ``dq_dynamics`` bit for bit.
-    Per substep the electrical speed is the profile's at the substep's
-    start, or p * omega_m in mechanical mode, where omega_m (mechanical,
-    passed through otherwise) takes an Euler step after the currents,
-    with the torque of ``machine.torque`` written inline in its operation
-    order.  ``omega``, when given, is the electrical speed the caller
-    already took at t (``run_scenario`` passes the one it gave the
-    controller), and stands for the first substep's sample; with None
-    that sample is taken here.  A ``ConstantProfile`` speed or load is
-    read once per tick, at its first substep, and the speed's entries of
-    dh/di and e are taken once with it; any other profile is called again
-    at every later substep, at t + j dt_plant.  The constants of the tick
-    are those ``Scenario.__post_init__`` took from ``s``.  Returns
-    (i_d, i_q, omega_m).
+    Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
+    speed and voltage a substep is exactly y += h T (A y + w), with T r
+    applied by Horner, r + (hA/2)(r + (hA/3)(r + (hA/4) r)), on the
+    constants of A and hA/k that ``Scenario.__post_init__`` took from
+    ``s``; the currents are y / L at the end of the tick.  Per substep
+    the electrical speed is the profile's at the substep's start, or
+    p * omega_m in mechanical mode, where omega_m (mechanical, passed
+    through otherwise) takes an Euler step after the currents, with the
+    torque of ``machine.torque`` at y / L.  ``omega``, when given, is the
+    electrical speed the caller already took at t (``run_scenario``
+    passes the one it gave the controller), and stands for the first
+    substep's sample; with None that sample is taken here.  A
+    ``ConstantProfile`` speed or load is read once per tick, at its first
+    substep, and the speed's entries of hA/k and e are taken once with it;
+    any other profile is called again at every later substep, at
+    t + j dt_plant.  Returns (i_d, i_q, omega_m).
 
     The currents are checked once, at the end of the tick: each substep
-    adds the current to its own update, and inf or nan survives +, - and
+    adds the flux to its own update, and inf or nan survives +, - and
     x with finite numbers and / by the positive L_d, L_q and inertia, so
-    a current that goes non-finite stays so to the end of the tick.
+    a flux that goes non-finite stays so to the end of the tick.
 
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    (tick, substeps, dt, half, sixth, neg_R, L_d, L_q, neg_L_d, psi, neg_psi, p, speed, mechanical, speed_varies, load,
-     load_varies, friction, inertia, k_tau, saliency) = s._plant
+    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, neg_psi, p, speed,
+     mechanical, speed_varies, load, load_varies, friction, inertia, k_tau, saliency) = s._plant
     if tick is not None and (omega is None or omega == tick[0]):
         _, (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
         w_q = v_q + e_q
@@ -323,31 +324,25 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     else:
         if omega is None:
             omega = p * omega_m if mechanical else float(speed(t))
-        # the same floats as the omega entries of machine.dh_di and the back-EMF
-        h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
+        # the speed's entries of hA/k and the q entry of w = v + e
+        o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
+        y_d, y_q = L_d * i_d, L_q * i_q
         if mechanical:
             tau_load = load(t)
         for j in substeps:
             if speed_varies and j:
                 omega = p * omega_m if mechanical else float(speed(t + j * dt))
-                h_dq, h_qd, e_q = L_q * omega, neg_L_d * omega, neg_psi * omega
-            k1_d = (neg_R * i_d + h_dq * i_q + v_d) / L_d
-            k1_q = (h_qd * i_d + neg_R * i_q + e_q + v_q) / L_q
-            x_d, x_q = i_d + half * k1_d, i_q + half * k1_q
-            k2_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
-            k2_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
-            x_d, x_q = i_d + half * k2_d, i_q + half * k2_q
-            k3_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
-            k3_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
-            x_d, x_q = i_d + dt * k3_d, i_q + dt * k3_q
-            k4_d = (neg_R * x_d + h_dq * x_q + v_d) / L_d
-            k4_q = (h_qd * x_d + neg_R * x_q + e_q + v_q) / L_q
-            i_d = i_d + sixth * (k1_d + 2.0 * k2_d + 2.0 * k3_d + k4_d)
-            i_q = i_q + sixth * (k1_q + 2.0 * k2_q + 2.0 * k3_q + k4_q)
+                o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
+            r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * y_d + w_q
+            x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
+            x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
+            y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
             if mechanical:
                 if load_varies and j:
                     tau_load = load(t + j * dt)
+                i_d, i_q = y_d / L_d, y_q / L_q
                 omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
+        i_d, i_q = y_d / L_d, y_q / L_q
     if not (math.isfinite(i_d) and math.isfinite(i_q)):
         raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
     return i_d, i_q, omega_m

@@ -155,6 +155,7 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("R = 0.5", "R = inf", "machine.R: must be positive and finite"),
                               ("L_d = 3e-3", "L_d = nan", "machine.L_d: must be positive and finite"),
                               ("L_q = 5e-3", "L_q = inf", "machine.L_q: must be positive and finite"),
+                              ("L_q = 5e-3", "L_q = 5e-320", "machine.L_q: must not be subnormal"),
                               ("psi = 0.1", "psi = nan", "machine.psi: must be positive and finite"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "i_d0: must be finite"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "i_q0: must be finite"),

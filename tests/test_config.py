@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -132,7 +133,11 @@ NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 # the control law squares each machine constant and v_max, so they need a finite square
 FINITE_SQUARE = st.floats(min_value=0.0, exclude_min=True, max_value=1e150)
 
-MACHINES = st.builds(MachineParams, *[FINITE_SQUARE] * 4, p=st.integers(1, 1000))
+# the plant steps the flux linkages L i, so an inductance must also be a normal float
+NORMAL_FINITE_SQUARE = st.floats(min_value=sys.float_info.min, max_value=1e150)
+
+MACHINES = st.builds(MachineParams, FINITE_SQUARE, NORMAL_FINITE_SQUARE, NORMAL_FINITE_SQUARE, FINITE_SQUARE,
+                     p=st.integers(1, 1000))
 
 
 def _tables(n):

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import P0, P_NS
+from oflc.errors import ValidationError
 from oflc.machine import (
     MachineParams,
     dq_dynamics,
@@ -30,6 +33,16 @@ def test_param_validation(bad):
     kwargs.update(bad)
     with pytest.raises(ValueError):
         MachineParams(**kwargs)
+
+
+def test_inductances_are_normal_floats():
+    # the plant steps the flux linkages L i, which a subnormal inductance underflows; R and psi may be subnormal
+    base = dict(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
+    for name in ("L_d", "L_q"):
+        with pytest.raises(ValidationError, match=f"^{name}: must not be subnormal"):
+            MachineParams(**dict(base, **{name: 1e-310}))
+        assert getattr(MachineParams(**dict(base, **{name: sys.float_info.min})), name) == sys.float_info.min
+    MachineParams(**dict(base, R=5e-324, psi=5e-324))
 
 
 def test_park_clarke_aligned_phase_a():

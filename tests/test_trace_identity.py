@@ -24,7 +24,7 @@ def _summary(items):
 
 
 def _check(ref, work, rtol, trace):
-    problem, _ = trace_identity.compare_text(ref, work, rtol, trace)
+    problem, _, _ = trace_identity.compare_text(ref, work, rtol, trace)
     return problem is None
 
 
@@ -50,3 +50,14 @@ def test_summary_tolerance():
     assert not _check(ref, _summary(dict(SUMMARY, cost_integral_A2s=cost * (1.0 + 1e-6))), 1e-9, trace=False)
     assert not _check(ref, _summary(dict(SUMMARY, ticks_u_clamped="2")), 1.0, trace=False)
     assert not _check(ref, _summary(dict(SUMMARY, aborted="True")), 1.0, trace=False)
+
+
+def test_largest_deviation_is_named():
+    # the column or summary key of a file's largest deviation, or None where nothing deviates
+    assert trace_identity.compare_text(_trace(ROWS), _trace(ROWS), 0.0, trace=True) == (None, 0.0, None)
+    rows = [(0.0, 1.5, 0.25 * (1.0 + 1e-13), 2), (1e-4, -2.25, 0.0, 1), (2e-4, 47.9 * (1.0 + 1e-15), -0.5, 2)]
+    problem, worst, where = trace_identity.compare_text(_trace(ROWS), _trace(rows), 1e-12, trace=True)
+    assert problem is None and where == "z_d" and 0.0 < worst < 1e-12
+    summary = dict(SUMMARY, cost_integral_A2s=SUMMARY["cost_integral_A2s"] * (1.0 + 1e-14))
+    problem, _, where = trace_identity.compare_text(_summary(SUMMARY), _summary(summary), 1e-12, trace=False)
+    assert problem is None and where == "cost_integral_A2s"

@@ -78,14 +78,14 @@ def _deviation(a, b, scale):
 def _compare_trace(ref, work, rtol):
     ref_lines, work_lines = ref.splitlines(), work.splitlines()
     if [x for x in ref_lines if x.startswith("#")] != [x for x in work_lines if x.startswith("#")]:
-        return "comment lines differ", math.inf
+        return "comment lines differ", math.inf, None
     ref_rows = [x.split(",") for x in ref_lines if not x.startswith("#")]
     work_rows = [x.split(",") for x in work_lines if not x.startswith("#")]
     if ref_rows[:1] != work_rows[:1]:
-        return "header differs", math.inf
+        return "header differs", math.inf, None
     if len(ref_rows) != len(work_rows):
-        return f"{len(work_rows) - 1} rows, {len(ref_rows) - 1} at REF", math.inf
-    problem, worst = None, 0.0
+        return f"{len(work_rows) - 1} rows, {len(ref_rows) - 1} at REF", math.inf, None
+    problem, worst, where = None, 0.0, None
     for k, name in enumerate(ref_rows[0] if ref_rows else ()):
         a = [row[k] for row in ref_rows[1:]]
         b = [row[k] for row in work_rows[1:]]
@@ -97,18 +97,19 @@ def _compare_trace(ref, work, rtol):
         a, b = [float(x) for x in a], [float(y) for y in b]
         scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0)
         dev = max((_deviation(x, y, scale) for x, y in zip(a, b)), default=0.0)
-        worst = max(worst, dev)
+        if dev > worst:
+            worst, where = dev, name
         if dev > rtol:
             problem = problem or f"column {name} deviates by {dev:.3g} of max|REF column|"
-    return problem, worst
+    return problem, worst, where
 
 
 def _compare_summary(ref, work, rtol):
     ref_items = [x.partition(": ")[::2] for x in ref.splitlines()]
     work_items = [x.partition(": ")[::2] for x in work.splitlines()]
     if [k for k, _ in ref_items] != [k for k, _ in work_items]:
-        return "keys differ", math.inf
-    problem, worst = None, 0.0
+        return "keys differ", math.inf, None
+    problem, worst, where = None, 0.0, None
     for (key, a), (_, b) in zip(ref_items, work_items):
         if key in EXACT_KEYS or key.startswith("ticks_"):
             if a != b:
@@ -116,10 +117,11 @@ def _compare_summary(ref, work, rtol):
             continue
         a, b = float(a), float(b)
         dev = _deviation(a, b, abs(a))
-        worst = max(worst, dev)
+        if dev > worst:
+            worst, where = dev, key
         if dev > rtol:
             problem = problem or f"{key} deviates by {dev:.3g} relative"
-    return problem, worst
+    return problem, worst, where
 
 
 def compare_text(ref, work, rtol, trace):
@@ -131,20 +133,22 @@ def compare_text(ref, work, rtol, trace):
     summary must have REF's keys in order, identical ``controller``,
     ``scenario``, ``aborted`` and ``ticks_*`` values, and every other
     value within rtol relative to REF's.  Returns (problem or None, the
-    largest deviation seen in units of those scales).
+    largest deviation seen in units of those scales, and the column or
+    key where it was seen, or None).
     """
     try:
         return (_compare_trace if trace else _compare_summary)(ref, work, rtol)
     except (ValueError, IndexError) as exc:
-        return f"unreadable: {exc}", math.inf
+        return f"unreadable: {exc}", math.inf, None
 
 
 def differences(ref_out, work_out, ref_codes, work_codes, rtol=None):
     """One line per output file or exit code that does not match.
 
     With ``rtol`` every file that is not byte-identical but matches
-    within the tolerance gets a line too, with its largest deviation;
-    the second value lists only the mismatches.
+    within the tolerance gets a line too, with its largest deviation and
+    the column or key where it was seen; the second value lists only the
+    mismatches.
     """
     notes, found = [], []
     for name in RUNS:
@@ -159,11 +163,11 @@ def differences(ref_out, work_out, ref_codes, work_codes, rtol=None):
             elif rtol is None:
                 found.append(f"{name}/{output}: differs")
             else:
-                problem, worst = compare_text(a.read_text(), b.read_text(), rtol, output.endswith(".csv"))
+                problem, worst, where = compare_text(a.read_text(), b.read_text(), rtol, output.endswith(".csv"))
                 if problem:
                     found.append(f"{name}/{output}: differs beyond rtol {rtol:g}: {problem}")
                 else:
-                    notes.append(f"{name}/{output}: within rtol {rtol:g} (largest deviation {worst:.3g})")
+                    notes.append(f"{name}/{output}: within rtol {rtol:g} (largest deviation {worst:.3g} in `{where}`)")
     return notes, found
 
 
