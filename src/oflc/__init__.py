@@ -18,7 +18,7 @@ from .errors import (
 )
 from .linearization import LinearizationTerms, compute_terms, linearize
 from .loop import ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check
-from .machine import MachineParams, dq_dynamics, h_vector, inverse_park_clarke, park_clarke, torque
+from .machine import MachineParams, dq_dynamics, inverse_park_clarke, park_clarke, torque
 from .optimizer import (
     clamp_torque_command,
     costate_matrices,

@@ -59,13 +59,6 @@ class LinearizationTerms(NamedTuple):
     h_d: float
     h_q: float
 
-    @property
-    def b(self):
-        """b as a [d, q] array, for the array-form checks."""
-        import numpy as np
-
-        return np.array((self.b_d, self.b_q))
-
 
 def compute_terms(i, omega, params):
     """Evaluate b(i) = mu L^-1 grad tau, phi(i, omega) = tau + b^T h and h(i, omega) at ``i = (i_d, i_q)``.

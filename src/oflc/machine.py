@@ -3,12 +3,11 @@
 Conventions used throughout the package:
 
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
-  Python floats on the control tick and the plant substep, numpy arrays
-  in the array forms (``park_matrix``, ``inverse_park_matrix``,
-  ``park_clarke``, ``inverse_park_clarke``, ``MachineParams.L_inv``,
-  ``h_vector`` and ``dq_dynamics``).  Each of those imports numpy in its
-  own body, so a simulate or compare run, which uses none of them, never
-  imports numpy;
+  Python floats everywhere but in the array forms: ``park_matrix``,
+  ``inverse_park_matrix``, ``park_clarke``, ``inverse_park_clarke`` and
+  ``dq_dynamics``, the right-hand side that ``sim.rk4`` integrates.  Each
+  of those imports numpy in its own body, so a simulate or compare run,
+  which uses none of them, never imports numpy;
 * the machine model is stated here only: ``torque``, ``torque_gradient``
   and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
@@ -51,7 +50,6 @@ __all__ = [
     "torque_hessian",
     "dq_dynamics",
     "voltage_drift",
-    "h_vector",
     "dh_di",
 ]
 
@@ -103,18 +101,6 @@ class MachineParams(Record):
     def mu(self):
         """Machine time constant L_q/R in seconds."""
         return self.L_q / self.R
-
-    @property
-    def L_inv(self):
-        """Inverse inductance matrix diag(1/L_d, 1/L_q), as a fresh read-only array."""
-        import numpy as np
-
-        return _read_only(np.array([[1.0 / self.L_d, 0.0], [0.0, 1.0 / self.L_q]]))
-
-
-def _read_only(a):
-    a.setflags(write=False)
-    return a
 
 
 def park_matrix(theta, p):
@@ -183,13 +169,6 @@ def voltage_drift(i, omega, params):
     return h_dd * i_d + h_dq * i_q, h_qd * i_d + h_qq * i_q - params.psi * omega
 
 
-def h_vector(i, omega, params):
-    """``voltage_drift`` as a [d, q] array."""
-    import numpy as np
-
-    return np.array(voltage_drift(i, omega, params))
-
-
 def dh_di(omega, params):
     """Jacobian of the drift h with respect to the currents, by rows."""
     return ((-params.R, params.L_q * omega),
@@ -197,5 +176,8 @@ def dh_di(omega, params):
 
 
 def dq_dynamics(i, v, omega, params):
-    """Current derivatives d[i_d, i_q]/dt under voltages v at speed omega."""
-    return (h_vector(i, omega, params) + v) / (params.L_d, params.L_q)
+    """Current derivatives d[i_d, i_q]/dt under voltages v at speed omega, as an array."""
+    import numpy as np
+
+    h_d, h_q = voltage_drift(i, omega, params)
+    return np.array(((h_d + v[0]) / params.L_d, (h_q + v[1]) / params.L_q))

@@ -21,9 +21,10 @@ forms inline, in their operation order, and the tests and ``oflc
 selftest`` hold it bit for bit to ``loop.composed_control_law``, which
 calls them.  They work on Python floats: 2-vectors are (d, q) pairs and
 2x2 matrices pairs of rows; the clamp, costate and z steps return the
-trace's bits of ``FLAG_NAMES`` they raise.  The array forms
-``current_dynamics``, ``hamiltonian`` and ``printed_lambda_matrix`` are
-independent checks for the tests.
+trace's bits of ``FLAG_NAMES`` they raise.  ``current_dynamics`` (an
+array, through ``machine.dq_dynamics``), ``hamiltonian`` (a float) and
+``printed_lambda_matrix`` (pairs of rows) are independent checks for the
+tests.
 """
 
 import math
@@ -38,7 +39,6 @@ __all__ = [
     "FLAG_NAMES",
     "U_CLAMPED", "Z_AT_LIMIT", "Z_ZEROED", "B_DEGENERATE", "LAMBDA_FALLBACK",
     "dphi_di",
-    "dh_di",
     "printed_lambda_matrix",
     "costate_matrices",
     "current_dynamics",
@@ -61,19 +61,12 @@ U_CLAMPED, Z_AT_LIMIT, Z_ZEROED, B_DEGENERATE, LAMBDA_FALLBACK = (1 << k for k i
 
 
 def printed_lambda_matrix(terms, params):
-    """Compact published form of Lambda; kept as a cross-check only."""
-    import numpy as np
-
-    b_d, b_q = terms.b
-    b2 = terms.b_norm_sq
+    """Compact published form of Lambda, by rows; kept as a cross-check only."""
+    b_d, b_q, b2 = terms.b_d, terms.b_q, terms.b_norm_sq
     coef = 1.5 * params.p * params.eta * params.L_d / (params.R * b2 * b2)
-    core = np.array(
-        [
-            [2.0 * b_d * b_q, b_q**2 - b_d**2],
-            [b_d**2 - b_q**2, 2.0 * b_d * b_q],
-        ]
-    )
-    return coef * params.L_inv @ core
+    c_d, c_q = coef / params.L_d, coef / params.L_q
+    return ((c_d * (2.0 * b_d * b_q), c_d * (b_q * b_q - b_d * b_d)),
+            (c_q * (b_d * b_d - b_q * b_q), c_q * (2.0 * b_d * b_q)))
 
 
 def costate_matrices(i, omega, u, terms, params):
@@ -125,10 +118,14 @@ def current_dynamics(i, omega, u, z, params):
     f(i) = L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z; A above
     equals -df/di with u and z held fixed.
     """
-    import numpy as np
+    return dq_dynamics(i, _voltage(u, z, compute_terms(i, omega, params)), omega, params)
 
-    terms = compute_terms(i, omega, params)
-    return dq_dynamics(i, terms.b / terms.b_norm_sq * (u - terms.phi) + np.asarray(z, dtype=float), omega, params)
+
+def _voltage(u, z, terms):
+    """v = b/|b|^2 (u - phi) + z for any (z_d, z_q), as ``linearization.linearize`` without its b.z check."""
+    z_d, z_q = z
+    e = u - terms.phi
+    return terms.b_d / terms.b_norm_sq * e + z_d, terms.b_q / terms.b_norm_sq * e + z_q
 
 
 def estimate_costate(i, A, horizon):
@@ -206,9 +203,13 @@ def optimal_z(lam, terms, params, z_max, alpha_z=1.0, smoothing=0.0):
 
 
 def hamiltonian(i, lam, u, z, terms, omega, params):
-    """H = |i|^2 + lambda^T L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z."""
-    import numpy as np
+    """H = |i|^2 + lambda^T L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z, as a float.
 
-    i = np.asarray(i, dtype=float)
-    v = terms.b / terms.b_norm_sq * (u - terms.phi) + np.asarray(z, dtype=float)
-    return float(i @ i) + float(np.asarray(lam) @ dq_dynamics(i, v, omega, params))
+    b, phi and h are those of ``terms``, so ``omega`` is unused, kept
+    for the criteria's call form.
+    """
+    i_d, i_q = i
+    lam_d, lam_q = lam
+    v_d, v_q = _voltage(u, z, terms)
+    return float(i_d * i_d + i_q * i_q
+                 + (lam_d * ((terms.h_d + v_d) / params.L_d) + lam_q * ((terms.h_q + v_q) / params.L_q)))

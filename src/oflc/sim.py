@@ -285,8 +285,9 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     profile's value, the tick's n substeps are the one affine map of
     ``_tick_map``, i + D i + G (v + e), made once per scenario: RK4's own
     result, rounded differently from the substeps.  A scenario whose map
-    does not exist (P^n overflows), and every other speed source, runs
-    the loop below.
+    does not exist (P^n overflows), a tick whose mapped currents are not
+    finite (D i or G (v + e) can overflow where the substeps do not), and
+    every other speed source run the loop below.
 
     The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
     Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
@@ -319,30 +320,31 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     if tick is not None and (omega is None or omega == tick[0]):
         _, (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
         w_q = v_q + e_q
-        i_d, i_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
+        m_d, m_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
                     i_q + (d_qd * i_d + d_qq * i_q) + (g_qd * v_d + g_qq * w_q))
-    else:
-        if omega is None:
-            omega = p * omega_m if mechanical else float(speed(t))
-        # the speed's entries of hA/k and the q entry of w = v + e
-        o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
-        y_d, y_q = L_d * i_d, L_q * i_q
+        if math.isfinite(m_d) and math.isfinite(m_q):
+            return m_d, m_q, omega_m
+    if omega is None:
+        omega = p * omega_m if mechanical else float(speed(t))
+    # the speed's entries of hA/k and the q entry of w = v + e
+    o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
+    y_d, y_q = L_d * i_d, L_q * i_q
+    if mechanical:
+        tau_load = load(t)
+    for j in substeps:
+        if speed_varies and j:
+            omega = p * omega_m if mechanical else float(speed(t + j * dt))
+            o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
+        r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * y_d + w_q
+        x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
+        x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
+        y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
         if mechanical:
-            tau_load = load(t)
-        for j in substeps:
-            if speed_varies and j:
-                omega = p * omega_m if mechanical else float(speed(t + j * dt))
-                o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
-            r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * y_d + w_q
-            x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
-            x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
-            y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
-            if mechanical:
-                if load_varies and j:
-                    tau_load = load(t + j * dt)
-                i_d, i_q = y_d / L_d, y_q / L_q
-                omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
-        i_d, i_q = y_d / L_d, y_q / L_q
+            if load_varies and j:
+                tau_load = load(t + j * dt)
+            i_d, i_q = y_d / L_d, y_q / L_q
+            omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
+    i_d, i_q = y_d / L_d, y_q / L_q
     if not (math.isfinite(i_d) and math.isfinite(i_q)):
         raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
     return i_d, i_q, omega_m

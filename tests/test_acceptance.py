@@ -130,7 +130,7 @@ def test_criterion_3_orthogonality_every_tick(all_run_frames):
         if zn == 0.0:
             continue
         terms = compute_terms((frame.i_d, frame.i_q), frame.omega, params)
-        worst = max(worst, abs(float(terms.b @ z)) / (np.sqrt(terms.b_norm_sq) * zn))
+        worst = max(worst, abs(float(np.dot((terms.b_d, terms.b_q), z))) / (np.sqrt(terms.b_norm_sq) * zn))
     _report(3, worst <= 1e-10, f"worst |b.z| / (|b||z|) = {worst:.2e} over {len(all_run_frames)} ticks")
 
 
@@ -155,9 +155,9 @@ def test_criterion_5_minimum_principle_oracle():
         z_star, _ = optimizer.optimal_z(lam, terms, P0, z_max)
         h_star = optimizer.hamiltonian(i, lam, u, z_star, terms, omega, P0)
         # dense sweep of the admissible segment {s n : |s| <= z_max}
-        n = np.array([-terms.b[1], terms.b[0]]) / np.sqrt(terms.b_norm_sq)
+        n = np.array([-terms.b_q, terms.b_d]) / np.sqrt(terms.b_norm_sq)
         h0 = optimizer.hamiltonian(i, lam, u, np.zeros(2), terms, omega, P0)
-        slope = float(np.asarray(lam) @ (P0.L_inv @ n))
+        slope = float(np.asarray(lam) @ (n / (P0.L_d, P0.L_q)))
         h_sweep = h0 + (s_grid * z_max) * slope
         best = float(h_sweep.min())
         worst = max(worst, (h_star - best) / max(1.0, abs(best)))
@@ -186,7 +186,8 @@ def test_criterion_6_gradient_checks():
             fm = optimizer.current_dynamics(i - dv, omega, u, np.zeros(2), P0)
             A_fd[:, j] = -(fp - fm) / (2 * eps)
             dphi_fd[j] = (compute_terms(i + dv, omega, P0).phi - compute_terms(i - dv, omega, P0).phi) / (2 * eps)
-            dh_fd[:, j] = (machine.h_vector(i + dv, omega, P0) - machine.h_vector(i - dv, omega, P0)) / (2 * eps)
+            dh_fd[:, j] = np.subtract(machine.voltage_drift(i + dv, omega, P0),
+                                      machine.voltage_drift(i - dv, omega, P0)) / (2 * eps)
         worst_A = max(worst_A, np.linalg.norm(A - A_fd) / max(np.linalg.norm(A), 1.0))
         worst_phi = max(worst_phi, np.linalg.norm(dphi - dphi_fd) / max(np.linalg.norm(dphi), 1.0))
         worst_h = max(worst_h, np.linalg.norm(dh - dh_fd) / max(np.linalg.norm(dh), 1.0))

@@ -1,3 +1,4 @@
+import configparser
 import math
 import os
 import subprocess
@@ -8,10 +9,11 @@ import pytest
 
 from oflc import loop, records
 from oflc.cli import main
-from oflc.config import parse_config
+from oflc.config import parse_config, serialize_config
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
 from oflc.optimizer import U_CLAMPED
-from oflc.sim import run_scenario
+from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
+from oflc.sim import MechanicalModel, run_scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC.parent / "scenarios"
@@ -212,6 +214,42 @@ def test_validation_error_exits_1(tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_every_non_finite_number_exits_1_naming_its_key(tmp_path, capsys):
+    # every numeric key of every section, under each profile kind for [torque] and [speed] and in mechanical mode,
+    # written out by serialize_config; a number list gets the bad value as its last number.  Only a trapezoid's
+    # open ends t2 and t3 take +inf, which serialize_config writes for them
+    scenario, settings = parse_config(TINY)
+    profiles = (ConstantProfile(3.0), StepProfile(0.0, 3.0, 1e-3), SinusoidProfile(3.0, 50.0, 1.0, 0.5),
+                TrapezoidProfile(0.0, 3.0, 0.0, 1e-3, 2e-3, 3e-3), TableProfile((0.0, 1e-3), (1.0, 2.0)))
+    variants = [records.replace(scenario, tau_ref=profile) for profile in profiles]
+    variants += [records.replace(scenario, speed=profile) for profile in profiles]
+    variants.append(records.replace(scenario, speed=MechanicalModel(inertia=1e-3, friction=2e-3,
+                                                                   load_torque=ConstantProfile(0.5))))
+    cfg, seen = tmp_path / "bad.cfg", set()
+    for variant in variants:
+        document = configparser.ConfigParser(interpolation=None)
+        document.optionxform = str
+        document.read_string(serialize_config(variant, settings))
+        for name, section in document.items():
+            for key, text in section.items():
+                if key == "kind" or (name, section.get("kind"), key) in seen:
+                    continue
+                seen.add((name, section.get("kind"), key))
+                for bad in ("nan", "inf", "-inf"):
+                    section[key] = " ".join(text.split()[:-1] + [bad])
+                    with cfg.open("w") as f:
+                        document.write(f)
+                    section[key] = text
+                    rc = main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path)])
+                    err = capsys.readouterr().err
+                    if key in ("t2", "t3") and bad == "inf":
+                        assert rc == 0, (name, key, bad, err)
+                        continue
+                    field = key if name == "scenario" else f"{name}.{key}"  # Scenario names its own fields
+                    assert rc == 1 and err.startswith(f"error: {field}: "), (name, key, bad, err)
+    assert len(seen) == 5 + 7 + 3 + 2 * 16 + 4  # machine, scenario, controller, two sections of profiles, mechanical
 
 
 # (scenario, --out, $OFLC_OUT_DIR, message); "file" is an existing regular file, "tiny" a valid scenario

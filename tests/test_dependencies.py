@@ -46,3 +46,31 @@ def test_every_third_party_import_is_declared():
     assert {"numpy", "scipy", "pytest", "hypothesis"} <= everything
     assert sorted(runtime) == sorted(_third_party_imports("src/oflc"))
     assert sorted(everything - runtime - _names(project["optional-dependencies"]["test"])) == []
+
+
+# the only functions of the package that import numpy: the array forms of the machine model, the generic RK4 and
+# the runs on it, and two checks; the rest of the model speaks (d, q) pairs of floats
+NUMPY_FUNCTIONS = {
+    "machine.park_matrix", "machine.inverse_park_matrix", "machine.park_clarke", "machine.inverse_park_clarke",
+    "machine.dq_dynamics", "sim.rk4", "sim._rk4_trajectory", "sim.run_continuous", "loop.closed_loop_tf_check",
+    "cli._cmd_selftest",
+}
+
+
+def _numpy_importers(node, scope=()):
+    """The dotted name of the innermost function or class around each numpy import under the ast ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _numpy_importers(child, scope + (child.name,))
+        elif (isinstance(child, ast.Import) and any(alias.name.partition(".")[0] == "numpy" for alias in child.names)
+              or isinstance(child, ast.ImportFrom) and child.level == 0 and child.module.partition(".")[0] == "numpy"):
+            yield ".".join(scope)
+        else:
+            yield from _numpy_importers(child, scope)
+
+
+def test_numpy_is_imported_only_by_the_array_forms():
+    importers = {f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "oflc").glob("*.py"))
+                 for name in _numpy_importers(ast.parse(path.read_text(encoding="utf-8")))}
+    assert "machine.dq_dynamics" in importers
+    assert sorted(importers - NUMPY_FUNCTIONS) == []

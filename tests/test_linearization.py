@@ -10,7 +10,7 @@ from oflc.sim import run_open_loop
 
 def test_b_at_origin():
     terms = compute_terms((0.0, 0.0), 0.0, P0)
-    np.testing.assert_allclose(terms.b, [0.0, 1.2])
+    np.testing.assert_allclose((terms.b_d, terms.b_q), [0.0, 1.2])
     assert terms.b_norm_sq == pytest.approx(1.44)
 
 
@@ -44,10 +44,10 @@ def test_orthogonal_decomposition(rng):
     for _ in range(200):
         i, omega, terms = random_state(rng, P0)
         u = rng.uniform(-30, 30)
-        n = np.array([-terms.b[1], terms.b[0]]) / np.sqrt(terms.b_norm_sq)
+        n = np.array([-terms.b_q, terms.b_d]) / np.sqrt(terms.b_norm_sq)
         z = rng.uniform(-20, 20) * n
         v = linearize(u, z, terms)
-        assert float(terms.b @ v) == pytest.approx(u - terms.phi, abs=1e-9 * max(1.0, abs(u - terms.phi)))
+        assert float(np.dot((terms.b_d, terms.b_q), v)) == pytest.approx(u - terms.phi, abs=1e-9 * max(1.0, abs(u - terms.phi)))
 
 
 def test_phi_affine_in_omega(rng):
@@ -96,10 +96,10 @@ def test_printed_b_d_variant_fails_identity():
 
 def test_equilibrium_residual_zero():
     # constant-current equilibrium: v = -h keeps di/dt = 0, tau_dot = 0
-    from oflc.machine import h_vector
+    from oflc.machine import voltage_drift
 
     i = np.array([2.0, 5.0])
     omega = 80.0
-    v = -h_vector(i, omega, P0)
+    v = -np.array(voltage_drift(i, omega, P0))
     res = torque_rate_identity_residual(i, i, i, v, omega, 1e-6, P0)
     assert abs(res) <= 1e-12

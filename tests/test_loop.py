@@ -257,7 +257,7 @@ def test_torque_channel_isolation():
     frame_on = on.step(0.0, 120.0, i_dq, 3.0)
     frame_off = off.step(0.0, 120.0, i_dq, 3.0)
     terms = compute_terms((frame_on.i_d, frame_on.i_q), 120.0, P0)
-    b_dot_v = [float(terms.b @ (f.v_d, f.v_q)) for f in (frame_on, frame_off)]
+    b_dot_v = [float(np.dot((terms.b_d, terms.b_q), (f.v_d, f.v_q))) for f in (frame_on, frame_off)]
     assert b_dot_v[0] == pytest.approx(b_dot_v[1], rel=1e-12)
 
 

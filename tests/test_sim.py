@@ -148,7 +148,8 @@ def test_rk4_nonfinite_raises():
     # the currents overflow in the first substep; with 100 substeps the loop runs 99 more on inf and nan, at a
     # held speed and in mechanical mode, and must still raise, as the reference does at once.  The closed-form
     # tick of a constant 1e6 rad/s maps 1e308 A to a finite (2.48e307, 2.85e307) A over 100 us, so the held
-    # speed is a step profile's; over dt = 1 s the closed form's own result overflows
+    # speed is a step profile's; over dt = 1 s the closed form's own result overflows, and so does the substep it
+    # then runs
     for s in (tick_scenario(P0, 1.0, 1, 1e6), tick_scenario(P0, 1e-6, 100, _held(1e6)),
               tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e-3, load_torque=ConstantProfile(0.5)))):
         for step in (rk4_plant_step, _reference_tick):
@@ -160,6 +161,18 @@ def test_rk4_nonfinite_raises():
     s = tick_scenario(P0, 1.0, 100, 0.0)
     assert s._plant[0] is None
     assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s) == (0.0, 0.0, 0.0)
+
+
+def test_closed_form_tick_overflow_runs_the_substeps():
+    # the map's G_qq (v_q + e_q) overflows to inf before D i cancels it, while the one RK4 substep stays finite
+    # (exact RK4 gives i_q = 3.9590991690126766e+307 A): the tick steps through the loop instead of aborting
+    params = MachineParams(R=2000.0, L_d=2.36e148, L_q=3.15e-64, psi=7.59e148, p=957)
+    s = tick_scenario(params, 3.07e-3, 1, 7.9e-94)
+    assert s._plant[0] is not None
+    loop = rk4_plant_step(-2.51, 4.3e-274, 0.0, -749.4, 3.0, 0.0, records.replace(s, speed=_held(7.9e-94)))
+    assert loop == (-2.51, 3.9590991690126786e+307, 0.0)
+    for omega in (None, 7.9e-94):
+        assert rk4_plant_step(-2.51, 4.3e-274, 0.0, -749.4, 3.0, 0.0, s, omega) == loop
 
 
 def _exact_rk4(params, speed, h, n, i, v, t=0.0, omega_m=0.0):
@@ -395,7 +408,7 @@ def test_run_frames_respect_limits():
         zn = np.linalg.norm((f.z_d, f.z_q))
         if zn > 0.0:
             terms = compute_terms((f.i_d, f.i_q), f.omega, P0)
-            assert abs(float(terms.b @ (f.z_d, f.z_q))) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
+            assert abs(float(np.dot((terms.b_d, terms.b_q), (f.z_d, f.z_q)))) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
 
 
 # id_zero's clip (v/|v|) v_max lands within a few ulps of v_max, which the 1e-9 covers, except that a
