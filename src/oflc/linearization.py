@@ -20,7 +20,8 @@ them bit for bit.  Applying
 
 therefore turns the torque dynamics into the first-order linear system
 tau + mu * dtau/dt = u, with z free to spend the remaining voltage budget
-on loss minimization.
+on loss minimization.  ``voltage`` is this map's one formula, unchecked;
+``linearize`` checks b^T z = 0 and then calls it.
 
 Note on b_d: ``torque_rate_identity_residual(printed_b_d=True)`` evaluates
 a published variant, b_d = -(3p/2R) * eta * L_d * i_q, which carries L_d
@@ -39,6 +40,7 @@ __all__ = [
     "LinearizationTerms",
     "compute_terms",
     "linearize",
+    "voltage",
     "torque_rate_identity_residual",
 ]
 
@@ -89,12 +91,19 @@ def linearize(u, z, terms):
             TOL_ORTH relative tolerance.
     """
     z_d, z_q = z
-    b_d, b_q, phi, b_norm_sq, b_norm = terms[:5]
+    b_d, b_q, b_norm = terms.b_d, terms.b_q, terms.b_norm
     b_dot_z = b_d * z_d + b_q * z_q
     z_norm = math.hypot(z_d, z_q)
     if abs(b_dot_z) > TOL_ORTH * b_norm * z_norm and z_norm > 0.0:
         raise OrthogonalityViolation(f"|b.z| = {abs(b_dot_z):.3e} for |b||z| = {b_norm * z_norm:.3e}")
-    return b_d / b_norm_sq * (u - phi) + z_d, b_q / b_norm_sq * (u - phi) + z_q
+    return voltage(u, z, terms)
+
+
+def voltage(u, z, terms):
+    """v = b/|b|^2 (u - phi) + z for any (z_d, z_q): ``linearize`` without its b.z check."""
+    z_d, z_q = z
+    e = u - terms.phi
+    return terms.b_d / terms.b_norm_sq * e + z_d, terms.b_q / terms.b_norm_sq * e + z_q
 
 
 def torque_rate_identity_residual(i_prev, i_curr, i_next, v, omega, dt, params, printed_b_d=False):

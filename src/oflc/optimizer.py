@@ -24,13 +24,14 @@ calls them.  They work on Python floats: 2-vectors are (d, q) pairs and
 trace's bits of ``FLAG_NAMES`` they raise.  ``current_dynamics`` (an
 array, through ``machine.dq_dynamics``), ``hamiltonian`` (a float) and
 ``printed_lambda_matrix`` (pairs of rows) are independent checks for the
-tests.
+tests; the first two take their voltage from ``linearization.voltage``,
+for any z.
 """
 
 import math
 
 from .errors import NegativeDiscriminantError
-from .linearization import compute_terms
+from .linearization import compute_terms, voltage
 from .machine import dh_di, dq_dynamics, torque_hessian
 
 __all__ = [
@@ -118,14 +119,7 @@ def current_dynamics(i, omega, u, z, params):
     f(i) = L^-1 (h + v) with the voltage v = b/|b|^2 (u - phi) + z; A above
     equals -df/di with u and z held fixed.
     """
-    return dq_dynamics(i, _voltage(u, z, compute_terms(i, omega, params)), omega, params)
-
-
-def _voltage(u, z, terms):
-    """v = b/|b|^2 (u - phi) + z for any (z_d, z_q), as ``linearization.linearize`` without its b.z check."""
-    z_d, z_q = z
-    e = u - terms.phi
-    return terms.b_d / terms.b_norm_sq * e + z_d, terms.b_q / terms.b_norm_sq * e + z_q
+    return dq_dynamics(i, voltage(u, z, compute_terms(i, omega, params)), omega, params)
 
 
 def estimate_costate(i, A, horizon):
@@ -210,6 +204,6 @@ def hamiltonian(i, lam, u, z, terms, omega, params):
     """
     i_d, i_q = i
     lam_d, lam_q = lam
-    v_d, v_q = _voltage(u, z, terms)
+    v_d, v_q = voltage(u, z, terms)
     return float(i_d * i_d + i_q * i_q
                  + (lam_d * ((terms.h_d + v_d) / params.L_d) + lam_q * ((terms.h_q + v_q) / params.L_q)))

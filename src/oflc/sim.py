@@ -105,7 +105,9 @@ class Scenario(Record):
     ``speed`` is the one speed source: a prescribed electrical speed
     profile (rad/s), or a ``MechanicalModel`` whose load dynamics produce
     the speed.  The rates and limits are checked here once; the
-    controllers built from a scenario read them unchecked.
+    controllers built from a scenario read them unchecked.  Raises
+    ValidationError naming ``scenario.<field>``, whether the value came
+    from a document or a command-line override.
     """
 
     params: MachineParams
@@ -125,46 +127,42 @@ class Scenario(Record):
         except (TypeError, ValueError):  # not iterable, or not two items
             pair = False
         if not pair:
-            raise ValidationError("i0", f"must be a pair of real numbers, got {self.i0!r}")
-        for name, value in (("duration", self.duration), ("dt_plant", self.dt_plant), ("dt_ctrl", self.dt_ctrl),
-                            ("horizon", self.horizon), ("v_max", self.v_max),
-                            ("i_d0", i_d0), ("i_q0", i_q0)):
+            raise ValidationError("scenario.i0", f"must be a pair of real numbers, got {self.i0!r}")
+        for name in ("duration", "dt_plant", "dt_ctrl", "horizon", "v_max"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"scenario.{name}", f"must be positive and finite, got {value}")
+        for name, value in (("i_d0", i_d0), ("i_q0", i_q0)):
             if not math.isfinite(value):
-                raise ValidationError(name, "must be finite")
-        if self.duration <= 0.0:
-            raise ValidationError("duration", "must be positive")
-        if self.dt_plant <= 0.0:
-            raise ValidationError("dt_plant", "must be positive")
+                raise ValidationError(f"scenario.{name}", "must be finite")
         if self.dt_plant > self.dt_ctrl:
-            raise ValidationError("dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
+            raise ValidationError("scenario.dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
         # a huge finite rate overflows its quotient, which round() cannot take
         ratio = self.dt_ctrl / self.dt_plant
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
-            raise ValidationError("dt_ctrl", "must be a finite integer multiple of dt_plant")
+            raise ValidationError("scenario.dt_ctrl", "must be a finite integer multiple of dt_plant")
         n_sub = round(ratio)
         if n_sub > MAX_SUBSTEPS_PER_TICK:
-            raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_TICK} substeps per control tick")
+            raise ValidationError("scenario.dt_plant",
+                                  f"gives more than {MAX_SUBSTEPS_PER_TICK} substeps per control tick")
         ratio = self.duration / self.dt_ctrl
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
-            raise ValidationError("duration", "must be a finite integer multiple of dt_ctrl")
+            raise ValidationError("scenario.duration", "must be a finite integer multiple of dt_ctrl")
         if round(ratio) < 1:
-            raise ValidationError("duration", f"must be at least dt_ctrl ({self.duration} < {self.dt_ctrl})")
+            raise ValidationError("scenario.duration", f"must be at least dt_ctrl ({self.duration} < {self.dt_ctrl})")
         if round(ratio) > MAX_TICKS_PER_RUN:
-            raise ValidationError("duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
+            raise ValidationError("scenario.duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
         if n_sub * round(ratio) > MAX_SUBSTEPS_PER_RUN:
-            raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
-        if self.horizon <= 0.0:
-            raise ValidationError("horizon", "must be positive")
-        if self.v_max <= 0.0:
-            raise ValidationError("v_max", "must be positive")
+            raise ValidationError("scenario.dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
         if not math.isfinite(self.v_max * self.v_max):  # the control law squares it
-            raise ValidationError("v_max", f"must have a finite square, got {self.v_max}")
+            raise ValidationError("scenario.v_max", f"must have a finite square, got {self.v_max}")
         if not isinstance(self.params, MachineParams):
-            raise ValidationError("params", f"must be a MachineParams, got {self.params!r}")
+            raise ValidationError("scenario.params", f"must be a MachineParams, got {self.params!r}")
         if not callable(self.tau_ref):
-            raise ValidationError("tau_ref", f"must be a torque profile, got {self.tau_ref!r}")
+            raise ValidationError("scenario.tau_ref", f"must be a torque profile, got {self.tau_ref!r}")
         if not (callable(self.speed) or isinstance(self.speed, MechanicalModel)):
-            raise ValidationError("speed", f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
+            raise ValidationError("scenario.speed",
+                                  f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
         # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
         params, speed, dt = self.params, self.speed, self.dt_plant
         mechanical = isinstance(speed, MechanicalModel)
@@ -253,7 +251,7 @@ def _tick_map(params, omega, h, n):
     ``_compose``.  In the currents that is i -> i + L^-1 D L i + G (v + e),
     with G = L^-1 h S T, which equals L^-1 D L (dh/di)^-1 but needs no
     inverse, so a singular dh/di (omega = 0 with a subnormal R) needs no
-    special case.  Returns (omega, D, G, e_q) in the currents, D and G as
+    special case.  Returns (D, G, e_q) in the currents, D and G as
     row-major 4-tuples, or None where an entry is not finite (P^n
     overflows where RK4 is unstable).  Floats only: nothing here raises.
     """
@@ -275,19 +273,18 @@ def _tick_map(params, omega, h, n):
     g = (st[0] * h / L_d, st[1] * h / L_d, st[2] * h / L_q, st[3] * h / L_q)
     if not all(map(math.isfinite, d + g)):
         return None
-    return omega, d, g, -float(params.psi) * omega
+    return d, g, -float(params.psi) * omega
 
 
 def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """Step the plant of scenario ``s`` over one control tick from time t, v held.
 
-    At a ``ConstantProfile`` speed, where ``omega`` is None or the
-    profile's value, the tick's n substeps are the one affine map of
-    ``_tick_map``, i + D i + G (v + e), made once per scenario: RK4's own
-    result, rounded differently from the substeps.  A scenario whose map
-    does not exist (P^n overflows), a tick whose mapped currents are not
-    finite (D i or G (v + e) can overflow where the substeps do not), and
-    every other speed source run the loop below.
+    At a ``ConstantProfile`` speed the tick's n substeps are the one
+    affine map of ``_tick_map``, i + D i + G (v + e), made once per
+    scenario: RK4's own result, rounded differently from the substeps.
+    A scenario whose map does not exist (P^n overflows), a tick whose
+    mapped currents are not finite (D i or G (v + e) can overflow where
+    the substeps do not), and every other speed source run the loop below.
 
     The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
     Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
@@ -300,8 +297,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     through otherwise) takes an Euler step after the currents, with the
     torque of ``machine.torque`` at y / L.  ``omega``, when given, is the
     electrical speed the caller already took at t (``run_scenario``
-    passes the one it gave the controller), and stands for the first
-    substep's sample; with None that sample is taken here.  A
+    passes the one it gave the controller); the loop takes it as its
+    first substep's sample, and with None takes that sample here.  A
     ``ConstantProfile`` speed or load is read once per tick, at its first
     substep, and the speed's entries of hA/k and e are taken once with it;
     any other profile is called again at every later substep, at
@@ -317,8 +314,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """
     (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, neg_psi, p, speed,
      mechanical, speed_varies, load, load_varies, friction, inertia, k_tau, saliency) = s._plant
-    if tick is not None and (omega is None or omega == tick[0]):
-        _, (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
+    if tick is not None:
+        (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
         w_q = v_q + e_q
         m_d, m_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
                     i_q + (d_qd * i_d + d_qq * i_q) + (g_qd * v_d + g_qq * w_q))
@@ -353,16 +350,13 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
 def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     """Simulate a scenario with zero-order-hold control; deterministic.
 
-    ``controller`` is a controller object, or a ``loop.CONTROLLERS`` name built
-    with ``settings`` (which ``id_zero`` does not use); another name raises ValueError.
+    ``controller`` is a ``loop.CONTROLLERS`` name, built with ``settings``
+    (which ``id_zero`` does not use); anything else raises ValueError.
     """
     s = scenario
-    if hasattr(controller, "step"):
-        ctrl = controller
-    elif isinstance(controller, str) and controller in CONTROLLERS:
-        ctrl = CONTROLLERS[controller](s, settings)
-    else:
+    if not (isinstance(controller, str) and controller in CONTROLLERS):
         raise ValueError(f"unknown controller {controller!r}; expected one of {tuple(CONTROLLERS)}")
+    ctrl = CONTROLLERS[controller](s, settings)
 
     dt_ctrl, speed, tau_ref, p = s.dt_ctrl, s.speed, s.tau_ref, s.params.p
     n_ctrl = round(s.duration / dt_ctrl)
@@ -383,11 +377,9 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
             aborted = True
             break
 
-    cost = copper = rms_error = 0.0
-    if frames:
-        cost, copper = energy_accounting(frames)
-        # e * e and a plain sum overflow to inf, where e ** 2 and math.fsum raise OverflowError
-        rms_error = math.sqrt(sum((e := f.tau_ref - f.tau_est) * e for f in frames) / len(frames))
+    cost, copper = energy_accounting(frames)
+    # e * e and a plain sum overflow to inf, where e ** 2 and math.fsum raise OverflowError
+    rms_error = math.sqrt(sum((e := f.tau_ref - f.tau_est) * e for f in frames) / len(frames))
     # one pass over the trace: the ticks of each distinct flags value, then their bits
     ticks_by_flags = Counter(f.flags for f in frames)
     saturation_counts = {name: sum(n for flags, n in ticks_by_flags.items() if flags >> k & 1)

@@ -8,6 +8,9 @@ from oflc.machine import MachineParams
 # explain phase: it traces every line and took minutes on one failing example.
 settings.register_profile("oflc", derandomize=True, max_examples=200, database=None, deadline=None,
                           phases=(Phase.explicit, Phase.generate, Phase.shrink))
+# Fresh random draws, 10 000 per property, to size a tolerance on many examples:
+# pytest --hypothesis-profile=oflc-sizing, which overrides the load below.
+settings.register_profile("oflc-sizing", derandomize=False, max_examples=10_000, database=None, deadline=None)
 settings.load_profile("oflc")
 
 # reference machine used throughout the tests:

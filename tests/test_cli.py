@@ -141,17 +141,21 @@ def test_validation_error_exits_1(tmp_path, capsys):
     good.write_text(TINY)
     for flag, value, message in (("--alpha-z", "2", "controller.alpha_z: must be in (0, 1]"),
                                  ("--kp", "-1", "controller.kp"), ("--ki", "-1", "controller.ki"),
-                                 ("--v-max", "nan", "v_max: must be finite"),
-                                 ("--v-max", "1e200", "v_max: must have a finite square"),
+                                 ("--v-max", "nan", "scenario.v_max: must be positive and finite, got nan"),
+                                 ("--v-max", "1e200", "scenario.v_max: must have a finite square"),
+                                 ("--horizon", "0", "scenario.horizon: must be positive and finite, got 0.0"),
                                  ("--kp", "nan", "controller.kp"), ("--ki", "inf", "controller.ki")):
         rc = main(["simulate", "--scenario", str(good), "--out", str(tmp_path), flag, value])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
 
-    for old, new, message in (("duration = 0.005", "duration = nan", "duration: must be finite"),
-                              ("duration = 0.005", "duration = inf", "duration: must be finite"),
-                              ("dt_plant = 1e-5", "dt_plant = nan", "dt_plant: must be finite"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nv_max = nan", "v_max: must be finite"),
+    for old, new, message in (("duration = 0.005", "duration = nan",
+                               "scenario.duration: must be positive and finite, got nan"),
+                              ("duration = 0.005", "duration = inf", "scenario.duration: must be positive and finite"),
+                              ("dt_plant = 1e-5", "dt_plant = nan", "scenario.dt_plant: must be positive and finite"),
+                              ("dt_plant = 1e-5", "dt_plant = -1e-6", "scenario.dt_plant: must be positive and finite"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nv_max = nan",
+                               "scenario.v_max: must be positive and finite"),
                               ("p = 4", "p = 4.5", "machine.p: not an integer"),
                               ("p = 4", "p = 1" + "0" * 400, "machine.p: must be small enough that 1.5 * p is a finite"),
                               ("R = 0.5", "R = inf", "machine.R: must be positive and finite"),
@@ -159,18 +163,21 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("L_q = 5e-3", "L_q = inf", "machine.L_q: must be positive and finite"),
                               ("L_q = 5e-3", "L_q = 5e-320", "machine.L_q: must not be subnormal"),
                               ("psi = 0.1", "psi = nan", "machine.psi: must be positive and finite"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "i_d0: must be finite"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "i_q0: must be finite"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "scenario.i_d0: must be finite"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "scenario.i_q0: must be finite"),
                               ("value = 3.0", "value = nan", "torque.value: must not be nan"),
                               ("value = 100.0", "value = nan", "speed.value: must not be nan"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key"),
-                              ("duration = 0.005", "duration = 1e308", "duration: must be a finite integer multiple"),
-                              ("duration = 0.005", "duration = 1e-12", "duration: must be at least dt_ctrl"),
+                              ("duration = 0.005", "duration = 1e308",
+                               "scenario.duration: must be a finite integer multiple"),
+                              ("duration = 0.005", "duration = 1e-12", "scenario.duration: must be at least dt_ctrl"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nomega0 = 0.0", "scenario.omega0: unknown key"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e308", "dt_ctrl: must be a finite integer multiple"),
-                              ("dt_plant = 1e-5", "dt_plant = 1e-300", "dt_plant: gives more than 1000000 substeps"),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e308",
+                               "scenario.dt_ctrl: must be a finite integer multiple"),
+                              ("dt_plant = 1e-5", "dt_plant = 1e-300",
+                               "scenario.dt_plant: gives more than 1000000 substeps"),
                               ("duration = 0.005\ndt_plant = 1e-5", "duration = 1.0\ndt_plant = 1e-9",
-                               "dt_plant: gives more than 100000000 substeps per run"),
+                               "scenario.dt_plant: gives more than 100000000 substeps per run"),
                               ("value = 3.0", "value = inf", "torque.value: must not be nan or infinite"),
                               ("value = 100.0", "value = inf", "speed.value: must not be nan or infinite"),
                               ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 1e-3\nvalues = 0 inf",
@@ -247,8 +254,7 @@ def test_every_non_finite_number_exits_1_naming_its_key(tmp_path, capsys):
                     if key in ("t2", "t3") and bad == "inf":
                         assert rc == 0, (name, key, bad, err)
                         continue
-                    field = key if name == "scenario" else f"{name}.{key}"  # Scenario names its own fields
-                    assert rc == 1 and err.startswith(f"error: {field}: "), (name, key, bad, err)
+                    assert rc == 1 and err.startswith(f"error: {name}.{key}: "), (name, key, bad, err)
     assert len(seen) == 5 + 7 + 3 + 2 * 16 + 4  # machine, scenario, controller, two sections of profiles, mechanical
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import P0, random_state
 from oflc.errors import DegenerateBError, OrthogonalityViolation
-from oflc.linearization import compute_terms, linearize, torque_rate_identity_residual
+from oflc.linearization import compute_terms, linearize, torque_rate_identity_residual, voltage
 from oflc.machine import torque
 from oflc.sim import run_open_loop
 
@@ -47,6 +47,7 @@ def test_orthogonal_decomposition(rng):
         n = np.array([-terms.b_q, terms.b_d]) / np.sqrt(terms.b_norm_sq)
         z = rng.uniform(-20, 20) * n
         v = linearize(u, z, terms)
+        assert v == voltage(u, z, terms)  # the checked map is the one formula, bit for bit
         assert float(np.dot((terms.b_d, terms.b_q), v)) == pytest.approx(u - terms.phi, abs=1e-9 * max(1.0, abs(u - terms.phi)))
 
 

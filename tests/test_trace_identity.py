@@ -1,4 +1,4 @@
-"""The tolerance mode of tools/trace_identity.py (``--rtol``)."""
+"""The tolerance mode of tools/trace_identity.py (``--rtol``) and its line counter."""
 
 import importlib.util
 import math
@@ -61,3 +61,25 @@ def test_largest_deviation_is_named():
     summary = dict(SUMMARY, cost_integral_A2s=SUMMARY["cost_integral_A2s"] * (1.0 + 1e-14))
     problem, _, where = trace_identity.compare_text(_summary(SUMMARY), _summary(summary), 1e-12, trace=False)
     assert problem is None and where == "cost_integral_A2s"
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = (
+        '"""Module docstring,\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment alone\n"
+        "X = 1  # a comment after code\n"
+        "\n"
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        '    return """not a docstring"""\n'
+        "\n"
+        "class C:\n"
+        "    '''Class\n"
+        "    docstring.'''\n"
+        "    y = 2\n"
+    )
+    # the code lines: X = 1, def f, return, class C and y = 2
+    assert trace_identity.count_lines(source) == (15, 5)

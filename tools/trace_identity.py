@@ -16,10 +16,12 @@ traces, three summaries and the compare summary per run) are compared
 byte for byte, or with ``--rtol R`` within a tolerance (see
 ``compare_text``).  Exits 0 when every file
 matches and every exit code is identical, 1 on any difference or missing
-file, and 2 when a side cannot be set up.
+file, and 2 when a side cannot be set up.  It also prints the total and
+code-line counts of ``src/oflc`` on both sides (see ``count_lines``).
 """
 
 import argparse
+import ast
 import filecmp
 import math
 import os
@@ -54,6 +56,27 @@ def export_tree(ref, dest, *paths):
     if archive.wait() != 0 or untar.returncode != 0:
         raise RuntimeError(f"cannot export {' '.join(paths) or 'the tree'} of {ref!r}")
     return dest
+
+
+def count_lines(source):
+    """(total lines, code lines) of Python ``source``.
+
+    A code line is one that is not blank, not a comment alone and not part
+    of a module, class or function docstring.
+    """
+    lines = source.splitlines()
+    skipped = {n for n, line in enumerate(lines, 1) if not line.strip() or line.lstrip().startswith("#")}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                skipped.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines), len(lines) - len(skipped)
+
+
+def package_lines(package):
+    """(total lines, code lines) summed over the ``.py`` files under directory ``package``."""
+    counts = [count_lines(path.read_text(encoding="utf-8")) for path in sorted(package.rglob("*.py"))]
+    return sum(total for total, _ in counts), sum(code for _, code in counts)
 
 
 def run_side(src, out_root):
@@ -187,6 +210,8 @@ def main(argv=None):
         ref_codes = run_side(ref_src, tmp / "ref_out")
         work_codes = run_side(ROOT / "src", tmp / "work_out")
         notes, found = differences(tmp / "ref_out", tmp / "work_out", ref_codes, work_codes, args.rtol)
+        for side, src in ((f"at {args.ref}", ref_src), ("in the working tree", ROOT / "src")):
+            print("src/oflc {}: {} lines, {} code lines".format(side, *package_lines(src / "oflc")))
     for line in notes + found:
         print(line)
     if found:
