@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage/validation error, 2 numerical abort.
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,6 +36,11 @@ FLAGS_DOC = "# flags bitfield: " + " ".join(f"{1 << k}={name}" for k, name in en
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3 and -inf are values, not options; argparse's own pattern takes only forms like -1 and -0.5
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.I)
+
     # usage errors exit 1; code 2 is reserved for aborted runs
     def error(self, message):
         self.print_usage(sys.stderr)

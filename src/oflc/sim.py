@@ -9,8 +9,10 @@ Two integration modes are provided:
   y = L i: y' = A y + w, A = [[-R/L_d, omega], [-omega, -R/L_q]] and
   w = v + e.  At a constant speed the tick's substeps are one affine map,
   built once per scenario; otherwise it runs them one by one, RK4's
-  y += h T (A y + w) with the speed taken once per substep; most of a
-  fine-step run is spent there.
+  y += h T (A y + w), in one of two loops chosen by the speed source: a
+  speed profile's, which reads the speed once per substep, and mechanical
+  mode's, which follows each substep with one forward-Euler step (first
+  order) of the mechanical speed.  Most of a fine-step run is spent there.
 * ``run_continuous``: ``loop.control_law`` is re-evaluated at every RK4
   stage, i.e. the continuous-time closed loop; a step's first stage gives
   the u and clamp flag of its sample.  Used for transfer-function and
@@ -23,11 +25,12 @@ own result rounded differently: the tests hold its loop and its
 closed-form tick within 1e-12 of ``rk4`` on ``dq_dynamics`` and 1e-14 of
 RK4 in exact arithmetic, in flux linkage.  What the plant tick needs that
 does not change within a run (that map, the substep count and fractions
-of dt_plant, the machine constants and the kind of speed source and load)
-is computed once per scenario, in ``Scenario.__post_init__``, and kept as
-a private tuple beside the record's fields; ``rk4_plant_step`` only
-unpacks it.  Likewise each controller takes its constants once, at
-construction (see ``loop``).
+of dt_plant, the machine constants, the kind of speed source and load,
+and mechanical mode's torque per unit flux and dt/J) is computed once per
+scenario, in ``Scenario.__post_init__``, and kept as a private tuple
+beside the record's fields; ``rk4_plant_step`` only unpacks it.
+Likewise each controller takes its constants once, at construction (see
+``loop``).
 
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
 control tick; ``energy_accounting`` and the run's summary figures read
@@ -64,8 +67,8 @@ __all__ = [
 
 # Bounds that keep a run finite; the largest uses are 2000 substeps per tick
 # (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
-# 10**5 substeps per run (scenarios/step.cfg).  A substep of the loop costs
-# about 0.75 to 0.8 us under a varying speed and 0.65 us in mechanical mode
+# 10**5 substeps per run (scenarios/step.cfg).  A substep of the loops costs
+# about 0.75 to 0.8 us under a varying speed and 0.5 us in mechanical mode
 # (timeit on a 2-core host, Python 3.11), so 10**6 substeps take about
 # 0.8 s per tick and 10**8 substeps per run about 80 s; at a constant
 # speed a whole tick costs about 0.4 to 0.7 us, whatever its substep count.
@@ -165,17 +168,28 @@ class Scenario(Record):
                                   f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
         # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
         params, speed, dt = self.params, self.speed, self.dt_plant
-        mechanical = isinstance(speed, MechanicalModel)
-        load = speed.load_torque if mechanical else None
         tick = _tick_map(params, float(speed.value), dt, n_sub) if type(speed) is ConstantProfile else None
-        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, float(p) and -psi
+        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, -psi and float(p)
         a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
+        mech = None
+        if isinstance(speed, MechanicalModel):
+            # the speed's Euler step, (y_q (c_1 + c_2 y_d) - tau_load - friction omega_m) dt/J: machine.torque in the
+            # flux y = L i.  A factor that overflows would make the step nan at rest, where it is 0: rejected.  The
+            # friction stays in the bracket, so that no friction factor 1 - friction dt/J can overflow
+            k_tau, k_m, load = 1.5 * params.p, dt / speed.inertia, speed.load_torque
+            # c_2 = 1.5 p (L_d - L_q)/(L_d L_q) keeps the digits of L_d - L_q, and divides by the larger L first, so
+            # that no quotient overflows unless c_2 does
+            L_small, L_large = sorted((params.L_d, params.L_q))
+            c_1, c_2 = params.psi / params.L_q * k_tau, (params.L_d - params.L_q) / L_large / L_small * k_tau
+            if not (math.isfinite(c_1) and math.isfinite(c_2)):
+                raise ValidationError("scenario.params", f"gives a torque per unit flux that overflows: {c_1}, {c_2}")
+            if not math.isfinite(k_m):
+                raise ValidationError("scenario.speed", f"inertia {speed.inertia} is too small for dt_plant {dt}: "
+                                      "dt_plant/inertia overflows")
+            mech = (params.psi, load, type(load) is not ConstantProfile, c_1, c_2, speed.friction, k_m)
         object.__setattr__(self, "_plant", (
             tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k), params.L_d,
-            params.L_q, params.psi, -params.psi, float(params.p), speed, mechanical,
-            mechanical or type(speed) is not ConstantProfile, load, type(load) is not ConstantProfile,
-            speed.friction if mechanical else None, speed.inertia if mechanical else None,
-            1.5 * params.p, params.L_d - params.L_q))  # the factors of machine.torque
+            params.L_q, -params.psi, float(params.p), speed, type(speed) is not ConstantProfile, mech))
 
 
 class RunResult(Record):
@@ -284,36 +298,46 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     scenario: RK4's own result, rounded differently from the substeps.
     A scenario whose map does not exist (P^n overflows), a tick whose
     mapped currents are not finite (D i or G (v + e) can overflow where
-    the substeps do not), and every other speed source run the loop below.
+    the substeps do not), and every other speed source run one of the two
+    loops below, chosen by the speed source as the map is.
 
-    The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
+    Both loops run the tick's dt_ctrl/dt_plant classical RK4 substeps on
     Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
     speed and voltage a substep is exactly y += h T (A y + w), with T r
     applied by Horner, r + (hA/2)(r + (hA/3)(r + (hA/4) r)), on the
     constants of A and hA/k that ``Scenario.__post_init__`` took from
-    ``s``; the currents are y / L at the end of the tick.  Per substep
-    the electrical speed is the profile's at the substep's start, or
-    p * omega_m in mechanical mode, where omega_m (mechanical, passed
-    through otherwise) takes an Euler step after the currents, with the
-    torque of ``machine.torque`` at y / L.  ``omega``, when given, is the
-    electrical speed the caller already took at t (``run_scenario``
-    passes the one it gave the controller); the loop takes it as its
-    first substep's sample, and with None takes that sample here.  A
-    ``ConstantProfile`` speed or load is read once per tick, at its first
-    substep, and the speed's entries of hA/k and e are taken once with it;
-    any other profile is called again at every later substep, at
-    t + j dt_plant.  Returns (i_d, i_q, omega_m).
+    ``s``; the currents are y / L at the end of the tick.  The profile
+    loop takes the electrical speed from the profile at each substep's
+    start and passes omega_m through; its one test per substep is whether
+    a varying profile is read again.  The mechanical loop (a
+    ``MechanicalModel`` speed) takes it as p * omega_m, writes the
+    back-EMF into the q stage, -omega (y_d + psi), and after the currents
+    takes one forward-Euler step of omega_m, so the speed is first order
+    while the currents are RK4's: omega_m += (tau - tau_load -
+    friction omega_m) dt/J, with ``machine.torque`` written in the flux,
+    tau = y_q (c_1 + c_2 y_d), and c_1, c_2 and dt/J taken by ``Scenario``.
+    Its one test per substep is whether a varying load is read again.
+    ``omega``, when given, is the electrical speed the caller already took
+    at t (``run_scenario`` passes the one it gave the controller); the
+    loops take it as their first substep's speed, and with None take that
+    sample here.  A ``ConstantProfile`` speed or load is read once per
+    tick, at its first substep, and the profile loop takes the speed's
+    entries of hA/k and e once with it; any other profile is called again
+    at every later substep, at t + j dt_plant.  A substep costs about
+    0.5 us in the mechanical loop and 0.75 to 0.8 us in the profile loop
+    under a varying speed (timeit, 2-core host).  Returns (i_d, i_q,
+    omega_m).
 
     The currents are checked once, at the end of the tick: each substep
     adds the flux to its own update, and inf or nan survives +, - and
-    x with finite numbers and / by the positive L_d, L_q and inertia, so
-    a flux that goes non-finite stays so to the end of the tick.
+    x with finite numbers and / by the positive L_d and L_q, so a flux
+    that goes non-finite stays so to the end of the tick.
 
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, neg_psi, p, speed,
-     mechanical, speed_varies, load, load_varies, friction, inertia, k_tau, saliency) = s._plant
+    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, neg_psi, p, speed,
+     speed_varies, mech) = s._plant
     if tick is not None:
         (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
         w_q = v_q + e_q
@@ -322,25 +346,33 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
         if math.isfinite(m_d) and math.isfinite(m_q):
             return m_d, m_q, omega_m
     if omega is None:
-        omega = p * omega_m if mechanical else float(speed(t))
-    # the speed's entries of hA/k and the q entry of w = v + e
-    o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
+        omega = float(speed(t)) if mech is None else p * omega_m
     y_d, y_q = L_d * i_d, L_q * i_q
-    if mechanical:
+    if mech is not None:
+        psi, load, load_varies, c_1, c_2, friction, k_m = mech
         tau_load = load(t)
-    for j in substeps:
-        if speed_varies and j:
-            omega = p * omega_m if mechanical else float(speed(t + j * dt))
-            o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
-        r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * y_d + w_q
-        x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
-        x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
-        y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
-        if mechanical:
+        for j in substeps:
+            # the speed's entries of hA/k; the back-EMF -omega psi joins the q stage as the flux y_d + psi
+            o2, o3, o4 = h2 * omega, h3 * omega, h4 * omega
+            r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * (y_d + psi) + v_q
+            x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
+            x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
+            y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
             if load_varies and j:
                 tau_load = load(t + j * dt)
-            i_d, i_q = y_d / L_d, y_q / L_q
-            omega_m += (k_tau * (psi * i_q + saliency * i_d * i_q) - tau_load - friction * omega_m) / inertia * dt
+            omega_m += (y_q * (c_1 + c_2 * y_d) - tau_load - friction * omega_m) * k_m
+            omega = p * omega_m
+    else:
+        # the speed's entries of hA/k and the q entry of w = v + e
+        o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
+        for j in substeps:
+            if speed_varies and j:
+                omega = float(speed(t + j * dt))
+                o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
+            r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * y_d + w_q
+            x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
+            x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
+            y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
     i_d, i_q = y_d / L_d, y_q / L_q
     if not (math.isfinite(i_d) and math.isfinite(i_q)):
         raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")

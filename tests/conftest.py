@@ -38,6 +38,20 @@ def tick_scenario(params, dt_plant, n_sub, speed=0.0, **kw):
                     dt_plant=dt_plant, dt_ctrl=n_sub * dt_plant, **kw)
 
 
+def unless_overflowing(build):
+    """``build()``, a Scenario, or hypothesis's reject() where ``Scenario`` rejects a mechanical speed step that
+    overflows: a dt_plant/inertia or a torque per unit flux beyond the largest float."""
+    from hypothesis import reject
+    from oflc.errors import ValidationError
+
+    try:
+        return build()
+    except ValidationError as e:
+        if "overflow" not in e.reason:
+            raise
+        reject()
+
+
 @pytest.fixture
 def p0():
     return P0

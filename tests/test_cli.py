@@ -144,6 +144,10 @@ def test_validation_error_exits_1(tmp_path, capsys):
                                  ("--v-max", "nan", "scenario.v_max: must be positive and finite, got nan"),
                                  ("--v-max", "1e200", "scenario.v_max: must have a finite square"),
                                  ("--horizon", "0", "scenario.horizon: must be positive and finite, got 0.0"),
+                                 # argparse's own negative-number pattern has no exponent
+                                 ("--horizon", "-1e-3", "scenario.horizon: must be positive and finite, got -0.001"),
+                                 ("--v-max", "-1e3", "scenario.v_max: must be positive and finite, got -1000.0"),
+                                 ("--kp", "-1e3", "controller.kp: "),
                                  ("--kp", "nan", "controller.kp"), ("--ki", "inf", "controller.ki")):
         rc = main(["simulate", "--scenario", str(good), "--out", str(tmp_path), flag, value])
         assert rc == 1

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import unless_overflowing
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -164,9 +165,10 @@ def scenarios(draw):
     """Writable scenarios; whole substeps per tick and ticks per run make the rates exact multiples."""
     dt_plant = draw(st.floats(min_value=1e-300, max_value=1e300))
     dt_ctrl = draw(st.integers(1, 1000)) * dt_plant
-    return Scenario(params=draw(MACHINES), duration=draw(st.integers(1, 10_000)) * dt_ctrl, tau_ref=draw(PROFILES),
-                    speed=draw(PROFILES | MECHANICAL), dt_plant=dt_plant, dt_ctrl=dt_ctrl, horizon=draw(POSITIVE),
-                    v_max=draw(FINITE_SQUARE), i0=(draw(FINITE), draw(FINITE)))
+    return unless_overflowing(lambda: Scenario(
+        params=draw(MACHINES), duration=draw(st.integers(1, 10_000)) * dt_ctrl, tau_ref=draw(PROFILES),
+        speed=draw(PROFILES | MECHANICAL), dt_plant=dt_plant, dt_ctrl=dt_ctrl, horizon=draw(POSITIVE),
+        v_max=draw(FINITE_SQUARE), i0=(draw(FINITE), draw(FINITE))))
 
 
 @given(scenarios(), SETTINGS)
@@ -189,7 +191,8 @@ def test_serialize_rejects_unwritable_load(scenario, field, load):
     elif field == "speed":
         scenario = records.replace(scenario, speed=_not_a_profile)
     else:
-        scenario = records.replace(scenario, speed=MechanicalModel(inertia=1e-3, load_torque=load))
+        scenario = unless_overflowing(lambda: records.replace(scenario, speed=MechanicalModel(inertia=1e-3,
+                                                                                         load_torque=load)))
     with pytest.raises(ValidationError) as exc:
         serialize_config(scenario)
     assert exc.value.field == field

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
-from conftest import P0, P_NS, V_MAX, tick_scenario
+from conftest import P0, P_NS, V_MAX, tick_scenario, unless_overflowing
 from test_config import FINITE, FINITE_SQUARE, MACHINES, MECHANICAL, PROFILES, VARYING_PROFILES
 from oflc import records, sim
-from oflc.errors import NonFiniteStateError
+from oflc.errors import NonFiniteStateError, ValidationError
 from oflc.linearization import compute_terms
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings, control_law
 from oflc.machine import MachineParams, dq_dynamics, torque
@@ -159,6 +159,26 @@ def test_rk4_nonfinite_raises():
     assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s) == (0.0, 0.0, 0.0)
 
 
+def test_mechanical_speed_step_factors_are_finite():
+    # mechanical mode steps the speed by (y_q (c_1 + c_2 y_d) - tau_load - friction omega_m) dt/J, with the torque per
+    # unit flux c_1, c_2 and dt/J taken once per scenario.  A factor beyond the largest float would make a tick at
+    # rest nan, where the step it stands for, (tau - tau_load - friction omega_m) / J dt, gives 0: so Scenario
+    # rejects it, naming the field
+    message = r"^scenario\.speed: inertia 5e-324 is too small for dt_plant 1e-06: dt_plant/inertia overflows$"
+    with pytest.raises(ValidationError, match=message):
+        tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=5e-324))
+    huge_torque = MachineParams(R=0.5, L_d=3e-3, L_q=sys.float_info.min, psi=1.0, p=4)
+    with pytest.raises(ValidationError, match=r"^scenario\.params: gives a torque per unit flux"):
+        tick_scenario(huge_torque, 1e-6, 100, MechanicalModel(inertia=1e-3))
+    tick_scenario(huge_torque, 1e-6, 100, _held(100.0))  # a profile speed needs no torque
+    # the smallest inertia and the largest torque factors that are finite, and a friction whose friction dt/J would
+    # overflow, keep a tick at rest at rest
+    for params, mech in ((P0, MechanicalModel(inertia=2e-6 / sys.float_info.max)),
+                         (MachineParams(0.5, 3e-3, 1e-300, 1e-10, 4), MechanicalModel(inertia=1e-3, friction=1.0)),
+                         (P0, MechanicalModel(inertia=1e-300, friction=1e300))):
+        assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(params, 1e-6, 100, mech)) == (0.0, 0.0, 0.0)
+
+
 def test_closed_form_tick_overflow_runs_the_substeps():
     # the map's G_qq (v_q + e_q) overflows to inf before D i cancels it, while the one RK4 substep stays finite
     # (exact RK4 gives i_q = 3.9590991690126766e+307 A): the tick steps through the loop instead of aborting
@@ -255,7 +275,7 @@ def test_substep_loop_is_rk4(params, speed_and_n_sub, log_dt, t, currents_and_vo
     # to 5 s)
     speed, n_sub = speed_and_n_sub
     i_d, i_q, v_d, v_q = currents_and_voltages
-    s = tick_scenario(params, 10.0 ** log_dt, n_sub, speed)
+    s = unless_overflowing(lambda: tick_scenario(params, 10.0 ** log_dt, n_sub, speed))
     h, omega_m = s.dt_plant, speed.omega0 if isinstance(speed, MechanicalModel) else 0.0
     try:
         step = rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s)
@@ -370,6 +390,34 @@ def test_run_scenario_samples_the_speed_once_per_substep():
         assert not result.aborted and speed.calls == 20 * n_sub
 
 
+class _LoggedLoad:
+    """A load torque profile that logs the times it is read at."""
+
+    def __init__(self):
+        self.times = []
+
+    def __call__(self, t):
+        self.times.append(t)
+        return 0.5 - 100.0 * t
+
+
+def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
+    # mechanical mode reads a ConstantProfile load once per tick, at its start, and any other load at every
+    # substep, at t + j dt_plant
+    constant, reads = ConstantProfile(0.5), []
+    monkeypatch.setattr(ConstantProfile, "__call__",
+                        lambda self, t: (self is constant and reads.append(t), self.value)[1])
+    for n_sub in (1, 7):
+        dt_plant, varying = 1e-4 / n_sub, _LoggedLoad()
+        for load in (varying, constant):
+            s = _quiet_scenario(duration=0.002, dt_plant=dt_plant,
+                                speed=MechanicalModel(inertia=1e-4, friction=1e-3, load_torque=load, omega0=20.0))
+            assert not run_scenario(s, "oflc").aborted
+        assert varying.times == [k * s.dt_ctrl + j * dt_plant for k in range(20) for j in range(n_sub)]
+        assert reads == [k * s.dt_ctrl for k in range(20)]
+        reads.clear()
+
+
 def test_simulators_never_call_the_reference_steps(monkeypatch):
     # loop.control_law alone gives what a simulator applies; the step functions are only its reference,
     # so every oflc name bound to one of them raises for the length of the runs
@@ -428,8 +476,9 @@ def short_runs(draw):
     params = draw(NEAR_P0)
     dt_plant = 10.0 ** draw(st.floats(-7.0, -4.0))
     dt_ctrl = draw(st.integers(1, 5)) * dt_plant
-    return Scenario(params=params, duration=20 * dt_ctrl, tau_ref=draw(PROFILES), speed=draw(PROFILES | MECHANICAL),
-                    dt_plant=dt_plant, dt_ctrl=dt_ctrl, v_max=draw(FINITE_SQUARE))
+    return unless_overflowing(lambda: Scenario(
+        params=params, duration=20 * dt_ctrl, tau_ref=draw(PROFILES), speed=draw(PROFILES | MECHANICAL),
+        dt_plant=dt_plant, dt_ctrl=dt_ctrl, v_max=draw(FINITE_SQUARE)))
 
 
 @given(short_runs())
@@ -627,8 +676,6 @@ def test_summary_figures_equal_numpy_sums():
 
 
 def test_scenario_validation():
-    from oflc.errors import ValidationError
-
     with pytest.raises(ValidationError):
         _quiet_scenario(dt_plant=1e-3)  # > dt_ctrl
     with pytest.raises(ValidationError):
