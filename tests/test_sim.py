@@ -370,13 +370,14 @@ def test_run_scenario_reproducible(monkeypatch):
 
 
 class _CountedSpeed:
-    """A speed ramp that counts its calls."""
+    """A ramp, 1000 t, that counts its calls and logs their times: a speed profile, or a load torque."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls, self.times = 0, []
 
     def __call__(self, t):
         self.calls += 1
+        self.times.append(t)
         return 1000.0 * t
 
 
@@ -390,17 +391,6 @@ def test_run_scenario_samples_the_speed_once_per_substep():
         assert not result.aborted and speed.calls == 20 * n_sub
 
 
-class _LoggedLoad:
-    """A load torque profile that logs the times it is read at."""
-
-    def __init__(self):
-        self.times = []
-
-    def __call__(self, t):
-        self.times.append(t)
-        return 0.5 - 100.0 * t
-
-
 def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
     # mechanical mode reads a ConstantProfile load once per tick, at its start, and any other load at every
     # substep, at t + j dt_plant
@@ -408,7 +398,7 @@ def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
     monkeypatch.setattr(ConstantProfile, "__call__",
                         lambda self, t: (self is constant and reads.append(t), self.value)[1])
     for n_sub in (1, 7):
-        dt_plant, varying = 1e-4 / n_sub, _LoggedLoad()
+        dt_plant, varying = 1e-4 / n_sub, _CountedSpeed()
         for load in (varying, constant):
             s = _quiet_scenario(duration=0.002, dt_plant=dt_plant,
                                 speed=MechanicalModel(inertia=1e-4, friction=1e-3, load_torque=load, omega0=20.0))
