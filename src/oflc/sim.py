@@ -9,10 +9,10 @@ Two integration modes are provided:
   y = L i: y' = A y + w, A = [[-R/L_d, omega], [-omega, -R/L_q]] and
   w = v + e.  At a constant speed the tick's substeps are one affine map,
   built once per scenario; otherwise it runs them one by one, RK4's
-  y += h T (A y + w), in one of two loops chosen by the speed source: a
-  speed profile's, which reads the speed once per substep, and mechanical
-  mode's, which follows each substep with one forward-Euler step (first
-  order) of the mechanical speed.  Most of a fine-step run is spent there.
+  y += h T (A y + w), in one loop for every speed source: it reads a
+  varying speed profile once per substep, and in mechanical mode follows
+  each substep with one forward-Euler step (first order) of the mechanical
+  speed.  Most of a fine-step run is spent there.
 * ``run_continuous``: ``loop.control_law`` is re-evaluated at every RK4
   stage, i.e. the continuous-time closed loop; a step's first stage gives
   the u and clamp flag of its sample.  Used for transfer-function and
@@ -42,6 +42,7 @@ it in their own bodies.
 """
 
 import math
+import sys
 from collections import Counter
 from numbers import Real
 from typing import Callable, Tuple, Union
@@ -67,9 +68,9 @@ __all__ = [
 
 # Bounds that keep a run finite; the largest uses are 2000 substeps per tick
 # (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
-# 10**5 substeps per run (scenarios/step.cfg).  A substep of the loops costs
-# about 0.75 to 0.8 us under a varying speed and 0.5 us in mechanical mode
-# (timeit on a 2-core host, Python 3.11), so 10**6 substeps take about
+# 10**5 substeps per run (scenarios/step.cfg).  A substep of the loop costs
+# about 0.8 us under a varying speed and 0.6 us in mechanical mode (timeit
+# on a 2-core host, Python 3.11), so 10**6 substeps take about
 # 0.8 s per tick and 10**8 substeps per run about 80 s; at a constant
 # speed a whole tick costs about 0.4 to 0.7 us, whatever its substep count.
 # Each tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB
@@ -169,7 +170,7 @@ class Scenario(Record):
         # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
         params, speed, dt = self.params, self.speed, self.dt_plant
         tick = _tick_map(params, float(speed.value), dt, n_sub) if type(speed) is ConstantProfile else None
-        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, -psi and float(p)
+        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, psi and float(p)
         a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
         mech = None
         if isinstance(speed, MechanicalModel):
@@ -186,10 +187,18 @@ class Scenario(Record):
             if not math.isfinite(k_m):
                 raise ValidationError("scenario.speed", f"inertia {speed.inertia} is too small for dt_plant {dt}: "
                                       "dt_plant/inertia overflows")
-            mech = (params.psi, load, type(load) is not ConstantProfile, c_1, c_2, speed.friction, k_m)
+            # a subnormal dt/J has too few digits: the step's x dt/J would lose those that (x/J) dt keeps
+            if k_m < sys.float_info.min:
+                raise ValidationError("scenario.speed", f"inertia {speed.inertia}: dt_plant/inertia {k_m} is subnormal")
+            # friction alone scales omega_m by 1 - friction dt/J per step, which shrinks it, as the exact speed
+            # shrinks, only for friction dt/J < 2; an overflow to inf fails the test too
+            if not speed.friction * k_m < 2.0:
+                raise ValidationError("scenario.speed", f"friction {speed.friction} gives friction*dt_plant/inertia "
+                                      f"{speed.friction * k_m:.6g}, not below 2: the speed's Euler step grows")
+            mech = (load, type(load) is not ConstantProfile, c_1, c_2, speed.friction, k_m)
         object.__setattr__(self, "_plant", (
             tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k), params.L_d,
-            params.L_q, -params.psi, float(params.p), speed, type(speed) is not ConstantProfile, mech))
+            params.L_q, params.psi, float(params.p), speed, mech is None and type(speed) is not ConstantProfile, mech))
 
 
 class RunResult(Record):
@@ -298,35 +307,31 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     scenario: RK4's own result, rounded differently from the substeps.
     A scenario whose map does not exist (P^n overflows), a tick whose
     mapped currents are not finite (D i or G (v + e) can overflow where
-    the substeps do not), and every other speed source run one of the two
-    loops below, chosen by the speed source as the map is.
+    the substeps do not), and every other speed source run the loop below.
 
-    Both loops run the tick's dt_ctrl/dt_plant classical RK4 substeps on
+    The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
     Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
     speed and voltage a substep is exactly y += h T (A y + w), with T r
     applied by Horner, r + (hA/2)(r + (hA/3)(r + (hA/4) r)), on the
     constants of A and hA/k that ``Scenario.__post_init__`` took from
-    ``s``; the currents are y / L at the end of the tick.  The profile
-    loop takes the electrical speed from the profile at each substep's
-    start and passes omega_m through; its one test per substep is whether
-    a varying profile is read again.  The mechanical loop (a
-    ``MechanicalModel`` speed) takes it as p * omega_m, writes the
-    back-EMF into the q stage, -omega (y_d + psi), and after the currents
-    takes one forward-Euler step of omega_m, so the speed is first order
-    while the currents are RK4's: omega_m += (tau - tau_load -
-    friction omega_m) dt/J, with ``machine.torque`` written in the flux,
-    tau = y_q (c_1 + c_2 y_d), and c_1, c_2 and dt/J taken by ``Scenario``.
-    Its one test per substep is whether a varying load is read again.
-    ``omega``, when given, is the electrical speed the caller already took
-    at t (``run_scenario`` passes the one it gave the controller); the
-    loops take it as their first substep's speed, and with None take that
-    sample here.  A ``ConstantProfile`` speed or load is read once per
-    tick, at its first substep, and the profile loop takes the speed's
-    entries of hA/k and e once with it; any other profile is called again
-    at every later substep, at t + j dt_plant.  A substep costs about
-    0.5 us in the mechanical loop and 0.75 to 0.8 us in the profile loop
-    under a varying speed (timeit, 2-core host).  Returns (i_d, i_q,
-    omega_m).
+    ``s``, and the back-EMF written into the q stage, -omega (y_d + psi);
+    the currents are y / L at the end of the tick.  Each substep takes
+    the speed's entries of hA/k from the electrical speed omega at its
+    start.  At a speed profile omega is the profile's reading, and
+    omega_m passes through.  In mechanical mode (a ``MechanicalModel``
+    speed) omega is p * omega_m, and after the currents omega_m takes one
+    forward-Euler step, so the speed is first order while the currents
+    are RK4's: omega_m += (tau - tau_load - friction omega_m) dt/J, with
+    ``machine.torque`` written in the flux, tau = y_q (c_1 + c_2 y_d),
+    and c_1, c_2 and dt/J taken by ``Scenario``.  ``omega``, when given,
+    is the electrical speed the caller already took at t (``run_scenario``
+    passes the one it gave the controller); the loop takes it as its
+    first substep's speed, and with None takes that sample here.  A
+    ``ConstantProfile`` speed or load is read once per tick, at its first
+    substep; any other profile is called again at every later substep, at
+    t + j dt_plant.  A substep costs about 0.6 us in mechanical mode and
+    0.8 us under a varying speed (timeit, 2-core host).  Returns (i_d,
+    i_q, omega_m).
 
     The currents are checked once, at the end of the tick: each substep
     adds the flux to its own update, and inf or nan survives +, - and
@@ -336,7 +341,7 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, neg_psi, p, speed,
+    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, speed,
      speed_varies, mech) = s._plant
     if tick is not None:
         (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
@@ -349,30 +354,22 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
         omega = float(speed(t)) if mech is None else p * omega_m
     y_d, y_q = L_d * i_d, L_q * i_q
     if mech is not None:
-        psi, load, load_varies, c_1, c_2, friction, k_m = mech
+        load, load_varies, c_1, c_2, friction, k_m = mech
         tau_load = load(t)
-        for j in substeps:
-            # the speed's entries of hA/k; the back-EMF -omega psi joins the q stage as the flux y_d + psi
-            o2, o3, o4 = h2 * omega, h3 * omega, h4 * omega
-            r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * (y_d + psi) + v_q
-            x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
-            x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
-            y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
+    for j in substeps:
+        if speed_varies and j:
+            omega = float(speed(t + j * dt))
+        # the speed's entries of hA/k; the back-EMF -omega psi joins the q stage as the flux y_d + psi
+        o2, o3, o4 = h2 * omega, h3 * omega, h4 * omega
+        r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * (y_d + psi) + v_q
+        x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
+        x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
+        y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
+        if mech is not None:
             if load_varies and j:
                 tau_load = load(t + j * dt)
             omega_m += (y_q * (c_1 + c_2 * y_d) - tau_load - friction * omega_m) * k_m
             omega = p * omega_m
-    else:
-        # the speed's entries of hA/k and the q entry of w = v + e
-        o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
-        for j in substeps:
-            if speed_varies and j:
-                omega = float(speed(t + j * dt))
-                o2, o3, o4, w_q = h2 * omega, h3 * omega, h4 * omega, v_q + neg_psi * omega
-            r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * y_d + w_q
-            x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
-            x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
-            y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
     i_d, i_q = y_d / L_d, y_q / L_q
     if not (math.isfinite(i_d) and math.isfinite(i_q)):
         raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")

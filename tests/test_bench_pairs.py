@@ -1,4 +1,4 @@
-"""The claim rule of tools/bench_pairs.py (``verdict``)."""
+"""The claim rule and the no-regression verdict of tools/bench_pairs.py (``verdict``, ``regression``)."""
 
 import importlib.util
 import sys
@@ -46,3 +46,34 @@ def test_verdict_counts_wins_and_compares_the_median_gain_with_the_parent_iqr(be
     assert (v["change_better_pairs"], v["claim_met"]) == (8, False)
     # lower is better: a 20% fall on every pair
     assert verdict(PARENT, [0.8 * p for p in PARENT], "lower")["claim_met"]
+
+
+def test_regression_is_worse_beyond_the_bound_and_unresolved_where_the_parent_spreads_wider(bench_pairs):
+    regression = bench_pairs.regression
+    # PARENT's median is 89 and its IQR 9: a bound of 0.25 gives a margin of 22.25 (wider than the IQR), one of
+    # 0.05 a margin of 4.45 (narrower).  Each case runs in both directions, the change's values mirrored about
+    # the parent's
+    for better, sign in (("higher", 1.0), ("lower", -1.0)):
+        def shifted(by):
+            return [p + sign * by for p in PARENT]
+
+        assert regression(PARENT, shifted(-30.0), better, 0.25) == "worse"
+        assert regression(PARENT, shifted(-22.25), better, 0.25) == "within bound"  # worse by the margin itself
+        assert regression(PARENT, shifted(-1.0), better, 0.25) == "within bound"
+        assert regression(PARENT, shifted(-5.0), better, 0.05) == "worse"
+        assert regression(PARENT, shifted(-1.0), better, 0.05) == "unresolved"
+        assert regression(PARENT, shifted(1.0), better, 0.05) == "unresolved"  # better, but not run for run
+        assert regression(PARENT, shifted(20.0), better, 0.05) == "within bound"  # all change runs beat all parent runs
+        assert regression(PARENT, shifted(18.0), better, 0.05) == "unresolved"  # 98 ties 80 + 18
+
+
+def test_summarize_judges_each_metric_against_its_bound(bench_pairs):
+    def run(value):
+        return {"values": {"ticks_per_s": value, "wall_s": value}, "failed": 0, "model": "m"}
+
+    pairs = [{"parent": run(p), "change": run(p - 30.0)} for p in PARENT]
+    summary = bench_pairs.summarize(pairs, {"ticks_per_s": ("higher", 0.25), "wall_s": ("lower", 0.05)})
+    assert summary["failed"] == {"parent": 0, "change": 0} and summary["model_fingerprints_equal"]
+    ticks, wall = summary["metrics"]["ticks_per_s"], summary["metrics"]["wall_s"]
+    assert (ticks["bound"], ticks["regression"], ticks["claim_met"]) == (0.25, "worse", False)
+    assert (wall["bound"], wall["regression"], wall["claim_met"]) == (0.05, "within bound", True)

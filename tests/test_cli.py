@@ -220,7 +220,10 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("load = 0.5", "load = nan", "speed.load: must be finite"),
                               ("load = 0.5", "load = inf", "speed.load: must be finite"),
                               ("load = 0.5", "load = -inf", "speed.load: must be finite"),
-                              ("load = 0.5", "load = 0.5\nomega0 = nan", "speed.omega0: must be finite")):
+                              ("load = 0.5", "load = 0.5\nomega0 = nan", "speed.omega0: must be finite"),
+                              # finite, but friction*dt_plant/inertia = 3: the speed's Euler step would grow
+                              ("inertia = 1e-3\nfriction = 2e-3", "inertia = 1e-6\nfriction = 0.3",
+                               "scenario.speed: friction 0.3 gives friction*dt_plant/inertia 3, not below 2")):
         bad.write_text(MECHANICAL.replace(old, new))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 1

@@ -171,12 +171,40 @@ def test_mechanical_speed_step_factors_are_finite():
     with pytest.raises(ValidationError, match=r"^scenario\.params: gives a torque per unit flux"):
         tick_scenario(huge_torque, 1e-6, 100, MechanicalModel(inertia=1e-3))
     tick_scenario(huge_torque, 1e-6, 100, _held(100.0))  # a profile speed needs no torque
-    # the smallest inertia and the largest torque factors that are finite, and a friction whose friction dt/J would
-    # overflow, keep a tick at rest at rest
+    # a subnormal dt/J keeps too few digits for the speed step, where (x/J) dt keeps them: dt/J = 5.2e-311 (dt 1e-3,
+    # inertia 1.9e307) put the loop 1.0e-14 in flux from exact RK4, through a psi of 1.1e149, and drawn smaller ones
+    # up to 2.6e-8 (bound 1e-14)
+    message = r"^scenario\.speed: inertia 1e\+303: dt_plant/inertia 1e-309 is subnormal$"
+    with pytest.raises(ValidationError, match=message):
+        tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e303))
+    # a friction whose friction dt/J overflows is rejected as a speed step that grows (see
+    # test_friction_step_that_cannot_decay_is_rejected)
+    with pytest.raises(ValidationError, match=r"^scenario\.speed: friction 1e\+300 gives .* inf, not below 2"):
+        tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e-300, friction=1e300))
+    # the smallest inertia and the largest torque factors that are finite keep a tick at rest at rest
     for params, mech in ((P0, MechanicalModel(inertia=2e-6 / sys.float_info.max)),
-                         (MachineParams(0.5, 3e-3, 1e-300, 1e-10, 4), MechanicalModel(inertia=1e-3, friction=1.0)),
-                         (P0, MechanicalModel(inertia=1e-300, friction=1e300))):
+                         (MachineParams(0.5, 3e-3, 1e-300, 1e-10, 4), MechanicalModel(inertia=1e-3, friction=1.0))):
         assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(params, 1e-6, 100, mech)) == (0.0, 0.0, 0.0)
+
+
+def test_friction_step_that_cannot_decay_is_rejected():
+    # friction alone scales the speed's forward-Euler step by 1 - friction dt_plant/J, which grows or keeps
+    # |omega_m| from a ratio of 2 on, while the exact speed decays as exp(-friction t/J).  Ratios 3 and 2 are
+    # rejected (3 took omega_m from 10 to 1.04e4 rad/s in one tick and aborted the run; 2 took it from 10 to 10.9 over
+    # two ticks); 0.5 runs and decays
+    def scenario(friction):
+        return Scenario(params=P0, duration=3e-4, tau_ref=ConstantProfile(0.0), dt_plant=1e-5, dt_ctrl=1e-4,
+                        speed=MechanicalModel(inertia=1e-6, friction=friction, omega0=10.0))
+
+    for friction, ratio in ((0.3, "3"), (0.2, "2")):
+        message = (rf"^scenario\.speed: friction {friction} gives friction\*dt_plant/inertia {ratio}, not below 2: "
+                   r"the speed's Euler step grows$")
+        with pytest.raises(ValidationError, match=message):
+            scenario(friction)
+    result = run_scenario(scenario(0.05), "id_zero")
+    speeds = [frame.omega / P0.p for frame in result.frames]
+    assert not result.aborted and len(speeds) == 3 and speeds[0] == 10.0
+    assert all(0.0 < b < a for a, b in zip(speeds, speeds[1:]))
 
 
 def test_closed_form_tick_overflow_runs_the_substeps():
@@ -381,7 +409,7 @@ class _CountedSpeed:
         return 1000.0 * t
 
 
-def test_run_scenario_samples_the_speed_once_per_substep():
+def test_run_scenario_samples_the_speed_once_per_substep(monkeypatch):
     # the controller's sample at t is also the first substep's speed; a varying profile is called again
     # only at the later substeps of the tick
     for n_sub in (1, 7):
@@ -389,6 +417,15 @@ def test_run_scenario_samples_the_speed_once_per_substep():
         s = _quiet_scenario(duration=0.002, speed=speed, dt_plant=1e-4 / n_sub)
         result = run_scenario(s, "oflc")
         assert not result.aborted and speed.calls == 20 * n_sub
+    # a ConstantProfile speed is read once per tick, at its start, also where RK4 is unstable at dt_plant, so that
+    # the scenario keeps no closed-form map and its ticks run the substep loop
+    constant, reads = ConstantProfile(0.0), []
+    monkeypatch.setattr(ConstantProfile, "__call__",
+                        lambda self, t: (self is constant and reads.append(t), self.value)[1])
+    s = _quiet_scenario(duration=300.0, speed=constant, dt_plant=1.0, dt_ctrl=100.0)
+    assert s._plant[0] is None
+    result = run_scenario(s, "oflc", settings=ControllerSettings(kp=0.0, ki=0.0))
+    assert not result.aborted and reads == [0.0, 100.0, 200.0]
 
 
 def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):

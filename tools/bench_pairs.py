@@ -12,11 +12,12 @@ Pair k uses seed S + k on both sides, and the side that runs first
 alternates, parent first in pair 0.  Each side runs its own ``bench/``.
 
 Prints each pair's end-to-end values and change/parent ratios, then per
-metric the change's wins, each side's median, the parent's quartiles and
-the claim rule's verdict (``verdict``).  With ``--out`` the pairs and the
-summary are also written as JSON.  Exits 0 when every run completed and
-its outputs passed the benchmark's checks, 1 otherwise, and 2 when REF
-cannot be exported.
+metric the change's wins, each side's median, the parent's quartiles, the
+claim rule's verdict (``verdict``) and the no-regression verdict against
+the metric's ``bound`` in ``BENCHMARK.json`` (``regression``).  With
+``--out`` the pairs and the summary are also written as JSON.  Exits 0
+when every run completed and its outputs passed the benchmark's checks, 1
+otherwise, and 2 when REF cannot be exported.
 """
 
 import argparse
@@ -56,6 +57,25 @@ def verdict(parent, change, better):
     }
 
 
+def regression(parent, change, better, bound):
+    """The no-regression verdict over the paired values of one metric, whose benchmark bound is ``bound``.
+
+    "worse" where the change's median is worse than the parent's by more
+    than the margin, ``bound`` times the parent median's magnitude;
+    otherwise "unresolved" where the parent's interquartile range exceeds
+    that margin and not every change run is better than every parent run;
+    otherwise "within bound".  Medians and quartiles as in ``verdict``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    parent_q1, parent_median, parent_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    margin = bound * abs(parent_median)
+    if sign * (statistics.median(change) - parent_median) < -margin:
+        return "worse"
+    if parent_q3 - parent_q1 > margin and not all(sign * (c - p) > 0.0 for p in parent for c in change):
+        return "unresolved"
+    return "within bound"
+
+
 def run_bench(root, workload, seed, seconds):
     """One ``bench/run.py`` run in checkout ``root``: its metric values, failures and model fingerprints."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -71,14 +91,20 @@ def run_bench(root, workload, seed, seconds):
 
 
 def summarize(pairs, metrics):
-    """Each metric's ``verdict`` over the completed pairs, and the failure counts of each side."""
+    """Each metric's ``verdict`` and ``regression`` over the completed pairs, and the failure counts of each side.
+
+    ``metrics`` maps each metric's name to its ``better`` and ``bound``.
+    """
+    judged = {}
+    for name, (better, bound) in metrics.items():
+        parent, change = ([p[side]["values"][name] for p in pairs] for side in ("parent", "change"))
+        judged[name] = {**verdict(parent, change, better), "bound": bound,
+                        "regression": regression(parent, change, better, bound)}
     return {
         "pairs": len(pairs),
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
         "model_fingerprints_equal": all(p["parent"]["model"] == p["change"]["model"] for p in pairs),
-        "metrics": {name: verdict([p["parent"]["values"][name] for p in pairs],
-                                  [p["change"]["values"][name] for p in pairs], better)
-                    for name, better in metrics.items()},
+        "metrics": judged,
     }
 
 
@@ -93,7 +119,7 @@ def main(argv=None):
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
 
     pairs, error = [], None
@@ -127,7 +153,8 @@ def main(argv=None):
             print(f"  {name}: change better in {v['change_better_pairs']}/{v['pairs']}; median "
                   f"{v['parent_median']:.6g} -> {v['change_median']:.6g}, median pair ratio "
                   f"{v['median_pair_ratio']:.4f}; parent IQR {v['parent_iqr']:.4g} "
-                  f"[{v['parent_q1']:.6g}, {v['parent_q3']:.6g}]; claim rule {'met' if v['claim_met'] else 'not met'}")
+                  f"[{v['parent_q1']:.6g}, {v['parent_q3']:.6g}]; claim rule {'met' if v['claim_met'] else 'not met'}; "
+                  f"bound {v['bound']:g}: {v['regression']}")
     if args.out:
         args.out.write_text(json.dumps({"ref": args.ref, "workload": args.workload, "seconds": seconds,
                                         "seeds": f"{args.first_seed}-{args.first_seed + args.pairs - 1}",
