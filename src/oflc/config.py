@@ -31,9 +31,9 @@ mechanical ``load`` is a constant load torque.
 
 import configparser
 import io
-import math
 from typing import Tuple
 
+from .domain import check
 from .errors import ParseError, ValidationError
 from .loop import ControllerSettings
 from .machine import MachineParams
@@ -48,9 +48,9 @@ _PROFILES = {cls.kind: cls for cls in (ConstantProfile, StepProfile, SinusoidPro
 # field type -> (what a value must be, text to value, value to text)
 _TYPES = {
     int: ("an integer", int, str),
-    float: ("a number", float, repr),
+    float: ("a number", float, lambda value: repr(float(value))),
     Tuple[float, ...]: ("a number list", lambda text: tuple(float(x) for x in text.replace(",", " ").split()),
-                        lambda values: " ".join(map(repr, values))),
+                        lambda values: " ".join(repr(float(x)) for x in values)),
 }
 
 
@@ -142,8 +142,7 @@ def parse_config(text):
         del sp["kind"]
         mech = _read(sp, "speed", _keys(MechanicalModel))
         load = mech.pop("load")
-        if not math.isfinite(load):
-            raise ValidationError("speed.load", f"must be finite, got {load}")
+        check("speed.", load=load)  # before ConstantProfile, which would name its own field
         speed = _build(MechanicalModel, "speed", dict(mech, load_torque=ConstantProfile(load)))
     elif "speed" in cp:
         speed = _parse_profile(sp, "speed")

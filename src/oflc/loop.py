@@ -39,6 +39,7 @@ bit.
 import math
 from typing import NamedTuple
 
+from .domain import check
 from .errors import DegenerateBError, PoorFitError, ValidationError
 from . import linearization, machine, optimizer
 from .linearization import EPS_B
@@ -117,10 +118,10 @@ def law_constants(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0
     nor the torque command, computed once per run with the float operations
     the law would otherwise repeat at every tick.  The arguments are those
     of ``composed_control_law`` after ``params``; a ``z_smoothing`` neither
-    0 nor finite and positive with a nonzero square raises ValidationError.
+    0 nor inside its ``domain.RANGES`` raises ValidationError.
     """
-    if z_smoothing != 0.0 and not (0.0 < z_smoothing < math.inf and z_smoothing * z_smoothing > 0.0):
-        raise ValidationError("z_smoothing", f"must be 0, or positive and finite with a nonzero square: {z_smoothing}")
+    if z_smoothing != 0.0:
+        check(z_smoothing=z_smoothing)
     R, L_d, L_q = params.R, params.L_d, params.L_q
     k_tau, saliency = 1.5 * params.p, L_d - L_q
     t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian

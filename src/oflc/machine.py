@@ -34,8 +34,8 @@ All functions here are pure and safe to call concurrently.
 
 import math
 import numbers
-import sys
 
+from .domain import check
 from .errors import ValidationError
 from .records import Record
 
@@ -74,23 +74,10 @@ class MachineParams(Record):
     p: int
 
     def __post_init__(self):
-        for name in ("R", "L_d", "L_q", "psi"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValidationError(name, f"must be positive and finite, got {value}")
-            if not math.isfinite(value * value):  # the control law squares each constant
-                raise ValidationError(name, f"must have a finite square, got {value}")
-            if name in ("L_d", "L_q") and value < sys.float_info.min:  # the plant steps the flux L i
-                raise ValidationError(name, f"must not be subnormal (below {sys.float_info.min}), got {value}")
         # bool is an Integral, but the config cannot read True back as a pole-pair count
-        if not (isinstance(self.p, numbers.Integral) and not isinstance(self.p, bool) and self.p >= 1):
+        if not (isinstance(self.p, numbers.Integral) and not isinstance(self.p, bool)):
             raise ValidationError("p", f"must be a positive integer, got {self.p}")
-        try:
-            k_tau = 1.5 * self.p  # the torque constant, which the control law and the plant use
-        except OverflowError:
-            k_tau = math.inf
-        if not math.isfinite(k_tau):
-            raise ValidationError("p", "must be small enough that 1.5 * p is a finite float")
+        check(R=self.R, L_d=self.L_d, L_q=self.L_q, psi=self.psi, p=self.p)
 
     @property
     def eta(self):

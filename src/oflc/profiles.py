@@ -4,7 +4,7 @@ Each profile is a small frozen ``records.Record`` callable as
 ``profile(t)``; the ``kind`` tag and field names round-trip through the
 scenario config format.  Every number of a profile must be finite,
 except +inf where it is the field's default (the open end times of a
-trapezoid).
+trapezoid).  A profile's ``peak`` bounds each finite |value|, up to rounding.
 """
 
 import math
@@ -34,6 +34,7 @@ class ConstantProfile(_Profile):
     value: float
 
     kind = "constant"
+    peak = property(lambda self: abs(self.value))
 
     def __call__(self, t):
         return self.value
@@ -45,6 +46,7 @@ class StepProfile(_Profile):
     t_step: float
 
     kind = "step"
+    peak = property(lambda self: max(abs(self.initial), abs(self.final)))
 
     def __call__(self, t):
         return self.final if t >= self.t_step else self.initial
@@ -57,6 +59,7 @@ class SinusoidProfile(_Profile):
     phase: float = 0.0  # rad
 
     kind = "sinusoid"
+    peak = property(lambda self: abs(self.offset) + abs(self.amplitude))
 
     def __post_init__(self):
         super().__post_init__()
@@ -81,6 +84,7 @@ class TrapezoidProfile(_Profile):
     t3: float = math.inf
 
     kind = "trapezoid"
+    peak = property(lambda self: max(abs(self.initial), abs(self.final)))
 
     def __call__(self, t):
         if t <= self.t0:
@@ -106,6 +110,7 @@ class TableProfile(_Profile):
     values: Tuple[float, ...]
 
     kind = "table"
+    peak = property(lambda self: max(map(abs, self.values)))
 
     def __post_init__(self):
         super().__post_init__()

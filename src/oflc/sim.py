@@ -42,11 +42,11 @@ it in their own bodies.
 """
 
 import math
-import sys
 from collections import Counter
 from numbers import Real
 from typing import Callable, Tuple, Union
 
+from .domain import check, rk4_limit
 from .errors import NonFiniteStateError, ValidationError
 from .loop import CONTROLLERS, ControllerSettings, control_law, law_constants
 from .machine import MachineParams, dq_dynamics, torque
@@ -66,15 +66,10 @@ __all__ = [
     "energy_accounting",
 ]
 
-# Bounds that keep a run finite; the largest uses are 2000 substeps per tick
-# (criterion 10), 50 000 ticks (the non-salient acceptance fixture) and
-# 10**5 substeps per run (scenarios/step.cfg).  A substep of the loop costs
-# about 0.8 us under a varying speed and 0.6 us in mechanical mode (timeit
-# on a 2-core host, Python 3.11), so 10**6 substeps take about
-# 0.8 s per tick and 10**8 substeps per run about 80 s; at a constant
-# speed a whole tick costs about 0.4 to 0.7 us, whatever its substep count.
-# Each tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB
-# of trace.
+# Bounds on a run's time and memory; the largest uses are 2000 substeps per tick (criterion 10), 50 000 ticks (the
+# non-salient acceptance fixture) and 10**5 substeps per run (scenarios/step.cfg).  A loop substep costs about 0.8 us
+# (timeit, 2-core host, Python 3.11), so 10**8 substeps per run take about 80 s; each tick keeps a ControlFrame of
+# about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
@@ -93,14 +88,11 @@ class MechanicalModel(Record):
     omega0: float = 0.0  # initial speed, rad/s
 
     def __post_init__(self):
-        if not 0.0 < self.inertia < math.inf:
-            raise ValidationError("inertia", f"must be positive and finite, got {self.inertia}")
-        if not 0.0 <= self.friction < math.inf:
-            raise ValidationError("friction", f"must be non-negative and finite, got {self.friction}")
-        if not math.isfinite(self.omega0):
-            raise ValidationError("omega0", "must be finite")
         if not callable(self.load_torque):
             raise ValidationError("load_torque", f"must be a load torque profile, got {self.load_torque!r}")
+        # the load torque's peak, a profile's; another callable's values are not known ahead
+        check(inertia=self.inertia, friction=self.friction, omega0=self.omega0,
+              load=getattr(self.load_torque, "peak", 0.0))
 
 
 class Scenario(Record):
@@ -132,34 +124,26 @@ class Scenario(Record):
             pair = False
         if not pair:
             raise ValidationError("scenario.i0", f"must be a pair of real numbers, got {self.i0!r}")
-        for name in ("duration", "dt_plant", "dt_ctrl", "horizon", "v_max"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValidationError(f"scenario.{name}", f"must be positive and finite, got {value}")
-        for name, value in (("i_d0", i_d0), ("i_q0", i_q0)):
-            if not math.isfinite(value):
-                raise ValidationError(f"scenario.{name}", "must be finite")
+        check("scenario.", duration=self.duration, dt_plant=self.dt_plant, dt_ctrl=self.dt_ctrl, horizon=self.horizon,
+              v_max=self.v_max, i_d0=i_d0, i_q0=i_q0)
         if self.dt_plant > self.dt_ctrl:
             raise ValidationError("scenario.dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
-        # a huge finite rate overflows its quotient, which round() cannot take
         ratio = self.dt_ctrl / self.dt_plant
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
-            raise ValidationError("scenario.dt_ctrl", "must be a finite integer multiple of dt_plant")
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ValidationError("scenario.dt_ctrl", "must be an integer multiple of dt_plant")
         n_sub = round(ratio)
         if n_sub > MAX_SUBSTEPS_PER_TICK:
             raise ValidationError("scenario.dt_plant",
                                   f"gives more than {MAX_SUBSTEPS_PER_TICK} substeps per control tick")
         ratio = self.duration / self.dt_ctrl
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
-            raise ValidationError("scenario.duration", "must be a finite integer multiple of dt_ctrl")
+        if abs(ratio - round(ratio)) > 1e-6:
+            raise ValidationError("scenario.duration", "must be an integer multiple of dt_ctrl")
         if round(ratio) < 1:
             raise ValidationError("scenario.duration", f"must be at least dt_ctrl ({self.duration} < {self.dt_ctrl})")
         if round(ratio) > MAX_TICKS_PER_RUN:
             raise ValidationError("scenario.duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
         if n_sub * round(ratio) > MAX_SUBSTEPS_PER_RUN:
             raise ValidationError("scenario.dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
-        if not math.isfinite(self.v_max * self.v_max):  # the control law squares it
-            raise ValidationError("scenario.v_max", f"must have a finite square, got {self.v_max}")
         if not isinstance(self.params, MachineParams):
             raise ValidationError("scenario.params", f"must be a MachineParams, got {self.params!r}")
         if not callable(self.tau_ref):
@@ -167,31 +151,24 @@ class Scenario(Record):
         if not (callable(self.speed) or isinstance(self.speed, MechanicalModel)):
             raise ValidationError("scenario.speed",
                                   f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
-        # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
         params, speed, dt = self.params, self.speed, self.dt_plant
+        # RK4's stability rule for the substep loop under a varying speed profile
+        limit = rk4_limit(params, speed)
+        if limit is not None and not dt <= limit:
+            raise ValidationError("scenario.dt_plant", f"must be at most {limit:.6g} s, where RK4 steps the plant "
+                                  f"stably up to {speed.peak} rad/s")
+        # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
         tick = _tick_map(params, float(speed.value), dt, n_sub) if type(speed) is ConstantProfile else None
         # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, psi and float(p)
         a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
         mech = None
         if isinstance(speed, MechanicalModel):
             # the speed's Euler step, (y_q (c_1 + c_2 y_d) - tau_load - friction omega_m) dt/J: machine.torque in the
-            # flux y = L i.  A factor that overflows would make the step nan at rest, where it is 0: rejected.  The
-            # friction stays in the bracket, so that no friction factor 1 - friction dt/J can overflow
+            # flux y = L i, with c_2 = 1.5 p (L_d - L_q)/(L_d L_q), which keeps the digits of L_d - L_q
             k_tau, k_m, load = 1.5 * params.p, dt / speed.inertia, speed.load_torque
-            # c_2 = 1.5 p (L_d - L_q)/(L_d L_q) keeps the digits of L_d - L_q, and divides by the larger L first, so
-            # that no quotient overflows unless c_2 does
-            L_small, L_large = sorted((params.L_d, params.L_q))
-            c_1, c_2 = params.psi / params.L_q * k_tau, (params.L_d - params.L_q) / L_large / L_small * k_tau
-            if not (math.isfinite(c_1) and math.isfinite(c_2)):
-                raise ValidationError("scenario.params", f"gives a torque per unit flux that overflows: {c_1}, {c_2}")
-            if not math.isfinite(k_m):
-                raise ValidationError("scenario.speed", f"inertia {speed.inertia} is too small for dt_plant {dt}: "
-                                      "dt_plant/inertia overflows")
-            # a subnormal dt/J has too few digits: the step's x dt/J would lose those that (x/J) dt keeps
-            if k_m < sys.float_info.min:
-                raise ValidationError("scenario.speed", f"inertia {speed.inertia}: dt_plant/inertia {k_m} is subnormal")
+            c_1, c_2 = params.psi / params.L_q * k_tau, (params.L_d - params.L_q) / params.L_q / params.L_d * k_tau
             # friction alone scales omega_m by 1 - friction dt/J per step, which shrinks it, as the exact speed
-            # shrinks, only for friction dt/J < 2; an overflow to inf fails the test too
+            # shrinks, only for friction dt/J < 2
             if not speed.friction * k_m < 2.0:
                 raise ValidationError("scenario.speed", f"friction {speed.friction} gives friction*dt_plant/inertia "
                                       f"{speed.friction * k_m:.6g}, not below 2: the speed's Euler step grows")
@@ -262,7 +239,7 @@ def _compose(x, y):
 
 
 def _tick_map(params, omega, h, n):
-    """The n RK4 substeps of h at the held electrical speed ``omega`` as one affine map, or None.
+    """The n RK4 substeps of h at the held electrical speed ``omega`` as one affine map.
 
     At a held speed and voltage the plant is linear.  In the flux linkages
     y = L i it reads y' = A y + v + e, with A = (dh/di) L^-1 =
@@ -273,10 +250,8 @@ def _tick_map(params, omega, h, n):
     D = P^n - I and S = I + P + ... + P^(n-1), found by binary powering of
     ``_compose``.  In the currents that is i -> i + L^-1 D L i + G (v + e),
     with G = L^-1 h S T, which equals L^-1 D L (dh/di)^-1 but needs no
-    inverse, so a singular dh/di (omega = 0 with a subnormal R) needs no
-    special case.  Returns (D, G, e_q) in the currents, D and G as
-    row-major 4-tuples, or None where an entry is not finite (P^n
-    overflows where RK4 is unstable).  Floats only: nothing here raises.
+    inverse.  Returns (D, G, e_q) in the currents, D and G row-major, or
+    None where an entry overflows, as P^n can where RK4 is unstable.
     """
     R, L_d, L_q, omega, h = float(params.R), float(params.L_d), float(params.L_q), float(omega), float(h)
     b = (-R / L_d * h, omega * h, -omega * h, -R / L_q * h)
@@ -302,12 +277,11 @@ def _tick_map(params, omega, h, n):
 def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """Step the plant of scenario ``s`` over one control tick from time t, v held.
 
-    At a ``ConstantProfile`` speed the tick's n substeps are the one
-    affine map of ``_tick_map``, i + D i + G (v + e), made once per
-    scenario: RK4's own result, rounded differently from the substeps.
-    A scenario whose map does not exist (P^n overflows), a tick whose
-    mapped currents are not finite (D i or G (v + e) can overflow where
-    the substeps do not), and every other speed source run the loop below.
+    At a ``ConstantProfile`` speed the tick's n substeps are the affine
+    map of ``_tick_map``, i + D i + G (v + e), made once per scenario:
+    RK4's own result, rounded differently.  Every other speed source, a
+    map that does not exist (P^n overflows where RK4 is unstable) and a
+    tick whose mapped currents overflow run the loop below.
 
     The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
     Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
@@ -329,14 +303,11 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     first substep's speed, and with None takes that sample here.  A
     ``ConstantProfile`` speed or load is read once per tick, at its first
     substep; any other profile is called again at every later substep, at
-    t + j dt_plant.  A substep costs about 0.6 us in mechanical mode and
-    0.8 us under a varying speed (timeit, 2-core host).  Returns (i_d,
-    i_q, omega_m).
+    t + j dt_plant.  Returns (i_d, i_q, omega_m).
 
-    The currents are checked once, at the end of the tick: each substep
-    adds the flux to its own update, and inf or nan survives +, - and
-    x with finite numbers and / by the positive L_d and L_q, so a flux
-    that goes non-finite stays so to the end of the tick.
+    The currents are checked once, at the end of the tick: inf or nan
+    survives the later substeps' +, - and x with finite numbers and / by
+    the positive L_d and L_q.
 
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.

@@ -38,21 +38,6 @@ def tick_scenario(params, dt_plant, n_sub, speed=0.0, **kw):
                     dt_plant=dt_plant, dt_ctrl=n_sub * dt_plant, **kw)
 
 
-def unless_overflowing(build):
-    """``build()``, a Scenario, or hypothesis's reject() where ``Scenario`` rejects a mechanical speed step whose
-    factors overflow (a dt_plant/inertia or a torque per unit flux beyond the largest float) or keep too few digits
-    (a subnormal dt_plant/inertia), or that grows (a friction*dt_plant/inertia of 2 or more)."""
-    from hypothesis import reject
-    from oflc.errors import ValidationError
-
-    try:
-        return build()
-    except ValidationError as e:
-        if not any(reason in e.reason for reason in ("overflow", "subnormal", "Euler step grows")):
-            raise
-        reject()
-
-
 @pytest.fixture
 def p0():
     return P0

@@ -1,4 +1,6 @@
 import configparser
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -6,10 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oflc import loop, records
 from oflc.cli import main
 from oflc.config import parse_config, serialize_config
+from oflc.domain import RANGES, RK4_RADIUS, rk4_limit
+from oflc.errors import ValidationError
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings
 from oflc.optimizer import U_CLAMPED
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
@@ -141,12 +147,12 @@ def test_validation_error_exits_1(tmp_path, capsys):
     good.write_text(TINY)
     for flag, value, message in (("--alpha-z", "2", "controller.alpha_z: must be in (0, 1]"),
                                  ("--kp", "-1", "controller.kp"), ("--ki", "-1", "controller.ki"),
-                                 ("--v-max", "nan", "scenario.v_max: must be positive and finite, got nan"),
-                                 ("--v-max", "1e200", "scenario.v_max: must have a finite square"),
-                                 ("--horizon", "0", "scenario.horizon: must be positive and finite, got 0.0"),
+                                 ("--v-max", "nan", "scenario.v_max: must be in [1, 10000] V, got nan"),
+                                 ("--v-max", "1e200", "scenario.v_max: must be in [1, 10000] V, got 1e+200"),
+                                 ("--horizon", "0", "scenario.horizon: must be in [1e-06, 1] s, got 0.0"),
                                  # argparse's own negative-number pattern has no exponent
-                                 ("--horizon", "-1e-3", "scenario.horizon: must be positive and finite, got -0.001"),
-                                 ("--v-max", "-1e3", "scenario.v_max: must be positive and finite, got -1000.0"),
+                                 ("--horizon", "-1e-3", "scenario.horizon: must be in [1e-06, 1] s, got -0.001"),
+                                 ("--v-max", "-1e3", "scenario.v_max: must be in [1, 10000] V, got -1000.0"),
                                  ("--kp", "-1e3", "controller.kp: "),
                                  ("--kp", "nan", "controller.kp"), ("--ki", "inf", "controller.ki")):
         rc = main(["simulate", "--scenario", str(good), "--out", str(tmp_path), flag, value])
@@ -154,31 +160,33 @@ def test_validation_error_exits_1(tmp_path, capsys):
         assert f"error: {message}" in capsys.readouterr().err
 
     for old, new, message in (("duration = 0.005", "duration = nan",
-                               "scenario.duration: must be positive and finite, got nan"),
-                              ("duration = 0.005", "duration = inf", "scenario.duration: must be positive and finite"),
-                              ("dt_plant = 1e-5", "dt_plant = nan", "scenario.dt_plant: must be positive and finite"),
-                              ("dt_plant = 1e-5", "dt_plant = -1e-6", "scenario.dt_plant: must be positive and finite"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nv_max = nan",
-                               "scenario.v_max: must be positive and finite"),
+                               "scenario.duration: must be in [1e-10, 10000] s, got nan"),
+                              ("duration = 0.005", "duration = inf", "scenario.duration: must be in "),
+                              ("dt_plant = 1e-5", "dt_plant = nan", "scenario.dt_plant: must be in "),
+                              ("dt_plant = 1e-5", "dt_plant = -1e-6", "scenario.dt_plant: must be in "),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nv_max = nan", "scenario.v_max: must be in "),
                               ("p = 4", "p = 4.5", "machine.p: not an integer"),
-                              ("p = 4", "p = 1" + "0" * 400, "machine.p: must be small enough that 1.5 * p is a finite"),
-                              ("R = 0.5", "R = inf", "machine.R: must be positive and finite"),
-                              ("L_d = 3e-3", "L_d = nan", "machine.L_d: must be positive and finite"),
-                              ("L_q = 5e-3", "L_q = inf", "machine.L_q: must be positive and finite"),
-                              ("L_q = 5e-3", "L_q = 5e-320", "machine.L_q: must not be subnormal"),
-                              ("psi = 0.1", "psi = nan", "machine.psi: must be positive and finite"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "scenario.i_d0: must be finite"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "scenario.i_q0: must be finite"),
+                              ("p = 4", "p = 1" + "0" * 400, "machine.p: must be in [1, 100] pole pairs, got 1000"),
+                              ("R = 0.5", "R = inf", "machine.R: must be in "),
+                              ("L_d = 3e-3", "L_d = nan", "machine.L_d: must be in "),
+                              ("L_q = 5e-3", "L_q = inf", "machine.L_q: must be in "),
+                              ("L_q = 5e-3", "L_q = 5e-320", "machine.L_q: must be in [1e-06, 1] H, got 5e-320"),
+                              ("psi = 0.1", "psi = nan", "machine.psi: must be in "),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "scenario.i_d0: must be in "),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "scenario.i_q0: must be in "),
                               ("value = 3.0", "value = nan", "torque.value: must not be nan"),
                               ("value = 100.0", "value = nan", "speed.value: must not be nan"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key"),
-                              ("duration = 0.005", "duration = 1e308",
-                               "scenario.duration: must be a finite integer multiple"),
-                              ("duration = 0.005", "duration = 1e-12", "scenario.duration: must be at least dt_ctrl"),
+                              ("duration = 0.005", "duration = 1e308", "scenario.duration: must be in "),
+                              ("duration = 0.005", "duration = 0.00505",
+                               "scenario.duration: must be an integer multiple"),
+                              ("duration = 0.005\ndt_plant = 1e-5\ndt_ctrl = 1e-4",
+                               "duration = 5e-10\ndt_plant = 1e-5\ndt_ctrl = 1e-3",
+                               "scenario.duration: must be at least dt_ctrl"),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\nomega0 = 0.0", "scenario.omega0: unknown key"),
-                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e308",
-                               "scenario.dt_ctrl: must be a finite integer multiple"),
-                              ("dt_plant = 1e-5", "dt_plant = 1e-300",
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1e308", "scenario.dt_ctrl: must be in "),
+                              ("dt_ctrl = 1e-4", "dt_ctrl = 1.05e-4", "scenario.dt_ctrl: must be an integer multiple"),
+                              ("dt_plant = 1e-5\ndt_ctrl = 1e-4", "dt_plant = 1e-10\ndt_ctrl = 1e-3",
                                "scenario.dt_plant: gives more than 1000000 substeps"),
                               ("duration = 0.005\ndt_plant = 1e-5", "duration = 1.0\ndt_plant = 1e-9",
                                "scenario.dt_plant: gives more than 100000000 substeps per run"),
@@ -207,20 +215,20 @@ def test_validation_error_exits_1(tmp_path, capsys):
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
 
-    # a finite flux so large that its square overflows is rejected up front, not run until it diverges
+    # a flux far beyond any machine's is rejected up front, not run until it diverges
     bad.write_text(TINY.replace("psi = 0.1", "psi = 1e308"))
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
-    assert "error: machine.psi: must have a finite square" in capsys.readouterr().err
+    assert "error: machine.psi: must be in [0.0001, 100] Wb, got 1e+308" in capsys.readouterr().err
 
     # a non-finite input of the mechanical model is rejected up front, not run until the plant diverges
-    for old, new, message in (("inertia = 1e-3", "inertia = nan", "speed.inertia: must be positive and finite"),
-                              ("inertia = 1e-3", "inertia = inf", "speed.inertia: must be positive and finite"),
-                              ("friction = 2e-3", "friction = nan", "speed.friction: must be non-negative and finite"),
-                              ("friction = 2e-3", "friction = inf", "speed.friction: must be non-negative and finite"),
-                              ("load = 0.5", "load = nan", "speed.load: must be finite"),
-                              ("load = 0.5", "load = inf", "speed.load: must be finite"),
-                              ("load = 0.5", "load = -inf", "speed.load: must be finite"),
-                              ("load = 0.5", "load = 0.5\nomega0 = nan", "speed.omega0: must be finite"),
+    for old, new, message in (("inertia = 1e-3", "inertia = nan", "speed.inertia: must be in [1e-09, 10000] kg m^2"),
+                              ("inertia = 1e-3", "inertia = inf", "speed.inertia: must be in "),
+                              ("friction = 2e-3", "friction = nan", "speed.friction: must be in [0, 1000] N m s"),
+                              ("friction = 2e-3", "friction = inf", "speed.friction: must be in "),
+                              ("load = 0.5", "load = nan", "speed.load: must be in [-1e+06, 1e+06] N m, got nan"),
+                              ("load = 0.5", "load = inf", "speed.load: must be in "),
+                              ("load = 0.5", "load = -inf", "speed.load: must be in "),
+                              ("load = 0.5", "load = 0.5\nomega0 = nan", "speed.omega0: must be in "),
                               # finite, but friction*dt_plant/inertia = 3: the speed's Euler step would grow
                               ("inertia = 1e-3\nfriction = 2e-3", "inertia = 1e-6\nfriction = 0.3",
                                "scenario.speed: friction 0.3 gives friction*dt_plant/inertia 3, not below 2")):
@@ -263,6 +271,72 @@ def test_every_non_finite_number_exits_1_naming_its_key(tmp_path, capsys):
                         continue
                     assert rc == 1 and err.startswith(f"error: {name}.{key}: "), (name, key, bad, err)
     assert len(seen) == 5 + 7 + 3 + 2 * 16 + 4  # machine, scenario, controller, two sections of profiles, mechanical
+
+
+# the config section of each input of the domain table; load is the constant load of a mechanical [speed]
+SECTIONS = {**dict.fromkeys(("R", "L_d", "L_q", "psi", "p"), "machine"),
+            **dict.fromkeys(("v_max", "dt_plant", "dt_ctrl", "duration", "horizon", "i_d0", "i_q0"), "scenario"),
+            **dict.fromkeys(("inertia", "friction", "load", "omega0"), "speed")}
+
+
+@st.composite
+def _past_a_bound(draw):
+    """(name, value): an input of the domain table, or "rk4" for the peak of a step speed profile on TINY's
+    machine and dt_plant, and a value just past one of its bounds."""
+    name = draw(st.sampled_from((*RANGES, "rk4")))
+    outward, f = draw(st.sampled_from((-1.0, 1.0))), draw(st.floats(0.0, 1.0))
+    if name == "rk4":
+        machine = parse_config(TINY)[0].params
+        # the peak at which rk4_limit reaches TINY's dt_plant; RK4_RADIUS / rk4_limit at rest is max(R/L_d, R/L_q)
+        limit = RK4_RADIUS / 1e-5 - RK4_RADIUS / rk4_limit(machine, StepProfile(0.0, 0.0, 0.0))
+        return name, outward * limit * (1.0 + 1e-9) * (1.0 + f)
+    bound = RANGES[name][outward > 0.0]
+    if name == "p":
+        return name, bound + int(outward) * (1 + int(5 * f))
+    return name, math.nextafter(bound, outward * math.inf) + outward * f * (0.9 * abs(bound) or 1.0)
+
+
+@given(_past_a_bound())
+def test_inputs_past_the_domain_exit_1_naming_their_field(tmp_path_factory, name_and_value):
+    # each input of the table, just past either bound, and a speed profile that RK4 cannot step at dt_plant, are
+    # rejected where the library builds them, naming the field, and by oflc simulate, naming its key
+    name, value = name_and_value
+    base = parse_config(TINY)[0]
+    mechanical = MechanicalModel(inertia=1e-3, friction=2e-3, load_torque=ConstantProfile(0.5))
+    ramp = StepProfile(0.0, 100.0, 1e-3)
+    changes = {"i_d0": {"i0": (value, 0.0)}, "i_q0": {"i0": (0.0, value)},
+               "load": {"load_torque": ConstantProfile(value)},
+               "rk4": {"speed": records.replace(ramp, final=value)}}.get(name, {name: value})
+    # the record that takes the value, the field its error names, the scenario written as the document, the key
+    # that takes the value there and the field of oflc simulate's error
+    record, field, document_of, key, cli_field = {
+        "machine": (base.params, name, base, f"machine.{name}", f"machine.{name}"),
+        "scenario": (base, f"scenario.{name}", base, f"scenario.{name}", f"scenario.{name}"),
+        "speed": (mechanical, name, records.replace(base, speed=mechanical), f"speed.{name}", f"speed.{name}"),
+        "rk4": (base, "scenario.dt_plant", records.replace(base, speed=ramp), "speed.final", "scenario.dt_plant"),
+    }.get(SECTIONS.get(name, name), (None, name, None, None, None))
+    with pytest.raises(ValidationError) as exc:
+        if record is None:  # z_smoothing, which only loop.law_constants takes
+            loop.law_constants(base.params, 48.0, 1e-3, z_smoothing=value)
+        else:
+            records.replace(record, **changes)
+    assert exc.value.field == field
+    assert exc.value.reason.startswith("must be at most" if name == "rk4" else "must be in ")
+    if key is None:
+        return
+
+    document = configparser.ConfigParser(interpolation=None)
+    document.optionxform = str
+    document.read_string(serialize_config(document_of))
+    section, option = key.split(".")
+    document[section][option] = repr(value)
+    cfg = tmp_path_factory.mktemp("past") / "bad.cfg"
+    with cfg.open("w") as f:
+        document.write(f)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["simulate", "--scenario", str(cfg), "--out", str(cfg.parent)])
+    assert rc == 1 and err.getvalue().startswith(f"error: {cli_field}: ")
 
 
 # (scenario, --out, $OFLC_OUT_DIR, message); "file" is an existing regular file, "tiny" a valid scenario
@@ -367,24 +441,24 @@ def test_overflowing_torque_reports_inf(tmp_path, capsys):
 
 
 def test_command_on_the_clamp_edge_runs(tmp_path, capsys):
-    # at i_q = 9.8e7 A the command phi + |b| 48 sits inside the clamp band, yet its z budget
-    # v_max^2 - (u - phi)^2 / |b|^2 rounds to -4.6e-6: z gets none, and the run ends normally
+    # at i = (17.0, 0.034) A and 663 rad/s the command phi + |b| 48 sits inside the clamp band, yet its z budget
+    # v_max^2 - (u - phi)^2 / |b|^2 rounds to -4.5e-13: z gets none, and the run ends normally
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(TINY.split("[scenario]")[0] + """
 [scenario]
 duration = 1e-4
 dt_plant = 1e-4
 dt_ctrl = 1e-4
-i_d0 = -7.622821915698158
-i_q0 = 97803970.73632833
+i_d0 = 16.99328288378281
+i_q0 = 0.03364250522619372
 
 [torque]
 kind = constant
-value = 2355262742158290.0
+value = -41.26583290144046
 
 [speed]
 kind = constant
-value = -1231.108586708386
+value = 663.0489795836245
 
 [controller]
 kp = 0.0

@@ -1,14 +1,13 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from conftest import unless_overflowing
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oflc import records
 from oflc.config import ControllerSettings, parse_config, serialize_config
+from oflc.domain import RANGES, RK4_RADIUS, rk4_limit
 from oflc.errors import ParseError, ValidationError
 from oflc.machine import MachineParams
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
@@ -129,50 +128,92 @@ def test_mechanical_speed_section():
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
-# the control law squares each machine constant and v_max, so they need a finite square
-FINITE_SQUARE = st.floats(min_value=0.0, exclude_min=True, max_value=1e150)
-
-# the plant steps the flux linkages L i, so an inductance must also be a normal float
-NORMAL_FINITE_SQUARE = st.floats(min_value=sys.float_info.min, max_value=1e150)
-
-MACHINES = st.builds(MachineParams, FINITE_SQUARE, NORMAL_FINITE_SQUARE, NORMAL_FINITE_SQUARE, FINITE_SQUARE,
-                     p=st.integers(1, 1000))
 
 
-def _tables(n):
-    """Table profiles of n points: strictly increasing times, any finite values."""
+def within(name, high=math.inf):
+    """Floats inside ``domain.RANGES[name]``, at most ``high``."""
+    low, top, _ = RANGES[name]
+    return st.floats(low, min(top, high))
+
+
+MACHINES = st.builds(MachineParams, within("R"), within("L_d"), within("L_q"), within("psi"),
+                     p=st.integers(*RANGES["p"][:2]))
+# the largest peak of a speed profile: every machine (R/L up to 1e9 /s) at the smallest dt_plant runs RK4 stably
+# up to it
+SPEED = RK4_RADIUS / RANGES["dt_plant"][0] / 2.0
+SPEEDS = st.floats(-SPEED, SPEED)
+LOADS = st.floats(*RANGES["load"][:2])
+
+
+def _tables(n, values=FINITE):
+    """Table profiles of n points: strictly increasing times, each value drawn from ``values``."""
     times = st.lists(FINITE, min_size=n, max_size=n, unique=True).map(sorted).map(tuple)
-    return st.builds(TableProfile, times, st.tuples(*[FINITE] * n))
+    return st.builds(TableProfile, times, st.tuples(*[values] * n))
 
 
-# every profile kind but the constant one; a trapezoid end time may be left open (inf)
-VARYING_PROFILES = st.one_of(
-    st.builds(StepProfile, FINITE, FINITE, FINITE),
-    st.builds(SinusoidProfile, FINITE, FINITE, FINITE, FINITE),
-    st.builds(TrapezoidProfile, FINITE, FINITE, FINITE, FINITE, *[FINITE | st.just(math.inf)] * 2),
-    st.integers(2, 6).flatmap(_tables),
-)
+def varying_profiles(values=FINITE):
+    """Every profile kind but the constant one, with values drawn from ``values``; a trapezoid end time may be left
+    open (inf).  Bounded values give a sinusoid's amplitude and offset as halves, so that its peak lies among them."""
+    halves = values if values is FINITE else values.map(lambda x: x / 2.0)
+    return st.one_of(
+        st.builds(StepProfile, values, values, FINITE),
+        st.builds(SinusoidProfile, halves, FINITE, halves, FINITE),
+        st.builds(TrapezoidProfile, values, values, FINITE, FINITE, *[FINITE | st.just(math.inf)] * 2),
+        st.integers(2, 6).flatmap(lambda n: _tables(n, values)),
+    )
+
+
+VARYING_PROFILES = varying_profiles()
 PROFILES = st.builds(ConstantProfile, FINITE) | VARYING_PROFILES
-MECHANICAL = st.builds(MechanicalModel, POSITIVE, NON_NEGATIVE, st.builds(ConstantProfile, FINITE), FINITE)
+SPEED_PROFILES = st.builds(ConstantProfile, SPEEDS) | varying_profiles(SPEEDS)
+# a friction that keeps friction dt_plant/inertia at most 1 up to twice the smallest dt_plant
+MECHANICAL = within("inertia").flatmap(lambda inertia: st.builds(
+    MechanicalModel, st.just(inertia), within("friction", inertia / RANGES["dt_plant"][0] / 2.0),
+    st.builds(ConstantProfile, LOADS), within("omega0")))
 SETTINGS = st.builds(ControllerSettings, NON_NEGATIVE, NON_NEGATIVE,
                      st.floats(min_value=0.0, exclude_min=True, max_value=1.0))
 
 
+def largest_dt_plant(params, speed, n_sub=1):
+    """The largest dt_plant of a scenario of ``n_sub`` substeps per tick that ``Scenario`` accepts for this
+    machine and speed source, less a few ulps: dt_ctrl's range, RK4's rule under a varying speed profile and, in
+    mechanical mode, a friction dt_plant/inertia of at most 1."""
+    high = min(RANGES["dt_plant"][1], RANGES["dt_ctrl"][1] / n_sub, rk4_limit(params, speed) or math.inf)
+    if isinstance(speed, MechanicalModel) and speed.friction > 0.0:
+        high = min(high, speed.inertia / speed.friction)
+    return high * (1.0 - 1e-15)
+
+
+def dt_plants(params, speed, n_sub=1, low=0.0, high=math.inf):
+    """dt_plant, log-uniform from ``low`` to ``high`` as far as the domain takes them for this machine, speed source
+    and substep count, or its largest where all of them lie above that."""
+    high = min(high, largest_dt_plant(params, speed, n_sub))
+    low = min(max(low, RANGES["dt_plant"][0]), high)
+    return st.floats(0.0, 1.0).map(lambda x: min(max(low * (high / low) ** x, low), high))
+
+
 @st.composite
 def scenarios(draw):
-    """Writable scenarios; whole substeps per tick and ticks per run make the rates exact multiples."""
-    dt_plant = draw(st.floats(min_value=1e-300, max_value=1e300))
-    dt_ctrl = draw(st.integers(1, 1000)) * dt_plant
-    return unless_overflowing(lambda: Scenario(
-        params=draw(MACHINES), duration=draw(st.integers(1, 10_000)) * dt_ctrl, tau_ref=draw(PROFILES),
-        speed=draw(PROFILES | MECHANICAL), dt_plant=dt_plant, dt_ctrl=dt_ctrl, horizon=draw(POSITIVE),
-        v_max=draw(FINITE_SQUARE), i0=(draw(FINITE), draw(FINITE))))
+    """Writable scenarios inside the domain; whole substeps per tick and ticks per run make the rates exact
+    multiples."""
+    params, speed = draw(MACHINES), draw(SPEED_PROFILES | MECHANICAL)
+    n_sub = draw(st.integers(1, 1000))
+    dt_plant = draw(dt_plants(params, speed, n_sub))
+    dt_ctrl = n_sub * dt_plant
+    return Scenario(params=params, duration=draw(st.integers(1, 10_000)) * dt_ctrl, tau_ref=draw(PROFILES),
+                    speed=speed, dt_plant=dt_plant, dt_ctrl=dt_ctrl, horizon=draw(within("horizon")),
+                    v_max=draw(within("v_max")), i0=(draw(within("i_d0")), draw(within("i_q0"))))
 
 
 @given(scenarios(), SETTINGS)
 @example(*parse_config(FULL))
+# numpy floats and bools in float fields are written as the floats they equal
+@example(Scenario(params=MachineParams(np.float64(0.5), 3e-3, 5e-3, 0.1, 4), duration=1e-3,
+                  tau_ref=TableProfile((0.0, np.float64(1e-3)), (np.float64(2.0), True)),
+                  speed=MechanicalModel(np.float64(1e-3), True, ConstantProfile(np.float64(0.5)), np.float64(-3.0)),
+                  v_max=np.float64(48.0), i0=(np.float64(1.0), True)),
+         ControllerSettings(np.float64(2.0), False, True))
 def test_round_trip(scenario, settings):
     text = serialize_config(scenario, settings)
     assert parse_config(text) == (scenario, settings)
@@ -183,7 +224,8 @@ def _not_a_profile(t):
     return 1.0
 
 
-@given(scenarios(), st.sampled_from(("torque", "speed", "speed.load")), VARYING_PROFILES | st.just(_not_a_profile))
+@given(scenarios(), st.sampled_from(("torque", "speed", "speed.load")),
+       varying_profiles(LOADS) | st.just(_not_a_profile))
 def test_serialize_rejects_unwritable_load(scenario, field, load):
     # the format holds only profiles, and of a mechanical load only a constant one
     if field == "torque":
@@ -191,8 +233,7 @@ def test_serialize_rejects_unwritable_load(scenario, field, load):
     elif field == "speed":
         scenario = records.replace(scenario, speed=_not_a_profile)
     else:
-        scenario = unless_overflowing(lambda: records.replace(scenario, speed=MechanicalModel(inertia=1e-3,
-                                                                                         load_torque=load)))
+        scenario = records.replace(scenario, speed=MechanicalModel(inertia=1e-3, load_torque=load))
     with pytest.raises(ValidationError) as exc:
         serialize_config(scenario)
     assert exc.value.field == field
@@ -219,6 +260,15 @@ def test_sinusoid_past_the_largest_float_is_nan():
     scenario = Scenario(params=MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4), duration=1e-3,
                         tau_ref=SinusoidProfile(1.0, 1e308), speed=ConstantProfile(0.0))
     assert run_scenario(scenario).aborted
+
+
+@given(SPEED_PROFILES | st.builds(ConstantProfile, LOADS) | varying_profiles(LOADS), FINITE)
+def test_profile_values_stay_within_its_peak(profile, t):
+    # the peak that Scenario's RK4 rule reads of a speed profile, and MechanicalModel's load range of a load,
+    # bounds every finite value up to rounding.  Times near the largest float can make a value overflow: a sinusoid's
+    # phase, a ramp's (final - initial)(t - t0) or a table's slope, which read nan or inf
+    x = profile(t)
+    assert abs(x) <= profile.peak * (1.0 + 1e-12) or not math.isfinite(x)
 
 
 @st.composite
@@ -271,3 +321,32 @@ def test_shipped_scenarios_parse():
     for cfg in sorted(root.glob("*.cfg")):
         scenario, _ = parse_config(cfg.read_text())
         assert scenario.duration > 0
+
+
+def test_benchmark_and_fixture_scenarios_lie_inside_the_domain():
+    # a range edit that turned one of these into a rejection would make a benchmark run exit 1, or a fixture
+    # test a ValidationError: every config the two workloads draw (seeds 0-99, fine_plant's constant and
+    # mechanical speeds alike), every shipped scenario, P0 and P_NS, and criterion 10's ticks
+    import importlib.util
+    import random
+    from pathlib import Path
+
+    from conftest import P0, P_NS, tick_scenario
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in range(100):
+        rng = random.Random(f"fine_plant:{seed}")
+        for mechanical in (False, True):
+            scenario, _ = parse_config(workloads.fine_plant_text(root, rng, mechanical))
+            assert isinstance(scenario.speed, MechanicalModel) == mechanical
+        parse_config(workloads.ctrl_dense_text(root, random.Random(f"ctrl_dense:{seed}")))
+    for cfg in sorted((root / "scenarios").glob("*.cfg")):
+        parse_config(cfg.read_text())
+    for params in (P0, P_NS):
+        assert records.replace(params) == params
+    for dt in (2e-4, 1e-4, 5e-5):
+        tick_scenario(P0, dt, round(0.01 / dt), 200.0)
+    tick_scenario(P_NS, 1e-6, 2000, 150.0)

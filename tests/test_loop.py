@@ -5,6 +5,7 @@ import pytest
 
 from conftest import P0, P_NS, V_MAX, random_state, tick_scenario
 from oflc import machine, optimizer
+from oflc.domain import RANGES
 from oflc.errors import DegenerateBError, ValidationError
 from oflc.linearization import compute_terms
 from oflc.loop import (ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check, composed_control_law,
@@ -135,6 +136,11 @@ def _signed_log_current(rng):
 
 # 1e-160 overflows |I/h|_F^2 in the costate solve, which forces the lambda fallback
 HORIZONS = (1e-3, 10.0, 1e-160)
+# a scenario's horizons, the default and the ends of its range
+DOMAIN_HORIZONS = (1e-3, *RANGES["horizon"][:2])
+# (i, omega, tau_ref) of a tick whose costate matrix M = I/h + A^T is singular on P0 at the 1 s horizon, with u
+# clamped to the top of its band: the lambda fallback inside the domain
+SINGULAR_TICK = ((16.435402478574517, -27.62559434833556), 147.1662177920912, 1e9)
 ALL_FLAGS = U_CLAMPED | Z_AT_LIMIT | Z_ZEROED | B_DEGENERATE | LAMBDA_FALLBACK
 
 
@@ -197,7 +203,7 @@ def test_law_constants_rejects_unusable_z_smoothing():
             law_constants(P0, V_MAX, 1e-3, z_smoothing=value)
     with pytest.raises(ValidationError, match="^z_smoothing: "):
         run_continuous(P0, V_MAX, ConstantProfile(1.0), ConstantProfile(0.0), 1e-4, 1e-5, z_smoothing=1e-170)
-    for value in (0.0, -0.0, 1e-150, 0.5, 1e300):
+    for value in (0.0, -0.0, 1e-6, 0.5, 1e6):
         assert law_constants(P0, V_MAX, 1e-3, z_smoothing=value)[-1] == value
 
 
@@ -207,7 +213,7 @@ def test_control_step_replay_is_bit_identical(rng):
     # settings and tick, which it binds at construction
     seen = 0
     for params in (P0, P_NS):
-        for horizon in HORIZONS:
+        for horizon in DOMAIN_HORIZONS:
             for use_z in (True, False):
                 settings = ControllerSettings(kp=rng.uniform(0.0, 20.0), ki=rng.uniform(0.0, 2000.0),
                                               alpha_z=rng.uniform(0.1, 1.0))
@@ -217,6 +223,8 @@ def test_control_step_replay_is_bit_identical(rng):
                 for k in range(200):
                     i_d, i_q = (50.0, 0.0) if k % 50 == 49 else (_signed_log_current(rng), _signed_log_current(rng))
                     t, omega, tau_ref = k * dt, rng.uniform(-300.0, 300.0), rng.uniform(-60.0, 60.0)
+                    if k == 100:
+                        (i_d, i_q), omega, tau_ref = SINGULAR_TICK
                     frame = ctrl.step(t, omega, (i_d, i_q), tau_ref)
 
                     tau_est = machine.torque((i_d, i_q), params)
@@ -237,6 +245,9 @@ def test_control_step_replay_is_bit_identical(rng):
                     assert ctrl.integrator == integrator
                     seen |= flags
     assert seen == ALL_FLAGS
+    for horizon in HORIZONS[1:]:
+        with pytest.raises(ValidationError, match="^scenario.horizon: must be in "):
+            tick_scenario(P0, 1e-4, 1, horizon=horizon)
 
 
 def test_control_step_deterministic():

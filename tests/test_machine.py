@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import P0, P_NS
+from oflc.domain import RANGES
 from oflc.errors import ValidationError
 from oflc.machine import (
     MachineParams,
@@ -33,13 +34,14 @@ def test_param_validation(bad):
 
 
 def test_inductances_are_normal_floats():
-    # the plant steps the flux linkages L i, which a subnormal inductance underflows; R and psi may be subnormal
+    # the plant steps the flux linkages L i, which a subnormal inductance underflows: a subnormal constant lies far
+    # below the domain, while its smallest inductance is taken
     base = dict(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
-    for name in ("L_d", "L_q"):
-        with pytest.raises(ValidationError, match=f"^{name}: must not be subnormal"):
+    for name in ("R", "L_d", "L_q", "psi"):
+        with pytest.raises(ValidationError, match=f"^{name}: must be in "):
             MachineParams(**dict(base, **{name: 1e-310}))
-        assert getattr(MachineParams(**dict(base, **{name: sys.float_info.min})), name) == sys.float_info.min
-    MachineParams(**dict(base, R=5e-324, psi=5e-324))
+    for name in ("L_d", "L_q"):
+        assert getattr(MachineParams(**dict(base, **{name: RANGES[name][0]})), name) >= sys.float_info.min
 
 
 def test_park_clarke_aligned_phase_a():

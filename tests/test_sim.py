@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
-from conftest import P0, P_NS, V_MAX, tick_scenario, unless_overflowing
-from test_config import FINITE, FINITE_SQUARE, MACHINES, MECHANICAL, PROFILES, VARYING_PROFILES
+from conftest import P0, P_NS, V_MAX, tick_scenario
+from test_config import (FINITE, MACHINES, MECHANICAL, PROFILES, SPEED_PROFILES, SPEEDS, dt_plants, varying_profiles,
+                         within)
 from oflc import records, sim
+from oflc.domain import RK4_RADIUS, rk4_limit
 from oflc.errors import NonFiniteStateError, ValidationError
 from oflc.linearization import compute_terms
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings, control_law
@@ -47,17 +49,17 @@ def _reference_tick(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     return (*i.tolist(), omega_m)
 
 
-def _flux_gap(step, reference, i0, params):
+def _flux_gap(step, reference, i0, params, scale=0):
     """The gap between the currents of two ticks from currents i0, in flux linkage L i, as a share of the
-    largest flux of i0, of the reference and of 1 A on either axis.
+    largest flux of i0, of the reference and of 1 A on either axis, or of the flux ``scale`` if that is larger.
 
     A tick's rounding, in the substep loop or the closed form, is small against the flux of the whole state, not
-    against each current: where L_d/L_q is extreme, a current whose flux is some 1e-18 of the other's keeps no digit.
-    Exact rationals, so that no product overflows.
+    against each current: a current whose flux is some 1e-18 of the other's keeps no digit.  Exact rationals.
     """
     L = (Fraction(params.L_d), Fraction(params.L_q))
     gap = max(l * abs(Fraction(a) - Fraction(b)) for l, a, b in zip(L, step, reference))
-    return gap / max(l * max(1, abs(Fraction(x)), abs(Fraction(y))) for l, x, y in zip(L, i0, reference))
+    return gap / max(Fraction(scale), *(l * max(1, abs(Fraction(x)), abs(Fraction(y)))
+                                        for l, x, y in zip(L, i0, reference)))
 
 
 def _held(omega):
@@ -127,10 +129,12 @@ def test_tick_step_equals_substep_reference(rng):
 
 
 def test_tick_step_nonfinite_mid_tick_raises():
-    # the speed jumps to 1e300 rad/s after the third substep; the currents overflow a substep or two later
-    speed = StepProfile(100.0, 1e300, 3.5e-6)
-    assert all(np.isfinite(sim.rk4_plant_step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, tick_scenario(P0, 1e-6, 3, speed))))
-    s = tick_scenario(P0, 1e-6, 100, speed)
+    # a mechanical speed is not known ahead: a load of 1e6 N m on 1e-9 kg m^2 drives it to -4e13 rad/s
+    # (electrical) in the first substep of 10 ms, where RK4 is unstable; the currents stay finite for two
+    # substeps and overflow in the third
+    speed = MechanicalModel(inertia=1e-9, load_torque=ConstantProfile(1e6))
+    assert all(np.isfinite(sim.rk4_plant_step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, tick_scenario(P0, 1e-2, 2, speed))))
+    s = tick_scenario(P0, 1e-2, 10, speed)
     for step in (sim.rk4_plant_step, _reference_tick):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
             step(1.0, -2.0, 0.0, 3.0, 4.0, 0.0, s)
@@ -144,47 +148,59 @@ def test_rk4_nonfinite_raises():
     # the currents overflow in the first substep; with 100 substeps the loop runs 99 more on inf and nan, at a
     # held speed and in mechanical mode, and must still raise, as the reference does at once.  The closed-form
     # tick of a constant 1e6 rad/s maps 1e308 A to a finite (2.48e307, 2.85e307) A over 100 us, so the held
-    # speed is a step profile's; over dt = 1 s the closed form's own result overflows, and so does the substep it
-    # then runs
-    for s in (tick_scenario(P0, 1.0, 1, 1e6), tick_scenario(P0, 1e-6, 100, _held(1e6)),
-              tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e-3, load_torque=ConstantProfile(0.5)))):
+    # speed is a step profile's; the one substep of 1 us maps (1e308, 1e308) A past the largest float, and raises
+    # as the loop does
+    mechanical = MechanicalModel(inertia=1e-3, load_torque=ConstantProfile(0.5))
+    for s, i_q in ((tick_scenario(P0, 1e-6, 1, 1e6), 1e308), (tick_scenario(P0, 1e-6, 100, _held(1e6)), 0.0),
+                   (tick_scenario(P0, 1e-6, 100, mechanical), 0.0)):
         for step in (rk4_plant_step, _reference_tick):
             with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
-                step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, s)
+                step(1e308, i_q, 0.0, 0.0, 0.0, 0.0, s)
     assert rk4_plant_step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(P0, 1e-6, 100, 1e6))[:2] == pytest.approx(
         (2.48e307, 2.85e307), rel=1e-2)
-    # P^n overflows over 100 unstable substeps of 1 s: the scenario keeps no map, and the loop keeps a zero state
-    s = tick_scenario(P0, 1.0, 100, 0.0)
+    # P^n overflows over 20 unstable substeps of 100 us at R/L = 1e9 /s, which the domain takes at a constant
+    # speed: the scenario keeps no map, and the loop keeps a zero state, as exact RK4 does
+    s = tick_scenario(STIFF, 1e-4, 20, 0.0)
     assert s._plant[0] is None
     assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s) == (0.0, 0.0, 0.0)
 
 
+# the stiffest machine of the domain: R/L = 1e9 /s
+STIFF = MachineParams(R=1e3, L_d=1e-6, L_q=1e-6, psi=0.1, p=1)
+
+
+def test_closed_form_tick_overflow_runs_the_substeps():
+    # 20 unstable substeps of 15.5 us from 1 mA off the equilibrium 10 A: the map's D i and G v overflow to +-inf
+    # (D_dd = 4.2e307) and cancel to nan, while exact RK4 gives a finite i_d = 4.17e304 A.  The tick steps
+    # through the loop instead of aborting, within 1e-12 of exact RK4 in flux (5.5e-13: the rounding of i - 10 A)
+    s = tick_scenario(STIFF, 1.55e-5, 20, 0.0)
+    (d_dd, _, _, _), (g_dd, _, _, _), _ = s._plant[0]
+    assert math.isnan(10.001 + d_dd * 10.001 + g_dd * 1e4)
+    step = rk4_plant_step(10.001, 0.0, 0.0, 1e4, 0.0, 0.0, s)
+    assert step[0] == pytest.approx(4.17e304, rel=1e-3) and step[1:] == (0.0, 0.0)
+    exact = _exact_rk4(STIFF, 0.0, s.dt_plant, 20, (10.001, 0.0), (1e4, 0.0))
+    assert _flux_gap(step, exact, (10.001, 0.0), STIFF) <= Fraction(1e-12)
+
+
 def test_mechanical_speed_step_factors_are_finite():
     # mechanical mode steps the speed by (y_q (c_1 + c_2 y_d) - tau_load - friction omega_m) dt/J, with the torque per
-    # unit flux c_1, c_2 and dt/J taken once per scenario.  A factor beyond the largest float would make a tick at
-    # rest nan, where the step it stands for, (tau - tau_load - friction omega_m) / J dt, gives 0: so Scenario
-    # rejects it, naming the field
-    message = r"^scenario\.speed: inertia 5e-324 is too small for dt_plant 1e-06: dt_plant/inertia overflows$"
-    with pytest.raises(ValidationError, match=message):
-        tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=5e-324))
-    huge_torque = MachineParams(R=0.5, L_d=3e-3, L_q=sys.float_info.min, psi=1.0, p=4)
-    with pytest.raises(ValidationError, match=r"^scenario\.params: gives a torque per unit flux"):
-        tick_scenario(huge_torque, 1e-6, 100, MechanicalModel(inertia=1e-3))
-    tick_scenario(huge_torque, 1e-6, 100, _held(100.0))  # a profile speed needs no torque
-    # a subnormal dt/J keeps too few digits for the speed step, where (x/J) dt keeps them: dt/J = 5.2e-311 (dt 1e-3,
-    # inertia 1.9e307) put the loop 1.0e-14 in flux from exact RK4, through a psi of 1.1e149, and drawn smaller ones
-    # up to 2.6e-8 (bound 1e-14)
-    message = r"^scenario\.speed: inertia 1e\+303: dt_plant/inertia 1e-309 is subnormal$"
-    with pytest.raises(ValidationError, match=message):
-        tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e303))
-    # a friction whose friction dt/J overflows is rejected as a speed step that grows (see
-    # test_friction_step_that_cannot_decay_is_rejected)
-    with pytest.raises(ValidationError, match=r"^scenario\.speed: friction 1e\+300 gives .* inf, not below 2"):
-        tick_scenario(P0, 1e-6, 100, MechanicalModel(inertia=1e-300, friction=1e300))
-    # the smallest inertia and the largest torque factors that are finite keep a tick at rest at rest
-    for params, mech in ((P0, MechanicalModel(inertia=2e-6 / sys.float_info.max)),
-                         (MachineParams(0.5, 3e-3, 1e-300, 1e-10, 4), MechanicalModel(inertia=1e-3, friction=1.0))):
-        assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(params, 1e-6, 100, mech)) == (0.0, 0.0, 0.0)
+    # unit flux c_1, c_2 and dt/J taken once per scenario.  At the domain's corners (the smallest inertia at the
+    # largest dt_plant, the largest torque per unit flux, the largest inertia at the smallest dt_plant) every factor
+    # is a normal float and a tick at rest stays at rest; an inertia or inductance past them is rejected, named
+    huge_torque = MachineParams(R=1e-4, L_d=1.0, L_q=1e-6, psi=1e2, p=100)
+    for params, dt_plant, mech in ((P0, 0.1, MechanicalModel(inertia=1e-9)),
+                                   (huge_torque, 1e-6, MechanicalModel(inertia=1e-3, friction=1.0)),
+                                   (P0, 1e-10, MechanicalModel(inertia=1e4, friction=1e3))):
+        s = tick_scenario(params, dt_plant, 2, mech)
+        _, _, c_1, c_2, _, k_m = s._plant[-1]
+        assert all(sys.float_info.min <= abs(x) < math.inf for x in (c_1, c_2, k_m))
+        assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s) == (0.0, 0.0, 0.0)
+    for make, field in ((lambda: MechanicalModel(inertia=5e-324), "inertia"),
+                        (lambda: MachineParams(0.5, 3e-3, sys.float_info.min, 1.0, 4), "L_q"),
+                        (lambda: MechanicalModel(inertia=1e303), "inertia"),
+                        (lambda: MechanicalModel(inertia=1e-3, friction=1e300), "friction")):
+        with pytest.raises(ValidationError, match=f"^{field}: must be in "):
+            make()
 
 
 def test_friction_step_that_cannot_decay_is_rejected():
@@ -205,18 +221,6 @@ def test_friction_step_that_cannot_decay_is_rejected():
     speeds = [frame.omega / P0.p for frame in result.frames]
     assert not result.aborted and len(speeds) == 3 and speeds[0] == 10.0
     assert all(0.0 < b < a for a, b in zip(speeds, speeds[1:]))
-
-
-def test_closed_form_tick_overflow_runs_the_substeps():
-    # the map's G_qq (v_q + e_q) overflows to inf before D i cancels it, while the one RK4 substep stays finite
-    # (exact RK4 gives i_q = 3.9590991690126766e+307 A): the tick steps through the loop instead of aborting
-    params = MachineParams(R=2000.0, L_d=2.36e148, L_q=3.15e-64, psi=7.59e148, p=957)
-    s = tick_scenario(params, 3.07e-3, 1, 7.9e-94)
-    assert s._plant[0] is not None
-    loop = rk4_plant_step(-2.51, 4.3e-274, 0.0, -749.4, 3.0, 0.0, records.replace(s, speed=_held(7.9e-94)))
-    assert loop == (-2.51, 3.9590991690126786e+307, 0.0)
-    for omega in (None, 7.9e-94):
-        assert rk4_plant_step(-2.51, 4.3e-274, 0.0, -749.4, 3.0, 0.0, s, omega) == loop
 
 
 def _exact_rk4(params, speed, h, n, i, v, t=0.0, omega_m=0.0):
@@ -253,25 +257,47 @@ def _exact_rk4(params, speed, h, n, i, v, t=0.0, omega_m=0.0):
     return x_d, x_q, omega_m
 
 
+@st.composite
+def _held_ticks(draw, speeds, n_subs):
+    """(scenario, n_sub) of one tick on a drawn machine, at a constant speed from ``speeds`` and any dt_plant that
+    the domain takes at that speed, where RK4 is stable or not."""
+    params, speed, n_sub = draw(MACHINES), draw(speeds), draw(st.sampled_from(n_subs))
+    return tick_scenario(params, draw(dt_plants(params, speed, n_sub)), n_sub, speed), n_sub
+
+
 @seed(25)
-@given(MACHINES, st.sampled_from((1, 2, 7, 100, 2000)), st.just(0.0) | st.floats(-1e3, 1e3) | FINITE,
-       st.floats(-9.0, -2.0), st.tuples(*[st.floats(-1e3, 1e3)] * 4))
-def test_closed_form_tick_is_rk4(params, n_sub, omega, log_dt, currents_and_voltages):
-    # the closed-form tick within 1e-12 of the substep loop, run by a profile that holds the same speed, and
-    # for n_sub <= 7 within 1e-14 of RK4 in exact arithmetic where the map exists, both in flux (the worst over
-    # 37,000 unpinned examples were 2.6e-13 and 5.6e-15).  Where a stage of the loop overflows, the closed form
-    # may still be finite
-    i_d, i_q, v_d, v_q = currents_and_voltages
-    s = tick_scenario(params, 10.0 ** log_dt, n_sub, omega)
+@given(_held_ticks(st.builds(ConstantProfile, st.just(0.0) | st.floats(-1e3, 1e3) | SPEEDS), (1, 2, 7, 100, 2000)),
+       st.tuples(*[st.floats(-1e3, 1e3)] * 4))
+# an unstable tick (h |A| = 178) near a double eigenvalue, 1.03e-14 of its currents' flux from exact RK4
+@example((tick_scenario(MachineParams(759.0, 0.9375, 0.5234375, 1.0, 1), 0.09999999999999991, 7, 327.0), 7),
+         (0.0, 1.0, 0.0, 0.0))
+def test_closed_form_tick_is_rk4(tick, currents_and_voltages):
+    # the closed-form tick at every dt_plant the domain takes, RK4 stable or not.  For n_sub <= 7 (whose P^n stays
+    # below some 1e240 at the drawn speeds, so the map exists) it is within 1e-14 of RK4 in exact arithmetic, in flux;
+    # where RK4's rule holds, also within 1e-12 of the substep loop, run by a profile that holds the same speed.
+    # Beyond the rule longer ticks may overflow, and raise, and P^n rounds as |P|^n does: near a double eigenvalue
+    # the map was 1.1e-13 of its currents' flux from exact RK4.  There the gap is a share of the flux RK4 can reach,
+    # P(h|A|)^n (|y_0| + n h |w|) in the infinity norm, as P's coefficients are positive (worst 3.1e-15 over
+    # 10,000 unpinned examples, and 2.9e-16 over 6,000 ticks drawn near a double eigenvalue)
+    (s, n_sub), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
+    params, omega = s.params, s.speed.value
+    stable = s.dt_plant <= rk4_limit(params, _held(omega))
     try:
-        loop = rk4_plant_step(i_d, i_q, 0.0, v_d, v_q, 0.0, records.replace(s, speed=_held(omega)))
+        step = rk4_plant_step(i_d, i_q, 0.0, v_d, v_q, 0.0, s)
     except NonFiniteStateError:
+        assert not stable and n_sub > 7
         return
-    step = rk4_plant_step(i_d, i_q, 0.0, v_d, v_q, 0.0, s)
-    assert _flux_gap(step, loop, (i_d, i_q), params) <= 1e-12 and step[2] == 0.0
-    if n_sub <= 7 and s._plant[0] is not None:
+    assert step[2] == 0.0
+    if stable:
+        loop = rk4_plant_step(i_d, i_q, 0.0, v_d, v_q, 0.0, records.replace(s, speed=_held(omega)))
+        assert _flux_gap(step, loop, (i_d, i_q), params) <= 1e-12
+    if n_sub <= 7:
         exact = _exact_rk4(params, omega, s.dt_plant, n_sub, (i_d, i_q), (v_d, v_q))
-        assert _flux_gap(step, exact, (i_d, i_q), params) <= Fraction(1e-14)
+        h = s.dt_plant
+        z, w = RK4_RADIUS * h / rk4_limit(params, _held(omega)), max(abs(v_d), abs(v_q - params.psi * omega))
+        reach = 0.0 if stable else ((1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** n_sub
+                                    * (max(params.L_d * abs(i_d), params.L_q * abs(i_q)) + n_sub * h * w))
+        assert _flux_gap(step, exact, (i_d, i_q), params, reach) <= Fraction(1e-14)
 
 
 def _near(value):
@@ -280,42 +306,50 @@ def _near(value):
 
 
 NEAR_P0 = st.builds(MachineParams, _near(P0.R), _near(P0.L_d), _near(P0.L_q), _near(P0.psi), st.integers(1, 12))
-# speed sources of any size, and ramps and loaded machines of a few hundred rad/s
+# speed sources of any size in the domain, and ramps and loaded machines of a few hundred rad/s
 TICK_SPEEDS = (
-    st.tuples(VARYING_PROFILES | st.builds(TrapezoidProfile, *[st.floats(-1e3, 1e3)] * 2, st.just(0.0),
-                                           st.floats(1e-9, 1e-1)), st.sampled_from((1, 2, 7)))
+    st.tuples(varying_profiles(SPEEDS) | st.builds(TrapezoidProfile, *[st.floats(-1e3, 1e3)] * 2, st.just(0.0),
+                                                   st.floats(1e-9, 1e-1)), st.sampled_from((1, 2, 7)))
     | st.tuples(MECHANICAL | st.builds(MechanicalModel, _near(1e-3), st.floats(0.0, 1e-2),
                                        st.builds(ConstantProfile, st.floats(-10.0, 10.0))
                                        | st.builds(SinusoidProfile, st.floats(-10.0, 10.0), st.floats(0.0, 1e4)),
                                        st.floats(-100.0, 100.0)), st.sampled_from((1, 2))))
 
 
+@st.composite
+def _loop_ticks(draw):
+    """(scenario, speed source) of one tick of a drawn machine and speed source, with a dt_plant the domain takes."""
+    params, (speed, n_sub) = draw(MACHINES | NEAR_P0), draw(TICK_SPEEDS)
+    return tick_scenario(params, draw(dt_plants(params, speed, n_sub)), n_sub, speed), speed
+
+
 @seed(26)
-@given(MACHINES | NEAR_P0, TICK_SPEEDS, st.floats(-9.0, -2.0), st.just(0.0) | FINITE,
-       st.tuples(*[st.floats(-1e3, 1e3)] * 4))
-def test_substep_loop_is_rk4(params, speed_and_n_sub, log_dt, t, currents_and_voltages):
-    # the substep loop within 1e-14 in flux of RK4 in exact arithmetic, under varying speeds and in mechanical mode,
-    # where every substep has h (max(R/L_d, R/L_q) + |omega|) <= 2 (the worst over 12,397 such draws of 40,000
-    # unpinned examples was 1.4e-15).  Beyond that, RK4's T amplifies the rounding of A y + w, where its terms
-    # cancel, by up to h|T||A| in any float form of the plant: one such draw with hR/L_q = 1.3e27 put the loop
-    # 3.3e-14 from exact RK4, and the current-form loop 3.8e-15.  A speed fed back through the torque makes the
-    # exact rationals some nine times longer per substep, so mechanical ticks run at most 2 substeps (3 take up
-    # to 5 s)
-    speed, n_sub = speed_and_n_sub
-    i_d, i_q, v_d, v_q = currents_and_voltages
-    s = unless_overflowing(lambda: tick_scenario(params, 10.0 ** log_dt, n_sub, speed))
+@given(_loop_ticks(), st.just(0.0) | FINITE, st.tuples(*[st.floats(-1e3, 1e3)] * 4))
+def test_substep_loop_is_rk4(tick, t, currents_and_voltages):
+    # the substep loop within 1e-14 in flux of RK4 in exact arithmetic, under varying speeds and in mechanical mode.
+    # Every substep of a profile speed has h (max(R/L_d, R/L_q) + |omega|) <= 2, which Scenario demands (the worst
+    # over 4,840 such draws of 10,000 unpinned examples was 1.3e-15, but a rare tick whose currents swing far past
+    # its endpoint missed by 1.2e-14: ROADMAP Known defect 6); a mechanical speed is not known ahead, so its draws
+    # are held to the bound only where they meet it.  Beyond it, RK4's T amplifies the rounding of A y + w,
+    # where its terms cancel, by up to h|T||A| in any float form of the plant.  A speed fed back through the torque
+    # makes the exact rationals some nine times longer per substep, so mechanical ticks run at most 2 substeps
+    # (3 take up to 5 s)
+    (s, speed), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
+    params, n_sub = s.params, round(s.dt_ctrl / s.dt_plant)
     h, omega_m = s.dt_plant, speed.omega0 if isinstance(speed, MechanicalModel) else 0.0
     try:
         step = rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s)
-    except NonFiniteStateError:
+    except NonFiniteStateError:  # a mechanical speed that diverged, or a sinusoid whose phase overflows to nan
         return
     if not math.isfinite(step[2]):  # a load reading, or the speed it drove, is not finite: no rational has it
         return
-    exact = [_exact_rk4(params, speed, h, j, (i_d, i_q), (v_d, v_q), t, omega_m) for j in range(n_sub + 1)]
-    speeds = ([params.p * x[2] for x in exact[:-1]] if isinstance(speed, MechanicalModel)
-              else [float(speed(t + j * h)) for j in range(n_sub)])
-    if all(h * (max(params.R / params.L_d, params.R / params.L_q) + abs(w)) <= 2 for w in speeds):
-        assert _flux_gap(step, exact[-1], (i_d, i_q), params) <= Fraction(1e-14)
+    exact = _exact_rk4(params, speed, h, n_sub, (i_d, i_q), (v_d, v_q), t, omega_m)
+    if isinstance(speed, MechanicalModel):
+        speeds = [params.p * _exact_rk4(params, speed, h, j, (i_d, i_q), (v_d, v_q), t, omega_m)[2]
+                  for j in range(n_sub)]
+        if any(h > rk4_limit(params, _held(float(w))) for w in speeds):
+            return
+    assert _flux_gap(step, exact, (i_d, i_q), params) <= Fraction(1e-14)
 
 
 def test_substep_loop_keeps_rk4_order():
@@ -417,15 +451,13 @@ def test_run_scenario_samples_the_speed_once_per_substep(monkeypatch):
         s = _quiet_scenario(duration=0.002, speed=speed, dt_plant=1e-4 / n_sub)
         result = run_scenario(s, "oflc")
         assert not result.aborted and speed.calls == 20 * n_sub
-    # a ConstantProfile speed is read once per tick, at its start, also where RK4 is unstable at dt_plant, so that
-    # the scenario keeps no closed-form map and its ticks run the substep loop
+    # a ConstantProfile speed is read once per tick, at its start: its ticks are the closed-form map
     constant, reads = ConstantProfile(0.0), []
     monkeypatch.setattr(ConstantProfile, "__call__",
                         lambda self, t: (self is constant and reads.append(t), self.value)[1])
-    s = _quiet_scenario(duration=300.0, speed=constant, dt_plant=1.0, dt_ctrl=100.0)
-    assert s._plant[0] is None
+    s = _quiet_scenario(duration=3e-2, speed=constant, dt_plant=1e-4, dt_ctrl=1e-2)
     result = run_scenario(s, "oflc", settings=ControllerSettings(kp=0.0, ki=0.0))
-    assert not result.aborted and reads == [0.0, 100.0, 200.0]
+    assert not result.aborted and reads == [0.0, 1e-2, 2e-2]
 
 
 def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
@@ -491,32 +523,24 @@ def test_run_frames_respect_limits():
             assert abs(float(np.dot((terms.b_d, terms.b_q), (f.z_d, f.z_q)))) <= 1e-10 * np.sqrt(terms.b_norm_sq) * zn
 
 
-# id_zero's clip (v/|v|) v_max lands within a few ulps of v_max, which the 1e-9 covers, except that a
-# subnormal component can round by ulp(0)/2
-ID_ZERO_CLIP_ROUNDING = math.ulp(0.0)
-
-
 @st.composite
 def short_runs(draw):
     """20-tick scenarios on a machine with each constant within two decades of P0's, with the torque profiles,
-    speed sources and v_max of the config round trip's draws."""
-    params = draw(NEAR_P0)
-    dt_plant = 10.0 ** draw(st.floats(-7.0, -4.0))
-    dt_ctrl = draw(st.integers(1, 5)) * dt_plant
-    return unless_overflowing(lambda: Scenario(
-        params=params, duration=20 * dt_ctrl, tau_ref=draw(PROFILES), speed=draw(PROFILES | MECHANICAL),
-        dt_plant=dt_plant, dt_ctrl=dt_ctrl, v_max=draw(FINITE_SQUARE)))
+    speed sources and v_max of the config round trip's draws, and dt_plant from 1e-7 s to 1e-4 s where the
+    domain takes it."""
+    params, speed = draw(NEAR_P0), draw(SPEED_PROFILES | MECHANICAL)
+    n_sub = draw(st.integers(1, 5))
+    dt_plant = draw(dt_plants(params, speed, n_sub, 1e-7, 1e-4))
+    return Scenario(params=params, duration=20 * n_sub * dt_plant, tau_ref=draw(PROFILES), speed=speed,
+                    dt_plant=dt_plant, dt_ctrl=n_sub * dt_plant, v_max=draw(within("v_max")))
 
 
 @given(short_runs())
-# id_zero clips a |v| of some 1e224 V to 1e-97 V; a clip factor v_max/|v| would be subnormal
-@example(Scenario(params=P0, duration=2e-3, tau_ref=StepProfile(0.0, 4.1e222, 0.0), speed=ConstantProfile(0.0),
-                  dt_plant=1e-4, dt_ctrl=1e-4, v_max=1.05e-97))
 def test_drawn_runs_keep_the_voltage_limit_and_z_orthogonal_to_b(s):
-    # the bounds of criteria 3 and 4 on every tick with finite values, plus the rounding the voltage carries:
-    # the law's clamp band edge phi -+ |b| v_max rounds by up to ulp(u) / 2, and |v| = |u - phi| / |b|
-    # (that exceeds v_max 1e-9 where |phi| is some 1e7 times |b| v_max, or v_max is subnormal); id_zero's
-    # subnormal voltage components
+    # the bounds of criteria 3 and 4 on every tick with finite values, plus the rounding the law's voltage carries:
+    # its clamp band edge phi -+ |b| v_max rounds by up to ulp(u) / 2, and |v| = |u - phi| / |b|.  That exceeds
+    # v_max 1e-9 where |phi| is some 1e7 times |b| v_max: a back-EMF that dwarfs v_max, as psi omega = 2.75e7 V
+    # against 1 V (P0 but p = 1, a constant 2.75e8 rad/s, dt_plant = dt_ctrl = 7.27e-9 s) gave 1 + 1.0e-9
     for name in CONTROLLERS:
         held = (0.0, 0.0)
         for f in run_scenario(s, name).frames:
@@ -527,11 +551,10 @@ def test_drawn_runs_keep_the_voltage_limit_and_z_orthogonal_to_b(s):
                 assert (f.v_d, f.v_q) == v_dq  # the held voltage, checked on its own tick
                 continue
             if name == "id_zero":
-                rounding = ID_ZERO_CLIP_ROUNDING
-            else:
-                terms = compute_terms((f.i_d, f.i_q), f.omega, s.params)
-                rounding = math.ulp(f.u_feasible) / terms.b_norm
-            assert math.hypot(f.v_d, f.v_q) <= s.v_max * (1.0 + 1e-9) + rounding
+                assert math.hypot(f.v_d, f.v_q) <= s.v_max * (1.0 + 1e-9)
+                continue
+            terms = compute_terms((f.i_d, f.i_q), f.omega, s.params)
+            assert math.hypot(f.v_d, f.v_q) <= s.v_max * (1.0 + 1e-9) + math.ulp(f.u_feasible) / terms.b_norm
             z_norm = math.hypot(f.z_d, f.z_q)
             if z_norm > 0.0:
                 assert abs(terms.b_d * f.z_d + terms.b_q * f.z_q) <= 1e-10 * terms.b_norm * z_norm
@@ -716,15 +739,18 @@ def test_scenario_validation():
         _quiet_scenario(duration=1e6)
     # within 1e-6 of zero ticks, a multiple of dt_ctrl that would run no tick
     with pytest.raises(ValidationError, match="^scenario.duration: must be at least dt_ctrl"):
-        _quiet_scenario(duration=1e-12)
+        _quiet_scenario(duration=5e-10, dt_ctrl=1e-3)
     with pytest.raises(ValidationError, match="^scenario.dt_plant: gives more than 100000000 substeps per run"):
         _quiet_scenario(duration=100.0, dt_ctrl=1e-4, dt_plant=1e-10)
     for name, value in (("duration", np.nan), ("duration", np.inf), ("dt_plant", np.nan), ("dt_ctrl", np.nan),
                         ("horizon", np.inf), ("v_max", np.nan), ("v_max", np.inf), ("duration", 0.0),
                         ("duration", -0.01), ("dt_plant", 0.0), ("dt_plant", -1e-5), ("dt_ctrl", -1e-4),
                         ("horizon", 0.0), ("horizon", -1e-3), ("v_max", -np.inf)):
-        with pytest.raises(ValidationError, match=f"^scenario.{name}: must be positive and finite, got {value}$"):
+        with pytest.raises(ValidationError, match=rf"^scenario.{name}: must be in \[.*\] \w+, got {value}$"):
             _quiet_scenario(**{name: value})
+    # a torque of 4.1e222 N m against a limit of 1.05e-97 V, whose clip in id_zero needed a subnormal factor
+    with pytest.raises(ValidationError, match=r"^scenario.v_max: must be in \[1, 10000\] V, got 1.05e-97$"):
+        _quiet_scenario(tau_ref=StepProfile(0.0, 4.1e222, 0.0), v_max=1.05e-97)
     with pytest.raises(ValidationError):
         Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(0.0))  # no speed source
     for speed in (None, 100.0):  # the speed source is a profile or a MechanicalModel, nothing else
@@ -742,6 +768,6 @@ def test_scenario_validation():
         with pytest.raises(ValidationError, match="^scenario.i0: must be a pair of real numbers"):
             _quiet_scenario(i0=i0)
     for name, i0 in (("i_d0", (np.nan, 0.0)), ("i_q0", (0.0, -np.inf))):
-        with pytest.raises(ValidationError, match=f"^scenario.{name}: must be finite$"):
+        with pytest.raises(ValidationError, match=f"^scenario.{name}: must be in "):
             _quiet_scenario(i0=i0)
     assert _quiet_scenario(i0=(1, np.float64(-2.0))).i0 == (1, -2.0)
