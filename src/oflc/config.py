@@ -37,20 +37,20 @@ from .domain import check
 from .errors import ParseError, ValidationError
 from .loop import ControllerSettings
 from .machine import MachineParams
-from .profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
+from .profiles import PROFILES, ConstantProfile
 from .records import MISSING, fields
 from .sim import MechanicalModel, Scenario
 
 __all__ = ["parse_config", "serialize_config"]
 
-_PROFILES = {cls.kind: cls for cls in (ConstantProfile, StepProfile, SinusoidProfile, TrapezoidProfile, TableProfile)}
+_PROFILES = {cls.kind: cls for cls in PROFILES}
 
 # field type -> (what a value must be, text to value, value to text)
 _TYPES = {
     int: ("an integer", int, str),
-    float: ("a number", float, lambda value: repr(float(value))),
+    float: ("a number", float, repr),
     Tuple[float, ...]: ("a number list", lambda text: tuple(float(x) for x in text.replace(",", " ").split()),
-                        lambda values: " ".join(repr(float(x)) for x in values)),
+                        lambda values: " ".join(map(repr, values))),
 }
 
 
@@ -138,7 +138,7 @@ def parse_config(text):
     tau_ref = _parse_profile(section("torque", True), "torque")
 
     speed, sp = ConstantProfile(0.0), section("speed")
-    if sp.get("kind") == "mechanical":
+    if sp.get("kind") == MechanicalModel.kind:
         del sp["kind"]
         mech = _read(sp, "speed", _keys(MechanicalModel))
         load = mech.pop("load")
@@ -157,13 +157,6 @@ def _text(obj, **values):
             for key, (kind, _) in _keys(type(obj)).items()}
 
 
-def _profile_text(profile, name):
-    """The config section ``name`` of a profile; ValidationError naming ``name`` for another callable."""
-    if not isinstance(profile, tuple(_PROFILES.values())):
-        raise ValidationError(name, f"only a profile of kind {', '.join(_PROFILES)} can be written, got {profile!r}")
-    return {"kind": profile.kind, **_text(profile)}
-
-
 def serialize_config(scenario, settings=None):
     """Render a scenario (plus controller settings) back to config text.
 
@@ -173,14 +166,12 @@ def serialize_config(scenario, settings=None):
     cp.optionxform = str
     cp["machine"] = _text(scenario.params)
     cp["scenario"] = _text(scenario, i_d0=scenario.i0[0], i_q0=scenario.i0[1])
-    cp["torque"] = _profile_text(scenario.tau_ref, "torque")
     speed = scenario.speed
-    if not isinstance(speed, MechanicalModel):
-        cp["speed"] = _profile_text(speed, "speed")
-    elif isinstance(speed.load_torque, ConstantProfile):
-        cp["speed"] = {"kind": "mechanical", **_text(speed, load=speed.load_torque.value)}
-    else:
+    if isinstance(speed, MechanicalModel) and type(speed.load_torque) is not ConstantProfile:
         raise ValidationError("speed.load", f"only a constant load torque can be written, got {speed.load_torque!r}")
+    load = {"load": speed.load_torque.value} if isinstance(speed, MechanicalModel) else {}
+    cp["torque"] = {"kind": scenario.tau_ref.kind, **_text(scenario.tau_ref)}
+    cp["speed"] = {"kind": speed.kind, **_text(speed, **load)}
     if settings is not None:
         cp["controller"] = _text(settings)
     buf = io.StringIO()

@@ -37,8 +37,7 @@ def check(prefix="", **values):
 
 def rk4_limit(params, speed):
     """The largest dt_plant with h (max(R/L_d, R/L_q) + |omega|) <= RK4_RADIUS up to a varying speed profile's
-    ``peak``, or None: a constant profile's tick is one closed-form map, and another source's speed is not known
-    ahead (mechanical, or a callable that is no profile)."""
-    if getattr(speed, "kind", "constant") != "constant":
+    ``peak``, or None: a constant profile's tick is one closed-form map, and a mechanical speed is not known ahead."""
+    if speed.kind not in ("constant", "mechanical"):
         return RK4_RADIUS / (max(params.R / params.L_d, params.R / params.L_q) + speed.peak)
     return None

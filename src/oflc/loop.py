@@ -67,6 +67,8 @@ class ControllerSettings(Record):
     ki: float = 500.0
     alpha_z: float = 1.0
 
+    _prefix = "controller."
+
     def __post_init__(self):
         for name in ("kp", "ki"):
             if not 0.0 <= getattr(self, name) < math.inf:

@@ -33,7 +33,6 @@ All functions here are pure and safe to call concurrently.
 """
 
 import math
-import numbers
 
 from .domain import check
 from .errors import ValidationError
@@ -74,8 +73,8 @@ class MachineParams(Record):
     p: int
 
     def __post_init__(self):
-        # bool is an Integral, but the config cannot read True back as a pole-pair count
-        if not (isinstance(self.p, numbers.Integral) and not isinstance(self.p, bool)):
+        # a record keeps a bool in an int field, but the config cannot read True back as a pole-pair count
+        if isinstance(self.p, bool):
             raise ValidationError("p", f"must be a positive integer, got {self.p}")
         check(R=self.R, L_d=self.L_d, L_q=self.L_q, psi=self.psi, p=self.p)
 

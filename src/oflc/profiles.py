@@ -2,7 +2,10 @@
 
 Each profile is a small frozen ``records.Record`` callable as
 ``profile(t)``; the ``kind`` tag and field names round-trip through the
-scenario config format.  Every number of a profile must be finite,
+scenario config format.  The five classes of ``PROFILES`` are the only
+time functions a ``sim.Scenario`` or ``sim.MechanicalModel`` takes.  A
+profile's numbers are Python floats (see ``records``), so a profile
+called at a float time returns a float.  Every number of a profile must be finite,
 except +inf where it is the field's default (the open end times of a
 trapezoid).  A profile's ``peak`` bounds each finite |value|, up to rounding.
 """
@@ -137,3 +140,7 @@ class TableProfile(_Profile):
             if y != y and values[j] == values[j + 1]:
                 y = values[j]
         return y
+
+
+# the profile classes, matched by exact type where a time function is taken
+PROFILES = (ConstantProfile, StepProfile, SinusoidProfile, TrapezoidProfile, TableProfile)

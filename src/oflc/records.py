@@ -3,8 +3,15 @@
 A ``Record`` subclass declares its fields as class annotations, in order,
 after those of its bases; a class value is the field's default.  Every
 record shares one ``__init__``, which binds positional and keyword
-arguments to the fields and then calls ``__post_init__``, where a class
-validates itself.  Records compare equal by class and field values, hash
+arguments to the fields, gives each number its type and then calls
+``__post_init__``, where a class validates itself.  A ``float`` field
+stores any real number (numpy scalars and bools among them) as a Python
+float; an ``int`` field stores an integer as an int, but keeps a bool;
+a ``Tuple[float, ...]`` or ``Tuple[float, float]`` field stores a tuple,
+a list or an array of reals as a tuple of floats.  Anything else there
+raises ``ValidationError`` naming the field, after the class's
+``_prefix``.  So the code that reads a record computes in Python floats
+and ints only.  Records compare equal by class and field values, hash
 their field values, print as ``Name(field=value, ...)`` and reject
 assignment and deletion.  ``fields``, ``replace`` and ``MISSING`` stand
 in for the ``dataclasses`` functions of those names.
@@ -16,6 +23,10 @@ and building the methods of eleven classes took 20-35 ms of every start
 """
 
 from collections import namedtuple
+from numbers import Integral, Real
+from typing import Tuple
+
+from .errors import ValidationError
 
 __all__ = ["Record", "Field", "MISSING", "fields", "replace"]
 
@@ -25,8 +36,29 @@ MISSING = object()  # the default of a field that has none
 Field = namedtuple("Field", "name type default")
 
 
+def _floats(value, n=None):
+    """The items of ``value`` as a tuple of floats where it holds reals only (n of them, if n is given); else None."""
+    try:
+        items = tuple(value)
+    except TypeError:  # not iterable
+        return None
+    reals = all(isinstance(x, Real) for x in items) and (n is None or len(items) == n)
+    return tuple(map(float, items)) if reals else None
+
+
+# field type -> (what its value must be, the value stored for a given one, or None where there is none)
+_NUMBERS = {
+    float: ("a real number", lambda x: float(x) if isinstance(x, Real) else None),
+    int: ("an integer", lambda x: x if isinstance(x, bool) else int(x) if isinstance(x, Integral) else None),
+    Tuple[float, ...]: ("a sequence of real numbers", _floats),
+    Tuple[float, float]: ("a pair of real numbers", lambda x: _floats(x, 2)),
+}
+
+
 class Record:
     """Base of the frozen record classes; see the module docstring."""
+
+    _prefix = ""  # before a field's name in a ValidationError
 
     def __init_subclass__(cls):
         found = {}
@@ -39,20 +71,22 @@ class Record:
         fields_ = self._record_fields
         if len(args) > len(fields_):
             raise TypeError(f"{type(self).__qualname__}() takes {len(fields_)} arguments but {len(args)} were given")
-        values = {}
-        for f, value in zip(fields_, args):
+        for f in fields_[:len(args)]:
             if f.name in kwargs:
                 raise TypeError(f"{type(self).__qualname__}() got multiple values for argument {f.name!r}")
-            values[f.name] = value
-        for f in fields_[len(args):]:
-            values[f.name] = kwargs.pop(f.name, f.default)
+        values = (*args, *(kwargs.pop(f.name, f.default) for f in fields_[len(args):]))
         if kwargs:
             raise TypeError(f"{type(self).__qualname__}() got an unexpected keyword argument {next(iter(kwargs))!r}")
-        for name, value in values.items():
+        for f, value in zip(fields_, values):
             if value is MISSING:
-                raise TypeError(f"{type(self).__qualname__}() missing required argument {name!r}")
+                raise TypeError(f"{type(self).__qualname__}() missing required argument {f.name!r}")
+            if f.type in _NUMBERS:
+                what, typed = _NUMBERS[f.type]
+                if (number := typed(value)) is None:
+                    raise ValidationError(self._prefix + f.name, f"must be {what}, got {value!r}")
+                value = number
             # not through self.__dict__, which CPython 3.11 then keeps as a dict and reads more slowly
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, f.name, value)
         self.__post_init__()
 
     def __post_init__(self):

@@ -43,7 +43,6 @@ it in their own bodies.
 
 import math
 from collections import Counter
-from numbers import Real
 from typing import Callable, Tuple, Union
 
 from .domain import check, rk4_limit
@@ -51,7 +50,7 @@ from .errors import NonFiniteStateError, ValidationError
 from .loop import CONTROLLERS, ControllerSettings, control_law, law_constants
 from .machine import MachineParams, dq_dynamics, torque
 from .optimizer import FLAG_NAMES, U_CLAMPED
-from .profiles import ConstantProfile
+from .profiles import PROFILES, ConstantProfile
 from .records import Record
 
 __all__ = [
@@ -79,7 +78,8 @@ class MechanicalModel(Record):
     """Rigid mechanical load: J dw/dt = tau - tau_load - friction * w, from w = omega0.
 
     Speeds here are mechanical; the electrical speed fed to the machine
-    model is p times larger.
+    model is p times larger.  The load torque is one of the
+    ``profiles.PROFILES``, whose ``peak`` must lie in the load's range.
     """
 
     inertia: float  # kg m^2
@@ -87,12 +87,12 @@ class MechanicalModel(Record):
     load_torque: Callable[[float], float] = ConstantProfile(0.0)
     omega0: float = 0.0  # initial speed, rad/s
 
+    kind = "mechanical"  # the [speed] kind of the config format
+
     def __post_init__(self):
-        if not callable(self.load_torque):
+        if type(self.load_torque) not in PROFILES:
             raise ValidationError("load_torque", f"must be a load torque profile, got {self.load_torque!r}")
-        # the load torque's peak, a profile's; another callable's values are not known ahead
-        check(inertia=self.inertia, friction=self.friction, omega0=self.omega0,
-              load=getattr(self.load_torque, "peak", 0.0))
+        check(inertia=self.inertia, friction=self.friction, omega0=self.omega0, load=self.load_torque.peak)
 
 
 class Scenario(Record):
@@ -100,8 +100,9 @@ class Scenario(Record):
 
     ``speed`` is the one speed source: a prescribed electrical speed
     profile (rad/s), or a ``MechanicalModel`` whose load dynamics produce
-    the speed.  The rates and limits are checked here once; the
-    controllers built from a scenario read them unchecked.  Raises
+    the speed.  ``tau_ref`` and a speed profile are each one of the
+    ``profiles.PROFILES``.  The rates and limits are checked here once;
+    the controllers built from a scenario read them unchecked.  Raises
     ValidationError naming ``scenario.<field>``, whether the value came
     from a document or a command-line override.
     """
@@ -116,16 +117,11 @@ class Scenario(Record):
     v_max: float = 48.0
     i0: Tuple[float, float] = (0.0, 0.0)
 
+    _prefix = "scenario."
+
     def __post_init__(self):
-        try:
-            i_d0, i_q0 = self.i0
-            pair = isinstance(i_d0, Real) and isinstance(i_q0, Real)
-        except (TypeError, ValueError):  # not iterable, or not two items
-            pair = False
-        if not pair:
-            raise ValidationError("scenario.i0", f"must be a pair of real numbers, got {self.i0!r}")
         check("scenario.", duration=self.duration, dt_plant=self.dt_plant, dt_ctrl=self.dt_ctrl, horizon=self.horizon,
-              v_max=self.v_max, i_d0=i_d0, i_q0=i_q0)
+              v_max=self.v_max, i_d0=self.i0[0], i_q0=self.i0[1])
         if self.dt_plant > self.dt_ctrl:
             raise ValidationError("scenario.dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
         ratio = self.dt_ctrl / self.dt_plant
@@ -146,9 +142,9 @@ class Scenario(Record):
             raise ValidationError("scenario.dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
         if not isinstance(self.params, MachineParams):
             raise ValidationError("scenario.params", f"must be a MachineParams, got {self.params!r}")
-        if not callable(self.tau_ref):
+        if type(self.tau_ref) not in PROFILES:
             raise ValidationError("scenario.tau_ref", f"must be a torque profile, got {self.tau_ref!r}")
-        if not (callable(self.speed) or isinstance(self.speed, MechanicalModel)):
+        if type(self.speed) not in (*PROFILES, MechanicalModel):
             raise ValidationError("scenario.speed",
                                   f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
         params, speed, dt = self.params, self.speed, self.dt_plant
@@ -158,8 +154,8 @@ class Scenario(Record):
             raise ValidationError("scenario.dt_plant", f"must be at most {limit:.6g} s, where RK4 steps the plant "
                                   f"stably up to {speed.peak} rad/s")
         # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
-        tick = _tick_map(params, float(speed.value), dt, n_sub) if type(speed) is ConstantProfile else None
-        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, psi and float(p)
+        tick = _tick_map(params, speed.value, dt, n_sub) if type(speed) is ConstantProfile else None
+        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, psi and p
         a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
         mech = None
         if isinstance(speed, MechanicalModel):
@@ -175,7 +171,7 @@ class Scenario(Record):
             mech = (load, type(load) is not ConstantProfile, c_1, c_2, speed.friction, k_m)
         object.__setattr__(self, "_plant", (
             tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k), params.L_d,
-            params.L_q, params.psi, float(params.p), speed, mech is None and type(speed) is not ConstantProfile, mech))
+            params.L_q, params.psi, params.p, speed, mech is None and type(speed) is not ConstantProfile, mech))
 
 
 class RunResult(Record):
@@ -250,10 +246,13 @@ def _tick_map(params, omega, h, n):
     D = P^n - I and S = I + P + ... + P^(n-1), found by binary powering of
     ``_compose``.  In the currents that is i -> i + L^-1 D L i + G (v + e),
     with G = L^-1 h S T, which equals L^-1 D L (dh/di)^-1 but needs no
-    inverse.  Returns (D, G, e_q) in the currents, D and G row-major, or
-    None where an entry overflows, as P^n can where RK4 is unstable.
+    inverse.  Returns (D, G, e_q) in the currents, D and G row-major.  An
+    entry overflows where RK4 is unstable and P^n does; every entry of D
+    and G multiplies a finite number in the tick, so the mapped currents
+    are then not finite either (inf * 0 is nan), and the tick runs the
+    substep loop.
     """
-    R, L_d, L_q, omega, h = float(params.R), float(params.L_d), float(params.L_q), float(omega), float(h)
+    R, L_d, L_q = params.R, params.L_d, params.L_q
     b = (-R / L_d * h, omega * h, -omega * h, -R / L_q * h)
     t = (1.0, 0.0, 0.0, 1.0)
     for k in (4.0, 3.0, 2.0):  # T by Horner: I + B/2 (I + B/3 (I + B/4))
@@ -269,9 +268,7 @@ def _tick_map(params, omega, h, n):
     st = _mul(s, t)
     d = (d[0], d[1] * (L_q / L_d), d[2] * (L_d / L_q), d[3])
     g = (st[0] * h / L_d, st[1] * h / L_d, st[2] * h / L_q, st[3] * h / L_q)
-    if not all(map(math.isfinite, d + g)):
-        return None
-    return d, g, -float(params.psi) * omega
+    return d, g, -params.psi * omega
 
 
 def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
@@ -279,9 +276,10 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
 
     At a ``ConstantProfile`` speed the tick's n substeps are the affine
     map of ``_tick_map``, i + D i + G (v + e), made once per scenario:
-    RK4's own result, rounded differently.  Every other speed source, a
-    map that does not exist (P^n overflows where RK4 is unstable) and a
-    tick whose mapped currents overflow run the loop below.
+    RK4's own result, rounded differently.  Every other speed source, and
+    a tick whose mapped currents are not finite (the map's entries
+    overflow where RK4 is unstable, or its products do), run the loop
+    below.
 
     The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
     Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
@@ -322,14 +320,14 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
         if math.isfinite(m_d) and math.isfinite(m_q):
             return m_d, m_q, omega_m
     if omega is None:
-        omega = float(speed(t)) if mech is None else p * omega_m
+        omega = speed(t) if mech is None else p * omega_m
     y_d, y_q = L_d * i_d, L_q * i_q
     if mech is not None:
         load, load_varies, c_1, c_2, friction, k_m = mech
         tau_load = load(t)
     for j in substeps:
         if speed_varies and j:
-            omega = float(speed(t + j * dt))
+            omega = speed(t + j * dt)
         # the speed's entries of hA/k; the back-EMF -omega psi joins the q stage as the flux y_d + psi
         o2, o3, o4 = h2 * omega, h3 * omega, h4 * omega
         r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * (y_d + psi) + v_q
@@ -360,16 +358,16 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
 
     dt_ctrl, speed, tau_ref, p = s.dt_ctrl, s.speed, s.tau_ref, s.params.p
     n_ctrl = round(s.duration / dt_ctrl)
-    i_d, i_q = map(float, s.i0)
+    i_d, i_q = s.i0
     mechanical = isinstance(speed, MechanicalModel)
-    omega_m = float(speed.omega0) if mechanical else 0.0  # mechanical, mechanical mode only
+    omega_m = speed.omega0 if mechanical else 0.0  # mechanical, mechanical mode only
     frames = []
     aborted = False
 
     for k in range(n_ctrl):
         t = k * dt_ctrl
-        omega_e = p * omega_m if mechanical else float(speed(t))
-        frame = ctrl.step(t, omega_e, (i_d, i_q), float(tau_ref(t)))
+        omega_e = p * omega_m if mechanical else speed(t)
+        frame = ctrl.step(t, omega_e, (i_d, i_q), tau_ref(t))
         frames.append(frame)
         try:
             i_d, i_q, omega_m = rk4_plant_step(i_d, i_q, omega_m, frame.v_d, frame.v_q, t, s, omega_e)

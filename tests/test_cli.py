@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oflc import loop, records
-from oflc.cli import main
+from oflc.cli import _write_trace, main
 from oflc.config import parse_config, serialize_config
 from oflc.domain import RANGES, RK4_RADIUS, rk4_limit
 from oflc.errors import ValidationError
@@ -97,6 +98,21 @@ def test_trace_rows_are_consistent(tiny_cfg, tmp_path):
                 assert math.hypot(frame.v_d, frame.v_q) <= v_max * (1.0 + 1e-9)
             if name == "oflc":
                 assert bool(frames[0].flags & U_CLAMPED) == (v_max == 2.0)
+
+
+@pytest.mark.parametrize("name, field, number", [("s1", "R", np.float64), ("mechanical", "p", np.int64)])
+def test_numpy_machine_constants_run_and_write_as_python_numbers(tmp_path, name, field, number):
+    # a record stores a numpy scalar as the Python number it equals, so the run is that of the plain number: the
+    # same frames, every field but flags a Python float, and the same trace text (no "np.float64(" in a row)
+    scenario, settings = parse_config((SCENARIOS / f"{name}.cfg").read_text())
+    params = records.replace(scenario.params, **{field: number(getattr(scenario.params, field))})
+    plain = run_scenario(scenario, settings=settings).frames
+    frames = run_scenario(records.replace(scenario, params=params), settings=settings).frames
+    assert frames == plain
+    assert all(type(x) is float for frame in frames for x in frame[:-1])
+    _write_trace(tmp_path / "plain.csv", plain, 1)
+    _write_trace(tmp_path / "numpy.csv", frames, 1)
+    assert (tmp_path / "numpy.csv").read_text() == (tmp_path / "plain.csv").read_text()
 
 
 def test_decimation(tiny_cfg, tmp_path, capsys):

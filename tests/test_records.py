@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import math
+from typing import Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from oflc.loop import ControllerSettings
 from oflc.machine import MachineParams
 from oflc.optimizer import FLAG_NAMES
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
-from oflc.records import MISSING, fields, replace
+from oflc.records import MISSING, Record, fields, replace
 from oflc.sim import ContinuousRun, MechanicalModel, RunResult, Scenario
 from test_config import FINITE, MACHINES, MECHANICAL, SETTINGS, scenarios
 
@@ -62,6 +64,50 @@ def _twin(record):
     return TWINS[type(record)](*(getattr(record, f.name) for f in fields(record)))
 
 
+FLOAT_TUPLES = (Tuple[float, ...], Tuple[float, float])
+
+
+def _spellings(value, kind):
+    """Values of other types that a field of type ``kind`` stores as ``value``: a numpy scalar, and for a float an
+    int or a bool where it equals one; a list or an array for a tuple of floats."""
+    if kind is int:
+        return [value, np.int64(value)]
+    if kind is float:
+        spellings = [value, np.float64(value)]
+        if value.is_integer() and abs(value) < 2**62:
+            spellings += [int(value), np.int64(value)]
+        if value in (0.0, 1.0):
+            spellings.append(bool(value))
+        return spellings
+    if kind in FLOAT_TUPLES:
+        return [value, list(value), np.array(value)]
+    return [value]
+
+
+@st.composite
+def _respelled(draw, record):
+    """``record`` built again with each number field's value given as one of its ``_spellings``, and each record
+    among its fields built so in turn."""
+    values = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        spelled = _respelled(value) if isinstance(value, Record) else st.sampled_from(_spellings(value, f.type))
+        values[f.name] = draw(spelled)
+    return type(record)(**values)
+
+
+def _number_types(record):
+    """The types of the numbers a record and the records among its fields store, in their number fields."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Record):
+            yield from _number_types(value)
+        elif f.type in (float, int):
+            yield type(value)
+        elif f.type in FLOAT_TUPLES:
+            yield from map(type, value)
+
+
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 def test_fields(cls):
     assert [(f.name, f.default) for f in fields(cls)] == FIELDS[cls]
@@ -72,6 +118,10 @@ def test_fields(cls):
 @given(data=st.data())
 def test_record_matches_its_frozen_dataclass_twin(cls, data):
     a, b = data.draw(DRAWS[cls]), data.draw(DRAWS[cls])
+    # numbers given as ints, bools, numpy scalars, lists or arrays are stored as Python floats and ints
+    respelled = data.draw(_respelled(a))
+    assert respelled == a and set(_number_types(respelled)) <= {float, int}
+    a = respelled
     assert fields(a) == fields(cls)
     assert repr(a) == repr(_twin(a))
     try:

@@ -19,7 +19,7 @@ from oflc.linearization import compute_terms
 from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings, control_law
 from oflc.machine import MachineParams, dq_dynamics, torque
 from oflc.optimizer import B_DEGENERATE, U_CLAMPED
-from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TrapezoidProfile
+from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
 from oflc.sim import (
     MechanicalModel,
     Scenario,
@@ -159,9 +159,11 @@ def test_rk4_nonfinite_raises():
     assert rk4_plant_step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(P0, 1e-6, 100, 1e6))[:2] == pytest.approx(
         (2.48e307, 2.85e307), rel=1e-2)
     # P^n overflows over 20 unstable substeps of 100 us at R/L = 1e9 /s, which the domain takes at a constant
-    # speed: the scenario keeps no map, and the loop keeps a zero state, as exact RK4 does
+    # speed: the map holds a non-finite entry, so the mapped currents are not finite even at a zero state, and the
+    # loop keeps that state, as exact RK4 does
     s = tick_scenario(STIFF, 1e-4, 20, 0.0)
-    assert s._plant[0] is None
+    d, g, _ = s._plant[0]
+    assert not all(map(math.isfinite, d + g))
     assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s) == (0.0, 0.0, 0.0)
 
 
@@ -225,7 +227,7 @@ def test_friction_step_that_cannot_decay_is_rejected():
 
 def _exact_rk4(params, speed, h, n, i, v, t=0.0, omega_m=0.0):
     """n classical RK4 steps of the voltage equations at the held voltage v, in exact rationals of the given floats,
-    and the speed they end at: (i_d, i_q, omega_m).
+    the speed they end at and the largest flux |L_d i_d| or |L_q i_q| at their endpoints: (i_d, i_q, omega_m, peak).
 
     Substep j runs at the electrical speed ``speed`` if it is a number, at a profile's float reading at
     t + j h, or in mechanical mode (a ``MechanicalModel``) at p omega_m, where omega_m then takes an exact Euler
@@ -236,6 +238,7 @@ def _exact_rk4(params, speed, h, n, i, v, t=0.0, omega_m=0.0):
     mech = speed if isinstance(speed, MechanicalModel) else None
     x_d, x_q = map(Fraction, i)
     omega_m = Fraction(omega_m)
+    peak = max(L_d * abs(x_d), L_q * abs(x_q))
     for t_j in times:
         if mech is not None:
             omega = params.p * omega_m
@@ -250,11 +253,12 @@ def _exact_rk4(params, speed, h, n, i, v, t=0.0, omega_m=0.0):
         k3 = f(x_d + h / 2 * k2[0], x_q + h / 2 * k2[1])
         k4 = f(x_d + h * k3[0], x_q + h * k3[1])
         x_d, x_q = (x + h / 6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip((x_d, x_q), k1, k2, k3, k4))
+        peak = max(peak, L_d * abs(x_d), L_q * abs(x_q))
         if mech is not None:
             tau = Fraction(1.5 * params.p) * (psi * x_q + (L_d - L_q) * x_d * x_q)
             load = Fraction(float(mech.load_torque(t_j)))
             omega_m += (tau - load - Fraction(mech.friction) * omega_m) / Fraction(mech.inertia) * h
-    return x_d, x_q, omega_m
+    return x_d, x_q, omega_m, peak
 
 
 @st.composite
@@ -323,17 +327,23 @@ def _loop_ticks(draw):
     return tick_scenario(params, draw(dt_plants(params, speed, n_sub)), n_sub, speed), speed
 
 
+# a tick whose currents swing to some 68 A within it, and back to (-0.82, -0.89) A: 1.2e-14 of its endpoint's flux
+# from exact RK4, and 1.8e-16 of the trajectory's peak flux of 66.3 Wb
+_SWING = TableProfile((-1.0, 0.0), (0.0, 9030979404.0))
+
+
 @seed(26)
 @given(_loop_ticks(), st.just(0.0) | FINITE, st.tuples(*[st.floats(-1e3, 1e3)] * 4))
+@example((tick_scenario(MachineParams(1.0, 1.0, 0.5, 35.0, 1), 1e-10, 7, _SWING), _SWING), 0.0, (0.0,) * 4)
 def test_substep_loop_is_rk4(tick, t, currents_and_voltages):
-    # the substep loop within 1e-14 in flux of RK4 in exact arithmetic, under varying speeds and in mechanical mode.
-    # Every substep of a profile speed has h (max(R/L_d, R/L_q) + |omega|) <= 2, which Scenario demands (the worst
-    # over 4,840 such draws of 10,000 unpinned examples was 1.3e-15, but a rare tick whose currents swing far past
-    # its endpoint missed by 1.2e-14: ROADMAP Known defect 6); a mechanical speed is not known ahead, so its draws
-    # are held to the bound only where they meet it.  Beyond it, RK4's T amplifies the rounding of A y + w,
-    # where its terms cancel, by up to h|T||A| in any float form of the plant.  A speed fed back through the torque
-    # makes the exact rationals some nine times longer per substep, so mechanical ticks run at most 2 substeps
-    # (3 take up to 5 s)
+    # the substep loop within 1e-14 in flux of RK4 in exact arithmetic, under varying speeds and in mechanical mode,
+    # as a share of the largest flux of the exact trajectory at its substep endpoints (or of i0's and the endpoint's,
+    # if larger): a tick's rounding is small against the largest flux it passes through.  Every substep of a profile
+    # speed has h (max(R/L_d, R/L_q) + |omega|) <= 2, which Scenario demands; a mechanical speed is not known ahead,
+    # so its draws are held to the bound only where they meet it.  Beyond it, RK4's T amplifies the rounding of
+    # A y + w, where its terms cancel, by up to h|T||A| in any float form of the plant.  A speed fed back through the
+    # torque makes the exact rationals some nine times longer per substep, so mechanical ticks run at most 2
+    # substeps (3 take up to 5 s)
     (s, speed), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
     params, n_sub = s.params, round(s.dt_ctrl / s.dt_plant)
     h, omega_m = s.dt_plant, speed.omega0 if isinstance(speed, MechanicalModel) else 0.0
@@ -349,7 +359,7 @@ def test_substep_loop_is_rk4(tick, t, currents_and_voltages):
                   for j in range(n_sub)]
         if any(h > rk4_limit(params, _held(float(w))) for w in speeds):
             return
-    assert _flux_gap(step, exact, (i_d, i_q), params) <= Fraction(1e-14)
+    assert _flux_gap(step, exact, (i_d, i_q), params, exact[3]) <= Fraction(1e-14)
 
 
 def test_substep_loop_keeps_rk4_order():
@@ -431,30 +441,29 @@ def test_run_scenario_reproducible(monkeypatch):
             assert all(abs(fa[k] - fc[k]) <= 1e-12 * scale for fa, fc in zip(a.frames, c.frames)), name
 
 
-class _CountedSpeed:
-    """A ramp, 1000 t, that counts its calls and logs their times: a speed profile, or a load torque."""
+def _logged(monkeypatch, profile):
+    """``profile`` and the list of the times at which it is called from now on: its class's ``__call__`` is patched."""
+    times, call = [], type(profile).__call__
+    monkeypatch.setattr(type(profile), "__call__",
+                        lambda self, t: (self is profile and times.append(t), call(self, t))[1])
+    return profile, times
 
-    def __init__(self):
-        self.calls, self.times = 0, []
 
-    def __call__(self, t):
-        self.calls += 1
-        self.times.append(t)
-        return 1000.0 * t
+def _ramp():
+    """1000 t over the first second: a varying speed profile, or a load torque."""
+    return TrapezoidProfile(0.0, 1000.0, 0.0, 1.0)
 
 
 def test_run_scenario_samples_the_speed_once_per_substep(monkeypatch):
     # the controller's sample at t is also the first substep's speed; a varying profile is called again
     # only at the later substeps of the tick
     for n_sub in (1, 7):
-        speed = _CountedSpeed()
+        speed, reads = _logged(monkeypatch, _ramp())
         s = _quiet_scenario(duration=0.002, speed=speed, dt_plant=1e-4 / n_sub)
         result = run_scenario(s, "oflc")
-        assert not result.aborted and speed.calls == 20 * n_sub
+        assert not result.aborted and len(reads) == 20 * n_sub
     # a ConstantProfile speed is read once per tick, at its start: its ticks are the closed-form map
-    constant, reads = ConstantProfile(0.0), []
-    monkeypatch.setattr(ConstantProfile, "__call__",
-                        lambda self, t: (self is constant and reads.append(t), self.value)[1])
+    constant, reads = _logged(monkeypatch, ConstantProfile(0.0))
     s = _quiet_scenario(duration=3e-2, speed=constant, dt_plant=1e-4, dt_ctrl=1e-2)
     result = run_scenario(s, "oflc", settings=ControllerSettings(kp=0.0, ki=0.0))
     assert not result.aborted and reads == [0.0, 1e-2, 2e-2]
@@ -463,16 +472,14 @@ def test_run_scenario_samples_the_speed_once_per_substep(monkeypatch):
 def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
     # mechanical mode reads a ConstantProfile load once per tick, at its start, and any other load at every
     # substep, at t + j dt_plant
-    constant, reads = ConstantProfile(0.5), []
-    monkeypatch.setattr(ConstantProfile, "__call__",
-                        lambda self, t: (self is constant and reads.append(t), self.value)[1])
+    constant, reads = _logged(monkeypatch, ConstantProfile(0.5))
     for n_sub in (1, 7):
-        dt_plant, varying = 1e-4 / n_sub, _CountedSpeed()
+        dt_plant, (varying, times) = 1e-4 / n_sub, _logged(monkeypatch, _ramp())
         for load in (varying, constant):
             s = _quiet_scenario(duration=0.002, dt_plant=dt_plant,
                                 speed=MechanicalModel(inertia=1e-4, friction=1e-3, load_torque=load, omega0=20.0))
             assert not run_scenario(s, "oflc").aborted
-        assert varying.times == [k * s.dt_ctrl + j * dt_plant for k in range(20) for j in range(n_sub)]
+        assert times == [k * s.dt_ctrl + j * dt_plant for k in range(20) for j in range(n_sub)]
         assert reads == [k * s.dt_ctrl for k in range(20)]
         reads.clear()
 
@@ -753,16 +760,21 @@ def test_scenario_validation():
         _quiet_scenario(tau_ref=StepProfile(0.0, 4.1e222, 0.0), v_max=1.05e-97)
     with pytest.raises(ValidationError):
         Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(0.0))  # no speed source
-    for speed in (None, 100.0):  # the speed source is a profile or a MechanicalModel, nothing else
+    # the speed source is a profile or a MechanicalModel, nothing else: a function of time that is no profile
+    # would skip RK4's rule (this one reads 1e9 rad/s by 1 ms, where dt_plant 1e-5 s is past the rule)
+    for speed in (None, 100.0, lambda t: TrapezoidProfile(0.0, 1e9, 0.0, 1e-3)(t)):
         with pytest.raises(ValidationError, match="^scenario.speed: must be a speed profile or a MechanicalModel"):
             _quiet_scenario(speed=speed)
-    # a value that the first tick would call or read as a machine is rejected where it is built
-    with pytest.raises(ValidationError, match="^scenario.tau_ref: "):
-        _quiet_scenario(tau_ref=3.0)
+    # a value that the first tick would call or read as a machine is rejected where it is built; the time functions
+    # are the five profile classes, so a lambda load would skip the load's range
+    for tau_ref in (3.0, lambda t: 1.0):
+        with pytest.raises(ValidationError, match="^scenario.tau_ref: must be a torque profile"):
+            _quiet_scenario(tau_ref=tau_ref)
     with pytest.raises(ValidationError, match="^scenario.params: "):
         _quiet_scenario(params=None)
-    with pytest.raises(ValidationError, match="^load_torque: "):
-        MechanicalModel(inertia=1e-3, load_torque=0.5)
+    for load in (0.5, lambda t: 1e9):
+        with pytest.raises(ValidationError, match="^load_torque: must be a load torque profile"):
+            MechanicalModel(inertia=1e-3, load_torque=load)
     # the initial currents are a pair of real numbers
     for i0 in ((1.0,), (1.0, 2.0, 3.0), None, 1.0, ("a", 1.0), (1.0, None), (1.0, 2j)):
         with pytest.raises(ValidationError, match="^scenario.i0: must be a pair of real numbers"):
