@@ -1,12 +1,22 @@
-"""The physical domain: the range of every machine, scenario and load input, a sub-watt servo to a megawatt traction
-machine with a decade to spare (the README gives sources), so that each derived constant is a normal float."""
+"""The physical domain: the range of every run input, a sub-watt servo to a megawatt traction machine with a decade to
+spare (the README gives sources), so that each derived constant is a normal float and every profile reading in a run
+is finite.
+
+``records.Record.__init__`` checks each number field whose name is a key of ``RANGES``, and each number of a float
+tuple field, when the record is built: the fields of ``machine.MachineParams``, ``sim.Scenario``,
+``sim.MechanicalModel`` (whose speed is mechanical), ``loop.ControllerSettings`` and the five profiles of
+``profiles.PROFILES``.  The other keys are checked where their value is taken: ``Scenario``'s initial currents
+``i_d0`` and ``i_q0``, a mechanical model's ``load`` (its load torque's peak) and the smoothed z rule's width
+``z_smoothing`` in s = n L^-1 lambda.
+"""
+
+import math
 
 from .errors import ValidationError
 
 __all__ = ["RANGES", "RK4_RADIUS", "check", "rk4_limit"]
 
-# name -> (lowest, highest, unit): the fields of MachineParams, Scenario and MechanicalModel (whose speed is
-# mechanical, and whose load is its load torque's peak), and the smoothed z rule's width in s = n L^-1 lambda
+# name -> (lowest, highest, unit); a profile value's unit is that of the quantity it gives (N m or rad/s)
 RANGES = {
     "R": (1e-4, 1e3, "ohm"),
     "L_d": (1e-6, 1.0, "H"), "L_q": (1e-6, 1.0, "H"),
@@ -23,6 +33,13 @@ RANGES = {
     "load": (-1e6, 1e6, "N m"),
     "omega0": (-1e5, 1e5, "rad/s"),
     "z_smoothing": (1e-6, 1e6, "A^2/V"),
+    "kp": (0.0, 1e6, ""), "ki": (0.0, 1e9, "1/s"),
+    "alpha_z": (1e-6, 1.0, ""),
+    **dict.fromkeys(("value", "initial", "final", "amplitude", "offset", "values"), (-1e10, 1e10, "")),
+    **dict.fromkeys(("t_step", "t0", "t1", "times"), (-1e4, 1e4, "s")),
+    "t2": (-1e4, math.inf, "s"), "t3": (-1e4, math.inf, "s"),  # +inf: a trapezoid that never ramps back
+    "frequency": (-5e9, 5e9, "Hz"),
+    "phase": (-1e4, 1e4, "rad"),
 }
 RK4_RADIUS = 2.0  # the largest h |A| of a substep of the loop under a varying speed profile (see the README)
 
@@ -32,7 +49,8 @@ def check(prefix="", **values):
     for name, value in values.items():
         low, high, unit = RANGES[name]
         if not low <= value <= high:
-            raise ValidationError(prefix + name, f"must be in [{low:g}, {high:g}] {unit}, got {value}")
+            bounds = f"[{low:g}, {high:g}] {unit}".rstrip()  # a unitless range ends at its bracket
+            raise ValidationError(prefix + name, f"must be in {bounds}, got {value}")
 
 
 def rk4_limit(params, speed):

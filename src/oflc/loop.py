@@ -40,7 +40,7 @@ import math
 from typing import NamedTuple
 
 from .domain import check
-from .errors import DegenerateBError, PoorFitError, ValidationError
+from .errors import DegenerateBError, PoorFitError
 from . import linearization, machine, optimizer
 from .linearization import EPS_B
 from .optimizer import B_DEGENERATE, COND_LIMIT, EPS_D, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
@@ -59,8 +59,9 @@ ID_ZERO_BANDWIDTH = 2000.0
 class ControllerSettings(Record):
     """Settings of the torque controller: the PI gains of the outer torque loop and alpha_z.
 
-    Raises ValidationError naming ``controller.<field>`` for a value out
-    of range, whether it came from a document or a command-line override.
+    Each lies in its ``domain.RANGES`` (a record checks it when built), and
+    a value outside raises ValidationError naming ``controller.<field>``,
+    whether it came from a document or a command-line override.
     """
 
     kp: float = 5.0
@@ -68,13 +69,6 @@ class ControllerSettings(Record):
     alpha_z: float = 1.0
 
     _prefix = "controller."
-
-    def __post_init__(self):
-        for name in ("kp", "ki"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"controller.{name}", "PI gains must be finite and non-negative")
-        if not 0.0 < self.alpha_z <= 1.0:
-            raise ValidationError("controller.alpha_z", "must be in (0, 1]")
 
 
 class ControlFrame(NamedTuple):

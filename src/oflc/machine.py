@@ -34,8 +34,6 @@ All functions here are pure and safe to call concurrently.
 
 import math
 
-from .domain import check
-from .errors import ValidationError
 from .records import Record
 
 __all__ = [
@@ -71,12 +69,6 @@ class MachineParams(Record):
     L_q: float
     psi: float
     p: int
-
-    def __post_init__(self):
-        # a record keeps a bool in an int field, but the config cannot read True back as a pole-pair count
-        if isinstance(self.p, bool):
-            raise ValidationError("p", f"must be a positive integer, got {self.p}")
-        check(R=self.R, L_d=self.L_d, L_q=self.L_q, psi=self.psi, p=self.p)
 
     @property
     def eta(self):

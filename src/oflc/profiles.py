@@ -2,38 +2,30 @@
 
 Each profile is a small frozen ``records.Record`` callable as
 ``profile(t)``; the ``kind`` tag and field names round-trip through the
-scenario config format.  The five classes of ``PROFILES`` are the only
-time functions a ``sim.Scenario`` or ``sim.MechanicalModel`` takes.  A
-profile's numbers are Python floats (see ``records``), so a profile
-called at a float time returns a float.  Every number of a profile must be finite,
-except +inf where it is the field's default (the open end times of a
-trapezoid).  A profile's ``peak`` bounds each finite |value|, up to rounding.
+scenario config format.  The five classes of ``PROFILES``, the members
+of the ``Profile`` union, are the only time functions a ``sim.Scenario``
+or ``sim.MechanicalModel`` takes.  A profile's numbers are Python floats
+(see ``records``), each inside its ``domain.RANGES``: values within
++-1e10, times within +-1e4 s (but for a trapezoid's open end times,
+which run up to the default +inf), a frequency within +-5e9 Hz and a
+phase within +-1e4 rad, and a table's times at least the smallest
+dt_plant apart.  So every reading at a time within +-1e4 s, which holds
+every time of a run, is finite, and a profile's ``peak`` bounds each
+|value| up to rounding.
 """
 
 import math
 from bisect import bisect_right
-from typing import Tuple
+from typing import Tuple, Union
 
+from .domain import RANGES
 from .errors import ValidationError
-from .records import Record, fields
+from .records import Record
 
 __all__ = ["ConstantProfile", "StepProfile", "SinusoidProfile", "TrapezoidProfile", "TableProfile"]
 
 
-class _Profile(Record):
-    """Base of the profile records: checks that their numbers are finite."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            # inf stays allowed where it is the default: serialize_config writes it for an open trapezoid end
-            open_end = f.default == math.inf
-            value = getattr(self, f.name)
-            for x in value if f.type == Tuple[float, ...] else (value,):
-                if not (math.isfinite(x) or open_end and x == math.inf):
-                    raise ValidationError(f.name, f"must not be nan or {'-inf' if open_end else 'infinite'}")
-
-
-class ConstantProfile(_Profile):
+class ConstantProfile(Record):
     value: float
 
     kind = "constant"
@@ -43,7 +35,7 @@ class ConstantProfile(_Profile):
         return self.value
 
 
-class StepProfile(_Profile):
+class StepProfile(Record):
     initial: float
     final: float
     t_step: float
@@ -55,7 +47,7 @@ class StepProfile(_Profile):
         return self.final if t >= self.t_step else self.initial
 
 
-class SinusoidProfile(_Profile):
+class SinusoidProfile(Record):
     amplitude: float
     frequency: float  # Hz
     offset: float = 0.0
@@ -65,17 +57,16 @@ class SinusoidProfile(_Profile):
     peak = property(lambda self: abs(self.offset) + abs(self.amplitude))
 
     def __post_init__(self):
-        super().__post_init__()
         # (2 pi f) t is the order the phase was always evaluated in.  Not a field, so ==, repr and replace() do
         # not see it; set as Scenario._plant is, which keeps the instance layout
         object.__setattr__(self, "_two_pi_f", 2.0 * math.pi * self.frequency)
 
     def __call__(self, t):
-        x = self._two_pi_f * t + self.phase  # inf past the largest float: math.sin raises on it
+        x = self._two_pi_f * t + self.phase  # inf for t near the largest float, where math.sin raises
         return self.offset + self.amplitude * (math.sin(x) if math.isfinite(x) else math.nan)
 
 
-class TrapezoidProfile(_Profile):
+class TrapezoidProfile(Record):
     """Ramp from ``initial`` to ``final`` over [t0, t1], hold, optionally
     ramp back to ``initial`` over [t2, t3]."""
 
@@ -101,12 +92,13 @@ class TrapezoidProfile(_Profile):
         return self.initial
 
 
-class TableProfile(_Profile):
+class TableProfile(Record):
     """Piecewise-linear interpolation through (times, values) breakpoints.
 
-    Equal to ``np.interp(t, times, values)`` bit for bit, including its
-    retry from the right breakpoint when the interpolant is nan (an
-    infinite slope times zero); outside the table it holds the end values.
+    Equal to ``np.interp(t, times, values)`` bit for bit; outside the
+    table it holds the end values.  The domain bounds each slope by
+    2e10 / 1e-10, so np.interp's retry for a nan interpolant (an infinite
+    slope times zero) never applies.
     """
 
     times: Tuple[float, ...]
@@ -116,13 +108,13 @@ class TableProfile(_Profile):
     peak = property(lambda self: max(map(abs, self.values)))
 
     def __post_init__(self):
-        super().__post_init__()
         if len(self.times) < 2:
             raise ValidationError("times", "a table needs at least two points")
         if len(self.values) != len(self.times):
             raise ValidationError("values", f"needs one value per time, got {len(self.values)} for {len(self.times)}")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValidationError("times", "must be strictly increasing")
+        gap = RANGES["dt_plant"][0]  # which bounds every slope
+        if any(b - a < gap for a, b in zip(self.times, self.times[1:])):
+            raise ValidationError("times", f"must be strictly increasing, at least {gap:g} s apart")
 
     def __call__(self, t):
         times, values = self.times, self.values
@@ -134,13 +126,9 @@ class TableProfile(_Profile):
         if t == times[j]:
             return values[j]
         slope = (values[j + 1] - values[j]) / (times[j + 1] - times[j])
-        y = slope * (t - times[j]) + values[j]
-        if y != y:
-            y = slope * (t - times[j + 1]) + values[j + 1]
-            if y != y and values[j] == values[j + 1]:
-                y = values[j]
-        return y
+        return slope * (t - times[j]) + values[j]
 
 
-# the profile classes, matched by exact type where a time function is taken
+# the profile classes; a field annotated ``Profile`` holds exactly one of them (see ``records``)
 PROFILES = (ConstantProfile, StepProfile, SinusoidProfile, TrapezoidProfile, TableProfile)
+Profile = Union[PROFILES]

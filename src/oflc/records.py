@@ -3,18 +3,27 @@
 A ``Record`` subclass declares its fields as class annotations, in order,
 after those of its bases; a class value is the field's default.  Every
 record shares one ``__init__``, which binds positional and keyword
-arguments to the fields, gives each number its type and then calls
-``__post_init__``, where a class validates itself.  A ``float`` field
-stores any real number (numpy scalars and bools among them) as a Python
-float; an ``int`` field stores an integer as an int, but keeps a bool;
-a ``Tuple[float, ...]`` or ``Tuple[float, float]`` field stores a tuple,
-a list or an array of reals as a tuple of floats.  Anything else there
-raises ``ValidationError`` naming the field, after the class's
-``_prefix``.  So the code that reads a record computes in Python floats
-and ints only.  Records compare equal by class and field values, hash
-their field values, print as ``Name(field=value, ...)`` and reject
-assignment and deletion.  ``fields``, ``replace`` and ``MISSING`` stand
-in for the ``dataclasses`` functions of those names.
+arguments to the fields, checks each field by one rule and then calls
+``__post_init__``, where a class checks what relates its fields.  The
+rule reads the field's annotation and name:
+
+* a ``float`` field stores any real number (numpy scalars and bools
+  among them) as a Python float; an ``int`` field stores an integer, but
+  not a bool, as an int; a ``Tuple[float, ...]`` or
+  ``Tuple[float, float]`` field stores a tuple, a list or an array of
+  reals as a tuple of floats;
+* such a number field whose name is a key of ``domain.RANGES`` must lie
+  in that range, each number of a tuple alike;
+* a field annotated with a class, or with a ``Union`` of classes, must
+  hold an instance of exactly one of them, matched by exact type.
+
+Anything else there raises ``ValidationError`` naming the field, after
+the class's ``_prefix``.  So the code that reads a record computes in
+Python floats and ints only, inside the physical domain.  Records
+compare equal by class and field values, hash their field values, print
+as ``Name(field=value, ...)`` and reject assignment and deletion.
+``fields``, ``replace`` and ``MISSING`` stand in for the ``dataclasses``
+functions of those names.
 
 Nothing is generated per class, so defining a record costs what defining
 a plain class does; importing ``dataclasses`` (and with it ``inspect``)
@@ -24,8 +33,9 @@ and building the methods of eleven classes took 20-35 ms of every start
 
 from collections import namedtuple
 from numbers import Integral, Real
-from typing import Tuple
+from typing import Tuple, Union, get_args, get_origin
 
+from .domain import RANGES, check
 from .errors import ValidationError
 
 __all__ = ["Record", "Field", "MISSING", "fields", "replace"]
@@ -49,10 +59,27 @@ def _floats(value, n=None):
 # field type -> (what its value must be, the value stored for a given one, or None where there is none)
 _NUMBERS = {
     float: ("a real number", lambda x: float(x) if isinstance(x, Real) else None),
-    int: ("an integer", lambda x: x if isinstance(x, bool) else int(x) if isinstance(x, Integral) else None),
+    int: ("an integer", lambda x: int(x) if isinstance(x, Integral) and not isinstance(x, bool) else None),
     Tuple[float, ...]: ("a sequence of real numbers", _floats),
     Tuple[float, float]: ("a pair of real numbers", lambda x: _floats(x, 2)),
 }
+
+
+def _checked(prefix, f, value):
+    """``value`` as field ``f`` stores it, by the module docstring's rule; a value the rule rejects raises
+    ValidationError naming ``prefix + f.name``."""
+    if f.type in _NUMBERS:
+        what, typed = _NUMBERS[f.type]
+        if (number := typed(value)) is None:
+            raise ValidationError(prefix + f.name, f"must be {what}, got {value!r}")
+        if f.name in RANGES:
+            for x in number if type(number) is tuple else (number,):
+                check(prefix, **{f.name: x})
+        return number
+    classes = get_args(f.type) if get_origin(f.type) is Union else (f.type,) if isinstance(f.type, type) else ()
+    if classes and type(value) not in classes:
+        raise ValidationError(prefix + f.name, f"must be a {' or '.join(c.__name__ for c in classes)}, got {value!r}")
+    return value
 
 
 class Record:
@@ -80,13 +107,8 @@ class Record:
         for f, value in zip(fields_, values):
             if value is MISSING:
                 raise TypeError(f"{type(self).__qualname__}() missing required argument {f.name!r}")
-            if f.type in _NUMBERS:
-                what, typed = _NUMBERS[f.type]
-                if (number := typed(value)) is None:
-                    raise ValidationError(self._prefix + f.name, f"must be {what}, got {value!r}")
-                value = number
             # not through self.__dict__, which CPython 3.11 then keeps as a dict and reads more slowly
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, _checked(self._prefix, f, value))
         self.__post_init__()
 
     def __post_init__(self):

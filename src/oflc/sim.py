@@ -43,14 +43,14 @@ it in their own bodies.
 
 import math
 from collections import Counter
-from typing import Callable, Tuple, Union
+from typing import Tuple, Union
 
 from .domain import check, rk4_limit
 from .errors import NonFiniteStateError, ValidationError
 from .loop import CONTROLLERS, ControllerSettings, control_law, law_constants
 from .machine import MachineParams, dq_dynamics, torque
 from .optimizer import FLAG_NAMES, U_CLAMPED
-from .profiles import PROFILES, ConstantProfile
+from .profiles import ConstantProfile, Profile
 from .records import Record
 
 __all__ = [
@@ -78,21 +78,21 @@ class MechanicalModel(Record):
     """Rigid mechanical load: J dw/dt = tau - tau_load - friction * w, from w = omega0.
 
     Speeds here are mechanical; the electrical speed fed to the machine
-    model is p times larger.  The load torque is one of the
-    ``profiles.PROFILES``, whose ``peak`` must lie in the load's range.
+    model is p times larger.  The record checks each field's type and
+    range when built (see ``records``); the load torque is one of the
+    ``profiles.PROFILES``, whose ``peak`` must also lie in the ``load``
+    range of ``domain.RANGES``.
     """
 
     inertia: float  # kg m^2
     friction: float = 0.0  # N m s
-    load_torque: Callable[[float], float] = ConstantProfile(0.0)
+    load_torque: Profile = ConstantProfile(0.0)
     omega0: float = 0.0  # initial speed, rad/s
 
     kind = "mechanical"  # the [speed] kind of the config format
 
     def __post_init__(self):
-        if type(self.load_torque) not in PROFILES:
-            raise ValidationError("load_torque", f"must be a load torque profile, got {self.load_torque!r}")
-        check(inertia=self.inertia, friction=self.friction, omega0=self.omega0, load=self.load_torque.peak)
+        check(load=self.load_torque.peak)
 
 
 class Scenario(Record):
@@ -101,16 +101,19 @@ class Scenario(Record):
     ``speed`` is the one speed source: a prescribed electrical speed
     profile (rad/s), or a ``MechanicalModel`` whose load dynamics produce
     the speed.  ``tau_ref`` and a speed profile are each one of the
-    ``profiles.PROFILES``.  The rates and limits are checked here once;
-    the controllers built from a scenario read them unchecked.  Raises
+    ``profiles.PROFILES``.  The record checks each field's type and range
+    when built (see ``records``); here follow the initial currents' ranges
+    and the rules that relate fields: the rates' multiples, the run's size,
+    RK4's stability rule and the mechanical speed's Euler step.  The
+    controllers built from a scenario read it unchecked.  Raises
     ValidationError naming ``scenario.<field>``, whether the value came
     from a document or a command-line override.
     """
 
     params: MachineParams
     duration: float
-    tau_ref: Callable[[float], float]
-    speed: Union[Callable[[float], float], MechanicalModel] = None  # None only to reject a missing speed
+    tau_ref: Profile
+    speed: Union[Profile, MechanicalModel]
     dt_plant: float = 1e-6
     dt_ctrl: float = 1e-4
     horizon: float = 1e-3
@@ -120,8 +123,7 @@ class Scenario(Record):
     _prefix = "scenario."
 
     def __post_init__(self):
-        check("scenario.", duration=self.duration, dt_plant=self.dt_plant, dt_ctrl=self.dt_ctrl, horizon=self.horizon,
-              v_max=self.v_max, i_d0=self.i0[0], i_q0=self.i0[1])
+        check("scenario.", i_d0=self.i0[0], i_q0=self.i0[1])
         if self.dt_plant > self.dt_ctrl:
             raise ValidationError("scenario.dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
         ratio = self.dt_ctrl / self.dt_plant
@@ -140,13 +142,6 @@ class Scenario(Record):
             raise ValidationError("scenario.duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
         if n_sub * round(ratio) > MAX_SUBSTEPS_PER_RUN:
             raise ValidationError("scenario.dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
-        if not isinstance(self.params, MachineParams):
-            raise ValidationError("scenario.params", f"must be a MachineParams, got {self.params!r}")
-        if type(self.tau_ref) not in PROFILES:
-            raise ValidationError("scenario.tau_ref", f"must be a torque profile, got {self.tau_ref!r}")
-        if type(self.speed) not in (*PROFILES, MechanicalModel):
-            raise ValidationError("scenario.speed",
-                                  f"must be a speed profile or a MechanicalModel, got {self.speed!r}")
         params, speed, dt = self.params, self.speed, self.dt_plant
         # RK4's stability rule for the substep loop under a varying speed profile
         limit = rk4_limit(params, speed)
@@ -171,7 +166,7 @@ class Scenario(Record):
             mech = (load, type(load) is not ConstantProfile, c_1, c_2, speed.friction, k_m)
         object.__setattr__(self, "_plant", (
             tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k), params.L_d,
-            params.L_q, params.psi, params.p, speed, mech is None and type(speed) is not ConstantProfile, mech))
+            params.L_q, params.psi, params.p, speed, mech))
 
 
 class RunResult(Record):
@@ -249,8 +244,8 @@ def _tick_map(params, omega, h, n):
     inverse.  Returns (D, G, e_q) in the currents, D and G row-major.  An
     entry overflows where RK4 is unstable and P^n does; every entry of D
     and G multiplies a finite number in the tick, so the mapped currents
-    are then not finite either (inf * 0 is nan), and the tick runs the
-    substep loop.
+    are then not finite either (inf * 0 is nan), and every tick raises
+    ``NonFiniteStateError``, from the zero state too.
     """
     R, L_d, L_q = params.R, params.L_d, params.L_q
     b = (-R / L_d * h, omega * h, -omega * h, -R / L_q * h)
@@ -276,10 +271,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
 
     At a ``ConstantProfile`` speed the tick's n substeps are the affine
     map of ``_tick_map``, i + D i + G (v + e), made once per scenario:
-    RK4's own result, rounded differently.  Every other speed source, and
-    a tick whose mapped currents are not finite (the map's entries
-    overflow where RK4 is unstable, or its products do), run the loop
-    below.
+    RK4's own result, rounded differently.  Every other speed source runs
+    the loop below.
 
     The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
     Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
@@ -303,43 +296,44 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     substep; any other profile is called again at every later substep, at
     t + j dt_plant.  Returns (i_d, i_q, omega_m).
 
-    The currents are checked once, at the end of the tick: inf or nan
-    survives the later substeps' +, - and x with finite numbers and / by
-    the positive L_d and L_q.
+    The currents are checked once, at the end of the tick, whichever way
+    it took: inf or nan survives the later substeps' +, - and x with
+    finite numbers and / by the positive L_d and L_q.  So a mapped tick
+    whose currents are not finite (the map's entries overflow where RK4
+    is unstable, or its products do) raises, as the loop's would.
 
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
     (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, speed,
-     speed_varies, mech) = s._plant
+     mech) = s._plant
     if tick is not None:
         (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
         w_q = v_q + e_q
-        m_d, m_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
+        i_d, i_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
                     i_q + (d_qd * i_d + d_qq * i_q) + (g_qd * v_d + g_qq * w_q))
-        if math.isfinite(m_d) and math.isfinite(m_q):
-            return m_d, m_q, omega_m
-    if omega is None:
-        omega = speed(t) if mech is None else p * omega_m
-    y_d, y_q = L_d * i_d, L_q * i_q
-    if mech is not None:
-        load, load_varies, c_1, c_2, friction, k_m = mech
-        tau_load = load(t)
-    for j in substeps:
-        if speed_varies and j:
-            omega = speed(t + j * dt)
-        # the speed's entries of hA/k; the back-EMF -omega psi joins the q stage as the flux y_d + psi
-        o2, o3, o4 = h2 * omega, h3 * omega, h4 * omega
-        r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * (y_d + psi) + v_q
-        x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
-        x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
-        y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
+    else:
+        if omega is None:
+            omega = speed(t) if mech is None else p * omega_m
+        y_d, y_q = L_d * i_d, L_q * i_q
         if mech is not None:
-            if load_varies and j:
-                tau_load = load(t + j * dt)
-            omega_m += (y_q * (c_1 + c_2 * y_d) - tau_load - friction * omega_m) * k_m
-            omega = p * omega_m
-    i_d, i_q = y_d / L_d, y_q / L_q
+            load, load_varies, c_1, c_2, friction, k_m = mech
+            tau_load = load(t)
+        for j in substeps:
+            if mech is None and j:  # a varying speed profile: a constant one took the map
+                omega = speed(t + j * dt)
+            # the speed's entries of hA/k; the back-EMF -omega psi joins the q stage as the flux y_d + psi
+            o2, o3, o4 = h2 * omega, h3 * omega, h4 * omega
+            r_d, r_q = a_d * y_d + omega * y_q + v_d, a_q * y_q - omega * (y_d + psi) + v_q
+            x_d, x_q = r_d + (a4_d * r_d + o4 * r_q), r_q + (a4_q * r_q - o4 * r_d)
+            x_d, x_q = r_d + (a3_d * x_d + o3 * x_q), r_q + (a3_q * x_q - o3 * x_d)
+            y_d, y_q = y_d + dt * (r_d + (a2_d * x_d + o2 * x_q)), y_q + dt * (r_q + (a2_q * x_q - o2 * x_d))
+            if mech is not None:
+                if load_varies and j:
+                    tau_load = load(t + j * dt)
+                omega_m += (y_q * (c_1 + c_2 * y_d) - tau_load - friction * omega_m) * k_m
+                omega = p * omega_m
+        i_d, i_q = y_d / L_d, y_q / L_q
     if not (math.isfinite(i_d) and math.isfinite(i_q)):
         raise NonFiniteStateError(f"state diverged: [{i_d}, {i_q}]")
     return i_d, i_q, omega_m

@@ -161,7 +161,7 @@ def test_validation_error_exits_1(tmp_path, capsys):
 
     good = tmp_path / "good.cfg"
     good.write_text(TINY)
-    for flag, value, message in (("--alpha-z", "2", "controller.alpha_z: must be in (0, 1]"),
+    for flag, value, message in (("--alpha-z", "2", "controller.alpha_z: must be in [1e-06, 1], got 2.0"),
                                  ("--kp", "-1", "controller.kp"), ("--ki", "-1", "controller.ki"),
                                  ("--v-max", "nan", "scenario.v_max: must be in [1, 10000] V, got nan"),
                                  ("--v-max", "1e200", "scenario.v_max: must be in [1, 10000] V, got 1e+200"),
@@ -190,8 +190,8 @@ def test_validation_error_exits_1(tmp_path, capsys):
                               ("psi = 0.1", "psi = nan", "machine.psi: must be in "),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_d0 = nan", "scenario.i_d0: must be in "),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ni_q0 = inf", "scenario.i_q0: must be in "),
-                              ("value = 3.0", "value = nan", "torque.value: must not be nan"),
-                              ("value = 100.0", "value = nan", "speed.value: must not be nan"),
+                              ("value = 3.0", "value = nan", "torque.value: must be in [-1e+10, 1e+10], got nan"),
+                              ("value = 100.0", "value = nan", "speed.value: must be in "),
                               ("dt_ctrl = 1e-4", "dt_ctrl = 1e-4\ntheta0 = 0.0", "scenario.theta0: unknown key"),
                               ("duration = 0.005", "duration = 1e308", "scenario.duration: must be in "),
                               ("duration = 0.005", "duration = 0.00505",
@@ -206,17 +206,27 @@ def test_validation_error_exits_1(tmp_path, capsys):
                                "scenario.dt_plant: gives more than 1000000 substeps"),
                               ("duration = 0.005\ndt_plant = 1e-5", "duration = 1.0\ndt_plant = 1e-9",
                                "scenario.dt_plant: gives more than 100000000 substeps per run"),
-                              ("value = 3.0", "value = inf", "torque.value: must not be nan or infinite"),
-                              ("value = 100.0", "value = inf", "speed.value: must not be nan or infinite"),
+                              ("value = 3.0", "value = inf", "torque.value: must be in "),
+                              ("value = 100.0", "value = inf", "speed.value: must be in "),
                               ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 1e-3\nvalues = 0 inf",
-                               "torque.values: must not be nan or infinite"),
+                               "torque.values: must be in [-1e+10, 1e+10], got inf"),
+                              # a torque of +-1e308 N m, whose squared error once overflowed the run's RMS to inf
+                              ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 0.05\nvalues = 1e308 -1e308",
+                               "torque.values: must be in [-1e+10, 1e+10], got 1e+308"),
                               ("kind = constant\nvalue = 3.0", "kind = step\ninitial = 0\nfinal = 3\nt_step = -inf",
-                               "torque.t_step: must not be nan or infinite"),
+                               "torque.t_step: must be in [-10000, 10000] s, got -inf"),
                               ("kind = constant\nvalue = 100.0", "kind = sinusoid\namplitude = 50\nfrequency = inf",
-                               "speed.frequency: must not be nan or infinite"),
+                               "speed.frequency: must be in [-5e+09, 5e+09] Hz, got inf"),
                               ("kind = constant\nvalue = 3.0",
                                "kind = trapezoid\ninitial = 0\nfinal = 3\nt0 = 0\nt1 = 1e-3\nt2 = -inf",
-                               "torque.t2: must not be nan or -inf"),
+                               "torque.t2: must be in [-10000, inf] s, got -inf"),
+                              # a ramp whose (final - initial)(t - t0) overflowed to inf at t = 0, where it reads 0
+                              ("kind = constant\nvalue = 3.0",
+                               "kind = trapezoid\ninitial = 0\nfinal = 402301\nt0 = -4.46852763195298e+302\nt1 = 1",
+                               "torque.t0: must be in [-10000, 10000] s, got -4.46852763195298e+302"),
+                              # breakpoints so close that the slope would overflow
+                              ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 1e-300\nvalues = 0 1",
+                               "torque.times: must be strictly increasing, at least 1e-10 s apart"),
                               ("R = 0.5", "R = 0.5%", "machine.R: not a number: '0.5%'"),
                               ("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 1e-3\nvalues = 1 2 3",
                                "torque.times: must be strictly increasing"),
@@ -254,15 +264,18 @@ def test_validation_error_exits_1(tmp_path, capsys):
         assert f"error: {message}" in capsys.readouterr().err
 
 
+# one profile of each kind, which TINY runs as its torque or its speed
+PROFILES = (ConstantProfile(3.0), StepProfile(0.0, 3.0, 1e-3), SinusoidProfile(3.0, 50.0, 1.0, 0.5),
+            TrapezoidProfile(0.0, 3.0, 0.0, 1e-3, 2e-3, 3e-3), TableProfile((0.0, 1e-3), (1.0, 2.0)))
+
+
 def test_every_non_finite_number_exits_1_naming_its_key(tmp_path, capsys):
     # every numeric key of every section, under each profile kind for [torque] and [speed] and in mechanical mode,
     # written out by serialize_config; a number list gets the bad value as its last number.  Only a trapezoid's
     # open ends t2 and t3 take +inf, which serialize_config writes for them
     scenario, settings = parse_config(TINY)
-    profiles = (ConstantProfile(3.0), StepProfile(0.0, 3.0, 1e-3), SinusoidProfile(3.0, 50.0, 1.0, 0.5),
-                TrapezoidProfile(0.0, 3.0, 0.0, 1e-3, 2e-3, 3e-3), TableProfile((0.0, 1e-3), (1.0, 2.0)))
-    variants = [records.replace(scenario, tau_ref=profile) for profile in profiles]
-    variants += [records.replace(scenario, speed=profile) for profile in profiles]
+    variants = [records.replace(scenario, tau_ref=profile) for profile in PROFILES]
+    variants += [records.replace(scenario, speed=profile) for profile in PROFILES]
     variants.append(records.replace(scenario, speed=MechanicalModel(inertia=1e-3, friction=2e-3,
                                                                    load_torque=ConstantProfile(0.5))))
     cfg, seen = tmp_path / "bad.cfg", set()
@@ -289,10 +302,14 @@ def test_every_non_finite_number_exits_1_naming_its_key(tmp_path, capsys):
     assert len(seen) == 5 + 7 + 3 + 2 * 16 + 4  # machine, scenario, controller, two sections of profiles, mechanical
 
 
-# the config section of each input of the domain table; load is the constant load of a mechanical [speed]
+# the config section of each input of the domain table; load is the constant load of a mechanical [speed], and a
+# profile's key is taken by [torque] or [speed], as drawn
 SECTIONS = {**dict.fromkeys(("R", "L_d", "L_q", "psi", "p"), "machine"),
             **dict.fromkeys(("v_max", "dt_plant", "dt_ctrl", "duration", "horizon", "i_d0", "i_q0"), "scenario"),
-            **dict.fromkeys(("inertia", "friction", "load", "omega0"), "speed")}
+            **dict.fromkeys(("inertia", "friction", "load", "omega0"), "speed"),
+            **dict.fromkeys(("kp", "ki", "alpha_z"), "controller")}
+# each profile key -> a profile of PROFILES that has it
+PROFILE_OF = {f.name: profile for profile in PROFILES for f in records.fields(profile)}
 
 
 @st.composite
@@ -306,31 +323,44 @@ def _past_a_bound(draw):
         # the peak at which rk4_limit reaches TINY's dt_plant; RK4_RADIUS / rk4_limit at rest is max(R/L_d, R/L_q)
         limit = RK4_RADIUS / 1e-5 - RK4_RADIUS / rk4_limit(machine, StepProfile(0.0, 0.0, 0.0))
         return name, outward * limit * (1.0 + 1e-9) * (1.0 + f)
+    if RANGES[name][1] == math.inf:  # t2 and t3, whose +inf is a trapezoid's open end
+        outward = -1.0
     bound = RANGES[name][outward > 0.0]
     if name == "p":
         return name, bound + int(outward) * (1 + int(5 * f))
     return name, math.nextafter(bound, outward * math.inf) + outward * f * (0.9 * abs(bound) or 1.0)
 
 
-@given(_past_a_bound())
-def test_inputs_past_the_domain_exit_1_naming_their_field(tmp_path_factory, name_and_value):
+@given(_past_a_bound(), st.sampled_from(("torque", "speed")))
+def test_inputs_past_the_domain_exit_1_naming_their_field(tmp_path_factory, name_and_value, profile_section):
     # each input of the table, just past either bound, and a speed profile that RK4 cannot step at dt_plant, are
-    # rejected where the library builds them, naming the field, and by oflc simulate, naming its key
+    # rejected where the library builds them, naming the field, and by oflc simulate, naming its key.  A profile's
+    # key is taken by a profile in profile_section; a table takes the value as one of its two points
     name, value = name_and_value
     base = parse_config(TINY)[0]
     mechanical = MechanicalModel(inertia=1e-3, friction=2e-3, load_torque=ConstantProfile(0.5))
     ramp = StepProfile(0.0, 100.0, 1e-3)
-    changes = {"i_d0": {"i0": (value, 0.0)}, "i_q0": {"i0": (0.0, value)},
-               "load": {"load_torque": ConstantProfile(value)},
-               "rk4": {"speed": records.replace(ramp, final=value)}}.get(name, {name: value})
-    # the record that takes the value, the field its error names, the scenario written as the document, the key
-    # that takes the value there and the field of oflc simulate's error
-    record, field, document_of, key, cli_field = {
-        "machine": (base.params, name, base, f"machine.{name}", f"machine.{name}"),
-        "scenario": (base, f"scenario.{name}", base, f"scenario.{name}", f"scenario.{name}"),
-        "speed": (mechanical, name, records.replace(base, speed=mechanical), f"speed.{name}", f"speed.{name}"),
-        "rk4": (base, "scenario.dt_plant", records.replace(base, speed=ramp), "speed.final", "scenario.dt_plant"),
-    }.get(SECTIONS.get(name, name), (None, name, None, None, None))
+    profile = PROFILE_OF.get(name)
+    if name == "load":  # the two that build a profile, which rejects a value past its own range
+        changes = {"load_torque": ConstantProfile(value)}
+    elif name == "rk4":
+        changes = {"speed": records.replace(ramp, final=value)}
+    else:
+        changes = {"i_d0": {"i0": (value, 0.0)}, "i_q0": {"i0": (0.0, value)},
+                   "times": {"times": (value, 1e-3) if value < 0.0 else (0.0, value)},
+                   "values": {"values": (1.0, value)}}.get(name, {name: value})
+    # the record that takes the value, the field its error names, the changes to TINY written as the document, the
+    # key that takes the value there and the field of oflc simulate's error
+    profile_key = f"{profile_section}.{name}"
+    record, field, document_changes, key, cli_field = {
+        "machine": (base.params, name, {}, f"machine.{name}", f"machine.{name}"),
+        "scenario": (base, f"scenario.{name}", {}, f"scenario.{name}", f"scenario.{name}"),
+        "speed": (mechanical, name, {"speed": mechanical}, f"speed.{name}", f"speed.{name}"),
+        "controller": (ControllerSettings(), f"controller.{name}", {}, f"controller.{name}", f"controller.{name}"),
+        "profile": (profile, name, {"tau_ref" if profile_section == "torque" else "speed": profile}, profile_key,
+                    profile_key),
+        "rk4": (base, "scenario.dt_plant", {"speed": ramp}, "speed.final", "scenario.dt_plant"),
+    }.get("profile" if profile else SECTIONS.get(name, name), (None, name, None, None, None))
     with pytest.raises(ValidationError) as exc:
         if record is None:  # z_smoothing, which only loop.law_constants takes
             loop.law_constants(base.params, 48.0, 1e-3, z_smoothing=value)
@@ -343,9 +373,9 @@ def test_inputs_past_the_domain_exit_1_naming_their_field(tmp_path_factory, name
 
     document = configparser.ConfigParser(interpolation=None)
     document.optionxform = str
-    document.read_string(serialize_config(document_of))
+    document.read_string(serialize_config(records.replace(base, **document_changes), ControllerSettings()))
     section, option = key.split(".")
-    document[section][option] = repr(value)
+    document[section][option] = " ".join(map(repr, changes[name])) if name in ("times", "values") else repr(value)
     cfg = tmp_path_factory.mktemp("past") / "bad.cfg"
     with cfg.open("w") as f:
         document.write(f)
@@ -423,6 +453,25 @@ def test_override_flags(tiny_cfg, tmp_path):
         assert frames != run_scenario(scenario, name).frames
 
 
+def test_overflowing_torque_reports_inf(tmp_path, capsys, monkeypatch):
+    # the squared torque error overflows to inf; the run still ends normally and reports it.  A torque reference
+    # large enough for that lies outside the domain, so a controller's torque estimate of 1e200 N m gives it
+    class Overflow:
+        def step(self, t, omega, i_dq, tau_ref):
+            return ControlFrame(t=t, i_d=i_dq[0], i_q=i_dq[1], v_d=0.0, v_q=0.0, tau_ref=tau_ref, tau_est=1e200,
+                                u_raw=0.0, u_feasible=0.0, omega=omega, z_d=0.0, z_q=0.0, lambda_d=0.0,
+                                lambda_q=0.0, p_copper_W=0.0, flags=0)
+
+    monkeypatch.setitem(CONTROLLERS, "overflow", lambda scenario, settings: Overflow())
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    assert main(["simulate", "--scenario", str(cfg), "--controller", "overflow", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "aborted: False\n" in out
+    assert "rms_torque_error_Nm: inf\n" in out
+    assert "rms_torque_error_Nm: inf\n" in (tmp_path / "overflow_summary.txt").read_text()
+
+
 def test_run_path_skips_numpy(tmp_path):
     # numpy is slow to import and only the array-form checks and the selftest need it; dataclasses, which
     # imports inspect, cost 20-35 ms of every start, and records.Record replaces it
@@ -442,18 +491,6 @@ for module in ("numpy", "scipy", "scipy.optimize", "dataclasses", "inspect"):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_overflowing_torque_reports_inf(tmp_path, capsys):
-    # the squared torque error overflows to inf; the run still ends normally and reports it
-    cfg = tmp_path / "overflow.cfg"
-    text = (SCENARIOS / "step.cfg").read_text()
-    cfg.write_text(text.replace("kind = step\ninitial = 0.0\nfinal = 6.0\nt_step = 0.01",
-                                "kind = table\ntimes = 0 0.05\nvalues = 1e308 -1e308"))
-    assert "kind = table" in cfg.read_text()
-    assert main(["simulate", "--scenario", str(cfg), "--out", str(tmp_path)]) == 0
-    assert "rms_torque_error_Nm: inf\n" in capsys.readouterr().out
-    assert "rms_torque_error_Nm: inf\n" in (tmp_path / "oflc_summary.txt").read_text()
 
 
 def test_command_on_the_clamp_edge_runs(tmp_path, capsys):

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P0, tick_scenario
+from oflc.domain import RANGES
 from oflc.errors import ValidationError
 from oflc.loop import ControllerSettings
 from oflc.machine import MachineParams
 from oflc.optimizer import FLAG_NAMES
-from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
+from oflc.profiles import PROFILES, ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
 from oflc.records import MISSING, Record, fields, replace
 from oflc.sim import ContinuousRun, MechanicalModel, RunResult, Scenario
-from test_config import FINITE, MACHINES, MECHANICAL, SETTINGS, scenarios
+from test_config import FINITE, MACHINES, MECHANICAL, SETTINGS, VALUES, scenarios, within
 
 # (name, default) of each field, in order, as the frozen dataclasses that the records replaced had them.
 # RunResult alone lost its defaults: run_scenario builds it once, from its finished figures.
@@ -31,7 +32,7 @@ FIELDS = {
     TableProfile: [("times", MISSING), ("values", MISSING)],
     MechanicalModel: [("inertia", MISSING), ("friction", 0.0), ("load_torque", ConstantProfile(0.0)),
                       ("omega0", 0.0)],
-    Scenario: [("params", MISSING), ("duration", MISSING), ("tau_ref", MISSING), ("speed", None),
+    Scenario: [("params", MISSING), ("duration", MISSING), ("tau_ref", MISSING), ("speed", MISSING),
                ("dt_plant", 1e-6), ("dt_ctrl", 1e-4), ("horizon", 1e-3), ("v_max", 48.0), ("i0", (0.0, 0.0))],
     RunResult: [("frames", MISSING), ("cost_integral", MISSING), ("copper_energy", MISSING),
                 ("rms_torque_error", MISSING), ("saturation_counts", MISSING), ("aborted", MISSING)],
@@ -43,11 +44,11 @@ SAMPLES = st.lists(FINITE, max_size=3).map(tuple)
 DRAWS = {
     MachineParams: MACHINES,
     ControllerSettings: SETTINGS,
-    ConstantProfile: st.builds(ConstantProfile, FINITE),
-    StepProfile: st.builds(StepProfile, FINITE, FINITE, FINITE),
-    SinusoidProfile: st.builds(SinusoidProfile, FINITE, FINITE, FINITE, FINITE),
-    TrapezoidProfile: st.builds(TrapezoidProfile, FINITE, FINITE, FINITE, FINITE, *[FINITE | st.just(math.inf)] * 2),
-    TableProfile: st.builds(TableProfile, st.just((0.0, 1.0, 2.0)), st.tuples(FINITE, FINITE, FINITE)),
+    ConstantProfile: st.builds(ConstantProfile, VALUES),
+    StepProfile: st.builds(StepProfile, VALUES, VALUES, within("t_step")),
+    SinusoidProfile: st.builds(SinusoidProfile, VALUES, within("frequency"), VALUES, within("phase")),
+    TrapezoidProfile: st.builds(TrapezoidProfile, VALUES, VALUES, *map(within, ("t0", "t1", "t2", "t3"))),
+    TableProfile: st.builds(TableProfile, st.just((0.0, 1.0, 2.0)), st.tuples(VALUES, VALUES, VALUES)),
     MechanicalModel: MECHANICAL,
     Scenario: scenarios(),
     RunResult: st.builds(RunResult, st.lists(FINITE, max_size=3), FINITE, FINITE, FINITE,
@@ -143,6 +144,18 @@ def test_record_matches_its_frozen_dataclass_twin(cls, data):
     with pytest.raises(AttributeError):
         a.extra = 1.0
     assert repr(a) == repr(_twin(a))  # the attempts left it as it was
+
+
+def test_every_input_number_field_has_a_range_and_every_range_an_input():
+    # a record bounds a number field by the domain.RANGES key of its name, so a field without a key would take any
+    # number, and a key that names no field would bound nothing.  The four keys that are no field are checked where
+    # their value is taken: Scenario's i0 by its items i_d0 and i_q0, a mechanical load torque's peak as load, and
+    # loop.law_constants' z_smoothing
+    inputs = (MachineParams, Scenario, MechanicalModel, ControllerSettings, *PROFILES)
+    numbers = {f.name for cls in inputs for f in fields(cls) if f.type in (float, int, *FLOAT_TUPLES)}
+    elsewhere = {"i_d0", "i_q0", "load", "z_smoothing"}
+    assert set(RANGES) - elsewhere == numbers - {"i0"}
+    assert elsewhere <= set(RANGES)
 
 
 def test_fields_stay_in_the_instance_layout():

@@ -148,8 +148,8 @@ def test_rk4_nonfinite_raises():
     # the currents overflow in the first substep; with 100 substeps the loop runs 99 more on inf and nan, at a
     # held speed and in mechanical mode, and must still raise, as the reference does at once.  The closed-form
     # tick of a constant 1e6 rad/s maps 1e308 A to a finite (2.48e307, 2.85e307) A over 100 us, so the held
-    # speed is a step profile's; the one substep of 1 us maps (1e308, 1e308) A past the largest float, and raises
-    # as the loop does
+    # speed is a step profile's; the one substep of 1 us maps (1e308, 1e308) A past the largest float, and its
+    # tick raises through the same end-of-tick check as the loop's
     mechanical = MechanicalModel(inertia=1e-3, load_torque=ConstantProfile(0.5))
     for s, i_q in ((tick_scenario(P0, 1e-6, 1, 1e6), 1e308), (tick_scenario(P0, 1e-6, 100, _held(1e6)), 0.0),
                    (tick_scenario(P0, 1e-6, 100, mechanical), 0.0)):
@@ -159,29 +159,30 @@ def test_rk4_nonfinite_raises():
     assert rk4_plant_step(1e308, 0.0, 0.0, 0.0, 0.0, 0.0, tick_scenario(P0, 1e-6, 100, 1e6))[:2] == pytest.approx(
         (2.48e307, 2.85e307), rel=1e-2)
     # P^n overflows over 20 unstable substeps of 100 us at R/L = 1e9 /s, which the domain takes at a constant
-    # speed: the map holds a non-finite entry, so the mapped currents are not finite even at a zero state, and the
-    # loop keeps that state, as exact RK4 does
+    # speed: the map holds a non-finite entry, so the mapped currents are not finite even at a zero state, which
+    # exact RK4 keeps, and every tick raises
     s = tick_scenario(STIFF, 1e-4, 20, 0.0)
     d, g, _ = s._plant[0]
     assert not all(map(math.isfinite, d + g))
-    assert rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s) == (0.0, 0.0, 0.0)
+    with pytest.raises(NonFiniteStateError):
+        rk4_plant_step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, s)
 
 
 # the stiffest machine of the domain: R/L = 1e9 /s
 STIFF = MachineParams(R=1e3, L_d=1e-6, L_q=1e-6, psi=0.1, p=1)
 
 
-def test_closed_form_tick_overflow_runs_the_substeps():
+def test_closed_form_tick_overflow_raises():
     # 20 unstable substeps of 15.5 us from 1 mA off the equilibrium 10 A: the map's D i and G v overflow to +-inf
-    # (D_dd = 4.2e307) and cancel to nan, while exact RK4 gives a finite i_d = 4.17e304 A.  The tick steps
-    # through the loop instead of aborting, within 1e-12 of exact RK4 in flux (5.5e-13: the rounding of i - 10 A)
+    # (D_dd = 4.2e307) and cancel to nan, while exact RK4 gives a finite i_d = 4.17e304 A.  A constant-speed tick
+    # has no other way to take than the map, so it raises, and a run aborts there
     s = tick_scenario(STIFF, 1.55e-5, 20, 0.0)
     (d_dd, _, _, _), (g_dd, _, _, _), _ = s._plant[0]
     assert math.isnan(10.001 + d_dd * 10.001 + g_dd * 1e4)
-    step = rk4_plant_step(10.001, 0.0, 0.0, 1e4, 0.0, 0.0, s)
-    assert step[0] == pytest.approx(4.17e304, rel=1e-3) and step[1:] == (0.0, 0.0)
     exact = _exact_rk4(STIFF, 0.0, s.dt_plant, 20, (10.001, 0.0), (1e4, 0.0))
-    assert _flux_gap(step, exact, (10.001, 0.0), STIFF) <= Fraction(1e-12)
+    assert float(exact[0]) == pytest.approx(4.17e304, rel=1e-3)
+    with pytest.raises(NonFiniteStateError):
+        rk4_plant_step(10.001, 0.0, 0.0, 1e4, 0.0, 0.0, s)
 
 
 def test_mechanical_speed_step_factors_are_finite():
@@ -357,7 +358,9 @@ def test_substep_loop_is_rk4(tick, t, currents_and_voltages):
     if isinstance(speed, MechanicalModel):
         speeds = [params.p * _exact_rk4(params, speed, h, j, (i_d, i_q), (v_d, v_q), t, omega_m)[2]
                   for j in range(n_sub)]
-        if any(h > rk4_limit(params, _held(float(w))) for w in speeds):
+        # rk4_limit's rule at each speed, written out: a mechanical speed can pass what a profile may hold
+        rate = max(params.R / params.L_d, params.R / params.L_q)
+        if any(h > RK4_RADIUS / (rate + abs(w)) for w in speeds):
             return
     assert _flux_gap(step, exact, (i_d, i_q), params, exact[3]) <= Fraction(1e-14)
 
@@ -638,10 +641,12 @@ def test_id_zero_baseline_tracks():
 
 
 def test_nonfinite_abort_keeps_partial_trace(monkeypatch):
+    # a torque estimate of 1e200 N m, as a diverging plant gives before its currents overflow: the squared error
+    # overflows to inf, and the run reports it rather than raising
     class BlowUp:
         def step(self, t, omega, i_dq, tau_ref):
             return ControlFrame(t=t, i_d=0.0, i_q=0.0, v_d=np.inf, v_q=0.0, tau_ref=tau_ref,
-                                tau_est=0.0, u_raw=0.0, u_feasible=0.0, omega=omega, z_d=0.0, z_q=0.0,
+                                tau_est=1e200, u_raw=0.0, u_feasible=0.0, omega=omega, z_d=0.0, z_q=0.0,
                                 lambda_d=0.0, lambda_q=0.0, p_copper_W=0.0, flags=0)
 
     monkeypatch.setitem(CONTROLLERS, "blow_up", lambda s, st: BlowUp())
@@ -649,6 +654,7 @@ def test_nonfinite_abort_keeps_partial_trace(monkeypatch):
         result = run_scenario(_quiet_scenario(), "blow_up")
     assert result.aborted
     assert len(result.frames) >= 1
+    assert result.rms_torque_error == math.inf
 
 
 def _frame(t, i_d, i_q, p_copper):
@@ -755,25 +761,27 @@ def test_scenario_validation():
                         ("horizon", 0.0), ("horizon", -1e-3), ("v_max", -np.inf)):
         with pytest.raises(ValidationError, match=rf"^scenario.{name}: must be in \[.*\] \w+, got {value}$"):
             _quiet_scenario(**{name: value})
-    # a torque of 4.1e222 N m against a limit of 1.05e-97 V, whose clip in id_zero needed a subnormal factor
+    # a limit of 1.05e-97 V, under which id_zero's clip of the largest torque the domain takes needed a subnormal
+    # factor
     with pytest.raises(ValidationError, match=r"^scenario.v_max: must be in \[1, 10000\] V, got 1.05e-97$"):
-        _quiet_scenario(tau_ref=StepProfile(0.0, 4.1e222, 0.0), v_max=1.05e-97)
-    with pytest.raises(ValidationError):
+        _quiet_scenario(tau_ref=StepProfile(0.0, 1e10, 0.0), v_max=1.05e-97)
+    with pytest.raises(TypeError, match="^Scenario\\(\\) missing required argument 'speed'$"):
         Scenario(params=P0, duration=0.01, tau_ref=ConstantProfile(0.0))  # no speed source
     # the speed source is a profile or a MechanicalModel, nothing else: a function of time that is no profile
     # would skip RK4's rule (this one reads 1e9 rad/s by 1 ms, where dt_plant 1e-5 s is past the rule)
+    profiles = "ConstantProfile or StepProfile or SinusoidProfile or TrapezoidProfile or TableProfile"
     for speed in (None, 100.0, lambda t: TrapezoidProfile(0.0, 1e9, 0.0, 1e-3)(t)):
-        with pytest.raises(ValidationError, match="^scenario.speed: must be a speed profile or a MechanicalModel"):
+        with pytest.raises(ValidationError, match=f"^scenario.speed: must be a {profiles} or MechanicalModel, got "):
             _quiet_scenario(speed=speed)
     # a value that the first tick would call or read as a machine is rejected where it is built; the time functions
     # are the five profile classes, so a lambda load would skip the load's range
-    for tau_ref in (3.0, lambda t: 1.0):
-        with pytest.raises(ValidationError, match="^scenario.tau_ref: must be a torque profile"):
+    for tau_ref in (3.0, lambda t: 1.0, MechanicalModel(inertia=1e-3)):
+        with pytest.raises(ValidationError, match=f"^scenario.tau_ref: must be a {profiles}, got "):
             _quiet_scenario(tau_ref=tau_ref)
-    with pytest.raises(ValidationError, match="^scenario.params: "):
+    with pytest.raises(ValidationError, match="^scenario.params: must be a MachineParams, got None$"):
         _quiet_scenario(params=None)
     for load in (0.5, lambda t: 1e9):
-        with pytest.raises(ValidationError, match="^load_torque: must be a load torque profile"):
+        with pytest.raises(ValidationError, match=f"^load_torque: must be a {profiles}, got "):
             MechanicalModel(inertia=1e-3, load_torque=load)
     # the initial currents are a pair of real numbers
     for i0 in ((1.0,), (1.0, 2.0, 3.0), None, 1.0, ("a", 1.0), (1.0, None), (1.0, 2j)):
