@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import loop, machine, optimizer, records
-from .config import parse_config
+from .config import build, parse_config
 from .errors import ConfigError, DegenerateBError
 from .linearization import compute_terms
 from .loop import CONTROLLERS, ControlFrame
@@ -85,9 +85,9 @@ def _load(args):
     def overrides(*names):
         return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
-    # replace() re-runs the validation of both objects on the overridden values
-    scenario = records.replace(scenario, **overrides("v_max", "horizon"))
-    settings = records.replace(settings, **overrides("kp", "ki", "alpha_z"))
+    # replace() re-runs the validation of both objects on the overridden values, a rejected one named by section
+    scenario = build("scenario", records.replace, scenario, **overrides("v_max", "horizon"))
+    settings = build("controller", records.replace, settings, **overrides("kp", "ki", "alpha_z"))
     if args.decimate < 1:
         raise ConfigError("--decimate must be >= 1")
     return scenario, settings

@@ -41,7 +41,7 @@ from .profiles import PROFILES, ConstantProfile
 from .records import MISSING, fields
 from .sim import MechanicalModel, Scenario
 
-__all__ = ["parse_config", "serialize_config"]
+__all__ = ["build", "parse_config", "serialize_config"]
 
 _PROFILES = {cls.kind: cls for cls in PROFILES}
 
@@ -97,12 +97,17 @@ def _read(section, name, keys):
     return values
 
 
-def _build(cls, name, values):
-    """``cls(**values)``, a rejected value named as a field of config section ``name``."""
+def build(section, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValidationError's field renamed ``<section>.<field>``.
+
+    A record, and ``domain.check``, names a rejected field bare; this names
+    the config section it was read from (or that a command-line override
+    changes), the one place that does.
+    """
     try:
-        return cls(**values)
+        return make(*args, **kwargs)
     except ValidationError as exc:
-        raise ValidationError(f"{name}.{exc.field}", exc.reason) from exc
+        raise ValidationError(f"{section}.{exc.field}", exc.reason) from exc
 
 
 def _parse_profile(section, name):
@@ -111,7 +116,7 @@ def _parse_profile(section, name):
         raise ValidationError(f"{name}.kind", "missing")
     if kind not in _PROFILES:
         raise ValidationError(f"{name}.kind", f"unknown profile kind {kind!r}")
-    return _build(_PROFILES[kind], name, _read(section, name, _keys(_PROFILES[kind])))
+    return build(name, _PROFILES[kind], **_read(section, name, _keys(_PROFILES[kind])))
 
 
 def parse_config(text):
@@ -132,7 +137,7 @@ def parse_config(text):
             raise ValidationError(name, "section missing")
         return dict(cp[name]) if name in cp else {}
 
-    params = _build(MachineParams, "machine", _read(section("machine", True), "machine", _keys(MachineParams)))
+    params = build("machine", MachineParams, **_read(section("machine", True), "machine", _keys(MachineParams)))
     values = _read(section("scenario"), "scenario", _keys(Scenario, duration=0.1))
     i0 = values.pop("i_d0"), values.pop("i_q0")
     tau_ref = _parse_profile(section("torque", True), "torque")
@@ -142,13 +147,14 @@ def parse_config(text):
         del sp["kind"]
         mech = _read(sp, "speed", _keys(MechanicalModel))
         load = mech.pop("load")
-        check("speed.", load=load)  # before ConstantProfile, which would name its own field
-        speed = _build(MechanicalModel, "speed", dict(mech, load_torque=ConstantProfile(load)))
+        build("speed", check, load=load)  # before ConstantProfile, which would name its own field
+        speed = build("speed", MechanicalModel, load_torque=ConstantProfile(load), **mech)
     elif "speed" in cp:
         speed = _parse_profile(sp, "speed")
 
-    scenario = Scenario(params=params, tau_ref=tau_ref, speed=speed, i0=i0, **values)
-    return scenario, ControllerSettings(**_read(section("controller"), "controller", _keys(ControllerSettings)))
+    scenario = build("scenario", Scenario, params=params, tau_ref=tau_ref, speed=speed, i0=i0, **values)
+    values = _read(section("controller"), "controller", _keys(ControllerSettings))
+    return scenario, build("controller", ControllerSettings, **values)
 
 
 def _text(obj, **values):

@@ -44,13 +44,14 @@ RANGES = {
 RK4_RADIUS = 2.0  # the largest h |A| of a substep of the loop under a varying speed profile (see the README)
 
 
-def check(prefix="", **values):
-    """Raise ValidationError naming ``prefix + name`` for the first value outside its ``RANGES[name]``."""
+def check(**values):
+    """Raise ValidationError naming the bare ``name`` for the first value outside its ``RANGES[name]``; a caller that
+    reads a config section names the section through ``config.build``."""
     for name, value in values.items():
         low, high, unit = RANGES[name]
         if not low <= value <= high:
             bounds = f"[{low:g}, {high:g}] {unit}".rstrip()  # a unitless range ends at its bracket
-            raise ValidationError(prefix + name, f"must be in {bounds}, got {value}")
+            raise ValidationError(name, f"must be in {bounds}, got {value}")
 
 
 def rk4_limit(params, speed):

@@ -60,15 +60,14 @@ class ControllerSettings(Record):
     """Settings of the torque controller: the PI gains of the outer torque loop and alpha_z.
 
     Each lies in its ``domain.RANGES`` (a record checks it when built), and
-    a value outside raises ValidationError naming ``controller.<field>``,
-    whether it came from a document or a command-line override.
+    a value outside raises ValidationError naming the bare field;
+    ``config.build`` names it ``controller.<field>``, whether it came from
+    a document or a command-line override.
     """
 
     kp: float = 5.0
     ki: float = 500.0
     alpha_z: float = 1.0
-
-    _prefix = "controller."
 
 
 class ControlFrame(NamedTuple):

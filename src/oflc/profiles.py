@@ -48,6 +48,8 @@ class StepProfile(Record):
 
 
 class SinusoidProfile(Record):
+    """offset + amplitude sin(2 pi frequency t + phase), its phase taken left to right as written at every call."""
+
     amplitude: float
     frequency: float  # Hz
     offset: float = 0.0
@@ -56,19 +58,19 @@ class SinusoidProfile(Record):
     kind = "sinusoid"
     peak = property(lambda self: abs(self.offset) + abs(self.amplitude))
 
-    def __post_init__(self):
-        # (2 pi f) t is the order the phase was always evaluated in.  Not a field, so ==, repr and replace() do
-        # not see it; set as Scenario._plant is, which keeps the instance layout
-        object.__setattr__(self, "_two_pi_f", 2.0 * math.pi * self.frequency)
-
     def __call__(self, t):
-        x = self._two_pi_f * t + self.phase  # inf for t near the largest float, where math.sin raises
+        x = 2.0 * math.pi * self.frequency * t + self.phase  # inf for t near the largest float, where math.sin raises
         return self.offset + self.amplitude * (math.sin(x) if math.isfinite(x) else math.nan)
 
 
 class TrapezoidProfile(Record):
     """Ramp from ``initial`` to ``final`` over [t0, t1], hold, optionally
-    ramp back to ``initial`` over [t2, t3]."""
+    ramp back to ``initial`` over [t2, t3].
+
+    A ramp reads its elapsed share of the span, a fraction in [0, 1],
+    times the step; so every reading lies between the ends up to a
+    rounding of the sum, however short the span.
+    """
 
     initial: float
     final: float
@@ -84,11 +86,11 @@ class TrapezoidProfile(Record):
         if t <= self.t0:
             return self.initial
         if t < self.t1:
-            return self.initial + (self.final - self.initial) * (t - self.t0) / (self.t1 - self.t0)
+            return self.initial + (t - self.t0) / (self.t1 - self.t0) * (self.final - self.initial)
         if t <= self.t2:
             return self.final
         if t < self.t3:
-            return self.final + (self.initial - self.final) * (t - self.t2) / (self.t3 - self.t2)
+            return self.final + (t - self.t2) / (self.t3 - self.t2) * (self.initial - self.final)
         return self.initial
 
 

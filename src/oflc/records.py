@@ -17,11 +17,14 @@ rule reads the field's annotation and name:
 * a field annotated with a class, or with a ``Union`` of classes, must
   hold an instance of exactly one of them, matched by exact type.
 
-Anything else there raises ``ValidationError`` naming the field, after
-the class's ``_prefix``.  So the code that reads a record computes in
-Python floats and ints only, inside the physical domain.  Records
-compare equal by class and field values, hash their field values, print
-as ``Name(field=value, ...)`` and reject assignment and deletion.
+Anything else there raises ``ValidationError`` naming the bare field,
+and so does an int past the float range in a float field, where no float
+holds it; ``config.build`` names the config section before it.  So the
+code that reads a record computes in Python floats and ints only, inside
+the physical domain.  A record holds its fields and nothing else, but
+for the plant constants of ``sim.Scenario``.  Records compare equal by
+class and field values, hash their field values, print as
+``Name(field=value, ...)`` and reject assignment and deletion.
 ``fields``, ``replace`` and ``MISSING`` stand in for the ``dataclasses``
 functions of those names.
 
@@ -65,27 +68,29 @@ _NUMBERS = {
 }
 
 
-def _checked(prefix, f, value):
+def _checked(f, value):
     """``value`` as field ``f`` stores it, by the module docstring's rule; a value the rule rejects raises
-    ValidationError naming ``prefix + f.name``."""
+    ValidationError naming ``f.name``."""
     if f.type in _NUMBERS:
         what, typed = _NUMBERS[f.type]
-        if (number := typed(value)) is None:
-            raise ValidationError(prefix + f.name, f"must be {what}, got {value!r}")
+        try:
+            number = typed(value)
+        except OverflowError:  # float() of an int past the largest float
+            raise ValidationError(f.name, f"must be {what} within the float range, got {value!r}") from None
+        if number is None:
+            raise ValidationError(f.name, f"must be {what}, got {value!r}")
         if f.name in RANGES:
             for x in number if type(number) is tuple else (number,):
-                check(prefix, **{f.name: x})
+                check(**{f.name: x})
         return number
     classes = get_args(f.type) if get_origin(f.type) is Union else (f.type,) if isinstance(f.type, type) else ()
     if classes and type(value) not in classes:
-        raise ValidationError(prefix + f.name, f"must be a {' or '.join(c.__name__ for c in classes)}, got {value!r}")
+        raise ValidationError(f.name, f"must be a {' or '.join(c.__name__ for c in classes)}, got {value!r}")
     return value
 
 
 class Record:
     """Base of the frozen record classes; see the module docstring."""
-
-    _prefix = ""  # before a field's name in a ValidationError
 
     def __init_subclass__(cls):
         found = {}
@@ -108,7 +113,7 @@ class Record:
             if value is MISSING:
                 raise TypeError(f"{type(self).__qualname__}() missing required argument {f.name!r}")
             # not through self.__dict__, which CPython 3.11 then keeps as a dict and reads more slowly
-            object.__setattr__(self, f.name, _checked(self._prefix, f, value))
+            object.__setattr__(self, f.name, _checked(f, value))
         self.__post_init__()
 
     def __post_init__(self):

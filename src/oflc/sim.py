@@ -106,8 +106,9 @@ class Scenario(Record):
     and the rules that relate fields: the rates' multiples, the run's size,
     RK4's stability rule and the mechanical speed's Euler step.  The
     controllers built from a scenario read it unchecked.  Raises
-    ValidationError naming ``scenario.<field>``, whether the value came
-    from a document or a command-line override.
+    ValidationError naming the bare field; ``config.build`` names it
+    ``scenario.<field>``, whether the value came from a document or a
+    command-line override.
     """
 
     params: MachineParams
@@ -120,33 +121,30 @@ class Scenario(Record):
     v_max: float = 48.0
     i0: Tuple[float, float] = (0.0, 0.0)
 
-    _prefix = "scenario."
-
     def __post_init__(self):
-        check("scenario.", i_d0=self.i0[0], i_q0=self.i0[1])
+        check(i_d0=self.i0[0], i_q0=self.i0[1])
         if self.dt_plant > self.dt_ctrl:
-            raise ValidationError("scenario.dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
+            raise ValidationError("dt_plant", f"must not exceed dt_ctrl ({self.dt_plant} > {self.dt_ctrl})")
         ratio = self.dt_ctrl / self.dt_plant
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValidationError("scenario.dt_ctrl", "must be an integer multiple of dt_plant")
+            raise ValidationError("dt_ctrl", "must be an integer multiple of dt_plant")
         n_sub = round(ratio)
         if n_sub > MAX_SUBSTEPS_PER_TICK:
-            raise ValidationError("scenario.dt_plant",
-                                  f"gives more than {MAX_SUBSTEPS_PER_TICK} substeps per control tick")
+            raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_TICK} substeps per control tick")
         ratio = self.duration / self.dt_ctrl
         if abs(ratio - round(ratio)) > 1e-6:
-            raise ValidationError("scenario.duration", "must be an integer multiple of dt_ctrl")
+            raise ValidationError("duration", "must be an integer multiple of dt_ctrl")
         if round(ratio) < 1:
-            raise ValidationError("scenario.duration", f"must be at least dt_ctrl ({self.duration} < {self.dt_ctrl})")
+            raise ValidationError("duration", f"must be at least dt_ctrl ({self.duration} < {self.dt_ctrl})")
         if round(ratio) > MAX_TICKS_PER_RUN:
-            raise ValidationError("scenario.duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
+            raise ValidationError("duration", f"gives more than {MAX_TICKS_PER_RUN} control ticks")
         if n_sub * round(ratio) > MAX_SUBSTEPS_PER_RUN:
-            raise ValidationError("scenario.dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
+            raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
         params, speed, dt = self.params, self.speed, self.dt_plant
         # RK4's stability rule for the substep loop under a varying speed profile
         limit = rk4_limit(params, speed)
         if limit is not None and not dt <= limit:
-            raise ValidationError("scenario.dt_plant", f"must be at most {limit:.6g} s, where RK4 steps the plant "
+            raise ValidationError("dt_plant", f"must be at most {limit:.6g} s, where RK4 steps the plant "
                                   f"stably up to {speed.peak} rad/s")
         # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
         tick = _tick_map(params, speed.value, dt, n_sub) if type(speed) is ConstantProfile else None
@@ -161,7 +159,7 @@ class Scenario(Record):
             # friction alone scales omega_m by 1 - friction dt/J per step, which shrinks it, as the exact speed
             # shrinks, only for friction dt/J < 2
             if not speed.friction * k_m < 2.0:
-                raise ValidationError("scenario.speed", f"friction {speed.friction} gives friction*dt_plant/inertia "
+                raise ValidationError("speed", f"friction {speed.friction} gives friction*dt_plant/inertia "
                                       f"{speed.friction * k_m:.6g}, not below 2: the speed's Euler step grows")
             mech = (load, type(load) is not ConstantProfile, c_1, c_2, speed.friction, k_m)
         object.__setattr__(self, "_plant", (

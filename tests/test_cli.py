@@ -349,17 +349,17 @@ def test_inputs_past_the_domain_exit_1_naming_their_field(tmp_path_factory, name
         changes = {"i_d0": {"i0": (value, 0.0)}, "i_q0": {"i0": (0.0, value)},
                    "times": {"times": (value, 1e-3) if value < 0.0 else (0.0, value)},
                    "values": {"values": (1.0, value)}}.get(name, {name: value})
-    # the record that takes the value, the field its error names, the changes to TINY written as the document, the
-    # key that takes the value there and the field of oflc simulate's error
+    # the record that takes the value, the bare field its error names, the changes to TINY written as the document,
+    # the key that takes the value there and the field of oflc simulate's error
     profile_key = f"{profile_section}.{name}"
     record, field, document_changes, key, cli_field = {
         "machine": (base.params, name, {}, f"machine.{name}", f"machine.{name}"),
-        "scenario": (base, f"scenario.{name}", {}, f"scenario.{name}", f"scenario.{name}"),
+        "scenario": (base, name, {}, f"scenario.{name}", f"scenario.{name}"),
         "speed": (mechanical, name, {"speed": mechanical}, f"speed.{name}", f"speed.{name}"),
-        "controller": (ControllerSettings(), f"controller.{name}", {}, f"controller.{name}", f"controller.{name}"),
+        "controller": (ControllerSettings(), name, {}, f"controller.{name}", f"controller.{name}"),
         "profile": (profile, name, {"tau_ref" if profile_section == "torque" else "speed": profile}, profile_key,
                     profile_key),
-        "rk4": (base, "scenario.dt_plant", {"speed": ramp}, "speed.final", "scenario.dt_plant"),
+        "rk4": (base, "dt_plant", {"speed": ramp}, "speed.final", "scenario.dt_plant"),
     }.get("profile" if profile else SECTIONS.get(name, name), (None, name, None, None, None))
     with pytest.raises(ValidationError) as exc:
         if record is None:  # z_smoothing, which only loop.law_constants takes

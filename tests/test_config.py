@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import P0
 from oflc import records
 from oflc.config import ControllerSettings, parse_config, serialize_config
 from oflc.domain import RANGES, RK4_RADIUS, rk4_limit
@@ -242,9 +243,21 @@ def test_serialize_rejects_unwritable_load(scenario, load):
     (lambda: TrapezoidProfile(0.0, 1.0, 0.0, 0.01, -math.inf), r"t2: must be in \[-10000, inf\] s, got -inf"),
     (lambda: SinusoidProfile(1.0, math.inf), r"frequency: must be in \[-5e\+09, 5e\+09\] Hz, got inf"),
     (lambda: TableProfile((0.0, 1.0), (0.0, math.nan)), r"values: must be in \[-1e\+10, 1e\+10\], got nan"),
-], ids=["constant", "step", "trapezoid", "sinusoid", "table"])
+    (lambda: MachineParams(R=10**400, L_d=3e-3, L_q=5e-3, psi=0.1, p=4),
+     r"R: must be a real number within the float range, got 10{400}"),
+    (lambda: TableProfile((0.0, 1.0), (0.0, -10**400)),
+     r"values: must be a sequence of real numbers within the float range, got \(0\.0, -10{400}\)"),
+    (lambda: Scenario(params=P0, duration=1e-3, tau_ref=ConstantProfile(0.0), speed=ConstantProfile(0.0),
+                      i0=(10**400, 0.0)),
+     r"i0: must be a pair of real numbers within the float range, got \(10{400}, 0\.0\)"),
+    (lambda: TrapezoidProfile(0.0, 1.0, 0.0, 0.01, 1.0, 10**400),
+     r"t3: must be a real number within the float range, got 10{400}"),
+], ids=["constant", "step", "trapezoid", "sinusoid", "table", "machine_int", "table_int", "scenario_int",
+        "trapezoid_int"])
 def test_profiles_reject_non_finite(make, message):
-    # a profile the config could not read back cannot be built either
+    # a profile the config could not read back cannot be built either.  Nor can a record whose float field is given
+    # an int that no float holds, in range or not: the field is named, as for any rejected value.  A trapezoid's open
+    # end, whose range runs to +inf, is the default inf, not such an int
     with pytest.raises(ValidationError, match=f"^{message}$"):
         make()
 
@@ -257,10 +270,15 @@ def test_sinusoid_past_the_largest_float_is_nan():
 
 @given(PROFILES | SPEED_PROFILES | st.builds(ConstantProfile, LOADS) | varying_profiles(LOADS),
        st.floats(-1e4, 1e4))
+# ramps over a few subnormal floats and over 1e-10 s, which read 0.3333 and 1.7e-6 past their peaks while a ramp
+# multiplied its step by the elapsed time before dividing by its span
+@example(TrapezoidProfile(0.0, 0.3, -1e-323, 5e-324), 0.0)
+@example(TrapezoidProfile(0.0, 7.7e-310, 0.0, 1e-10), 9.999999999999999e-11)
 def test_profile_values_stay_within_its_peak(profile, t):
     # the peak that Scenario's RK4 rule reads of a speed profile, and MechanicalModel's load range of a load,
     # bounds every value up to rounding; inside the domain every reading at a time within +-1e4 s, which holds every
-    # time of a run, is finite: |final - initial| |t - t0| <= 4e14, a table's slope <= 2e20 and 2 pi f t <= 3.2e14
+    # time of a run, is finite: a ramp's share of its span lies in [0, 1], a table's slope <= 2e20 and
+    # 2 pi f t <= 3.2e14
     x = profile(t)
     assert math.isfinite(x) and abs(x) <= profile.peak * (1.0 + 1e-12)
 

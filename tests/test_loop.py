@@ -246,7 +246,7 @@ def test_control_step_replay_is_bit_identical(rng):
                     seen |= flags
     assert seen == ALL_FLAGS
     for horizon in HORIZONS[1:]:
-        with pytest.raises(ValidationError, match="^scenario.horizon: must be in "):
+        with pytest.raises(ValidationError, match="^horizon: must be in "):
             tick_scenario(P0, 1e-4, 1, horizon=horizon)
 
 

@@ -124,6 +124,8 @@ def test_record_matches_its_frozen_dataclass_twin(cls, data):
     assert respelled == a and set(_number_types(respelled)) <= {float, int}
     a = respelled
     assert fields(a) == fields(cls)
+    # a record is its fields, but for the constants that a scenario's plant step reads every tick
+    assert set(vars(a)) == {f.name for f in fields(cls)} | ({"_plant"} if cls is Scenario else set())
     assert repr(a) == repr(_twin(a))
     try:
         expected = hash(_twin(a))
@@ -161,7 +163,7 @@ def test_every_input_number_field_has_a_range_and_every_range_an_input():
 def test_fields_stay_in_the_instance_layout():
     # CPython reads an instance's attributes fastest while they sit in its own layout, which a write through
     # self.__dict__ turns into a real dict for good (once 7% of a ctrl_dense tick); gc shows which it is
-    # (Scenario and SinusoidProfile also keep a value that is not a field)
+    # (Scenario also keeps a value that is not a field)
     for record in (P0, tick_scenario(P0, 1e-6, 3), SinusoidProfile(1.0, 50.0, 0.5, 0.25)):
         assert dict not in map(type, gc.get_referents(record))
 
