@@ -178,10 +178,10 @@ def _cmd_compare(args):
 def _cmd_selftest(args):
     """Run the shipped control law on seeded random states and check what it rests on.
 
-    Each state goes through ``loop.control_law`` (b and phi, clamp,
-    costate and z), which must equal ``loop.composed_control_law`` bit
-    for bit; only a state where b vanishes is skipped, and any other
-    error propagates.  Each other check, b.z = 0 among them, uses the
+    The law is built once, by ``loop.control_law``, and each state goes
+    through it (b and phi, clamp, costate and z); it must equal
+    ``loop.composed_control_law`` bit for bit.  Only a state where b
+    vanishes is skipped, and any other error propagates.  Each other check, b.z = 0 among them, uses the
     bound of the acceptance criterion that states it.
     """
     import numpy as np
@@ -189,7 +189,7 @@ def _cmd_selftest(args):
     rng = np.random.default_rng(0)
     params = machine.MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
     v_max, n_states, eps = 48.0, 200, 1e-5
-    law = loop.law_constants(params, v_max, 1e-3)
+    law = loop.control_law(params, v_max, 1e-3)
     round_trip = v_ratio = b_dot_z = a_dev = 0.0
     checked = twin_mismatches = 0
     for _ in range(n_states):
@@ -199,7 +199,7 @@ def _cmd_selftest(args):
         i, omega, u_raw = rng.uniform(-20.0, 20.0, 2), rng.uniform(-300.0, 300.0), rng.uniform(-20.0, 20.0)
         args = (i.tolist(), omega, u_raw)
         try:
-            v_d, v_q, u, _, _, z_d, z_q, _ = out = loop.control_law(*args, law)
+            v_d, v_q, u, _, _, z_d, z_q, _ = out = law(*args)
         except DegenerateBError:
             continue
         checked += 1

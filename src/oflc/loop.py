@@ -14,24 +14,26 @@ gains are zero), and then
 4. compute the loss-minimizing input z on the line perpendicular to b;
 5. map (u, z) to the dq voltages the inverter applies.
 
-Steps 1 to 5 are ``control_law``, which the continuous-time simulator
-evaluates too.  It is one flat body on Python floats, with the closed
-forms of the step functions of ``linearization`` and ``optimizer``
-written inline in their operation order, as ``sim.rk4_plant_step`` is
-for the plant; it checks only its input b.  ``composed_control_law``
-chains those step functions and is its reference, equal bit for bit.
-Each tick returns one ``ControlFrame``: Python floats named and ordered
-as the trace CSV columns, and a flags int.  The closed torque loop behaves
-as the first-order system tau(s)/u(s) = 1/(mu s + 1), independent of z.
+Steps 1 to 5 are the law that ``control_law`` builds, which the
+continuous-time simulator evaluates too.  It is one flat body on Python
+floats, with the closed forms of the step functions of ``linearization``
+and ``optimizer`` written inline in their operation order, as
+``sim.rk4_plant_step`` is for the plant; it checks only its input b.
+``composed_control_law`` chains those step functions and is its
+reference, equal bit for bit.  Each tick returns one ``ControlFrame``:
+Python floats named and ordered as the trace CSV columns, and a flags
+int.  The closed torque loop behaves as the first-order system
+tau(s)/u(s) = 1/(mu s + 1), independent of z.
 
 What does not change within a run is computed once per run, where the
-run's objects are built.  ``law_constants`` turns the machine, v_max,
-the horizon and the z rule into the tuple that ``control_law`` takes;
+run's objects are built.  ``control_law(params, v_max, horizon, ...)``
+computes the constants of the machine, v_max, the horizon and the z rule
+as its locals and returns the law, which reads them by name;
 ``TorqueController.__init__`` builds it together with the tick's other
 constants (the factors of the torque and of the copper loss, the PI
 gains and dt_ctrl), and ``sim.run_continuous`` and ``oflc selftest``
 build it once per run.  ``TorqueController.step`` then writes
-``machine.torque`` and ``pi_update`` inline; those two and
+``machine.torque`` and the PI update inline; ``machine.torque`` and
 ``composed_control_law`` remain the reference it is held to, bit for
 bit.
 """
@@ -46,8 +48,8 @@ from .linearization import EPS_B
 from .optimizer import B_DEGENERATE, COND_LIMIT, EPS_D, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from .records import Record
 
-__all__ = ["ControllerSettings", "ControlFrame", "pi_update", "law_constants", "control_law", "composed_control_law",
-           "TorqueController", "IdZeroController", "CONTROLLERS", "closed_loop_tf_check"]
+__all__ = ["ControllerSettings", "ControlFrame", "control_law", "composed_control_law", "TorqueController",
+           "IdZeroController", "CONTROLLERS", "closed_loop_tf_check"]
 
 # Largest relative RMS residual of a step response that still counts as first order.
 TF_RESIDUAL_LIMIT = 1e-2
@@ -95,47 +97,21 @@ class ControlFrame(NamedTuple):
     flags: int
 
 
-def pi_update(tau_ref, tau_est, integrator, settings, dt):
-    """Candidate PI output with feedforward: u = tau_ref + kp e + ki int(e).
+def control_law(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
+    """Build the control law of one run: ``law(i_dq, omega, u_raw)`` maps a torque command to dq voltages.
 
-    Returns (u_raw, integrator_next); the caller commits the integrator
-    only if u ends up inside the feasible band.
-    """
-    e = tau_ref - tau_est
-    integ_next = integrator + e * dt
-    return tau_ref + settings.kp * e + settings.ki * integ_next, integ_next
+    The arguments fix what does not change within a run: the machine,
+    v_max, the costate horizon and the z rule (z = 0 unless ``use_z``;
+    ``z_smoothing`` as in ``optimizer.optimal_z``).  They are those of
+    ``composed_control_law`` after ``u_raw``; a ``z_smoothing`` neither 0
+    nor inside its ``domain.RANGES`` raises ValidationError.  Their
+    constants are computed here once, with the float operations the law
+    would otherwise repeat at every tick, and the law reads them by name.
 
-
-def law_constants(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
-    """The run's constants of ``control_law``: one tuple, to pass as its ``law``.
-
-    Everything the law needs that depends on neither the currents, the speed
-    nor the torque command, computed once per run with the float operations
-    the law would otherwise repeat at every tick.  The arguments are those
-    of ``composed_control_law`` after ``params``; a ``z_smoothing`` neither
-    0 nor inside its ``domain.RANGES`` raises ValidationError.
-    """
-    if z_smoothing != 0.0:
-        check(z_smoothing=z_smoothing)
-    R, L_d, L_q = params.R, params.L_d, params.L_q
-    k_tau, saliency = 1.5 * params.p, L_d - L_q
-    t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian
-    mu = L_q / R
-    mu_d, mu_q = mu / L_d, mu / L_q
-    # -R twice: h_dd and h_qq, the diagonal of dh/di
-    return (L_d, L_q, params.psi, k_tau, saliency, t_dq, mu, mu_d, mu_q, -R, -R, -L_d, mu_d * t_dq, mu_q * t_dq,
-            1.0 / horizon, 2.0 * horizon, v_max, v_max * v_max, alpha_z, use_z, z_smoothing)
-
-
-def control_law(i_dq, omega, u_raw, law):
-    """Map a torque command to dq voltages at the dq currents ``i_dq``.
-
-    ``law`` is the tuple of ``law_constants``, which sets the machine,
-    v_max, the costate horizon and the z rule.  Computes b and phi, clamps
-    u_raw into its feasible band, estimates the costate, picks z (z = 0
-    unless ``use_z``; ``z_smoothing`` as in ``optimizer.optimal_z``) and
-    linearizes.  Returns one flat tuple (v_d, v_q, u_feasible, lambda_d,
-    lambda_q, z_d, z_q, flags), with the flags bits of
+    ``law`` computes b and phi at the dq currents ``i_dq``, clamps u_raw
+    into its feasible band, estimates the costate, picks z and
+    linearizes.  It returns one flat tuple (v_d, v_q, u_feasible,
+    lambda_d, lambda_q, z_d, z_q, flags), with the flags bits of
     ``optimizer.FLAG_NAMES``, for its callers to unpack once.
 
     The closed forms of ``compute_terms``, ``clamp_torque_command``,
@@ -144,84 +120,95 @@ def control_law(i_dq, omega, u_raw, law):
     order; the tests and ``oflc selftest`` hold it equal to
     ``composed_control_law`` bit for bit.  It checks only b: its u lies in
     the clamp band, so a negative z budget is rounding (z = 0), and
-    z = m n is orthogonal to b by construction.
-
-    Raises:
-        DegenerateBError: if b vanishes at i_dq; what voltage to apply
-            then is the caller's decision.
+    z = m n is orthogonal to b by construction.  ``law`` raises
+    DegenerateBError if b vanishes at i_dq; what voltage to apply then is
+    the caller's decision.
     """
-    i_d, i_q = i_dq
-    (L_d, L_q, psi, k_tau, saliency, t_dq, mu, mu_d, mu_q, h_dd, h_qq, neg_L_d, g_dq, g_qd,
-     inv_h, two_h, v_max, v_max2, alpha_z, use_z, z_smoothing) = law
-    # compute_terms: b = mu L^-1 grad tau, h and phi = tau + b^T h
-    b_d, b_q = mu_d * (t_dq * i_q), mu_q * (k_tau * (psi + saliency * i_d))
-    b2 = b_d * b_d + b_q * b_q
-    b_norm = math.sqrt(b2)
-    if b2 < EPS_B * EPS_B:
-        raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
-    h_dq, h_qd = L_q * omega, neg_L_d * omega
-    h_d = h_dd * i_d + h_dq * i_q
-    h_q = h_qd * i_d + h_qq * i_q - psi * omega
-    phi = k_tau * (psi * i_q + saliency * i_d * i_q) + b_d * h_d + b_q * h_q
-    # clamp_torque_command
-    u_min, u_max = phi - b_norm * v_max, phi + b_norm * v_max
-    if u_raw > u_max:
-        u, clamped = u_max, True
-    elif u_raw < u_min:
-        u, clamped = u_min, True
-    else:
-        u, clamped = u_raw, False
-    # costate_matrices: A = (u - phi) Lambda + Gamma
-    dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q
-    dphi_q = L_q * b_q / mu + g_dq * h_d + h_dq * b_d + h_qq * b_q
-    gb_d, gb_q = g_qd * b_q, g_dq * b_d
-    w = 2.0 / (b2 * b2)
-    j_dd, j_dq = -w * b_d * gb_d, g_dq / b2 - w * b_d * gb_q
-    j_qd, j_qq = g_qd / b2 - w * b_q * gb_d, -w * b_q * gb_q
-    e = u - phi
-    c_d, c_q = b_d / b2, b_q / b2
-    # estimate_costate: M = I/h + A^T, lambda = 2 M^-1 i or the fallback 2 h i
-    m_dd = inv_h + (c_d * dphi_d - h_dd - e * j_dd) / L_d
-    m_qd = (c_d * dphi_q - h_dq - e * j_dq) / L_d
-    m_dq = (c_q * dphi_d - h_qd - e * j_qd) / L_q
-    m_qq = inv_h + (c_q * dphi_q - h_qq - e * j_qq) / L_q
-    det = m_dd * m_qq - m_dq * m_qd
-    flags = U_CLAMPED if clamped else 0
-    if m_dd * m_dd + m_dq * m_dq + m_qd * m_qd + m_qq * m_qq < COND_LIMIT * abs(det):
-        lam_d = 2.0 * ((m_qq * i_d - m_dq * i_q) / det)
-        lam_q = 2.0 * ((m_dd * i_q - m_qd * i_d) / det)
-    else:
-        lam_d, lam_q = two_h * i_d, two_h * i_q
-        flags |= LAMBDA_FALLBACK
-    if use_z:
-        # z_limit; a clamped u leaves exactly no budget, and one inside the band a negative one only by rounding
-        disc = 0.0 if clamped else v_max2 - e * e / b2
-        z_max = 0.0 if disc < 0.0 else math.sqrt(disc)
-        # optimal_z: m n on the line perpendicular to b, n = (-b_q, b_d) / |b|
-        n_d, n_q = -b_q / b_norm, b_d / b_norm
-        s = n_d * (lam_d / L_d) + n_q * (lam_q / L_q)
-        if z_smoothing > 0.0:
-            m = -alpha_z * z_max * s / math.sqrt(s * s + z_smoothing * z_smoothing)
-            z_d, z_q = m * n_d, m * n_q
-            flags |= Z_ZEROED if z_max <= 0.0 else 0
-        elif abs(s) < EPS_D or z_max <= 0.0:
-            z_d = z_q = 0.0
-            flags |= Z_ZEROED
+    if z_smoothing != 0.0:
+        check(z_smoothing=z_smoothing)
+    R, L_d, L_q, psi = params.R, params.L_d, params.L_q, params.psi
+    k_tau, saliency = 1.5 * params.p, L_d - L_q
+    t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian
+    mu = L_q / R
+    mu_d, mu_q = mu / L_d, mu / L_q
+    h_dd = h_qq = -R  # the diagonal of dh/di
+    neg_L_d, g_dq, g_qd = -L_d, mu_d * t_dq, mu_q * t_dq
+    inv_h, two_h, v_max2 = 1.0 / horizon, 2.0 * horizon, v_max * v_max
+
+    def law(i_dq, omega, u_raw):
+        i_d, i_q = i_dq
+        # compute_terms: b = mu L^-1 grad tau, h and phi = tau + b^T h
+        b_d, b_q = mu_d * (t_dq * i_q), mu_q * (k_tau * (psi + saliency * i_d))
+        b2 = b_d * b_d + b_q * b_q
+        b_norm = math.sqrt(b2)
+        if b2 < EPS_B * EPS_B:
+            raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
+        h_dq, h_qd = L_q * omega, neg_L_d * omega
+        h_d = h_dd * i_d + h_dq * i_q
+        h_q = h_qd * i_d + h_qq * i_q - psi * omega
+        phi = k_tau * (psi * i_q + saliency * i_d * i_q) + b_d * h_d + b_q * h_q
+        # clamp_torque_command
+        u_min, u_max = phi - b_norm * v_max, phi + b_norm * v_max
+        if u_raw > u_max:
+            u, clamped = u_max, True
+        elif u_raw < u_min:
+            u, clamped = u_min, True
         else:
-            m = -math.copysign(alpha_z * z_max, s)
-            z_d, z_q = m * n_d, m * n_q
-            flags |= Z_AT_LIMIT
-    else:
-        z_d = z_q = 0.0
-    # linearize: v = b/|b|^2 (u - phi) + z
-    return c_d * e + z_d, c_q * e + z_q, u, lam_d, lam_q, z_d, z_q, flags
+            u, clamped = u_raw, False
+        # costate_matrices: A = (u - phi) Lambda + Gamma
+        dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q
+        dphi_q = L_q * b_q / mu + g_dq * h_d + h_dq * b_d + h_qq * b_q
+        gb_d, gb_q = g_qd * b_q, g_dq * b_d
+        w = 2.0 / (b2 * b2)
+        j_dd, j_dq = -w * b_d * gb_d, g_dq / b2 - w * b_d * gb_q
+        j_qd, j_qq = g_qd / b2 - w * b_q * gb_d, -w * b_q * gb_q
+        e = u - phi
+        c_d, c_q = b_d / b2, b_q / b2
+        # estimate_costate: M = I/h + A^T, lambda = 2 M^-1 i or the fallback 2 h i
+        m_dd = inv_h + (c_d * dphi_d - h_dd - e * j_dd) / L_d
+        m_qd = (c_d * dphi_q - h_dq - e * j_dq) / L_d
+        m_dq = (c_q * dphi_d - h_qd - e * j_qd) / L_q
+        m_qq = inv_h + (c_q * dphi_q - h_qq - e * j_qq) / L_q
+        det = m_dd * m_qq - m_dq * m_qd
+        flags = U_CLAMPED if clamped else 0
+        if m_dd * m_dd + m_dq * m_dq + m_qd * m_qd + m_qq * m_qq < COND_LIMIT * abs(det):
+            lam_d = 2.0 * ((m_qq * i_d - m_dq * i_q) / det)
+            lam_q = 2.0 * ((m_dd * i_q - m_qd * i_d) / det)
+        else:
+            lam_d, lam_q = two_h * i_d, two_h * i_q
+            flags |= LAMBDA_FALLBACK
+        if use_z:
+            # z_limit; a clamped u leaves exactly no budget, and one inside the band a negative one only by rounding
+            disc = 0.0 if clamped else v_max2 - e * e / b2
+            z_max = 0.0 if disc < 0.0 else math.sqrt(disc)
+            # optimal_z: m n on the line perpendicular to b, n = (-b_q, b_d) / |b|
+            n_d, n_q = -b_q / b_norm, b_d / b_norm
+            s = n_d * (lam_d / L_d) + n_q * (lam_q / L_q)
+            if z_smoothing > 0.0:
+                m = -alpha_z * z_max * s / math.sqrt(s * s + z_smoothing * z_smoothing)
+                z_d, z_q = m * n_d, m * n_q
+                flags |= Z_ZEROED if z_max <= 0.0 else 0
+            elif abs(s) < EPS_D or z_max <= 0.0:
+                z_d = z_q = 0.0
+                flags |= Z_ZEROED
+            else:
+                m = -math.copysign(alpha_z * z_max, s)
+                z_d, z_q = m * n_d, m * n_q
+                flags |= Z_AT_LIMIT
+        else:
+            z_d = z_q = 0.0
+        # linearize: v = b/|b|^2 (u - phi) + z
+        return c_d * e + z_d, c_q * e + z_q, u, lam_d, lam_q, z_d, z_q, flags
+
+    return law
 
 
 def composed_control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
-    """``control_law`` as the composition of the step functions, one call per step of the law.
+    """The law ``control_law`` builds, as the composition of the step functions, one call per step of the law.
 
-    The reference form: same arguments, results and errors as
-    ``control_law``, bit for bit: ``z_limit`` sees only an unclamped u.
+    The reference form: ``composed_control_law(i_dq, omega, u_raw, *run)``
+    has the results and errors of ``control_law(*run)(i_dq, omega, u_raw)``,
+    bit for bit: ``z_limit`` sees only an unclamped u.
     """
     terms = linearization.compute_terms(i_dq, omega, params)
     u_feasible, flags = optimizer.clamp_torque_command(u_raw, terms, v_max)
@@ -257,15 +244,15 @@ class TorqueController:
         self._v_prev = (0.0, 0.0)
         params = scenario.params
         self._tick = (1.5 * params.p, params.psi, params.L_d - params.L_q, 1.5 * params.R, settings.kp, settings.ki,
-                      scenario.dt_ctrl,
-                      law_constants(params, scenario.v_max, scenario.horizon, settings.alpha_z, use_z))
+                      scenario.dt_ctrl, control_law(params, scenario.v_max, scenario.horizon, settings.alpha_z, use_z))
 
     def step(self, t, omega, i_dq, tau_ref):
         """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame.
 
-        ``machine.torque``, the copper loss and ``pi_update`` are written
-        inline in their operation order; the tests hold each frame equal
-        to the one they and ``composed_control_law`` give, bit for bit.
+        ``machine.torque``, the copper loss and the PI update with
+        feedforward, u = tau_ref + kp e + ki int(e), are written inline in
+        their operation order; the tests hold each frame equal to the one
+        they and ``composed_control_law`` give, bit for bit.
         """
         k_tau, psi, saliency, k_cu, kp, ki, dt, law = self._tick
         i_d, i_q = i_dq
@@ -275,7 +262,7 @@ class TorqueController:
         integ_next = self.integrator + e * dt
         u_raw = tau_ref + kp * e + ki * integ_next
         try:
-            v_d, v_q, u_feasible, lambda_d, lambda_q, z_d, z_q, flags = control_law(i_dq, omega, u_raw, law)
+            v_d, v_q, u_feasible, lambda_d, lambda_q, z_d, z_q, flags = law(i_dq, omega, u_raw)
         except DegenerateBError:
             # torque channel uncontrollable: hold previous voltage
             v_d, v_q = self._v_prev

@@ -13,24 +13,30 @@ Two integration modes are provided:
   varying speed profile once per substep, and in mechanical mode follows
   each substep with one forward-Euler step (first order) of the mechanical
   speed.  Most of a fine-step run is spent there.
-* ``run_continuous``: ``loop.control_law`` is re-evaluated at every RK4
-  stage, i.e. the continuous-time closed loop; a step's first stage gives
-  the u and clamp flag of its sample.  Used for transfer-function and
-  linearization-identity checks, which are continuous-time statements
-  that zero-order-hold quantization would otherwise dominate.
+* ``run_continuous``: the law of ``loop.control_law`` is re-evaluated at
+  every RK4 stage, i.e. the continuous-time closed loop; a step's first
+  stage gives the u and clamp flag of its sample.  Used for
+  transfer-function and linearization-identity checks, which are
+  continuous-time statements that zero-order-hold quantization would
+  otherwise dominate.
 
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
-``run_continuous``.  ``rk4_plant_step`` is its measured fast twin, RK4's
-own result rounded differently: the tests hold its loop and its
-closed-form tick within 1e-12 of ``rk4`` on ``dq_dynamics`` and 1e-14 of
-RK4 in exact arithmetic, in flux linkage.  What the plant tick needs that
-does not change within a run (that map, the substep count and fractions
-of dt_plant, the machine constants, the kind of speed source and load,
-and mechanical mode's torque per unit flux and dt/J) is computed once per
-scenario, in ``Scenario.__post_init__``, and kept as a private tuple
-beside the record's fields; ``rk4_plant_step`` only unpacks it.
-Likewise each controller takes its constants once, at construction (see
-``loop``).
+``run_continuous``.  ``rk4_plant_step`` is its measured fast twin.  Only
+its constant-speed tick is RK4 of the true ODE, rounded differently: the
+substep loop holds each substep's starting speed for all four stages, so
+wherever the speed varies its currents, and a mechanical speed, are
+first order in time (README gives the measured errors; ROADMAP item 19
+is the fix).  The tests hold both within 1e-12 of ``rk4`` on
+``dq_dynamics`` at those held speeds, and within 1e-14 of that RK4 in
+exact arithmetic, in flux linkage.
+
+What the plant tick needs that does not change within a run (that map,
+the substep count and fractions of dt_plant, the machine constants, the
+kind of speed source and load, and mechanical mode's torque per unit
+flux and dt/J) is computed once per scenario, in
+``Scenario.__post_init__``, and kept as a private tuple beside the
+record's fields; ``rk4_plant_step`` only unpacks it.  Likewise each
+controller takes its constants once, at construction (see ``loop``).
 
 A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
 control tick; ``energy_accounting`` and the run's summary figures read
@@ -47,7 +53,7 @@ from typing import Tuple, Union
 
 from .domain import check, rk4_limit
 from .errors import NonFiniteStateError, ValidationError
-from .loop import CONTROLLERS, ControllerSettings, control_law, law_constants
+from .loop import CONTROLLERS, ControllerSettings, control_law
 from .machine import MachineParams, dq_dynamics, torque
 from .optimizer import FLAG_NAMES, U_CLAMPED
 from .profiles import ConstantProfile, Profile
@@ -280,11 +286,13 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     ``s``, and the back-EMF written into the q stage, -omega (y_d + psi);
     the currents are y / L at the end of the tick.  Each substep takes
     the speed's entries of hA/k from the electrical speed omega at its
-    start.  At a speed profile omega is the profile's reading, and
-    omega_m passes through.  In mechanical mode (a ``MechanicalModel``
-    speed) omega is p * omega_m, and after the currents omega_m takes one
-    forward-Euler step, so the speed is first order while the currents
-    are RK4's: omega_m += (tau - tau_load - friction omega_m) dt/J, with
+    start and holds them for all four stages: where the speed varies,
+    the loop is RK4 of a frozen-speed ODE, and the currents are first
+    order in time (ROADMAP item 19 is the fix).  At a speed profile omega
+    is the profile's reading, and omega_m passes through.  In mechanical
+    mode (a ``MechanicalModel`` speed) omega is p * omega_m, and after
+    the currents omega_m takes one forward-Euler step, also first order:
+    omega_m += (tau - tau_load - friction omega_m) dt/J, with
     ``machine.torque`` written in the flux, tau = y_q (c_1 + c_2 y_d),
     and c_1, c_2 and dt/J taken by ``Scenario``.  ``omega``, when given,
     is the electrical speed the caller already took at t (``run_scenario``
@@ -426,10 +434,11 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     ``u_profile(t)`` is the raw torque command (no PI loop) and
     ``omega_profile(t)`` the electrical speed.  Realizes the
     continuous-time behaviour tau + mu dtau/dt = u exactly up to
-    integrator error.  The costate horizon is 1 ms and alpha_z is 1, the
-    defaults of ``Scenario`` and ``ControllerSettings``.  The sampled u
-    and clamped are those ``loop.control_law`` returns at each sample, in
-    the first RK4 stage of the step leaving it.
+    integrator error.  The law is built once, by ``loop.control_law``,
+    with the costate horizon of ``Scenario`` and the alpha_z of
+    ``ControllerSettings``, their defaults.  The sampled u and clamped
+    are those the law returns at each sample, in the first RK4 stage of
+    the step leaving it.
 
     ``z_smoothing`` > 0 selects the smoothed z rule of
     ``optimizer.optimal_z``: the exact bang-bang rule makes this closed
@@ -437,12 +446,12 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
     """
     import numpy as np
 
-    law = law_constants(params, v_max, 1e-3, 1.0, use_z, z_smoothing)
+    law = control_law(params, v_max, Scenario.horizon, ControllerSettings.alpha_z, use_z, z_smoothing)
     applied = []  # the law's u and clamp flag at every RK4 stage, 4 per step
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        v_d, v_q, u, _, _, _, _, flags = control_law(i.tolist(), omega, float(u_profile(t)), law)
+        v_d, v_q, u, _, _, _, _, flags = law(i.tolist(), omega, float(u_profile(t)))
         applied.append((u, bool(flags & U_CLAMPED)))
         return dq_dynamics(i, (v_d, v_q), omega, params)
 

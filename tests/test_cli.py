@@ -362,8 +362,8 @@ def test_inputs_past_the_domain_exit_1_naming_their_field(tmp_path_factory, name
         "rk4": (base, "dt_plant", {"speed": ramp}, "speed.final", "scenario.dt_plant"),
     }.get("profile" if profile else SECTIONS.get(name, name), (None, name, None, None, None))
     with pytest.raises(ValidationError) as exc:
-        if record is None:  # z_smoothing, which only loop.law_constants takes
-            loop.law_constants(base.params, 48.0, 1e-3, z_smoothing=value)
+        if record is None:  # z_smoothing, which only loop.control_law takes
+            loop.control_law(base.params, 48.0, 1e-3, z_smoothing=value)
         else:
             records.replace(record, **changes)
     assert exc.value.field == field
@@ -528,10 +528,33 @@ def test_selftest(capsys, monkeypatch):
     assert "selftest OK" in capsys.readouterr().out
 
     # an error of the law is a failure, not a skipped state
-    def broken(*args):
-        raise TypeError("broken control_law")
+    def broken(*run):
+        def law(*state):
+            raise TypeError("broken control_law")
+        return law
 
     monkeypatch.setattr(loop, "control_law", broken)
     with pytest.raises(TypeError, match="broken control_law"):
         main(["selftest"])
     assert "selftest OK" not in capsys.readouterr().out
+
+
+def test_selftest_reports_failed_checks(capsys, monkeypatch):
+    # a law whose voltages are 1% long breaks the voltage limit and its equality with the composed law
+    build = loop.control_law
+
+    def scaled(*run):
+        law = build(*run)
+
+        def scaled_law(*state):
+            v_d, v_q, *rest = law(*state)
+            return (1.01 * v_d, 1.01 * v_q, *rest)
+        return scaled_law
+
+    monkeypatch.setattr(loop, "control_law", scaled)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  voltage limit (max |v|/v_max 1.010000000000)\n" in out
+    assert "FAIL  control_law equals composed_control_law (200 states differ)\n" in out
+    assert out.endswith("2 selftest check(s) failed\n")
+    assert "selftest OK" not in out

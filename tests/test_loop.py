@@ -9,26 +9,10 @@ from oflc.domain import RANGES
 from oflc.errors import DegenerateBError, ValidationError
 from oflc.linearization import compute_terms
 from oflc.loop import (ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check, composed_control_law,
-                       control_law, law_constants, pi_update)
+                       control_law)
 from oflc.optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from oflc.profiles import ConstantProfile, StepProfile
 from oflc.sim import run_continuous
-
-
-def test_pi_update_feedforward_only():
-    u, _ = pi_update(4.0, 1.0, 0.0, ControllerSettings(kp=0.0, ki=0.0), 1e-4)
-    assert u == 4.0
-
-
-def test_pi_update_zero_error():
-    u, integ = pi_update(4.0, 4.0, 0.0, ControllerSettings(kp=3.0, ki=100.0), 1e-4)
-    assert u == 4.0
-    assert integ == 0.0
-
-
-def test_pi_update_proportional():
-    u, _ = pi_update(4.0, 3.5, 0.0, ControllerSettings(kp=2.0, ki=0.0), 1e-4)
-    assert u == pytest.approx(5.0)
 
 
 def _reference_control_law(i, omega, u_raw, params, v_max, horizon, smoothing):
@@ -83,12 +67,12 @@ def _reference_control_law(i, omega, u_raw, params, v_max, horizon, smoothing):
 @pytest.mark.parametrize("params", [P0, P_NS], ids=["salient", "non_salient"])
 def test_control_law_matches_array_reference(rng, params, smoothing):
     flag_counts = np.zeros(5, dtype=int)
-    law = law_constants(params, V_MAX, 1e-3, z_smoothing=smoothing)
+    law = control_law(params, V_MAX, 1e-3, z_smoothing=smoothing)
     for _ in range(2000):
         i, omega, _ = random_state(rng, params)
         i = tuple(i.tolist())
         u_raw = rng.uniform(-60.0, 60.0)
-        v_d, v_q, _, lam_d, lam_q, z_d, z_q, flags = control_law(i, omega, u_raw, law)
+        v_d, v_q, _, lam_d, lam_q, z_d, z_q, flags = law(i, omega, u_raw)
         v, lam, z = (v_d, v_q), (lam_d, lam_q), (z_d, z_q)
         v_ref, lam_ref, z_ref, flags_ref = _reference_control_law(i, omega, u_raw, params, V_MAX, 1e-3, smoothing)
         assert flags == flags_ref
@@ -102,6 +86,25 @@ def test_control_law_matches_array_reference(rng, params, smoothing):
 
 def _controller(settings=ControllerSettings(kp=0.0, ki=0.0), use_z=True):
     return TorqueController(tick_scenario(P0, 1e-4, 1, v_max=V_MAX, horizon=1e-3), settings, use_z)
+
+
+# at i = (0, 5) A on P0 the torque estimate is 3.0 N m exactly, and every u below lies inside the clamp band
+def test_pi_feedforward_only():
+    frame = _controller().step(0.0, 0.0, (0.0, 5.0), 4.0)
+    assert frame.tau_est == 3.0 and frame.u_raw == 4.0
+
+
+def test_pi_zero_error():
+    ctrl = _controller(ControllerSettings(kp=3.0, ki=100.0))
+    frame = ctrl.step(0.0, 0.0, (0.0, 5.0), 3.0)
+    assert frame.u_raw == 3.0 and ctrl.integrator == 0.0
+
+
+def test_pi_proportional():
+    ctrl = _controller(ControllerSettings(kp=2.0, ki=0.0))
+    frame = ctrl.step(0.0, 0.0, (0.0, 5.0), 3.5)
+    assert frame.u_raw == pytest.approx(4.5)
+    assert ctrl.integrator == pytest.approx(0.5e-4)  # the error integrates even with ki = 0
 
 
 def _dq(theta, i_abc):
@@ -154,13 +157,13 @@ def test_control_law_equals_step_composition(rng):
                         i = (_signed_log_current(rng), _signed_log_current(rng))
                         args = (i, rng.uniform(-300.0, 300.0), rng.uniform(-80.0, 80.0), params, V_MAX, horizon,
                                 rng.uniform(0.1, 1.0), use_z, smoothing)
-                        got = control_law(*args[:3], law_constants(*args[3:]))
+                        got = control_law(*args[3:])(*args[:3])
                         assert got == composed_control_law(*args)
                         seen |= got[-1]
     assert seen == ALL_FLAGS & ~B_DEGENERATE
     # i_d = psi/(eta L_d) = 50, i_q = 0 makes b vanish
     with pytest.raises(DegenerateBError):
-        control_law((50.0, 0.0), 100.0, 6.0, law_constants(P0, V_MAX, 1e-3))
+        control_law(P0, V_MAX, 1e-3)((50.0, 0.0), 100.0, 6.0)
     with pytest.raises(DegenerateBError):
         composed_control_law((50.0, 0.0), 100.0, 6.0, P0, V_MAX, 1e-3)
 
@@ -178,14 +181,14 @@ def test_control_law_equals_step_composition_at_the_clamp_edge(rng):
                         i = tuple(float(np.copysign(10.0 ** rng.uniform(-6.0, 8.0), rng.uniform(-1.0, 1.0)))
                                   for _ in range(2))
                         omega, alpha_z = rng.uniform(-2000.0, 2000.0), rng.uniform(0.1, 1.0)
-                        law = law_constants(params, V_MAX, horizon, alpha_z, use_z, smoothing)
+                        law = control_law(params, V_MAX, horizon, alpha_z, use_z, smoothing)
                         try:
                             terms = compute_terms(i, omega, params)
                         except DegenerateBError:
                             continue
                         for edge in (terms.phi - terms.b_norm * V_MAX, terms.phi + terms.b_norm * V_MAX):
                             for u_raw in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
-                                got = control_law(i, omega, u_raw, law)
+                                got = law(i, omega, u_raw)
                                 assert got == composed_control_law(i, omega, u_raw, params, V_MAX, horizon, alpha_z,
                                                                    use_z, smoothing)
                                 seen |= got[-1]
@@ -195,20 +198,23 @@ def test_control_law_equals_step_composition_at_the_clamp_edge(rng):
     assert rounded  # the draws reach unclamped commands whose budget rounds below zero
 
 
-def test_law_constants_rejects_unusable_z_smoothing():
+def test_control_law_rejects_unusable_z_smoothing():
     # 1e-170 squares to 0, so s / sqrt(s^2 + smoothing^2) divides by zero at s = 0; nan and negative
     # values would select the exact rule unnoticed
     for value in (1e-170, math.nan, -0.5, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="^z_smoothing: "):
-            law_constants(P0, V_MAX, 1e-3, z_smoothing=value)
+            control_law(P0, V_MAX, 1e-3, z_smoothing=value)
     with pytest.raises(ValidationError, match="^z_smoothing: "):
         run_continuous(P0, V_MAX, ConstantProfile(1.0), ConstantProfile(0.0), 1e-4, 1e-5, z_smoothing=1e-170)
+    # each accepted width builds the law it names
+    state = ((3.0, -4.0), 200.0, 2.0)
     for value in (0.0, -0.0, 1e-6, 0.5, 1e6):
-        assert law_constants(P0, V_MAX, 1e-3, z_smoothing=value)[-1] == value
+        assert control_law(P0, V_MAX, 1e-3, z_smoothing=value)(*state) == composed_control_law(
+            *state, P0, V_MAX, 1e-3, z_smoothing=value)
 
 
 def test_control_step_replay_is_bit_identical(rng):
-    # each tick against machine.torque, pi_update and the step-function composition, with the
+    # each tick against machine.torque, the PI update and the step-function composition, with the
     # controller's integrator and held voltage tracked alongside; each controller draws its own
     # settings and tick, which it binds at construction
     seen = 0
@@ -228,7 +234,9 @@ def test_control_step_replay_is_bit_identical(rng):
                     frame = ctrl.step(t, omega, (i_d, i_q), tau_ref)
 
                     tau_est = machine.torque((i_d, i_q), params)
-                    u_raw, integ_next = pi_update(tau_ref, tau_est, integrator, settings, dt)
+                    e = tau_ref - tau_est
+                    integ_next = integrator + e * dt
+                    u_raw = tau_ref + settings.kp * e + settings.ki * integ_next
                     try:
                         v_d, v_q, u, lam_d, lam_q, z_d, z_q, flags = composed_control_law(
                             (i_d, i_q), omega, u_raw, params, V_MAX, horizon, settings.alpha_z, use_z)

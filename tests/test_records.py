@@ -152,7 +152,7 @@ def test_every_input_number_field_has_a_range_and_every_range_an_input():
     # a record bounds a number field by the domain.RANGES key of its name, so a field without a key would take any
     # number, and a key that names no field would bound nothing.  The four keys that are no field are checked where
     # their value is taken: Scenario's i0 by its items i_d0 and i_q0, a mechanical load torque's peak as load, and
-    # loop.law_constants' z_smoothing
+    # the z_smoothing of loop.control_law
     inputs = (MachineParams, Scenario, MechanicalModel, ControllerSettings, *PROFILES)
     numbers = {f.name for cls in inputs for f in fields(cls) if f.type in (float, int, *FLOAT_TUPLES)}
     elsewhere = {"i_d0", "i_q0", "load", "z_smoothing"}

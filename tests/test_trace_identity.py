@@ -1,4 +1,4 @@
-"""The tolerance mode of tools/trace_identity.py (``--rtol``) and its line counter."""
+"""The tolerance mode of tools/trace_identity.py (``--rtol``) and its line counters."""
 
 import importlib.util
 import math
@@ -83,3 +83,12 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
     )
     # the code lines: X = 1, def f, return, class C and y = 2
     assert trace_identity.count_lines(source) == (15, 5)
+
+
+def test_module_lines_counts_each_file_and_package_lines_sums_them(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text('"""Docstring."""\n\nX = 1\n')
+    (tmp_path / "sub" / "b.py").write_text("# a comment\ndef f():\n    return 2\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert trace_identity.module_lines(tmp_path) == {"a.py": (3, 1), "sub/b.py": (3, 2)}
+    assert trace_identity.package_lines(tmp_path) == (6, 3)

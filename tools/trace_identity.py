@@ -17,7 +17,8 @@ byte for byte, or with ``--rtol R`` within a tolerance (see
 ``compare_text``).  Exits 0 when every file
 matches and every exit code is identical, 1 on any difference or missing
 file, and 2 when a side cannot be set up.  It also prints the total and
-code-line counts of ``src/oflc`` on both sides (see ``count_lines``).
+code-line counts of ``src/oflc`` on both sides (see ``count_lines``),
+and both sides' counts of each module whose counts differ.
 """
 
 import argparse
@@ -73,10 +74,20 @@ def count_lines(source):
     return len(lines), len(lines) - len(skipped)
 
 
+def module_lines(package):
+    """{path relative to directory ``package``: (total lines, code lines)} of each ``.py`` file under it."""
+    return {path.relative_to(package).as_posix(): count_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(package.rglob("*.py"))}
+
+
 def package_lines(package):
     """(total lines, code lines) summed over the ``.py`` files under directory ``package``."""
-    counts = [count_lines(path.read_text(encoding="utf-8")) for path in sorted(package.rglob("*.py"))]
+    counts = module_lines(package).values()
     return sum(total for total, _ in counts), sum(code for _, code in counts)
+
+
+def _counted(counts):
+    return "absent" if counts is None else "{} lines, {} code lines".format(*counts)
 
 
 def run_side(src, out_root):
@@ -212,6 +223,11 @@ def main(argv=None):
         notes, found = differences(tmp / "ref_out", tmp / "work_out", ref_codes, work_codes, args.rtol)
         for side, src in ((f"at {args.ref}", ref_src), ("in the working tree", ROOT / "src")):
             print("src/oflc {}: {} lines, {} code lines".format(side, *package_lines(src / "oflc")))
+        ref_modules, work_modules = module_lines(ref_src / "oflc"), module_lines(ROOT / "src" / "oflc")
+        for name in sorted(ref_modules.keys() | work_modules.keys()):
+            ref_count, work_count = ref_modules.get(name), work_modules.get(name)
+            if ref_count != work_count:
+                print(f"  {name}: {_counted(ref_count)} at {args.ref}, {_counted(work_count)} in the working tree")
     for line in notes + found:
         print(line)
     if found:
