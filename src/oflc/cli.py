@@ -1,17 +1,7 @@
 """Command-line front end: simulate, compare, selftest.
 
-Outputs per run (in the output directory, default ``$OFLC_OUT_DIR`` or
-the current directory):
-
-* ``<controller>_trace.csv``: one row per control tick, the fields of
-  its ``loop.ControlFrame`` in order (``t,i_d,i_q,v_d,v_q,tau_ref,
-  tau_est,u_raw,u_feasible,omega,z_d,z_q,lambda_d,lambda_q,p_copper_W,
-  flags``), each written as its ``repr``.  ``flags`` is a bitfield over
-  ``optimizer.FLAG_NAMES``, spelled out in the file's first line.
-* ``<controller>_summary.txt``: ``key: value`` lines with the cost
-  integral, copper energy, RMS torque error and saturation counts.
-
-Exit codes: 0 success, 1 usage/validation error, 2 numerical abort.
+README's CLI section gives the commands, their output files and the exit
+codes (0 success, 1 usage or validation error, 2 numerical abort).
 """
 
 import argparse
@@ -33,6 +23,10 @@ from .sim import run_scenario
 __all__ = ["main"]
 
 FLAGS_DOC = "# flags bitfield: " + " ".join(f"{1 << k}={name}" for k, name in enumerate(FLAG_NAMES))
+
+# a run's summary figures: (summary key, RunResult attribute), as each summary file and compare's lines name them
+FIGURES = (("cost_integral_A2s", "cost_integral"), ("copper_energy_J", "copper_energy"),
+           ("rms_torque_error_Nm", "rms_torque_error"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,13 +115,8 @@ def _write_trace(path, frames, decimate):
 
 
 def _write_summary(path, name, result):
-    lines = [
-        f"controller: {name}",
-        f"aborted: {result.aborted}",
-        f"cost_integral_A2s: {result.cost_integral!r}",
-        f"copper_energy_J: {result.copper_energy!r}",
-        f"rms_torque_error_Nm: {result.rms_torque_error!r}",
-    ]
+    lines = [f"controller: {name}", f"aborted: {result.aborted}",
+             *(f"{key}: {getattr(result, attr)!r}" for key, attr in FIGURES)]
     for key, count in sorted(result.saturation_counts.items()):
         lines.append(f"ticks_{key}: {count}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -155,14 +144,11 @@ def _cmd_compare(args):
     scenario, settings = _load(args)
     out_dir = _out_dir(args)
     results = {}
-    for name in args.controllers:
+    for name in dict.fromkeys(args.controllers):  # each named controller once, in the order first given
         print(f"--- {name} ---")
         results[name] = _run_one(name, scenario, settings, out_dir, args.decimate)
     lines = ["scenario: " + args.scenario]
-    for name, res in results.items():
-        lines.append(f"{name}_cost_integral_A2s: {res.cost_integral!r}")
-        lines.append(f"{name}_copper_energy_J: {res.copper_energy!r}")
-        lines.append(f"{name}_rms_torque_error_Nm: {res.rms_torque_error!r}")
+    lines += (f"{name}_{key}: {getattr(res, attr)!r}" for name, res in results.items() for key, attr in FIGURES)
     if "oflc" in results and "flc_z0" in results and results["flc_z0"].cost_integral > 0.0:
         ratio = results["oflc"].cost_integral / results["flc_z0"].cost_integral
         lines.append(f"oflc_over_flc_z0_energy_ratio: {ratio!r}")
@@ -178,11 +164,11 @@ def _cmd_compare(args):
 def _cmd_selftest(args):
     """Run the shipped control law on seeded random states and check what it rests on.
 
-    The law is built once, by ``loop.control_law``, and each state goes
-    through it (b and phi, clamp, costate and z); it must equal
-    ``loop.composed_control_law`` bit for bit.  Only a state where b
-    vanishes is skipped, and any other error propagates.  Each other check, b.z = 0 among them, uses the
-    bound of the acceptance criterion that states it.
+    The law, built once by ``loop.control_law``, must equal
+    ``loop.composed_control_law`` bit for bit on each state.  Only a
+    state where b vanishes is skipped, and any other error propagates.
+    Each other check, b.z = 0 among them, uses the bound of the
+    acceptance criterion that states it.
     """
     import numpy as np
 

@@ -1,32 +1,9 @@
 """INI-style scenario configuration: parse, validate, serialize.
 
-A minimal document needs a ``[machine]`` section and a torque profile;
-everything else falls back to defaults::
-
-    [machine]
-    R = 0.5
-    L_d = 3e-3
-    L_q = 5e-3
-    psi = 0.1
-    p = 4
-
-    [torque]
-    kind = constant
-    value = 4.0
-
-Sections: ``[machine]`` (``MachineParams``), ``[scenario]`` (the rates,
-limits and initial currents of ``Scenario``), ``[torque]`` (profile of the
-reference torque), ``[speed]`` (``Scenario.speed``: a prescribed
-electrical-speed profile, or ``kind = mechanical`` with the fields of
-``MechanicalModel``, among them the initial mechanical speed ``omega0``)
-and ``[controller]`` (``loop.ControllerSettings``).
-
-Each section's keys, which of them are required and their defaults are
-read off the ``records.fields`` of the record class it builds; a profile
-section's keys are the fields of the profile class its ``kind`` names.
-The file format adds only its own facts: ``duration`` defaults to 0.1 s,
-the initial currents ``i0`` are the keys ``i_d0`` and ``i_q0``, and the
-mechanical ``load`` is a constant load torque.
+README's CLI section gives the format.  Each section's keys, which of
+them are required and their defaults are read off the ``records.fields``
+of the record class it builds (``_keys``), so the code here states only
+what the file format adds.
 """
 
 import configparser
@@ -72,37 +49,36 @@ def _keys(cls, **defaults):
     return keys
 
 
-def _read(section, name, keys):
-    """The values of config section ``name`` by key, over ``keys`` as from ``_keys``.
+def _read(section, keys):
+    """The values of a config section by key, over ``keys`` as from ``_keys``.
 
-    Raises ValidationError naming ``<name>.<key>`` for an unknown key, a
+    Raises ValidationError naming the bare key for an unknown key, a
     missing key with no default and a value that is not a number.
     """
     unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ValidationError(f"{name}.{unknown[0]}", "unknown key")
+        raise ValidationError(unknown[0], "unknown key")
     values = {}
     for key, (kind, default) in keys.items():
-        field = f"{name}.{key}"
         if key not in section:
             if default is MISSING:
-                raise ValidationError(field, "missing")
+                raise ValidationError(key, "missing")
             values[key] = default
             continue
         what, parse, _ = _TYPES[kind]
         try:
             values[key] = parse(section[key])
         except ValueError as exc:
-            raise ValidationError(field, f"not {what}: {section[key]!r}") from exc
+            raise ValidationError(key, f"not {what}: {section[key]!r}") from exc
     return values
 
 
 def build(section, make, *args, **kwargs):
     """``make(*args, **kwargs)``, its ValidationError's field renamed ``<section>.<field>``.
 
-    A record, and ``domain.check``, names a rejected field bare; this names
-    the config section it was read from (or that a command-line override
-    changes), the one place that does.
+    A record, ``domain.check`` and the section readers here name a
+    rejected field bare; this names the config section it was read from
+    (or that a command-line override changes), the one place that does.
     """
     try:
         return make(*args, **kwargs)
@@ -110,13 +86,28 @@ def build(section, make, *args, **kwargs):
         raise ValidationError(f"{section}.{exc.field}", exc.reason) from exc
 
 
-def _parse_profile(section, name):
+def _record(cls, section):
+    """Record class ``cls`` built from the keys of a config section."""
+    return cls(**_read(section, _keys(cls)))
+
+
+def _profile(section):
+    """The profile of a ``[torque]`` or ``[speed]`` section, of the class its ``kind`` names."""
     kind = section.pop("kind", None)
     if kind is None:
-        raise ValidationError(f"{name}.kind", "missing")
+        raise ValidationError("kind", "missing")
     if kind not in _PROFILES:
-        raise ValidationError(f"{name}.kind", f"unknown profile kind {kind!r}")
-    return build(name, _PROFILES[kind], **_read(section, name, _keys(_PROFILES[kind])))
+        raise ValidationError("kind", f"unknown profile kind {kind!r}")
+    return _record(_PROFILES[kind], section)
+
+
+def _mechanical(section):
+    """The ``MechanicalModel`` of a ``[speed]`` section of ``kind = mechanical``."""
+    del section["kind"]
+    values = _read(section, _keys(MechanicalModel))
+    load = values.pop("load")
+    check(load=load)  # before ConstantProfile, which would name its own field
+    return MechanicalModel(load_torque=ConstantProfile(load), **values)
 
 
 def parse_config(text):
@@ -137,24 +128,17 @@ def parse_config(text):
             raise ValidationError(name, "section missing")
         return dict(cp[name]) if name in cp else {}
 
-    params = build("machine", MachineParams, **_read(section("machine", True), "machine", _keys(MachineParams)))
-    values = _read(section("scenario"), "scenario", _keys(Scenario, duration=0.1))
+    params = build("machine", _record, MachineParams, section("machine", True))
+    values = build("scenario", _read, section("scenario"), _keys(Scenario, duration=0.1))
     i0 = values.pop("i_d0"), values.pop("i_q0")
-    tau_ref = _parse_profile(section("torque", True), "torque")
+    tau_ref = build("torque", _profile, section("torque", True))
 
     speed, sp = ConstantProfile(0.0), section("speed")
-    if sp.get("kind") == MechanicalModel.kind:
-        del sp["kind"]
-        mech = _read(sp, "speed", _keys(MechanicalModel))
-        load = mech.pop("load")
-        build("speed", check, load=load)  # before ConstantProfile, which would name its own field
-        speed = build("speed", MechanicalModel, load_torque=ConstantProfile(load), **mech)
-    elif "speed" in cp:
-        speed = _parse_profile(sp, "speed")
+    if "speed" in cp:
+        speed = build("speed", _mechanical if sp.get("kind") == MechanicalModel.kind else _profile, sp)
 
     scenario = build("scenario", Scenario, params=params, tau_ref=tau_ref, speed=speed, i0=i0, **values)
-    values = _read(section("controller"), "controller", _keys(ControllerSettings))
-    return scenario, build("controller", ControllerSettings, **values)
+    return scenario, build("controller", _record, ControllerSettings, section("controller"))
 
 
 def _text(obj, **values):

@@ -2,12 +2,10 @@
 spare (the README gives sources), so that each derived constant is a normal float and every profile reading in a run
 is finite.
 
-``records.Record.__init__`` checks each number field whose name is a key of ``RANGES``, and each number of a float
-tuple field, when the record is built: the fields of ``machine.MachineParams``, ``sim.Scenario``,
-``sim.MechanicalModel`` (whose speed is mechanical), ``loop.ControllerSettings`` and the five profiles of
-``profiles.PROFILES``.  The other keys are checked where their value is taken: ``Scenario``'s initial currents
-``i_d0`` and ``i_q0``, a mechanical model's ``load`` (its load torque's peak) and the smoothed z rule's width
-``z_smoothing`` in s = n L^-1 lambda.
+A record checks each of its number fields named by a key of ``RANGES`` when built (see ``records``); a
+``sim.MechanicalModel``'s speed is mechanical.  The other keys are checked where their value is taken:
+``Scenario``'s initial currents ``i_d0`` and ``i_q0``, a mechanical model's ``load`` (its load torque's peak) and the
+smoothed z rule's width ``z_smoothing`` in s = n L^-1 lambda.
 """
 
 import math

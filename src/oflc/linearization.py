@@ -11,10 +11,8 @@ feedback linearization (Isidori, Nonlinear Control Systems, 3rd ed., 1995,
 ch. 4).  ``compute_terms`` evaluates both from these definitions, over
 ``machine.torque_gradient``, ``machine.torque`` and
 ``machine.voltage_drift``, so the machine model is stated in ``machine``
-only.  ``compute_terms`` and ``linearize`` are the reference form of the
-control law's first and last steps: ``loop.control_law`` writes their
-closed forms inline, in their operation order, and the tests hold it to
-them bit for bit.  Applying
+only; with ``linearize`` it is the reference form of the law's first and
+last steps (see ``loop.control_law``).  Applying
 
     v = b / |b|^2 * (u - phi) + z,     with  b^T z = 0,
 

@@ -6,36 +6,11 @@ the CLI read.
 
 The torque pipeline per tick, on the measured dq currents: the torque
 estimate feeds the PI loop, which forms u (pure feedforward when both
-gains are zero), and then
-
-1. compute the linearization terms b and phi at the dq currents;
-2. clamp u into its feasible band given v_max;
-3. estimate the costate;
-4. compute the loss-minimizing input z on the line perpendicular to b;
-5. map (u, z) to the dq voltages the inverter applies.
-
-Steps 1 to 5 are the law that ``control_law`` builds, which the
-continuous-time simulator evaluates too.  It is one flat body on Python
-floats, with the closed forms of the step functions of ``linearization``
-and ``optimizer`` written inline in their operation order, as
-``sim.rk4_plant_step`` is for the plant; it checks only its input b.
-``composed_control_law`` chains those step functions and is its
-reference, equal bit for bit.  Each tick returns one ``ControlFrame``:
-Python floats named and ordered as the trace CSV columns, and a flags
-int.  The closed torque loop behaves as the first-order system
-tau(s)/u(s) = 1/(mu s + 1), independent of z.
-
-What does not change within a run is computed once per run, where the
-run's objects are built.  ``control_law(params, v_max, horizon, ...)``
-computes the constants of the machine, v_max, the horizon and the z rule
-as its locals and returns the law, which reads them by name;
-``TorqueController.__init__`` builds it together with the tick's other
-constants (the factors of the torque and of the copper loss, the PI
-gains and dt_ctrl), and ``sim.run_continuous`` and ``oflc selftest``
-build it once per run.  ``TorqueController.step`` then writes
-``machine.torque`` and the PI update inline; ``machine.torque`` and
-``composed_control_law`` remain the reference it is held to, bit for
-bit.
+gains are zero), and the law that ``control_law`` builds, whose
+docstring is the law's contract, maps u to the dq voltages.  Each tick
+returns one ``ControlFrame``: Python floats named and ordered as the
+trace CSV columns, and a flags int.  The closed torque loop is the
+first-order system of ``linearization``, independent of z.
 """
 
 import math
@@ -59,13 +34,7 @@ ID_ZERO_BANDWIDTH = 2000.0
 
 
 class ControllerSettings(Record):
-    """Settings of the torque controller: the PI gains of the outer torque loop and alpha_z.
-
-    Each lies in its ``domain.RANGES`` (a record checks it when built), and
-    a value outside raises ValidationError naming the bare field;
-    ``config.build`` names it ``controller.<field>``, whether it came from
-    a document or a command-line override.
-    """
+    """Settings of the torque controller: the PI gains of the outer torque loop and alpha_z."""
 
     kp: float = 5.0
     ki: float = 500.0
@@ -100,29 +69,37 @@ class ControlFrame(NamedTuple):
 def control_law(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
     """Build the control law of one run: ``law(i_dq, omega, u_raw)`` maps a torque command to dq voltages.
 
-    The arguments fix what does not change within a run: the machine,
-    v_max, the costate horizon and the z rule (z = 0 unless ``use_z``;
-    ``z_smoothing`` as in ``optimizer.optimal_z``).  They are those of
-    ``composed_control_law`` after ``u_raw``; a ``z_smoothing`` neither 0
-    nor inside its ``domain.RANGES`` raises ValidationError.  Their
-    constants are computed here once, with the float operations the law
+    This docstring is the law's contract.  The arguments fix what does
+    not change within a run: the machine, v_max, the costate horizon and
+    the z rule (z = 0 unless ``use_z``; ``z_smoothing`` as in
+    ``optimizer.optimal_z``).  They are those of ``composed_control_law``
+    after ``u_raw``; a ``z_smoothing`` neither 0 nor inside its
+    ``domain.RANGES`` raises ValidationError.  Their constants are
+    computed here once, as locals, with the float operations the law
     would otherwise repeat at every tick, and the law reads them by name.
+    ``TorqueController`` builds it once per run and runs it once per
+    tick, ``sim.run_continuous`` at every RK4 stage.
 
-    ``law`` computes b and phi at the dq currents ``i_dq``, clamps u_raw
-    into its feasible band, estimates the costate, picks z and
-    linearizes.  It returns one flat tuple (v_d, v_q, u_feasible,
-    lambda_d, lambda_q, z_d, z_q, flags), with the flags bits of
-    ``optimizer.FLAG_NAMES``, for its callers to unpack once.
+    At the dq currents ``i_dq``, ``law`` computes the linearization terms
+    b and phi, clamps u_raw into its feasible band given v_max, estimates
+    the costate, picks the loss-minimizing z on the line perpendicular to
+    b and maps (u, z) to the dq voltages v = b/|b|^2 (u - phi) + z.  It
+    returns one flat tuple (v_d, v_q, u_feasible, lambda_d, lambda_q,
+    z_d, z_q, flags), with the flags bits of ``optimizer.FLAG_NAMES``,
+    for its callers to unpack once.
 
-    The closed forms of ``compute_terms``, ``clamp_torque_command``,
-    ``costate_matrices``, ``estimate_costate``, ``z_limit``, ``optimal_z``
-    and ``linearize`` are written inline, each float operation in their
-    order; the tests and ``oflc selftest`` hold it equal to
-    ``composed_control_law`` bit for bit.  It checks only b: its u lies in
-    the clamp band, so a negative z budget is rounding (z = 0), and
-    z = m n is orthogonal to b by construction.  ``law`` raises
-    DegenerateBError if b vanishes at i_dq; what voltage to apply then is
-    the caller's decision.
+    It is one flat body on Python floats: the closed forms of
+    ``compute_terms``, ``clamp_torque_command``, ``costate_matrices``,
+    ``estimate_costate``, ``z_limit``, ``optimal_z`` and ``linearize``
+    are written inline, each float operation in their order; the tests
+    and ``oflc selftest`` hold it equal to ``composed_control_law`` bit
+    for bit.  It checks only b: ``law`` raises DegenerateBError if b
+    vanishes at i_dq, and what voltage to apply then is the caller's
+    decision.  Its u lies in the clamp band, so a negative z budget
+    (where |phi| dwarfs |b| v_max) is rounding, and z gets none; and
+    z = m n is orthogonal to b by construction.  So neither
+    ``z_limit``'s NegativeDiscriminantError nor ``linearize``'s
+    OrthogonalityViolation has anything to catch here.
     """
     if z_smoothing != 0.0:
         check(z_smoothing=z_smoothing)

@@ -3,21 +3,19 @@
 Conventions used throughout the package:
 
 * current and voltage vectors are ordered ``[d, q]``: (d, q) pairs of
-  Python floats everywhere but in the array forms: ``park_matrix``,
+  Python floats everywhere but in the array forms ``park_matrix``,
   ``inverse_park_matrix``, ``park_clarke``, ``inverse_park_clarke`` and
-  ``dq_dynamics``, the right-hand side that ``sim.rk4`` integrates.  Each
-  of those imports numpy in its own body, so a simulate or compare run,
-  which uses none of them, never imports numpy;
+  ``dq_dynamics`` (the right-hand side that ``sim.rk4`` integrates), each
+  of which imports numpy in its own body (README's Install gives why);
 * the machine model is stated here only: ``torque``, ``torque_gradient``
   and ``torque_hessian``, and the voltage equations L di/dt = h(i, omega)
   + v, whose drift ``voltage_drift`` is (dh/di) i + e over the Jacobian
   ``dh_di`` and the back-EMF e = (0, -psi omega).  Three inline copies
   exist, each for speed and each tied to its reference by a test:
   ``sim.rk4_plant_step`` restates the voltage equations in the flux
-  linkages L i, in its substep loop and its closed-form tick alike, and
-  in mechanical mode copies ``torque``; its ticks are RK4's result
-  rounded differently, so ``tests/test_sim.py`` ties them to
-  ``dq_dynamics`` and ``torque`` within a tolerance.
+  linkages L i and in mechanical mode copies ``torque``, tied in
+  ``tests/test_sim.py`` to ``sim.rk4`` on ``dq_dynamics`` and to
+  ``torque`` within a tolerance (its docstring is the plant's contract);
   ``loop.control_law`` copies ``torque``, ``torque_gradient``,
   ``torque_hessian``, ``dh_di`` and ``voltage_drift``, tied bit for bit
   in ``tests/test_loop.py`` to ``loop.composed_control_law``, which

@@ -1,31 +1,20 @@
 """Per-tick Pontryagin machinery for the loss-minimizing channel z.
 
-Pipeline per control tick (after the linearization terms are known):
-
-1. clamp the torque command u into its feasible band given v_max;
-2. assemble A = (u - phi) * Lambda + Gamma, the negative Jacobian of the
-   current dynamics under the linearizing control; Gamma holds the chain
-   rule on phi = tau + b^T h, dphi/di = grad tau + (db/di)^T h + (dh/di)^T b
-   with grad tau = L b / mu, in ``costate_matrices``;
-3. estimate the costate lambda = 2 (I/h + A^T)^-1 i (one-step discrete
-   costate with zero terminal boundary);
-4. pick z on the admissible line z = m n, where n = (-b_q, b_d) / |b| is
-   the unit vector perpendicular to b and the scalar m lies in
-   [-z_max, z_max], z_max being the voltage budget u leaves.  The
-   Hamiltonian is affine in m with slope s = n^T L^-1 lambda, so its
-   exact pointwise minimizer is m = -alpha_z z_max sign(s).
-
-b^T z = 0 holds by construction.  These step functions are the reference
-form of the law's middle steps: ``loop.control_law`` writes their closed
-forms inline, in their operation order, and the tests and ``oflc
-selftest`` hold it bit for bit to ``loop.composed_control_law``, which
-calls them.  They work on Python floats: 2-vectors are (d, q) pairs and
-2x2 matrices pairs of rows; the clamp, costate and z steps return the
-trace's bits of ``FLAG_NAMES`` they raise.  ``current_dynamics`` (an
-array, through ``machine.dq_dynamics``), ``hamiltonian`` (a float) and
-``printed_lambda_matrix`` (pairs of rows) are independent checks for the
-tests; the first two take their voltage from ``linearization.voltage``,
-for any z.
+These step functions are the reference form of the law's middle steps
+(see ``loop.control_law``): the clamp of the torque command u into its
+feasible band given v_max (``clamp_torque_command``); A, the negative
+Jacobian of the current dynamics under the linearizing control
+(``costate_matrices``); the one-step discrete costate with zero terminal
+boundary (``estimate_costate``); and z on the line perpendicular to b,
+within the voltage budget u leaves (``z_limit``), at the exact pointwise
+minimizer of the Hamiltonian, which is affine along it (``optimal_z``).
+b^T z = 0 holds by construction.  They work on Python floats: 2-vectors
+are (d, q) pairs and 2x2 matrices pairs of rows; the clamp, costate and
+z steps return the trace's bits of ``FLAG_NAMES`` they raise.
+``current_dynamics`` (an array, through ``machine.dq_dynamics``),
+``hamiltonian`` (a float) and ``printed_lambda_matrix`` (pairs of rows)
+are independent checks for the tests; the first two take their voltage
+from ``linearization.voltage``, for any z.
 """
 
 import math
@@ -74,7 +63,9 @@ def costate_matrices(i, omega, u, terms, params):
     """A = (u - phi) Lambda + Gamma, by rows.
 
     Lambda = -L^-1 d(b/|b|^2)/di is zero for a non-salient machine, and
-    Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di).  The state enters through
+    Gamma = L^-1 (b/|b|^2 dphi/di^T - dh/di) holds the chain rule on
+    phi = tau + b^T h, dphi/di = grad tau + (db/di)^T h + (dh/di)^T b.
+    The state enters through
     ``terms`` and ``omega``, which must be the speed ``terms`` was
     computed at; ``i`` is unused, kept for the criteria's call form.
     """

@@ -5,13 +5,10 @@ Each profile is a small frozen ``records.Record`` callable as
 scenario config format.  The five classes of ``PROFILES``, the members
 of the ``Profile`` union, are the only time functions a ``sim.Scenario``
 or ``sim.MechanicalModel`` takes.  A profile's numbers are Python floats
-(see ``records``), each inside its ``domain.RANGES``: values within
-+-1e10, times within +-1e4 s (but for a trapezoid's open end times,
-which run up to the default +inf), a frequency within +-5e9 Hz and a
-phase within +-1e4 rad, and a table's times at least the smallest
-dt_plant apart.  So every reading at a time within +-1e4 s, which holds
-every time of a run, is finite, and a profile's ``peak`` bounds each
-|value| up to rounding.
+(see ``records``), each inside its ``domain.RANGES``, and a table's
+times at least the smallest dt_plant apart; README's physical-domain
+section gives why every reading at a time of a run is then finite.  A
+profile's ``peak`` bounds each |value| up to rounding.
 """
 
 import math

@@ -19,12 +19,14 @@ rule reads the field's annotation and name:
 
 Anything else there raises ``ValidationError`` naming the bare field,
 and so does an int past the float range in a float field, where no float
-holds it; ``config.build`` names the config section before it.  So the
-code that reads a record computes in Python floats and ints only, inside
-the physical domain.  A record holds its fields and nothing else, but
-for the plant constants of ``sim.Scenario``.  Records compare equal by
-class and field values, hash their field values, print as
-``Name(field=value, ...)`` and reject assignment and deletion.
+holds it (a trapezoid's open end is inf, not such an int);
+``config.build`` names the config section before it.  So the code that
+reads a record computes in Python floats and ints only, inside the
+physical domain, and a numpy machine constant runs, and writes its
+trace, exactly as the float it equals.  A record holds its fields and
+nothing else, but for the plant constants of ``sim.Scenario``.  Records
+compare equal by class and field values, hash their field values, print
+as ``Name(field=value, ...)`` and reject assignment and deletion.
 ``fields``, ``replace`` and ``MISSING`` stand in for the ``dataclasses``
 functions of those names.
 

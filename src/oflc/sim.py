@@ -3,44 +3,22 @@
 Two integration modes are provided:
 
 * ``run_scenario``: the realistic discrete drive: the controller runs at
-  dt_ctrl, its voltage is held (zero-order hold) while the plant is
-  stepped with RK4 at dt_plant.  One ``rk4_plant_step`` call steps the
-  plant over a whole control tick on Python floats, in the flux linkages
-  y = L i: y' = A y + w, A = [[-R/L_d, omega], [-omega, -R/L_q]] and
-  w = v + e.  At a constant speed the tick's substeps are one affine map,
-  built once per scenario; otherwise it runs them one by one, RK4's
-  y += h T (A y + w), in one loop for every speed source: it reads a
-  varying speed profile once per substep, and in mechanical mode follows
-  each substep with one forward-Euler step (first order) of the mechanical
-  speed.  Most of a fine-step run is spent there.
+  dt_ctrl, and its voltage is held (zero-order hold) while
+  ``rk4_plant_step``, whose docstring is the plant's contract, steps the
+  plant over the tick at dt_plant.  Most of a fine-step run is spent
+  there.
 * ``run_continuous``: the law of ``loop.control_law`` is re-evaluated at
-  every RK4 stage, i.e. the continuous-time closed loop; a step's first
-  stage gives the u and clamp flag of its sample.  Used for
+  every RK4 stage, i.e. the continuous-time closed loop.  Used for
   transfer-function and linearization-identity checks, which are
   continuous-time statements that zero-order-hold quantization would
   otherwise dominate.
 
 ``rk4`` is the one generic integrator, behind ``run_open_loop`` and
-``run_continuous``.  ``rk4_plant_step`` is its measured fast twin.  Only
-its constant-speed tick is RK4 of the true ODE, rounded differently: the
-substep loop holds each substep's starting speed for all four stages, so
-wherever the speed varies its currents, and a mechanical speed, are
-first order in time (README gives the measured errors; ROADMAP item 19
-is the fix).  The tests hold both within 1e-12 of ``rk4`` on
-``dq_dynamics`` at those held speeds, and within 1e-14 of that RK4 in
-exact arithmetic, in flux linkage.
-
-What the plant tick needs that does not change within a run (that map,
-the substep count and fractions of dt_plant, the machine constants, the
-kind of speed source and load, and mechanical mode's torque per unit
-flux and dt/J) is computed once per scenario, in
-``Scenario.__post_init__``, and kept as a private tuple beside the
-record's fields; ``rk4_plant_step`` only unpacks it.  Likewise each
-controller takes its constants once, at construction (see ``loop``).
-
-A run's trace is ``RunResult.frames``, one ``loop.ControlFrame`` per
-control tick; ``energy_accounting`` and the run's summary figures read
-its fields, and the CLI writes them unchanged as the trace CSV.
+``run_continuous``, and the reference of its measured fast twin
+``rk4_plant_step``.  A run's trace is ``RunResult.frames``, one
+``loop.ControlFrame`` per control tick; ``energy_accounting`` and the
+run's summary figures read its fields, and the CLI writes them unchanged
+as the trace CSV.
 
 ``run_scenario`` runs on Python floats and never imports numpy; ``rk4``,
 ``run_open_loop`` and ``run_continuous`` work on numpy arrays and import
@@ -84,10 +62,8 @@ class MechanicalModel(Record):
     """Rigid mechanical load: J dw/dt = tau - tau_load - friction * w, from w = omega0.
 
     Speeds here are mechanical; the electrical speed fed to the machine
-    model is p times larger.  The record checks each field's type and
-    range when built (see ``records``); the load torque is one of the
-    ``profiles.PROFILES``, whose ``peak`` must also lie in the ``load``
-    range of ``domain.RANGES``.
+    model is p times larger.  Its load torque's ``peak`` must also lie in
+    the ``load`` range of ``domain.RANGES``.
     """
 
     inertia: float  # kg m^2
@@ -106,15 +82,12 @@ class Scenario(Record):
 
     ``speed`` is the one speed source: a prescribed electrical speed
     profile (rad/s), or a ``MechanicalModel`` whose load dynamics produce
-    the speed.  ``tau_ref`` and a speed profile are each one of the
-    ``profiles.PROFILES``.  The record checks each field's type and range
-    when built (see ``records``); here follow the initial currents' ranges
-    and the rules that relate fields: the rates' multiples, the run's size,
-    RK4's stability rule and the mechanical speed's Euler step.  The
-    controllers built from a scenario read it unchecked.  Raises
-    ValidationError naming the bare field; ``config.build`` names it
-    ``scenario.<field>``, whether the value came from a document or a
-    command-line override.
+    the speed.  Its fields are checked by the rule of ``records``;
+    ``__post_init__`` adds the initial currents' ranges and the rules
+    that relate fields: the rates' multiples, the run's size, RK4's
+    stability rule and the mechanical speed's Euler step.  So the
+    controllers built from a scenario read it unchecked.  It also takes
+    ``rk4_plant_step``'s constants (see there).
     """
 
     params: MachineParams
@@ -174,7 +147,7 @@ class Scenario(Record):
 
 
 class RunResult(Record):
-    """Trace and summary figures of one scenario run."""
+    """Trace and summary figures of one scenario run, built once from the finished figures, so without defaults."""
 
     frames: list  # one ControlFrame per control tick
     cost_integral: float  # int |i|^2 dt, A^2 s
@@ -236,15 +209,15 @@ def _compose(x, y):
 def _tick_map(params, omega, h, n):
     """The n RK4 substeps of h at the held electrical speed ``omega`` as one affine map.
 
-    At a held speed and voltage the plant is linear.  In the flux linkages
-    y = L i it reads y' = A y + v + e, with A = (dh/di) L^-1 =
-    [[-R/L_d, omega], [-omega, -R/L_q]].  One RK4 substep is then exactly
-    y -> P y + h T (v + e), with B = h A, T = I + B/2 + B^2/6 + B^3/24 and
-    P = I + B T, RK4's stability polynomial (Hairer and Wanner, Solving
-    ODEs II, IV.2); n substeps are y -> y + D y + h S T (v + e), with
-    D = P^n - I and S = I + P + ... + P^(n-1), found by binary powering of
-    ``_compose``.  In the currents that is i -> i + L^-1 D L i + G (v + e),
-    with G = L^-1 h S T, which equals L^-1 D L (dh/di)^-1 but needs no
+    At a held speed and voltage the plant is linear: y' = A y + v + e in
+    ``rk4_plant_step``'s flux linkages, with A = (dh/di) L^-1.  One RK4
+    substep is then exactly y -> P y + h T (v + e), with B = h A,
+    T = I + B/2 + B^2/6 + B^3/24 and P = I + B T, RK4's stability
+    polynomial (Hairer and Wanner, Solving ODEs II, IV.2); n substeps are
+    y -> y + D y + h S T (v + e), with D = P^n - I and
+    S = I + P + ... + P^(n-1), found by binary powering of ``_compose``.
+    In the currents that is i -> i + L^-1 D L i + G (v + e), with
+    G = L^-1 h S T, which equals L^-1 D L (dh/di)^-1 but needs no
     inverse.  Returns (D, G, e_q) in the currents, D and G row-major.  An
     entry overflows where RK4 is unstable and P^n does; every entry of D
     and G multiplies a finite number in the tick, so the mapped currents
@@ -271,42 +244,55 @@ def _tick_map(params, omega, h, n):
 
 
 def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
-    """Step the plant of scenario ``s`` over one control tick from time t, v held.
+    """Step the plant of scenario ``s`` over one control tick from time t, v held; returns (i_d, i_q, omega_m).
 
-    At a ``ConstantProfile`` speed the tick's n substeps are the affine
-    map of ``_tick_map``, i + D i + G (v + e), made once per scenario:
-    RK4's own result, rounded differently.  Every other speed source runs
-    the loop below.
+    This docstring is the plant's contract.  The plant is stepped in the
+    flux linkages y = L i, in which ``machine``'s voltage equations read
+    y' = A y + w, with A = [[-R/L_d, omega], [-omega, -R/L_q]] and
+    w = v + e, on constants that ``Scenario.__post_init__`` computes once
+    per scenario and keeps beside the record's fields.
 
-    The loop runs the tick's dt_ctrl/dt_plant classical RK4 substeps on
-    Python floats in ``_tick_map``'s flux linkages y = L i.  At a held
-    speed and voltage a substep is exactly y += h T (A y + w), with T r
-    applied by Horner, r + (hA/2)(r + (hA/3)(r + (hA/4) r)), on the
-    constants of A and hA/k that ``Scenario.__post_init__`` took from
-    ``s``, and the back-EMF written into the q stage, -omega (y_d + psi);
-    the currents are y / L at the end of the tick.  Each substep takes
-    the speed's entries of hA/k from the electrical speed omega at its
-    start and holds them for all four stages: where the speed varies,
-    the loop is RK4 of a frozen-speed ODE, and the currents are first
-    order in time (ROADMAP item 19 is the fix).  At a speed profile omega
-    is the profile's reading, and omega_m passes through.  In mechanical
-    mode (a ``MechanicalModel`` speed) omega is p * omega_m, and after
-    the currents omega_m takes one forward-Euler step, also first order:
-    omega_m += (tau - tau_load - friction omega_m) dt/J, with
-    ``machine.torque`` written in the flux, tau = y_q (c_1 + c_2 y_d),
-    and c_1, c_2 and dt/J taken by ``Scenario``.  ``omega``, when given,
-    is the electrical speed the caller already took at t (``run_scenario``
-    passes the one it gave the controller); the loop takes it as its
-    first substep's speed, and with None takes that sample here.  A
-    ``ConstantProfile`` speed or load is read once per tick, at its first
-    substep; any other profile is called again at every later substep, at
-    t + j dt_plant.  Returns (i_d, i_q, omega_m).
+    At a ``ConstantProfile`` speed the tick's n = dt_ctrl/dt_plant
+    substeps are one affine map, i + D i + G (v + e) (see ``_tick_map``):
+    RK4's own result on the true ODE, rounded differently.  Every other
+    speed source runs the substeps one by one, in one loop.  At a held
+    speed and voltage a substep is exactly RK4's y += h T (A y + w), with
+    T r applied by Horner, r + (hA/2)(r + (hA/3)(r + (hA/4) r)), and the
+    back-EMF written into the q stage as -omega (y_d + psi); the currents
+    are y / L at the end of the tick.  Each substep takes the speed's entries of hA/k from
+    the electrical speed omega at its start and holds them for all four
+    stages: wherever the speed varies, the loop is RK4 of a frozen-speed
+    ODE, and the currents are first order in time (README gives the
+    measured errors; ROADMAP item 19 is the fix).  At a speed profile
+    omega is the profile's reading, and omega_m passes through.  In
+    mechanical mode (a ``MechanicalModel`` speed) omega is p * omega_m,
+    and after the currents omega_m takes one forward-Euler step, also
+    first order: omega_m += (tau - tau_load - friction omega_m) dt/J,
+    with ``machine.torque`` written in the flux, tau = y_q (c_1 + c_2 y_d).
+
+    ``omega``, when given, is the electrical speed the caller already
+    took at t (``run_scenario`` passes the one it gave the controller);
+    the loop takes it as its first substep's speed, and with None takes
+    that sample here.  A ``ConstantProfile`` speed or load is read once
+    per tick, at its first substep; any other profile is called again at
+    every later substep, at t + j dt_plant.
+
+    The tests hold every tick within 1e-12 of ``rk4`` on
+    ``machine.dq_dynamics`` at the speeds the loop holds, and within 1e-14
+    of those steps in exact arithmetic for n <= 7, in flux linkage: the
+    map at every dt_plant the domain takes, stable or not (the 1e-12
+    against the loop only where RK4's rule holds), the loop under a speed
+    profile (which that rule keeps stable) and in mechanical mode where
+    h|A| <= 2.  The loop's 1e-14 is a share of the
+    largest flux the exact tick passes through, since a tick's currents
+    can swing far past both ends.
 
     The currents are checked once, at the end of the tick, whichever way
     it took: inf or nan survives the later substeps' +, - and x with
     finite numbers and / by the positive L_d and L_q.  So a mapped tick
     whose currents are not finite (the map's entries overflow where RK4
-    is unstable, or its products do) raises, as the loop's would.
+    is unstable, or its products do) raises, as the loop's would; the map
+    has no fallback to the loop.
 
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.

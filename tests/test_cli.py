@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oflc import loop, records
-from oflc.cli import _write_trace, main
+from oflc.cli import FIGURES, _write_trace, main
 from oflc.config import parse_config, serialize_config
 from oflc.domain import RANGES, RK4_RADIUS, rk4_limit
 from oflc.errors import ValidationError
@@ -136,6 +136,31 @@ def test_compare_writes_summary(tiny_cfg, tmp_path):
     assert "flc_z0_cost_integral_A2s:" in summary
     assert "oflc_over_flc_z0_energy_ratio:" in summary
     assert (out / "oflc_trace.csv").exists() and (out / "flc_z0_trace.csv").exists()
+
+
+def test_compare_runs_a_controller_named_twice_once(tiny_cfg, tmp_path, capsys):
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert main(["compare", "--scenario", str(tiny_cfg), "--out", str(once), "--controllers", "oflc"]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--scenario", str(tiny_cfg), "--out", str(twice), "--controllers", "oflc", "oflc"]) == 0
+    assert capsys.readouterr().out.count("--- oflc ---") == 1
+    for name in ("oflc_trace.csv", "oflc_summary.txt", "compare_summary.txt"):
+        assert (twice / name).read_bytes() == (once / name).read_bytes()
+
+
+def test_compare_summary_repeats_each_run_summary_figure(tiny_cfg, tmp_path):
+    out = tmp_path / "cmp"
+    names = ("oflc", "flc_z0", "id_zero")
+    assert main(["compare", "--scenario", str(tiny_cfg), "--out", str(out), "--controllers", *names]) == 0
+    compare = dict(line.split(": ", 1) for line in (out / "compare_summary.txt").read_text().splitlines())
+    checked = 0
+    for name in names:
+        summary = dict(line.split(": ", 1) for line in (out / f"{name}_summary.txt").read_text().splitlines())
+        for key, value in compare.items():
+            if key.startswith(name + "_") and key[len(name) + 1:] in summary:
+                assert value == summary[key[len(name) + 1:]], key
+                checked += 1
+    assert checked == len(FIGURES) * len(names)
 
 
 def test_out_dir_env_default(tiny_cfg, tmp_path, monkeypatch):

@@ -115,6 +115,26 @@ def test_unknown_profile_kind():
     assert "torque.kind" in str(exc.value)
 
 
+MECHANICAL_SPEED = MINIMAL + "\n[speed]\nkind = mechanical\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL.replace("R = 0.5\n", ""), "machine.R: missing"),
+    (MINIMAL.replace("value = 4.0", "value = 4.0\nbogus = 1"), "torque.bogus: unknown key"),
+    (MINIMAL + "\n[controller]\nfoo = 1\n", "controller.foo: unknown key"),
+    (MINIMAL + "\n[controller]\nkp = x\n", "controller.kp: not a number: 'x'"),
+    (MECHANICAL_SPEED + "inertia = x\n", "speed.inertia: not a number: 'x'"),
+    (MECHANICAL_SPEED, "speed.inertia: missing"),
+    (MINIMAL + "\n[speed]\nkind = warp\n", "speed.kind: unknown profile kind 'warp'"),
+    (MINIMAL + "\n[speed]\nvalue = 1\n", "speed.kind: missing"),
+    (MINIMAL + "\n[speed]\nkind = step\ninitial = 0\nfinal = 1\n", "speed.t_step: missing"),
+])
+def test_reader_errors_name_their_section_once(text, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
 def test_malformed_document():
     with pytest.raises(ParseError):
         parse_config("this is not an ini file\nvalue without section = 3\n")
