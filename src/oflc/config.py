@@ -3,7 +3,10 @@
 README's CLI section gives the format.  Each section's keys, which of
 them are required and their defaults are read off the ``records.fields``
 of the record class it builds (``_keys``), so the code here states only
-what the file format adds.
+what the file format adds: the ``duration`` default, each profile
+section's kinds and ``_RENAMED``, the fields written under other keys.
+Every section is read and written through ``build``, which alone names
+the section of an error.
 """
 
 import configparser
@@ -20,7 +23,9 @@ from .sim import MechanicalModel, Scenario
 
 __all__ = ["build", "parse_config", "serialize_config"]
 
-_PROFILES = {cls.kind: cls for cls in PROFILES}
+# kind -> the record class that a [torque] or a [speed] section of that kind builds
+_TORQUE_KINDS = {cls.kind: cls for cls in PROFILES}
+_SPEED_KINDS = {**_TORQUE_KINDS, MechanicalModel.kind: MechanicalModel}
 
 # field type -> (what a value must be, text to value, value to text)
 _TYPES = {
@@ -31,26 +36,47 @@ _TYPES = {
 }
 
 
+def _constant_load(load):
+    """The load torque of ``load``, checked first: ConstantProfile would name its own field, ``value``."""
+    check(load=load)
+    return ConstantProfile(load)
+
+
+def _load_value(load_torque):
+    """The ``load`` of a mechanical load torque; the format holds only a constant one (a file holds no function)."""
+    if type(load_torque) is not ConstantProfile:
+        raise ValidationError("load", f"only a constant load torque can be written, got {load_torque!r}")
+    return (load_torque.value,)
+
+
+# field written under other keys -> (its float keys, the field from their values, their values from the field)
+_RENAMED = {
+    "i0": (("i_d0", "i_q0"), lambda *i0: i0, tuple),
+    "load_torque": (("load",), _constant_load, _load_value),
+}
+
+
 def _keys(cls, **defaults):
     """{key: (type, default)} of the config section of record class ``cls``, in field order.
 
     ``defaults`` override the record's; a key with no default is
-    required (``records.MISSING``).
+    required (``records.MISSING``).  A field of ``_RENAMED`` gives its
+    keys.
     """
     keys = {}
     for f in fields(cls):
-        default = defaults.get(f.name, f.default)
-        if f.name == "i0":
-            keys.update(i_d0=(float, default[0]), i_q0=(float, default[1]))
-        elif f.name == "load_torque":
-            keys["load"] = (float, default.value)
+        value = defaults.get(f.name, f.default)
+        if f.name in _RENAMED:
+            names, _, split = _RENAMED[f.name]
+            keys.update(zip(names, ((float, x) for x in split(value))))
         elif f.type in _TYPES:
-            keys[f.name] = (f.type, default)
+            keys[f.name] = (f.type, value)
     return keys
 
 
 def _read(section, keys):
-    """The values of a config section by key, over ``keys`` as from ``_keys``.
+    """The field values of a config section by field name, over ``keys`` as from ``_keys``; the keys of a field of
+    ``_RENAMED`` give that field.
 
     Raises ValidationError naming the bare key for an unknown key, a
     missing key with no default and a value that is not a number.
@@ -70,15 +96,19 @@ def _read(section, keys):
             values[key] = parse(section[key])
         except ValueError as exc:
             raise ValidationError(key, f"not {what}: {section[key]!r}") from exc
+    for name, (names, join, _) in _RENAMED.items():
+        if names[0] in values:
+            values[name] = join(*(values.pop(key) for key in names))
     return values
 
 
 def build(section, make, *args, **kwargs):
     """``make(*args, **kwargs)``, its ValidationError's field renamed ``<section>.<field>``.
 
-    A record, ``domain.check`` and the section readers here name a
-    rejected field bare; this names the config section it was read from
-    (or that a command-line override changes), the one place that does.
+    A record, ``domain.check`` and the section readers and writers here
+    name a rejected field bare; this names the config section it was read
+    from or written to (or that a command-line override changes), the one
+    place that does.
     """
     try:
         return make(*args, **kwargs)
@@ -91,23 +121,14 @@ def _record(cls, section):
     return cls(**_read(section, _keys(cls)))
 
 
-def _profile(section):
-    """The profile of a ``[torque]`` or ``[speed]`` section, of the class its ``kind`` names."""
+def _profile(section, kinds):
+    """The record of a ``[torque]`` or ``[speed]`` section, of the class of ``kinds`` that its ``kind`` names."""
     kind = section.pop("kind", None)
     if kind is None:
         raise ValidationError("kind", "missing")
-    if kind not in _PROFILES:
+    if kind not in kinds:
         raise ValidationError("kind", f"unknown profile kind {kind!r}")
-    return _record(_PROFILES[kind], section)
-
-
-def _mechanical(section):
-    """The ``MechanicalModel`` of a ``[speed]`` section of ``kind = mechanical``."""
-    del section["kind"]
-    values = _read(section, _keys(MechanicalModel))
-    load = values.pop("load")
-    check(load=load)  # before ConstantProfile, which would name its own field
-    return MechanicalModel(load_torque=ConstantProfile(load), **values)
+    return _record(kinds[kind], section)
 
 
 def parse_config(text):
@@ -130,21 +151,17 @@ def parse_config(text):
 
     params = build("machine", _record, MachineParams, section("machine", True))
     values = build("scenario", _read, section("scenario"), _keys(Scenario, duration=0.1))
-    i0 = values.pop("i_d0"), values.pop("i_q0")
-    tau_ref = build("torque", _profile, section("torque", True))
-
-    speed, sp = ConstantProfile(0.0), section("speed")
-    if "speed" in cp:
-        speed = build("speed", _mechanical if sp.get("kind") == MechanicalModel.kind else _profile, sp)
-
-    scenario = build("scenario", Scenario, params=params, tau_ref=tau_ref, speed=speed, i0=i0, **values)
+    tau_ref = build("torque", _profile, section("torque", True), _TORQUE_KINDS)
+    speed = build("speed", _profile, section("speed"), _SPEED_KINDS) if "speed" in cp else ConstantProfile(0.0)
+    scenario = build("scenario", Scenario, params=params, tau_ref=tau_ref, speed=speed, **values)
     return scenario, build("controller", _record, ControllerSettings, section("controller"))
 
 
-def _text(obj, **values):
-    """The config section of record ``obj``: each key's value, from ``values`` or the field, as text."""
-    return {key: _TYPES[kind][2](values[key] if key in values else getattr(obj, key))
-            for key, (kind, _) in _keys(type(obj)).items()}
+def _text(record):
+    """The config section of ``record``: its ``kind``, if it has one, then each key's value as text."""
+    kind = {"kind": record.kind} if hasattr(record, "kind") else {}
+    keys = _keys(type(record), **{f.name: getattr(record, f.name) for f in fields(record)})
+    return {**kind, **{key: _TYPES[type_][2](value) for key, (type_, value) in keys.items()}}
 
 
 def serialize_config(scenario, settings=None):
@@ -154,16 +171,10 @@ def serialize_config(scenario, settings=None):
     """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    cp["machine"] = _text(scenario.params)
-    cp["scenario"] = _text(scenario, i_d0=scenario.i0[0], i_q0=scenario.i0[1])
-    speed = scenario.speed
-    if isinstance(speed, MechanicalModel) and type(speed.load_torque) is not ConstantProfile:
-        raise ValidationError("speed.load", f"only a constant load torque can be written, got {speed.load_torque!r}")
-    load = {"load": speed.load_torque.value} if isinstance(speed, MechanicalModel) else {}
-    cp["torque"] = {"kind": scenario.tau_ref.kind, **_text(scenario.tau_ref)}
-    cp["speed"] = {"kind": speed.kind, **_text(speed, **load)}
-    if settings is not None:
-        cp["controller"] = _text(settings)
+    for name, record in (("machine", scenario.params), ("scenario", scenario), ("torque", scenario.tau_ref),
+                         ("speed", scenario.speed), ("controller", settings)):
+        if record is not None:
+            cp[name] = build(name, _text, record)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -5,7 +5,8 @@ is finite.
 A record checks each of its number fields named by a key of ``RANGES`` when built (see ``records``); a
 ``sim.MechanicalModel``'s speed is mechanical.  The other keys are checked where their value is taken:
 ``Scenario``'s initial currents ``i_d0`` and ``i_q0``, a mechanical model's ``load`` (its load torque's peak) and the
-smoothed z rule's width ``z_smoothing`` in s = n L^-1 lambda.
+smoothed z rule's width ``z_smoothing`` in s = n L^-1 lambda.  ``rk4_limit`` is RK4's stability rule on a speed;
+``sim.Scenario`` alone decides which speeds it bounds.
 """
 
 import math
@@ -52,9 +53,7 @@ def check(**values):
             raise ValidationError(name, f"must be in {bounds}, got {value}")
 
 
-def rk4_limit(params, speed):
-    """The largest dt_plant with h (max(R/L_d, R/L_q) + |omega|) <= RK4_RADIUS up to a varying speed profile's
-    ``peak``, or None: a constant profile's tick is one closed-form map, and a mechanical speed is not known ahead."""
-    if speed.kind not in ("constant", "mechanical"):
-        return RK4_RADIUS / (max(params.R / params.L_d, params.R / params.L_q) + speed.peak)
-    return None
+def rk4_limit(params, peak):
+    """The largest dt_plant with h (max(R/L_d, R/L_q) + peak) <= RK4_RADIUS: the substep loop steps the plant stably
+    up to the electrical speed ``peak``."""
+    return RK4_RADIUS / (max(params.R / params.L_d, params.R / params.L_q) + peak)

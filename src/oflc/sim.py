@@ -87,7 +87,8 @@ class Scenario(Record):
     that relate fields: the rates' multiples, the run's size, RK4's
     stability rule and the mechanical speed's Euler step.  So the
     controllers built from a scenario read it unchecked.  It also takes
-    ``rk4_plant_step``'s constants (see there).
+    ``rk4_plant_step``'s constants (see there) by the one classification
+    of the speed source, so it alone decides which speeds RK4's rule bounds.
     """
 
     params: MachineParams
@@ -120,17 +121,13 @@ class Scenario(Record):
         if n_sub * round(ratio) > MAX_SUBSTEPS_PER_RUN:
             raise ValidationError("dt_plant", f"gives more than {MAX_SUBSTEPS_PER_RUN} substeps per run")
         params, speed, dt = self.params, self.speed, self.dt_plant
-        # RK4's stability rule for the substep loop under a varying speed profile
-        limit = rk4_limit(params, speed)
-        if limit is not None and not dt <= limit:
-            raise ValidationError("dt_plant", f"must be at most {limit:.6g} s, where RK4 steps the plant "
-                                  f"stably up to {speed.peak} rad/s")
-        # rk4_plant_step's constants; not a field, so ==, repr and replace() do not see it
-        tick = _tick_map(params, speed.value, dt, n_sub) if type(speed) is ConstantProfile else None
-        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, psi and p
-        a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
-        mech = None
-        if isinstance(speed, MechanicalModel):
+        # rk4_plant_step's constants, not fields, so ==, repr and replace() do not see them: a constant profile's tick
+        # is one closed-form map, a mechanical speed takes an Euler step, and any other profile runs the substep loop
+        # within RK4's stability rule
+        tick = mech = None
+        if type(speed) is ConstantProfile:
+            tick = _tick_map(params, speed.value, dt, n_sub)
+        elif isinstance(speed, MechanicalModel):
             # the speed's Euler step, (y_q (c_1 + c_2 y_d) - tau_load - friction omega_m) dt/J: machine.torque in the
             # flux y = L i, with c_2 = 1.5 p (L_d - L_q)/(L_d L_q), which keeps the digits of L_d - L_q
             k_tau, k_m, load = 1.5 * params.p, dt / speed.inertia, speed.load_torque
@@ -141,6 +138,11 @@ class Scenario(Record):
                 raise ValidationError("speed", f"friction {speed.friction} gives friction*dt_plant/inertia "
                                       f"{speed.friction * k_m:.6g}, not below 2: the speed's Euler step grows")
             mech = (load, type(load) is not ConstantProfile, c_1, c_2, speed.friction, k_m)
+        elif not dt <= (limit := rk4_limit(params, speed.peak)):
+            raise ValidationError("dt_plant", f"must be at most {limit:.6g} s, where RK4 steps the plant "
+                                  f"stably up to {speed.peak} rad/s")
+        # the diagonal of the flux form's A and its h/k multiples, the h/k that scale the speed, psi and p
+        a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
         object.__setattr__(self, "_plant", (
             tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k), params.L_d,
             params.L_q, params.psi, params.p, speed, mech))

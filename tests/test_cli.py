@@ -346,7 +346,7 @@ def _past_a_bound(draw):
     if name == "rk4":
         machine = parse_config(TINY)[0].params
         # the peak at which rk4_limit reaches TINY's dt_plant; RK4_RADIUS / rk4_limit at rest is max(R/L_d, R/L_q)
-        limit = RK4_RADIUS / 1e-5 - RK4_RADIUS / rk4_limit(machine, StepProfile(0.0, 0.0, 0.0))
+        limit = RK4_RADIUS / 1e-5 - RK4_RADIUS / rk4_limit(machine, 0.0)
         return name, outward * limit * (1.0 + 1e-9) * (1.0 + f)
     if RANGES[name][1] == math.inf:  # t2 and t3, whose +inf is a trapezoid's open end
         outward = -1.0
@@ -440,6 +440,8 @@ def test_missing_file_exits_1(tiny_cfg, tmp_path, scenario, out, env_out, messag
     ("simulate", "oflc_trace.csv"),
     ("simulate", "oflc_summary.txt"),
     ("compare", "compare_summary.txt"),
+    ("compare", "flc_z0_trace.csv"),
+    ("compare", "flc_z0_summary.txt"),
 ])
 def test_unwritable_output_exits_1(tiny_cfg, tmp_path, capsys, command, blocked):
     # a directory where an output file goes cannot be opened for writing, even by root

@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import P0
+import oflc
 from oflc import records
 from oflc.config import ControllerSettings, parse_config, serialize_config
 from oflc.domain import RANGES, RK4_RADIUS, rk4_limit
@@ -126,6 +130,7 @@ MECHANICAL_SPEED = MINIMAL + "\n[speed]\nkind = mechanical\n"
     (MECHANICAL_SPEED + "inertia = x\n", "speed.inertia: not a number: 'x'"),
     (MECHANICAL_SPEED, "speed.inertia: missing"),
     (MINIMAL + "\n[speed]\nkind = warp\n", "speed.kind: unknown profile kind 'warp'"),
+    (MINIMAL.replace("kind = constant", "kind = mechanical"), "torque.kind: unknown profile kind 'mechanical'"),
     (MINIMAL + "\n[speed]\nvalue = 1\n", "speed.kind: missing"),
     (MINIMAL + "\n[speed]\nkind = step\ninitial = 0\nfinal = 1\n", "speed.t_step: missing"),
 ])
@@ -207,7 +212,8 @@ def largest_dt_plant(params, speed, n_sub=1):
     """The largest dt_plant of a scenario of ``n_sub`` substeps per tick that ``Scenario`` accepts for this
     machine and speed source, less a few ulps: dt_ctrl's range, RK4's rule under a varying speed profile and, in
     mechanical mode, a friction dt_plant/inertia of at most 1."""
-    high = min(RANGES["dt_plant"][1], RANGES["dt_ctrl"][1] / n_sub, rk4_limit(params, speed) or math.inf)
+    rk4 = rk4_limit(params, speed.peak) if type(speed) not in (ConstantProfile, MechanicalModel) else math.inf
+    high = min(RANGES["dt_plant"][1], RANGES["dt_ctrl"][1] / n_sub, rk4)
     if isinstance(speed, MechanicalModel) and speed.friction > 0.0:
         high = min(high, speed.inertia / speed.friction)
     return high * (1.0 - 1e-15)
@@ -255,6 +261,20 @@ def test_serialize_rejects_unwritable_load(scenario, load):
     with pytest.raises(ValidationError) as exc:
         serialize_config(scenario)
     assert exc.value.field == "speed.load"
+    # the writer names the bare key, and config.build alone names its section
+    cause = exc.value.__cause__
+    assert isinstance(cause, ValidationError) and cause.field == "load"
+    assert exc.traceback[-1].name == "build"
+
+
+def test_package_names_no_section_outside_build():
+    # a "<section>.<key>" name is built by config.build alone, never written out as a string in the package
+    section_key = re.compile(r"(machine|scenario|torque|speed|controller)\.\w+")
+    package = Path(oflc.__file__).parent
+    found = [(path.name, node.lineno, node.value) for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and section_key.fullmatch(node.value)]
+    assert found == []
 
 
 @pytest.mark.parametrize("make, message", [

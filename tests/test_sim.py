@@ -291,7 +291,7 @@ def test_closed_form_tick_is_rk4(tick, currents_and_voltages):
     # 10,000 unpinned examples, and 2.9e-16 over 6,000 ticks drawn near a double eigenvalue)
     (s, n_sub), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
     params, omega = s.params, s.speed.value
-    stable = s.dt_plant <= rk4_limit(params, _held(omega))
+    stable = s.dt_plant <= rk4_limit(params, abs(omega))
     try:
         step = rk4_plant_step(i_d, i_q, 0.0, v_d, v_q, 0.0, s)
     except NonFiniteStateError:
@@ -304,7 +304,7 @@ def test_closed_form_tick_is_rk4(tick, currents_and_voltages):
     if n_sub <= 7:
         exact = _exact_rk4(params, omega, s.dt_plant, n_sub, (i_d, i_q), (v_d, v_q))
         h = s.dt_plant
-        z, w = RK4_RADIUS * h / rk4_limit(params, _held(omega)), max(abs(v_d), abs(v_q - params.psi * omega))
+        z, w = RK4_RADIUS * h / rk4_limit(params, abs(omega)), max(abs(v_d), abs(v_q - params.psi * omega))
         reach = exact[3] if stable else ((1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** n_sub
                                          * (max(params.L_d * abs(i_d), params.L_q * abs(i_q)) + n_sub * h * w))
         assert _flux_gap(step, exact, (i_d, i_q), params, reach) <= Fraction(1e-14)
