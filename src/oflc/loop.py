@@ -2,7 +2,12 @@
 
 ``CONTROLLERS`` maps each controller name to a builder taking (scenario,
 settings); it is the one list of names, which ``sim.run_scenario`` and
-the CLI read.
+the CLI read.  Each controller reads its run once, at construction: what
+its tick needs of its arguments goes into one tuple of constants,
+``_tick``, which ``step`` unpacks once, and the instance keeps no
+reference to the scenario or the settings.  Only the loop state (the
+integrators, and the torque pipeline's held voltage) changes from tick
+to tick.
 
 The torque pipeline per tick, on the measured dq currents: the torque
 estimate feeds the PI loop, which forms u (pure feedforward when both
@@ -211,9 +216,6 @@ class TorqueController:
     ``integrator`` is the PI loop's integral of the torque error; it is
     frozen whenever the torque command is clamped (conditional-integration
     anti-windup).
-
-    The scenario, settings and ``use_z`` are read once, at construction,
-    into the constants of a tick; the instance keeps no reference to them.
     """
 
     def __init__(self, scenario, settings, use_z=True):
@@ -254,45 +256,47 @@ class TorqueController:
 
 
 class IdZeroController:
-    """Classical i_d = 0 vector-control baseline.
+    """Classical i_d = 0 vector-control baseline, against which the energy claim is also reported.
 
-    Two decoupled PI current loops with feedforward decoupling of the
-    cross-coupling and back-EMF terms; reporting context only.
+    Two decoupled PI current loops, pole-placement tuned (kp = L wc,
+    ki = R wc at wc = ``ID_ZERO_BANDWIDTH``), with feedforward decoupling
+    of the cross-coupling and back-EMF terms.  The i_q reference is
+    tau_ref over dtau/di_q at i = 0.  Where |v| passes v_max, v is scaled
+    onto the limit, the frame's ``u_clamped`` flag is set and the
+    integrators freeze (anti-windup).  Like the torque pipeline, it binds
+    its run at construction, as the module docstring says.
     """
 
     def __init__(self, scenario):
-        self.scenario = scenario
-        params = scenario.params
-        # pole-placement tuning: kp = L wc, ki = R wc
-        self.kp_d = params.L_d * ID_ZERO_BANDWIDTH
-        self.kp_q = params.L_q * ID_ZERO_BANDWIDTH
-        self.ki = params.R * ID_ZERO_BANDWIDTH
-        self._dtau_diq = machine.torque_gradient((0.0, 0.0), params)[1]
         self._integ = (0.0, 0.0)
+        params = scenario.params
+        wc = ID_ZERO_BANDWIDTH
+        self._tick = (params, params.L_d * wc, params.L_q * wc, params.R * wc, 1.5 * params.R,
+                      machine.torque_gradient((0.0, 0.0), params)[1], scenario.dt_ctrl, scenario.v_max)
 
     def step(self, t, omega, i_dq, tau_ref):
-        s = self.scenario
-        params = s.params
+        """Run both current loops on one (i_d, i_q) sample; returns its ControlFrame."""
+        params, kp_d, kp_q, ki, k_cu, dtau_diq, dt, v_max = self._tick
         i_d, i_q = i_dq
-        p_copper = 1.5 * params.R * (i_d * i_d + i_q * i_q)
+        p_copper = k_cu * (i_d * i_d + i_q * i_q)
         e_d = 0.0 - i_d  # the i_d reference is zero
-        e_q = tau_ref / self._dtau_diq - i_q  # dtau/di_q at i = 0 maps tau_ref to i_q
-        integ_d = self._integ[0] + e_d * s.dt_ctrl
-        integ_q = self._integ[1] + e_q * s.dt_ctrl
+        e_q = tau_ref / dtau_diq - i_q
+        integ_d = self._integ[0] + e_d * dt
+        integ_q = self._integ[1] + e_q * dt
         # feedforward cancels the omega terms of the drift: h(i, 0) - h(i, omega)
         h0_d, h0_q = machine.voltage_drift(i_dq, 0.0, params)
         h_d, h_q = machine.voltage_drift(i_dq, omega, params)
-        v_d = self.kp_d * e_d + self.ki * integ_d + (h0_d - h_d)
-        v_q = self.kp_q * e_q + self.ki * integ_q + (h0_q - h_q)
+        v_d = kp_d * e_d + ki * integ_d + (h0_d - h_d)
+        v_q = kp_q * e_q + ki * integ_q + (h0_q - h_q)
         v_norm = math.hypot(v_d, v_q)
-        clipped = v_norm > s.v_max
+        clipped = v_norm > v_max
         if clipped:
-            v_d, v_q = v_d / v_norm * s.v_max, v_q / v_norm * s.v_max  # v_max/|v| may be subnormal
+            v_d, v_q = v_d / v_norm * v_max, v_q / v_norm * v_max  # v_max/|v| may be subnormal
         else:
-            self._integ = (integ_d, integ_q)  # anti-windup: freeze while clipped
-        tau_est = machine.torque((i_d, i_q), params)
-        return ControlFrame(t, i_d, i_q, v_d, v_q, tau_ref, tau_est, tau_ref, tau_ref, omega,
-                            0.0, 0.0, 0.0, 0.0, p_copper, U_CLAMPED if clipped else 0)
+            self._integ = (integ_d, integ_q)
+        tau_est = machine.torque(i_dq, params)
+        return tuple.__new__(ControlFrame, (t, i_d, i_q, v_d, v_q, tau_ref, tau_est, tau_ref, tau_ref, omega,
+                                            0.0, 0.0, 0.0, 0.0, p_copper, U_CLAMPED if clipped else 0))
 
 
 # The named controllers: name -> builder of a controller for (scenario, settings).

@@ -50,9 +50,9 @@ __all__ = [
 ]
 
 # Bounds on a run's time and memory; the largest uses are 2000 substeps per tick (criterion 10), 50 000 ticks (the
-# non-salient acceptance fixture) and 10**5 substeps per run (scenarios/step.cfg).  A loop substep costs about 0.8 us
-# (timeit, 2-core host, Python 3.11), so 10**8 substeps per run take about 80 s; each tick keeps a ControlFrame of
-# about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
+# non-salient acceptance fixture) and 10**5 substeps per run (scenarios/step.cfg).  A loop substep costs about 0.4 us
+# in mechanical mode and 0.5 us under a speed profile (timeit, 2-core host, Python 3.11), so 10**8 substeps per run
+# take about 50 s; each tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8

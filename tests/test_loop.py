@@ -8,11 +8,11 @@ from oflc import machine, optimizer
 from oflc.domain import RANGES
 from oflc.errors import DegenerateBError, ValidationError
 from oflc.linearization import compute_terms
-from oflc.loop import (ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check, composed_control_law,
-                       control_law)
+from oflc.loop import (CONTROLLERS, ControlFrame, ControllerSettings, TorqueController, closed_loop_tf_check,
+                       composed_control_law, control_law)
 from oflc.optimizer import B_DEGENERATE, LAMBDA_FALLBACK, U_CLAMPED, Z_AT_LIMIT, Z_ZEROED
 from oflc.profiles import ConstantProfile, StepProfile
-from oflc.sim import run_continuous
+from oflc.sim import Scenario, run_continuous
 
 
 def _reference_control_law(i, omega, u_raw, params, v_max, horizon, smoothing):
@@ -266,6 +266,18 @@ def test_control_step_deterministic():
         fa = a.step(k * 1e-4, 50.0, i_dq, 2.0)
         fb = b.step(k * 1e-4, 50.0, i_dq, 2.0)
         assert fa == fb
+
+
+def test_controllers_hold_no_scenario_or_settings():
+    # each controller reads its run once, at construction: none of its attributes, the members of its tuples or
+    # those members' closure cells is the scenario or the settings
+    scenario, settings = tick_scenario(P0, 1e-4, 1), ControllerSettings()
+    for name, build in CONTROLLERS.items():
+        held = []
+        for value in vars(build(scenario, settings)).values():
+            for member in value if isinstance(value, tuple) else (value,):
+                held += [member, *(cell.cell_contents for cell in getattr(member, "__closure__", None) or ())]
+        assert not [x for x in held if isinstance(x, (Scenario, ControllerSettings))], name
 
 
 def test_torque_channel_isolation():

@@ -687,6 +687,27 @@ def test_id_zero_baseline_tracks():
     assert abs(result.frames[-1].i_d) <= 0.1
 
 
+def test_z0_baseline_latches_where_oflc_does_not():
+    # with z = 0 the law sets only the torque, and nothing regulates the current along b's normal: the zero dynamics
+    # of the torque output (Isidori, Nonlinear Control Systems, 1995, ch. 4).  On s1 at L_q/L_d = 2.5, flc_z0's i_d
+    # drifts to about 19 A and its u stays clamped to the end of the run; oflc's z pulls |i| back down
+    from oflc.config import parse_config
+
+    scenario, settings = parse_config((SCENARIOS / "s1.cfg").read_text())
+    salient = records.replace(scenario, params=records.replace(scenario.params, L_q=7.5e-3))
+    assert salient.params.L_q / salient.params.L_d == 2.5
+
+    def clamped(scenario, name):
+        """Whether u_clamped is set, tick by tick."""
+        return [bool(f.flags & U_CLAMPED) for f in run_scenario(scenario, name, settings).frames]
+
+    for name in CONTROLLERS:
+        assert not any(clamped(scenario, name)), name
+    latched = clamped(salient, "flc_z0")
+    assert all(latched[len(latched) - len(latched) // 10:])
+    assert not any(clamped(salient, "oflc"))
+
+
 def test_nonfinite_abort_keeps_partial_trace(monkeypatch):
     # a torque estimate of 1e200 N m, as a diverging plant gives before its currents overflow: the squared error
     # overflows to inf, and the run reports it rather than raising

@@ -1,4 +1,4 @@
-"""The tolerance mode of tools/trace_identity.py (``--rtol``) and its line counters."""
+"""tools/trace_identity.py: its selftest comparison, its tolerance mode (``--rtol``) and its line counters."""
 
 import importlib.util
 import math
@@ -92,3 +92,31 @@ def test_module_lines_counts_each_file_and_package_lines_sums_them(tmp_path):
     (tmp_path / "notes.txt").write_text("not python\n")
     assert trace_identity.module_lines(tmp_path) == {"a.py": (3, 1), "sub/b.py": (3, 2)}
     assert trace_identity.package_lines(tmp_path) == (6, 3)
+
+
+def _side(root, selftest_stdout):
+    """Write one side's outputs as ``run_side`` does: every run's files and the selftest's stdout."""
+    for name in trace_identity.RUNS:
+        (root / name).mkdir(parents=True)
+        for output in trace_identity.OUTPUTS:
+            (root / name / output).write_text(f"{name}/{output}\n")
+    (root / trace_identity.SELFTEST).write_text(selftest_stdout)
+    return root
+
+
+def test_differences_compare_the_selftest_output_and_exit_code(tmp_path):
+    codes = dict.fromkeys((*trace_identity.RUNS, "selftest"), 0)
+    ref = _side(tmp_path / "ref", "PASS  a check\nselftest OK\n")
+    assert trace_identity.differences(ref, _side(tmp_path / "same", "PASS  a check\nselftest OK\n"),
+                                      codes, codes) == ([], [])
+    other = _side(tmp_path / "other", "FAIL  a check\n1 selftest check(s) failed\n")
+    for rtol in (None, 1.0):  # the selftest output is compared byte for byte in either mode
+        _, found = trace_identity.differences(ref, other, codes, dict(codes, selftest=1), rtol)
+        assert found == ["selftest: exit code 0 at REF, 1 in the working tree",
+                         "selftest.txt: `oflc selftest` output differs"]
+
+
+def test_run_side_runs_the_selftest(tmp_path, monkeypatch):
+    monkeypatch.setattr(trace_identity, "RUNS", {})
+    assert trace_identity.run_side(trace_identity.ROOT / "src", tmp_path / "out") == {"selftest": 0}
+    assert (tmp_path / "out" / trace_identity.SELFTEST).read_text().endswith("selftest OK\n")

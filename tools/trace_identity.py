@@ -11,14 +11,16 @@ setting overridden (``--alpha-z 0.5 --kp 2 --ki 100 --horizon 2e-3
 --v-max 40``, so a setting that does not reach the run shows), twice:
 with the working tree's ``src/`` and with the ``src/`` of git revision
 ``REF``, exported with ``git archive`` into a temporary directory.  Both
-sides read the working tree's scenario files.  The 35 output files (three
-traces, three summaries and the compare summary per run) are compared
-byte for byte, or with ``--rtol R`` within a tolerance (see
-``compare_text``).  Exits 0 when every file
-matches and every exit code is identical, 1 on any difference or missing
-file, and 2 when a side cannot be set up.  It also prints the total and
-code-line counts of ``src/oflc`` on both sides (see ``count_lines``),
-and both sides' counts of each module whose counts differ.
+sides read the working tree's scenario files, and both also run ``oflc
+selftest``.  The 35 output files (three traces, three summaries and the
+compare summary per run) are compared byte for byte, or with ``--rtol R``
+within a tolerance (see ``compare_text``); the selftest's stdout is
+always compared byte for byte.  Exits 0 when every file and the selftest
+output match and every exit code is identical, 1 on any difference or
+missing file, and 2 when a side cannot be set up.  It also prints the
+total and code-line counts of ``src/oflc`` on both sides (see
+``count_lines``), and both sides' counts of each module whose counts
+differ.
 """
 
 import argparse
@@ -44,6 +46,8 @@ CONTROLLERS = ("oflc", "flc_z0", "id_zero")
 OUTPUTS = tuple(f"{c}_{kind}" for c in CONTROLLERS for kind in ("trace.csv", "summary.txt")) + ("compare_summary.txt",)
 # summary keys compared exactly in --rtol mode, besides every ticks_* count
 EXACT_KEYS = ("controller", "scenario", "aborted")
+# the file, under each side's output directory, that holds the stdout of `oflc selftest`
+SELFTEST = "selftest.txt"
 
 
 def export_tree(ref, dest, *paths):
@@ -91,13 +95,21 @@ def _counted(counts):
 
 
 def run_side(src, out_root):
-    """Make every run with the package in ``src``; return its exit codes."""
+    """Make every run and ``oflc selftest`` with the package in ``src``.
+
+    Returns the exit codes by run name, and the selftest's under
+    "selftest"; the selftest's stdout goes to ``out_root / SELFTEST``.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
     codes = {}
     for name, (scenario, extra) in RUNS.items():
         argv = [sys.executable, "-m", "oflc.cli", "compare", "--scenario", f"scenarios/{scenario}.cfg",
                 "--controllers", *CONTROLLERS, "--out", str(out_root / name), *extra]
         codes[name] = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+    selftest = subprocess.run([sys.executable, "-m", "oflc.cli", "selftest"], cwd=ROOT, env=env, stdout=subprocess.PIPE)
+    out_root.mkdir(parents=True, exist_ok=True)
+    (out_root / SELFTEST).write_bytes(selftest.stdout)
+    codes["selftest"] = selftest.returncode
     return codes
 
 
@@ -177,17 +189,21 @@ def compare_text(ref, work, rtol, trace):
 
 
 def differences(ref_out, work_out, ref_codes, work_codes, rtol=None):
-    """One line per output file or exit code that does not match.
+    """One line per output file, selftest output or exit code that does not match.
 
-    With ``rtol`` every file that is not byte-identical but matches
-    within the tolerance gets a line too, with its largest deviation and
-    the column or key where it was seen; the second value lists only the
-    mismatches.
+    The arguments are what ``run_side`` wrote and returned on each side.
+    With ``rtol`` every output file that is not byte-identical but
+    matches within the tolerance gets a line too, with its largest
+    deviation and the column or key where it was seen; the second value
+    lists only the mismatches.
     """
     notes, found = [], []
-    for name in RUNS:
+    for name in (*RUNS, "selftest"):
         if ref_codes[name] != work_codes[name]:
             found.append(f"{name}: exit code {ref_codes[name]} at REF, {work_codes[name]} in the working tree")
+    if not filecmp.cmp(ref_out / SELFTEST, work_out / SELFTEST, shallow=False):
+        found.append(f"{SELFTEST}: `oflc selftest` output differs")
+    for name in RUNS:
         for output in OUTPUTS:
             a, b = ref_out / name / output, work_out / name / output
             if not (a.is_file() and b.is_file()):
@@ -234,7 +250,8 @@ def main(argv=None):
         print(f"{len(found)} difference(s) against {args.ref}")
         return 1
     how = "identical" if args.rtol is None else f"within rtol {args.rtol:g} ({len(notes)} not byte-identical)"
-    print(f"all {len(RUNS) * len(OUTPUTS)} output files and exit codes {how} to {args.ref}")
+    print(f"all {len(RUNS) * len(OUTPUTS)} output files and exit codes {how} to {args.ref}, "
+          "and `oflc selftest` output and exit code identical")
     return 0
 
 
