@@ -74,3 +74,15 @@ def test_numpy_is_imported_only_by_the_array_forms():
                  for name in _numpy_importers(ast.parse(path.read_text(encoding="utf-8")))}
     assert "machine.dq_dynamics" in importers
     assert sorted(importers - NUMPY_FUNCTIONS) == []
+
+
+def test_every_data_file_of_the_package_ships():
+    # a file of src/oflc that is not a module, such as the compiled loop's C source, reaches a wheel only if
+    # pyproject.toml's package-data lists it
+    tomllib = pytest.importorskip("tomllib")
+    listed = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["tool"]["setuptools"]["package-data"]
+    package = ROOT / "src" / "oflc"
+    data = {path.relative_to(package).as_posix() for path in package.rglob("*")
+            if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts}
+    assert "_plant.c" in data
+    assert sorted(data - set(listed["oflc"])) == []

@@ -1,8 +1,10 @@
 import math
 import re
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,21 +317,27 @@ def _near(value):
     return st.floats(-2.0, 2.0).map(lambda x: value * 10.0 ** x)
 
 
+def _loaded(loads):
+    """Mechanical speeds of a few hundred rad/s under the drawn load torques."""
+    return st.builds(MechanicalModel, _near(1e-3), st.floats(0.0, 1e-2), loads, st.floats(-100.0, 100.0))
+
+
 NEAR_P0 = st.builds(MachineParams, _near(P0.R), _near(P0.L_d), _near(P0.L_q), _near(P0.psi), st.integers(1, 12))
+CONSTANT_LOADS = st.builds(ConstantProfile, st.floats(-10.0, 10.0))
 # speed sources of any size in the domain, and ramps and loaded machines of a few hundred rad/s
 TICK_SPEEDS = (
     st.tuples(varying_profiles(SPEEDS) | st.builds(TrapezoidProfile, *[st.floats(-1e3, 1e3)] * 2, st.just(0.0),
                                                    st.floats(1e-9, 1e-1)), st.sampled_from((1, 2, 7)))
-    | st.tuples(MECHANICAL | st.builds(MechanicalModel, _near(1e-3), st.floats(0.0, 1e-2),
-                                       st.builds(ConstantProfile, st.floats(-10.0, 10.0))
-                                       | st.builds(SinusoidProfile, st.floats(-10.0, 10.0), st.floats(0.0, 1e4)),
-                                       st.floats(-100.0, 100.0)), st.sampled_from((1, 2))))
+    | st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS | st.builds(SinusoidProfile, st.floats(-10.0, 10.0),
+                                                                st.floats(0.0, 1e4))), st.sampled_from((1, 2))))
+# the speed sources whose ticks the compiled loop steps, a mechanical speed at a constant load, up to 100 substeps
+COMPILED_SPEEDS = st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS), st.sampled_from((1, 2, 7, 100)))
 
 
 @st.composite
-def _loop_ticks(draw):
+def _loop_ticks(draw, speeds=TICK_SPEEDS):
     """(scenario, speed source) of one tick of a drawn machine and speed source, with a dt_plant the domain takes."""
-    params, (speed, n_sub) = draw(MACHINES | NEAR_P0), draw(TICK_SPEEDS)
+    params, (speed, n_sub) = draw(MACHINES | NEAR_P0), draw(speeds)
     return tick_scenario(params, draw(dt_plants(params, speed, n_sub)), n_sub, speed), speed
 
 
@@ -368,6 +376,51 @@ def test_substep_loop_is_rk4(tick, t, currents_and_voltages):
         if any(h > RK4_RADIUS / (rate + abs(w)) for w in speeds):
             return
     assert _flux_gap(step, exact, (i_d, i_q), params, exact[3]) <= Fraction(1e-14)
+
+
+def _python_loop(s):
+    """``s`` rebuilt as if the compiled loop could not be had, so that its mechanical ticks run the Python loop."""
+    with mock.patch.object(sim, "_mechanical_kernel", lambda: None):
+        return records.replace(s)
+
+
+def _tick_bits(*args):
+    """The ``float.hex`` of each value ``rk4_plant_step(*args)`` returns, or the message of its NonFiniteStateError."""
+    try:
+        return [float.hex(x) for x in rk4_plant_step(*args)]
+    except NonFiniteStateError as exc:
+        return str(exc)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: the Python loop runs alone")
+@given(_loop_ticks(COMPILED_SPEEDS), st.just(0.0) | FINITE, st.tuples(*[st.floats(-1e3, 1e3)] * 4),
+       st.floats(-1e4, 1e4))
+def test_compiled_loop_equals_the_python_loop(tick, t, currents_and_voltages, omega):
+    # _plant.c does the Python loop's float operations in its order, so every tick gives the same bits, or both
+    # raise the same error; with the first substep's speed taken from omega_m, given as p omega_m, or given apart
+    (s, speed), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
+    loop, args = _python_loop(s), (i_d, i_q, speed.omega0, v_d, v_q, t)
+    assert s._plant[-3] is not None and loop._plant[-3] is None
+    for first in (None, s.params.p * speed.omega0, omega):
+        assert _tick_bits(*args, s, first) == _tick_bits(*args, loop, first)
+
+
+def test_mechanical_runs_take_the_python_loop_where_the_compile_fails(monkeypatch):
+    # a compile that fails leaves no kernel to load: the scenario takes the Python loop, to the same frames
+    from oflc.config import parse_config
+
+    s, _ = parse_config((SCENARIOS / "mechanical.cfg").read_text())
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_KERNEL_FLAGS", sim._KERNEL_FLAGS + ("-fno-such-option",))
+        sim._mechanical_kernel.cache_clear()
+        try:
+            fallback = records.replace(s)
+        finally:
+            sim._mechanical_kernel.cache_clear()
+    assert fallback._plant[-3] is None and fallback == s
+    assert (s._plant[-3] is not None) == (shutil.which("cc") is not None)
+    for controller in CONTROLLERS:
+        assert repr(run_scenario(fallback, controller)) == repr(run_scenario(s, controller))
 
 
 def test_substep_loop_keeps_rk4_order():
