@@ -5,6 +5,7 @@ codes (0 success, 1 usage or validation error, 2 numerical abort).
 """
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -165,7 +166,8 @@ def _cmd_selftest(args):
     """Run the shipped control law on seeded random states and check what it rests on.
 
     The law, built once by ``loop.control_law``, must equal
-    ``loop.composed_control_law`` bit for bit on each state.  Only a
+    ``loop.composed_control_law`` bit for bit on each state, and where it
+    is compiled, so must the Python closure it holds.  Only a
     state where b vanishes is skipped, and any other error propagates.
     Each other check, b.z = 0 among them, uses the bound of the
     acceptance criterion that states it.
@@ -176,6 +178,7 @@ def _cmd_selftest(args):
     params = machine.MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
     v_max, n_states, eps = 48.0, 200, 1e-5
     law = loop.control_law(params, v_max, 1e-3)
+    closure = law.args[1] if isinstance(law, functools.partial) else law  # the compiled law holds the closure
     round_trip = v_ratio = b_dot_z = a_dev = 0.0
     checked = twin_mismatches = 0
     for _ in range(n_states):
@@ -183,13 +186,14 @@ def _cmd_selftest(args):
         K_K_inv = machine.park_matrix(theta, params.p) @ machine.inverse_park_matrix(theta, params.p)
         round_trip = max(round_trip, float(np.abs(K_K_inv - np.eye(2)).max()))
         i, omega, u_raw = rng.uniform(-20.0, 20.0, 2), rng.uniform(-300.0, 300.0), rng.uniform(-20.0, 20.0)
-        args = (i.tolist(), omega, u_raw)
+        args = (tuple(i.tolist()), omega, u_raw)
         try:
             v_d, v_q, u, _, _, z_d, z_q, _ = out = law(*args)
         except DegenerateBError:
             continue
         checked += 1
-        twin_mismatches += out != loop.composed_control_law(*args, params, v_max, 1e-3)
+        reference = loop.composed_control_law(*args, params, v_max, 1e-3)
+        twin_mismatches += out != reference or closure(*args) != reference
         v_ratio = max(v_ratio, math.hypot(v_d, v_q) / v_max)
         terms = compute_terms(i, omega, params)
         z_norm = math.hypot(z_d, z_q)

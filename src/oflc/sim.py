@@ -22,19 +22,18 @@ as the trace CSV.
 
 ``run_scenario`` runs on Python floats and never imports numpy; ``rk4``,
 ``run_open_loop`` and ``run_continuous`` work on numpy arrays and import
-it in their own bodies.  Only a ``Scenario`` whose ticks take the compiled
-mechanical loop imports ctypes, and only one that builds it, subprocess.
+it in their own bodies.  The first ``Scenario`` of a process loads the
+compiled twins of ``kernels``, and where it builds them, imports
+subprocess.
 """
 
 import functools
 import math
-import os
 import struct
-import zlib
 from collections import Counter
-from pathlib import Path
 from typing import Tuple, Union
 
+from . import kernels
 from .domain import check, rk4_limit
 from .errors import NonFiniteStateError, ValidationError
 from .loop import CONTROLLERS, ControllerSettings, control_law
@@ -57,10 +56,10 @@ __all__ = [
 
 # Bounds on a run's time and memory; the largest uses are 2000 substeps per tick (criterion 10), 50 000 ticks (the
 # non-salient acceptance fixture) and 10**5 substeps per run (scenarios/step.cfg).  A substep costs about 0.025 us in
-# the compiled mechanical loop (a constant load), and in the Python loop about 0.45 us in mechanical mode, 0.55 us
-# under a speed profile and 0.6 us under a varying load (timeit on 1000-substep ticks, 2-core host, Python 3.11), so
-# 10**8 substeps per run take 2.5 s compiled and up to about 60 s in Python; each tick keeps a ControlFrame of about
-# 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
+# the compiled mechanical loop (a constant load; its call adds about 0.4 us per tick), and in the Python loop about
+# 0.45 us in mechanical mode, 0.55 us under a speed profile and 0.6 us under a varying load (timeit on 1000-substep
+# ticks, 2-core host, Python 3.11), so 10**8 substeps per run take 2.5 s compiled and up to about 60 s in Python; each
+# tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
@@ -154,11 +153,13 @@ class Scenario(Record):
         a_d, a_q, h_k = -params.R / params.L_d, -params.R / params.L_q, (dt / 2.0, dt / 3.0, dt / 4.0)
         plant = (tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k),
                  params.L_d, params.L_q, params.psi, params.p)
-        # a constant load's mechanical ticks take the compiled loop, on the loop's 20 floats packed as _plant.c reads
-        # them: bytes, so the record holds no ctypes object
-        packed = (struct.pack("20d", *plant[2:], *mech[2:])
-                  if mech is not None and not mech[1] and _mechanical_kernel() is not None else None)
-        object.__setattr__(self, "_plant", (*plant, packed, speed, mech))
+        # the compiled twins load (and build, once) here, outside run_scenario, whose controllers' laws take them
+        # too; a constant load's mechanical ticks take the compiled loop, on the loop's 20 floats packed as
+        # _kernels.c reads them
+        module = kernels.load()
+        compiled = (functools.partial(module.mechanical_tick, struct.pack("20d", *plant[2:], *mech[2:]))
+                    if mech is not None and not mech[1] and module is not None else None)
+        object.__setattr__(self, "_plant", (*plant, compiled, speed, mech))
 
 
 class RunResult(Record):
@@ -258,46 +259,6 @@ def _tick_map(params, omega, h, n):
     return d, g, -params.psi * omega
 
 
-_KERNEL = Path(__file__).with_name("_plant.c")
-# IEEE binary64 as CPython computes it: no fused multiply-add, and no -ffast-math (which reorders and flushes
-# subnormals to zero) or -march
-_KERNEL_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
-# a tick's state for _plant.c, and its i_d, i_q and omega_m read back: struct copies them faster than ctypes does
-_STATE, _TICK = struct.Struct("7d").pack, struct.Struct("3d").unpack_from
-
-
-@functools.cache
-def _mechanical_kernel():
-    """(the compiled twin of ``rk4_plant_step``'s mechanical loop, its 7-double state type), or None without it.
-
-    The system C compiler builds ``_plant.c`` once per digest of its source
-    and flags, into the package's ``__pycache__``; each process loads the
-    library once, when it builds its first ``Scenario`` that takes it.  A
-    missing compiler or source, a failed compile, an unwritable cache or
-    a library that does not load gives None, and the Python loop runs.
-    """
-    try:
-        digest = zlib.crc32(_KERNEL.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
-        lib = _KERNEL.parent / "__pycache__" / f"_plant.{digest:08x}.so"
-        if not lib.exists():
-            import subprocess
-
-            lib.parent.mkdir(exist_ok=True)
-            part = lib.with_name(f"{lib.name}.{os.getpid()}")  # renamed into place whole, so no process loads half
-            built = subprocess.run(["cc", *_KERNEL_FLAGS, "-o", str(part), str(_KERNEL)], capture_output=True)
-            if built.returncode:
-                part.unlink(missing_ok=True)
-                return None
-            os.replace(part, lib)
-        import ctypes
-
-        kernel = ctypes.CDLL(str(lib)).oflc_mechanical_tick
-    except (OSError, AttributeError):
-        return None
-    kernel.argtypes, kernel.restype = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_double), ctypes.c_int), None
-    return kernel, ctypes.c_double * 7
-
-
 def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """Step the plant of scenario ``s`` over one control tick from time t, v held; returns (i_d, i_q, omega_m).
 
@@ -326,20 +287,21 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     with ``machine.torque`` written in the flux, tau = y_q (c_1 + c_2 y_d).
 
     In mechanical mode at a ``ConstantProfile`` load the loop runs as its
-    compiled twin, ``_plant.c``: one C function that does every float
-    operation of the Python loop in the same order, on IEEE binary64, so
-    its results are bit-identical to the loop's (the tests compare the
-    ``float.hex`` of every value).  The system C compiler builds it once
-    per digest of its source and flags into the package's ``__pycache__``,
-    with ``-O2 -std=c99 -ffp-contract=off`` and no ``-ffast-math`` or
-    ``-march``: no multiply-add is fused, nothing is reordered and no
+    compiled twin, ``_kernels.mechanical_tick`` (see ``kernels``): one C
+    function that does every float operation of the Python loop in the
+    same order, on IEEE binary64, so its results are bit-identical to the
+    loop's (the tests compare the ``float.hex`` of every value).  It is
+    built with ``-O2 -std=c99 -ffp-contract=off`` and no ``-ffast-math``
+    or ``-march``: no multiply-add is fused, nothing is reordered and no
     subnormal is flushed to zero, so each operation rounds as CPython's
-    does.  ``Scenario`` builds and loads it, with ``ctypes``, when it is
-    constructed, so no run times the compile.  A substep costs about
-    0.025 us there and 0.45 us in the Python loop.  The Python loop is the
-    twin's reference, and runs every other varying speed source, and every
-    mechanical tick where no compiler, a failed compile or an unwritable
-    cache leaves no twin to load, with the same numbers.
+    does.  ``Scenario`` builds and loads it when it is constructed, so no
+    run times the compile, and each tick calls it as a Python builtin.
+    A substep costs about 0.025 us there and 0.45 us in the Python loop;
+    a 1-substep tick takes about 0.4 us, against 0.9 us in the loop.
+    The Python loop is the twin's reference, and runs every other varying
+    speed source, and every mechanical tick where no compiler or
+    ``Python.h``, a failed compile or an unwritable cache leaves no twin
+    to load, with the same numbers.
 
     ``omega``, when given, is the electrical speed the caller already
     took at t (``run_scenario`` passes the one it gave the controller);
@@ -368,19 +330,16 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, packed, speed,
+    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, compiled, speed,
      mech) = s._plant
     if tick is not None:
         (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
         w_q = v_q + e_q
         i_d, i_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
                     i_q + (d_qd * i_d + d_qq * i_q) + (g_qd * v_d + g_qq * w_q))
-    elif packed is not None:  # the loop below, compiled: a mechanical speed at a constant load
-        kernel, state = _mechanical_kernel()
-        x = state.from_buffer_copy(_STATE(i_d, i_q, omega_m, p * omega_m if omega is None else omega, v_d, v_q,
-                                          mech[0](t)))
-        kernel(packed, x, len(substeps))
-        i_d, i_q, omega_m = _TICK(x)
+    elif compiled is not None:  # the loop below, compiled: a mechanical speed at a constant load
+        i_d, i_q, omega_m = compiled(i_d, i_q, omega_m, p * omega_m if omega is None else omega, v_d, v_q,
+                                     mech[0](t), len(substeps))
     else:
         if omega is None:
             omega = speed(t) if mech is None else p * omega_m

@@ -1,3 +1,7 @@
+import shutil
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
@@ -21,6 +25,9 @@ P0 = MachineParams(R=0.5, L_d=3e-3, L_q=5e-3, psi=0.1, p=4)
 P_NS = MachineParams(R=0.5, L_d=4e-3, L_q=4e-3, psi=0.1, p=4)
 
 V_MAX = 48.0
+
+# where oflc.kernels can build its compiled twins: a C compiler on the PATH and this interpreter's Python.h
+COMPILER = shutil.which("cc") is not None and (Path(sysconfig.get_path("include")) / "Python.h").is_file()
 
 
 def tick_scenario(params, dt_plant, n_sub, speed=0.0, **kw):

@@ -501,8 +501,8 @@ def test_overflowing_torque_reports_inf(tmp_path, capsys, monkeypatch):
 
 def test_run_path_skips_numpy(tmp_path):
     # numpy is slow to import and only the array-form checks and the selftest need it; dataclasses, which
-    # imports inspect, cost 20-35 ms of every start, and records.Record replaces it.  ctypes loads the compiled
-    # mechanical loop, so only a mechanical scenario may import it
+    # imports inspect, cost 20-35 ms of every start, and records.Record replaces it.  The compiled twins load as an
+    # extension module, so no run, a mechanical one included, imports ctypes
     table = tmp_path / "table.cfg"
     table.write_text(TINY.replace("kind = constant\nvalue = 3.0", "kind = table\ntimes = 0 2e-3 4e-3\nvalues = 0 3 1"))
     code = f"""
@@ -510,11 +510,10 @@ import sys
 import oflc, oflc.cli
 from oflc.loop import CONTROLLERS
 for cfg in ({str(table)!r}, {str(SCENARIOS / "mechanical.cfg")!r}):
-    assert "ctypes" not in sys.modules, "ctypes imported before " + cfg
     for name in CONTROLLERS:
         assert oflc.cli.main(["simulate", "--scenario", cfg, "--controller", name, "--out", {str(tmp_path)!r}]) == 0
     assert oflc.cli.main(["compare", "--scenario", cfg, "--controllers", *CONTROLLERS, "--out", {str(tmp_path)!r}]) == 0
-for module in ("numpy", "scipy", "scipy.optimize", "dataclasses", "inspect"):
+for module in ("numpy", "scipy", "scipy.optimize", "dataclasses", "inspect", "ctypes"):
     assert module not in sys.modules, module + " imported"
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))

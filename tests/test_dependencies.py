@@ -84,5 +84,5 @@ def test_every_data_file_of_the_package_ships():
     package = ROOT / "src" / "oflc"
     data = {path.relative_to(package).as_posix() for path in package.rglob("*")
             if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts}
-    assert "_plant.c" in data
+    assert "_kernels.c" in data
     assert sorted(data - set(listed["oflc"])) == []

@@ -1,9 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import P0, P_NS, V_MAX, random_state, tick_scenario
+from conftest import COMPILER, P0, P_NS, V_MAX, random_state, tick_scenario
+from test_config import MACHINES, within
 from oflc import machine, optimizer
 from oflc.domain import RANGES
 from oflc.errors import DegenerateBError, ValidationError
@@ -168,6 +172,65 @@ def test_control_law_equals_step_composition(rng):
         composed_control_law((50.0, 0.0), 100.0, 6.0, P0, V_MAX, 1e-3)
 
 
+def _outcome(law, *args):
+    """The type and ``float.hex`` (an int's repr) of each value ``law(*args)`` returns, or its error's type and
+    message."""
+    try:
+        return [(type(x), float.hex(x) if isinstance(x, float) else repr(x)) for x in law(*args)]
+    except Exception as exc:  # DegenerateBError, or what the Python law raises on its input
+        return type(exc), str(exc)
+
+
+@st.composite
+def _law_calls(draw):
+    """(a law's arguments, one call's arguments) on drawn machines and states: at any u, at a clamped u, at b's
+    degenerate point i = (psi/(L_q - L_d), 0), with one input not finite, or one an int, a numpy.float64 or i_dq a
+    list."""
+    params = draw(MACHINES | st.just(P0))
+    run = (params, draw(within("v_max")), draw(within("horizon")), draw(within("alpha_z")), draw(st.booleans()),
+           draw(st.just(0.0) | within("z_smoothing")))
+    state = [*draw(st.tuples(*[st.floats(-1e4, 1e4)] * 2)), draw(st.floats(-1e5, 1e5)), draw(st.floats(-1e6, 1e6))]
+    kind = draw(st.sampled_from(("state", "clamped", "degenerate", "non-finite", "int", "numpy", "list")))
+    if kind == "clamped":
+        try:
+            terms = compute_terms(state[:2], state[2], params)
+        except DegenerateBError:
+            pass
+        else:
+            edge = terms.b_norm * run[1] * draw(st.sampled_from((1.0, 1.5, 1e3)))
+            state[3] = terms.phi + draw(st.sampled_from((edge, -edge)))
+    elif kind == "degenerate" and params.L_q != params.L_d:
+        state[:2] = params.psi / (params.L_q - params.L_d), 0.0
+    elif kind in ("non-finite", "int", "numpy"):
+        k = draw(st.integers(0, 3))
+        state[k] = {"non-finite": draw(st.sampled_from((math.nan, math.inf, -math.inf))),
+                    "int": draw(st.integers(-100, 100)), "numpy": np.float64(state[k])}[kind]
+    i_dq = list if kind == "list" else tuple
+    return run, (i_dq(state[:2]), *state[2:])
+
+
+@pytest.mark.skipif(not COMPILER, reason="no C compiler or Python.h: the Python law runs alone")
+@given(_law_calls())
+@example(((P0, V_MAX, 1e-3, 1.0, True, 0.0), ((50.0, 0.0), 100.0, 6.0)))  # b vanishes
+@example(((P0, V_MAX, 1e-3, 1.0, True, 0.0), ((3.0, -4.0), 200.0, 1e9)))  # clamped
+@example(((P_NS, V_MAX, 1e-3, 0.5, False, 0.0), ((3.0, -4.0), math.nan, 2.0)))
+@example(((P0, V_MAX, 1e-3, 1.0, True, 0.3), ([3.0, -4.0], 200, np.float64(2.0))))
+def test_compiled_law_equals_the_python_closure(call):
+    # the compiled law does the closure's float operations in its order, so every call gives the same bits, or the
+    # same error; a call it does not take (a degenerate b, or an input that is not an exact float) goes to the
+    # closure, and only such a call
+    run, args = call
+    law = control_law(*run)
+    assert isinstance(law, functools.partial)
+    constants, closure = law.args
+    taken = []
+    seen = functools.partial(law.func, constants, lambda *a: taken.append(a) or closure(*a))
+    expected = _outcome(closure, *args)
+    assert _outcome(law, *args) == _outcome(seen, *args) == expected
+    floats = type(args[0]) is tuple and all(type(x) is float for x in (*args[0], *args[1:]))
+    assert bool(taken) == (not floats or expected[0] is DegenerateBError)
+
+
 def test_control_law_equals_step_composition_at_the_clamp_edge(rng):
     # u_raw on the band edges phi -+ |b| v_max and one ulp either side, at currents up to 1e8 A, where
     # |phi| dwarfs |b| v_max and the discriminant of an unclamped u rounds below zero: z gets no budget
@@ -269,14 +332,15 @@ def test_control_step_deterministic():
 
 
 def test_controllers_hold_no_scenario_or_settings():
-    # each controller reads its run once, at construction: none of its attributes, the members of its tuples or
-    # those members' closure cells is the scenario or the settings
+    # each controller reads its run once, at construction: none of its attributes, the members of its tuples, the
+    # arguments a member binds or the closure cells of any of these is the scenario or the settings
     scenario, settings = tick_scenario(P0, 1e-4, 1), ControllerSettings()
     for name, build in CONTROLLERS.items():
         held = []
         for value in vars(build(scenario, settings)).values():
             for member in value if isinstance(value, tuple) else (value,):
-                held += [member, *(cell.cell_contents for cell in getattr(member, "__closure__", None) or ())]
+                for x in (member, *getattr(member, "args", ())):  # a compiled law holds its closure among its args
+                    held += [x, *(cell.cell_contents for cell in getattr(x, "__closure__", None) or ())]
         assert not [x for x in held if isinstance(x, (Scenario, ControllerSettings))], name
 
 

@@ -1,7 +1,8 @@
+import functools
 import math
 import re
-import shutil
 import sys
+import sysconfig
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
-from conftest import P0, P_NS, V_MAX, tick_scenario
+from conftest import COMPILER, P0, P_NS, V_MAX, tick_scenario
 from test_config import (FINITE, MACHINES, MECHANICAL, PROFILES, SPEED_PROFILES, SPEEDS, dt_plants, varying_profiles,
                          within)
-from oflc import records, sim
+from oflc import kernels, records, sim
 from oflc.domain import RK4_RADIUS, rk4_limit
 from oflc.errors import NonFiniteStateError, ValidationError
 from oflc.linearization import compute_terms
@@ -380,7 +381,7 @@ def test_substep_loop_is_rk4(tick, t, currents_and_voltages):
 
 def _python_loop(s):
     """``s`` rebuilt as if the compiled loop could not be had, so that its mechanical ticks run the Python loop."""
-    with mock.patch.object(sim, "_mechanical_kernel", lambda: None):
+    with mock.patch.object(kernels, "load", lambda: None):
         return records.replace(s)
 
 
@@ -392,11 +393,11 @@ def _tick_bits(*args):
         return str(exc)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler: the Python loop runs alone")
+@pytest.mark.skipif(not COMPILER, reason="no C compiler or Python.h: the Python loop runs alone")
 @given(_loop_ticks(COMPILED_SPEEDS), st.just(0.0) | FINITE, st.tuples(*[st.floats(-1e3, 1e3)] * 4),
        st.floats(-1e4, 1e4))
 def test_compiled_loop_equals_the_python_loop(tick, t, currents_and_voltages, omega):
-    # _plant.c does the Python loop's float operations in its order, so every tick gives the same bits, or both
+    # _kernels.c does the Python loop's float operations in its order, so every tick gives the same bits, or both
     # raise the same error; with the first substep's speed taken from omega_m, given as p omega_m, or given apart
     (s, speed), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
     loop, args = _python_loop(s), (i_d, i_q, speed.omega0, v_d, v_q, t)
@@ -405,22 +406,41 @@ def test_compiled_loop_equals_the_python_loop(tick, t, currents_and_voltages, om
         assert _tick_bits(*args, s, first) == _tick_bits(*args, loop, first)
 
 
-def test_mechanical_runs_take_the_python_loop_where_the_compile_fails(monkeypatch):
-    # a compile that fails leaves no kernel to load: the scenario takes the Python loop, to the same frames
+def _no_compile(patch, tmp_path, failure):
+    """Make ``kernels.load`` fail by ``failure``: a compile that fails, a missing Python.h or an unwritable cache."""
+    if failure == "compile":  # an unknown flag changes the digest and fails the compile
+        patch.setattr(kernels, "FLAGS", kernels.FLAGS + ("-fno-such-option",))
+    elif failure == "Python.h":  # an include directory without it
+        get_path = sysconfig.get_path
+        patch.setattr(sysconfig, "get_path", lambda name, *a, **kw: str(tmp_path) if name == "include"
+                      else get_path(name, *a, **kw))
+    else:  # a cache directory whose parent is a file
+        (tmp_path / "file").write_text("")
+        patch.setattr(kernels, "CACHE", tmp_path / "file" / "__pycache__")
+
+
+@pytest.mark.parametrize("failure", ["compile", "Python.h", "cache"])
+def test_runs_take_the_python_twins_where_the_build_fails(monkeypatch, tmp_path, failure):
+    # where the compiled twins cannot be had, the scenario takes the Python loop and the controllers the Python law,
+    # to the same frames: every controller on a mechanical scenario and on s1
     from oflc.config import parse_config
 
-    s, _ = parse_config((SCENARIOS / "mechanical.cfg").read_text())
+    scenarios = [parse_config((SCENARIOS / name).read_text())[0] for name in ("mechanical.cfg", "s1.cfg")]
+    compiled = [repr(run_scenario(s, c)) for s in scenarios for c in CONTROLLERS]
     with monkeypatch.context() as patch:
-        patch.setattr(sim, "_KERNEL_FLAGS", sim._KERNEL_FLAGS + ("-fno-such-option",))
-        sim._mechanical_kernel.cache_clear()
+        _no_compile(patch, tmp_path, failure)
+        kernels.load.cache_clear()
         try:
-            fallback = records.replace(s)
+            assert kernels.load() is None
+            assert not isinstance(control_law(P0, V_MAX, 1e-3), functools.partial)
+            fallback = [records.replace(s) for s in scenarios]
+            assert fallback[0]._plant[-3] is None and fallback == scenarios
+            python = [repr(run_scenario(s, c)) for s in fallback for c in CONTROLLERS]
         finally:
-            sim._mechanical_kernel.cache_clear()
-    assert fallback._plant[-3] is None and fallback == s
-    assert (s._plant[-3] is not None) == (shutil.which("cc") is not None)
-    for controller in CONTROLLERS:
-        assert repr(run_scenario(fallback, controller)) == repr(run_scenario(s, controller))
+            kernels.load.cache_clear()
+    assert (scenarios[0]._plant[-3] is not None) == COMPILER
+    assert isinstance(control_law(P0, V_MAX, 1e-3), functools.partial) == COMPILER
+    assert python == compiled
 
 
 def test_substep_loop_keeps_rk4_order():
