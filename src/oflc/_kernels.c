@@ -1,9 +1,11 @@
-/* The compiled twins of loop.control_law's law and of sim.rk4_plant_step's substep loop in mechanical mode at a
- * constant load, as the CPython extension module _kernels; oflc.kernels builds and loads it.
+/* The compiled twins of loop.control_law's law and of sim.rk4_plant_step's substep loop, as the CPython extension
+ * module _kernels of three functions: law, and the loop's two tick functions, mechanical_tick (a mechanical speed at a
+ * constant load) and profile_tick (a varying speed profile), which share its substep body; oflc.kernels builds and
+ * loads it.
  *
  * Each does every float operation of its Python twin, in the same order, on IEEE binary64; built with
  * -ffp-contract=off and without -ffast-math, so no multiply-add is fused and no subnormal is flushed, every result
- * equals CPython's bit for bit.  Both take Python objects through METH_FASTCALL, so a call costs about what a call
+ * equals CPython's bit for bit.  All take Python objects through METH_FASTCALL, so a call costs about what a call
  * of a Python builtin does. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -137,46 +139,121 @@ static PyObject *law(PyObject *module, PyObject *const *args, Py_ssize_t nargs, 
     return last == NULL ? NULL : tuple_of(out, 7, last);
 }
 
+/* The plant's constants, packed by sim.Scenario in this order, each a double: dt, h/2, h/3, h/4, a_d, a_q,
+ * a_d h/2, a_d h/3, a_d h/4, a_q h/2, a_q h/3, a_q h/4, L_d, L_q, psi and p. */
+typedef struct {
+    double dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p;
+} Plant;
+
+/* The plant's constants, then the mechanical speed's Euler step: c_1, c_2, friction and dt/J. */
+typedef struct {
+    Plant plant;
+    double c_1, c_2, friction, k_m;
+} Mechanical;
+
+/* The flux linkages L_d i_d and L_q i_q. */
+typedef struct {
+    double d, q;
+} Flux;
+
+/* One RK4 substep of the flux y at the held electrical speed omega and voltage v: the body of the Python loop, every
+ * float operation in its order, and the one copy of it here. */
+static inline Flux substep(const Plant *k, Flux y, double omega, double v_d, double v_q)
+{
+    const double o2 = k->h2 * omega, o3 = k->h3 * omega, o4 = k->h4 * omega;
+    const double r_d = k->a_d * y.d + omega * y.q + v_d, r_q = k->a_q * y.q - omega * (y.d + k->psi) + v_q;
+    const double x_d = r_d + (k->a4_d * r_d + o4 * r_q), x_q = r_q + (k->a4_q * r_q - o4 * r_d);
+    const double z_d = r_d + (k->a3_d * x_d + o3 * x_q), z_q = r_q + (k->a3_q * x_q - o3 * x_d);
+    return (Flux){y.d + k->dt * (r_d + (k->a2_d * z_d + o2 * z_q)), y.q + k->dt * (r_q + (k->a2_q * z_q - o2 * z_d))};
+}
+
+/* Read the n Python floats (or numbers) args into x; -1 with an exception set where one is not a number. */
+static int doubles(PyObject *const *args, double *x, int n)
+{
+    for (int j = 0; j < n; j++)
+        if ((x[j] = PyFloat_AsDouble(args[j])) == -1.0 && PyErr_Occurred())
+            return -1;
+    return 0;
+}
+
 /* mechanical_tick(packed, i_d, i_q, omega_m, omega, v_d, v_q, tau_load, n) -> (i_d, i_q, omega_m): the n substeps
- * of one mechanical tick at a constant load, omega the first substep's electrical speed.  packed holds 20 doubles:
- * dt, h/2, h/3, h/4, a_d, a_q, a_d h/2, a_d h/3, a_d h/4, a_q h/2, a_q h/3, a_q h/4, L_d, L_q, psi, p, c_1, c_2,
- * friction and dt/J, as sim.Scenario packs them. */
+ * of one mechanical tick at a constant load, omega the first substep's electrical speed; packed is a Mechanical. */
 static PyObject *mechanical_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double k[20], x[7];
+    Mechanical k;
+    double x[7];
     if (nargs != 9) {
         PyErr_Format(PyExc_TypeError, "mechanical_tick takes 9 arguments (%zd given)", nargs);
         return NULL;
     }
-    if (unpack(args[0], k, sizeof k) < 0)
+    if (unpack(args[0], &k, sizeof k) < 0 || doubles(args + 1, x, 7) < 0)
         return NULL;
-    for (int j = 0; j < 7; j++)
-        if ((x[j] = PyFloat_AsDouble(args[j + 1])) == -1.0 && PyErr_Occurred())
-            return NULL;
     const long n = PyLong_AsLong(args[8]);
     if (n == -1 && PyErr_Occurred())
         return NULL;
-    const double dt = k[0], h2 = k[1], h3 = k[2], h4 = k[3], a_d = k[4], a_q = k[5], a2_d = k[6], a3_d = k[7],
-                 a4_d = k[8], a2_q = k[9], a3_q = k[10], a4_q = k[11], psi = k[14], p = k[15], c_1 = k[16],
-                 c_2 = k[17], friction = k[18], k_m = k[19], v_d = x[4], v_q = x[5], tau_load = x[6];
-    double y_d = k[12] * x[0], y_q = k[13] * x[1], omega_m = x[2], omega = x[3];
+    const double v_d = x[4], v_q = x[5], tau_load = x[6];
+    Flux y = {k.plant.L_d * x[0], k.plant.L_q * x[1]};
+    double omega_m = x[2], omega = x[3];
     for (long j = 0; j < n; j++) {
-        const double o2 = h2 * omega, o3 = h3 * omega, o4 = h4 * omega;
-        const double r_d = a_d * y_d + omega * y_q + v_d, r_q = a_q * y_q - omega * (y_d + psi) + v_q;
-        const double x_d = r_d + (a4_d * r_d + o4 * r_q), x_q = r_q + (a4_q * r_q - o4 * r_d);
-        const double z_d = r_d + (a3_d * x_d + o3 * x_q), z_q = r_q + (a3_q * x_q - o3 * x_d);
-        y_d = y_d + dt * (r_d + (a2_d * z_d + o2 * z_q));
-        y_q = y_q + dt * (r_q + (a2_q * z_q - o2 * z_d));
-        omega_m += (y_q * (c_1 + c_2 * y_d) - tau_load - friction * omega_m) * k_m;
-        omega = p * omega_m;
+        y = substep(&k.plant, y, omega, v_d, v_q);
+        omega_m += (y.q * (k.c_1 + k.c_2 * y.d) - tau_load - k.friction * omega_m) * k.k_m;
+        omega = k.plant.p * omega_m;
     }
-    const double out[3] = {y_d / k[12], y_q / k[13], omega_m};
+    const double out[3] = {y.d / k.plant.L_d, y.q / k.plant.L_q, omega_m};
     return tuple_of(out, 3, NULL);
+}
+
+/* *omega = speed(t); -1 with the exception set where the call raises or its result is not a number. */
+static int read_speed(PyObject *speed, PyObject *t, double *omega)
+{
+    PyObject *reading = PyObject_CallOneArg(speed, t);
+    if (reading == NULL)
+        return -1;
+    *omega = PyFloat_AsDouble(reading);
+    Py_DECREF(reading);
+    return *omega == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* profile_tick(packed, speed, n, i_d, i_q, v_d, v_q, t, omega) -> (i_d, i_q): the n substeps of one tick under a
+ * varying speed profile, the callable speed; packed is a Plant.  The first substep runs at omega, or at speed(t) where
+ * omega is None, and substep j >= 1 at speed(t + j dt), the float the Python loop computes, called in its order; an
+ * error the profile raises propagates as it is. */
+static PyObject *profile_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Plant k;
+    double x[5], omega;
+    if (nargs != 9) {
+        PyErr_Format(PyExc_TypeError, "profile_tick takes 9 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (unpack(args[0], &k, sizeof k) < 0)
+        return NULL;
+    PyObject *speed = args[1];
+    const long n = PyLong_AsLong(args[2]);
+    if ((n == -1 && PyErr_Occurred()) || doubles(args + 3, x, 5) < 0)
+        return NULL;
+    if (args[8] == Py_None ? read_speed(speed, args[7], &omega) < 0 : doubles(args + 8, &omega, 1) < 0)
+        return NULL;
+    const double v_d = x[2], v_q = x[3], t = x[4];
+    Flux y = {k.L_d * x[0], k.L_q * x[1]};
+    for (long j = 0; j < n; j++) {
+        if (j) {
+            PyObject *t_j = PyFloat_FromDouble(t + (double)j * k.dt);
+            const int failed = t_j == NULL || read_speed(speed, t_j, &omega) < 0;
+            Py_XDECREF(t_j);
+            if (failed)
+                return NULL;
+        }
+        y = substep(&k, y, omega, v_d, v_q);
+    }
+    const double out[2] = {y.d / k.L_d, y.q / k.L_q};
+    return tuple_of(out, 2, NULL);
 }
 
 static PyMethodDef methods[] = {
     {"law", (PyCFunction)(void (*)(void))law, METH_FASTCALL | METH_KEYWORDS, NULL},
     {"mechanical_tick", (PyCFunction)(void (*)(void))mechanical_tick, METH_FASTCALL, NULL},
+    {"profile_tick", (PyCFunction)(void (*)(void))profile_tick, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

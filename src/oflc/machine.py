@@ -21,7 +21,7 @@ Conventions used throughout the package:
   in ``tests/test_loop.py`` to ``loop.composed_control_law``, which
   calls them; and ``loop.TorqueController.step`` copies ``torque``, tied
   there to it.  ``_kernels.c`` holds C twins of the law and of the
-  mechanical loop, each tied bit for bit to its Python copy in the same
+  substep loop, each tied bit for bit to its Python copy in the same
   test file;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;

@@ -24,7 +24,9 @@ as the trace CSV.
 ``run_open_loop`` and ``run_continuous`` work on numpy arrays and import
 it in their own bodies.  The first ``Scenario`` of a process loads the
 compiled twins of ``kernels``, and where it builds them, imports
-subprocess.
+subprocess and sysconfig; with them, a tick under a varying speed
+profile, and a mechanical tick at a constant load, runs compiled (see
+``rk4_plant_step``).
 """
 
 import functools
@@ -56,10 +58,12 @@ __all__ = [
 
 # Bounds on a run's time and memory; the largest uses are 2000 substeps per tick (criterion 10), 50 000 ticks (the
 # non-salient acceptance fixture) and 10**5 substeps per run (scenarios/step.cfg).  A substep costs about 0.025 us in
-# the compiled mechanical loop (a constant load; its call adds about 0.4 us per tick), and in the Python loop about
-# 0.45 us in mechanical mode, 0.55 us under a speed profile and 0.6 us under a varying load (timeit on 1000-substep
-# ticks, 2-core host, Python 3.11), so 10**8 substeps per run take 2.5 s compiled and up to about 60 s in Python; each
-# tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
+# the compiled mechanical loop (a constant load; its call adds about 0.4 us per tick), 0.1-0.3 us in the compiled
+# profile loop (almost all of it the profile's own call), and in the Python loop about 0.5 us in mechanical mode,
+# 0.55-0.8 us under a speed profile and 0.75-0.9 us under a varying load (timeit on 1000-substep ticks, 2-core host,
+# Python 3.11), so 10**8 substeps per run take 2.5 s compiled in mechanical mode, up to 30 s under a compiled profile
+# and up to about 90 s in Python; each tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of
+# trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
@@ -154,11 +158,13 @@ class Scenario(Record):
         plant = (tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k),
                  params.L_d, params.L_q, params.psi, params.p)
         # the compiled twins load (and build, once) here, outside run_scenario, whose controllers' laws take them
-        # too; a constant load's mechanical ticks take the compiled loop, on the loop's 20 floats packed as
-        # _kernels.c reads them
-        module = kernels.load()
-        compiled = (functools.partial(module.mechanical_tick, struct.pack("20d", *plant[2:], *mech[2:]))
-                    if mech is not None and not mech[1] and module is not None else None)
+        # too; a varying speed profile's ticks and a constant load's mechanical ticks take the compiled loop, on the
+        # loop's floats packed as _kernels.c reads them
+        module, compiled = kernels.load(), None
+        if module is not None and tick is None and mech is None:
+            compiled = functools.partial(module.profile_tick, struct.pack("16d", *plant[2:]), speed, n_sub)
+        elif module is not None and mech is not None and not mech[1]:
+            compiled = functools.partial(module.mechanical_tick, struct.pack("20d", *plant[2:], *mech[2:]))
         object.__setattr__(self, "_plant", (*plant, compiled, speed, mech))
 
 
@@ -286,22 +292,28 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     first order: omega_m += (tau - tau_load - friction omega_m) dt/J,
     with ``machine.torque`` written in the flux, tau = y_q (c_1 + c_2 y_d).
 
-    In mechanical mode at a ``ConstantProfile`` load the loop runs as its
-    compiled twin, ``_kernels.mechanical_tick`` (see ``kernels``): one C
-    function that does every float operation of the Python loop in the
-    same order, on IEEE binary64, so its results are bit-identical to the
-    loop's (the tests compare the ``float.hex`` of every value).  It is
-    built with ``-O2 -std=c99 -ffp-contract=off`` and no ``-ffast-math``
-    or ``-march``: no multiply-add is fused, nothing is reordered and no
-    subnormal is flushed to zero, so each operation rounds as CPython's
-    does.  ``Scenario`` builds and loads it when it is constructed, so no
-    run times the compile, and each tick calls it as a Python builtin.
-    A substep costs about 0.025 us there and 0.45 us in the Python loop;
-    a 1-substep tick takes about 0.4 us, against 0.9 us in the loop.
-    The Python loop is the twin's reference, and runs every other varying
-    speed source, and every mechanical tick where no compiler or
-    ``Python.h``, a failed compile or an unwritable cache leaves no twin
-    to load, with the same numbers.
+    Under a varying speed profile, and in mechanical mode at a
+    ``ConstantProfile`` load, the loop runs as its compiled twin,
+    ``_kernels.profile_tick`` or ``_kernels.mechanical_tick`` (see
+    ``kernels``): C functions that share one substep body and do every
+    float operation of the Python loop in the same order, on IEEE
+    binary64, so their results are bit-identical to the loop's (the tests
+    compare the ``float.hex`` of every value).  ``profile_tick`` calls the
+    profile from C, at the loop's times and in its order, so the profile
+    sees the same calls, and an error it raises propagates as it is.
+    Both are built with ``-O2 -std=c99 -ffp-contract=off`` and no
+    ``-ffast-math`` or ``-march``: no multiply-add is fused, nothing is
+    reordered and no subnormal is flushed to zero, so each operation
+    rounds as CPython's does.  ``Scenario`` builds and loads them when it
+    is constructed, so no run times the compile, and each tick calls one
+    as a Python builtin.  A substep costs about 0.025 us in mechanical
+    mode and 0.1-0.3 us under a profile, nearly all of it the profile's
+    call, against 0.5-0.8 us in the Python loop; a 1-substep tick takes
+    about 0.3-0.4 us, against 0.85-0.9 us in the loop.  The Python loop is
+    the twins' reference, and runs every tick under a varying load, and
+    every varying-speed tick where no compiler or ``Python.h``, a failed
+    compile or an unwritable cache leaves no twin to load, with the same
+    numbers.
 
     ``omega``, when given, is the electrical speed the caller already
     took at t (``run_scenario`` passes the one it gave the controller);
@@ -337,9 +349,12 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
         w_q = v_q + e_q
         i_d, i_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
                     i_q + (d_qd * i_d + d_qq * i_q) + (g_qd * v_d + g_qq * w_q))
-    elif compiled is not None:  # the loop below, compiled: a mechanical speed at a constant load
-        i_d, i_q, omega_m = compiled(i_d, i_q, omega_m, p * omega_m if omega is None else omega, v_d, v_q,
-                                     mech[0](t), len(substeps))
+    elif compiled is not None:  # the loop below, compiled: a varying speed profile, or mechanical at a constant load
+        if mech is None:
+            i_d, i_q = compiled(i_d, i_q, v_d, v_q, t, omega)
+        else:
+            i_d, i_q, omega_m = compiled(i_d, i_q, omega_m, p * omega_m if omega is None else omega, v_d, v_q,
+                                         mech[0](t), len(substeps))
     else:
         if omega is None:
             omega = speed(t) if mech is None else p * omega_m
@@ -473,7 +488,8 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        v_d, v_q, u, _, _, _, _, flags = law(i.tolist(), omega, float(u_profile(t)))
+        # a tuple of floats, which the compiled law computes: it hands a list to its Python closure
+        v_d, v_q, u, _, _, _, _, flags = law(tuple(i.tolist()), omega, float(u_profile(t)))
         applied.append((u, bool(flags & U_CLAMPED)))
         return dq_dynamics(i, (v_d, v_q), omega, params)
 

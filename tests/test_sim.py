@@ -331,8 +331,10 @@ TICK_SPEEDS = (
                                                    st.floats(1e-9, 1e-1)), st.sampled_from((1, 2, 7)))
     | st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS | st.builds(SinusoidProfile, st.floats(-10.0, 10.0),
                                                                 st.floats(0.0, 1e4))), st.sampled_from((1, 2))))
-# the speed sources whose ticks the compiled loop steps, a mechanical speed at a constant load, up to 100 substeps
-COMPILED_SPEEDS = st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS), st.sampled_from((1, 2, 7, 100)))
+# the speed sources whose ticks a compiled loop steps, a mechanical speed at a constant load and every varying speed
+# profile, up to 100 substeps
+COMPILED_SPEEDS = st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS) | varying_profiles(SPEEDS),
+                            st.sampled_from((1, 2, 7, 100)))
 
 
 @st.composite
@@ -380,7 +382,7 @@ def test_substep_loop_is_rk4(tick, t, currents_and_voltages):
 
 
 def _python_loop(s):
-    """``s`` rebuilt as if the compiled loop could not be had, so that its mechanical ticks run the Python loop."""
+    """``s`` rebuilt as if the compiled loop could not be had, so that its ticks run the Python loop."""
     with mock.patch.object(kernels, "load", lambda: None):
         return records.replace(s)
 
@@ -393,16 +395,24 @@ def _tick_bits(*args):
         return str(exc)
 
 
+# a sinusoid whose phase 2 pi f t + phase overflows to inf at t = 1e308, where it reads nan at every substep
+_OVERFLOWING = SinusoidProfile(100.0, 50.0)
+
+
 @pytest.mark.skipif(not COMPILER, reason="no C compiler or Python.h: the Python loop runs alone")
 @given(_loop_ticks(COMPILED_SPEEDS), st.just(0.0) | FINITE, st.tuples(*[st.floats(-1e3, 1e3)] * 4),
        st.floats(-1e4, 1e4))
+@example((tick_scenario(P0, 1e-6, 7, _OVERFLOWING), _OVERFLOWING), 1e308, (1.0, -2.0, 3.0, 4.0), 100.0)
 def test_compiled_loop_equals_the_python_loop(tick, t, currents_and_voltages, omega):
-    # _kernels.c does the Python loop's float operations in its order, so every tick gives the same bits, or both
-    # raise the same error; with the first substep's speed taken from omega_m, given as p omega_m, or given apart
+    # _kernels.c does the Python loop's float operations in its order, and profile_tick calls the profile at its
+    # times, so every tick gives the same bits, or both raise the same error; with the first substep's speed taken
+    # from omega_m (mechanical) or the profile at t, given as p omega_m, or given apart; a profile passes omega_m
+    # through
     (s, speed), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
-    loop, args = _python_loop(s), (i_d, i_q, speed.omega0, v_d, v_q, t)
+    omega_m = speed.omega0 if isinstance(speed, MechanicalModel) else 0.0
+    loop, args = _python_loop(s), (i_d, i_q, omega_m, v_d, v_q, t)
     assert s._plant[-3] is not None and loop._plant[-3] is None
-    for first in (None, s.params.p * speed.omega0, omega):
+    for first in (None, s.params.p * omega_m, omega):
         assert _tick_bits(*args, s, first) == _tick_bits(*args, loop, first)
 
 
@@ -410,7 +420,8 @@ def _no_compile(patch, tmp_path, failure):
     """Make ``kernels.load`` fail by ``failure``: a compile that fails, a missing Python.h or an unwritable cache."""
     if failure == "compile":  # an unknown flag changes the digest and fails the compile
         patch.setattr(kernels, "FLAGS", kernels.FLAGS + ("-fno-such-option",))
-    elif failure == "Python.h":  # an include directory without it
+    elif failure == "Python.h":  # an include directory without it, met by a cold build in an empty cache
+        patch.setattr(kernels, "CACHE", tmp_path)
         get_path = sysconfig.get_path
         patch.setattr(sysconfig, "get_path", lambda name, *a, **kw: str(tmp_path) if name == "include"
                       else get_path(name, *a, **kw))
@@ -421,8 +432,8 @@ def _no_compile(patch, tmp_path, failure):
 
 @pytest.mark.parametrize("failure", ["compile", "Python.h", "cache"])
 def test_runs_take_the_python_twins_where_the_build_fails(monkeypatch, tmp_path, failure):
-    # where the compiled twins cannot be had, the scenario takes the Python loop and the controllers the Python law,
-    # to the same frames: every controller on a mechanical scenario and on s1
+    # where the compiled twins cannot be had, the scenarios take the Python loop and the controllers the Python law,
+    # to the same frames: every controller on a mechanical scenario and on s1, whose speed is a varying profile
     from oflc.config import parse_config
 
     scenarios = [parse_config((SCENARIOS / name).read_text())[0] for name in ("mechanical.cfg", "s1.cfg")]
@@ -434,14 +445,13 @@ def test_runs_take_the_python_twins_where_the_build_fails(monkeypatch, tmp_path,
             assert kernels.load() is None
             assert not isinstance(control_law(P0, V_MAX, 1e-3), functools.partial)
             fallback = [records.replace(s) for s in scenarios]
-            assert fallback[0]._plant[-3] is None and fallback == scenarios
+            assert all(x._plant[-3] is None for x in fallback) and fallback == scenarios
             python = [repr(run_scenario(s, c)) for s in fallback for c in CONTROLLERS]
         finally:
             kernels.load.cache_clear()
-    assert (scenarios[0]._plant[-3] is not None) == COMPILER
+    assert all((x._plant[-3] is not None) == COMPILER for x in scenarios)
     assert isinstance(control_law(P0, V_MAX, 1e-3), functools.partial) == COMPILER
     assert python == compiled
-
 
 def test_substep_loop_keeps_rk4_order():
     # criterion 10's two checks, of the substep loop rather than the closed form: the same speeds, held by step
@@ -715,6 +725,34 @@ def test_run_continuous_evaluates_the_law_once_per_stage(monkeypatch):
                          1e-5, z_smoothing=0.5)
     assert len(run.t) == n + 1 and len(calls) == 4 * n + 1
     assert run.clamped.any() and not run.clamped.all()
+
+
+def test_run_continuous_takes_the_compiled_law_to_the_closure_s_arrays(monkeypatch):
+    # each RK4 stage passes the law a tuple, so where the compiled twins load it runs the compiled law and never
+    # its closure (the states stay clear of b's degenerate point), and gives the closure's arrays, bit for bit
+    closure_calls = []
+
+    def counted(*run):
+        law = control_law(*run)
+        if not isinstance(law, functools.partial):
+            return law
+
+        def closure(*state):
+            closure_calls.append(state)
+            return law.args[1](*state)
+        return functools.partial(law.func, law.args[0], closure)
+
+    for z_smoothing in (0.0, 0.5):
+        args = (P0, V_MAX, SinusoidProfile(80.0, 300.0), TrapezoidProfile(0.0, 300.0, 0.0, 1e-3), 50e-5, 1e-5)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "control_law", counted)
+            compiled = run_continuous(*args, z_smoothing=z_smoothing)
+        with mock.patch.object(kernels, "load", lambda: None):
+            python = run_continuous(*args, z_smoothing=z_smoothing)
+        for name in ("t", "i", "tau", "u", "clamped"):
+            a, b = getattr(compiled, name), getattr(python, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert closure_calls == []
 
 
 def test_clamped_ticks_spend_no_voltage_on_z():
