@@ -55,8 +55,10 @@ static PyObject *tuple_of(const double *x, Py_ssize_t n, PyObject *last)
 }
 
 /* law(packed, python_law, i_dq, omega, u_raw): the law of loop.control_law, whose docstring is its contract, on a
- * tuple of two floats and two floats (exact types).  Any other call, and a degenerate b, goes to python_law, the
- * closure it twins, so that its results, result types, errors and messages are that closure's. */
+ * tuple of two floats and two floats (exact types), with the float operations of loop.composed_control_law's steps in
+ * their order, in 0.2-0.3 us a call against 5-9 us for that composition.  Any other call, and a degenerate b, goes
+ * to python_law, the composition it twins, so that its results, result types, errors and messages are the
+ * composition's. */
 static PyObject *law(PyObject *module, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
 {
     if (nargs < 2) {

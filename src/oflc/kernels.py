@@ -1,14 +1,15 @@
 """The compiled twins of the control law and of the plant's substep loop: ``_kernels.c``, built once and loaded.
 
 ``_kernels.c`` is one CPython extension module, ``_kernels``, of three
-functions: ``law``, the twin of the law ``loop.control_law`` builds, and
-the twins of ``sim.rk4_plant_step``'s substep loop, ``mechanical_tick``
-for a mechanical speed at a constant load and ``profile_tick`` for a
-varying speed profile, which it calls from C.  Each does every float
-operation of its Python twin in the same order, so its results are
-bit-identical, and the Python twins stay as their reference and as the
-path wherever the module cannot be had.  ``load`` alone decides that,
-once per process.
+functions: ``law``, the twin of ``loop.composed_control_law``, the
+Python law ``loop.control_law`` builds (0.2-0.3 us a call against
+5-9 us), and the twins of ``sim.rk4_plant_step``'s substep loop,
+``mechanical_tick`` for a mechanical speed at a constant load and
+``profile_tick`` for a varying speed profile, which it calls from C.
+Each does every float operation of its Python twin in the same order,
+so its results are bit-identical, and the Python twins stay as their
+reference and as the path wherever the module cannot be had.  ``load``
+alone decides that, once per process.
 """
 
 import functools

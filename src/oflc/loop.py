@@ -12,7 +12,11 @@ to tick.
 The torque pipeline per tick, on the measured dq currents: the torque
 estimate feeds the PI loop, which forms u (pure feedforward when both
 gains are zero), and the law that ``control_law`` builds, whose
-docstring is the law's contract, maps u to the dq voltages.  Each tick
+docstring is the law's contract, maps u to the dq voltages.  The law is
+written once in Python, as ``composed_control_law`` over the step
+functions of ``linearization`` and ``optimizer``, and once in C, as
+``_kernels.c``'s ``law``, which runs wherever ``kernels.load`` gives
+it: 0.2-0.3 us a call against 5-9 us for the composition.  Each tick
 returns one ``ControlFrame``: Python floats named and ordered as the
 trace CSV columns, and a flags int.  The closed torque loop is the
 first-order system of ``linearization``, independent of z.
@@ -81,11 +85,9 @@ def control_law(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0
     the z rule (z = 0 unless ``use_z``; ``z_smoothing`` as in
     ``optimizer.optimal_z``).  They are those of ``composed_control_law``
     after ``u_raw``; a ``z_smoothing`` neither 0 nor inside its
-    ``domain.RANGES`` raises ValidationError.  Their constants are
-    computed here once, as locals, with the float operations the law
-    would otherwise repeat at every tick, and the law reads them by name.
-    ``TorqueController`` builds it once per run and runs it once per
-    tick, ``sim.run_continuous`` at every RK4 stage.
+    ``domain.RANGES`` raises ValidationError.  ``TorqueController``
+    builds the law once per run and runs it once per tick,
+    ``sim.run_continuous`` at every RK4 stage.
 
     At the dq currents ``i_dq``, ``law`` computes the linearization terms
     b and phi, clamps u_raw into its feasible band given v_max, estimates
@@ -93,126 +95,55 @@ def control_law(params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0
     b and maps (u, z) to the dq voltages v = b/|b|^2 (u - phi) + z.  It
     returns one flat tuple (v_d, v_q, u_feasible, lambda_d, lambda_q,
     z_d, z_q, flags), with the flags bits of ``optimizer.FLAG_NAMES``,
-    for its callers to unpack once.
-
-    It is one flat body on Python floats: the closed forms of
-    ``compute_terms``, ``clamp_torque_command``, ``costate_matrices``,
-    ``estimate_costate``, ``z_limit``, ``optimal_z`` and ``linearize``
-    are written inline, each float operation in their order; the tests
-    and ``oflc selftest`` hold it equal to ``composed_control_law`` bit
-    for bit.  It checks only b: ``law`` raises DegenerateBError if b
-    vanishes at i_dq, and what voltage to apply then is the caller's
-    decision.  Its u lies in the clamp band, so a negative z budget
-    (where |phi| dwarfs |b| v_max) is rounding, and z gets none; and
-    z = m n is orthogonal to b by construction.  So neither
-    ``z_limit``'s NegativeDiscriminantError nor ``linearize``'s
+    for its callers to unpack once.  It checks only b: ``law`` raises
+    DegenerateBError if b vanishes at i_dq, and what voltage to apply
+    then is the caller's decision.  Its u lies in the clamp band, so a
+    negative z budget (where |phi| dwarfs |b| v_max) is rounding, and z
+    gets none; and z = m n is orthogonal to b by construction.  So
+    neither ``z_limit``'s NegativeDiscriminantError nor ``linearize``'s
     OrthogonalityViolation has anything to catch here.
 
-    Where ``kernels.load`` gives the compiled twins and every constant is
-    a float, the law returned is
-    ``functools.partial(_kernels.law, constants, closure)``, the body
-    above in C with every float operation in its order; the tests and
-    the selftest hold it to ``closure`` bit for bit.  It computes a call
-    on a tuple of two floats and two floats (exact types), in about
-    0.25 us against 2 us for the closure (timeit, 2-core host, Python
-    3.11), and passes every other call, and a degenerate b, to
-    ``closure``, so its results, result types, errors and messages are
-    the closure's.  The closure is the law wherever the twins are not.
+    The Python law is ``composed_control_law`` with the run bound by
+    keyword, one call per step of the law.  Where ``kernels.load`` gives
+    the compiled twins and every constant of the run is a float, the law
+    returned is ``functools.partial(_kernels.law, constants, python_law)``:
+    the composition's float operations in C, in their order, which the
+    tests and ``oflc selftest`` hold to ``composed_control_law`` bit for
+    bit.  It computes a call on a tuple of two floats and two floats
+    (exact types), in 0.2-0.3 us, and passes every other call, and a
+    degenerate b, to the composition, so its results, result types,
+    errors and messages are the composition's.  The composition is the
+    law wherever the twins are not, at 5-9 us a call (timeit, best of 7,
+    2-vCPU host, Python 3.11, gcc 12).
     """
     if z_smoothing != 0.0:
         check(z_smoothing=z_smoothing)
+    python_law = functools.partial(composed_control_law, params=params, v_max=v_max, horizon=horizon,
+                                   alpha_z=alpha_z, use_z=use_z, z_smoothing=z_smoothing)
     R, L_d, L_q, psi = params.R, params.L_d, params.L_q, params.psi
     k_tau, saliency = 1.5 * params.p, L_d - L_q
     t_dq = k_tau * saliency  # the Hessian entry of machine.torque_hessian
     mu = L_q / R
     mu_d, mu_q = mu / L_d, mu / L_q
-    h_dd = h_qq = -R  # the diagonal of dh/di
-    neg_L_d, g_dq, g_qd = -L_d, mu_d * t_dq, mu_q * t_dq
-    inv_h, two_h, v_max2 = 1.0 / horizon, 2.0 * horizon, v_max * v_max
-
-    def law(i_dq, omega, u_raw):
-        i_d, i_q = i_dq
-        # compute_terms: b = mu L^-1 grad tau, h and phi = tau + b^T h
-        b_d, b_q = mu_d * (t_dq * i_q), mu_q * (k_tau * (psi + saliency * i_d))
-        b2 = b_d * b_d + b_q * b_q
-        b_norm = math.sqrt(b2)
-        if b2 < EPS_B * EPS_B:
-            raise DegenerateBError(f"|b| = {b_norm:.3e} at i = ({i_d}, {i_q})")
-        h_dq, h_qd = L_q * omega, neg_L_d * omega
-        h_d = h_dd * i_d + h_dq * i_q
-        h_q = h_qd * i_d + h_qq * i_q - psi * omega
-        phi = k_tau * (psi * i_q + saliency * i_d * i_q) + b_d * h_d + b_q * h_q
-        # clamp_torque_command
-        u_min, u_max = phi - b_norm * v_max, phi + b_norm * v_max
-        if u_raw > u_max:
-            u, clamped = u_max, True
-        elif u_raw < u_min:
-            u, clamped = u_min, True
-        else:
-            u, clamped = u_raw, False
-        # costate_matrices: A = (u - phi) Lambda + Gamma
-        dphi_d = L_d * b_d / mu + g_qd * h_q + h_dd * b_d + h_qd * b_q
-        dphi_q = L_q * b_q / mu + g_dq * h_d + h_dq * b_d + h_qq * b_q
-        gb_d, gb_q = g_qd * b_q, g_dq * b_d
-        w = 2.0 / (b2 * b2)
-        j_dd, j_dq = -w * b_d * gb_d, g_dq / b2 - w * b_d * gb_q
-        j_qd, j_qq = g_qd / b2 - w * b_q * gb_d, -w * b_q * gb_q
-        e = u - phi
-        c_d, c_q = b_d / b2, b_q / b2
-        # estimate_costate: M = I/h + A^T, lambda = 2 M^-1 i or the fallback 2 h i
-        m_dd = inv_h + (c_d * dphi_d - h_dd - e * j_dd) / L_d
-        m_qd = (c_d * dphi_q - h_dq - e * j_dq) / L_d
-        m_dq = (c_q * dphi_d - h_qd - e * j_qd) / L_q
-        m_qq = inv_h + (c_q * dphi_q - h_qq - e * j_qq) / L_q
-        det = m_dd * m_qq - m_dq * m_qd
-        flags = U_CLAMPED if clamped else 0
-        if m_dd * m_dd + m_dq * m_dq + m_qd * m_qd + m_qq * m_qq < COND_LIMIT * abs(det):
-            lam_d = 2.0 * ((m_qq * i_d - m_dq * i_q) / det)
-            lam_q = 2.0 * ((m_dd * i_q - m_qd * i_d) / det)
-        else:
-            lam_d, lam_q = two_h * i_d, two_h * i_q
-            flags |= LAMBDA_FALLBACK
-        if use_z:
-            # z_limit; a clamped u leaves exactly no budget, and one inside the band a negative one only by rounding
-            disc = 0.0 if clamped else v_max2 - e * e / b2
-            z_max = 0.0 if disc < 0.0 else math.sqrt(disc)
-            # optimal_z: m n on the line perpendicular to b, n = (-b_q, b_d) / |b|
-            n_d, n_q = -b_q / b_norm, b_d / b_norm
-            s = n_d * (lam_d / L_d) + n_q * (lam_q / L_q)
-            if z_smoothing > 0.0:
-                m = -alpha_z * z_max * s / math.sqrt(s * s + z_smoothing * z_smoothing)
-                z_d, z_q = m * n_d, m * n_q
-                flags |= Z_ZEROED if z_max <= 0.0 else 0
-            elif abs(s) < EPS_D or z_max <= 0.0:
-                z_d = z_q = 0.0
-                flags |= Z_ZEROED
-            else:
-                m = -math.copysign(alpha_z * z_max, s)
-                z_d, z_q = m * n_d, m * n_q
-                flags |= Z_AT_LIMIT
-        else:
-            z_d = z_q = 0.0
-        # linearize: v = b/|b|^2 (u - phi) + z
-        return c_d * e + z_d, c_q * e + z_q, u, lam_d, lam_q, z_d, z_q, flags
-
-    run = (mu_d, mu_q, t_dq, k_tau, psi, saliency, L_d, L_q, neg_L_d, h_dd, mu, g_dq, g_qd, v_max, inv_h, two_h,
-           v_max2, alpha_z, z_smoothing)
+    run = (mu_d, mu_q, t_dq, k_tau, psi, saliency, L_d, L_q, -L_d, -R, mu, mu_d * t_dq, mu_q * t_dq, v_max,
+           1.0 / horizon, 2.0 * horizon, v_max * v_max, alpha_z, z_smoothing)  # the first fields of _kernels.c's Law
     compiled = kernels.load()
-    # the twin computes on doubles, as the closure does only where every constant is a float: an int or a numpy
-    # scalar can change the closure's result types or errors
+    # the twin computes on doubles, as the composition does only where every constant is a float: an int or a numpy
+    # scalar can change its result types or errors
     if compiled is None or any(type(x) is not float for x in run):
-        return law
+        return python_law
     constants = struct.pack("27d", *run, EPS_B * EPS_B, COND_LIMIT, EPS_D, 1.0 if use_z else 0.0, U_CLAMPED,
                             LAMBDA_FALLBACK, Z_ZEROED, Z_AT_LIMIT)  # _kernels.c's Law, field by field
-    return functools.partial(compiled.law, constants, law)
+    return functools.partial(compiled.law, constants, python_law)
 
 
 def composed_control_law(i_dq, omega, u_raw, params, v_max, horizon, alpha_z=1.0, use_z=True, z_smoothing=0.0):
     """The law ``control_law`` builds, as the composition of the step functions, one call per step of the law.
 
-    The reference form: ``composed_control_law(i_dq, omega, u_raw, *run)``
-    has the results and errors of ``control_law(*run)(i_dq, omega, u_raw)``,
-    bit for bit: ``z_limit`` sees only an unclamped u.
+    ``composed_control_law(i_dq, omega, u_raw, *run)`` has the results
+    and errors of ``control_law(*run)(i_dq, omega, u_raw)``, bit for bit:
+    it is the Python law, and the compiled law's reference.  ``z_limit``
+    sees only an unclamped u.
     """
     terms = linearization.compute_terms(i_dq, omega, params)
     u_feasible, flags = optimizer.clamp_torque_command(u_raw, terms, v_max)

@@ -488,7 +488,7 @@ def run_continuous(params, v_max, u_profile, omega_profile, duration, dt,
 
     def deriv(i, t):
         omega = float(omega_profile(t))
-        # a tuple of floats, which the compiled law computes: it hands a list to its Python closure
+        # a tuple of floats, which the compiled law computes: it hands a list to composed_control_law
         v_d, v_q, u, _, _, _, _, flags = law(tuple(i.tolist()), omega, float(u_profile(t)))
         applied.append((u, bool(flags & U_CLAMPED)))
         return dq_dynamics(i, (v_d, v_q), omega, params)

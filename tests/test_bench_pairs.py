@@ -48,6 +48,19 @@ def test_verdict_counts_wins_and_compares_the_median_gain_with_the_parent_iqr(be
     assert verdict(PARENT, [0.8 * p for p in PARENT], "lower")["claim_met"]
 
 
+def test_verdict_reports_the_pair_ratio_quartiles_beside_an_unchanged_rule(bench_pairs):
+    verdict = bench_pairs.verdict
+    # a parent that drifts from 40 to 130 across the pairs and a change 1.25 times it in each: the ratios do not
+    # spread, yet the claim rule still compares the median gain, 21.25, with the parent's IQR, 45
+    drifting = [40.0 + 10.0 * k for k in range(10)]
+    v = verdict(drifting, [1.25 * p for p in drifting], "higher")
+    assert (v["pair_ratio_q1"], v["median_pair_ratio"], v["pair_ratio_q3"]) == (1.25, 1.25, 1.25)
+    assert (v["change_better_pairs"], v["median_gain"], v["parent_iqr"], v["claim_met"]) == (10, 21.25, 45.0, False)
+    # ratios 1, 1.25, ..., 3.25 on a flat parent: quartiles by statistics.quantiles(method="inclusive")
+    v = verdict([4.0] * 10, [4.0 + k for k in range(10)], "higher")
+    assert (v["pair_ratio_q1"], v["median_pair_ratio"], v["pair_ratio_q3"]) == (1.5625, 2.125, 2.6875)
+
+
 def test_regression_is_worse_beyond_the_bound_and_unresolved_where_the_parent_spreads_wider(bench_pairs):
     regression = bench_pairs.regression
     # PARENT's median is 89 and its IQR 9: a bound of 0.25 gives a margin of 22.25 (wider than the IQR), one of

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import COMPILER, P0, P_NS, V_MAX, random_state, tick_scenario
 from test_config import MACHINES, within
-from oflc import machine, optimizer
+from oflc import kernels, machine, optimizer
 from oflc.domain import RANGES
 from oflc.errors import DegenerateBError, ValidationError
 from oflc.linearization import compute_terms
@@ -215,17 +215,18 @@ def _law_calls(draw):
 @example(((P0, V_MAX, 1e-3, 1.0, True, 0.0), ((3.0, -4.0), 200.0, 1e9)))  # clamped
 @example(((P_NS, V_MAX, 1e-3, 0.5, False, 0.0), ((3.0, -4.0), math.nan, 2.0)))
 @example(((P0, V_MAX, 1e-3, 1.0, True, 0.3), ([3.0, -4.0], 200, np.float64(2.0))))
-def test_compiled_law_equals_the_python_closure(call):
-    # the compiled law does the closure's float operations in its order, so every call gives the same bits, or the
-    # same error; a call it does not take (a degenerate b, or an input that is not an exact float) goes to the
-    # closure, and only such a call
+def test_compiled_law_equals_composed_control_law(call):
+    # the compiled law does composed_control_law's float operations in their order, so every call gives the same
+    # bits, or the same error; a call it does not take (a degenerate b, or an input that is not an exact float) goes
+    # to the Python law it holds, and only such a call.  The oracle is composed_control_law called on its own, not
+    # through the held law, so a wrong binding of the run would show
     run, args = call
     law = control_law(*run)
-    assert isinstance(law, functools.partial)
-    constants, closure = law.args
+    assert law.func is kernels.load().law
+    constants, python_law = law.args
     taken = []
-    seen = functools.partial(law.func, constants, lambda *a: taken.append(a) or closure(*a))
-    expected = _outcome(closure, *args)
+    seen = functools.partial(law.func, constants, lambda *a: taken.append(a) or python_law(*a))
+    expected = _outcome(composed_control_law, *args, *run)
     assert _outcome(law, *args) == _outcome(seen, *args) == expected
     floats = type(args[0]) is tuple and all(type(x) is float for x in (*args[0], *args[1:]))
     assert bool(taken) == (not floats or expected[0] is DegenerateBError)
@@ -331,16 +332,24 @@ def test_control_step_deterministic():
         assert fa == fb
 
 
+def _held(x):
+    """``x`` and, recursively, the arguments and keywords it binds as a partial and its closure cells."""
+    yield x
+    for y in (*getattr(x, "args", ()), *getattr(x, "keywords", {}).values(),
+              *(cell.cell_contents for cell in getattr(x, "__closure__", None) or ())):
+        yield from _held(y)
+
+
 def test_controllers_hold_no_scenario_or_settings():
-    # each controller reads its run once, at construction: none of its attributes, the members of its tuples, the
-    # arguments a member binds or the closure cells of any of these is the scenario or the settings
+    # each controller reads its run once, at construction: none of its attributes, the members of its tuples, or
+    # what any of these binds (a compiled law holds the Python law, which binds the run by keyword) is the scenario
+    # or the settings
     scenario, settings = tick_scenario(P0, 1e-4, 1), ControllerSettings()
     for name, build in CONTROLLERS.items():
         held = []
         for value in vars(build(scenario, settings)).values():
             for member in value if isinstance(value, tuple) else (value,):
-                for x in (member, *getattr(member, "args", ())):  # a compiled law holds its closure among its args
-                    held += [x, *(cell.cell_contents for cell in getattr(x, "__closure__", None) or ())]
+                held += _held(member)
         assert not [x for x in held if isinstance(x, (Scenario, ControllerSettings))], name
 
 

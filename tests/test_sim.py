@@ -19,7 +19,7 @@ from oflc import kernels, records, sim
 from oflc.domain import RK4_RADIUS, rk4_limit
 from oflc.errors import NonFiniteStateError, ValidationError
 from oflc.linearization import compute_terms
-from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings, control_law
+from oflc.loop import CONTROLLERS, ControlFrame, ControllerSettings, composed_control_law, control_law
 from oflc.machine import MachineParams, dq_dynamics, torque
 from oflc.optimizer import B_DEGENERATE, U_CLAMPED
 from oflc.profiles import ConstantProfile, SinusoidProfile, StepProfile, TableProfile, TrapezoidProfile
@@ -443,14 +443,14 @@ def test_runs_take_the_python_twins_where_the_build_fails(monkeypatch, tmp_path,
         kernels.load.cache_clear()
         try:
             assert kernels.load() is None
-            assert not isinstance(control_law(P0, V_MAX, 1e-3), functools.partial)
+            assert control_law(P0, V_MAX, 1e-3).func is composed_control_law
             fallback = [records.replace(s) for s in scenarios]
             assert all(x._plant[-3] is None for x in fallback) and fallback == scenarios
             python = [repr(run_scenario(s, c)) for s in fallback for c in CONTROLLERS]
         finally:
             kernels.load.cache_clear()
     assert all((x._plant[-3] is not None) == COMPILER for x in scenarios)
-    assert isinstance(control_law(P0, V_MAX, 1e-3), functools.partial) == COMPILER
+    assert (control_law(P0, V_MAX, 1e-3).func is getattr(kernels.load(), "law", None)) == COMPILER
     assert python == compiled
 
 def test_substep_loop_keeps_rk4_order():
@@ -613,9 +613,11 @@ def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
         reads.clear()
 
 
+@pytest.mark.skipif(not COMPILER, reason="no C compiler or Python.h: the Python law runs alone")
 def test_simulators_never_call_the_reference_steps(monkeypatch):
-    # loop.control_law alone gives what a simulator applies; the step functions are only its reference,
-    # so every oflc name bound to one of them raises for the length of the runs
+    # where the compiled twins load, the compiled law alone gives what a simulator applies; the step functions are
+    # its reference, and its fallback only at a degenerate b or an input that is not an exact float, which these
+    # runs never meet, so every oflc name bound to one of them raises for the length of the runs
     from oflc import linearization, optimizer
 
     steps = (linearization.compute_terms, linearization.linearize, optimizer.clamp_torque_command,
@@ -727,20 +729,21 @@ def test_run_continuous_evaluates_the_law_once_per_stage(monkeypatch):
     assert run.clamped.any() and not run.clamped.all()
 
 
-def test_run_continuous_takes_the_compiled_law_to_the_closure_s_arrays(monkeypatch):
+def test_run_continuous_takes_the_compiled_law_to_the_composed_law_s_arrays(monkeypatch):
     # each RK4 stage passes the law a tuple, so where the compiled twins load it runs the compiled law and never
-    # its closure (the states stay clear of b's degenerate point), and gives the closure's arrays, bit for bit
-    closure_calls = []
+    # the composed law it holds (the states stay clear of b's degenerate point), and gives the composed law's
+    # arrays, bit for bit
+    composed_calls = []
 
     def counted(*run):
         law = control_law(*run)
-        if not isinstance(law, functools.partial):
+        if law.func is composed_control_law:
             return law
 
-        def closure(*state):
-            closure_calls.append(state)
+        def composed(*state):
+            composed_calls.append(state)
             return law.args[1](*state)
-        return functools.partial(law.func, law.args[0], closure)
+        return functools.partial(law.func, law.args[0], composed)
 
     for z_smoothing in (0.0, 0.5):
         args = (P0, V_MAX, SinusoidProfile(80.0, 300.0), TrapezoidProfile(0.0, 300.0, 0.0, 1e-3), 50e-5, 1e-5)
@@ -752,7 +755,7 @@ def test_run_continuous_takes_the_compiled_law_to_the_closure_s_arrays(monkeypat
         for name in ("t", "i", "tau", "u", "clamped"):
             a, b = getattr(compiled, name), getattr(python, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert closure_calls == []
+    assert composed_calls == []
 
 
 def test_clamped_ticks_spend_no_voltage_on_z():

@@ -12,8 +12,9 @@ Pair k uses seed S + k on both sides, and the side that runs first
 alternates, parent first in pair 0.  Each side runs its own ``bench/``.
 
 Prints each pair's end-to-end values and change/parent ratios, then per
-metric the change's wins, each side's median, the parent's quartiles, the
-claim rule's verdict (``verdict``) and the no-regression verdict against
+metric the change's wins, each side's median, the quartiles of the
+per-pair ratios and of the parent's values, the claim rule's verdict
+(``verdict``) and the no-regression verdict against
 the metric's ``bound`` in ``BENCHMARK.json`` (``regression``).  With
 ``--out`` the pairs and the summary are also written as JSON.  Exits 0
 when every run completed and its outputs passed the benchmark's checks, 1
@@ -39,7 +40,10 @@ def verdict(parent, change, better):
     a tie counts for neither side.  The claim is met when the change wins
     at least nine tenths of the pairs and its median is better than the
     parent's by more than the parent's interquartile range (quartiles by
-    ``statistics.quantiles(method="inclusive")``).  Needs two pairs or more.
+    ``statistics.quantiles(method="inclusive")``).  The quartiles of the
+    per-pair change/parent ratios are reported beside it, as data: they
+    show the change's spread with the host's drift between pairs taken
+    out, and the rule does not read them.  Needs two pairs or more.
     """
     sign = 1.0 if better == "higher" else -1.0
     n = len(parent)
@@ -47,11 +51,13 @@ def verdict(parent, change, better):
     parent_q1, parent_median, parent_q3 = statistics.quantiles(parent, n=4, method="inclusive")
     change_q1, change_median, change_q3 = statistics.quantiles(change, n=4, method="inclusive")
     gain = sign * (change_median - parent_median)
+    ratios = [c / p for p, c in zip(parent, change)]
+    ratio_q1, _, ratio_q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     return {
         "pairs": n, "change_better_pairs": wins,
         "parent_median": parent_median, "parent_q1": parent_q1, "parent_q3": parent_q3,
         "change_median": change_median, "change_q1": change_q1, "change_q3": change_q3,
-        "median_pair_ratio": statistics.median(c / p for p, c in zip(parent, change)),
+        "median_pair_ratio": statistics.median(ratios), "pair_ratio_q1": ratio_q1, "pair_ratio_q3": ratio_q3,
         "median_gain": gain, "parent_iqr": parent_q3 - parent_q1,
         "claim_met": 10 * wins >= 9 * n and gain > parent_q3 - parent_q1,
     }
@@ -152,7 +158,8 @@ def main(argv=None):
         for name, v in summary["metrics"].items():
             print(f"  {name}: change better in {v['change_better_pairs']}/{v['pairs']}; median "
                   f"{v['parent_median']:.6g} -> {v['change_median']:.6g}, median pair ratio "
-                  f"{v['median_pair_ratio']:.4f}; parent IQR {v['parent_iqr']:.4g} "
+                  f"{v['median_pair_ratio']:.4f} [{v['pair_ratio_q1']:.4f}, {v['pair_ratio_q3']:.4f}]; "
+                  f"parent IQR {v['parent_iqr']:.4g} "
                   f"[{v['parent_q1']:.6g}, {v['parent_q3']:.6g}]; claim rule {'met' if v['claim_met'] else 'not met'}; "
                   f"bound {v['bound']:g}: {v['regression']}")
     if args.out:
