@@ -1,11 +1,10 @@
 /* The compiled twins of loop.control_law's law and of sim.rk4_plant_step's substep loop, as the CPython extension
- * module _kernels of three functions: law, and the loop's two tick functions, mechanical_tick (a mechanical speed at a
- * constant load) and profile_tick (a varying speed profile), which share its substep body; oflc.kernels builds and
- * loads it.
+ * module _kernels of two functions: law, and tick, which steps the loop's ticks under a varying speed profile and in
+ * mechanical mode, at a constant or a varying load; oflc.kernels builds and loads it.
  *
  * Each does every float operation of its Python twin, in the same order, on IEEE binary64; built with
  * -ffp-contract=off and without -ffast-math, so no multiply-add is fused and no subnormal is flushed, every result
- * equals CPython's bit for bit.  All take Python objects through METH_FASTCALL, so a call costs about what a call
+ * equals CPython's bit for bit.  Both take Python objects through METH_FASTCALL, so a call costs about what a call
  * of a Python builtin does. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -142,16 +141,12 @@ static PyObject *law(PyObject *module, PyObject *const *args, Py_ssize_t nargs, 
 }
 
 /* The plant's constants, packed by sim.Scenario in this order, each a double: dt, h/2, h/3, h/4, a_d, a_q,
- * a_d h/2, a_d h/3, a_d h/4, a_q h/2, a_q h/3, a_q h/4, L_d, L_q, psi and p. */
+ * a_d h/2, a_d h/3, a_d h/4, a_q h/2, a_q h/3, a_q h/4, L_d, L_q, psi and p; then the mechanical speed's Euler step,
+ * c_1, c_2, friction and dt/J, and 1 where its load varies, else 0 (all five 0 under a speed profile). */
 typedef struct {
-    double dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p;
+    double dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, c_1, c_2, friction, k_m,
+        load_varies;
 } Plant;
-
-/* The plant's constants, then the mechanical speed's Euler step: c_1, c_2, friction and dt/J. */
-typedef struct {
-    Plant plant;
-    double c_1, c_2, friction, k_m;
-} Mechanical;
 
 /* The flux linkages L_d i_d and L_q i_q. */
 typedef struct {
@@ -178,84 +173,68 @@ static int doubles(PyObject *const *args, double *x, int n)
     return 0;
 }
 
-/* mechanical_tick(packed, i_d, i_q, omega_m, omega, v_d, v_q, tau_load, n) -> (i_d, i_q, omega_m): the n substeps
- * of one mechanical tick at a constant load, omega the first substep's electrical speed; packed is a Mechanical. */
-static PyObject *mechanical_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* *x = profile(at), or profile(t) where at is NULL; -1 with the exception set where the call raises, an error of the
+ * profile's as it is, or its result is not a number. */
+static int read_at(PyObject *profile, PyObject *at, double t, double *x)
 {
-    Mechanical k;
-    double x[7];
-    if (nargs != 9) {
-        PyErr_Format(PyExc_TypeError, "mechanical_tick takes 9 arguments (%zd given)", nargs);
-        return NULL;
-    }
-    if (unpack(args[0], &k, sizeof k) < 0 || doubles(args + 1, x, 7) < 0)
-        return NULL;
-    const long n = PyLong_AsLong(args[8]);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    const double v_d = x[4], v_q = x[5], tau_load = x[6];
-    Flux y = {k.plant.L_d * x[0], k.plant.L_q * x[1]};
-    double omega_m = x[2], omega = x[3];
-    for (long j = 0; j < n; j++) {
-        y = substep(&k.plant, y, omega, v_d, v_q);
-        omega_m += (y.q * (k.c_1 + k.c_2 * y.d) - tau_load - k.friction * omega_m) * k.k_m;
-        omega = k.plant.p * omega_m;
-    }
-    const double out[3] = {y.d / k.plant.L_d, y.q / k.plant.L_q, omega_m};
-    return tuple_of(out, 3, NULL);
-}
-
-/* *omega = speed(t); -1 with the exception set where the call raises or its result is not a number. */
-static int read_speed(PyObject *speed, PyObject *t, double *omega)
-{
-    PyObject *reading = PyObject_CallOneArg(speed, t);
+    PyObject *t_obj = at != NULL ? Py_NewRef(at) : PyFloat_FromDouble(t);
+    PyObject *reading = t_obj == NULL ? NULL : PyObject_CallOneArg(profile, t_obj);
+    Py_XDECREF(t_obj);
     if (reading == NULL)
         return -1;
-    *omega = PyFloat_AsDouble(reading);
+    *x = PyFloat_AsDouble(reading);
     Py_DECREF(reading);
-    return *omega == -1.0 && PyErr_Occurred() ? -1 : 0;
+    return *x == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* profile_tick(packed, speed, n, i_d, i_q, v_d, v_q, t, omega) -> (i_d, i_q): the n substeps of one tick under a
- * varying speed profile, the callable speed; packed is a Plant.  The first substep runs at omega, or at speed(t) where
- * omega is None, and substep j >= 1 at speed(t + j dt), the float the Python loop computes, called in its order; an
- * error the profile raises propagates as it is. */
-static PyObject *profile_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+/* tick(packed, speed, load, n, i_d, i_q, omega_m, v_d, v_q, t, omega) -> (i_d, i_q, omega_m): the n substeps of one
+ * tick of sim.rk4_plant_step's loop, the first at the electrical speed omega; packed is a Plant.  Under a speed
+ * profile (load None) substep j >= 1 runs at speed(t + j dt), and omega_m passes through.  In mechanical mode (a load
+ * profile; speed is not called) the load is read at t, and a varying one again after each later substep j, at
+ * t + j dt; omega_m then takes its Euler step and sets the next substep's speed, p omega_m.  Every profile call is
+ * the loop's, at its float times and in its order.  The mode is tested once, outside the two loops. */
+static PyObject *tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Plant k;
-    double x[5], omega;
-    if (nargs != 9) {
-        PyErr_Format(PyExc_TypeError, "profile_tick takes 9 arguments (%zd given)", nargs);
+    double x[7];
+    if (nargs != 11) {
+        PyErr_Format(PyExc_TypeError, "tick takes 11 arguments (%zd given)", nargs);
         return NULL;
     }
     if (unpack(args[0], &k, sizeof k) < 0)
         return NULL;
-    PyObject *speed = args[1];
-    const long n = PyLong_AsLong(args[2]);
-    if ((n == -1 && PyErr_Occurred()) || doubles(args + 3, x, 5) < 0)
+    PyObject *speed = args[1], *load = args[2];
+    const long n = PyLong_AsLong(args[3]);
+    if ((n == -1 && PyErr_Occurred()) || doubles(args + 4, x, 7) < 0)
         return NULL;
-    if (args[8] == Py_None ? read_speed(speed, args[7], &omega) < 0 : doubles(args + 8, &omega, 1) < 0)
-        return NULL;
-    const double v_d = x[2], v_q = x[3], t = x[4];
+    const double v_d = x[3], v_q = x[4], t = x[5];
+    double omega_m = x[2], omega = x[6], tau_load;
     Flux y = {k.L_d * x[0], k.L_q * x[1]};
-    for (long j = 0; j < n; j++) {
-        if (j) {
-            PyObject *t_j = PyFloat_FromDouble(t + (double)j * k.dt);
-            const int failed = t_j == NULL || read_speed(speed, t_j, &omega) < 0;
-            Py_XDECREF(t_j);
-            if (failed)
+    if (load == Py_None) {
+        for (long j = 0; j < n; j++) {
+            if (j && read_at(speed, NULL, t + (double)j * k.dt, &omega) < 0)
                 return NULL;
+            y = substep(&k, y, omega, v_d, v_q);
         }
-        y = substep(&k, y, omega, v_d, v_q);
+    } else {
+        if (read_at(load, args[9], t, &tau_load) < 0)
+            return NULL;
+        for (long j = 0; j < n; j++) {
+            y = substep(&k, y, omega, v_d, v_q);
+            if (k.load_varies != 0.0 && j && read_at(load, NULL, t + (double)j * k.dt, &tau_load) < 0)
+                return NULL;
+            omega_m += (y.q * (k.c_1 + k.c_2 * y.d) - tau_load - k.friction * omega_m) * k.k_m;
+            omega = k.p * omega_m;
+        }
     }
     const double out[2] = {y.d / k.L_d, y.q / k.L_q};
-    return tuple_of(out, 2, NULL);
+    PyObject *last = load == Py_None ? Py_NewRef(args[6]) : PyFloat_FromDouble(omega_m);
+    return last == NULL ? NULL : tuple_of(out, 2, last);
 }
 
 static PyMethodDef methods[] = {
     {"law", (PyCFunction)(void (*)(void))law, METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"mechanical_tick", (PyCFunction)(void (*)(void))mechanical_tick, METH_FASTCALL, NULL},
-    {"profile_tick", (PyCFunction)(void (*)(void))profile_tick, METH_FASTCALL, NULL},
+    {"tick", (PyCFunction)(void (*)(void))tick, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

@@ -20,9 +20,10 @@ Conventions used throughout the package:
   ``torque`` within a tolerance (its docstring is the plant's contract);
   and ``loop.TorqueController.step`` copies ``torque``, tied in
   ``tests/test_loop.py`` to it.  ``_kernels.c`` holds C twins of the law
-  and of the substep loop, tied bit for bit to
-  ``loop.composed_control_law`` and to the Python loop in those two test
-  files; the law's twin takes 0.2-0.3 us a call, the composition 5-9 us;
+  (``law``) and of the whole substep loop, under every speed source
+  (``tick``), tied bit for bit to ``loop.composed_control_law`` and to
+  the Python loop in those two test files; the law's twin takes
+  0.2-0.3 us a call, the composition 5-9 us;
 * ``theta`` is the mechanical shaft angle in radians; the transforms use
   the electrical angle ``p * theta``;
 * ``omega`` is the electrical-frame speed in rad/s (the speed that

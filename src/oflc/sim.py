@@ -24,9 +24,9 @@ as the trace CSV.
 ``run_open_loop`` and ``run_continuous`` work on numpy arrays and import
 it in their own bodies.  The first ``Scenario`` of a process loads the
 compiled twins of ``kernels``, and where it builds them, imports
-subprocess and sysconfig; with them, a tick under a varying speed
-profile, and a mechanical tick at a constant load, runs compiled (see
-``rk4_plant_step``).
+subprocess and sysconfig; with them, every tick that the closed-form map
+does not take, under a varying speed profile or in mechanical mode, runs
+compiled (see ``rk4_plant_step``).
 """
 
 import functools
@@ -58,12 +58,12 @@ __all__ = [
 
 # Bounds on a run's time and memory; the largest uses are 2000 substeps per tick (criterion 10), 50 000 ticks (the
 # non-salient acceptance fixture) and 10**5 substeps per run (scenarios/step.cfg).  A substep costs about 0.025 us in
-# the compiled mechanical loop (a constant load; its call adds about 0.4 us per tick), 0.1-0.3 us in the compiled
-# profile loop (almost all of it the profile's own call), and in the Python loop about 0.5 us in mechanical mode,
-# 0.55-0.8 us under a speed profile and 0.75-0.9 us under a varying load (timeit on 1000-substep ticks, 2-core host,
-# Python 3.11), so 10**8 substeps per run take 2.5 s compiled in mechanical mode, up to 30 s under a compiled profile
-# and up to about 90 s in Python; each tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of
-# trace.
+# the compiled loop in mechanical mode at a constant load (the tick's call adds about 0.4 us), 0.1-0.3 us where it
+# calls a varying speed profile or load at every substep (almost all of it the profile's own call), and in the
+# Python loop about 0.5 us in mechanical mode, 0.55-0.8 us under a speed profile and 0.75-0.9 us under a varying load
+# (timeit on 1000-substep ticks, 2-core host, Python 3.11), so 10**8 substeps per run take 2.5 s compiled at a
+# constant load, up to 30 s compiled where a profile is called at every substep, and up to about 90 s in Python; each
+# tick keeps a ControlFrame of about 0.5 kB, so 10**6 ticks hold 0.5 GB of trace.
 MAX_SUBSTEPS_PER_TICK = 10**6
 MAX_TICKS_PER_RUN = 10**6
 MAX_SUBSTEPS_PER_RUN = 10**8
@@ -158,13 +158,12 @@ class Scenario(Record):
         plant = (tick, range(n_sub), dt, *h_k, a_d, a_q, *(a_d * x for x in h_k), *(a_q * x for x in h_k),
                  params.L_d, params.L_q, params.psi, params.p)
         # the compiled twins load (and build, once) here, outside run_scenario, whose controllers' laws take them
-        # too; a varying speed profile's ticks and a constant load's mechanical ticks take the compiled loop, on the
-        # loop's floats packed as _kernels.c reads them
+        # too; every tick the map does not take runs the compiled loop, on the loop's floats packed as _kernels.c's
+        # Plant, with the speed's Euler step and load_varies, or zeros and no load under a speed profile
         module, compiled = kernels.load(), None
-        if module is not None and tick is None and mech is None:
-            compiled = functools.partial(module.profile_tick, struct.pack("16d", *plant[2:]), speed, n_sub)
-        elif module is not None and mech is not None and not mech[1]:
-            compiled = functools.partial(module.mechanical_tick, struct.pack("20d", *plant[2:], *mech[2:]))
+        if module is not None and tick is None:
+            load, euler = (None, (0.0,) * 5) if mech is None else (mech[0], (*mech[2:], mech[1]))
+            compiled = functools.partial(module.tick, struct.pack("21d", *plant[2:], *euler), speed, load, n_sub)
         object.__setattr__(self, "_plant", (*plant, compiled, speed, mech))
 
 
@@ -292,28 +291,28 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     first order: omega_m += (tau - tau_load - friction omega_m) dt/J,
     with ``machine.torque`` written in the flux, tau = y_q (c_1 + c_2 y_d).
 
-    Under a varying speed profile, and in mechanical mode at a
-    ``ConstantProfile`` load, the loop runs as its compiled twin,
-    ``_kernels.profile_tick`` or ``_kernels.mechanical_tick`` (see
-    ``kernels``): C functions that share one substep body and do every
-    float operation of the Python loop in the same order, on IEEE
-    binary64, so their results are bit-identical to the loop's (the tests
-    compare the ``float.hex`` of every value).  ``profile_tick`` calls the
-    profile from C, at the loop's times and in its order, so the profile
-    sees the same calls, and an error it raises propagates as it is.
-    Both are built with ``-O2 -std=c99 -ffp-contract=off`` and no
-    ``-ffast-math`` or ``-march``: no multiply-add is fused, nothing is
-    reordered and no subnormal is flushed to zero, so each operation
-    rounds as CPython's does.  ``Scenario`` builds and loads them when it
-    is constructed, so no run times the compile, and each tick calls one
-    as a Python builtin.  A substep costs about 0.025 us in mechanical
-    mode and 0.1-0.3 us under a profile, nearly all of it the profile's
-    call, against 0.5-0.8 us in the Python loop; a 1-substep tick takes
-    about 0.3-0.4 us, against 0.85-0.9 us in the loop.  The Python loop is
-    the twins' reference, and runs every tick under a varying load, and
-    every varying-speed tick where no compiler or ``Python.h``, a failed
-    compile or an unwritable cache leaves no twin to load, with the same
-    numbers.
+    Every tick that the map does not take, under a varying speed profile
+    and in mechanical mode at any load, runs as the loop's compiled twin,
+    ``_kernels.tick`` (see ``kernels``), wherever ``kernels.load`` gives
+    the module: one C function of two loops, one per mode, that share one
+    substep body and do every float operation of the Python loop in the
+    same order, on IEEE binary64, so its results are bit-identical to the
+    loop's (the tests compare the ``float.hex`` of every value).  It calls
+    a varying speed profile, and the load, from C, at the loop's times and
+    in its order, so a profile sees the same calls, and an error it raises
+    propagates as it is.  It is built with ``-O2 -std=c99
+    -ffp-contract=off`` and no ``-ffast-math`` or ``-march``: no
+    multiply-add is fused, nothing is reordered and no subnormal is
+    flushed to zero, so each operation rounds as CPython's does.
+    ``Scenario`` builds and loads it when it is constructed, so no run
+    times the compile, and each tick calls it once, as a Python builtin.
+    A substep costs about 0.025 us in mechanical mode at a constant load,
+    and 0.1-0.3 us where a profile is called at every substep, nearly all
+    of it the profile's call, against 0.5-0.9 us in the Python loop; a
+    1-substep tick takes about 0.3-0.4 us, against 0.85-0.9 us in the
+    loop.  The Python loop is the twin's reference, and runs every such
+    tick where no compiler or ``Python.h``, a failed compile or an
+    unwritable cache leaves no module to load, with the same numbers.
 
     ``omega``, when given, is the electrical speed the caller already
     took at t (``run_scenario`` passes the one it gave the controller);
@@ -344,20 +343,16 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     """
     (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, compiled, speed,
      mech) = s._plant
+    if tick is None and omega is None:
+        omega = speed(t) if mech is None else p * omega_m
     if tick is not None:
         (d_dd, d_dq, d_qd, d_qq), (g_dd, g_dq, g_qd, g_qq), e_q = tick
         w_q = v_q + e_q
         i_d, i_q = (i_d + (d_dd * i_d + d_dq * i_q) + (g_dd * v_d + g_dq * w_q),
                     i_q + (d_qd * i_d + d_qq * i_q) + (g_qd * v_d + g_qq * w_q))
-    elif compiled is not None:  # the loop below, compiled: a varying speed profile, or mechanical at a constant load
-        if mech is None:
-            i_d, i_q = compiled(i_d, i_q, v_d, v_q, t, omega)
-        else:
-            i_d, i_q, omega_m = compiled(i_d, i_q, omega_m, p * omega_m if omega is None else omega, v_d, v_q,
-                                         mech[0](t), len(substeps))
+    elif compiled is not None:  # the loop below, compiled
+        i_d, i_q, omega_m = compiled(i_d, i_q, omega_m, v_d, v_q, t, omega)
     else:
-        if omega is None:
-            omega = speed(t) if mech is None else p * omega_m
         y_d, y_q = L_d * i_d, L_q * i_q
         if mech is not None:
             load, load_varies, c_1, c_2, friction, k_m = mech

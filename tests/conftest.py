@@ -1,11 +1,8 @@
-import shutil
-import sysconfig
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
+from oflc import kernels
 from oflc.machine import MachineParams
 
 # The property tests draw the same capped set of examples on every run.  No
@@ -26,8 +23,9 @@ P_NS = MachineParams(R=0.5, L_d=4e-3, L_q=4e-3, psi=0.1, p=4)
 
 V_MAX = 48.0
 
-# where oflc.kernels can build its compiled twins: a C compiler on the PATH and this interpreter's Python.h
-COMPILER = shutil.which("cc") is not None and (Path(sysconfig.get_path("include")) / "Python.h").is_file()
+# where the compiled twins run: oflc.kernels builds or finds the module, as no compiler, no Python.h or an
+# unwritable cache may keep it from doing
+COMPILER = kernels.load() is not None
 
 
 def tick_scenario(params, dt_plant, n_sub, speed=0.0, **kw):

@@ -209,7 +209,7 @@ def _law_calls(draw):
     return run, (i_dq(state[:2]), *state[2:])
 
 
-@pytest.mark.skipif(not COMPILER, reason="no C compiler or Python.h: the Python law runs alone")
+@pytest.mark.skipif(not COMPILER, reason="no compiled module: the Python law runs alone")
 @given(_law_calls())
 @example(((P0, V_MAX, 1e-3, 1.0, True, 0.0), ((50.0, 0.0), 100.0, 6.0)))  # b vanishes
 @example(((P0, V_MAX, 1e-3, 1.0, True, 0.0), ((3.0, -4.0), 200.0, 1e9)))  # clamped

@@ -331,9 +331,13 @@ TICK_SPEEDS = (
                                                    st.floats(1e-9, 1e-1)), st.sampled_from((1, 2, 7)))
     | st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS | st.builds(SinusoidProfile, st.floats(-10.0, 10.0),
                                                                 st.floats(0.0, 1e4))), st.sampled_from((1, 2))))
-# the speed sources whose ticks a compiled loop steps, a mechanical speed at a constant load and every varying speed
-# profile, up to 100 substeps
-COMPILED_SPEEDS = st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS) | varying_profiles(SPEEDS),
+# load torques that vary: ramps and sinusoids that change within a tick from t = 0, and every varying profile kind
+VARYING_LOADS = (st.builds(TrapezoidProfile, *[st.floats(-10.0, 10.0)] * 2, st.just(0.0), st.floats(1e-9, 1e-1))
+                 | st.builds(SinusoidProfile, st.floats(-10.0, 10.0), st.floats(0.0, 1e4))
+                 | varying_profiles(st.floats(-10.0, 10.0)))
+# every speed source the compiled loop steps, all that the map does not take: a mechanical speed at a constant or a
+# varying load, and every varying speed profile, up to 100 substeps
+COMPILED_SPEEDS = st.tuples(MECHANICAL | _loaded(CONSTANT_LOADS | VARYING_LOADS) | varying_profiles(SPEEDS),
                             st.sampled_from((1, 2, 7, 100)))
 
 
@@ -395,19 +399,25 @@ def _tick_bits(*args):
         return str(exc)
 
 
-# a sinusoid whose phase 2 pi f t + phase overflows to inf at t = 1e308, where it reads nan at every substep
+# a sinusoid whose phase 2 pi f t + phase overflows to inf at t = 1e308, where it reads nan at every substep: as a
+# speed, and as the load of a mechanical speed
 _OVERFLOWING = SinusoidProfile(100.0, 50.0)
+_OVERFLOWING_LOAD = MechanicalModel(1e-3, 1e-3, SinusoidProfile(1.0, 50.0), 20.0)
+# a 1 kHz load from t = 0, which reads another value at every substep of 10 us
+_SWAYING_LOAD = MechanicalModel(1e-3, 1e-3, SinusoidProfile(2.0, 1e3), 20.0)
 
 
-@pytest.mark.skipif(not COMPILER, reason="no C compiler or Python.h: the Python loop runs alone")
+@pytest.mark.skipif(not COMPILER, reason="no compiled module: the Python loop runs alone")
 @given(_loop_ticks(COMPILED_SPEEDS), st.just(0.0) | FINITE, st.tuples(*[st.floats(-1e3, 1e3)] * 4),
        st.floats(-1e4, 1e4))
 @example((tick_scenario(P0, 1e-6, 7, _OVERFLOWING), _OVERFLOWING), 1e308, (1.0, -2.0, 3.0, 4.0), 100.0)
+@example((tick_scenario(P0, 1e-6, 7, _OVERFLOWING_LOAD), _OVERFLOWING_LOAD), 1e308, (1.0, -2.0, 3.0, 4.0), 100.0)
+@example((tick_scenario(P0, 1e-5, 7, _SWAYING_LOAD), _SWAYING_LOAD), 0.0, (1.0, -2.0, 3.0, 4.0), 100.0)
 def test_compiled_loop_equals_the_python_loop(tick, t, currents_and_voltages, omega):
-    # _kernels.c does the Python loop's float operations in its order, and profile_tick calls the profile at its
-    # times, so every tick gives the same bits, or both raise the same error; with the first substep's speed taken
-    # from omega_m (mechanical) or the profile at t, given as p omega_m, or given apart; a profile passes omega_m
-    # through
+    # _kernels.c's tick does the Python loop's float operations in its order, and calls the speed profile or the
+    # load at its times, so every tick gives the same bits, or both raise the same error; with the first substep's
+    # speed taken from omega_m (mechanical) or the profile at t, given as p omega_m, or given apart; a profile passes
+    # omega_m through
     (s, speed), (i_d, i_q, v_d, v_q) = tick, currents_and_voltages
     omega_m = speed.omega0 if isinstance(speed, MechanicalModel) else 0.0
     loop, args = _python_loop(s), (i_d, i_q, omega_m, v_d, v_q, t)
@@ -583,7 +593,15 @@ def _ramp():
     return TrapezoidProfile(0.0, 1000.0, 0.0, 1.0)
 
 
-def test_run_scenario_samples_the_speed_once_per_substep(monkeypatch):
+@pytest.fixture(params=["module", "no_module"])
+def twin(request, monkeypatch):
+    """Run a test on the compiled twins where the module loads, and again with ``kernels.load`` giving None, so that
+    the scenarios it builds take the Python loop."""
+    if request.param == "no_module":
+        monkeypatch.setattr(kernels, "load", lambda: None)
+
+
+def test_run_scenario_samples_the_speed_once_per_substep(monkeypatch, twin):
     # the controller's sample at t is also the first substep's speed; a varying profile is called again
     # only at the later substeps of the tick
     for n_sub in (1, 7):
@@ -598,7 +616,7 @@ def test_run_scenario_samples_the_speed_once_per_substep(monkeypatch):
     assert not result.aborted and reads == [0.0, 1e-2, 2e-2]
 
 
-def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
+def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch, twin):
     # mechanical mode reads a ConstantProfile load once per tick, at its start, and any other load at every
     # substep, at t + j dt_plant
     constant, reads = _logged(monkeypatch, ConstantProfile(0.5))
@@ -613,7 +631,7 @@ def test_run_scenario_reads_the_load_once_per_tick_or_per_substep(monkeypatch):
         reads.clear()
 
 
-@pytest.mark.skipif(not COMPILER, reason="no C compiler or Python.h: the Python law runs alone")
+@pytest.mark.skipif(not COMPILER, reason="no compiled module: the Python law runs alone")
 def test_simulators_never_call_the_reference_steps(monkeypatch):
     # where the compiled twins load, the compiled law alone gives what a simulator applies; the step functions are
     # its reference, and its fallback only at a degenerate b or an input that is not an exact float, which these

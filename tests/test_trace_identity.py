@@ -1,7 +1,11 @@
-"""tools/trace_identity.py: its selftest comparison, its tolerance mode (``--rtol``) and its line counters."""
+"""tools/trace_identity.py: its selftest comparison, its tolerance mode (``--rtol``), its line counters and the copy
+of ``src/`` in which no compiled module loads."""
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -120,3 +124,12 @@ def test_run_side_runs_the_selftest(tmp_path, monkeypatch):
     monkeypatch.setattr(trace_identity, "RUNS", {})
     assert trace_identity.run_side(trace_identity.ROOT / "src", tmp_path / "out") == {"selftest": 0}
     assert (tmp_path / "out" / trace_identity.SELFTEST).read_text().endswith("selftest OK\n")
+
+
+def test_copy_without_module_loads_no_module(tmp_path):
+    # the third side's copy of src/ runs the Python twins: kernels.load() finds no cache it can build or read
+    src = trace_identity.copy_without_module(tmp_path / "src")
+    assert (src / "oflc" / "__pycache__").is_file() and (src / "oflc" / "_kernels.c").is_file()
+    loaded = subprocess.run([sys.executable, "-c", "from oflc import kernels; print(kernels.load())"],
+                            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
+    assert loaded.stdout == "None\n"

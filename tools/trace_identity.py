@@ -8,19 +8,21 @@ Runs ``oflc compare --controllers oflc flc_z0 id_zero`` on
 ``scenarios/{s1,step,mechanical}.cfg``, once more on ``step.cfg`` with
 ``--decimate 7``, and once more on ``s1.cfg`` with every controller
 setting overridden (``--alpha-z 0.5 --kp 2 --ki 100 --horizon 2e-3
---v-max 40``, so a setting that does not reach the run shows), twice:
-with the working tree's ``src/`` and with the ``src/`` of git revision
-``REF``, exported with ``git archive`` into a temporary directory.  Both
-sides read the working tree's scenario files, and both also run ``oflc
-selftest``.  The 35 output files (three traces, three summaries and the
-compare summary per run) are compared byte for byte, or with ``--rtol R``
-within a tolerance (see ``compare_text``); the selftest's stdout is
-always compared byte for byte.  Exits 0 when every file and the selftest
-output match and every exit code is identical, 1 on any difference or
-missing file, and 2 when a side cannot be set up.  It also prints the
-total and code-line counts of ``src/oflc`` on both sides (see
-``count_lines``), and both sides' counts of each module whose counts
-differ.
+--v-max 40``, so a setting that does not reach the run shows), three
+times: with the ``src/`` of git revision ``REF``, exported with ``git
+archive`` into a temporary directory, with the working tree's ``src/``,
+and with a copy of it in which no compiled module loads (see
+``copy_without_module``), so that the Python twins run.  Every side
+reads the working tree's scenario files and also runs ``oflc selftest``.
+Each working-tree side's 35 output files (three traces, three summaries
+and the compare summary per run) are compared with REF's byte for byte,
+or with ``--rtol R`` within a tolerance (see ``compare_text``); the
+selftest's stdout is always compared byte for byte.  Exits 0 when on
+both sides every file and the selftest output match and every exit code
+is identical, 1 on any difference or missing file, and 2 when a side
+cannot be set up.  It also prints the total and code-line counts of
+``src/oflc`` at REF and in the working tree (see ``count_lines``), and
+both counts of each module whose counts differ.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import ast
 import filecmp
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -60,6 +63,17 @@ def export_tree(ref, dest, *paths):
         archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
         raise RuntimeError(f"cannot export {' '.join(paths) or 'the tree'} of {ref!r}")
+    return dest
+
+
+def copy_without_module(dest):
+    """Copy the working tree's ``src/`` to ``dest`` with ``oflc/__pycache__`` made a file, and return ``dest``.
+
+    There ``kernels.load()`` can neither find nor build the compiled
+    module, so the copy runs the Python law and the Python loop.
+    """
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    (dest / "oflc" / "__pycache__").write_text("")
     return dest
 
 
@@ -235,8 +249,13 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         ref_codes = run_side(ref_src, tmp / "ref_out")
-        work_codes = run_side(ROOT / "src", tmp / "work_out")
-        notes, found = differences(tmp / "ref_out", tmp / "work_out", ref_codes, work_codes, args.rtol)
+        notes, found = [], []
+        for side, src in (("work", ROOT / "src"), ("python", copy_without_module(tmp / "python_src"))):
+            side_notes, side_found = differences(tmp / "ref_out", tmp / f"{side}_out", ref_codes,
+                                                 run_side(src, tmp / f"{side}_out"), args.rtol)
+            label = "" if side == "work" else "without the compiled module: "
+            notes += [label + line for line in side_notes]
+            found += [label + line for line in side_found]
         for side, src in ((f"at {args.ref}", ref_src), ("in the working tree", ROOT / "src")):
             print("src/oflc {}: {} lines, {} code lines".format(side, *package_lines(src / "oflc")))
         ref_modules, work_modules = module_lines(ref_src / "oflc"), module_lines(ROOT / "src" / "oflc")
@@ -251,7 +270,7 @@ def main(argv=None):
         return 1
     how = "identical" if args.rtol is None else f"within rtol {args.rtol:g} ({len(notes)} not byte-identical)"
     print(f"all {len(RUNS) * len(OUTPUTS)} output files and exit codes {how} to {args.ref}, "
-          "and `oflc selftest` output and exit code identical")
+          "and `oflc selftest` output and exit code identical, with the compiled module and without it")
     return 0
 
 
