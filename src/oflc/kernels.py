@@ -1,16 +1,19 @@
-"""The compiled twins of the control law and of the plant's substep loop: ``_kernels.c``, built once and loaded.
+"""The compiled twins of the law, the substep loop and the ZOH tick loop: ``_kernels.c``, built once and loaded.
 
-``_kernels.c`` is one CPython extension module, ``_kernels``, of two
+``_kernels.c`` is one CPython extension module, ``_kernels``, of three
 functions: ``law``, the twin of ``loop.composed_control_law``, the
 Python law ``loop.control_law`` builds (0.2-0.3 us a call against
-5-9 us), and ``tick``, the twin of ``sim.rk4_plant_step``'s substep loop
+5-9 us); ``tick``, the twin of ``sim.rk4_plant_step``'s substep loop
 under every speed source that the closed-form map does not take: a
 varying speed profile, and a mechanical speed at a constant or a varying
-load, whose profiles it calls from C.  Each does every float operation
-of its Python twin in the same order, so its results are bit-identical,
-and the Python twins stay as their reference and as the path wherever
-the module cannot be had.  ``load`` alone decides that, once per
-process.
+load, whose profiles it calls from C; and ``run``, the twin of
+``sim.run_scenario``'s tick loop for a ``loop.TorqueController``, which
+steps every tick of such a run after the first in one call, through the
+same C law and substep loop, or the tick map at a constant speed.  Each
+does every float operation of its Python twin in the same order, so its
+results are bit-identical, and the Python twins stay as their reference
+and as the path wherever the module cannot be had.  ``load`` alone
+decides that, once per process.
 """
 
 import functools

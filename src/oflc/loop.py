@@ -20,6 +20,12 @@ it: 0.2-0.3 us a call against 5-9 us for the composition.  Each tick
 returns one ``ControlFrame``: Python floats named and ordered as the
 trace CSV columns, and a flags int.  The closed torque loop is the
 first-order system of ``linearization``, independent of z.
+
+Where its law is compiled, the torque pipeline also binds its half of
+``_kernels.run``, the compiled twin of ``sim.run_scenario``'s tick loop,
+which does ``TorqueController.step``'s float operations in C for every
+tick of a run after the first (see ``sim.run_scenario``); ``step`` runs
+the first, and every tick of a run that does not take the twin.
 """
 
 import functools
@@ -175,8 +181,15 @@ class TorqueController:
         self.integrator = 0.0
         self._v_prev = (0.0, 0.0)
         params = scenario.params
-        self._tick = (1.5 * params.p, params.psi, params.L_d - params.L_q, 1.5 * params.R, settings.kp, settings.ki,
-                      scenario.dt_ctrl, control_law(params, scenario.v_max, scenario.horizon, settings.alpha_z, use_z))
+        tick = (1.5 * params.p, params.psi, params.L_d - params.L_q, 1.5 * params.R, settings.kp, settings.ki,
+                scenario.dt_ctrl)
+        law = control_law(params, scenario.v_max, scenario.horizon, settings.alpha_z, use_z)
+        self._tick = (*tick, law)
+        # the controller's half of the compiled run (see sim.run_scenario), where the law is compiled: the frame
+        # class, the law's packed constants and the tick's, packed as _kernels.c's Tick
+        module, self._run = kernels.load(), None
+        if module is not None and getattr(law, "func", None) is module.law:
+            self._run = functools.partial(module.run, ControlFrame, law.args[0], struct.pack("8d", *tick, B_DEGENERATE))
 
     def step(self, t, omega, i_dq, tau_ref):
         """Run the pipeline on one (i_d, i_q) sample; returns its ControlFrame.

@@ -26,7 +26,9 @@ it in their own bodies.  The first ``Scenario`` of a process loads the
 compiled twins of ``kernels``, and where it builds them, imports
 subprocess and sysconfig; with them, every tick that the closed-form map
 does not take, under a varying speed profile or in mechanical mode, runs
-compiled (see ``rk4_plant_step``).
+compiled (see ``rk4_plant_step``), and every tick of an ``oflc`` or
+``flc_z0`` run after the first runs in one call of the tick loop's
+compiled twin (see ``run_scenario``).
 """
 
 import functools
@@ -58,7 +60,8 @@ __all__ = [
 
 # Bounds on a run's time and memory; the largest uses are 2000 substeps per tick (criterion 10), 50 000 ticks (the
 # non-salient acceptance fixture) and 10**5 substeps per run (scenarios/step.cfg).  A substep costs about 0.025 us in
-# the compiled loop in mechanical mode at a constant load (the tick's call adds about 0.4 us), 0.1-0.3 us where it
+# the compiled loop in mechanical mode at a constant load (a tick adds about 1.2-2 us, its control tick and its
+# frame, in the compiled run, and about 0.4 us more where rk4_plant_step calls the loop), 0.1-0.3 us where it
 # calls a varying speed profile or load at every substep (almost all of it the profile's own call), and in the
 # Python loop about 0.5 us in mechanical mode, 0.55-0.8 us under a speed profile and 0.75-0.9 us under a varying load
 # (timeit on 1000-substep ticks, 2-core host, Python 3.11), so 10**8 substeps per run take 2.5 s compiled at a
@@ -100,7 +103,8 @@ class Scenario(Record):
     controllers built from a scenario read it unchecked.  It also takes
     ``rk4_plant_step``'s constants (see there) by the one classification
     of the speed source, so it alone decides which speeds RK4's rule bounds
-    and which ticks the compiled loop steps.
+    and which ticks the compiled loop steps; there it also binds the
+    plant's half of ``run_scenario``'s compiled run.
     """
 
     params: MachineParams
@@ -159,12 +163,19 @@ class Scenario(Record):
                  params.L_d, params.L_q, params.psi, params.p)
         # the compiled twins load (and build, once) here, outside run_scenario, whose controllers' laws take them
         # too; every tick the map does not take runs the compiled loop, on the loop's floats packed as _kernels.c's
-        # Plant, with the speed's Euler step and load_varies, or zeros and no load under a speed profile
-        module, compiled = kernels.load(), None
-        if module is not None and tick is None:
-            load, euler = (None, (0.0,) * 5) if mech is None else (mech[0], (*mech[2:], mech[1]))
-            compiled = functools.partial(module.tick, struct.pack("21d", *plant[2:], *euler), speed, load, n_sub)
-        object.__setattr__(self, "_plant", (*plant, compiled, speed, mech))
+        # Plant, with the speed's Euler step and load_varies, or zeros and no load under a speed profile.  The
+        # compiled run takes the plant's half of its arguments, the same packed Plant or the map packed as
+        # _kernels.c's Map, with the profiles and n (see run_scenario)
+        module, compiled, run = kernels.load(), None, None
+        if module is not None:
+            if tick is None:
+                load, euler = (None, (0.0,) * 5) if mech is None else (mech[0], (*mech[2:], mech[1]))
+                packed = struct.pack("21d", *plant[2:], *euler)
+                compiled = functools.partial(module.tick, packed, speed, load, n_sub)
+            else:
+                load, packed = None, struct.pack("9d", *tick[0], *tick[1], tick[2])
+            run = (packed, speed, load, n_sub, self.tau_ref)
+        object.__setattr__(self, "_plant", (*plant, run, compiled, speed, mech))
 
 
 class RunResult(Record):
@@ -306,6 +317,9 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     flushed to zero, so each operation rounds as CPython's does.
     ``Scenario`` builds and loads it when it is constructed, so no run
     times the compile, and each tick calls it once, as a Python builtin.
+    ``run_scenario``'s compiled run steps every tick of a torque-pipeline
+    run after the first through the same C loop, and through the map's
+    two lines in C at a constant speed, without calling this function.
     A substep costs about 0.025 us in mechanical mode at a constant load,
     and 0.1-0.3 us where a profile is called at every substep, nearly all
     of it the profile's call, against 0.5-0.9 us in the Python loop; a
@@ -341,8 +355,8 @@ def rk4_plant_step(i_d, i_q, omega_m, v_d, v_q, t, s, omega=None):
     Raises:
         NonFiniteStateError: if the currents at the end of the tick are not finite.
     """
-    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, compiled, speed,
-     mech) = s._plant
+    (tick, substeps, dt, h2, h3, h4, a_d, a_q, a2_d, a3_d, a4_d, a2_q, a3_q, a4_q, L_d, L_q, psi, p, _, compiled,
+     speed, mech) = s._plant
     if tick is None and omega is None:
         omega = speed(t) if mech is None else p * omega_m
     if tick is not None:
@@ -382,6 +396,26 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
 
     ``controller`` is a ``loop.CONTROLLERS`` name, built with ``settings``
     (which ``id_zero`` does not use); anything else raises ValueError.
+
+    Tick k reads the speed (the profile at t = k dt_ctrl, or p omega_m in
+    mechanical mode) and then tau_ref at t, runs the controller's
+    ``step``, keeps its frame and steps the plant by ``rk4_plant_step``;
+    the first tick whose currents are not finite keeps its frame and ends
+    the run as aborted.  Where the compiled twins load and the law is
+    compiled, an ``oflc`` or ``flc_z0`` run takes tick 0 so, and then
+    every later tick in one call of ``_kernels.run``, this loop's compiled
+    twin: ``TorqueController.step``'s float operations, the law, the held
+    voltage at a degenerate b and the plant step, by the map or by the one
+    C copy of the substep loop, every float operation and profile call in
+    this loop's order, so its frames are bit-identical (the tests compare
+    the ``float.hex`` and type of every field).  The controller binds its
+    half of the call, the law's and the tick's packed constants, and the
+    scenario its own: the packed plant or tick map, the profiles and n.
+    A ctrl_dense tick takes about 1.2-2.2 us so, against 2.5-4.5 us a tick
+    of this loop with the compiled law and plant tick (in process, best of
+    9, 2-vCPU host, Python 3.11, gcc 12).  ``id_zero``, a law with a
+    non-float constant and a host where the module does not load run
+    every tick here.
     """
     s = scenario
     if not (isinstance(controller, str) and controller in CONTROLLERS):
@@ -395,6 +429,8 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
     omega_m = speed.omega0 if mechanical else 0.0  # mechanical, mechanical mode only
     frames = []
     aborted = False
+    # the compiled run, where the controller binds its half and the scenario its own
+    run = s._plant[-4] is not None and getattr(ctrl, "_run", None)
 
     for k in range(n_ctrl):
         t = k * dt_ctrl
@@ -405,6 +441,9 @@ def run_scenario(scenario, controller="oflc", settings=ControllerSettings()):
             i_d, i_q, omega_m = rk4_plant_step(i_d, i_q, omega_m, frame.v_d, frame.v_q, t, s, omega_e)
         except NonFiniteStateError:
             aborted = True
+            break
+        if run:  # ticks 1 .. n_ctrl - 1, in one call
+            aborted = run(*s._plant[-4], frames, n_ctrl, i_d, i_q, omega_m, ctrl.integrator, *ctrl._v_prev)
             break
 
     cost, copper = energy_accounting(frames)

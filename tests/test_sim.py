@@ -13,9 +13,9 @@ from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from conftest import COMPILER, P0, P_NS, V_MAX, tick_scenario
-from test_config import (FINITE, MACHINES, MECHANICAL, PROFILES, SPEED_PROFILES, SPEEDS, dt_plants, varying_profiles,
-                         within)
-from oflc import kernels, records, sim
+from test_config import (FINITE, MACHINES, MECHANICAL, PROFILES, SETTINGS, SPEED_PROFILES, SPEEDS, dt_plants,
+                         varying_profiles, within)
+from oflc import kernels, linearization, loop, records, sim
 from oflc.domain import RK4_RADIUS, rk4_limit
 from oflc.errors import NonFiniteStateError, ValidationError
 from oflc.linearization import compute_terms
@@ -407,9 +407,13 @@ _OVERFLOWING_LOAD = MechanicalModel(1e-3, 1e-3, SinusoidProfile(1.0, 50.0), 20.0
 _SWAYING_LOAD = MechanicalModel(1e-3, 1e-3, SinusoidProfile(2.0, 1e3), 20.0)
 
 
+# tick start times, two draws in three within 1 ms of 0, where the ramps and sinusoids of VARYING_LOADS change within
+# a tick; most finite floats are past every such change
+NEAR_ZERO = st.just(0.0) | st.floats(0.0, 1e-3) | FINITE
+
+
 @pytest.mark.skipif(not COMPILER, reason="no compiled module: the Python loop runs alone")
-@given(_loop_ticks(COMPILED_SPEEDS), st.just(0.0) | FINITE, st.tuples(*[st.floats(-1e3, 1e3)] * 4),
-       st.floats(-1e4, 1e4))
+@given(_loop_ticks(COMPILED_SPEEDS), NEAR_ZERO, st.tuples(*[st.floats(-1e3, 1e3)] * 4), st.floats(-1e4, 1e4))
 @example((tick_scenario(P0, 1e-6, 7, _OVERFLOWING), _OVERFLOWING), 1e308, (1.0, -2.0, 3.0, 4.0), 100.0)
 @example((tick_scenario(P0, 1e-6, 7, _OVERFLOWING_LOAD), _OVERFLOWING_LOAD), 1e308, (1.0, -2.0, 3.0, 4.0), 100.0)
 @example((tick_scenario(P0, 1e-5, 7, _SWAYING_LOAD), _SWAYING_LOAD), 0.0, (1.0, -2.0, 3.0, 4.0), 100.0)
@@ -424,6 +428,10 @@ def test_compiled_loop_equals_the_python_loop(tick, t, currents_and_voltages, om
     assert s._plant[-3] is not None and loop._plant[-3] is None
     for first in (None, s.params.p * omega_m, omega):
         assert _tick_bits(*args, s, first) == _tick_bits(*args, loop, first)
+
+
+# the controllers that one _kernels.run call steps after their first tick
+TORQUE = ("oflc", "flc_z0")
 
 
 def _no_compile(patch, tmp_path, failure):
@@ -443,7 +451,8 @@ def _no_compile(patch, tmp_path, failure):
 @pytest.mark.parametrize("failure", ["compile", "Python.h", "cache"])
 def test_runs_take_the_python_twins_where_the_build_fails(monkeypatch, tmp_path, failure):
     # where the compiled twins cannot be had, the scenarios take the Python loop and the controllers the Python law,
-    # to the same frames: every controller on a mechanical scenario and on s1, whose speed is a varying profile
+    # to the same frames, and neither binds its half of the compiled run: every controller on a mechanical scenario
+    # and on s1, whose speed is a varying profile
     from oflc.config import parse_config
 
     scenarios = [parse_config((SCENARIOS / name).read_text())[0] for name in ("mechanical.cfg", "s1.cfg")]
@@ -455,13 +464,106 @@ def test_runs_take_the_python_twins_where_the_build_fails(monkeypatch, tmp_path,
             assert kernels.load() is None
             assert control_law(P0, V_MAX, 1e-3).func is composed_control_law
             fallback = [records.replace(s) for s in scenarios]
-            assert all(x._plant[-3] is None for x in fallback) and fallback == scenarios
+            assert all(x._plant[-3] is None and x._plant[-4] is None for x in fallback) and fallback == scenarios
+            assert not any(CONTROLLERS[c](s, ControllerSettings())._run for s in fallback for c in TORQUE)
             python = [repr(run_scenario(s, c)) for s in fallback for c in CONTROLLERS]
         finally:
             kernels.load.cache_clear()
-    assert all((x._plant[-3] is not None) == COMPILER for x in scenarios)
+    assert all((x._plant[-3] is not None) == (x._plant[-4] is not None) == COMPILER for x in scenarios)
+    assert all((CONTROLLERS[c](s, ControllerSettings())._run is not None) == COMPILER
+               for s in scenarios for c in TORQUE)
     assert (control_law(P0, V_MAX, 1e-3).func is getattr(kernels.load(), "law", None)) == COMPILER
     assert python == compiled
+
+
+_SPEED_VALUES = st.floats(-1e3, 1e3)
+# one pick per kind of speed source, each kind as likely: a mechanical speed at a varying and at a constant load, a
+# constant speed, every varying profile kind over the whole domain, and each kind again varying within a run of
+# 2 ms or less
+RUN_SPEEDS = (_loaded(VARYING_LOADS), MECHANICAL | _loaded(CONSTANT_LOADS), st.builds(ConstantProfile, _SPEED_VALUES),
+              varying_profiles(SPEEDS), st.builds(StepProfile, _SPEED_VALUES, _SPEED_VALUES, st.floats(0.0, 2e-3)),
+              st.builds(SinusoidProfile, _SPEED_VALUES, st.floats(0.0, 1e4), _SPEED_VALUES, within("phase")),
+              st.builds(TrapezoidProfile, _SPEED_VALUES, _SPEED_VALUES, st.just(0.0), st.floats(1e-9, 2e-3)),
+              st.builds(TableProfile, st.just((0.0, 1e-3, 2e-3)), st.tuples(*[_SPEED_VALUES] * 3)))
+
+
+@st.composite
+def _compiled_runs(draw):
+    """(scenario, settings) of 2 to 20 ticks of a machine near P0 under every speed source the compiled run steps: a
+    constant speed (the map), each varying profile kind, ramps and sinusoids that change within the run, and a
+    mechanical speed at a constant and at a varying load; with PI gains and alpha_z drawn from the domain."""
+    params, speed = draw(NEAR_P0), draw(st.sampled_from(RUN_SPEEDS).flatmap(lambda speeds: speeds))
+    n_sub = draw(st.sampled_from((1, 2, 7)))
+    dt_plant = draw(dt_plants(params, speed, n_sub, 1e-7, 1e-4))
+    i0 = draw(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)) | st.tuples(within("i_d0"), within("i_q0")))
+    s = Scenario(params=params, duration=draw(st.integers(2, 20)) * n_sub * dt_plant, speed=speed,
+                 tau_ref=draw(PROFILES | VARYING_LOADS), dt_plant=dt_plant, dt_ctrl=n_sub * dt_plant,
+                 v_max=draw(within("v_max")), i0=i0)
+    return s, draw(SETTINGS)
+
+
+class _ProfileFault(Exception):
+    """The error of a profile made to raise."""
+
+
+def _outcome(s, controller, settings):
+    """The type and ``float.hex`` of every frame field of a run, its abort and its three summary figures; or the
+    type and message of the error of a profile's that ended it."""
+    try:
+        result = run_scenario(s, controller, settings)
+    except _ProfileFault as exc:
+        return type(exc), str(exc)
+    frames = [[(type(x), float.hex(x) if type(x) is float else x) for x in f] for f in result.frames]
+    figures = (result.cost_integral, result.copper_energy, result.rms_torque_error)
+    return frames, result.aborted, [float.hex(x) for x in figures]
+
+
+# 10 ticks of a machine whose 7 substeps of 10 us grow the currents some 1e24-fold a tick, at a constant speed: the
+# currents overflow on the plant step of tick 7
+_DIVERGING = Scenario(params=MachineParams(50.0, 3e-5, 5e-5, 0.1, 4), duration=7e-4, tau_ref=ConstantProfile(2.0),
+                      speed=ConstantProfile(100.0), dt_plant=1e-5, dt_ctrl=7e-5, i0=(1.0, -1.0))
+# 20 ticks of P0 on a speed ramp from i = (-10, 0) A, where |b| = 1.44 falls below 1.3 from tick 4 on
+_RAMP = Scenario(params=P0, duration=2e-3, tau_ref=ConstantProfile(0.0), speed=TrapezoidProfile(0.0, 300.0, 0.0, 2e-3),
+                 dt_plant=1e-5, dt_ctrl=1e-4, i0=(-10.0, 0.0))
+
+
+@pytest.mark.skipif(not COMPILER, reason="no compiled module: the Python loop runs alone")
+@given(_compiled_runs(), st.sampled_from(TORQUE), st.just(None))
+@example((_DIVERGING, ControllerSettings()), "oflc", "diverges")
+@example((_RAMP, ControllerSettings()), "flc_z0", "raises")
+@example((_RAMP, ControllerSettings()), "oflc", "degenerates")
+def test_compiled_run_equals_the_python_run(run, controller, fault):
+    # one _kernels.run call steps every tick after the first: it reads the speed profile (or takes p omega_m) and
+    # tau_ref, does TorqueController.step's arithmetic, runs the law or holds the voltage where b is degenerate,
+    # and steps the plant by the map or the substep loop, every float operation and profile call in the Python
+    # run's order.  So a run gives the same frames, field by field and type by type, the same abort and summary
+    # figures, or the same error of a profile, as the scenario rebuilt where the module does not load.  The faults:
+    # currents that overflow mid-run, tau_ref raising from the fourth tick on, and b degenerate from tick 4 on
+    s, settings = run
+    eps_b = 1.3 if fault == "degenerates" else linearization.EPS_B
+    call = type(s.tau_ref).__call__
+
+    def tau_ref(self, t):
+        if fault == "raises" and t >= 3.5 * s.dt_ctrl:
+            raise _ProfileFault(f"at t = {t!r}")
+        return call(self, t)
+
+    assert s._plant[-4] is not None
+    with mock.patch.object(loop, "EPS_B", eps_b), mock.patch.object(linearization, "EPS_B", eps_b), \
+            mock.patch.object(type(s.tau_ref), "__call__", tau_ref):
+        assert CONTROLLERS[controller](s, settings)._run is not None
+        compiled = _outcome(s, controller, settings)
+        with mock.patch.object(kernels, "load", lambda: None):
+            python = _outcome(records.replace(s), controller, settings)
+    assert compiled == python
+    if fault == "raises":
+        assert compiled == (_ProfileFault, f"at t = {4 * s.dt_ctrl!r}")
+    elif fault == "diverges":
+        assert compiled[1] and len(compiled[0]) == 8
+    elif fault == "degenerates":
+        held = [flags & B_DEGENERATE for *_, (_, flags) in compiled[0]]
+        assert held[:4] == [0] * 4 and all(held[4:])
+
 
 def test_substep_loop_keeps_rk4_order():
     # criterion 10's two checks, of the substep loop rather than the closed form: the same speeds, held by step
@@ -568,9 +670,10 @@ def test_run_scenario_reproducible(monkeypatch):
     for s in (prescribed, mechanical):
         a = run_scenario(s, "oflc", settings=ControllerSettings())
         b = run_scenario(s, "oflc", settings=ControllerSettings())
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m:  # the Python run, whose every tick takes the plant step
+            m.setattr(kernels, "load", lambda: None)
             m.setattr(sim, "rk4_plant_step", _reference_tick)
-            c = run_scenario(s, "oflc", settings=ControllerSettings())
+            c = run_scenario(records.replace(s), "oflc", settings=ControllerSettings())
         assert a.cost_integral == b.cost_integral == pytest.approx(c.cost_integral, rel=1e-12, abs=0.0)
         assert len(a.frames) == len(b.frames) == len(c.frames) == round(s.duration / s.dt_ctrl)
         assert a.frames == b.frames
